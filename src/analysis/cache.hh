@@ -228,8 +228,7 @@ class AnalysisCache
      * construction: a missing file, a bad magic or future version,
      * truncated or torn segments load as empty-or-partial, each
      * recorded as a structured cache-* issue on the report — never a
-     * crash. A v1 file loads read-only with a single `cache-migrated`
-     * info issue. When @p expect_arch is set, entries tagged with any
+     * crash. When @p expect_arch is set, entries tagged with any
      * other ISA are dropped (their keys could never be looked up, but
      * dropping keeps the merge bounded and reports the mismatch).
      * Existing in-memory entries win over file entries with the same

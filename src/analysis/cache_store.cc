@@ -2,9 +2,8 @@
  * @file
  * AnalysisCache::save()/load() and the `icp cache` helpers: the v4
  * segmented cache-file format documented in cache_store.hh
- * (position-independent entries, content-addressed keys; the v1-v3
- * framing still loads, with absolute-form entries degrading to
- * misses).
+ * (position-independent entries, content-addressed keys). A file of
+ * any other version loads as empty and the next save overwrites it.
  *
  * Layered like the SBF container code: a bounds-latched ByteReader
  * and kind-specific payload encoders/decoders at the bottom; a
@@ -18,7 +17,7 @@
  * flock over `<path>.lock`. Readers never lock — the format is
  * append-only, so a reader sees a valid prefix plus at most one
  * torn tail, which the scanner salvages entry-by-entry. Full
- * rewrites (v1 migration, torn-tail repair, compaction) write a
+ * rewrites (version change, torn-tail repair, compaction) write a
  * temp file and rename it into place, which keeps existing mmaps
  * valid on the old inode.
  */
@@ -493,10 +492,7 @@ decodeDataDeps(ByteReader &rd, DataDeps &deps, Addr &orig_entry)
     return true;
 }
 
-// v4 position-independent payload kinds. The absolute-form v1-v3
-// kinds (1/2/3) are recognized so old files walk cleanly, but never
-// indexed: their payloads cannot be rebased and their keys were
-// computed under the old address-folding scheme.
+// v4 position-independent payload kinds.
 constexpr std::uint8_t entry_kind_function = 4;
 constexpr std::uint8_t entry_kind_liveness = 5;
 constexpr std::uint8_t entry_kind_datadeps = 6;
@@ -507,12 +503,6 @@ knownEntryKind(std::uint8_t kind)
     return kind == entry_kind_function ||
            kind == entry_kind_liveness ||
            kind == entry_kind_datadeps;
-}
-
-bool
-legacyEntryKind(std::uint8_t kind)
-{
-    return kind >= 1 && kind <= 3;
 }
 
 void
@@ -543,7 +533,7 @@ appendEntry(std::vector<std::uint8_t> &out, std::uint8_t kind,
 /**
  * RAII flock over `<path>.lock`. Best effort: when the lock file
  * cannot even be created (read-only directory), writers proceed
- * unlocked — exactly as unsafe as v1 was, never less available.
+ * unlocked — never less available than without the lock.
  */
 class CacheFileLock
 {
@@ -602,13 +592,13 @@ struct ScanResult
     std::vector<RawEntry> entries;
     std::vector<CacheFileIssue> issues;
 
-    bool usableV2() const { return version == cache_file_version; }
+    bool current() const { return version == cache_file_version; }
 };
 
 /**
  * Walk @p data's headers without decoding or checksumming payloads.
- * Understands v1 (single implicit whole-file segment) and v2
- * (segment chain); anything else yields issues and no entries.
+ * Only the current version's segment chain is understood; any other
+ * version yields one info-grade cache-version issue and no entries.
  */
 ScanResult
 scanBuffer(const std::uint8_t *data, std::size_t size)
@@ -626,53 +616,17 @@ scanBuffer(const std::uint8_t *data, std::size_t size)
     const std::uint32_t version = rd.u32();
     scan.version = version;
 
-    if (version < cache_file_min_version ||
-        version > cache_file_version) {
-        char msg[96];
+    if (version != cache_file_version) {
+        char msg[112];
         std::snprintf(msg, sizeof(msg),
-                      "format version %u (this build reads %u..%u); "
-                      "file ignored",
-                      version, cache_file_min_version,
-                      cache_file_version);
+                      "format version %u (this build reads %u); file "
+                      "ignored, the next save overwrites it",
+                      version, cache_file_version);
         scan.issues.push_back({"cache-version", 4, msg});
         return scan;
     }
 
-    if (version == 1) {
-        // v1: u32 entryCount, then entries to end of file. Loaded
-        // read-only; the next save migrates the file to v2.
-        scan.issues.push_back(
-            {"cache-migrated", 4,
-             "version-1 cache file loaded read-only; the next save "
-             "rewrites it in the current format"});
-        const std::uint32_t count = rd.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            RawEntry e;
-            e.offset = rd.pos();
-            e.kind = rd.u8();
-            e.arch = rd.u8();
-            e.key = rd.u64();
-            e.payloadLen = rd.u32();
-            e.payloadHash = rd.u64();
-            e.payload = rd.blob(e.payloadLen);
-            e.generation = 1;
-            if (rd.failed()) {
-                char msg[96];
-                std::snprintf(msg, sizeof(msg),
-                              "entry %u of %u runs past end of file; "
-                              "remaining entries dropped",
-                              i + 1, count);
-                scan.issues.push_back(
-                    {"cache-truncated", e.offset, msg});
-                scan.droppedEntries += count - i;
-                return scan;
-            }
-            scan.entries.push_back(e);
-        }
-        return scan;
-    }
-
-    // v2: u64 file generation, then the segment chain.
+    // u64 file generation, then the segment chain.
     scan.headerGeneration = rd.u64();
     scan.validBytes = rd.pos();
     while (!rd.failed() && rd.remaining() > 0) {
@@ -854,11 +808,7 @@ compactLocked(const std::string &path, std::uint64_t max_bytes,
     for (const RawEntry &e : scan.entries) {
         if (fnv1a(e.payload, e.payloadLen) != e.payloadHash)
             continue;
-        // Legacy absolute-form kinds can never hit again; compaction
-        // is where they finally leave the file. Unknown kinds are
-        // kept (forward compat).
-        if (legacyEntryKind(e.kind))
-            continue;
+        // Unknown kinds are kept (forward compat).
         by_key[{e.kind, e.key}] = &e;
     }
     out.entriesBefore = static_cast<unsigned>(scan.entries.size());
@@ -1165,18 +1115,7 @@ AnalysisCache::load(const std::string &path,
     // lazy checksum + deserialization on first lookup.
     std::vector<const RawEntry *> accepted;
     accepted.reserve(scan.entries.size());
-    std::size_t first_legacy_off = 0;
     for (const RawEntry &e : scan.entries) {
-        if (legacyEntryKind(e.kind)) {
-            // Absolute-form v1-v3 entry: cannot be rebased and its
-            // key predates the content-addressed scheme, so it could
-            // never match a lookup anyway. Degrades to a miss; one
-            // summarizing issue below instead of per-entry noise.
-            if (report.skippedLegacy == 0)
-                first_legacy_off = e.offset;
-            ++report.skippedLegacy;
-            continue;
-        }
         if (!knownEntryKind(e.kind)) {
             // Forward compatibility: a newer writer introduced an
             // entry kind this build does not understand. Skipping it
@@ -1210,16 +1149,6 @@ AnalysisCache::load(const std::string &path,
             continue;
         }
         accepted.push_back(&e);
-    }
-    if (report.skippedLegacy > 0) {
-        char msg[128];
-        std::snprintf(msg, sizeof(msg),
-                      "%u absolute-form v1-v3 entries skipped "
-                      "(re-analysis repopulates them); the next save "
-                      "rewrites the file as version %u",
-                      report.skippedLegacy, cache_file_version);
-        report.issues.push_back(
-            {"cache-legacy", first_legacy_off, msg});
     }
 
     std::lock_guard<std::mutex> lock(mu_);
@@ -1272,7 +1201,7 @@ AnalysisCache::save(const std::string &path,
     if (file)
         scan = scanFile(file);
     const bool append_mode =
-        file && scan.usableV2() && !scan.torn;
+        file && scan.current() && !scan.torn;
 
     // Keys already durable in the file, kept per entry kind —
     // function, liveness, and data-dep entries share the
@@ -1406,9 +1335,9 @@ AnalysisCache::save(const std::string &path,
             CacheCounters::global().bytesAppended.fetch_add(
                 seg.size(), std::memory_order_relaxed);
     } else {
-        // Fresh file, older-version migration, foreign/torn content:
-        // full atomic rewrite. Durable raw entries from any readable
-        // scan are copied through (deduplicated per kind, newest
+        // Fresh file, other version, foreign/torn content: full
+        // atomic rewrite. Durable raw entries from any readable scan
+        // are copied through (deduplicated per kind, newest
         // occurrence first); everything else comes from memory.
         const std::uint64_t generation = scan.maxGeneration + 1;
         std::vector<std::uint8_t> full_body;
@@ -1418,10 +1347,9 @@ AnalysisCache::save(const std::string &path,
             for (auto it = scan.entries.rbegin();
                  it != scan.entries.rend(); ++it) {
                 const RawEntry &e = *it;
-                // Legacy absolute-form kinds are dropped here — they
-                // can never hit again; unknown future kinds pass
-                // through so a newer writer's entries survive us.
-                if (!e.completeSegment || legacyEntryKind(e.kind) ||
+                // Unknown future kinds pass through so a newer
+                // writer's entries survive us.
+                if (!e.completeSegment ||
                     !seen.insert({e.kind, e.key}).second)
                     continue;
                 appendEntry(full_body, e.kind,
@@ -1479,8 +1407,6 @@ inspectCacheFile(const std::string &path)
         } else if (e.kind == entry_kind_datadeps) {
             ++info.dataDepsEntries;
             info.dataDepsPayloadBytes += e.payloadLen;
-        } else if (legacyEntryKind(e.kind)) {
-            ++info.legacyEntries;
         } else {
             ++info.otherEntries;
         }
@@ -1559,16 +1485,6 @@ verifyCacheFile(const std::string &path)
                 continue;
             }
             ++report.loadedDataDeps;
-        } else if (legacyEntryKind(e.kind)) {
-            // Checksum already verified above; the payload itself is
-            // not decodable under the v4 contract, by design.
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "absolute-form v1-v3 entry (kind %u); "
-                          "degrades to a miss at load",
-                          e.kind);
-            report.issues.push_back({"cache-legacy", e.offset, msg});
-            ++report.skippedLegacy;
         } else {
             char msg[96];
             std::snprintf(msg, sizeof(msg),

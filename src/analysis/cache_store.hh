@@ -14,6 +14,9 @@
  * truncated or torn-off tail, or a wrong-ISA entry each degrade to
  * an empty or partial load, with one structured cache-* issue per
  * problem (the same shape as the SBF container's sbf-* diagnostics).
+ * This repo is the only writer of these files, so there is no
+ * migration: a file of any other version loads as empty with one
+ * info-grade cache-version issue, and the next save overwrites it.
  * Cache keys are content hashes, so a surviving entry is usable by
  * construction and a dropped entry only costs re-analysis.
  *
@@ -32,9 +35,7 @@
  *   u64 headerHash  FNV-1a over the previous 24 header bytes
  *   entryCount x {
  *     u8  kind      4 = function CFG, 5 = liveness summary,
- *                   6 = data read-set (all position-independent;
- *                   1-3 are the absolute-form v1-v3 equivalents,
- *                   recognized but never indexed)
+ *                   6 = data read-set (all position-independent)
  *     u8  arch      Arch enum value
  *     u64 key       Function::cacheKey the entry memoizes
  *     u32 payloadLen
@@ -48,15 +49,7 @@
  * entry the function was analyzed at, with that original entry (and
  * for functions the analysis-time `tocBase - entry` offset) kept as
  * payload metadata, so a lookup from a *different* binary sharing
- * the code bytes rebases the entry to its own addresses. The v4
- * payload kinds are new numbers (4/5/6): the absolute-form v1-v3
- * kinds (1/2/3) remain self-describing in old files and degrade to
- * misses at load — decoding them under the v4 contract would rebase
- * absolute addresses and corrupt them, and their keys were computed
- * under the old address-folding scheme anyway, so they can never
- * match a v4 lookup. v1-v3 files therefore still *load* (per-entry
- * degradation with one summarizing `cache-legacy` info issue, never
- * a crash) and are rewritten as v4 by the next save. Forward
+ * the code bytes rebases the entry to its own addresses. Forward
  * compatibility is structural: an *unknown* entry kind is skipped
  * with a `cache-skip` info diagnostic — a reader built before a
  * kind was introduced tolerates files that contain it.
@@ -72,9 +65,7 @@
  * clobbering. A torn final segment (a writer died mid-append) is
  * salvaged entry-by-entry at load and repaired by the next save,
  * which falls back to a full atomic rewrite (tmp + rename, keeping
- * live mmaps valid on the old inode). Version-1 files (one unsegmented
- * whole-file snapshot) load transparently read-only with a
- * `cache-migrated` info diagnostic; the next save writes v2.
+ * live mmaps valid on the old inode).
  *
  * Invalidation: a key covers the function bytes, the analysis
  * options, and the data-section layout (see imageCacheSeed) — but
@@ -101,15 +92,10 @@ constexpr std::uint32_t cache_file_magic = 0x43504349;    // "ICPC"
 constexpr std::uint32_t cache_segment_magic = 0x53504349; // "ICPS"
 constexpr std::uint32_t cache_file_version = 4;
 
-/** Oldest file version load() still reads (v1: whole-file snapshot). */
-constexpr std::uint32_t cache_file_min_version = 1;
-
 /** Byte sizes of the fixed-layout records above. */
 constexpr std::size_t cache_file_header_bytes = 16;
 constexpr std::size_t cache_segment_header_bytes = 32;
 constexpr std::size_t cache_entry_header_bytes = 22;
-/** The v1 header (magic, version, entryCount) load() still reads. */
-constexpr std::size_t cache_v1_header_bytes = 12;
 
 /** One structured problem found while loading a cache file. */
 struct CacheFileIssue
@@ -128,7 +114,7 @@ struct CacheLoadReport
     /** Format version of the file that was read (0 = unreadable). */
     std::uint32_t fileVersion = 0;
 
-    /** Complete segments in the file (0 for v1 files). */
+    /** Complete segments in the file. */
     unsigned segments = 0;
 
     /** File bytes mapped for lazy deserialization. */
@@ -147,13 +133,6 @@ struct CacheLoadReport
 
     /** Unknown-kind entries tolerated (forward compat, info issue). */
     unsigned skippedUnknown = 0;
-
-    /**
-     * Absolute-form v1-v3 entries recognized but not indexed: their
-     * addresses cannot be rebased and their keys predate the
-     * content-addressed scheme, so they degrade to misses.
-     */
-    unsigned skippedLegacy = 0;
 
     /** Keys already in memory; the in-memory entry won. */
     unsigned skippedExisting = 0;
@@ -180,7 +159,6 @@ struct CacheFileInfo
     unsigned functionEntries = 0;
     unsigned livenessEntries = 0;
     unsigned dataDepsEntries = 0;
-    unsigned legacyEntries = 0; ///< absolute-form v1-v3 kinds
     unsigned otherEntries = 0;  ///< unknown kinds (forward compat)
     std::uint64_t payloadBytes = 0;
 

@@ -1,5 +1,7 @@
 #include "baselines/boltlike.hh"
 
+#include <algorithm>
+
 #include "analysis/builder.hh"
 #include "baselines/regen_util.hh"
 #include "rewrite/engine.hh"
@@ -24,14 +26,16 @@ boltRewrite(const BinaryImage &input, BoltOperation op)
     }
 
     const CfgModule cfg = buildCfg(input, AnalysisOptions{});
-    std::set<Addr> all;
+    std::vector<const Function *> order;
     for (const auto &[entry, func] : cfg.functions) {
         if (!func.instrumentable()) {
             outcome.error = "cannot analyze " + func.name;
             return outcome;
         }
-        all.insert(entry);
+        order.push_back(&func);
     }
+    if (op == BoltOperation::reorderFunctions)
+        std::reverse(order.begin(), order.end());
 
     const Section *text = input.findSection(SectionKind::text);
     icp_assert(text, "no .text");
@@ -42,34 +46,31 @@ boltRewrite(const BinaryImage &input, BoltOperation op)
     config.newRodataBase =
         config.instrBase + text->memSize * 4 + 0x10000;
     config.functionAlign = 16;
-    config.functionOrder = op == BoltOperation::reorderFunctions
-        ? OrderPolicy::reversed
-        : OrderPolicy::original;
     config.blockOrder = op == BoltOperation::reorderBlocks
         ? OrderPolicy::reversed
         : OrderPolicy::original;
 
-    EngineResult engine = relocateFunctions(cfg, all, config);
-
+    Engine engine(input, config);
     BinaryImage out = input;
     Section *old_text = out.findSection(SectionKind::text);
     old_text->addr = config.instrBase;
-    old_text->bytes = engine.instrBytes;
+    old_text->bytes = engine.relocate(order);
     old_text->memSize = old_text->bytes.size();
-    if (!engine.newRodataBytes.empty()) {
+    std::vector<std::uint8_t> rodata = engine.cloneBytes();
+    if (!rodata.empty()) {
         Section ro;
         ro.name = ".newrodata";
         ro.kind = SectionKind::newRodata;
         ro.addr = config.newRodataBase;
-        ro.bytes = engine.newRodataBytes;
-        ro.memSize = ro.bytes.size();
+        ro.memSize = rodata.size();
+        ro.bytes = std::move(rodata);
         out.addSection(std::move(ro));
     }
     rewriteRegeneratedFuncPtrs(out, *old_text, cfg, engine);
 
-    auto entry_it = engine.blockMap.find(input.entry);
-    icp_assert(entry_it != engine.blockMap.end(), "entry missing");
-    out.entry = entry_it->second;
+    const std::optional<Addr> entry = engine.lookupBlock(input.entry);
+    icp_assert(entry.has_value(), "entry missing");
+    out.entry = *entry;
 
     outcome.ok = true;
     outcome.image = std::move(out);

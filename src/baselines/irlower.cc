@@ -44,17 +44,17 @@ irLowerRewrite(const BinaryImage &input,
     result.stats.originalLoadedSize = input.loadedSize();
 
     // All-or-nothing: one unanalyzable function fails the binary.
-    std::set<Addr> all;
+    std::vector<const Function *> order;
     for (const auto &[entry, func] : cfg.functions) {
         if (!func.instrumentable()) {
             result.failReason =
                 "analysis failed for function " + func.name;
             return result;
         }
-        all.insert(entry);
+        order.push_back(&func);
     }
     result.stats.instrumentedFunctions =
-        static_cast<unsigned>(all.size());
+        static_cast<unsigned>(order.size());
 
     BinaryImage out = input;
     Section *old_text = out.findSection(SectionKind::text);
@@ -68,21 +68,21 @@ irLowerRewrite(const BinaryImage &input,
                            old_text->memSize * 4 + 0x10000;
     config.functionAlign = 4; // compacted layout (binary optimizer)
 
-    EngineResult engine = relocateFunctions(cfg, all, config);
-
     // Remove the original code entirely; the regenerated code is
     // the new .text.
+    Engine engine(input, config);
     old_text->addr = config.instrBase;
-    old_text->bytes = engine.instrBytes;
+    old_text->bytes = engine.relocate(order);
     old_text->memSize = old_text->bytes.size();
 
-    if (!engine.newRodataBytes.empty()) {
+    std::vector<std::uint8_t> rodata = engine.cloneBytes();
+    if (!rodata.empty()) {
         Section ro;
         ro.name = ".newrodata";
         ro.kind = SectionKind::newRodata;
         ro.addr = config.newRodataBase;
-        ro.bytes = engine.newRodataBytes;
-        ro.memSize = ro.bytes.size();
+        ro.memSize = rodata.size();
+        ro.bytes = std::move(rodata);
         out.addSection(std::move(ro));
     }
 
@@ -96,27 +96,25 @@ irLowerRewrite(const BinaryImage &input,
     // have no try ranges).
     std::vector<FdeRecord> new_fdes;
     for (const auto &fde : input.fdeRecords()) {
-        auto start_it = engine.blockMap.find(fde.start);
-        if (start_it == engine.blockMap.end())
+        const std::optional<Addr> start = engine.lookupBlock(fde.start);
+        if (!start)
             continue;
         FdeRecord updated = fde;
-        updated.start = start_it->second;
-        // Conservative extent: up to the next function's start.
-        auto next = engine.blockMap.upper_bound(fde.end - 1);
-        updated.end = start_it->second + (fde.end - fde.start) * 4;
-        (void)next;
+        updated.start = *start;
+        // Conservative extent: four times the original.
+        updated.end = *start + (fde.end - fde.start) * 4;
         new_fdes.push_back(updated);
     }
     out.setFdeRecords(new_fdes);
 
     // New entry point: the relocated main.
-    auto entry_it = engine.blockMap.find(input.entry);
-    icp_assert(entry_it != engine.blockMap.end(), "entry missing");
-    out.entry = entry_it->second;
+    const std::optional<Addr> entry = engine.lookupBlock(input.entry);
+    icp_assert(entry.has_value(), "entry missing");
+    out.entry = *entry;
 
     result.stats.rewrittenLoadedSize = out.loadedSize();
-    result.blockCounters = engine.blockCounters;
-    result.entryCounters = engine.entryCounters;
+    result.blockCounters = engine.blockCounters();
+    result.entryCounters = engine.entryCounters();
     result.image = std::move(out);
     result.ok = true;
     return result;

@@ -1,10 +1,6 @@
 #include "baselines/regen_util.hh"
 
-#include <algorithm>
-
 #include "analysis/funcptr.hh"
-#include "isa/bytes.hh"
-#include "support/logging.hh"
 
 namespace icp
 {
@@ -12,25 +8,25 @@ namespace icp
 std::uint64_t
 rewriteRegeneratedFuncPtrs(BinaryImage &out, Section &new_text,
                            const CfgModule &cfg,
-                           const EngineResult &engine)
+                           const Engine &engine)
 {
-    const ArchInfo &arch = out.archInfo();
     const FuncPtrAnalysisResult fps = analyzeFuncPtrs(cfg);
     std::uint64_t rewritten = 0;
 
     for (const auto &def : fps.defs) {
         Addr new_value;
         if (def.delta == 0) {
-            auto it = engine.blockMap.find(def.funcEntry);
-            if (it == engine.blockMap.end())
+            const std::optional<Addr> at =
+                engine.lookupBlock(def.funcEntry);
+            if (!at)
                 continue;
-            new_value = it->second;
+            new_value = *at;
         } else {
-            auto it = engine.insnMap.find(
+            const std::optional<Addr> at = engine.lookupInsn(
                 def.funcEntry + static_cast<Addr>(def.delta));
-            if (it == engine.insnMap.end())
+            if (!at)
                 continue;
-            new_value = it->second - static_cast<Addr>(def.delta);
+            new_value = *at - static_cast<Addr>(def.delta);
         }
 
         if (def.kind == FuncPtrDef::Kind::dataCell) {
@@ -50,63 +46,10 @@ rewriteRegeneratedFuncPtrs(BinaryImage &out, Section &new_text,
         // Code definitions: patch the regenerated instructions.
         bool patched = false;
         for (Addr orig : def.defAddrs) {
-            auto at_it = engine.insnMap.find(orig);
-            if (at_it == engine.insnMap.end())
-                continue;
-            const Addr at = at_it->second;
-            const Offset off = at - new_text.addr;
-            if (off >= new_text.bytes.size())
-                continue;
-            Instruction in;
-            if (!arch.codec->decode(new_text.bytes.data() + off,
-                                    new_text.bytes.size() - off, at,
-                                    in)) {
-                continue;
-            }
-            switch (in.op) {
-              case Opcode::MovImm:
-                in.imm = arch.fixedLength
-                    ? static_cast<std::int64_t>(
-                          (new_value >> in.movShift) & 0xffff)
-                    : static_cast<std::int64_t>(new_value);
-                break;
-              case Opcode::Lea:
-              case Opcode::AdrPage:
-                in.target = new_value;
-                break;
-              case Opcode::AddisToc: {
-                const std::int64_t o =
-                    static_cast<std::int64_t>(new_value) -
-                    static_cast<std::int64_t>(out.tocBase);
-                in.imm = (o + 0x8000) >> 16;
-                break;
-              }
-              case Opcode::AddImm: {
-                if (arch.hasToc) {
-                    const std::int64_t o =
-                        static_cast<std::int64_t>(new_value) -
-                        static_cast<std::int64_t>(out.tocBase);
-                    in.imm = signExtend(
-                        static_cast<std::uint64_t>(o), 16);
-                } else {
-                    const Addr page =
-                        ((new_value + 0x8000) >> 16) << 16;
-                    in.imm = static_cast<std::int64_t>(new_value) -
-                             static_cast<std::int64_t>(page);
-                }
-                break;
-              }
-              default:
-                break;
-            }
-            std::vector<std::uint8_t> enc;
-            const unsigned old_len = in.length;
-            if (arch.codec->encode(in, at, enc) &&
-                enc.size() == old_len) {
-                std::copy(enc.begin(), enc.end(),
-                          new_text.bytes.begin() +
-                              static_cast<std::ptrdiff_t>(off));
-                patched = true;
+            if (const std::optional<Addr> at = engine.lookupInsn(orig)) {
+                patched |= patchFuncPtrInsn(out, new_text.bytes,
+                                            new_text.addr, *at,
+                                            new_value);
             }
         }
         if (patched)

@@ -23,7 +23,7 @@ namespace icp
 std::uint64_t rewriteRegeneratedFuncPtrs(BinaryImage &out,
                                          Section &new_text,
                                          const CfgModule &cfg,
-                                         const EngineResult &engine);
+                                         const Engine &engine);
 
 } // namespace icp
 

@@ -8,7 +8,6 @@
 #include "codegen/compiler.hh"
 #include "sim/runtime_lib.hh"
 #include "support/logging.hh"
-#include "support/stats.hh"
 #include "support/thread_pool.hh"
 
 namespace icp
@@ -16,19 +15,6 @@ namespace icp
 
 namespace
 {
-
-/** How a relocated instruction's address operand is substituted. */
-struct Subst
-{
-    enum class Role : std::uint8_t
-    {
-        whole,  ///< Lea/MovImm: replace the full target
-        hi,     ///< AddisToc / AdrPage half of a pair
-        lo,     ///< AddImm half of a pair
-    };
-    Role role = Role::whole;
-    Addr newTarget = 0;
-};
 
 Addr
 alignUpAddr(Addr v, Addr align)
@@ -53,133 +39,147 @@ veneerNeeded(const ArchInfo &arch, Addr at, Addr target)
            d > arch.directJmpRange - 64;
 }
 
-class Engine
+bool
+byOrig(const std::pair<Addr, Addr> &a, const std::pair<Addr, Addr> &b)
 {
-  public:
-    Engine(const CfgModule &cfg, const std::set<Addr> &instrumented,
-           const EngineConfig &config)
-        : cfg_(cfg), image_(*cfg.image),
-          arch_(cfg.image->archInfo()), instrumented_(instrumented),
-          cfg_opts_(config), cloneCursor_(config.newRodataBase)
-    {
+    return a.first < b.first;
+}
+
+std::optional<Addr>
+flatLookup(const AddrPairs &map, Addr orig)
+{
+    auto it = std::lower_bound(
+        map.begin(), map.end(), orig,
+        [](const std::pair<Addr, Addr> &p, Addr v) {
+            return p.first < v;
+        });
+    if (it == map.end() || it->first != orig)
+        return std::nullopt;
+    return it->second;
+}
+
+/**
+ * Append one function's (original address, stream offset) pairs to
+ * @p map at @p base, sorted among themselves. False when they do not
+ * all sort after the entries already there.
+ */
+bool
+appendSorted(AddrPairs &map,
+             const std::vector<std::pair<Addr, Offset>> &offsets,
+             Addr base)
+{
+    const std::size_t from = map.size();
+    for (const auto &[orig, off] : offsets)
+        map.emplace_back(orig, base + off);
+    const auto first = map.begin() + static_cast<std::ptrdiff_t>(from);
+    std::sort(first, map.end(), byOrig);
+    return from == 0 || first == map.end() ||
+           map[from - 1].first < first->first;
+}
+
+/**
+ * Merge the run appended at [@p mid, end) into the sorted prefix of
+ * @p map. On an original address recorded twice the later entry
+ * wins, as a map assignment in emission order would.
+ */
+void
+mergeAppended(AddrPairs &map, std::size_t mid)
+{
+    const auto m = map.begin() + static_cast<std::ptrdiff_t>(mid);
+    std::stable_sort(m, map.end(), byOrig);
+    std::inplace_merge(map.begin(), m, map.end(), byOrig);
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < map.size(); ++i) {
+        if (i + 1 < map.size() && map[i + 1].first == map[i].first)
+            continue;
+        map[out++] = map[i];
     }
+    map.resize(out);
+}
 
-    EngineResult run();
+} // namespace
 
-    // The members below are logically private; they stay accessible
-    // because IncrementalEngine's state (defined later in this file)
-    // drives the per-function machinery directly.
+/**
+ * One function's relocated code under construction. Each stream has
+ * its own assembler, so streams build concurrently; every recorded
+ * address is an offset from the stream start until layout assigns
+ * the final base.
+ */
+struct Engine::FuncStream
+{
+    std::unique_ptr<Assembler> as;
+    Addr base = 0;
+
+    /** Labels of this function's own blocks (bound at emit). */
+    std::map<Addr, Assembler::Label> ownLabels;
+
+    /** Labels of other functions' blocks (bound after layout). */
+    std::map<Addr, Assembler::Label> externalLabels;
+
+    /** (original block start, stream offset), emission order. */
+    std::vector<std::pair<Addr, Offset>> blockOffsets;
+
+    /** (original insn address, stream offset), emission order. */
+    std::vector<std::pair<Addr, Offset>> insnOffsets;
+
+    /** (stream offset, original RA), emission order. */
+    std::vector<std::pair<Offset, Addr>> raOffsets;
 
     /**
-     * One function's relocated code under construction. Each stream
-     * has its own assembler, so streams build concurrently; every
-     * recorded address is an offset from the stream start until the
-     * layout pass assigns the final base.
+     * Address-dependent instruction selections made during emission
+     * (veneer-or-direct, ADR-reaches-or-widen). When every decision
+     * re-validates at the final base, the stream is position-correct
+     * after a plain rebase; otherwise the function re-emits at its
+     * exact base.
      */
-    struct FuncStream
+    struct Decision
     {
-        const Function *func = nullptr;
-        std::unique_ptr<Assembler> as;
-        Addr base = 0;
-
-        /** Labels of this function's own blocks (bound at emit). */
-        std::map<Addr, Assembler::Label> ownLabels;
-
-        /** Labels of other functions' blocks (bound after layout). */
-        std::map<Addr, Assembler::Label> externalLabels;
-
-        /** (original block start, stream offset), emission order. */
-        std::vector<std::pair<Addr, Offset>> blockOffsets;
-
-        /** (original insn address, stream offset), emission order. */
-        std::vector<std::pair<Addr, Offset>> insnOffsets;
-
-        /** (stream offset, original RA), emission order. */
-        std::vector<std::pair<Offset, Addr>> raOffsets;
-
-        /**
-         * Address-dependent instruction selections made during
-         * emission (veneer-or-direct, ADR-reaches-or-widen). When
-         * every decision re-validates at the final base, the stream
-         * is position-correct after a plain rebase; otherwise the
-         * function re-emits at its exact base.
-         */
-        struct Decision
-        {
-            bool isVeneer = false; ///< else: Lea encode check
-            Offset off = 0;
-            Addr target = 0;
-            Instruction in;
-            bool taken = false;
-        };
-        std::vector<Decision> decisions;
-
-        std::uint64_t size = 0;
-        std::vector<std::uint8_t> bytes;
+        bool isVeneer = false; ///< else: Lea encode check
+        Offset off = 0;
+        Addr target = 0;
+        Instruction in;
+        bool taken = false;
     };
+    std::vector<Decision> decisions;
 
-    void planClones();
-    void planFunctionClones(const Function &func);
-    bool tryReuseRun(const std::vector<const Function *> &funcs);
-    std::vector<const Block *>
-    blockEmitOrder(const Function &func) const;
-    void assignCounters(const std::vector<const Function *> &funcs);
-    void assignCountersFor(const Function &func);
-    FuncStream emitFunctionStream(const Function &func, Addr base);
-    bool decisionsHold(const FuncStream &fs, Addr base) const;
-    void emitFunction(FuncStream &fs, const Function &func);
-    void emitBlock(FuncStream &fs, const Function &func,
-                   const Block &block, Addr fallthrough_next);
-    void emitTranslated(FuncStream &fs, const Function &func,
-                        const Instruction &in);
-    void appendAlignment(std::vector<std::uint8_t> &out, Addr &addr,
-                         Addr target) const;
-    void fillClones();
+    std::uint64_t size = 0;
 
+    /** Label of a relocated block start (own or external). */
     Assembler::Label
-    labelFor(FuncStream &fs, Addr block_start)
+    labelFor(Addr block_start)
     {
-        auto own = fs.ownLabels.find(block_start);
-        if (own != fs.ownLabels.end())
+        auto own = ownLabels.find(block_start);
+        if (own != ownLabels.end())
             return own->second;
-        icp_assert(isRelocatedBlock(block_start),
-                   "no label for block 0x%llx",
-                   static_cast<unsigned long long>(block_start));
         auto [it, inserted] =
-            fs.externalLabels.try_emplace(block_start, -1);
+            externalLabels.try_emplace(block_start, -1);
         if (inserted)
-            it->second = fs.as->newLabel();
+            it->second = as->newLabel();
         return it->second;
     }
-
-    bool
-    isRelocatedBlock(Addr a) const
-    {
-        return std::binary_search(relocatedBlocks_.begin(),
-                                  relocatedBlocks_.end(), a);
-    }
-
-    const CfgModule &cfg_;
-    const BinaryImage &image_;
-    const ArchInfo &arch_;
-    const std::set<Addr> &instrumented_;
-    EngineConfig cfg_opts_;
-
-    EngineResult result_;
-    /** Sorted block starts of every relocated function. A flat
-     *  vector, not a set: at browser scale it is millions of
-     *  entries, queried far more than it is built. */
-    std::vector<Addr> relocatedBlocks_;
-    Addr cloneCursor_ = 0;              ///< next .newrodata slot
-    std::uint32_t counterNext_ = 0;     ///< next instrumentation id
-    std::map<Addr, Subst> substs_;      ///< per base-def instruction
-    std::set<Addr> widenLoads_;         ///< widened jt entry loads
 };
 
-void
-Engine::planFunctionClones(const Function &func)
+Engine::Engine(const BinaryImage &image, const EngineConfig &config)
+    : image_(image), arch_(image.archInfo()), config_(config),
+      align_(std::max<Addr>(config.functionAlign,
+                            image.archInfo().instrAlign)),
+      cloneCursor_(config.newRodataBase), cursor_(config.instrBase)
 {
-    if (cfg_opts_.mode == RewriteMode::dir)
+}
+
+Engine::~Engine() = default;
+
+bool
+Engine::isRelocatedBlock(Addr a) const
+{
+    return std::binary_search(relocatedBlocks_.begin(),
+                              relocatedBlocks_.end(), a);
+}
+
+void
+Engine::planClones(const Function &func)
+{
+    if (config_.mode == RewriteMode::dir)
         return;
     for (const auto &jt : func.jumpTables) {
         TableClone clone;
@@ -207,25 +207,53 @@ Engine::planFunctionClones(const Function &func)
         if (clone.widened)
             widenLoads_.insert(jt.loadAddr);
 
-        result_.clones.push_back(std::move(clone));
+        clones_.push_back(std::move(clone));
     }
 }
 
 void
-Engine::planClones()
+Engine::assignCounters(const Function &func)
 {
-    if (cfg_opts_.mode == RewriteMode::dir)
-        return;
-    for (const auto &[entry, func] : cfg_.functions) {
-        if (!instrumented_.count(entry))
-            continue;
-        planFunctionClones(func);
+    for (const Block *block : blockEmitOrder(func)) {
+        if (block->start == func.entry &&
+            config_.instrumentation.countFunctionEntries) {
+            entryCounters_[func.entry] = counterNext_++;
+        }
+        if (config_.instrumentation.instrumentsBlock(block->start))
+            blockCounters_[block->start] = counterNext_++;
     }
+}
+
+void
+Engine::plan(const std::vector<const Function *> &funcs)
+{
+    // Clones take .newrodata slots in ascending entry order whatever
+    // the emission order; counter ids follow emission order.
+    std::vector<const Function *> by_entry = funcs;
+    std::sort(by_entry.begin(), by_entry.end(),
+              [](const Function *a, const Function *b) {
+                  return a->entry < b->entry;
+              });
+    for (const Function *func : by_entry)
+        planClones(*func);
+    for (const Function *func : funcs)
+        assignCounters(*func);
+
+    const std::size_t old = relocatedBlocks_.size();
+    for (const Function *func : by_entry) {
+        for (const auto &[start, block] : func->blocks)
+            relocatedBlocks_.push_back(start);
+    }
+    const auto mid = relocatedBlocks_.begin() +
+                     static_cast<std::ptrdiff_t>(old);
+    std::sort(mid, relocatedBlocks_.end());
+    std::inplace_merge(relocatedBlocks_.begin(), mid,
+                       relocatedBlocks_.end());
 }
 
 void
 Engine::emitTranslated(FuncStream &fs, const Function &func,
-                       const Instruction &in)
+                       const Instruction &in) const
 {
     Assembler &as = *fs.as;
     const Addr orig_next = in.addr + in.length;
@@ -233,7 +261,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
     // Jump-table base substitution (jt/func-ptr modes).
     auto subst = substs_.find(in.addr);
     if (subst != substs_.end() &&
-        cfg_opts_.mode != RewriteMode::dir) {
+        config_.mode != RewriteMode::dir) {
         Instruction patched = in;
         const Addr target = subst->second.newTarget;
         switch (subst->second.role) {
@@ -277,7 +305,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
 
     // Widened jump-table entry loads (a64 1/2-byte -> 4-byte read).
     if (widenLoads_.count(in.addr) &&
-        cfg_opts_.mode != RewriteMode::dir) {
+        config_.mode != RewriteMode::dir) {
         Instruction patched = in;
         patched.memSize = 4;
         patched.signedLoad = true;
@@ -354,7 +382,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
     switch (in.op) {
       case Opcode::Jmp: {
         if (isRelocatedBlock(in.target)) {
-            as.emitToLabel(makeJmp(0), labelFor(fs, in.target));
+            as.emitToLabel(makeJmp(0), fs.labelFor(in.target));
         } else if (needsVeneer(in.target)) {
             emitVeneerTarget(in.target);
             as.emit(makeJmpInd(Reg::r13));
@@ -366,20 +394,20 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
       case Opcode::JmpCond: {
         if (isRelocatedBlock(in.target)) {
             Instruction jcc = makeJmpCond(in.cond, 0);
-            as.emitToLabel(jcc, labelFor(fs, in.target));
+            as.emitToLabel(jcc, fs.labelFor(in.target));
         } else {
             as.emit(makeJmpCond(in.cond, in.target));
         }
         return;
       }
       case Opcode::Call: {
-        if (cfg_opts_.callEmulation) {
+        if (config_.callEmulation) {
             // Call emulation: materialize the ORIGINAL return
             // address, then branch. Returns land in original code
             // (the fall-through CFL block's trampoline bounces).
             emitEmulatedRa(orig_next);
             if (isRelocatedBlock(in.target)) {
-                as.emitToLabel(makeJmp(0), labelFor(fs, in.target));
+                as.emitToLabel(makeJmp(0), fs.labelFor(in.target));
             } else if (needsVeneer(in.target)) {
                 emitVeneerTarget(in.target);
                 as.emit(makeJmpInd(Reg::r13));
@@ -388,7 +416,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
             }
         } else {
             if (isRelocatedBlock(in.target)) {
-                as.emitToLabel(makeCall(0), labelFor(fs, in.target));
+                as.emitToLabel(makeCall(0), fs.labelFor(in.target));
             } else if (needsVeneer(in.target)) {
                 emitVeneerTarget(in.target);
                 as.emit(makeCallInd(Reg::r13));
@@ -402,7 +430,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
         return;
       }
       case Opcode::CallInd: {
-        if (cfg_opts_.callEmulation) {
+        if (config_.callEmulation) {
             emitEmulatedRa(orig_next);
             as.emit(makeJmpInd(in.rs1));
         } else {
@@ -414,7 +442,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
         return;
       }
       case Opcode::CallIndMem: {
-        if (cfg_opts_.callEmulation) {
+        if (config_.callEmulation) {
             // Dyninst-10.2's x64 bug reproduced (§8.1): the pushed
             // return address shifts sp, so sp-relative operands read
             // the wrong slot.
@@ -430,7 +458,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
         return;
       }
       case Opcode::Throw: {
-        if (cfg_opts_.callEmulation) {
+        if (config_.callEmulation) {
             // Emulate the call into the throw runtime: materialize
             // the original throw address for the unwinder.
             if (arch_.hasLinkRegister) {
@@ -455,11 +483,11 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
         // An intra-function Lea of a block start is a jump-table
         // anchor: it must track the relocated code in jt/func-ptr
         // modes so anchor-relative clones stay consistent.
-        if (cfg_opts_.mode != RewriteMode::dir &&
+        if (config_.mode != RewriteMode::dir &&
             in.target >= func.entry && in.target < func.end &&
             isRelocatedBlock(in.target)) {
             as.emitToLabel(makeLea(in.rd, 0),
-                           labelFor(fs, in.target));
+                           fs.labelFor(in.target));
             return;
         }
         // The short-range ADR form cannot reach original space from
@@ -492,7 +520,7 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
 
 void
 Engine::emitBlock(FuncStream &fs, const Function &func,
-                  const Block &block, Addr fallthrough_next)
+                  const Block &block, Addr fallthrough_next) const
 {
     Assembler &as = *fs.as;
     as.bind(fs.ownLabels.at(block.start));
@@ -500,10 +528,9 @@ Engine::emitBlock(FuncStream &fs, const Function &func,
         block.start, static_cast<Offset>(as.here() - as.startAddr()));
 
     // Instrumentation snippets (counter ids pre-assigned in
-    // emission order by assignCounters so streams can emit
-    // concurrently).
+    // emission order by plan() so streams can emit concurrently).
     const bool is_entry = block.start == func.entry;
-    if (is_entry && cfg_opts_.goRaTranslation &&
+    if (is_entry && config_.goRaTranslation &&
         (func.name == "runtime.findfunc" ||
          func.name == "runtime.pcvalue")) {
         const unsigned slot = arch_.hasLinkRegister ? go_arg_slot_lr
@@ -511,16 +538,16 @@ Engine::emitBlock(FuncStream &fs, const Function &func,
         as.emit(makeCallRt(
             rtServiceImm(RtService::raXlatStackSlot, slot)));
     }
-    if (is_entry && cfg_opts_.instrumentation.countFunctionEntries) {
-        auto id = result_.entryCounters.find(func.entry);
-        icp_assert(id != result_.entryCounters.end(),
+    if (is_entry && config_.instrumentation.countFunctionEntries) {
+        auto id = entryCounters_.find(func.entry);
+        icp_assert(id != entryCounters_.end(),
                    "entry counter not pre-assigned");
         as.emit(makeCallRt(
             rtServiceImm(RtService::count, id->second)));
     }
-    if (cfg_opts_.instrumentation.instrumentsBlock(block.start)) {
-        auto id = result_.blockCounters.find(block.start);
-        icp_assert(id != result_.blockCounters.end(),
+    if (config_.instrumentation.instrumentsBlock(block.start)) {
+        auto id = blockCounters_.find(block.start);
+        icp_assert(id != blockCounters_.end(),
                    "block counter not pre-assigned");
         as.emit(makeCallRt(
             rtServiceImm(RtService::count, id->second)));
@@ -542,13 +569,12 @@ Engine::emitBlock(FuncStream &fs, const Function &func,
         const Addr ft = block.end;
         if (ft != fallthrough_next) {
             if (isRelocatedBlock(ft))
-                as.emitToLabel(makeJmp(0), labelFor(fs, ft));
+                as.emitToLabel(makeJmp(0), fs.labelFor(ft));
             else
                 as.emit(makeJmp(ft));
         }
     }
 }
-
 std::vector<const Block *>
 Engine::blockEmitOrder(const Function &func) const
 {
@@ -556,7 +582,7 @@ Engine::blockEmitOrder(const Function &func) const
     order.reserve(func.blocks.size());
     for (const auto &[start, block] : func.blocks)
         order.push_back(&block);
-    if (cfg_opts_.blockOrder == OrderPolicy::reversed) {
+    if (config_.blockOrder == OrderPolicy::reversed) {
         // Keep the entry block first (callers land there), reverse
         // the rest.
         std::reverse(order.begin(), order.end());
@@ -573,27 +599,20 @@ Engine::blockEmitOrder(const Function &func) const
     return order;
 }
 
-void
-Engine::emitFunction(FuncStream &fs, const Function &func)
+Engine::FuncStream
+Engine::emitStream(const Function &func, Addr base) const
 {
+    FuncStream fs;
+    fs.base = base;
+    fs.as = std::make_unique<Assembler>(arch_, base);
+    for (const auto &[start, block] : func.blocks)
+        fs.ownLabels.emplace(start, fs.as->newLabel());
     const std::vector<const Block *> order = blockEmitOrder(func);
     for (std::size_t i = 0; i < order.size(); ++i) {
         const Addr next =
             i + 1 < order.size() ? order[i + 1]->start : invalid_addr;
         emitBlock(fs, func, *order[i], next);
     }
-}
-
-Engine::FuncStream
-Engine::emitFunctionStream(const Function &func, Addr base)
-{
-    FuncStream fs;
-    fs.func = &func;
-    fs.base = base;
-    fs.as = std::make_unique<Assembler>(arch_, base);
-    for (const auto &[start, block] : func.blocks)
-        fs.ownLabels.emplace(start, fs.as->newLabel());
-    emitFunction(fs, func);
     fs.size = fs.as->here() - fs.as->startAddr();
     return fs;
 }
@@ -619,222 +638,145 @@ Engine::decisionsHold(const FuncStream &fs, Addr base) const
 }
 
 void
-Engine::appendAlignment(std::vector<std::uint8_t> &out, Addr &addr,
-                        Addr target) const
+Engine::layout(const std::vector<const Function *> &funcs, bool keep)
 {
-    // The same bytes Assembler::alignTo produces: encoded nops.
-    while (addr < target) {
-        const bool ok = arch_.codec->encode(makeNop(), addr, out);
-        icp_assert(ok, "nop encode failed");
-        addr = cfg_opts_.instrBase + out.size();
+    // With threads, every function first emits speculatively at the
+    // window base; the in-order pass below re-validates each
+    // stream's recorded address-dependent decisions against its
+    // final base. A stream whose decisions all hold is
+    // position-correct after a rebase (lengths are
+    // address-independent); a flipped decision — only possible
+    // within ±window of a direct-branch range boundary — re-emits
+    // that one function at its exact base. Sequentially, every
+    // function emits directly at its final base. The bytes are the
+    // same either way.
+    const unsigned threads = effectiveThreads(config_.threads);
+    std::vector<FuncStream> speculative;
+    if (threads > 1 && funcs.size() > 1) {
+        speculative.resize(funcs.size());
+        ThreadPool::shared().parallelFor(
+            funcs.size(), threads, [&](std::size_t i) {
+                speculative[i] =
+                    emitStream(*funcs[i], config_.instrBase);
+            });
     }
-    icp_assert(addr == target, "alignment overshot");
+
+    const std::size_t b0 = blockMap_.size();
+    const std::size_t i0 = insnMap_.size();
+    bool sorted = true;
+    for (std::size_t i = 0; i < funcs.size(); ++i) {
+        const Addr base = alignUpAddr(cursor_, align_);
+        FuncStream fs;
+        if (!speculative.empty() &&
+            decisionsHold(speculative[i], base)) {
+            fs = std::move(speculative[i]);
+            fs.as->rebase(base);
+            fs.base = base;
+        } else {
+            fs = emitStream(*funcs[i], base);
+        }
+        cursor_ = base + fs.size;
+        spans_.push_back({funcs[i]->entry, base, fs.size});
+
+        // The maps stay sorted without a global sort when functions
+        // arrive in ascending address order.
+        sorted &= appendSorted(blockMap_, fs.blockOffsets, base);
+        sorted &= appendSorted(insnMap_, fs.insnOffsets, base);
+        for (const auto &[off, orig] : fs.raOffsets)
+            raPairs_.emplace_back(base + off, orig);
+
+        if (keep) {
+            streams_.resize(spans_.size());
+            streams_.back() = std::move(fs);
+        }
+    }
+    if (!sorted) {
+        mergeAppended(blockMap_, b0);
+        mergeAppended(insnMap_, i0);
+    }
 }
 
 /**
- * Fill one clone's entries into the .newrodata payload.
- * @p lookupBlock maps an original block start to its relocated
- * address (nullopt when not relocated) — shared between the
- * monolithic engine (map lookup) and the incremental driver (flat
- * sorted vector).
- */
-template <typename LookupBlock>
-void
-fillCloneEntries(const TableClone &clone, Addr new_rodata_base,
-                 const LookupBlock &lookupBlock,
-                 std::vector<std::uint8_t> &out)
-{
-    const JumpTable &jt = clone.table;
-    for (unsigned i = 0; i < jt.entryCount; ++i) {
-        std::uint64_t value = 0;
-        const Addr orig_target =
-            i < jt.targets.size() ? jt.targets[i] : 0;
-        if (std::optional<Addr> relocated = lookupBlock(orig_target)) {
-            const Addr tnew = *relocated;
-            if (!jt.base) {
-                value = tnew;
-            } else {
-                Addr base_new;
-                if (*jt.base == jt.tableAddr) {
-                    base_new = clone.cloneAddr;
-                } else {
-                    // Anchor-relative: the anchor moved with the
-                    // code.
-                    std::optional<Addr> anchor =
-                        lookupBlock(*jt.base);
-                    icp_assert(anchor.has_value(),
-                               "anchor 0x%llx not relocated",
-                               static_cast<unsigned long long>(
-                                   *jt.base));
-                    base_new = *anchor;
-                }
-                const std::int64_t diff =
-                    static_cast<std::int64_t>(tnew) -
-                    static_cast<std::int64_t>(base_new);
-                icp_assert((diff &
-                            ((1LL << jt.shift) - 1)) == 0,
-                           "clone entry not aligned");
-                const std::int64_t entry = diff >> jt.shift;
-                icp_assert(
-                    clone.entrySize == 8 ||
-                        fitsSigned(entry, clone.entrySize * 8),
-                    "clone entry does not fit");
-                value = static_cast<std::uint64_t>(entry);
-            }
-        }
-        // Over-approximated garbage entries keep zero; they are
-        // never dereferenced at runtime (§5.1, Failure 3).
-        const Offset off =
-            clone.cloneAddr - new_rodata_base +
-            std::uint64_t{i} * clone.entrySize;
-        if (out.size() < off + clone.entrySize)
-            out.resize(off + clone.entrySize, 0);
-        for (unsigned b = 0; b < clone.entrySize; ++b) {
-            out[off + b] =
-                static_cast<std::uint8_t>(value >> (8 * b));
-        }
-    }
-}
-
-void
-Engine::fillClones()
-{
-    const auto lookup = [&](Addr a) -> std::optional<Addr> {
-        auto it = result_.blockMap.find(a);
-        if (it == result_.blockMap.end())
-            return std::nullopt;
-        return it->second;
-    };
-    for (const auto &clone : result_.clones) {
-        fillCloneEntries(clone, cfg_opts_.newRodataBase, lookup,
-                         result_.newRodataBytes);
-    }
-}
-
-void
-Engine::assignCountersFor(const Function &func)
-{
-    for (const Block *block : blockEmitOrder(func)) {
-        if (block->start == func.entry &&
-            cfg_opts_.instrumentation.countFunctionEntries) {
-            result_.entryCounters[func.entry] = counterNext_++;
-        }
-        if (cfg_opts_.instrumentation.instrumentsBlock(
-                block->start)) {
-            result_.blockCounters[block->start] = counterNext_++;
-        }
-    }
-}
-
-void
-Engine::assignCounters(const std::vector<const Function *> &funcs)
-{
-    for (const Function *func : funcs)
-        assignCountersFor(*func);
-}
-
-/**
- * Selective re-rewrite: re-emit only the dirty functions at the
- * bases the previous pass recorded, splicing their bytes into a copy
- * of the previous .instr payload; every other function's bytes,
- * block/insn map entries, and RA pairs carry over verbatim. Returns
- * false (leaving result_ untouched except clones/counters, which the
- * caller's full run path recomputes identically) whenever the
- * previous layout cannot be reproduced exactly — the caller then
- * falls back to a full emission.
+ * Selective re-rewrite: re-emit only the dirty functions at the bases
+ * the previous pass recorded; every other function's bytes, block /
+ * instruction map entries, and RA pairs carry over verbatim.
  */
 bool
-Engine::tryReuseRun(const std::vector<const Function *> &funcs)
+Engine::layoutReused(const std::vector<const Function *> &funcs,
+                     const EngineReuse &ru)
 {
-    const EngineReuse &ru = cfg_opts_.reuse;
+    icp_assert(spans_.empty(), "reuse needs an empty layout");
     const RewriteManifest &prev = *ru.manifest;
     const std::vector<FuncSpan> &spans = prev.funcSpans;
     if (spans.size() != funcs.size())
         return false;
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-        if (spans[i].entry != funcs[i]->entry)
-            return false;
-    }
-
-    // Nothing dirty: the previous pass's artifacts stand wholesale.
-    // Skipping the per-entry copy below keeps the no-op warm path
-    // O(result size) with no map churn.
-    if (ru.dirty->empty()) {
-        result_.blockMap = prev.blockMap;
-        result_.insnMap = prev.insnMap;
-        result_.raPairs = prev.raPairs;
-        result_.instrBytes = *ru.instrBytes;
-        result_.funcSpans = spans;
-        result_.reusedFunctions =
-            static_cast<unsigned>(funcs.size());
-        fillClones();
-        return true;
-    }
 
     // Re-emit each dirty function at its exact previous base. A size
     // change would shift every later function: bail to a full run.
+    // Reused functions are byte-unchanged under the dirty-set
+    // contract; each one's entry block is still looked up as a
+    // containment check, so a manifest that does not cover the
+    // current CFG falls back instead of producing a wrong map.
     std::vector<FuncStream> streams(funcs.size());
-    std::vector<bool> emitted(funcs.size(), false);
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-        if (!ru.dirty->count(funcs[i]->entry))
-            continue;
-        streams[i] = emitFunctionStream(*funcs[i], spans[i].base);
-        if (streams[i].size != spans[i].size)
-            return false;
-        emitted[i] = true;
-    }
-
-    // Final addresses: bulk-copy the previous maps, then patch only
-    // the dirty functions — erase the stale entries inside each dirty
-    // function's original [entry, end) extent and insert the fresh
-    // stream offsets. The per-instruction find+insert rebuild this
-    // replaces dominated the warm one-function-edit path (~2.5 ms of
-    // a ~10 ms libxul request); an ordered copy plus a handful of
-    // range splices is O(n) with no searches. Reused functions are
-    // byte-unchanged under the dirty-set contract, so their previous
-    // entries stand verbatim; each one's entry block is still looked
-    // up as a containment check so a manifest that does not actually
-    // cover the current CFG falls back to a full emission instead of
-    // producing a silently wrong map.
-    result_.blockMap = prev.blockMap;
-    result_.insnMap = prev.insnMap;
+    std::vector<bool> reused(funcs.size(), true);
+    std::vector<std::pair<Addr, Addr>> dirty_ranges;
     for (std::size_t i = 0; i < funcs.size(); ++i) {
         const Function &func = *funcs[i];
-        if (!emitted[i]) {
+        if (spans[i].entry != func.entry ||
+            spans[i].base + spans[i].size >
+                config_.instrBase + ru.instrBytes->size())
+            return false;
+        if (!ru.dirty->count(func.entry)) {
             if (!prev.blockMap.count(func.entry))
                 return false;
             continue;
         }
-        result_.blockMap.erase(
-            result_.blockMap.lower_bound(func.entry),
-            result_.blockMap.lower_bound(func.end));
-        result_.insnMap.erase(
-            result_.insnMap.lower_bound(func.entry),
-            result_.insnMap.lower_bound(func.end));
-        const FuncStream &fs = streams[i];
-        for (const auto &[orig, off] : fs.blockOffsets)
-            result_.blockMap[orig] = fs.base + off;
-        for (const auto &[orig, off] : fs.insnOffsets)
-            result_.insnMap[orig] = fs.base + off;
+        streams[i] = emitStream(func, spans[i].base);
+        if (streams[i].size != spans[i].size)
+            return false;
+        reused[i] = false;
+        dirty_ranges.emplace_back(func.entry, func.end);
     }
+    std::sort(dirty_ranges.begin(), dirty_ranges.end());
+
+    // Final addresses: the previous maps minus each dirty function's
+    // original [entry, end) extent, merged with the fresh entries.
+    // One ordered pass, no per-entry searches.
+    const auto carry = [&](const std::map<Addr, Addr> &from,
+                           AddrPairs &to) {
+        to.reserve(from.size());
+        auto r = dirty_ranges.begin();
+        for (const auto &entry : from) {
+            while (r != dirty_ranges.end() && r->second <= entry.first)
+                ++r;
+            if (r == dirty_ranges.end() || entry.first < r->first)
+                to.push_back(entry);
+        }
+    };
+    carry(prev.blockMap, blockMap_);
+    carry(prev.insnMap, insnMap_);
+    const std::size_t b0 = blockMap_.size();
+    const std::size_t i0 = insnMap_.size();
+    for (const FuncStream &fs : streams) {
+        appendSorted(blockMap_, fs.blockOffsets, fs.base);
+        appendSorted(insnMap_, fs.insnOffsets, fs.base);
+    }
+    mergeAppended(blockMap_, b0);
+    mergeAppended(insnMap_, i0);
 
     // RA pairs in emission order: the previous pass appended them
-    // stream by stream, so they are sorted by relocated address and
-    // a reused function's pairs are exactly the previous pairs whose
+    // span by span, so they are sorted by relocated address and a
+    // reused function's pairs are exactly the previous pairs whose
     // relocated address falls in its span — found by binary search,
-    // not a full scan per function (the full scan made warm-path
-    // relocation quadratic in the function count).
+    // not a full scan per function.
     icp_assert(std::is_sorted(prev.raPairs.begin(),
-                              prev.raPairs.end(),
-                              [](const auto &a, const auto &b) {
-                                  return a.first < b.first;
-                              }),
+                              prev.raPairs.end(), byOrig),
                "previous RA pairs not in emission order");
     for (std::size_t i = 0; i < funcs.size(); ++i) {
-        if (emitted[i]) {
+        if (!reused[i]) {
             const FuncStream &fs = streams[i];
             for (const auto &[off, orig] : fs.raOffsets)
-                result_.raPairs.emplace_back(fs.base + off, orig);
+                raPairs_.emplace_back(fs.base + off, orig);
             continue;
         }
         const Addr lo = spans[i].base;
@@ -845,286 +787,24 @@ Engine::tryReuseRun(const std::vector<const Function *> &funcs)
                 return p.first < v;
             });
         for (; it != prev.raPairs.end() && it->first < hi; ++it)
-            result_.raPairs.push_back(*it);
+            raPairs_.push_back(*it);
     }
 
-    // Splice the dirty functions' finalized bytes into a copy of the
-    // previous payload; everything else is byte-identical.
-    std::vector<std::uint8_t> out = *ru.instrBytes;
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-        if (!emitted[i])
-            continue;
-        FuncStream &fs = streams[i];
-        for (const auto &[addr, label] : fs.externalLabels) {
-            auto target = result_.blockMap.find(addr);
-            icp_assert(target != result_.blockMap.end(),
-                       "external block 0x%llx not relocated",
-                       static_cast<unsigned long long>(addr));
-            fs.as->bindAt(label, target->second);
-        }
-        fs.bytes = fs.as->finalize();
-        const Offset off = fs.base - cfg_opts_.instrBase;
-        if (off + fs.bytes.size() > out.size())
-            return false;
-        std::copy(fs.bytes.begin(), fs.bytes.end(),
-                  out.begin() + off);
-    }
-    result_.instrBytes = std::move(out);
-
-    result_.funcSpans = spans;
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-        if (emitted[i])
-            ++result_.emittedFunctions;
-        else
-            ++result_.reusedFunctions;
-    }
-    fillClones();
+    spans_ = spans;
+    cursor_ = spans.back().base + spans.back().size;
+    streams_ = std::move(streams);
+    reused_ = std::move(reused);
+    reusedBytes_ = ru.instrBytes;
+    reusedCount_ = static_cast<unsigned>(
+        std::count(reused_.begin(), reused_.end(), true));
     return true;
 }
 
-EngineResult
-Engine::run()
-{
-    planClones();
-
-    // Emission order and the set of relocated blocks.
-    std::vector<const Function *> funcs;
-    for (const auto &[entry, func] : cfg_.functions) {
-        if (!instrumented_.count(entry))
-            continue;
-        funcs.push_back(&func);
-        for (const auto &[start, block] : func.blocks)
-            relocatedBlocks_.push_back(start);
-    }
-    std::sort(relocatedBlocks_.begin(), relocatedBlocks_.end());
-    if (cfg_opts_.functionOrder == OrderPolicy::reversed)
-        std::reverse(funcs.begin(), funcs.end());
-
-    assignCounters(funcs);
-
-    if (cfg_opts_.reuse.valid()) {
-        if (tryReuseRun(funcs))
-            return result_;
-        // Fall back to a full emission; discard partial state.
-        EngineResult fresh;
-        fresh.clones = std::move(result_.clones);
-        fresh.blockCounters = std::move(result_.blockCounters);
-        fresh.entryCounters = std::move(result_.entryCounters);
-        result_ = std::move(fresh);
-    }
-
-    const Addr align =
-        std::max(cfg_opts_.functionAlign, arch_.instrAlign);
-    const unsigned threads = effectiveThreads(cfg_opts_.threads);
-    std::vector<FuncStream> streams(funcs.size());
-
-    if (threads <= 1 || funcs.size() <= 1) {
-        // Sequential: every function emits at its exact final base,
-        // so address-dependent selections match the historical
-        // single-assembler layout by construction.
-        Addr cursor = cfg_opts_.instrBase;
-        for (std::size_t i = 0; i < funcs.size(); ++i) {
-            const Addr base = alignUpAddr(cursor, align);
-            streams[i] = emitFunctionStream(*funcs[i], base);
-            cursor = base + streams[i].size;
-        }
-    } else {
-        // Parallel: emit every function speculatively at the window
-        // base, then lay out in order, re-validating each stream's
-        // recorded address-dependent decisions against its final
-        // base. A stream whose decisions all hold is position-
-        // correct after a rebase (lengths are address-independent);
-        // a flipped decision — only possible within ±window of a
-        // direct-branch range boundary — re-emits that one function
-        // at its exact base. Output is bit-identical to sequential.
-        ThreadPool::shared().parallelFor(
-            funcs.size(), threads, [&](std::size_t i) {
-                streams[i] = emitFunctionStream(
-                    *funcs[i], cfg_opts_.instrBase);
-            });
-        Addr cursor = cfg_opts_.instrBase;
-        for (std::size_t i = 0; i < funcs.size(); ++i) {
-            const Addr base = alignUpAddr(cursor, align);
-            if (decisionsHold(streams[i], base)) {
-                streams[i].as->rebase(base);
-                streams[i].base = base;
-            } else {
-                streams[i] = emitFunctionStream(*funcs[i], base);
-            }
-            cursor = base + streams[i].size;
-        }
-    }
-
-    // Deterministic fixup: final addresses for every block and
-    // instruction, RA pairs in emission order.
-    for (const FuncStream &fs : streams) {
-        result_.funcSpans.push_back(
-            {fs.func->entry, fs.base, fs.size});
-        for (const auto &[orig, off] : fs.blockOffsets)
-            result_.blockMap[orig] = fs.base + off;
-        for (const auto &[orig, off] : fs.insnOffsets)
-            result_.insnMap[orig] = fs.base + off;
-        for (const auto &[off, orig] : fs.raOffsets)
-            result_.raPairs.emplace_back(fs.base + off, orig);
-    }
-
-    // Patch cross-function branches (bind external labels to final
-    // addresses) and encode each stream; streams are independent.
-    ThreadPool::shared().parallelFor(
-        streams.size(), threads, [&](std::size_t i) {
-            FuncStream &fs = streams[i];
-            for (const auto &[addr, label] : fs.externalLabels) {
-                auto target = result_.blockMap.find(addr);
-                icp_assert(target != result_.blockMap.end(),
-                           "external block 0x%llx not relocated",
-                           static_cast<unsigned long long>(addr));
-                fs.as->bindAt(label, target->second);
-            }
-            fs.bytes = fs.as->finalize();
-        });
-
-    // Concatenate with the same inter-function nop padding the
-    // single-assembler alignTo() produced.
-    std::vector<std::uint8_t> out;
-    Addr addr = cfg_opts_.instrBase;
-    for (const FuncStream &fs : streams) {
-        appendAlignment(out, addr, fs.base);
-        out.insert(out.end(), fs.bytes.begin(), fs.bytes.end());
-        addr += fs.bytes.size();
-    }
-    result_.instrBytes = std::move(out);
-    result_.emittedFunctions =
-        static_cast<unsigned>(streams.size());
-
-    fillClones();
-    return result_;
-}
-
-} // namespace
-
-EngineResult
-relocateFunctions(const CfgModule &cfg,
-                  const std::set<Addr> &instrumented,
-                  const EngineConfig &config)
-{
-    StageTimer timer(Stage::relocate);
-    Engine engine(cfg, instrumented, config);
-    return engine.run();
-}
-
-// --- IncrementalEngine ------------------------------------------------------
-
-struct IncrementalEngine::State
-{
-    /** Carries only the image pointer; the per-function entry points
-     *  never touch Engine::cfg_.functions. */
-    CfgModule cfg;
-    std::set<Addr> instrumented; ///< unused by per-function paths
-    Engine engine;
-    Addr align = 0;
-    Addr cursor = 0;
-
-    // Flat maps, appended per function and kept sorted by original
-    // address (functions arrive in ascending entry order; blocks of
-    // one function sort locally). At browser scale these are
-    // millions of entries — a node-based map would dominate the
-    // coordinator's memory.
-    std::vector<std::pair<Addr, Addr>> blockMap;
-    std::vector<std::pair<Addr, Addr>> insnMap;
-    std::vector<std::pair<Addr, Addr>> raPairs;
-
-    static CfgModule
-    makeCfg(const BinaryImage &image)
-    {
-        CfgModule m;
-        m.image = &image;
-        return m;
-    }
-
-    State(const BinaryImage &image, const EngineConfig &config)
-        : cfg(makeCfg(image)), engine(cfg, instrumented, config)
-    {
-        align = std::max<Addr>(config.functionAlign,
-                               image.archInfo().instrAlign);
-        cursor = config.instrBase;
-    }
-};
-
-IncrementalEngine::IncrementalEngine(const BinaryImage &image,
-                                     const EngineConfig &config)
-    : st_(std::make_unique<State>(image, config))
-{
-    icp_assert(config.functionOrder == OrderPolicy::original,
-               "incremental emission requires original "
-               "function order");
-    icp_assert(!config.reuse.valid(),
-               "incremental emission does not take a reuse pass");
-}
-
-IncrementalEngine::~IncrementalEngine() = default;
-
-void
-IncrementalEngine::planFunction(const Function &func)
-{
-    State &st = *st_;
-    st.engine.planFunctionClones(func);
-    st.engine.assignCountersFor(func);
-    // Ascending entry order keeps the flat vector sorted without a
-    // global sort pass.
-    icp_assert(st.engine.relocatedBlocks_.empty() ||
-                   st.engine.relocatedBlocks_.back() < func.entry,
-               "planFunction out of address order");
-    for (const auto &[start, block] : func.blocks) {
-        (void)block;
-        st.engine.relocatedBlocks_.push_back(start);
-    }
-}
-
-FuncSpan
-IncrementalEngine::layoutFunction(const Function &func)
-{
-    State &st = *st_;
-    const Addr base = alignUpAddr(st.cursor, st.align);
-    Engine::FuncStream fs = st.engine.emitFunctionStream(func, base);
-    st.cursor = base + fs.size;
-
-    // Record final addresses; the bytes are discarded (they cannot
-    // finalize until every function has a layout address).
-    const auto byOrig = [](const std::pair<Addr, Addr> &a,
-                           const std::pair<Addr, Addr> &b) {
-        return a.first < b.first;
-    };
-    const std::size_t b0 = st.blockMap.size();
-    for (const auto &[orig, off] : fs.blockOffsets)
-        st.blockMap.emplace_back(orig, base + off);
-    std::sort(st.blockMap.begin() +
-                  static_cast<std::ptrdiff_t>(b0),
-              st.blockMap.end(), byOrig);
-    const std::size_t i0 = st.insnMap.size();
-    for (const auto &[orig, off] : fs.insnOffsets)
-        st.insnMap.emplace_back(orig, base + off);
-    std::sort(st.insnMap.begin() +
-                  static_cast<std::ptrdiff_t>(i0),
-              st.insnMap.end(), byOrig);
-    for (const auto &[off, orig] : fs.raOffsets)
-        st.raPairs.emplace_back(base + off, orig);
-
-    return {func.entry, base, fs.size};
-}
-
-Addr
-IncrementalEngine::layoutEnd() const
-{
-    return st_->cursor;
-}
-
 std::vector<std::uint8_t>
-IncrementalEngine::emitFunction(const Function &func, Addr base)
+Engine::finalize(FuncStream &fs) const
 {
-    State &st = *st_;
-    Engine::FuncStream fs = st.engine.emitFunctionStream(func, base);
     for (const auto &[addr, label] : fs.externalLabels) {
-        std::optional<Addr> target = lookupBlock(addr);
+        const std::optional<Addr> target = lookupBlock(addr);
         icp_assert(target.has_value(),
                    "external block 0x%llx not relocated",
                    static_cast<unsigned long long>(addr));
@@ -1134,14 +814,55 @@ IncrementalEngine::emitFunction(const Function &func, Addr base)
 }
 
 std::vector<std::uint8_t>
-IncrementalEngine::paddingBytes(Addr from, Addr to) const
+Engine::emit(std::size_t i, const Function &func)
 {
-    // The same bytes Engine::appendAlignment produces for the gap.
+    const FuncSpan &span = spans_[i];
+    icp_assert(span.entry == func.entry, "span/function order diverged");
+    std::vector<std::uint8_t> bytes;
+    if (i < reused_.size() && reused_[i]) {
+        const auto from = reusedBytes_->begin() +
+            static_cast<std::ptrdiff_t>(span.base - config_.instrBase);
+        icp_assert(span.base - config_.instrBase + span.size <=
+                       reusedBytes_->size(),
+                   "reused span outside the previous payload");
+        bytes.assign(from, from + static_cast<std::ptrdiff_t>(span.size));
+    } else if (i < streams_.size() && streams_[i].as) {
+        bytes = finalize(streams_[i]);
+        streams_[i] = FuncStream{};
+    } else {
+        FuncStream fs = emitStream(func, span.base);
+        bytes = finalize(fs);
+    }
+    icp_assert(bytes.size() == span.size,
+               "emission size diverged from layout");
+    return bytes;
+}
+
+std::vector<std::uint8_t>
+Engine::relocate(const std::vector<const Function *> &funcs)
+{
+    plan(funcs);
+    layout(funcs, true);
+    std::vector<std::uint8_t> out;
+    for (std::size_t i = 0; i < funcs.size(); ++i) {
+        const Addr at = config_.instrBase + out.size();
+        const std::vector<std::uint8_t> pad =
+            paddingBytes(at, spans_[i].base);
+        out.insert(out.end(), pad.begin(), pad.end());
+        const std::vector<std::uint8_t> bytes = emit(i, *funcs[i]);
+        out.insert(out.end(), bytes.begin(), bytes.end());
+    }
+    return out;
+}
+
+std::vector<std::uint8_t>
+Engine::paddingBytes(Addr from, Addr to) const
+{
+    // The same bytes Assembler::alignTo produces: encoded nops.
     std::vector<std::uint8_t> out;
     Addr addr = from;
     while (addr < to) {
-        const bool ok = st_->engine.arch_.codec->encode(
-            makeNop(), addr, out);
+        const bool ok = arch_.codec->encode(makeNop(), addr, out);
         icp_assert(ok, "nop encode failed");
         addr = from + out.size();
     }
@@ -1149,71 +870,120 @@ IncrementalEngine::paddingBytes(Addr from, Addr to) const
     return out;
 }
 
-namespace
-{
-
-std::optional<Addr>
-flatLookup(const std::vector<std::pair<Addr, Addr>> &map, Addr orig)
-{
-    auto it = std::lower_bound(
-        map.begin(), map.end(), orig,
-        [](const std::pair<Addr, Addr> &p, Addr v) {
-            return p.first < v;
-        });
-    if (it == map.end() || it->first != orig)
-        return std::nullopt;
-    return it->second;
-}
-
-} // namespace
-
-std::optional<Addr>
-IncrementalEngine::lookupBlock(Addr orig) const
-{
-    return flatLookup(st_->blockMap, orig);
-}
-
-std::optional<Addr>
-IncrementalEngine::lookupInsn(Addr orig) const
-{
-    return flatLookup(st_->insnMap, orig);
-}
-
-const std::vector<std::pair<Addr, Addr>> &
-IncrementalEngine::raPairs() const
-{
-    return st_->raPairs;
-}
-
-const std::vector<TableClone> &
-IncrementalEngine::clones() const
-{
-    return st_->engine.result_.clones;
-}
-
-const std::map<Addr, std::uint32_t> &
-IncrementalEngine::blockCounters() const
-{
-    return st_->engine.result_.blockCounters;
-}
-
-const std::map<Addr, std::uint32_t> &
-IncrementalEngine::entryCounters() const
-{
-    return st_->engine.result_.entryCounters;
-}
-
 std::vector<std::uint8_t>
-IncrementalEngine::cloneBytes() const
+Engine::cloneBytes() const
 {
     std::vector<std::uint8_t> out;
-    const auto lookup = [&](Addr a) { return lookupBlock(a); };
-    for (const TableClone &clone : st_->engine.result_.clones) {
-        fillCloneEntries(clone,
-                         st_->engine.cfg_opts_.newRodataBase, lookup,
-                         out);
+    for (const TableClone &clone : clones_) {
+        const JumpTable &jt = clone.table;
+        for (unsigned i = 0; i < jt.entryCount; ++i) {
+            std::uint64_t value = 0;
+            const Addr orig_target =
+                i < jt.targets.size() ? jt.targets[i] : 0;
+            if (std::optional<Addr> tnew = lookupBlock(orig_target)) {
+                if (!jt.base) {
+                    value = *tnew;
+                } else {
+                    Addr base_new;
+                    if (*jt.base == jt.tableAddr) {
+                        base_new = clone.cloneAddr;
+                    } else {
+                        // Anchor-relative: the anchor moved with
+                        // the code.
+                        std::optional<Addr> anchor =
+                            lookupBlock(*jt.base);
+                        icp_assert(anchor.has_value(),
+                                   "anchor 0x%llx not relocated",
+                                   static_cast<unsigned long long>(
+                                       *jt.base));
+                        base_new = *anchor;
+                    }
+                    const std::int64_t diff =
+                        static_cast<std::int64_t>(*tnew) -
+                        static_cast<std::int64_t>(base_new);
+                    icp_assert((diff & ((1LL << jt.shift) - 1)) == 0,
+                               "clone entry not aligned");
+                    const std::int64_t entry = diff >> jt.shift;
+                    icp_assert(clone.entrySize == 8 ||
+                                   fitsSigned(entry,
+                                              clone.entrySize * 8),
+                               "clone entry does not fit");
+                    value = static_cast<std::uint64_t>(entry);
+                }
+            }
+            // Over-approximated garbage entries keep zero; they are
+            // never dereferenced at runtime (§5.1, Failure 3).
+            const Offset off = clone.cloneAddr -
+                               config_.newRodataBase +
+                               std::uint64_t{i} * clone.entrySize;
+            if (out.size() < off + clone.entrySize)
+                out.resize(off + clone.entrySize, 0);
+            for (unsigned b = 0; b < clone.entrySize; ++b)
+                out[off + b] = static_cast<std::uint8_t>(value >> (8 * b));
+        }
     }
     return out;
+}
+
+bool
+patchFuncPtrInsn(const BinaryImage &image, std::vector<std::uint8_t> &bytes,
+                 Addr base, Addr at, Addr new_target)
+{
+    const ArchInfo &arch = image.archInfo();
+    const Offset off = at - base;
+    if (off >= bytes.size())
+        return false;
+    Instruction in;
+    if (!arch.codec->decode(bytes.data() + off, bytes.size() - off, at,
+                            in)) {
+        return false;
+    }
+    const std::int64_t toc_off = static_cast<std::int64_t>(new_target) -
+                                 static_cast<std::int64_t>(image.tocBase);
+    switch (in.op) {
+      case Opcode::MovImm:
+        in.imm = arch.fixedLength
+            ? static_cast<std::int64_t>((new_target >> in.movShift) &
+                                        0xffff)
+            : static_cast<std::int64_t>(new_target);
+        break;
+      case Opcode::Lea:
+      case Opcode::AdrPage:
+        in.target = new_target;
+        break;
+      case Opcode::AddisToc:
+        in.imm = (toc_off + 0x8000) >> 16;
+        break;
+      case Opcode::AddImm:
+        if (arch.hasToc) {
+            in.imm = signExtend(static_cast<std::uint64_t>(toc_off), 16);
+        } else {
+            const Addr page = ((new_target + 0x8000) >> 16) << 16;
+            in.imm = static_cast<std::int64_t>(new_target) -
+                     static_cast<std::int64_t>(page);
+        }
+        break;
+      default:
+        break;
+    }
+    std::vector<std::uint8_t> enc;
+    if (!arch.codec->encode(in, at, enc) || enc.size() != in.length)
+        return false;
+    std::copy(enc.begin(), enc.end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(off));
+    return true;
+}
+
+std::optional<Addr>
+Engine::lookupBlock(Addr orig) const
+{
+    return flatLookup(blockMap_, orig);
+}
+
+std::optional<Addr>
+Engine::lookupInsn(Addr orig) const
+{
+    return flatLookup(insnMap_, orig);
 }
 
 } // namespace icp

@@ -3,15 +3,14 @@
  * The code-relocation engine: translates instrumented functions into
  * the .instr section, inserting instrumentation snippets, rewriting
  * direct control flow, cloning jump tables, recording the RA map,
- * and optionally emulating calls or permuting function/block order
- * (for the baselines and the BOLT comparison).
+ * and optionally emulating calls or permuting block order (for the
+ * baselines and the BOLT comparison).
  */
 
 #ifndef ICP_REWRITE_ENGINE_HH
 #define ICP_REWRITE_ENGINE_HH
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -25,7 +24,7 @@ namespace icp
 /**
  * Placement of one cloned jump table in .newrodata. Owns a copy of
  * the source table so the plan outlives the CFG it came from (the
- * sharded coordinator drops each shard's CFG between passes).
+ * sharded rewrite drops each range's CFG between passes).
  */
 struct TableClone
 {
@@ -41,8 +40,7 @@ struct TableClone
  * (RewriteSession::repair): the prior manifest's function spans and
  * .instr bytes, plus the set of dirty function entries that must
  * re-emit. Functions outside the dirty set splice their previous
- * bytes verbatim; the engine falls back to a full run whenever the
- * previous layout cannot be reproduced exactly.
+ * bytes verbatim.
  */
 struct EngineReuse
 {
@@ -63,7 +61,6 @@ struct EngineConfig
     RewriteMode mode = RewriteMode::funcPtr;
     bool callEmulation = false;
     InstrumentationSpec instrumentation;
-    OrderPolicy functionOrder = OrderPolicy::original;
     OrderPolicy blockOrder = OrderPolicy::original;
 
     Addr instrBase = 0;
@@ -82,94 +79,68 @@ struct EngineConfig
      * machinery and emits each function directly at its final base.
      */
     unsigned threads = 1;
-
-    /** When valid(), attempt the selective re-rewrite fast path. */
-    EngineReuse reuse;
 };
 
-struct EngineResult
-{
-    std::vector<std::uint8_t> instrBytes;
-    std::vector<std::uint8_t> newRodataBytes;
-
-    /** Original block start -> relocated address. */
-    std::map<Addr, Addr> blockMap;
-
-    /** Original instruction -> relocated address. */
-    std::map<Addr, Addr> insnMap;
-
-    /** (relocated return address -> original return address). */
-    std::vector<std::pair<Addr, Addr>> raPairs;
-
-    std::vector<TableClone> clones;
-
-    std::map<Addr, std::uint32_t> blockCounters;
-    std::map<Addr, std::uint32_t> entryCounters;
-
-    /** Per-function extents in emission order (for later reuse). */
-    std::vector<FuncSpan> funcSpans;
-
-    /** Functions re-emitted this pass vs. spliced from reuse. */
-    unsigned emittedFunctions = 0;
-    unsigned reusedFunctions = 0;
-};
+/** Sorted (original address, relocated address) pairs. */
+using AddrPairs = std::vector<std::pair<Addr, Addr>>;
 
 /**
- * Relocate @p instrumented functions of @p cfg. The caller supplies
- * final section base addresses in @p cfg_in so all cross references
- * encode directly.
- */
-EngineResult relocateFunctions(const CfgModule &cfg,
-                               const std::set<Addr> &instrumented,
-                               const EngineConfig &config);
-
-/**
- * Per-function driver over the same relocation engine, for
- * coordinators that never hold the whole-module CFG at once (the
- * sharded rewriter). The protocol mirrors the monolithic run:
+ * The relocation engine, driven one function list at a time so a
+ * caller never needs the whole-module CFG at once. Every list is in
+ * emission order; lists arrive in ascending address order when there
+ * is more than one.
  *
- *   1. plan:   planFunction() once per instrumented function, in
- *              ascending entry order — jump-table clones, operand
- *              substitutions, counter ids, relocated-block set.
- *   2. layout: layoutFunction() in the same order — emits the
- *              function at its final base, records the block /
- *              instruction / return-address maps, and DISCARDS the
- *              bytes (cross-function branches can only bind once
- *              every function has a layout address).
- *   3. emit:   emitFunction() in the same order — re-emits at the
- *              recorded base (emission is deterministic in (CFG,
- *              base)), binds cross-function branches against the
- *              global block map, and returns the finalized bytes.
+ *   1. plan:   plan() over every list before any layout — jump-table
+ *              clones, operand substitutions, counter ids, and the
+ *              relocated-block set (which decides, during emission,
+ *              whether a branch targets relocated or original code).
+ *   2. layout: layout() over every list — emits each function at its
+ *              final base and records the flat block / instruction /
+ *              return-address maps and the function spans. With
+ *              @c keep the assembler streams stay alive for emit();
+ *              otherwise they are dropped and emit() re-emits, which
+ *              reproduces the same bytes (emission is deterministic
+ *              in (function, base)).
+ *   3. emit:   emit() once per span in span order — binds
+ *              cross-function branches against the complete block
+ *              map and returns the finalized bytes.
  *
- * Driving all three passes over every instrumented function in
- * address order reproduces relocateFunctions() bit for bit; peak
- * memory is one function's assembler stream plus the flat maps.
- * Only OrderPolicy::original function order is supported.
+ * relocate() runs all three over one list and returns the whole
+ * .instr payload.
  */
-class IncrementalEngine
+class Engine
 {
   public:
-    IncrementalEngine(const BinaryImage &image,
-                      const EngineConfig &config);
-    ~IncrementalEngine();
-    IncrementalEngine(const IncrementalEngine &) = delete;
-    IncrementalEngine &operator=(const IncrementalEngine &) = delete;
+    Engine(const BinaryImage &image, const EngineConfig &config);
+    ~Engine();
+    Engine(const Engine &) = delete;
+    Engine &operator=(const Engine &) = delete;
 
-    // Pass 1: planning.
-    void planFunction(const Function &func);
+    void plan(const std::vector<const Function *> &funcs);
+    void layout(const std::vector<const Function *> &funcs, bool keep);
 
-    // Pass 2: layout. Returns the function's span.
-    FuncSpan layoutFunction(const Function &func);
+    /**
+     * Selective re-rewrite: adopt @p reuse's layout for @p funcs
+     * (the complete emission order), re-emitting only the dirty
+     * functions at their previous bases. Returns false, leaving the
+     * layout empty, when the previous layout cannot be reproduced
+     * exactly; the caller then falls back to layout().
+     */
+    bool layoutReused(const std::vector<const Function *> &funcs,
+                      const EngineReuse &reuse);
 
-    /** First address past the last laid-out span. */
-    Addr layoutEnd() const;
+    /** Final bytes of span @p i, whose function is @p func. */
+    std::vector<std::uint8_t> emit(std::size_t i, const Function &func);
 
-    // Pass 3: final emission (call with the span's recorded base).
-    std::vector<std::uint8_t> emitFunction(const Function &func,
-                                           Addr base);
+    /** plan + layout + emit over @p funcs: the .instr payload. */
+    std::vector<std::uint8_t>
+    relocate(const std::vector<const Function *> &funcs);
 
     /** The inter-span alignment padding bytes (encoded nops). */
     std::vector<std::uint8_t> paddingBytes(Addr from, Addr to) const;
+
+    /** The .newrodata payload (valid once layout is complete). */
+    std::vector<std::uint8_t> cloneBytes() const;
 
     /** Relocated address of an original block start, if relocated. */
     std::optional<Addr> lookupBlock(Addr orig) const;
@@ -177,22 +148,105 @@ class IncrementalEngine
     /** Relocated address of an original instruction, if relocated. */
     std::optional<Addr> lookupInsn(Addr orig) const;
 
+    const AddrPairs &blockMap() const { return blockMap_; }
+    const AddrPairs &insnMap() const { return insnMap_; }
+
     /** (relocated RA -> original RA), emission order. */
-    const std::vector<std::pair<Addr, Addr>> &raPairs() const;
+    const AddrPairs &raPairs() const { return raPairs_; }
 
-    const std::vector<TableClone> &clones() const;
+    /** Function extents in emission order. */
+    const std::vector<FuncSpan> &spans() const { return spans_; }
 
-    /** The .newrodata payload (valid after all layoutFunction calls). */
-    std::vector<std::uint8_t> cloneBytes() const;
+    /** First address past the last laid-out span. */
+    Addr layoutEnd() const { return cursor_; }
+
+    /** Spans spliced from a previous pass by layoutReused(). */
+    unsigned reusedFunctions() const { return reusedCount_; }
+
+    const std::vector<TableClone> &clones() const { return clones_; }
 
     /** Counter-id maps (block start / entry -> CallRt id). */
-    const std::map<Addr, std::uint32_t> &blockCounters() const;
-    const std::map<Addr, std::uint32_t> &entryCounters() const;
+    const std::map<Addr, std::uint32_t> &
+    blockCounters() const
+    {
+        return blockCounters_;
+    }
+    const std::map<Addr, std::uint32_t> &
+    entryCounters() const
+    {
+        return entryCounters_;
+    }
 
   private:
-    struct State;
-    std::unique_ptr<State> st_;
+    struct FuncStream;
+
+    /** How a relocated instruction's address operand is substituted. */
+    struct Subst
+    {
+        enum class Role : std::uint8_t
+        {
+            whole, ///< Lea/MovImm: replace the full target
+            hi,    ///< AddisToc / AdrPage half of a pair
+            lo,    ///< AddImm half of a pair
+        };
+        Role role = Role::whole;
+        Addr newTarget = 0;
+    };
+
+    void planClones(const Function &func);
+    void assignCounters(const Function &func);
+    std::vector<const Block *>
+    blockEmitOrder(const Function &func) const;
+    FuncStream emitStream(const Function &func, Addr base) const;
+    bool decisionsHold(const FuncStream &fs, Addr base) const;
+    void emitBlock(FuncStream &fs, const Function &func,
+                   const Block &block, Addr fallthrough_next) const;
+    void emitTranslated(FuncStream &fs, const Function &func,
+                        const Instruction &in) const;
+    std::vector<std::uint8_t> finalize(FuncStream &fs) const;
+    bool isRelocatedBlock(Addr a) const;
+
+    const BinaryImage &image_;
+    const ArchInfo &arch_;
+    EngineConfig config_;
+    Addr align_ = 0;
+
+    // Plan.
+    /** Sorted block starts of every relocated function. A flat
+     *  vector, not a set: at browser scale it is millions of
+     *  entries, queried far more than it is built. */
+    std::vector<Addr> relocatedBlocks_;
+    std::vector<TableClone> clones_;
+    Addr cloneCursor_ = 0;          ///< next .newrodata slot
+    std::uint32_t counterNext_ = 0; ///< next instrumentation id
+    std::map<Addr, Subst> substs_;  ///< per base-def instruction
+    std::set<Addr> widenLoads_;     ///< widened jt entry loads
+    std::map<Addr, std::uint32_t> blockCounters_;
+    std::map<Addr, std::uint32_t> entryCounters_;
+
+    // Layout.
+    Addr cursor_ = 0;
+    AddrPairs blockMap_;
+    AddrPairs insnMap_;
+    AddrPairs raPairs_;
+    std::vector<FuncSpan> spans_;
+    /** Kept streams by span index (layout with keep only). */
+    std::vector<FuncStream> streams_;
+    /** Spliced spans by span index (layoutReused only). */
+    std::vector<bool> reused_;
+    const std::vector<std::uint8_t> *reusedBytes_ = nullptr;
+    unsigned reusedCount_ = 0;
 };
+
+/**
+ * Re-target the function-pointer-forming instruction at @p at (a
+ * Lea / MovImm / AdrPage / AddisToc / AddImm of a pointer) inside
+ * @p bytes, which start at address @p base, to @p new_target.
+ * False when it does not decode or re-encode at its old length.
+ */
+bool patchFuncPtrInsn(const BinaryImage &image,
+                      std::vector<std::uint8_t> &bytes, Addr base,
+                      Addr at, Addr new_target);
 
 } // namespace icp
 

@@ -234,16 +234,17 @@ struct RewriteOptions
     InjectDefect injectDefect = InjectDefect::none;
 
     /**
-     * Shard the rewrite across worker processes and stream the
-     * output (rewriteBinarySharded): the function space is split
-     * into this many contiguous address ranges, each analyzed by a
-     * forked worker that persists its results as an analysis-cache
-     * shard, and the coordinator drives the per-function relocation
-     * engine one shard at a time so peak memory is O(shard), not
-     * O(binary). Output bytes are identical for every shard count
-     * (and to the materializing path). 0 = classic single-process
-     * rewrite. Incompatible with lint manifests, fault injection,
-     * session reuse/repair, and reversed layout orders.
+     * Address ranges of a sharded, streaming rewrite
+     * (rewriteBinarySharded; 0 = classic rewriteBinary). Both run
+     * one rewrite pipeline over a list of ranges — the classic rewrite is one
+     * range — so output bytes are identical for every value. With
+     * one range (shards <= 1) the CFG stays resident and no worker
+     * is forked. With N > 1 the function space is split into N
+     * contiguous ranges, each analyzed by a forked worker into a
+     * shared cache file, and each pass rebuilds one range's CFG at a
+     * time, so peak memory is O(range), not O(binary). Sharded runs
+     * reject lint manifests, fault injection, session reuse/repair,
+     * and reversed layout orders.
      */
     unsigned shards = 0;
 

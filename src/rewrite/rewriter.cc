@@ -1,15 +1,13 @@
 #include "rewrite/rewriter.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <functional>
-
-#include <unistd.h>
 
 #include "analysis/cache.hh"
 #include "analysis/funcptr.hh"
 #include "analysis/liveness.hh"
-#include "isa/bytes.hh"
 #include "binfmt/addr_map.hh"
 #include "binfmt/stream_writer.hh"
 #include "rewrite/engine.hh"
@@ -77,8 +75,44 @@ alignUp(Addr v, Addr align)
     return (v + align - 1) & ~(align - 1);
 }
 
-/** Relocated address of an original address, if relocated. */
-using BlockLookup = std::function<std::optional<Addr>(Addr)>;
+/**
+ * A private directory under the system temporary directory (TMPDIR
+ * honored) for a sharded run's coordination cache; removed with
+ * everything in it, lock file included, when the run ends.
+ */
+class TempCacheDir
+{
+  public:
+    TempCacheDir() = default;
+    TempCacheDir(const TempCacheDir &) = delete;
+    TempCacheDir &operator=(const TempCacheDir &) = delete;
+
+    ~TempCacheDir()
+    {
+        std::error_code ec;
+        if (!dir_.empty())
+            std::filesystem::remove_all(dir_, ec);
+    }
+
+    /** Create the directory; the cache path in it, or empty. */
+    std::string
+    create()
+    {
+        std::error_code ec;
+        const std::filesystem::path tmp =
+            std::filesystem::temp_directory_path(ec);
+        if (ec)
+            return {};
+        std::string templ = (tmp / "icp-shard-XXXXXX").string();
+        if (!::mkdtemp(templ.data()))
+            return {};
+        dir_ = templ;
+        return dir_ + "/shards.icpc";
+    }
+
+  private:
+    std::string dir_;
+};
 
 /** Mutable working copy of the output image under construction. */
 class Rewriter
@@ -91,54 +125,46 @@ class Rewriter
     {
     }
 
-    RewriteResult run();
-    RewriteResult runSharded(SbfSink &sink);
+    RewriteResult run(const std::vector<ShardRange> &ranges,
+                      SbfSink *sink);
 
   private:
-    /** A .instr patch that must wait for the emission pass (the
-     *  streaming path patches function bytes in flight instead of a
-     *  materialized section). */
+    /** A .instr patch applied when its function's bytes are
+     *  emitted (the payload does not exist before then). */
     struct InstrPatch
     {
         Addr at = 0;
         Addr newTarget = 0;
     };
 
-    std::set<Addr> chooseInstrumented();
+    std::string rejection(bool sharded) const;
+    std::vector<const Function *>
+    emissionOrder(const CfgModule &cfg) const;
     std::set<Addr> cflBlocks(const Function &func) const;
     std::set<Addr> blocksReachingInstrumentation(
         const Function &func) const;
     void donateScratch(ScratchPool &pool);
     void recordDonation(Addr addr, std::uint64_t len);
-    Addr funcEntryOf(Addr a) const;
     bool injectSiteAllowed(Addr func_entry) const;
-    void fillManifest(const EngineResult &engine);
+    void fillManifest(const Engine &engine);
     void injectByteDefect();
-    void installTrampolines(const EngineResult &engine);
     void trampolineBegin();
+    void installTrampolines(const CfgModule &cfg, const Engine &engine);
     void trampolineFunc(const Function &func,
                         const std::set<Addr> &cfl,
                         const LivenessResult *live,
-                        const BlockLookup &lookup);
+                        const Engine &engine);
     void trampolineFinish();
     void accountTrampoline(const TrampolineRequest &req,
                            Addr func_entry,
                            const TrampolineOut &installed);
-    void rewriteFuncPtrs(const BlockLookup &block_lookup,
-                         const BlockLookup &insn_lookup,
-                         std::vector<InstrPatch> *deferred);
+    void rewriteFuncPtrs(const Engine &engine,
+                         std::vector<InstrPatch> &deferred);
     void patchCodeDef(const FuncPtrDef &def, Addr new_target,
-                      const BlockLookup &insn_lookup,
-                      std::vector<InstrPatch> *deferred);
-    static void applyFuncPtrMutation(const BinaryImage &input,
-                                     Instruction &in, Addr new_target);
-    bool patchInstructionAt(std::vector<std::uint8_t> &bytes,
-                            Addr section_base, Addr at,
-                            const std::function<void(Instruction &)>
-                                &mutate);
+                      const Engine &engine,
+                      std::vector<InstrPatch> &deferred);
     void clobberOriginal(
         const std::vector<std::pair<Addr, Addr>> &func_ranges);
-    void addCodeSections(const EngineResult &engine);
     void buildSections(std::uint64_t instr_size,
                        std::uint64_t rodata_size,
                        const std::vector<std::pair<Addr, Addr>>
@@ -149,8 +175,9 @@ class Rewriter
     const RewritePass &pass_;
     const ArchInfo &arch_;
 
-    /** Built here, or borrowed from pass_.cfg (session reuse). In
-     *  the sharded run it points at the current shard's CFG. */
+    /** With one range, its CFG, built once (or borrowed from
+     *  pass_.cfg) and kept for the whole run; null with several,
+     *  whose CFGs are rebuilt in every pass. */
     CfgModule ownCfg_;
     const CfgModule *cfg_ = nullptr;
     FuncPtrAnalysisResult funcPtrs_;
@@ -168,8 +195,7 @@ class Rewriter
     std::vector<std::pair<Addr, Addr>> keepRanges_;
 
     // Trampoline-installation state, live between trampolineBegin()
-    // and trampolineFinish() (the sharded coordinator interleaves
-    // per-function installs with layout across shard boundaries).
+    // and trampolineFinish() (installs run range by range).
     struct PendingTramp
     {
         TrampolineRequest req;
@@ -181,19 +207,22 @@ class Rewriter
     std::vector<PendingTramp> pendingTramps_;
 };
 
-std::set<Addr>
-Rewriter::chooseInstrumented()
+/** Instrumented functions of @p cfg, in emission order. */
+std::vector<const Function *>
+Rewriter::emissionOrder(const CfgModule &cfg) const
 {
-    std::set<Addr> chosen;
-    for (const auto &[entry, func] : cfg_->functions) {
+    std::vector<const Function *> order;
+    for (const auto &[entry, func] : cfg.functions) {
         if (!func.instrumentable())
             continue;
         if (!opts_.onlyFunctions.empty() &&
             !opts_.onlyFunctions.count(func.name))
             continue;
-        chosen.insert(entry);
+        order.push_back(&func);
     }
-    return chosen;
+    if (opts_.functionOrder == OrderPolicy::reversed)
+        std::reverse(order.begin(), order.end());
+    return order;
 }
 
 std::set<Addr>
@@ -383,35 +412,36 @@ Rewriter::trampolineBegin()
         arch_, input_.tocBase, *pool_, opts_.multiHop);
 }
 
+/**
+ * Trampolines for the instrumented functions of one range, installed
+ * in ascending entry order whatever the emission order (the scratch
+ * pool evolves in that order in every configuration). Per-function
+ * inputs — CFL block sets and, on the fixed ISAs, liveness — are
+ * independent across functions: they are precomputed in parallel,
+ * with liveness memoized in the analysis cache under the function's
+ * CFG key, so the serial install only does the order-sensitive pool
+ * work.
+ */
 void
-Rewriter::installTrampolines(const EngineResult &engine)
+Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine)
 {
-    trampolineBegin();
-
-    // Per-function trampoline inputs — CFL block sets and (on the
-    // fixed ISAs) liveness — are independent across functions:
-    // precompute them in parallel, with liveness memoized in the
-    // analysis cache under the function's CFG key. The serial
-    // install below then only does the order-sensitive pool work.
     struct FuncPre
     {
         const Function *func = nullptr;
         std::set<Addr> cfl;
         std::shared_ptr<const LivenessResult> live;
     };
-    std::vector<const Function *> funcs;
-    for (const auto &[entry, func] : cfg_->functions) {
+    std::vector<FuncPre> pre;
+    for (const auto &[entry, func] : cfg.functions) {
         if (instrumented_.count(entry))
-            funcs.push_back(&func);
+            pre.push_back({&func, {}, nullptr});
     }
-    std::vector<FuncPre> pre(funcs.size());
     {
         StageTimer timer(Stage::liveness);
         ThreadPool::shared().parallelFor(
-            funcs.size(), effectiveThreads(opts_.threads),
+            pre.size(), effectiveThreads(opts_.threads),
             [&](std::size_t i) {
-                const Function &func = *funcs[i];
-                pre[i].func = &func;
+                const Function &func = *pre[i].func;
                 pre[i].cfl = cflBlocks(func);
                 if (!arch_.fixedLength)
                     return;
@@ -436,29 +466,20 @@ Rewriter::installTrampolines(const EngineResult &engine)
     }
 
     StageTimer timer(Stage::trampoline);
-
-    const BlockLookup lookup = [&](Addr a) -> std::optional<Addr> {
-        auto it = engine.blockMap.find(a);
-        if (it == engine.blockMap.end())
-            return std::nullopt;
-        return it->second;
-    };
     for (const FuncPre &p : pre)
-        trampolineFunc(*p.func, p.cfl, p.live.get(), lookup);
-    trampolineFinish();
+        trampolineFunc(*p.func, p.cfl, p.live.get(), engine);
 }
 
 /**
  * Phase 1 for one function: in-place installs; unused superblock
  * bytes (source 2 of §7's scratch space) are donated to the pool for
- * phase 2. @p lookup resolves an original block start to its
- * relocated address; @p live may be null on variable-length ISAs.
+ * phase 2. @p live may be null on variable-length ISAs.
  */
 void
 Rewriter::trampolineFunc(const Function &func,
                          const std::set<Addr> &cfl,
                          const LivenessResult *live,
-                         const BlockLookup &lookup)
+                         const Engine &engine)
 {
     result_.stats.cflBlocks += cfl.size();
     result_.stats.totalBlocks += func.blocks.size();
@@ -506,7 +527,7 @@ Rewriter::trampolineFunc(const Function &func,
         TrampolineRequest req;
         req.at = start;
         req.space = se - start;
-        const std::optional<Addr> target = lookup(start);
+        const std::optional<Addr> target = engine.lookupBlock(start);
         icp_assert(target.has_value(),
                    "CFL block 0x%llx not relocated",
                    static_cast<unsigned long long>(start));
@@ -584,7 +605,6 @@ Rewriter::trampolineFunc(const Function &func,
         }
     }
 }
-
 void
 Rewriter::trampolineFinish()
 {
@@ -613,113 +633,33 @@ Rewriter::trampolineFinish()
     pool_.reset();
 }
 
-bool
-Rewriter::patchInstructionAt(std::vector<std::uint8_t> &bytes,
-                             Addr section_base, Addr at,
-                             const std::function<void(Instruction &)>
-                                 &mutate)
-{
-    const Offset off = at - section_base;
-    if (off >= bytes.size())
-        return false;
-    Instruction in;
-    if (!arch_.codec->decode(bytes.data() + off, bytes.size() - off,
-                             at, in)) {
-        return false;
-    }
-    const unsigned old_len = in.length;
-    mutate(in);
-    std::vector<std::uint8_t> enc;
-    if (!arch_.codec->encode(in, at, enc) || enc.size() != old_len)
-        return false;
-    std::copy(enc.begin(), enc.end(),
-              bytes.begin() + static_cast<std::ptrdiff_t>(off));
-    return true;
-}
-
-void
-Rewriter::applyFuncPtrMutation(const BinaryImage &input,
-                               Instruction &in, Addr new_target)
-{
-    const ArchInfo &arch = input.archInfo();
-    switch (in.op) {
-      case Opcode::MovImm:
-        if (arch.fixedLength) {
-            in.imm = static_cast<std::int64_t>(
-                (new_target >> in.movShift) & 0xffff);
-        } else {
-            in.imm = static_cast<std::int64_t>(new_target);
-        }
-        break;
-      case Opcode::Lea:
-      case Opcode::AdrPage:
-        in.target = new_target;
-        break;
-      case Opcode::AddisToc: {
-        const std::int64_t off =
-            static_cast<std::int64_t>(new_target) -
-            static_cast<std::int64_t>(input.tocBase);
-        in.imm = (off + 0x8000) >> 16;
-        break;
-      }
-      case Opcode::AddImm: {
-        std::int64_t lo;
-        if (arch.hasToc) {
-            const std::int64_t off =
-                static_cast<std::int64_t>(new_target) -
-                static_cast<std::int64_t>(input.tocBase);
-            lo = signExtend(static_cast<std::uint64_t>(off), 16);
-        } else {
-            const Addr page = ((new_target + 0x8000) >> 16) << 16;
-            lo = static_cast<std::int64_t>(new_target) -
-                 static_cast<std::int64_t>(page);
-        }
-        in.imm = lo;
-        break;
-      }
-      default:
-        break;
-    }
-}
-
 void
 Rewriter::patchCodeDef(const FuncPtrDef &def, Addr new_target,
-                       const BlockLookup &insn_lookup,
-                       std::vector<InstrPatch> *deferred)
+                       const Engine &engine,
+                       std::vector<InstrPatch> &deferred)
 {
     // Decide where the defining instructions live now: inside
     // relocated code (.instr) for instrumented functions, in the
-    // original .text otherwise. With @p deferred set, .instr patches
-    // are queued for the emission pass instead of applied to the
-    // (not yet materialized) section payload.
-    Section *instr = out_.findSection(SectionKind::instr);
+    // original .text otherwise. .instr patches are queued for the
+    // emission step, which applies them to each function's bytes.
     Section *text = out_.findSection(SectionKind::text);
-    icp_assert(instr && text, "sections missing");
+    icp_assert(text, "no .text");
 
     for (Addr orig : def.defAddrs) {
-        Addr at = orig;
-        Section *sec = text;
-        if (const std::optional<Addr> relocated = insn_lookup(orig)) {
-            at = *relocated;
-            sec = instr;
-            if (deferred) {
-                deferred->push_back({at, new_target});
-                continue;
-            }
+        if (const std::optional<Addr> at = engine.lookupInsn(orig)) {
+            deferred.push_back({*at, new_target});
+            continue;
         }
-        const bool ok = patchInstructionAt(
-            sec->bytes, sec->addr, at, [&](Instruction &in) {
-                applyFuncPtrMutation(input_, in, new_target);
-            });
+        const bool ok = patchFuncPtrInsn(input_, text->bytes, text->addr,
+                                         orig, new_target);
         icp_assert(ok, "func-ptr code patch failed at 0x%llx",
-                   static_cast<unsigned long long>(at));
+                   static_cast<unsigned long long>(orig));
     }
 }
 
 void
-Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
-                          const BlockLookup &insn_lookup,
-                          std::vector<InstrPatch> *deferred)
+Rewriter::rewriteFuncPtrs(const Engine &engine,
+                          std::vector<InstrPatch> &deferred)
 {
     for (const auto &def : funcPtrs_.defs) {
         // Displaced pointers (Listing 1's entry+1) land inside the
@@ -732,7 +672,7 @@ Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
             // Point at the relocated block start so entry
             // instrumentation still runs.
             const std::optional<Addr> relocated =
-                block_lookup(def.funcEntry);
+                engine.lookupBlock(def.funcEntry);
             if (!relocated)
                 continue; // not relocated; pointer stays valid
             new_value = *relocated;
@@ -740,7 +680,7 @@ Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
             const Addr use_point = def.funcEntry +
                                    static_cast<Addr>(def.delta);
             const std::optional<Addr> relocated =
-                insn_lookup(use_point);
+                engine.lookupInsn(use_point);
             if (!relocated)
                 continue;
             new_value = *relocated - static_cast<Addr>(def.delta);
@@ -768,14 +708,13 @@ Rewriter::rewriteFuncPtrs(const BlockLookup &block_lookup,
             result_.stats.rewrittenFuncPtrs++;
             patch.kind = FuncPtrPatch::Kind::dataCell;
         } else {
-            patchCodeDef(def, new_value, insn_lookup, deferred);
+            patchCodeDef(def, new_value, engine, deferred);
             result_.stats.rewrittenFuncPtrs++;
             patch.kind = FuncPtrPatch::Kind::codeDef;
         }
         result_.manifest.funcPtrs.push_back(patch);
     }
 }
-
 void
 Rewriter::clobberOriginal(
     const std::vector<std::pair<Addr, Addr>> &func_ranges)
@@ -805,30 +744,6 @@ Rewriter::clobberOriginal(
         }
     }
 }
-
-void
-Rewriter::addCodeSections(const EngineResult &engine)
-{
-    Section instr;
-    instr.name = ".instr";
-    instr.kind = SectionKind::instr;
-    instr.addr = instrBase_;
-    instr.bytes = engine.instrBytes;
-    instr.memSize = instr.bytes.size();
-    instr.executable = true;
-    out_.addSection(std::move(instr));
-
-    if (!engine.newRodataBytes.empty()) {
-        Section ro;
-        ro.name = ".newrodata";
-        ro.kind = SectionKind::newRodata;
-        ro.addr = newRodataBase_;
-        ro.bytes = engine.newRodataBytes;
-        ro.memSize = ro.bytes.size();
-        out_.addSection(std::move(ro));
-    }
-}
-
 void
 Rewriter::buildSections(std::uint64_t instr_size,
                         std::uint64_t rodata_size,
@@ -887,17 +802,6 @@ Rewriter::buildSections(std::uint64_t instr_size,
     }
 }
 
-Addr
-Rewriter::funcEntryOf(Addr a) const
-{
-    auto it = cfg_->functions.upper_bound(a);
-    if (it == cfg_->functions.begin())
-        return 0;
-    --it;
-    return (a >= it->second.entry && a < it->second.end) ? it->first
-                                                         : 0;
-}
-
 bool
 Rewriter::injectSiteAllowed(Addr func_entry) const
 {
@@ -909,22 +813,22 @@ Rewriter::injectSiteAllowed(Addr func_entry) const
 }
 
 void
-Rewriter::fillManifest(const EngineResult &engine)
+Rewriter::fillManifest(const Engine &engine)
 {
     RewriteManifest &m = result_.manifest;
     m.populated = true;
-    m.blockMap = engine.blockMap;
-    m.insnMap = engine.insnMap;
-    m.raPairs = engine.raPairs;
-    m.funcSpans = engine.funcSpans;
+    m.blockMap.insert(engine.blockMap().begin(), engine.blockMap().end());
+    m.insnMap.insert(engine.insnMap().begin(), engine.insnMap().end());
+    m.raPairs = engine.raPairs();
+    m.funcSpans = engine.spans();
     m.instrumented = instrumented_;
     for (const auto &[entry, func] : cfg_->functions)
         m.dataDeps[entry] = func.dataDeps;
-    for (const auto &clone : engine.clones) {
+    for (const auto &clone : engine.clones()) {
         const JumpTable &jt = clone.table;
         JumpTableClonePatch p;
         p.jumpAddr = jt.jumpAddr;
-        p.funcEntry = funcEntryOf(jt.jumpAddr);
+        p.funcEntry = clone.funcEntry;
         p.cloneAddr = clone.cloneAddr;
         p.entrySize = clone.entrySize;
         p.entryCount = jt.entryCount;
@@ -1209,198 +1113,76 @@ Rewriter::injectByteDefect()
     }
 }
 
-RewriteResult
-Rewriter::run()
+/** Why this configuration cannot run, or empty. */
+std::string
+Rewriter::rejection(bool sharded) const
 {
     if (opts_.reachabilityPruning && opts_.clobberOriginal) {
-        result_.failReason = "reachability pruning lets original "
-                             "code execute; it cannot be combined "
-                             "with clobbering";
-        return result_;
+        return "reachability pruning lets original code execute; it "
+               "cannot be combined with clobbering";
     }
-    if (pass_.cfg) {
-        // Session reuse: the caller's analysis artifacts are
-        // authoritative; skip CFG construction entirely.
-        cfg_ = pass_.cfg;
-    } else {
-        AnalysisOptions analysis = opts_.analysis;
-        analysis.threads = opts_.threads;
-        analysis.useCache = opts_.useAnalysisCache;
-        ownCfg_ = buildCfg(input_, analysis);
-        cfg_ = &ownCfg_;
-    }
-    // Function-pointer analysis runs in every mode: even dir/jt
-    // need the forward-sliced displaced pointers (§5.2).
-    {
-        StageTimer timer(Stage::funcPtr);
-        funcPtrs_ = analyzeFuncPtrs(*cfg_);
-    }
-
-    instrumented_ = chooseInstrumented();
-    result_.stats.totalFunctions = cfg_->totalFunctions();
-    result_.stats.instrumentableFunctions =
-        cfg_->instrumentableFunctions();
-    result_.stats.instrumentedFunctions =
-        static_cast<unsigned>(instrumented_.size());
-    result_.stats.originalLoadedSize = input_.loadedSize();
-
-    out_ = input_;
-
-    instrBase_ = input_.highWaterMark(4096);
-    // Reserve a generous window for .instr; clones follow.
-    EngineConfig config;
-    config.mode = opts_.mode;
-    config.callEmulation = !opts_.raTranslation;
-    config.instrumentation = opts_.instrumentation;
-    config.functionOrder = opts_.functionOrder;
-    config.blockOrder = opts_.blockOrder;
-    config.instrBase = instrBase_;
-    config.goRaTranslation =
-        opts_.raTranslation && input_.features.isGo;
-    config.threads = opts_.threads;
-
-    // Selective re-rewrite: hand the engine the previous pass's
-    // layout and bytes so only pass_.dirtyFunctions re-emit.
-    if (pass_.previous && pass_.previous->ok &&
-        pass_.previous->manifest.populated) {
-        const Section *prev_instr =
-            pass_.previous->image.findSection(SectionKind::instr);
-        if (prev_instr) {
-            config.reuse.manifest = &pass_.previous->manifest;
-            config.reuse.instrBytes = &prev_instr->bytes;
-            config.reuse.dirty = &pass_.dirtyFunctions;
-        }
-    }
-
-    // Estimate .instr extent to place .newrodata after it: snippets
-    // and veneers expand code; 4x the original text is a safe bound.
-    const Section *text = input_.findSection(SectionKind::text);
-    icp_assert(text, "input has no .text");
-    newRodataBase_ =
-        alignUp(instrBase_ + text->memSize * 4 + 0x10000, 4096);
-    config.newRodataBase = newRodataBase_;
-
-    EngineResult engine =
-        relocateFunctions(*cfg_, instrumented_, config);
-    result_.stats.relocEmittedFunctions = engine.emittedFunctions;
-    result_.stats.relocReusedFunctions = engine.reusedFunctions;
-    icp_assert(instrBase_ + engine.instrBytes.size() <= newRodataBase_,
-               ".instr overflowed its window");
-
-    addCodeSections(engine);
-    installTrampolines(engine);
-    const BlockLookup block_lookup =
-        [&](Addr a) -> std::optional<Addr> {
-        auto it = engine.blockMap.find(a);
-        if (it == engine.blockMap.end())
-            return std::nullopt;
-        return it->second;
-    };
-    const BlockLookup insn_lookup =
-        [&](Addr a) -> std::optional<Addr> {
-        auto it = engine.insnMap.find(a);
-        if (it == engine.insnMap.end())
-            return std::nullopt;
-        return it->second;
-    };
-    rewriteFuncPtrs(block_lookup, insn_lookup, nullptr);
-    if (opts_.clobberOriginal) {
-        std::vector<std::pair<Addr, Addr>> ranges;
-        for (const auto &[entry, func] : cfg_->functions) {
-            if (instrumented_.count(entry))
-                ranges.emplace_back(func.entry, func.end);
-        }
-        clobberOriginal(ranges);
-    }
-
-    {
-        StageTimer timer(Stage::output);
-        buildSections(engine.instrBytes.size(),
-                      engine.newRodataBytes.size(), engine.raPairs);
-    }
-    if (opts_.lint) {
-        fillManifest(engine);
-        if (opts_.injectDefect != InjectDefect::none)
-            injectByteDefect();
-    } else {
-        result_.manifest = RewriteManifest{};
-    }
-    result_.stats.clonedTables = engine.clones.size();
-    result_.stats.rewrittenLoadedSize = out_.loadedSize();
-    result_.blockCounters = engine.blockCounters;
-    result_.entryCounters = engine.entryCounters;
-    result_.image = std::move(out_);
-    result_.ok = true;
-    return result_;
+    if (!sharded)
+        return {};
+    if (opts_.functionOrder != OrderPolicy::original ||
+        opts_.blockOrder != OrderPolicy::original)
+        return "sharded rewriting requires original layout order";
+    if (opts_.injectDefect != InjectDefect::none)
+        return "sharded rewriting does not support fault injection";
+    if (pass_.cfg || pass_.previous)
+        return "sharded rewriting does not take a session pass";
+    return {};
 }
 
 /**
- * The sharded, streaming run (§4g of DESIGN.md). Three sequential
- * passes over the shard list — plan, layout+trampolines, emit — each
- * rebuilding one shard's CFG at a time from the (never mutated)
- * input, with the per-function relocation engine carrying only flat
- * address maps across shards. Processing functions in ascending
- * address order in every pass reproduces the monolithic pipeline's
- * bytes exactly; only peak memory differs.
+ * The rewrite pipeline (§4g of DESIGN.md) over a list of address
+ * ranges, in three passes — plan, layout + trampolines, emit — each
+ * visiting the ranges in address order. With one range its CFG is
+ * built once (or borrowed from the session) and stays resident, and
+ * layout keeps every function's assembler stream, so each function
+ * is emitted once. With several ranges, forked workers first warm a
+ * shared cache file, and every pass rebuilds one range's CFG at a
+ * time from it, so peak memory is O(largest range); the emit pass
+ * re-emits each function at its recorded base. The output is
+ * appended to .instr of result.image, or streamed to @p sink in
+ * section/address order; the bytes are the same either way.
  */
 RewriteResult
-Rewriter::runSharded(SbfSink &sink)
+Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
 {
-    if (opts_.reachabilityPruning && opts_.clobberOriginal) {
-        result_.failReason = "reachability pruning lets original "
-                             "code execute; it cannot be combined "
-                             "with clobbering";
+    result_.failReason = rejection(sink != nullptr);
+    if (!result_.failReason.empty())
         return result_;
-    }
-    if (opts_.functionOrder != OrderPolicy::original ||
-        opts_.blockOrder != OrderPolicy::original) {
-        result_.failReason =
-            "sharded rewriting requires original layout order";
-        return result_;
-    }
-    if (opts_.injectDefect != InjectDefect::none) {
-        result_.failReason =
-            "sharded rewriting does not support fault injection";
-        return result_;
-    }
-    if (pass_.cfg || pass_.previous) {
-        result_.failReason =
-            "sharded rewriting does not take a session pass";
-        return result_;
-    }
+    const bool resident = ranges.size() == 1;
 
-    // The analysis cache file is the coordination medium: workers
-    // persist their shard's analysis there and the coordinator
-    // replays it one shard at a time. Without a configured file, a
-    // private temporary one serves for this run. The in-memory cache
-    // is dropped up front so the per-shard bound holds from the
-    // first shard (and so forked workers inherit an empty cache).
+    // Several ranges: the analysis cache file is the coordination
+    // medium. Workers persist their range's analysis there and every
+    // pass replays it one range at a time; without a configured
+    // file, a private temporary one serves for this run. The
+    // in-memory cache is dropped up front so the per-range bound
+    // holds from the first range (and so forked workers inherit an
+    // empty cache).
+    if (sink)
+        result_.stats.shards.resize(ranges.size());
     std::string cache_path = opts_.cachePath;
-    bool temp_cache = false;
-    if (opts_.useAnalysisCache) {
+    TempCacheDir temp_dir;
+    if (!resident && opts_.useAnalysisCache) {
         AnalysisCache::global().clear();
+        if (cache_path.empty())
+            cache_path = temp_dir.create();
         if (cache_path.empty()) {
-            cache_path = "/tmp/icp-shard-cache." +
-                         std::to_string(::getpid()) + ".sbfc";
-            std::remove(cache_path.c_str());
-            temp_cache = true;
+            result_.failReason =
+                "cannot create a temporary cache directory";
+            return result_;
         }
-    }
-
-    const std::vector<ShardRange> ranges =
-        planShards(input_, opts_.shards);
-    result_.stats.shards.resize(ranges.size());
-    if (opts_.useAnalysisCache) {
         runShardWorkers(input_, opts_, ranges, cache_path,
                         result_.stats.shards);
     }
 
-    // (Re)build one shard's CFG. Saving before the clear persists
-    // entries the coordinator itself computed for the previous shard
-    // (cache misses — e.g. a degraded worker's range), so each range
-    // is analyzed cold at most once across the three passes.
-    auto buildShard = [&](const ShardRange &r) {
-        if (opts_.useAnalysisCache) {
+    // Saving before the clear persists entries computed for the
+    // previous range (cache misses, e.g. a degraded worker's range),
+    // so each range is analyzed cold at most once across the passes.
+    const auto buildRange = [&](const ShardRange &r) {
+        if (!resident && opts_.useAnalysisCache) {
             AnalysisCache::global().save(cache_path);
             AnalysisCache::global().clear();
             AnalysisCache::global().load(cache_path, input_.arch);
@@ -1412,119 +1194,112 @@ Rewriter::runSharded(SbfSink &sink)
         analysis.rangeHi = r.hi;
         return buildCfg(input_, analysis);
     };
+    if (resident && pass_.cfg) {
+        cfg_ = pass_.cfg;
+    } else if (resident) {
+        ownCfg_ = buildRange(ranges[0]);
+        cfg_ = &ownCfg_;
+    }
+    const auto forEachRange =
+        [&](const std::function<void(std::size_t, const CfgModule &)>
+                &body) {
+            for (std::size_t k = 0; k < ranges.size(); ++k) {
+                if (resident)
+                    body(k, *cfg_);
+                else
+                    body(k, buildRange(ranges[k]));
+            }
+        };
 
-    // Legacy-identical base state: mutate only the copy; every shard
-    // CFG decodes the unmutated input.
+    // Every range's CFG decodes the unmutated input; only the copy
+    // is patched.
     out_ = input_;
     instrBase_ = input_.highWaterMark(4096);
-    EngineConfig config;
-    config.mode = opts_.mode;
-    config.callEmulation = !opts_.raTranslation;
-    config.instrumentation = opts_.instrumentation;
-    config.instrBase = instrBase_;
-    config.goRaTranslation =
-        opts_.raTranslation && input_.features.isGo;
-    config.threads = 1;
+    // Estimate .instr extent to place .newrodata after it: snippets
+    // and veneers expand code; 4x the original text is a safe bound.
     const Section *text = input_.findSection(SectionKind::text);
     icp_assert(text, "input has no .text");
     newRodataBase_ =
         alignUp(instrBase_ + text->memSize * 4 + 0x10000, 4096);
+
+    EngineConfig config;
+    config.mode = opts_.mode;
+    config.callEmulation = !opts_.raTranslation;
+    config.instrumentation = opts_.instrumentation;
+    config.blockOrder = opts_.blockOrder;
+    config.instrBase = instrBase_;
     config.newRodataBase = newRodataBase_;
+    config.goRaTranslation =
+        opts_.raTranslation && input_.features.isGo;
+    config.threads = opts_.threads;
+    Engine engine(input_, config);
 
-    IncrementalEngine engine(input_, config);
-    FuncPtrScanner scanner(input_);
-
-    // Pass 0 — plan: per-shard statistics, the function-pointer
-    // scan, clone/counter planning, and the instrumented ranges.
-    std::vector<std::pair<Addr, Addr>> instr_ranges;
-    for (std::size_t k = 0; k < ranges.size(); ++k) {
-        const CfgModule cfg = buildShard(ranges[k]);
-        cfg_ = &cfg;
-        const std::set<Addr> inst = chooseInstrumented();
-
-        ShardCounters &sc = result_.stats.shards[k];
-        sc.functions = cfg.totalFunctions();
-        sc.instrumented = static_cast<unsigned>(inst.size());
-        for (const auto &[entry, func] : cfg.functions) {
-            (void)entry;
-            sc.blocks += func.blocks.size();
-            for (const auto &[start, block] : func.blocks) {
-                (void)start;
-                sc.insns += block.insns.size();
-            }
+    // Selective re-rewrite: hand the engine the previous pass's
+    // layout and bytes so only pass_.dirtyFunctions re-emit.
+    EngineReuse reuse;
+    if (pass_.previous && pass_.previous->ok &&
+        pass_.previous->manifest.populated) {
+        if (const Section *prev_instr =
+                pass_.previous->image.findSection(
+                    SectionKind::instr)) {
+            reuse.manifest = &pass_.previous->manifest;
+            reuse.instrBytes = &prev_instr->bytes;
+            reuse.dirty = &pass_.dirtyFunctions;
         }
+    }
+
+    // Pass 1 — plan: statistics, the function-pointer scan (every
+    // mode: even dir/jt need the displaced pointers of §5.2), and
+    // clone/counter planning.
+    FuncPtrScanner scanner(input_);
+    std::vector<std::pair<Addr, Addr>> instr_ranges;
+    forEachRange([&](std::size_t k, const CfgModule &cfg) {
+        const std::vector<const Function *> order = emissionOrder(cfg);
         result_.stats.totalFunctions += cfg.totalFunctions();
         result_.stats.instrumentableFunctions +=
             cfg.instrumentableFunctions();
         result_.stats.instrumentedFunctions +=
-            static_cast<unsigned>(inst.size());
-
-        {
-            StageTimer timer(Stage::funcPtr);
+            static_cast<unsigned>(order.size());
+        if (sink) {
+            ShardCounters &sc = result_.stats.shards[k];
+            sc.lo = ranges[k].lo;
+            sc.hi = ranges[k].hi;
+            sc.functions = cfg.totalFunctions();
+            sc.instrumented = static_cast<unsigned>(order.size());
             for (const auto &[entry, func] : cfg.functions) {
-                (void)entry;
-                scanner.scanFunction(func);
+                sc.blocks += func.blocks.size();
+                for (const auto &[start, block] : func.blocks)
+                    sc.insns += block.insns.size();
             }
         }
-        for (Addr e : inst) {
-            const Function &func = cfg.functions.at(e);
-            engine.planFunction(func);
-            instr_ranges.emplace_back(func.entry, func.end);
+        {
+            StageTimer timer(Stage::funcPtr);
+            for (const auto &[entry, func] : cfg.functions)
+                scanner.scanFunction(func);
         }
-        cfg_ = nullptr;
-    }
+        StageTimer timer(Stage::relocate);
+        engine.plan(order);
+        for (const Function *func : order) {
+            instrumented_.insert(func->entry);
+            instr_ranges.emplace_back(func->entry, func->end);
+        }
+    });
     funcPtrs_ = scanner.take();
     result_.stats.originalLoadedSize = input_.loadedSize();
 
-    // Pass A — layout and trampolines, interleaved per function. The
-    // scratch pool evolves in the same ascending function order as
-    // the monolithic path, so every install decision matches; a
-    // function's CFL targets are in the block map the moment its own
-    // layout completes.
+    // Pass 2 — layout, then the range's trampolines: a function's
+    // CFL targets are in the block map once its range is laid out.
     trampolineBegin();
-    std::vector<FuncSpan> spans;
-    const BlockLookup block_lookup = [&](Addr a) {
-        return engine.lookupBlock(a);
-    };
-    const BlockLookup insn_lookup = [&](Addr a) {
-        return engine.lookupInsn(a);
-    };
-    for (const ShardRange &r : ranges) {
-        const CfgModule cfg = buildShard(r);
-        cfg_ = &cfg;
-        for (Addr e : chooseInstrumented()) {
-            const Function &func = cfg.functions.at(e);
-            {
-                StageTimer timer(Stage::relocate);
-                spans.push_back(engine.layoutFunction(func));
-            }
-            const std::set<Addr> cfl = cflBlocks(func);
-            std::shared_ptr<const LivenessResult> live;
-            if (arch_.fixedLength) {
-                StageTimer timer(Stage::liveness);
-                const bool cached =
-                    opts_.useAnalysisCache && func.cacheKey != 0;
-                if (cached) {
-                    live = AnalysisCache::global().findLiveness(
-                        func.cacheKey, func.entry);
-                }
-                if (!live) {
-                    auto computed =
-                        std::make_shared<LivenessResult>(
-                            computeLiveness(func, arch_));
-                    if (cached) {
-                        AnalysisCache::global().storeLiveness(
-                            func.cacheKey, input_.arch, func.entry,
-                            *computed);
-                    }
-                    live = std::move(computed);
-                }
-            }
-            StageTimer timer(Stage::trampoline);
-            trampolineFunc(func, cfl, live.get(), block_lookup);
+    forEachRange([&](std::size_t, const CfgModule &cfg) {
+        {
+            StageTimer timer(Stage::relocate);
+            const std::vector<const Function *> order =
+                emissionOrder(cfg);
+            if (!reuse.valid() || !engine.layoutReused(order, reuse))
+                engine.layout(order, resident);
         }
-        cfg_ = nullptr;
-    }
+        installTrampolines(cfg, engine);
+    });
     {
         StageTimer timer(Stage::trampoline);
         trampolineFinish();
@@ -1533,14 +1308,14 @@ Rewriter::runSharded(SbfSink &sink)
     const std::uint64_t instr_size = engine.layoutEnd() - instrBase_;
     icp_assert(instrBase_ + instr_size <= newRodataBase_,
                ".instr overflowed its window");
+    result_.stats.relocReusedFunctions = engine.reusedFunctions();
     result_.stats.relocEmittedFunctions =
-        static_cast<unsigned>(spans.size());
+        static_cast<unsigned>(engine.spans().size()) -
+        engine.reusedFunctions();
 
-    // The section list must be final — and every non-streamed
-    // payload fully patched — before any byte is streamed. The
-    // .instr payload alone stays unmaterialized (empty bytes, full
-    // memSize); func-ptr patches that land in it are deferred to the
-    // emission pass.
+    // Every section but the .instr payload is final before the emit
+    // pass: the payload alone stays unmaterialized (full memSize, no
+    // bytes) and func-ptr patches that land in it wait for it.
     Section instr;
     instr.name = ".instr";
     instr.kind = SectionKind::instr;
@@ -1562,100 +1337,135 @@ Rewriter::runSharded(SbfSink &sink)
     }
 
     std::vector<InstrPatch> deferred;
-    rewriteFuncPtrs(block_lookup, insn_lookup, &deferred);
+    rewriteFuncPtrs(engine, deferred);
     if (opts_.clobberOriginal)
         clobberOriginal(instr_ranges);
     {
         StageTimer timer(Stage::output);
         buildSections(instr_size, rodata_size, engine.raPairs());
     }
+    // Manifests and fault injection need the resident CFG.
+    if (opts_.lint && !sink) {
+        fillManifest(engine);
+        if (opts_.injectDefect != InjectDefect::none)
+            injectByteDefect();
+    } else {
+        result_.manifest = RewriteManifest{};
+    }
     result_.stats.clonedTables = engine.clones().size();
     result_.stats.rewrittenLoadedSize = out_.loadedSize();
     result_.blockCounters = engine.blockCounters();
     result_.entryCounters = engine.entryCounters();
 
-    // Pass B — emit and stream. Emission is deterministic in (CFG,
-    // base), so re-emitting at the recorded spans with the complete
-    // block map yields the final bytes function by function.
-    std::sort(deferred.begin(), deferred.end(),
-              [](const InstrPatch &a, const InstrPatch &b) {
-                  return a.at < b.at;
-              });
-    SbfStreamWriter writer(sink,
-                           opts_.streamWindowBytes
-                               ? opts_.streamWindowBytes
-                               : SbfStreamWriter::default_window);
-    writer.beginImage(out_);
-    for (const Section &sec : out_.sections) {
-        if (sec.kind != SectionKind::instr) {
-            writer.writeSection(sec);
-            continue;
-        }
-        writer.beginStreamedSection(sec, instr_size);
+    // Pass 3 — emit each function's final bytes in span (= address)
+    // order, apply its func-ptr patches, and hand them with the
+    // alignment padding before them to @p put.
+    std::stable_sort(deferred.begin(), deferred.end(),
+                     [](const InstrPatch &a, const InstrPatch &b) {
+                         return a.at < b.at;
+                     });
+    const auto emitInstr = [&](const std::function<void(
+                                   Addr, const std::vector<std::uint8_t> &)>
+                                   &put) {
         auto patch_it = deferred.cbegin();
-        std::size_t span_idx = 0;
+        std::size_t i = 0;
         Addr cursor = instrBase_;
-        for (const ShardRange &r : ranges) {
-            const CfgModule cfg = buildShard(r);
-            cfg_ = &cfg;
-            for (Addr e : chooseInstrumented()) {
-                const Function &func = cfg.functions.at(e);
-                const FuncSpan &span = spans[span_idx++];
-                icp_assert(span.entry == func.entry,
-                           "span/function order diverged");
+        forEachRange([&](std::size_t, const CfgModule &cfg) {
+            for (const Function *func : emissionOrder(cfg)) {
+                const FuncSpan span = engine.spans()[i];
                 std::vector<std::uint8_t> bytes;
                 {
                     StageTimer timer(Stage::relocate);
-                    bytes = engine.emitFunction(func, span.base);
+                    bytes = engine.emit(i++, *func);
                 }
-                icp_assert(bytes.size() == span.size,
-                           "emission size diverged from layout");
                 for (; patch_it != deferred.cend() &&
-                       patch_it->at < span.base + bytes.size();
+                       patch_it->at < span.base + span.size;
                      ++patch_it) {
                     icp_assert(patch_it->at >= span.base,
                                "func-ptr patch outside any span");
-                    const bool ok = patchInstructionAt(
-                        bytes, span.base, patch_it->at,
-                        [&](Instruction &in) {
-                            applyFuncPtrMutation(
-                                input_, in, patch_it->newTarget);
-                        });
+                    const bool ok = patchFuncPtrInsn(
+                        input_, bytes, span.base, patch_it->at,
+                        patch_it->newTarget);
                     icp_assert(ok,
                                "func-ptr code patch failed at 0x%llx",
                                static_cast<unsigned long long>(
                                    patch_it->at));
                 }
-                if (cursor < span.base) {
-                    const std::vector<std::uint8_t> pad =
-                        engine.paddingBytes(cursor, span.base);
-                    writer.addChunk(cursor - instrBase_, pad.data(),
-                                    pad.size());
-                }
-                writer.addChunk(span.base - instrBase_, bytes.data(),
-                                bytes.size());
-                cursor = span.base + bytes.size();
+                if (cursor < span.base)
+                    put(cursor, engine.paddingBytes(cursor, span.base));
+                put(span.base, bytes);
+                cursor = span.base + span.size;
             }
-            cfg_ = nullptr;
-        }
+        });
         icp_assert(cursor == engine.layoutEnd(),
-                   "streamed payload diverged from layout");
+                   "emitted payload diverged from layout");
         icp_assert(patch_it == deferred.cend(),
                    "unapplied func-ptr patches");
-        writer.endStreamedSection();
-    }
-    writer.finishImage(out_);
+    };
 
-    if (temp_cache) {
-        std::remove(cache_path.c_str());
-        std::remove((cache_path + ".lock").c_str());
+    if (sink) {
+        SbfStreamWriter writer(*sink,
+                               opts_.streamWindowBytes
+                                   ? opts_.streamWindowBytes
+                                   : SbfStreamWriter::default_window);
+        writer.beginImage(out_);
+        for (const Section &sec : out_.sections) {
+            if (sec.kind != SectionKind::instr) {
+                writer.writeSection(sec);
+                continue;
+            }
+            writer.beginStreamedSection(sec, instr_size);
+            emitInstr([&](Addr at, const std::vector<std::uint8_t> &b) {
+                writer.addChunk(at - instrBase_, b.data(), b.size());
+            });
+            writer.endStreamedSection();
+        }
+        writer.finishImage(out_);
+    } else {
+        std::vector<std::uint8_t> &payload =
+            out_.findSection(SectionKind::instr)->bytes;
+        payload.reserve(instr_size);
+        emitInstr([&](Addr, const std::vector<std::uint8_t> &b) {
+            payload.insert(payload.end(), b.begin(), b.end());
+        });
+        result_.image = std::move(out_);
     }
-
-    // Manifests are a monolithic-path feature (the verifier wants
-    // whole-image address maps); drop what accumulated.
-    result_.manifest = RewriteManifest{};
     result_.ok = true;
     return result_;
+}
+
+/**
+ * One rewrite with the on-disk cache around it: merge the file
+ * before analysis runs, write it back after a successful rewrite.
+ * Both directions are best-effort — a corrupt or unwritable file can
+ * only cost analysis reuse, never correctness. (A sharded run
+ * re-merges the file itself, range by range; the load here still
+ * produces the user-facing report.)
+ */
+RewriteResult
+rewriteWithCache(const BinaryImage &input, const RewriteOptions &options,
+                 const RewritePass &pass,
+                 const std::vector<ShardRange> &ranges, SbfSink *sink)
+{
+    const bool persist =
+        !options.cachePath.empty() && options.useAnalysisCache;
+    CacheLoadReport cache_load;
+    if (persist) {
+        StageTimer timer(Stage::cacheLoad);
+        cache_load = AnalysisCache::global().load(options.cachePath,
+                                                  input.arch);
+    }
+
+    Rewriter rewriter(input, options, pass);
+    RewriteResult result = rewriter.run(ranges, sink);
+    result.cacheLoad = std::move(cache_load);
+
+    if (persist && result.ok) {
+        StageTimer timer(Stage::cacheSave);
+        AnalysisCache::global().save(options.cachePath,
+                                     options.cacheMaxBytes);
+    }
+    return result;
 }
 
 } // namespace
@@ -1671,57 +1481,17 @@ RewriteResult
 rewriteBinary(const BinaryImage &input, const RewriteOptions &options,
               const RewritePass &pass)
 {
-    // Cross-invocation persistence: merge the on-disk cache before
-    // analysis runs, write it back after a successful rewrite. Both
-    // directions are best-effort — a corrupt or unwritable file can
-    // only cost analysis reuse, never correctness.
-    const bool persist =
-        !options.cachePath.empty() && options.useAnalysisCache;
-    CacheLoadReport cache_load;
-    if (persist) {
-        StageTimer timer(Stage::cacheLoad);
-        cache_load = AnalysisCache::global().load(options.cachePath,
-                                                  input.arch);
-    }
-
-    Rewriter rewriter(input, options, pass);
-    RewriteResult result = rewriter.run();
-    result.cacheLoad = std::move(cache_load);
-
-    if (persist && result.ok) {
-        StageTimer timer(Stage::cacheSave);
-        AnalysisCache::global().save(options.cachePath,
-                                     options.cacheMaxBytes);
-    }
-    return result;
+    return rewriteWithCache(input, options, pass,
+                            {ShardRange{0, ~static_cast<Addr>(0)}},
+                            nullptr);
 }
 
 RewriteResult
 rewriteBinarySharded(const BinaryImage &input,
                      const RewriteOptions &options, SbfSink &sink)
 {
-    // The load here only produces the user-facing report; the
-    // coordinator re-merges the file itself, shard by shard.
-    const bool persist =
-        !options.cachePath.empty() && options.useAnalysisCache;
-    CacheLoadReport cache_load;
-    if (persist) {
-        StageTimer timer(Stage::cacheLoad);
-        cache_load = AnalysisCache::global().load(options.cachePath,
-                                                  input.arch);
-    }
-
-    const RewritePass pass;
-    Rewriter rewriter(input, options, pass);
-    RewriteResult result = rewriter.runSharded(sink);
-    result.cacheLoad = std::move(cache_load);
-
-    if (persist && result.ok) {
-        StageTimer timer(Stage::cacheSave);
-        AnalysisCache::global().save(options.cachePath,
-                                     options.cacheMaxBytes);
-    }
-    return result;
+    return rewriteWithCache(input, options, RewritePass{},
+                            planShards(input, options.shards), &sink);
 }
 
 } // namespace icp

@@ -48,15 +48,17 @@ RewriteResult rewriteBinary(const BinaryImage &input,
 class SbfSink;
 
 /**
- * Sharded, streaming rewrite (RewriteOptions::shards): analysis runs
- * one address-range shard at a time (warmed by forked worker
- * processes through a shared cache file) and the rewritten image is
- * streamed to @p sink in section/address order instead of being
- * materialized, so peak memory is O(largest shard + reorder window)
- * rather than O(binary). The byte stream written to @p sink is
- * identical to rewriteBinary(...).image.serialize() for the same
- * input and options. result.image is left empty; stats, counter maps
- * and per-shard counters are filled. Never throws; check result.ok.
+ * Sharded, streaming rewrite (RewriteOptions::shards): the same
+ * pipeline as rewriteBinary over planShards(shards) address ranges
+ * instead of one. With several ranges, forked worker processes warm
+ * a shared cache file and the rewriter holds one range's CFG at a
+ * time; the rewritten image is streamed to @p sink in
+ * section/address order instead of being materialized, so peak
+ * memory is O(largest range + reorder window) rather than
+ * O(binary). The byte stream written to @p sink is identical to
+ * rewriteBinary(...).image.serialize() for the same input and
+ * options. result.image is left empty; stats, counter maps and
+ * per-shard counters are filled. Never throws; check result.ok.
  */
 RewriteResult rewriteBinarySharded(const BinaryImage &input,
                                    const RewriteOptions &options,

@@ -214,11 +214,8 @@ runShardWorkers(const BinaryImage &image, const RewriteOptions &opts,
     // launch order — the analysis overlaps across cores instead of
     // serializing on each child's exit.
     std::vector<pid_t> pids(ranges.size(), -1);
-    for (std::size_t k = 0; k < ranges.size(); ++k) {
-        counters[k].lo = ranges[k].lo;
-        counters[k].hi = ranges[k].hi;
+    for (std::size_t k = 0; k < ranges.size(); ++k)
         pids[k] = launch(k, 0);
-    }
     std::vector<bool> ok(ranges.size(), false);
     for (std::size_t k = 0; k < ranges.size(); ++k)
         ok[k] = reap(k, pids[k]);

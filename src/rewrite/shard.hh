@@ -1,13 +1,14 @@
 /**
  * @file
  * Shard planning and worker-process management for the sharded
- * rewrite (`RewriteOptions::shards`). The coordinator partitions the
- * function space into contiguous address ranges; one worker process
- * per shard runs the analysis pipeline over its slice and persists
- * the results as a v2 analysis-cache shard (the store's flock'd
- * merge-on-save converges concurrent writers), which the coordinator
- * then consumes one shard at a time so its peak memory is bounded by
- * one shard's CFG rather than the whole binary's.
+ * rewrite (`RewriteOptions::shards`). The rewriter partitions
+ * the function space into contiguous address ranges; with more than
+ * one, a worker process per range runs the analysis pipeline over
+ * its slice and appends the results to a shared analysis-cache file
+ * (the store's flock'd merge-on-save converges concurrent writers),
+ * which the rewriter then consumes one range at a time so its peak
+ * memory is bounded by one range's CFG rather than the whole
+ * binary's.
  */
 
 #ifndef ICP_REWRITE_SHARD_HH

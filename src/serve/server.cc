@@ -824,11 +824,9 @@ ServeServer::statsSnapshot() const
     }
     {
         std::lock_guard<std::mutex> lock(latencyMu_);
-        if (!latency_.empty()) {
-            snap.p50Ms = latency_.percentile(50.0);
-            snap.p99Ms = latency_.percentile(99.0);
-            snap.maxMs = latency_.max();
-        }
+        snap.p50Ms = latency_.percentile(50.0);
+        snap.p99Ms = latency_.percentile(99.0);
+        snap.maxMs = latency_.max();
     }
     return snap;
 }

@@ -220,7 +220,7 @@ class ServeServer
     unsigned inflight_ = 0;
 
     mutable std::mutex latencyMu_;
-    SampleStats latency_;
+    LatencyHistogram latency_;
 };
 
 } // namespace icp

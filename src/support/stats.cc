@@ -59,6 +59,47 @@ SampleStats::percentile(double p) const
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+std::size_t
+LatencyHistogram::bucketOf(double ms)
+{
+    if (!(ms > min_ms))
+        return 0;
+    const double octaves = std::log2(ms / min_ms);
+    return std::min<std::size_t>(
+        bucket_count - 1,
+        1 + static_cast<std::size_t>(octaves * per_octave));
+}
+
+void
+LatencyHistogram::add(double ms)
+{
+    ++counts_[bucketOf(ms)];
+    ++count_;
+    max_ = std::max(max_, ms);
+}
+
+double
+LatencyHistogram::percentile(double p) const
+{
+    if (count_ == 0)
+        return 0.0;
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(p / 100.0 * static_cast<double>(count_))));
+    std::uint64_t seen = 0;
+    std::size_t b = 0;
+    for (; b + 1 < bucket_count; ++b) {
+        seen += counts_[b];
+        if (seen >= rank)
+            break;
+    }
+    const double mid =
+        b == 0 ? min_ms
+               : min_ms * std::exp2((static_cast<double>(b) - 0.5) /
+                                    per_octave);
+    return std::min(mid, max_);
+}
+
 const char *
 stageName(Stage stage)
 {

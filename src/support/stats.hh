@@ -40,6 +40,45 @@ class SampleStats
     std::vector<double> samples_;
 };
 
+/**
+ * Fixed-size latency record for long-running processes: counts in
+ * log-spaced buckets (8 per octave, ~9% wide) from 1 us to ~270 s,
+ * so its memory and the cost of a percentile query stay constant
+ * however many samples arrive. A percentile reports the geometric
+ * midpoint of the bucket holding its rank — within one bucket of the
+ * exact value — capped at the exact maximum.
+ */
+class LatencyHistogram
+{
+  public:
+    static constexpr unsigned per_octave = 8;
+    static constexpr std::size_t bucket_count = 1 + 28 * per_octave;
+    /** Upper bound of bucket 0, in milliseconds. */
+    static constexpr double min_ms = 0.001;
+
+    void add(double ms);
+
+    std::uint64_t count() const { return count_; }
+    double max() const { return max_; }
+
+    /** p in [0, 100] by nearest rank; 0 when empty. */
+    double percentile(double p) const;
+
+    /** Bucket of a latency (0 = at or below min_ms). */
+    static std::size_t bucketOf(double ms);
+
+    const std::array<std::uint64_t, bucket_count> &
+    buckets() const
+    {
+        return counts_;
+    }
+
+  private:
+    std::array<std::uint64_t, bucket_count> counts_{};
+    std::uint64_t count_ = 0;
+    double max_ = 0.0;
+};
+
 /** Pipeline stages with dedicated wall-clock accumulators. */
 enum class Stage : unsigned
 {

@@ -84,8 +84,9 @@ lintRules()
          "two sections share addresses"},
         {"cache-magic", Severity::warning,
          "analysis-cache file does not start with the ICPC magic"},
-        {"cache-version", Severity::warning,
-         "analysis-cache file has an unsupported format version"},
+        {"cache-version", Severity::info,
+         "analysis-cache file has another format version; it is "
+         "ignored and the next save overwrites it"},
         {"cache-truncated", Severity::warning,
          "analysis-cache entry runs past the end of the file"},
         {"cache-checksum", Severity::warning,

@@ -1013,17 +1013,24 @@ diagnosticsFromCacheIssues(const std::vector<CacheFileIssue> &issues)
 {
     std::vector<Diagnostic> out;
     out.reserve(issues.size());
+    // Issues come in long runs of one rule (a shared multi-ISA file
+    // yields one cache-arch issue per foreign entry), so the
+    // registered severity is looked up once per run. Unregistered
+    // cache rules (cache-torn) are warnings.
+    const std::string *run_rule = nullptr;
+    Severity severity = Severity::warning;
     for (const CacheFileIssue &issue : issues) {
+        if (!run_rule || *run_rule != issue.rule) {
+            run_rule = &issue.rule;
+            severity = Severity::warning;
+            for (const LintRuleInfo &rule : lintRules()) {
+                if (issue.rule == rule.id)
+                    severity = rule.severity;
+            }
+        }
         Diagnostic d;
         d.rule = issue.rule;
-        // A v1 file migrating on its next save and an unknown entry
-        // kind skipped for forward compatibility are both expected
-        // behavior, not degradation: info, so --fail-on=warning
-        // gates stay green across format transitions.
-        d.severity = issue.rule == "cache-migrated" ||
-                             issue.rule == "cache-skip"
-                         ? Severity::info
-                         : Severity::warning;
+        d.severity = severity;
         d.message = issue.message + " (cache-file offset " +
                     std::to_string(issue.offset) + ")";
         out.push_back(std::move(d));

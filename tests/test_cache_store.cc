@@ -28,6 +28,7 @@
 #include "isa/bytes.hh"
 #include "support/stats.hh"
 #include "rewrite/rewriter.hh"
+#include "verify/lint.hh"
 
 using namespace icp;
 
@@ -370,7 +371,7 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-// --- v2 store: delta saves, merging, compaction, migration -----------------
+// --- segmented store: delta saves, merging, compaction ----------------------
 
 namespace
 {
@@ -631,55 +632,6 @@ TEST(CacheStore, AutoCompactionTriggersOnSaveWhenOverCap)
     EXPECT_TRUE(verify.clean());
 }
 
-TEST(CacheStore, V1FramingLoadsReadOnlyWithInfoDiagnostic)
-{
-    const std::string path = tmpPath("migrate_v1");
-    const BinaryImage img = compileMicro(Arch::x64);
-    const std::vector<std::uint8_t> cold = coldRewrite(img, path);
-    AnalysisCache::global().clear();
-    const unsigned count =
-        AnalysisCache::global().load(path).loadedEntries();
-    ASSERT_GT(count, 0u);
-
-    // Synthesize the v1 layout (magic, version=1, entryCount,
-    // entries) from the v4 file's first-segment body: the entry
-    // *framing* is identical across versions, and these bodies hold
-    // v4 position-independent kinds, so they stay loadable.
-    const std::vector<std::uint8_t> v2 = readAll(path);
-    std::vector<std::uint8_t> v1;
-    putU32(v1, cache_file_magic);
-    putU32(v1, 1);
-    putU32(v1, count);
-    const std::size_t body = cache_file_header_bytes +
-                             cache_segment_header_bytes;
-    ASSERT_LT(body, v2.size());
-    v1.insert(v1.end(), v2.begin() + body, v2.end());
-    writeAll(path, v1);
-
-    // Loads read-only with exactly one info-grade migration issue.
-    AnalysisCache::global().clear();
-    const CacheLoadReport rep = AnalysisCache::global().load(path);
-    EXPECT_TRUE(rep.fileRead);
-    EXPECT_EQ(rep.fileVersion, 1u);
-    EXPECT_EQ(rep.loadedEntries(), count);
-    EXPECT_EQ(rep.droppedEntries, 0u);
-    ASSERT_EQ(rep.issues.size(), 1u);
-    EXPECT_EQ(rep.issues.front().rule, "cache-migrated");
-
-    // The warm rewrite over a v1 file is still byte-identical, and
-    // its save rewrites the file in the current format.
-    const RewriteResult warm = rewriteBinary(img, baseOptions(path));
-    ASSERT_TRUE(warm.ok) << warm.failReason;
-    EXPECT_EQ(warm.image.serialize(), cold);
-    const CacheFileInfo info = inspectCacheFile(path);
-    EXPECT_EQ(info.version, cache_file_version);
-    AnalysisCache::global().clear();
-    const CacheLoadReport reloaded =
-        AnalysisCache::global().load(path);
-    EXPECT_TRUE(reloaded.clean());
-    EXPECT_EQ(reloaded.loadedEntries(), count);
-}
-
 // --- v3 data read-sets: round trip and version compatibility ---------------
 
 namespace
@@ -858,15 +810,15 @@ TEST(CacheStore, V4FileWithoutDepsDegradesToConservativeMisses)
               rejected_before);
 }
 
-// --- legacy migration matrix: v1/v2/v3 files under a v4 reader -------------
+// --- files of another version ---------------------------------------------
 
 namespace
 {
 
 /**
- * One hand-framed absolute-form legacy entry (kinds 1-3). The
- * payload bytes are opaque to a v4 reader by design — it must skip
- * them without ever decoding.
+ * One hand-framed absolute-form entry of the retired kinds 1-3. Its
+ * payload is opaque; a current reader never gets as far as its
+ * entries because the file version already disqualifies the file.
  */
 std::vector<std::uint8_t>
 legacyEntry(std::uint8_t kind, std::uint64_t key)
@@ -883,22 +835,76 @@ legacyEntry(std::uint8_t kind, std::uint64_t key)
     return out;
 }
 
+/** The v1 layout: magic, version=1, entryCount, entries. */
+std::vector<std::uint8_t>
+frameV1File(std::uint32_t entry_count,
+            const std::vector<std::uint8_t> &body)
+{
+    std::vector<std::uint8_t> v1;
+    putU32(v1, cache_file_magic);
+    putU32(v1, 1);
+    putU32(v1, entry_count);
+    v1.insert(v1.end(), body.begin(), body.end());
+    return v1;
+}
+
 /**
- * The shared matrix body: a version-N file holding absolute-form
- * entries must load with per-entry degradation (never a crash), a
- * rewrite against it must be byte-identical to cold, and the
- * rewrite's save must leave a clean v4 file with the legacy entries
- * gone.
+ * This repo is the only writer of cache files, so an older version
+ * is not migrated: @p raw (claiming @p version) loads as empty with
+ * one info-grade cache-version issue, never crashes, and the next
+ * save rewrites it in the current format — byte-identical output.
  */
 void
-runLegacyMigration(std::uint32_t file_version,
-                   const std::vector<std::uint8_t> &legacy_kinds)
+expectIgnoredAndRewritten(const BinaryImage &img,
+                          const std::string &path,
+                          const std::vector<std::uint8_t> &cold,
+                          std::uint32_t version,
+                          const std::vector<std::uint8_t> &raw)
+{
+    writeAll(path, raw);
+    AnalysisCache::global().clear();
+    const CacheLoadReport rep = AnalysisCache::global().load(path);
+    EXPECT_EQ(rep.fileVersion, version);
+    EXPECT_EQ(rep.loadedEntries(), 0u);
+    ASSERT_EQ(rep.issues.size(), 1u) << "v" << version;
+    EXPECT_EQ(rep.issues.front().rule, "cache-version");
+    const auto diags = diagnosticsFromCacheIssues(rep.issues);
+    EXPECT_EQ(diags.front().severity, Severity::info);
+    EXPECT_EQ(inspectCacheFile(path).functionEntries, 0u);
+
+    const RewriteResult rw = rewriteBinary(img, baseOptions(path));
+    ASSERT_TRUE(rw.ok) << rw.failReason;
+    EXPECT_EQ(rw.image.serialize(), cold);
+    const CacheFileInfo info = inspectCacheFile(path);
+    EXPECT_EQ(info.version, cache_file_version);
+    EXPECT_GT(info.functionEntries, 0u);
+    const CacheLoadReport verify = verifyCacheFile(path);
+    EXPECT_TRUE(verify.clean())
+        << (verify.issues.empty() ? ""
+                                  : verify.issues.front().message);
+}
+
+/** The rewritten file serves the image fully warm. */
+void
+expectFullyWarm(const BinaryImage &img, const std::string &path,
+                const std::vector<std::uint8_t> &cold)
+{
+    AnalysisCache::global().clear();
+    const RewriteResult warm = rewriteBinary(img, baseOptions(path));
+    ASSERT_TRUE(warm.ok) << warm.failReason;
+    EXPECT_EQ(warm.image.serialize(), cold);
+    EXPECT_EQ(AnalysisCache::global().stats().functionMisses, 0u);
+}
+
+/** A version-N file of retired absolute-form entries. */
+void
+runLegacyFile(std::uint32_t file_version,
+              const std::vector<std::uint8_t> &legacy_kinds)
 {
     const std::string path =
-        tmpPath("migrate_v" + std::to_string(file_version));
+        tmpPath("legacy_v" + std::to_string(file_version));
     const BinaryImage img = compileMicro(Arch::x64);
     const std::vector<std::uint8_t> cold = coldRewrite(img, path);
-    std::remove(path.c_str());
 
     std::vector<std::uint8_t> body;
     std::uint32_t count = 0;
@@ -908,114 +914,85 @@ runLegacyMigration(std::uint32_t file_version,
         body.insert(body.end(), e.begin(), e.end());
         ++count;
     }
-    if (file_version == 1) {
-        // v1 framing: magic, version, entryCount, entries.
-        std::vector<std::uint8_t> v1;
-        putU32(v1, cache_file_magic);
-        putU32(v1, 1);
-        putU32(v1, count);
-        v1.insert(v1.end(), body.begin(), body.end());
-        writeAll(path, v1);
-    } else {
-        writeAll(path, frameCacheFile(file_version, count, body));
-    }
-
-    // Load: every absolute-form entry degrades to a miss, with one
-    // summarizing cache-legacy issue.
-    AnalysisCache::global().clear();
-    const CacheLoadReport rep = AnalysisCache::global().load(path);
-    EXPECT_TRUE(rep.fileRead);
-    EXPECT_EQ(rep.fileVersion, file_version);
-    EXPECT_EQ(rep.skippedLegacy, count);
-    EXPECT_EQ(rep.loadedEntries(), 0u);
-    EXPECT_EQ(rep.droppedEntries, 0u);
-    EXPECT_TRUE(hasIssue(rep, "cache-legacy"));
-
-    // A rewrite through the legacy file re-analyzes everything and
-    // stays byte-identical; its save rewrites the file as v4 with
-    // the unusable legacy entries dropped.
-    const RewriteResult warm = rewriteBinary(img, baseOptions(path));
-    ASSERT_TRUE(warm.ok) << warm.failReason;
-    EXPECT_EQ(warm.image.serialize(), cold);
-
-    const CacheFileInfo info = inspectCacheFile(path);
-    EXPECT_EQ(info.version, cache_file_version);
-    EXPECT_EQ(info.legacyEntries, 0u);
-    EXPECT_GT(info.functionEntries, 0u);
-    const CacheLoadReport verify = verifyCacheFile(path);
-    EXPECT_TRUE(verify.clean())
-        << (verify.issues.empty() ? ""
-                                  : verify.issues.front().message);
-
-    // And the converged v4 file serves the image fully warm.
-    AnalysisCache::global().clear();
-    const RewriteResult again =
-        rewriteBinary(img, baseOptions(path));
-    ASSERT_TRUE(again.ok) << again.failReason;
-    EXPECT_EQ(again.image.serialize(), cold);
-    EXPECT_EQ(AnalysisCache::global().stats().functionMisses, 0u);
+    expectIgnoredAndRewritten(
+        img, path, cold, file_version,
+        file_version == 1 ? frameV1File(count, body)
+                          : frameCacheFile(file_version, count, body));
+    expectFullyWarm(img, path, cold);
 }
 
 } // namespace
 
+TEST(CacheStore, OlderVersionFileIsIgnoredAndRewritten)
+{
+    // Whatever the framing — a current-shape segment chain, a bare
+    // entry list, or a torn stub — every older version is ignored.
+    const std::string path = tmpPath("old_version");
+    const BinaryImage img = compileMicro(Arch::x64);
+    const std::vector<std::uint8_t> cold = coldRewrite(img, path);
+    const std::vector<std::uint8_t> current = readAll(path);
+    const std::vector<std::uint8_t> entries(
+        current.begin() + cache_file_header_bytes +
+            cache_segment_header_bytes,
+        current.end());
+
+    for (std::uint32_t version = 1; version < cache_file_version;
+         ++version) {
+        std::vector<std::uint8_t> chain = current;
+        chain[4] = static_cast<std::uint8_t>(version);
+        std::vector<std::uint8_t> flat;
+        putU32(flat, cache_file_magic);
+        putU32(flat, version);
+        putU32(flat, 1000000); // entry count past the end of file
+        flat.insert(flat.end(), entries.begin(), entries.end());
+        const std::vector<std::uint8_t> stub(flat.begin(),
+                                             flat.begin() + 9);
+        for (const auto &raw : {chain, flat, stub})
+            expectIgnoredAndRewritten(img, path, cold, version, raw);
+    }
+    expectFullyWarm(img, path, cold);
+}
+
+TEST(CacheStore, V1FramingLoadsReadOnlyWithInfoDiagnostic)
+{
+    // A v1 file whose entry bodies are current kinds: the version
+    // alone disqualifies it — read, not trusted, one info issue —
+    // and the next save leaves a current file holding every entry.
+    const std::string path = tmpPath("framing_v1");
+    const BinaryImage img = compileMicro(Arch::x64);
+    const std::vector<std::uint8_t> cold = coldRewrite(img, path);
+    AnalysisCache::global().clear();
+    const unsigned count =
+        AnalysisCache::global().load(path).loadedEntries();
+    ASSERT_GT(count, 0u);
+    const std::vector<std::uint8_t> current = readAll(path);
+    const std::size_t body = cache_file_header_bytes +
+                             cache_segment_header_bytes;
+    ASSERT_LT(body, current.size());
+
+    expectIgnoredAndRewritten(
+        img, path, cold, 1,
+        frameV1File(count, {current.begin() + body, current.end()}));
+    AnalysisCache::global().clear();
+    const CacheLoadReport reloaded =
+        AnalysisCache::global().load(path);
+    EXPECT_TRUE(reloaded.clean());
+    EXPECT_EQ(reloaded.loadedEntries(), count);
+}
+
 TEST(CacheStore, V1FileWithLegacyEntriesMigratesToV4)
 {
-    runLegacyMigration(1, {1, 2});
+    runLegacyFile(1, {1, 2});
 }
 
 TEST(CacheStore, V2FileWithLegacyEntriesMigratesToV4)
 {
-    runLegacyMigration(2, {1, 2});
+    runLegacyFile(2, {1, 2});
 }
 
 TEST(CacheStore, V3FileWithLegacyEntriesMigratesToV4)
 {
-    runLegacyMigration(3, {1, 2, 3});
-}
-
-TEST(CacheStore, TornV4TailAfterLegacySegmentSalvages)
-{
-    // A v3-era segment followed by a torn v4 append: the legacy
-    // entries degrade, the torn tail salvages entry-by-entry, and
-    // nothing crashes.
-    const std::string path = tmpPath("torn_after_legacy");
-    const BinaryImage img = compileMicro(Arch::x64);
-    const std::vector<std::uint8_t> cold = coldRewrite(img, path);
-
-    std::vector<std::uint8_t> raw = readAll(path);
-    // Prepend a legacy entry as its own segment by rebuilding the
-    // file: header, legacy segment, then the original segment(s).
-    std::vector<std::uint8_t> legacy_body = legacyEntry(2, 0x2002);
-    std::vector<std::uint8_t> rebuilt;
-    putU32(rebuilt, cache_file_magic);
-    putU32(rebuilt, cache_file_version);
-    putU64(rebuilt, 1);
-    std::vector<std::uint8_t> seg;
-    putU32(seg, cache_segment_magic);
-    putU32(seg, 1);
-    putU64(seg, legacy_body.size());
-    putU64(seg, 1);
-    putU64(seg, fnv1a(seg.data(), 24));
-    rebuilt.insert(rebuilt.end(), seg.begin(), seg.end());
-    rebuilt.insert(rebuilt.end(), legacy_body.begin(),
-                   legacy_body.end());
-    rebuilt.insert(rebuilt.end(),
-                   raw.begin() + cache_file_header_bytes, raw.end());
-    // Tear the final segment: drop the last 7 bytes.
-    rebuilt.resize(rebuilt.size() - 7);
-    writeAll(path, rebuilt);
-
-    AnalysisCache::global().clear();
-    const CacheLoadReport rep = AnalysisCache::global().load(path);
-    EXPECT_TRUE(rep.fileRead);
-    EXPECT_EQ(rep.skippedLegacy, 1u);
-    EXPECT_TRUE(hasIssue(rep, "cache-legacy"));
-    EXPECT_TRUE(hasIssue(rep, "cache-torn"));
-    EXPECT_GT(rep.loadedEntries(), 0u);
-
-    const RewriteResult warm = rewriteBinary(img, baseOptions(path));
-    ASSERT_TRUE(warm.ok) << warm.failReason;
-    EXPECT_EQ(warm.image.serialize(), cold);
+    runLegacyFile(3, {1, 2, 3});
 }
 
 TEST(CacheStore, DataEditAppendsReplacementDepsEntries)

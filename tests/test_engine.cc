@@ -55,13 +55,13 @@ baseConfig(const BinaryImage &img)
     return config;
 }
 
-std::set<Addr>
+std::vector<const Function *>
 allFunctions(const CfgModule &cfg)
 {
-    std::set<Addr> all;
+    std::vector<const Function *> all;
     for (const auto &[entry, func] : cfg.functions) {
         if (func.instrumentable())
-            all.insert(entry);
+            all.push_back(&func);
     }
     return all;
 }
@@ -73,8 +73,8 @@ TEST(Engine, RaPairsCoverCallsAndThrows)
     const BinaryImage img =
         compileProgram(microProfile(Arch::x64, false));
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
-    const EngineResult result = relocateFunctions(
-        cfg, allFunctions(cfg), baseConfig(img));
+    Engine engine(img, baseConfig(img));
+    engine.relocate(allFunctions(cfg));
 
     // Count call sites + throw sites in the CFG; every one must
     // have an RA pair, keyed at a relocated address and mapping to
@@ -87,8 +87,8 @@ TEST(Engine, RaPairsCoverCallsAndThrows)
             }
         }
     }
-    EXPECT_EQ(result.raPairs.size(), expected);
-    for (const auto &[reloc, orig] : result.raPairs) {
+    EXPECT_EQ(engine.raPairs().size(), expected);
+    for (const auto &[reloc, orig] : engine.raPairs()) {
         EXPECT_GE(reloc, baseConfig(img).instrBase);
         EXPECT_NE(img.functionContaining(orig), nullptr);
     }
@@ -101,15 +101,15 @@ TEST(Engine, CallEmulationEmitsNoRaPairs)
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     EngineConfig config = baseConfig(img);
     config.callEmulation = true;
-    const EngineResult result =
-        relocateFunctions(cfg, allFunctions(cfg), config);
-    EXPECT_TRUE(result.raPairs.empty());
+    Engine engine(img, config);
+    const std::vector<std::uint8_t> bytes =
+        engine.relocate(allFunctions(cfg));
+    EXPECT_TRUE(engine.raPairs().empty());
 
     // Emulated calls materialize return addresses pc-relatively:
     // Lea + Push replace the Call on x64.
-    const auto insns = decodeAll(ArchInfo::get(Arch::x64),
-                                 result.instrBytes,
-                                 config.instrBase);
+    const auto insns =
+        decodeAll(ArchInfo::get(Arch::x64), bytes, config.instrBase);
     EXPECT_EQ(countOp(insns, Opcode::Call), 0u);
     EXPECT_GT(countOp(insns, Opcode::Push), 0u);
     EXPECT_GT(countOp(insns, Opcode::ThrowRa), 0u);
@@ -126,15 +126,11 @@ TEST(Engine, VeneersForFarReturnsToOriginalSpace)
     const CfgModule cfg = buildCfg(img, aopts);
 
     // Relocate only half the functions so cross-space calls exist.
-    std::set<Addr> half;
-    for (const auto &[entry, func] : cfg.functions) {
-        if (func.instrumentable() && half.size() < 30)
-            half.insert(entry);
-    }
-    const EngineResult result =
-        relocateFunctions(cfg, half, baseConfig(img));
+    std::vector<const Function *> half = allFunctions(cfg);
+    half.resize(std::min<std::size_t>(half.size(), 30));
+    Engine engine(img, baseConfig(img));
     const auto insns = decodeAll(ArchInfo::get(Arch::ppc64le),
-                                 result.instrBytes,
+                                 engine.relocate(half),
                                  baseConfig(img).instrBase);
     // Veneer signature: AddisToc r13 followed by CallInd/JmpInd r13.
     bool veneer = false;
@@ -159,28 +155,25 @@ TEST(Engine, BlockReorderRepairsFallthrough)
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     EngineConfig config = baseConfig(img);
     config.blockOrder = OrderPolicy::reversed;
-    const EngineResult reversed =
-        relocateFunctions(cfg, allFunctions(cfg), config);
-    const EngineResult normal = relocateFunctions(
-        cfg, allFunctions(cfg), baseConfig(img));
+    Engine reversed(img, config);
+    const auto reversed_bytes = reversed.relocate(allFunctions(cfg));
+    Engine normal(img, baseConfig(img));
+    const auto normal_bytes = normal.relocate(allFunctions(cfg));
 
     // Reversal forces explicit jumps where layout fall-through died.
     const auto &arch = ArchInfo::get(Arch::x64);
     const unsigned jumps_reversed = countOp(
-        decodeAll(arch, reversed.instrBytes, config.instrBase),
-        Opcode::Jmp);
+        decodeAll(arch, reversed_bytes, config.instrBase), Opcode::Jmp);
     const unsigned jumps_normal = countOp(
-        decodeAll(arch, normal.instrBytes, config.instrBase),
-        Opcode::Jmp);
+        decodeAll(arch, normal_bytes, config.instrBase), Opcode::Jmp);
     EXPECT_GT(jumps_reversed, jumps_normal);
 
     // Entry blocks stay first so callers land correctly.
     for (const auto &[entry, func] : cfg.functions) {
-        auto it = reversed.blockMap.find(entry);
-        ASSERT_NE(it, reversed.blockMap.end());
-        for (const auto &[start, block] : func.blocks) {
-            EXPECT_GE(reversed.blockMap.at(start), it->second);
-        }
+        const std::optional<Addr> at = reversed.lookupBlock(entry);
+        ASSERT_TRUE(at.has_value());
+        for (const auto &[start, block] : func.blocks)
+            EXPECT_GE(*reversed.lookupBlock(start), *at);
     }
 }
 
@@ -190,11 +183,12 @@ TEST(Engine, CloneEntriesResolveToRelocatedBlocks)
         compileProgram(microProfile(Arch::x64, false));
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     EngineConfig config = baseConfig(img);
-    const EngineResult result =
-        relocateFunctions(cfg, allFunctions(cfg), config);
-    ASSERT_FALSE(result.clones.empty());
+    Engine engine(img, config);
+    engine.relocate(allFunctions(cfg));
+    const std::vector<std::uint8_t> rodata = engine.cloneBytes();
+    ASSERT_FALSE(engine.clones().empty());
 
-    for (const auto &clone : result.clones) {
+    for (const auto &clone : engine.clones()) {
         const JumpTable &jt = clone.table;
         for (unsigned i = 0; i < jt.entryCount; ++i) {
             const Offset off = clone.cloneAddr -
@@ -202,8 +196,7 @@ TEST(Engine, CloneEntriesResolveToRelocatedBlocks)
                                std::uint64_t{i} * clone.entrySize;
             std::int64_t value = 0;
             for (unsigned b = clone.entrySize; b-- > 0;) {
-                value = (value << 8) |
-                        result.newRodataBytes[off + b];
+                value = (value << 8) | rodata[off + b];
             }
             if (clone.entrySize == 4)
                 value = static_cast<std::int32_t>(value);
@@ -214,7 +207,7 @@ TEST(Engine, CloneEntriesResolveToRelocatedBlocks)
                 : static_cast<Addr>(value);
             // Every real entry lands on a relocated block start.
             bool found = false;
-            for (const auto &[orig, reloc] : result.blockMap)
+            for (const auto &[orig, reloc] : engine.blockMap())
                 found |= reloc == target;
             EXPECT_TRUE(found) << "entry " << i;
         }
@@ -229,16 +222,15 @@ TEST(Engine, A64SubWordTablesWidenAndStaySigned)
     const BinaryImage img = compileProgram(spec);
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     EngineConfig config = baseConfig(img);
-    const EngineResult result =
-        relocateFunctions(cfg, allFunctions(cfg), config);
-    ASSERT_EQ(result.clones.size(), 1u);
-    EXPECT_TRUE(result.clones[0].widened);
-    EXPECT_EQ(result.clones[0].entrySize, 4u);
+    Engine engine(img, config);
+    const auto bytes = engine.relocate(allFunctions(cfg));
+    ASSERT_EQ(engine.clones().size(), 1u);
+    EXPECT_TRUE(engine.clones()[0].widened);
+    EXPECT_EQ(engine.clones()[0].entrySize, 4u);
 
     // The relocated table-entry load reads 4 signed bytes now.
-    const auto insns = decodeAll(ArchInfo::get(Arch::aarch64),
-                                 result.instrBytes,
-                                 config.instrBase);
+    const auto insns =
+        decodeAll(ArchInfo::get(Arch::aarch64), bytes, config.instrBase);
     bool widened_load = false;
     for (const auto &in : insns) {
         if (in.op == Opcode::LoadIdx && in.memSize == 4 &&
@@ -253,19 +245,19 @@ TEST(Engine, InsnMapCoversEveryRelocatedInstruction)
     const BinaryImage img =
         compileProgram(microProfile(Arch::ppc64le, false));
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
-    const EngineResult result = relocateFunctions(
-        cfg, allFunctions(cfg), baseConfig(img));
+    Engine engine(img, baseConfig(img));
+    engine.relocate(allFunctions(cfg));
     for (const auto &[entry, func] : cfg.functions) {
         for (const auto &[start, block] : func.blocks) {
             for (const auto &in : block.insns) {
-                ASSERT_TRUE(result.insnMap.count(in.addr))
+                ASSERT_TRUE(engine.lookupInsn(in.addr).has_value())
                     << std::hex << in.addr;
             }
-            ASSERT_TRUE(result.blockMap.count(start));
+            ASSERT_TRUE(engine.lookupBlock(start).has_value());
             // The block's first instruction relocates at or after
             // the block map entry (snippets come first).
-            EXPECT_GE(result.insnMap.at(block.insns[0].addr),
-                      result.blockMap.at(start));
+            EXPECT_GE(*engine.lookupInsn(block.insns[0].addr),
+                      *engine.lookupBlock(start));
         }
     }
 }

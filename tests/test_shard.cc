@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -306,6 +307,33 @@ TEST(ShardWorkers, AllWorkersRunConcurrently)
         EXPECT_EQ(sc.workerAttempts, 1u);
         EXPECT_FALSE(sc.degraded);
     }
+}
+
+TEST(ShardWorkers, PrivateTempCacheUnderTmpdirIsRemoved)
+{
+    // Without --cache-file the coordination cache lives in a private
+    // mkdtemp directory under TMPDIR, removed with its lock file when
+    // the run ends.
+    const std::string dir =
+        "/tmp/icp-test-shard-tmpdir." + std::to_string(getpid());
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const char *old = std::getenv("TMPDIR");
+    const std::string saved = old ? old : "";
+    setenv("TMPDIR", dir.c_str(), 1);
+
+    const BinaryImage img =
+        compileProgram(chromiumSmallProfile(Arch::x64, false));
+    const RewriteOptions opts = shardOptions(RewriteMode::jt, 2);
+    const auto bytes = shardedBytes(img, opts);
+
+    if (old)
+        setenv("TMPDIR", saved.c_str(), 1);
+    else
+        unsetenv("TMPDIR");
+    EXPECT_EQ(bytes, classicBytes(img, opts));
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ShardRewrite, RejectsIncompatibleOptions)

@@ -4,6 +4,9 @@
  * map, statistics, and the table renderer.
  */
 
+#include <cstdlib>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "support/interval_map.hh"
@@ -115,6 +118,40 @@ TEST(SampleStats, FormatPercent)
     EXPECT_EQ(formatPercent(0.0123), "1.23%");
     EXPECT_EQ(formatPercent(-0.005), "-0.50%");
     EXPECT_EQ(formatPercent(1.0, 0), "100%");
+}
+
+TEST(LatencyHistogram, FixedSizeAndWithinOneBucketOfExact)
+{
+    // The serve daemon records one latency per request for its whole
+    // lifetime: the record must not grow, and its percentiles must
+    // stay within one bucket of the exact ones.
+    LatencyHistogram hist;
+    EXPECT_EQ(hist.percentile(50), 0.0);
+    const std::size_t size_before = sizeof(hist) + hist.buckets().size();
+    SampleStats exact;
+    std::mt19937_64 rng(42);
+    std::lognormal_distribution<double> ms(1.0, 1.5);
+    for (int i = 0; i < 100000; ++i) {
+        const double v = ms(rng);
+        hist.add(v);
+        exact.add(v);
+    }
+    EXPECT_EQ(sizeof(hist) + hist.buckets().size(), size_before);
+    EXPECT_EQ(hist.count(), 100000u);
+    std::uint64_t total = 0;
+    for (std::uint64_t c : hist.buckets())
+        total += c;
+    EXPECT_EQ(total, hist.count());
+
+    for (double p : {1.0, 50.0, 90.0, 99.0, 99.9}) {
+        const long est = static_cast<long>(
+            LatencyHistogram::bucketOf(hist.percentile(p)));
+        const long ref = static_cast<long>(
+            LatencyHistogram::bucketOf(exact.percentile(p)));
+        EXPECT_LE(std::labs(est - ref), 1) << "p" << p;
+    }
+    EXPECT_DOUBLE_EQ(hist.max(), exact.max());
+    EXPECT_LE(hist.percentile(100), hist.max());
 }
 
 TEST(TextTable, RendersAlignedColumns)

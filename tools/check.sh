@@ -22,11 +22,12 @@
 #                  --max-bytes` / `--cache-max-bytes` enforce the
 #                  size cap
 #   sharded        multi-process rewrite smoke: the chromium-small
-#                  corpus through `icp rewrite --shards 2` must be
-#                  byte-identical to the classic path, lint clean,
-#                  leave a verifiable + compactable cache file, and
-#                  report a peak RSS below the classic run's (the
-#                  streaming writer's whole reason to exist)
+#                  corpus through `icp rewrite --shards 1` and
+#                  `--shards 2` must be byte-identical to the classic
+#                  path, lint clean, leave a verifiable + compactable
+#                  cache file, and `--shards 2` must report a peak
+#                  RSS below the classic run's (the streaming
+#                  writer's whole reason to exist)
 #   cross-binary   content-addressed sharing smoke: two libcommon
 #                  corpus binaries (same static-lib core, different
 #                  link bases) rewritten through one shared
@@ -50,6 +51,10 @@
 #   tidy           clang-tidy over src/ + tools/ using the exported
 #                  compilation database; skipped (PASS) when
 #                  clang-tidy is not installed
+#   bench-selftest the repository benchmark's self-tests
+#                  (`python3 icpbench/selftest.py`: same seed, same
+#                  plan and counts; every BENCHMARK.json metric
+#                  printed on every workload)
 #
 # Unlike a `set -e` script, every requested leg runs even when an
 # earlier one fails; the per-leg PASS/FAIL summary and the aggregate
@@ -72,7 +77,7 @@ for arg in "$@"; do
     esac
 done
 jobs="${jobs:-$(nproc)}"
-legs="${legs:-tsan asan release lint-baseline warm-cache cache-v2 cross-binary sharded serve datadeps tidy}"
+legs="${legs:-tsan asan release lint-baseline warm-cache cache-v2 cross-binary sharded serve datadeps tidy bench-selftest}"
 
 # Compiler launcher: use ccache when available (CI restores its
 # directory between runs), invisible otherwise.
@@ -249,7 +254,7 @@ leg_cross_binary() {
 }
 
 leg_sharded() {
-    echo "== Sharded rewrite smoke (chromium-small, --shards 2) =="
+    echo "== Sharded rewrite smoke (chromium-small, --shards 1 and 2) =="
     build_cli || return 1
     dir="$(mktemp -d)"
     cache="$dir/shards.icpc"
@@ -260,7 +265,10 @@ leg_sharded() {
         --mode jt --shards 2 --cache-file "$cache" --timing |
         tee "$dir/sharded.log" &&
     cmp "$dir/classic.sbf" "$dir/sharded.sbf" &&
-    echo "sharded output byte-identical to classic" &&
+    ./build/tools/icp rewrite "$dir/in.sbf" "$dir/one.sbf" \
+        --mode jt --shards 1 >/dev/null &&
+    cmp "$dir/classic.sbf" "$dir/one.sbf" &&
+    echo "--shards 1 and --shards 2 output byte-identical to classic" &&
     grep -q "^shard 1:" "$dir/sharded.log" &&
     ./build/tools/icp lint "$dir/in.sbf" --mode jt \
         --fail-on error &&
@@ -455,6 +463,11 @@ leg_tidy() {
     build_cli || return 1
     clang-tidy -p build --quiet \
         $(git ls-files 'src/*.cc' 'tools/*.cc')
+}
+
+leg_bench_selftest() {
+    echo "== Benchmark self-tests (icpbench/selftest.py) =="
+    python3 icpbench/selftest.py
 }
 
 summary=""

@@ -23,11 +23,16 @@
 #                              datadep-* lint-rule inject matrix
 #   tools/ci.sh tidy           clang-tidy over src/ + tools/ (skips
 #                              cleanly when clang-tidy is absent)
+#   tools/ci.sh bench-selftest the repository benchmark's self-tests
 #   tools/ci.sh all            every leg (what check.sh runs bare)
 #
 #   tools/ci.sh regen-lint-baseline
 #       rebuild tests/data/lint_baseline.json from the current tree
 #       (run after intentionally changing lint findings, then commit)
+#   tools/ci.sh regen-rewrite-digests
+#       rebuild tests/data/rewrite_digests.txt, the golden output
+#       digests (run after intentionally changing rewrite output,
+#       then commit)
 #
 # ICP_CI_JOBS overrides the parallelism (default: nproc).
 
@@ -53,8 +58,14 @@ regen_lint_baseline() {
     return $status
 }
 
+regen_rewrite_digests() {
+    cmake -B build -S . >/dev/null &&
+    cmake --build build -j "$jobs" --target rewrite_digests >/dev/null &&
+    ./build/tests/rewrite_digests --write tests/data/rewrite_digests.txt
+}
+
 case "$job" in
-    release|asan|tsan|lint-baseline|warm-cache|cache-v2|cross-binary|sharded|serve|datadeps|tidy)
+    release|asan|tsan|lint-baseline|warm-cache|cache-v2|cross-binary|sharded|serve|datadeps|tidy|bench-selftest)
         exec tools/check.sh "$jobs" "$job"
         ;;
     all)
@@ -63,11 +74,15 @@ case "$job" in
     regen-lint-baseline)
         regen_lint_baseline
         ;;
+    regen-rewrite-digests)
+        regen_rewrite_digests
+        ;;
     *)
         echo "ci.sh: unknown job '$job'" >&2
         echo "jobs: release asan tsan lint-baseline warm-cache" \
              "cache-v2 cross-binary sharded serve datadeps tidy" \
-             "all regen-lint-baseline" >&2
+             "bench-selftest all regen-lint-baseline" \
+             "regen-rewrite-digests" >&2
         exit 64
         ;;
 esac

@@ -441,7 +441,7 @@ printCacheStats(const RewriteResult &rw, const std::string &path)
 
 /** `icp rewrite --shards N`: the multi-process streaming path. */
 int
-runShardedRewrite(const BinaryImage &img, RewriteOptions &opts,
+cmdRewriteSharded(const BinaryImage &img, RewriteOptions &opts,
                   const char *out_path, bool timing)
 {
     opts.lint = false;
@@ -547,7 +547,7 @@ cmdRewrite(int argc, char **argv)
                          "the output with `icp lint` instead\n");
             return 1;
         }
-        return runShardedRewrite(img, opts, argv[1], timing);
+        return cmdRewriteSharded(img, opts, argv[1], timing);
     }
     RewriteSession session(img);
     {
@@ -1225,8 +1225,7 @@ cmdCache(int argc, char **argv)
             "  function:      %u entries, %llu payload bytes\n"
             "  liveness:      %u entries, %llu payload bytes\n"
             "  data read-set: %u entries, %llu payload bytes\n"
-            "  legacy (v1-v3): %u, unknown kind: %u, "
-            "%llu payload bytes total\n",
+            "  unknown kind: %u, %llu payload bytes total\n",
             path.c_str(), info.version,
             static_cast<unsigned long long>(info.fileBytes),
             info.segments, info.segments == 1 ? "" : "s",
@@ -1240,12 +1239,11 @@ cmdCache(int argc, char **argv)
             info.dataDepsEntries,
             static_cast<unsigned long long>(
                 info.dataDepsPayloadBytes),
-            info.legacyEntries, info.otherEntries,
+            info.otherEntries,
             static_cast<unsigned long long>(info.payloadBytes));
         const unsigned total = info.functionEntries +
                                info.livenessEntries +
                                info.dataDepsEntries +
-                               info.legacyEntries +
                                info.otherEntries;
         std::printf("  sharing: %u total entries, %u distinct keys, "
                     "%u distinct payloads\n",
@@ -1262,11 +1260,11 @@ cmdCache(int argc, char **argv)
         }
         std::printf("%s: %u entries verified (%u function, "
                     "%u liveness, %u data read-set), %u dropped, "
-                    "%u skipped (unknown kind), %u legacy\n",
+                    "%u skipped (unknown kind)\n",
                     path.c_str(), rep.loadedEntries(),
                     rep.loadedFunctions, rep.loadedLiveness,
                     rep.loadedDataDeps, rep.droppedEntries,
-                    rep.skippedUnknown, rep.skippedLegacy);
+                    rep.skippedUnknown);
         printCacheIssues(rep.issues);
         return rep.clean() ? 0 : 2;
     }
