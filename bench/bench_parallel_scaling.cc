@@ -247,12 +247,7 @@ shardCountersJson(const std::vector<ShardCounters> &shards)
             << ", \"functions\": " << sc.functions
             << ", \"instrumented\": " << sc.instrumented
             << ", \"blocks\": " << sc.blocks
-            << ", \"insns\": " << sc.insns
-            << ", \"worker_attempts\": " << sc.workerAttempts
-            << ", \"degraded\": "
-            << (sc.degraded ? "true" : "false")
-            << ", \"worker_peak_rss_bytes\": "
-            << sc.workerPeakRssBytes << "}";
+            << ", \"insns\": " << sc.insns << "}";
     }
     out << "]";
     return out.str();

@@ -1,10 +1,6 @@
 #include "binfmt/stream_writer.hh"
 
-#include <algorithm>
-#include <cstring>
-
 #include "support/logging.hh"
-#include "support/stats.hh"
 
 namespace icp
 {
@@ -17,52 +13,23 @@ constexpr std::uint32_t sbf_magic = 0x31464253; // "SBF1"
 } // namespace
 
 void
-VectorSink::writeAt(std::uint64_t off, const void *data,
-                    std::size_t len)
+VectorSink::append(const void *data, std::size_t len)
 {
-    if (off + len > out_.size())
-        out_.resize(off + len, 0);
-    std::memcpy(out_.data() + off, data, len);
+    const auto *bytes = static_cast<const std::uint8_t *>(data);
+    out_.insert(out_.end(), bytes, bytes + len);
 }
 
 void
-FileSink::writeAt(std::uint64_t off, const void *data, std::size_t len)
+FileSink::append(const void *data, std::size_t len)
 {
-    if (!ok_ || len == 0)
-        return;
-    if (off != pos_) {
-        if (std::fseek(f_, static_cast<long>(off), SEEK_SET) != 0) {
-            ok_ = false;
-            return;
-        }
-        pos_ = off;
-    }
-    if (std::fwrite(data, 1, len, f_) != len) {
+    if (ok_ && len != 0 && std::fwrite(data, 1, len, f_) != len)
         ok_ = false;
-        return;
-    }
-    pos_ = off + len;
-    size_ = std::max(size_, pos_);
-}
-
-SbfStreamWriter::SbfStreamWriter(SbfSink &sink,
-                                 std::size_t reorderWindowBytes)
-    : sink_(sink), window_(reorderWindowBytes)
-{
-}
-
-void
-SbfStreamWriter::put(const void *data, std::size_t len)
-{
-    sink_.append(data, len);
-    StreamCounters::global().bytesStreamed.fetch_add(
-        len, std::memory_order_relaxed);
 }
 
 void
 SbfStreamWriter::putU8(std::uint8_t v)
 {
-    put(&v, 1);
+    sink_.append(&v, 1);
 }
 
 void
@@ -71,7 +38,7 @@ SbfStreamWriter::putU32(std::uint32_t v)
     std::uint8_t b[4];
     for (int i = 0; i < 4; ++i)
         b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    put(b, sizeof(b));
+    sink_.append(b, sizeof(b));
 }
 
 void
@@ -80,14 +47,14 @@ SbfStreamWriter::putU64(std::uint64_t v)
     std::uint8_t b[8];
     for (int i = 0; i < 8; ++i)
         b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    put(b, sizeof(b));
+    sink_.append(b, sizeof(b));
 }
 
 void
 SbfStreamWriter::putString(const std::string &s)
 {
     putU32(static_cast<std::uint32_t>(s.size()));
-    put(s.data(), s.size());
+    sink_.append(s.data(), s.size());
 }
 
 void
@@ -127,7 +94,7 @@ SbfStreamWriter::writeSection(const Section &s)
 {
     icp_assert(!streaming_, "writeSection inside streamed section");
     sectionHeader(s, s.bytes.size());
-    put(s.bytes.data(), s.bytes.size());
+    sink_.append(s.bytes.data(), s.bytes.size());
 }
 
 void
@@ -139,11 +106,8 @@ SbfStreamWriter::beginStreamedSection(const Section &s,
                "streamed payload larger than section memSize");
     sectionHeader(s, payloadLen);
     streaming_ = true;
-    payloadBase_ = sink_.size();
     payloadLen_ = payloadLen;
     cursor_ = 0;
-    pending_.clear();
-    pendingBytes_ = 0;
 }
 
 void
@@ -151,82 +115,24 @@ SbfStreamWriter::addChunk(std::uint64_t off, const std::uint8_t *data,
                           std::size_t len)
 {
     icp_assert(streaming_, "addChunk outside streamed section");
-    icp_assert(off + len <= payloadLen_,
+    icp_assert(off == cursor_,
+               "streamed chunk at payload offset %llu, expected %llu",
+               static_cast<unsigned long long>(off),
+               static_cast<unsigned long long>(cursor_));
+    icp_assert(len <= payloadLen_ - cursor_,
                "chunk past streamed payload length");
-    StreamCounters::global().bytesStreamed.fetch_add(
-        len, std::memory_order_relaxed);
-    if (len == 0)
-        return;
-
-    if (off == cursor_) {
-        sink_.writeAt(payloadBase_ + off, data, len);
-        cursor_ = off + len;
-        // Drain any buffered chunks that are now contiguous.
-        auto it = pending_.begin();
-        while (it != pending_.end() && it->first == cursor_) {
-            sink_.writeAt(payloadBase_ + it->first, it->second.data(),
-                          it->second.size());
-            cursor_ = it->first + it->second.size();
-            pendingBytes_ -= it->second.size();
-            it = pending_.erase(it);
-        }
-        return;
-    }
-
-    if (off < cursor_) {
-        // Fills a hole left behind by an earlier window overflow.
-        sink_.writeAt(payloadBase_ + off, data, len);
-        return;
-    }
-
-    if (pendingBytes_ + len > window_) {
-        // Reorder window exhausted: place everything buffered (and
-        // this chunk) at its final offset now. Gaps become zero
-        // holes that later chunks overwrite in place.
-        StreamCounters::global().windowOverflows.fetch_add(
-            1, std::memory_order_relaxed);
-        std::uint64_t high = cursor_;
-        for (const auto &[o, bytes] : pending_) {
-            sink_.writeAt(payloadBase_ + o, bytes.data(),
-                          bytes.size());
-            high = std::max(high, o + bytes.size());
-        }
-        pending_.clear();
-        pendingBytes_ = 0;
-        sink_.writeAt(payloadBase_ + off, data, len);
-        cursor_ = std::max(high, off + len);
-        return;
-    }
-
-    auto [it, inserted] =
-        pending_.emplace(off, std::vector<std::uint8_t>(data, data + len));
-    icp_assert(inserted, "duplicate streamed chunk offset");
-    (void)it;
-    pendingBytes_ += len;
+    sink_.append(data, len);
+    cursor_ += len;
 }
 
 void
 SbfStreamWriter::endStreamedSection()
 {
     icp_assert(streaming_, "endStreamedSection with no open section");
-    for (const auto &[o, bytes] : pending_) {
-        sink_.writeAt(payloadBase_ + o, bytes.data(), bytes.size());
-        cursor_ = std::max(cursor_, o + bytes.size());
-    }
-    pending_.clear();
-    pendingBytes_ = 0;
-    // Zero-fill any uncovered tail so the container length holds.
-    if (sink_.size() < payloadBase_ + payloadLen_) {
-        static const std::uint8_t zeros[4096] = {};
-        std::uint64_t at = sink_.size();
-        const std::uint64_t end = payloadBase_ + payloadLen_;
-        while (at < end) {
-            const std::size_t n = static_cast<std::size_t>(
-                std::min<std::uint64_t>(sizeof(zeros), end - at));
-            sink_.writeAt(at, zeros, n);
-            at += n;
-        }
-    }
+    icp_assert(cursor_ == payloadLen_,
+               "streamed payload covers %llu of %llu bytes",
+               static_cast<unsigned long long>(cursor_),
+               static_cast<unsigned long long>(payloadLen_));
     streaming_ = false;
 }
 

@@ -2,21 +2,17 @@
  * @file
  * Streaming SBF serializer: writes a BinaryImage to a byte sink
  * section by section, so a producer can emit one section's payload
- * in bounded-size chunks (in roughly ascending offset order) instead
- * of materializing the whole image in memory first.
+ * in bounded-size chunks instead of materializing the whole image
+ * in memory first.
  *
  * Invariants:
  *  - The byte stream produced is identical to the historical
  *    BinaryImage::serialize() layout; serialize() itself is now a
  *    VectorSink client of this writer.
- *  - Chunks pushed through addChunk() may arrive out of order. Out
- *    of order chunks are buffered up to the reorder window; a chunk
- *    that would overflow the window falls back to a positioned
- *    write (and bumps StreamCounters::windowOverflows), which
- *    requires a seekable sink but never loses bytes.
- *  - A streamed section's payload must cover [0, payloadLen)
- *    exactly once; uncovered tail bytes are zero-filled at
- *    endStreamedSection() (matching zero-fill section semantics).
+ *  - Output is append-only: chunks pushed through addChunk() must
+ *    arrive in ascending offset order with no gap or overlap, and a
+ *    streamed section's chunks must cover [0, payloadLen) exactly.
+ *    Either violation is a producer bug and aborts.
  */
 
 #ifndef ICP_BINFMT_STREAM_WRITER_HH
@@ -24,7 +20,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <vector>
 
 #include "binfmt/image.hh"
@@ -32,24 +27,12 @@
 namespace icp
 {
 
-/**
- * Positioned byte sink. size() is the max extent written so far;
- * writing at size() appends, writing below it overwrites in place,
- * and writing past it zero-fills the gap.
- */
+/** Append-only byte sink. */
 class SbfSink
 {
   public:
     virtual ~SbfSink() = default;
-    virtual void writeAt(std::uint64_t off, const void *data,
-                         std::size_t len) = 0;
-    virtual std::uint64_t size() const = 0;
-
-    void
-    append(const void *data, std::size_t len)
-    {
-        writeAt(size(), data, len);
-    }
+    virtual void append(const void *data, std::size_t len) = 0;
 };
 
 /** Sink into a caller-owned byte vector. */
@@ -58,35 +41,25 @@ class VectorSink final : public SbfSink
   public:
     explicit VectorSink(std::vector<std::uint8_t> &out) : out_(out) {}
 
-    void writeAt(std::uint64_t off, const void *data,
-                 std::size_t len) override;
-    std::uint64_t size() const override { return out_.size(); }
+    void append(const void *data, std::size_t len) override;
 
   private:
     std::vector<std::uint8_t> &out_;
 };
 
-/**
- * Sink into an open stdio stream (caller keeps ownership). The
- * stream must be seekable for out-of-order writes; purely in-order
- * producers never seek.
- */
+/** Sink into an open stdio stream (caller keeps ownership). */
 class FileSink final : public SbfSink
 {
   public:
     explicit FileSink(std::FILE *f) : f_(f) {}
 
-    void writeAt(std::uint64_t off, const void *data,
-                 std::size_t len) override;
-    std::uint64_t size() const override { return size_; }
+    void append(const void *data, std::size_t len) override;
 
-    /** False when any fwrite/fseek failed; check before trusting. */
+    /** False when any fwrite failed; check before trusting. */
     bool ok() const { return ok_; }
 
   private:
     std::FILE *f_;
-    std::uint64_t pos_ = 0;  ///< current stream position
-    std::uint64_t size_ = 0; ///< max extent written
     bool ok_ = true;
 };
 
@@ -98,18 +71,14 @@ class FileSink final : public SbfSink
  *       writeSection(s)                       // materialized payload
  *     or
  *       beginStreamedSection(s, payloadLen);
- *       addChunk(off, data, len); ...         // cover [0, payloadLen)
- *       endStreamedSection();
+ *       addChunk(off, data, len); ...         // in order, exactly
+ *       endStreamedSection();                 // covering payloadLen
  *   finishImage(img);                         // symbols + relocs
  */
 class SbfStreamWriter
 {
   public:
-    static constexpr std::size_t default_window = 1u << 20;
-
-    explicit SbfStreamWriter(SbfSink &sink,
-                             std::size_t reorderWindowBytes =
-                                 default_window);
+    explicit SbfStreamWriter(SbfSink &sink) : sink_(sink) {}
 
     void beginImage(const BinaryImage &img);
     void writeSection(const Section &s);
@@ -121,7 +90,6 @@ class SbfStreamWriter
     void finishImage(const BinaryImage &img);
 
   private:
-    void put(const void *data, std::size_t len);
     void putU8(std::uint8_t v);
     void putU32(std::uint32_t v);
     void putU64(std::uint64_t v);
@@ -129,15 +97,11 @@ class SbfStreamWriter
     void sectionHeader(const Section &s, std::uint64_t payloadLen);
 
     SbfSink &sink_;
-    std::size_t window_;
 
     // Streamed-section state.
     bool streaming_ = false;
-    std::uint64_t payloadBase_ = 0;
     std::uint64_t payloadLen_ = 0;
-    std::uint64_t cursor_ = 0; ///< next in-order payload offset
-    std::map<std::uint64_t, std::vector<std::uint8_t>> pending_;
-    std::size_t pendingBytes_ = 0;
+    std::uint64_t cursor_ = 0; ///< next payload offset expected
 };
 
 /**

@@ -110,15 +110,6 @@ struct ShardCounters
     unsigned instrumented = 0;
     std::uint64_t blocks = 0; ///< basic blocks across the shard
     std::uint64_t insns = 0;  ///< decoded instructions
-
-    /** Worker forks for this shard (1 normal, 2 after a retry). */
-    unsigned workerAttempts = 0;
-
-    /** Worker never succeeded; the coordinator analyzed cold. */
-    bool degraded = false;
-
-    /** Worker peak RSS from wait4 ru_maxrss (0 when degraded). */
-    std::uint64_t workerPeakRssBytes = 0;
 };
 
 struct RewriteOptions
@@ -236,24 +227,17 @@ struct RewriteOptions
     /**
      * Address ranges of a sharded, streaming rewrite
      * (rewriteBinarySharded; 0 = classic rewriteBinary). Both run
-     * one rewrite pipeline over a list of ranges — the classic rewrite is one
-     * range — so output bytes are identical for every value. With
-     * one range (shards <= 1) the CFG stays resident and no worker
-     * is forked. With N > 1 the function space is split into N
-     * contiguous ranges, each analyzed by a forked worker into a
-     * shared cache file, and each pass rebuilds one range's CFG at a
-     * time, so peak memory is O(range), not O(binary). Sharded runs
-     * reject lint manifests, fault injection, session reuse/repair,
-     * and reversed layout orders.
+     * one rewrite pipeline over a list of ranges — the classic
+     * rewrite is one range — so output bytes are identical for
+     * every value. With one range (shards <= 1) the CFG stays
+     * resident. With N > 1 the function space is split into N
+     * contiguous ranges; each pass rebuilds one range's CFG at a
+     * time from the analysis cache file (each range is analyzed cold
+     * once, in process), so peak memory is O(range), not O(binary).
+     * Sharded runs reject lint manifests, fault injection, session
+     * reuse/repair, and reversed layout orders.
      */
     unsigned shards = 0;
-
-    /**
-     * Reorder-window budget of the streaming output writer used by
-     * the sharded path (bytes buffered for out-of-order chunks
-     * before falling back to positioned writes). 0 = writer default.
-     */
-    std::size_t streamWindowBytes = 0;
 };
 
 struct RewriteStats

@@ -11,7 +11,6 @@
 #include "binfmt/addr_map.hh"
 #include "binfmt/stream_writer.hh"
 #include "rewrite/engine.hh"
-#include "rewrite/shard.hh"
 #include "rewrite/trampoline.hh"
 #include "support/logging.hh"
 #include "support/stats.hh"
@@ -66,6 +65,33 @@ parseInjectDefect(const std::string &name)
     return std::nullopt;
 }
 
+std::vector<ShardRange>
+planShards(const BinaryImage &image, unsigned shards)
+{
+    const auto syms = image.functionSymbols();
+    const unsigned n = std::max(
+        1u, std::min<unsigned>(
+                shards, static_cast<unsigned>(syms.size())));
+
+    // Boundaries at equal function-count splits; ranges tile the
+    // whole address space so membership is a pure range test.
+    std::vector<ShardRange> ranges;
+    Addr lo = 0;
+    for (unsigned k = 0; k < n; ++k) {
+        ShardRange r;
+        r.lo = lo;
+        if (k + 1 == n) {
+            r.hi = ~static_cast<Addr>(0);
+        } else {
+            const std::size_t split = syms.size() * (k + 1) / n;
+            r.hi = syms[split]->addr;
+        }
+        lo = r.hi;
+        ranges.push_back(r);
+    }
+    return ranges;
+}
+
 namespace
 {
 
@@ -77,7 +103,7 @@ alignUp(Addr v, Addr align)
 
 /**
  * A private directory under the system temporary directory (TMPDIR
- * honored) for a sharded run's coordination cache; removed with
+ * honored) for a sharded run's analysis cache file; removed with
  * everything in it, lock file included, when the run ends.
  */
 class TempCacheDir
@@ -1139,12 +1165,12 @@ Rewriter::rejection(bool sharded) const
  * visiting the ranges in address order. With one range its CFG is
  * built once (or borrowed from the session) and stays resident, and
  * layout keeps every function's assembler stream, so each function
- * is emitted once. With several ranges, forked workers first warm a
- * shared cache file, and every pass rebuilds one range's CFG at a
- * time from it, so peak memory is O(largest range); the emit pass
- * re-emits each function at its recorded base. The output is
- * appended to .instr of result.image, or streamed to @p sink in
- * section/address order; the bytes are the same either way.
+ * is emitted once. With several ranges every pass rebuilds one
+ * range's CFG at a time through the analysis cache file, so peak
+ * memory is O(largest range); the emit pass re-emits each function
+ * at its recorded base. The output is appended to .instr of
+ * result.image, or streamed to @p sink in section/address order;
+ * the bytes are the same either way.
  */
 RewriteResult
 Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
@@ -1154,13 +1180,11 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
         return result_;
     const bool resident = ranges.size() == 1;
 
-    // Several ranges: the analysis cache file is the coordination
-    // medium. Workers persist their range's analysis there and every
-    // pass replays it one range at a time; without a configured
-    // file, a private temporary one serves for this run. The
-    // in-memory cache is dropped up front so the per-range bound
-    // holds from the first range (and so forked workers inherit an
-    // empty cache).
+    // Several ranges: the analysis cache file carries each range's
+    // analysis from the first pass to the later ones; without a
+    // configured file, a private temporary one serves for this run.
+    // The in-memory cache is dropped up front so the per-range bound
+    // holds from the first range.
     if (sink)
         result_.stats.shards.resize(ranges.size());
     std::string cache_path = opts_.cachePath;
@@ -1174,13 +1198,11 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
                 "cannot create a temporary cache directory";
             return result_;
         }
-        runShardWorkers(input_, opts_, ranges, cache_path,
-                        result_.stats.shards);
     }
 
-    // Saving before the clear persists entries computed for the
-    // previous range (cache misses, e.g. a degraded worker's range),
-    // so each range is analyzed cold at most once across the passes.
+    // Saving before the clear persists the entries the previous
+    // range computed on a miss, so each range is analyzed cold once,
+    // in the first pass, and replayed from the file afterwards.
     const auto buildRange = [&](const ShardRange &r) {
         if (!resident && opts_.useAnalysisCache) {
             AnalysisCache::global().save(cache_path);
@@ -1404,10 +1426,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     };
 
     if (sink) {
-        SbfStreamWriter writer(*sink,
-                               opts_.streamWindowBytes
-                                   ? opts_.streamWindowBytes
-                                   : SbfStreamWriter::default_window);
+        SbfStreamWriter writer(*sink);
         writer.beginImage(out_);
         for (const Section &sec : out_.sections) {
             if (sec.kind != SectionKind::instr) {

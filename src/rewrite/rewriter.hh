@@ -13,6 +13,8 @@
 #ifndef ICP_REWRITE_REWRITER_HH
 #define ICP_REWRITE_REWRITER_HH
 
+#include <vector>
+
 #include "analysis/cfg.hh"
 #include "rewrite/options.hh"
 
@@ -47,14 +49,32 @@ RewriteResult rewriteBinary(const BinaryImage &input,
 
 class SbfSink;
 
+/** One range of a sharded rewrite: functions with entry in [lo, hi). */
+struct ShardRange
+{
+    Addr lo = 0;
+    Addr hi = 0;
+};
+
+/**
+ * Partition the image's functions into at most @p shards contiguous
+ * address ranges with near-equal function counts. The ranges tile
+ * the whole address space (first starts at 0, last ends at ~0), so
+ * every function belongs to exactly one range. Returns fewer ranges
+ * when the image has fewer functions than requested shards.
+ */
+std::vector<ShardRange> planShards(const BinaryImage &image,
+                                   unsigned shards);
+
 /**
  * Sharded, streaming rewrite (RewriteOptions::shards): the same
  * pipeline as rewriteBinary over planShards(shards) address ranges
- * instead of one. With several ranges, forked worker processes warm
- * a shared cache file and the rewriter holds one range's CFG at a
- * time; the rewritten image is streamed to @p sink in
- * section/address order instead of being materialized, so peak
- * memory is O(largest range + reorder window) rather than
+ * instead of one. With several ranges the rewriter holds one
+ * range's CFG at a time, rebuilding it in each pass from an
+ * analysis cache file (the configured one, or a private temporary
+ * file) that the first pass fills, and the rewritten image is
+ * appended to @p sink in section/address order instead of being
+ * materialized, so peak memory is O(largest range) rather than
  * O(binary). The byte stream written to @p sink is identical to
  * rewriteBinary(...).image.serialize() for the same input and
  * options. result.image is left empty; stats, counter maps and

@@ -155,7 +155,6 @@ StageTimers::reset()
         n.store(0, std::memory_order_relaxed);
     CacheCounters::global().reset();
     DepsCounters::global().reset();
-    StreamCounters::global().reset();
     ServeCounters::global().reset();
 }
 
@@ -189,20 +188,6 @@ DepsCounters::reset()
     bytesRecorded.store(0, std::memory_order_relaxed);
     hitsValidated.store(0, std::memory_order_relaxed);
     hitsRejected.store(0, std::memory_order_relaxed);
-}
-
-StreamCounters &
-StreamCounters::global()
-{
-    static StreamCounters counters;
-    return counters;
-}
-
-void
-StreamCounters::reset()
-{
-    bytesStreamed.store(0, std::memory_order_relaxed);
-    windowOverflows.store(0, std::memory_order_relaxed);
 }
 
 ServeCounters &
@@ -283,16 +268,6 @@ StageTimers::table() const
             dc.hitsValidated.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
             dc.hitsRejected.load(std::memory_order_relaxed)));
-    out += line;
-    const StreamCounters &sc = StreamCounters::global();
-    std::snprintf(line, sizeof(line),
-                  "  %-12s %10llu bytes streamed, %llu window "
-                  "overflows\n",
-                  "stream.io",
-                  static_cast<unsigned long long>(sc.bytesStreamed.load(
-                      std::memory_order_relaxed)),
-                  static_cast<unsigned long long>(sc.windowOverflows.load(
-                      std::memory_order_relaxed)));
     out += line;
     const ServeCounters &vc = ServeCounters::global();
     std::snprintf(
@@ -388,16 +363,9 @@ StageTimers::json() const
         static_cast<unsigned long long>(
             vc.rejected.load(std::memory_order_relaxed)));
     out += serve;
-    const StreamCounters &sc = StreamCounters::global();
-    std::snprintf(
-        counters, sizeof(counters),
-        ", \"output_bytes_streamed\": %llu, "
-        "\"stream_window_overflows\": %llu, \"peak_rss_bytes\": %llu",
-        static_cast<unsigned long long>(
-            sc.bytesStreamed.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            sc.windowOverflows.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(peakRssBytes()));
+    std::snprintf(counters, sizeof(counters),
+                  ", \"peak_rss_bytes\": %llu",
+                  static_cast<unsigned long long>(peakRssBytes()));
     out += counters;
     out += "}";
     return out;

@@ -179,24 +179,6 @@ class DepsCounters
 };
 
 /**
- * Process-wide counters for the streaming output writer: payload
- * bytes pushed through SbfStreamWriter sinks and reorder-window
- * overflows (chunks that arrived too far out of order and fell back
- * to a positioned write). Reset together with StageTimers; reported
- * by table()/json().
- */
-class StreamCounters
-{
-  public:
-    static StreamCounters &global();
-
-    std::atomic<std::uint64_t> bytesStreamed{0};
-    std::atomic<std::uint64_t> windowOverflows{0};
-
-    void reset();
-};
-
-/**
  * Process-wide counters for the `icp serve` daemon: request volume,
  * structured error replies, warm-session hits vs misses, LRU
  * evictions, request timeouts, and malformed frames. Reset together

@@ -18,7 +18,6 @@
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
 #include "support/random.hh"
-#include "support/stats.hh"
 
 using namespace icp;
 
@@ -178,17 +177,15 @@ namespace
 
 /**
  * Stream @p img through SbfStreamWriter with the .text payload fed
- * as chunks in the order given by @p chunk_order (indices into
- * @p chunk_size-sized slices), every other section materialized.
+ * in order as @p chunk_size-byte chunks, every other section
+ * materialized.
  */
 std::vector<std::uint8_t>
-streamWithChunkedText(const BinaryImage &img,
-                      const std::vector<std::size_t> &chunk_order,
-                      std::size_t chunk_size, std::size_t window)
+streamWithChunkedText(const BinaryImage &img, std::size_t chunk_size)
 {
     std::vector<std::uint8_t> out;
     VectorSink sink(out);
-    SbfStreamWriter writer(sink, window);
+    SbfStreamWriter writer(sink);
     writer.beginImage(img);
     for (const Section &sec : img.sections) {
         if (sec.kind != SectionKind::text) {
@@ -196,8 +193,8 @@ streamWithChunkedText(const BinaryImage &img,
             continue;
         }
         writer.beginStreamedSection(sec, sec.bytes.size());
-        for (std::size_t idx : chunk_order) {
-            const std::size_t off = idx * chunk_size;
+        for (std::size_t off = 0; off < sec.bytes.size();
+             off += chunk_size) {
             const std::size_t len =
                 std::min(chunk_size, sec.bytes.size() - off);
             writer.addChunk(off, sec.bytes.data() + off, len);
@@ -208,61 +205,16 @@ streamWithChunkedText(const BinaryImage &img,
     return out;
 }
 
-std::vector<std::size_t>
-chunkIndices(const BinaryImage &img, std::size_t chunk_size)
-{
-    const Section *text = img.findSection(SectionKind::text);
-    const std::size_t n =
-        (text->bytes.size() + chunk_size - 1) / chunk_size;
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i)
-        order[i] = i;
-    return order;
-}
-
 } // namespace
 
 TEST(StreamWriter, InOrderChunksMatchSerialize)
 {
     const BinaryImage img =
         compileProgram(microProfile(Arch::x64, true));
-    const auto order = chunkIndices(img, 512);
-    EXPECT_EQ(streamWithChunkedText(img, order, 512,
-                                    SbfStreamWriter::default_window),
-              img.serialize());
-}
-
-TEST(StreamWriter, OutOfOrderChunksWithinWindowMatchSerialize)
-{
-    const BinaryImage img =
-        compileProgram(microProfile(Arch::aarch64, false));
-    auto order = chunkIndices(img, 256);
-    ASSERT_GE(order.size(), 4u);
-    // Swap pairs so every chunk arrives out of order but within a
-    // one-chunk reorder distance.
-    for (std::size_t i = 0; i + 1 < order.size(); i += 2)
-        std::swap(order[i], order[i + 1]);
-    StreamCounters::global().reset();
-    EXPECT_EQ(streamWithChunkedText(img, order, 256,
-                                    SbfStreamWriter::default_window),
-              img.serialize());
-    EXPECT_EQ(StreamCounters::global().windowOverflows.load(), 0u);
-}
-
-TEST(StreamWriter, WindowOverflowFallsBackToPositionedWrites)
-{
-    const BinaryImage img =
-        compileProgram(microProfile(Arch::ppc64le, true));
-    auto order = chunkIndices(img, 256);
-    ASSERT_GE(order.size(), 4u);
-    // Feed the payload back to front: everything except the final
-    // chunk is out of order, far beyond a 64-byte reorder window.
-    std::reverse(order.begin(), order.end());
-    StreamCounters::global().reset();
-    EXPECT_EQ(streamWithChunkedText(img, order, 256, 64),
-              img.serialize());
-    EXPECT_GT(StreamCounters::global().windowOverflows.load(), 0u);
-    EXPECT_GT(StreamCounters::global().bytesStreamed.load(), 0u);
+    for (std::size_t chunk_size : {1u, 512u})
+        EXPECT_EQ(streamWithChunkedText(img, chunk_size),
+                  img.serialize())
+            << chunk_size << "-byte chunks";
 }
 
 TEST(StreamWriter, FileSinkMatchesVectorSink)

@@ -126,6 +126,30 @@ TEST(Cli, BadUsageFailsCleanly)
     EXPECT_NE(run("run /tmp/definitely_missing.sbf"), 0);
 }
 
+TEST(Cli, NumericRewriteFlagsAreStrict)
+{
+    // Values are decimal digits only, in range: a sign, a suffix, an
+    // empty value or an overflow is a usage error (exit 1), not a
+    // silently wrapped or truncated number.
+    ASSERT_EQ(run("compile micro /tmp/icp_cli_num.sbf"), 0);
+    const std::string rewrite =
+        "rewrite /tmp/icp_cli_num.sbf /tmp/icp_cli_num_out.sbf ";
+    for (const char *flag :
+         {"--shards -1", "--shards=-1", "--shards 2x", "--shards +2",
+          "--shards 0", "--shards=", "--shards 4294967296",
+          "--threads -1", "--threads 2x", "--threads ''",
+          "--cache-max-bytes -1", "--cache-max-bytes 1k",
+          "--cache-max-bytes=0",
+          "--cache-max-bytes 18446744073709551616"}) {
+        EXPECT_EQ(exitCode(rewrite + flag), 1) << flag;
+    }
+    for (const char *flag :
+         {"--shards 2", "--shards=4294967295", "--threads 0",
+          "--cache-max-bytes=18446744073709551615"}) {
+        EXPECT_EQ(exitCode(rewrite + flag), 0) << flag;
+    }
+}
+
 TEST(Cli, LintCleanImageExitsZero)
 {
     // Each lint test compiles to its own path: ctest runs these in

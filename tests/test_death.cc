@@ -3,13 +3,14 @@
  * Death tests for the internal-invariant machinery: icp_assert /
  * icp_panic abort with a diagnostic, and the library's precondition
  * checks fire on misuse (duplicate map keys, overlapping sections,
- * double finalize, unbound labels).
+ * double finalize, unbound labels, out-of-order streamed chunks).
  */
 
 #include <gtest/gtest.h>
 
 #include "binfmt/addr_map.hh"
 #include "binfmt/image.hh"
+#include "binfmt/stream_writer.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
 #include "isa/assembler.hh"
@@ -79,6 +80,39 @@ TEST(DeathTests, FixedCodecRejectsMisalignedEncode)
     std::vector<std::uint8_t> out;
     EXPECT_DEATH(arch.codec->encode(makeNop(), 0x1001, out),
                  "misaligned");
+}
+
+TEST(DeathTests, StreamWriterRejectsOutOfOrderChunks)
+{
+    // The writer is append-only: every chunk must start where the
+    // previous one ended, and the chunks must cover the payload.
+    Section sec;
+    sec.name = ".instr";
+    sec.kind = SectionKind::instr;
+    sec.addr = 0x1000;
+    sec.memSize = 16;
+    const std::uint8_t bytes[16] = {};
+    const auto streamed = [&](auto &&feed) {
+        std::vector<std::uint8_t> out;
+        VectorSink sink(out);
+        SbfStreamWriter writer(sink);
+        writer.beginStreamedSection(sec, sizeof(bytes));
+        feed(writer);
+        writer.endStreamedSection();
+    };
+    EXPECT_DEATH(streamed([&](SbfStreamWriter &w) {
+                     w.addChunk(8, bytes + 8, 8); // skips [0, 8)
+                 }),
+                 "streamed chunk at payload offset 8, expected 0");
+    EXPECT_DEATH(streamed([&](SbfStreamWriter &w) {
+                     w.addChunk(0, bytes, 8);
+                     w.addChunk(4, bytes + 4, 12); // overlaps [4, 8)
+                 }),
+                 "streamed chunk at payload offset 4, expected 8");
+    EXPECT_DEATH(streamed([&](SbfStreamWriter &w) {
+                     w.addChunk(0, bytes, 8); // leaves [8, 16) unset
+                 }),
+                 "covers 8 of 16 bytes");
 }
 
 // --- malformed SBF containers ---------------------------------------------

@@ -6,6 +6,11 @@
  * transfer counts). 171 distinct workload/mode combinations.
  */
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "codegen/compiler.hh"
@@ -25,6 +30,33 @@ struct SweepParam
     unsigned benchmark;
     RewriteMode mode;
 };
+
+/**
+ * gtest prints a parameter that has no PrintTo as its raw object
+ * bytes, padding included, and ctest puts that text in each case's
+ * name; uninitialized padding made some names change from run to
+ * run. Print the same "N-byte object <..>" text from the fields
+ * alone, with the padding as zeros.
+ */
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    unsigned char bytes[sizeof(SweepParam)] = {};
+    std::memcpy(bytes + offsetof(SweepParam, arch), &p.arch,
+                sizeof(p.arch));
+    std::memcpy(bytes + offsetof(SweepParam, benchmark), &p.benchmark,
+                sizeof(p.benchmark));
+    std::memcpy(bytes + offsetof(SweepParam, mode), &p.mode,
+                sizeof(p.mode));
+    *os << sizeof(bytes) << "-byte object <";
+    for (std::size_t i = 0; i < sizeof(bytes); ++i) {
+        char hex[4];
+        std::snprintf(hex, sizeof(hex), "%s%02X",
+                      i == 0 ? "" : (i % 2 ? "-" : " "), bytes[i]);
+        *os << hex;
+    }
+    *os << '>';
+}
 
 class SuiteSweep : public ::testing::TestWithParam<SweepParam>
 {

@@ -1,9 +1,10 @@
 /**
  * @file
  * Sharded-rewrite tests: shard planning properties, byte identity of
- * the multi-process streaming path against the classic materializing
- * rewrite across ISAs and modes, worker-crash retry/degradation with
- * a loadable cache, and rejection of incompatible option combos.
+ * the range-bounded streaming path against the classic materializing
+ * rewrite across ISAs and modes, a torn cache-file tail that the run
+ * repairs, the private temporary cache, and rejection of
+ * incompatible option combos.
  */
 
 #include <cstdio>
@@ -22,7 +23,6 @@
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
 #include "rewrite/rewriter.hh"
-#include "rewrite/shard.hh"
 
 using namespace icp;
 
@@ -30,9 +30,8 @@ namespace
 {
 
 /**
- * Baseline options for sharded-vs-classic comparisons. threads=1 so
- * the in-process coordinator never forks after spawning a thread
- * pool; no cache file unless a test opts in.
+ * Baseline options for sharded-vs-classic comparisons: one thread,
+ * no cache file unless a test opts in.
  */
 RewriteOptions
 shardOptions(RewriteMode mode, unsigned shards)
@@ -173,16 +172,6 @@ TEST(ShardRewrite, ShardCountInvariant)
     EXPECT_EQ(one, four);
 }
 
-TEST(ShardRewrite, TinyStreamWindowStaysIdentical)
-{
-    const BinaryImage img =
-        compileProgram(chromiumSmallProfile(Arch::x64, false));
-    RewriteOptions opts = shardOptions(RewriteMode::jt, 2);
-    const auto classic = classicBytes(img, opts);
-    opts.streamWindowBytes = 1;
-    EXPECT_EQ(shardedBytes(img, opts), classic);
-}
-
 TEST(ShardRewrite, ClobberAndCallEmulationIdentical)
 {
     const BinaryImage img =
@@ -220,29 +209,38 @@ TEST(ShardRewrite, CountersIdenticalWithInstrumentation)
     EXPECT_EQ(sharded.entryCounters, classic.entryCounters);
 }
 
-TEST(ShardWorkers, KilledWorkerRetriesAndCacheStaysLoadable)
+TEST(ShardRewrite, TornCacheTailIsRepairedAndOutputIdentical)
 {
-    const std::string cache = tempCachePath("retry");
+    // A cache file holding one complete segment, followed by what an
+    // appender killed mid-save leaves behind: a plausible segment
+    // header cut off mid-payload.
+    const std::string cache = tempCachePath("torn");
     removeCache(cache);
+    {
+        RewriteOptions prime;
+        prime.cachePath = cache;
+        AnalysisCache::global().clear();
+        ASSERT_TRUE(rewriteBinary(
+                        compileProgram(microProfile(Arch::x64, true)),
+                        prime)
+                        .ok);
+    }
+    const std::uint8_t torn[] = {'I', 'C', 'P', 'S', 0xff, 0x13,
+                                 0x37, 0x00, 0xde, 0xad};
+    {
+        std::FILE *f = std::fopen(cache.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(torn, 1, sizeof(torn), f), sizeof(torn));
+        std::fclose(f);
+    }
     const BinaryImage img =
         compileProgram(chromiumSmallProfile(Arch::x64, true));
     RewriteOptions opts = shardOptions(RewriteMode::jt, 3);
     opts.cachePath = cache;
-    const auto classic = classicBytes(img, opts);
+    EXPECT_EQ(shardedBytes(img, opts), classicBytes(img, opts));
 
-    setenv("ICP_TEST_KILL_SHARD", "1", 1);
-    RewriteResult rw;
-    const auto bytes = shardedBytes(img, opts, &rw);
-    unsetenv("ICP_TEST_KILL_SHARD");
-
-    EXPECT_EQ(bytes, classic);
-    ASSERT_EQ(rw.stats.shards.size(), 3u);
-    EXPECT_EQ(rw.stats.shards[1].workerAttempts, 2u);
-    EXPECT_FALSE(rw.stats.shards[1].degraded);
-    EXPECT_EQ(rw.stats.shards[0].workerAttempts, 1u);
-
-    // The torn tail the killed worker left behind must not poison
-    // the shard file: a fresh load sees only complete segments.
+    // The run's saves dropped the torn tail: a fresh load sees only
+    // complete segments.
     AnalysisCache::global().clear();
     const CacheLoadReport report =
         AnalysisCache::global().load(cache, img.arch);
@@ -252,66 +250,9 @@ TEST(ShardWorkers, KilledWorkerRetriesAndCacheStaysLoadable)
     removeCache(cache);
 }
 
-TEST(ShardWorkers, PersistentCrashDegradesButStaysCorrect)
-{
-    const std::string cache = tempCachePath("degrade");
-    removeCache(cache);
-    const BinaryImage img =
-        compileProgram(chromiumSmallProfile(Arch::x64, true));
-    RewriteOptions opts = shardOptions(RewriteMode::jt, 3);
-    opts.cachePath = cache;
-    const auto classic = classicBytes(img, opts);
-
-    setenv("ICP_TEST_KILL_SHARD_ALWAYS", "2", 1);
-    RewriteResult rw;
-    const auto bytes = shardedBytes(img, opts, &rw);
-    unsetenv("ICP_TEST_KILL_SHARD_ALWAYS");
-
-    EXPECT_EQ(bytes, classic);
-    ASSERT_EQ(rw.stats.shards.size(), 3u);
-    EXPECT_EQ(rw.stats.shards[2].workerAttempts, 2u);
-    EXPECT_TRUE(rw.stats.shards[2].degraded);
-    EXPECT_EQ(rw.stats.shards[2].workerPeakRssBytes, 0u);
-
-    AnalysisCache::global().clear();
-    const CacheLoadReport report =
-        AnalysisCache::global().load(cache, img.arch);
-    EXPECT_TRUE(report.clean());
-    EXPECT_EQ(report.droppedEntries, 0u);
-    removeCache(cache);
-}
-
-TEST(ShardWorkers, AllWorkersRunConcurrently)
-{
-    // Workers rendezvous on a start-file barrier that only completes
-    // when every shard's process is alive at the same time: a
-    // coordinator that serialized launch and reap would park its one
-    // live worker in the barrier timeout and degrade the shard.
-    const std::string dir =
-        "/tmp/icp-test-shard-barrier." + std::to_string(getpid());
-    std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
-    const BinaryImage img =
-        compileProgram(chromiumSmallProfile(Arch::x64, true));
-    const RewriteOptions opts = shardOptions(RewriteMode::jt, 3);
-    const auto classic = classicBytes(img, opts);
-
-    setenv("ICP_TEST_SHARD_BARRIER", (dir + ":3").c_str(), 1);
-    RewriteResult rw;
-    const auto bytes = shardedBytes(img, opts, &rw);
-    unsetenv("ICP_TEST_SHARD_BARRIER");
-    std::system(("rm -rf " + dir).c_str());
-
-    EXPECT_EQ(bytes, classic);
-    ASSERT_EQ(rw.stats.shards.size(), 3u);
-    for (const ShardCounters &sc : rw.stats.shards) {
-        EXPECT_EQ(sc.workerAttempts, 1u);
-        EXPECT_FALSE(sc.degraded);
-    }
-}
-
 TEST(ShardWorkers, PrivateTempCacheUnderTmpdirIsRemoved)
 {
-    // Without --cache-file the coordination cache lives in a private
+    // Without --cache-file the range cache lives in a private
     // mkdtemp directory under TMPDIR, removed with its lock file when
     // the run ends.
     const std::string dir =

@@ -6,7 +6,8 @@
 #                  >= 2 requested threads, which TSan then observes)
 #   asan           Address+UBSanitizer build + the memory-heavy suites
 #                  (rewriter, verifier, binfmt, engine, session, cache
-#                  store) and the repair-loop CLI smoke
+#                  store, sharded rewrite) and the repair-loop CLI
+#                  smoke
 #   release        plain release build + the complete ctest suite
 #   lint-baseline  lint the canonical input against the checked-in
 #                  report (tests/data/lint_baseline.json): any new
@@ -21,13 +22,14 @@
 #                  verify` finds it clean, and `icp cache compact
 #                  --max-bytes` / `--cache-max-bytes` enforce the
 #                  size cap
-#   sharded        multi-process rewrite smoke: the chromium-small
-#                  corpus through `icp rewrite --shards 1` and
-#                  `--shards 2` must be byte-identical to the classic
-#                  path, lint clean, leave a verifiable + compactable
-#                  cache file, and `--shards 2` must report a peak
-#                  RSS below the classic run's (the streaming
-#                  writer's whole reason to exist)
+#   sharded        range-bounded rewrite smoke: the chromium-small
+#                  corpus through `icp rewrite --shards 1`, `2` and
+#                  `4` must be byte-identical to the classic path,
+#                  lint clean, leave a verifiable + compactable cache
+#                  file; the cold `--shards 2` run must show its
+#                  in-process analysis in the `cfg` timing stage and
+#                  report a peak RSS below the classic run's (the
+#                  streaming writer's whole reason to exist)
 #   cross-binary   content-addressed sharing smoke: two libcommon
 #                  corpus binaries (same static-lib core, different
 #                  link bases) rewritten through one shared
@@ -105,14 +107,15 @@ leg_asan() {
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" &&
     cmake --build build-asan -j "$jobs" \
         --target test_lint test_rewrite test_binfmt test_engine \
-                 test_session test_cache_store icp_cli &&
-    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache tests ==" &&
+                 test_session test_cache_store test_shard icp_cli &&
+    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard tests ==" &&
     ./build-asan/tests/test_lint &&
     ./build-asan/tests/test_rewrite &&
     ./build-asan/tests/test_binfmt &&
     ./build-asan/tests/test_engine &&
     ./build-asan/tests/test_session &&
     ./build-asan/tests/test_cache_store &&
+    ./build-asan/tests/test_shard &&
     echo "== ASan+UBSan: repair-loop smoke (inject -> repair -> lint) ==" &&
     smoke_dir="$(mktemp -d)" &&
     ./build-asan/tools/icp compile micro "$smoke_dir/in.sbf" --pie &&
@@ -254,7 +257,7 @@ leg_cross_binary() {
 }
 
 leg_sharded() {
-    echo "== Sharded rewrite smoke (chromium-small, --shards 1 and 2) =="
+    echo "== Sharded rewrite smoke (chromium-small, --shards 1, 2 and 4) =="
     build_cli || return 1
     dir="$(mktemp -d)"
     cache="$dir/shards.icpc"
@@ -268,8 +271,16 @@ leg_sharded() {
     ./build/tools/icp rewrite "$dir/in.sbf" "$dir/one.sbf" \
         --mode jt --shards 1 >/dev/null &&
     cmp "$dir/classic.sbf" "$dir/one.sbf" &&
-    echo "--shards 1 and --shards 2 output byte-identical to classic" &&
+    ./build/tools/icp rewrite "$dir/in.sbf" "$dir/four.sbf" \
+        --mode jt --shards 4 >/dev/null &&
+    cmp "$dir/classic.sbf" "$dir/four.sbf" &&
+    echo "--shards 1, 2 and 4 output byte-identical to classic" &&
     grep -q "^shard 1:" "$dir/sharded.log" &&
+    # The cold --shards 2 run analyzes in process, so its timing
+    # table attributes that work to the cfg stage.
+    cfg_ms="$(awk '$1 == "cfg" {print $2}' "$dir/sharded.log")" &&
+    [ -n "$cfg_ms" ] && awk "BEGIN{exit !($cfg_ms > 0)}" &&
+    echo "cold --shards 2: cfg stage $cfg_ms ms" &&
     ./build/tools/icp lint "$dir/in.sbf" --mode jt \
         --fail-on error &&
     ./build/tools/icp cache verify "$cache" &&

@@ -14,8 +14,8 @@
 #                              smoke: second libcommon binary >= 50%
 #                              analysis reuse via rebase-on-hit,
 #                              byte-identical to its cold rewrite
-#   tools/ci.sh sharded        multi-process --shards rewrite smoke:
-#                              byte identity, lint, cache, RSS
+#   tools/ci.sh sharded        range-bounded --shards rewrite smoke:
+#                              byte identity, lint, cache, timing, RSS
 #   tools/ci.sh serve          hot-session daemon smoke: lifecycle via
 #                              `icp client`, warm-hit + byte-identity
 #                              asserts, SIGKILL restart pass

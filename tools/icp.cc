@@ -10,7 +10,7 @@
  *               [--no-placement] [--no-multihop] [--call-emulation]
  *               [--threads N] [--no-cache] [--timing]
  *               [--cache-file PATH] [--cache-max-bytes N]
- *               [--shards N] [--stream-window BYTES]
+ *               [--shards N]
  *               [--lint] [--fail-on S]
  *               [--inject DEFECT] [--repair[=N]]
  *   icp lint    <in.sbf> [rewrite options] [--json] [--timing]
@@ -68,14 +68,15 @@
  * functions owning error findings — up to N (default 2) repair
  * passes, writing the repaired image; exit 0 when the final report
  * is clean at --fail-on, 2 otherwise. `icp rewrite --shards N` runs
- * the sharded multi-process rewrite: the function space is split
- * into N contiguous ranges, each analyzed by a forked worker into a
- * shared analysis-cache shard, and the output is streamed to disk in
- * address order so peak memory is bounded by one shard plus the
- * reorder window (--stream-window, default 1 MiB) rather than the
- * whole image. Output bytes are identical for every N. Incompatible
- * with --lint/--repair/--inject (lint the output separately with
- * `icp lint`).
+ * the sharded streaming rewrite: the function space is split into N
+ * contiguous ranges, analyzed one range at a time in process through
+ * an analysis-cache file (the --cache-file, or a private temporary
+ * one), and the output is streamed to disk in address order so peak
+ * memory is bounded by one range rather than the whole image.
+ * Output bytes are identical for every N. Incompatible with
+ * --lint/--repair/--inject (lint the output separately with
+ * `icp lint`). Numeric flag values are decimal digits only; a sign,
+ * a suffix or an out-of-range value is a usage error.
  *
  * `icp serve` runs the hot-session daemon of src/serve/: resident
  * RewriteSessions keyed by binary path behind a Unix-domain socket,
@@ -92,6 +93,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -138,8 +140,7 @@ usage()
                  "[--timing] [--lint] [--fail-on S]\n"
                  "                   [--cache-file PATH] "
                  "[--cache-max-bytes N]\n"
-                 "                   [--shards N] "
-                 "[--stream-window BYTES]\n"
+                 "                   [--shards N]\n"
                  "                   [--inject DEFECT] "
                  "[--repair[=N]]\n"
                  "       icp lint <in.sbf> [rewrite options] "
@@ -218,6 +219,32 @@ loadSbf(const char *path)
 }
 
 /**
+ * A numeric flag value: decimal digits only (no sign, space or
+ * suffix) and within [min, max]. Anything else sets *bad and
+ * returns 0.
+ */
+std::uint64_t
+numberArg(const char *text, std::uint64_t min, std::uint64_t max,
+          bool *bad)
+{
+    std::uint64_t v = 0;
+    const char *p = text;
+    for (; *p >= '0' && *p <= '9'; ++p) {
+        const unsigned digit = static_cast<unsigned>(*p - '0');
+        if (v > (max - digit) / 10) {
+            *bad = true;
+            return 0;
+        }
+        v = v * 10 + digit;
+    }
+    if (p == text || *p != '\0' || v < min) {
+        *bad = true;
+        return 0;
+    }
+    return v;
+}
+
+/**
  * Parse one rewrite-option flag at argv[i], advancing i past any
  * value. Returns false when argv[i] is not a rewrite option; sets
  * *bad when the flag is recognized but malformed.
@@ -250,30 +277,16 @@ parseRewriteFlag(RewriteOptions &opts, int argc, char **argv, int &i,
     } else if (arg == "--call-emulation") {
         opts.raTranslation = false;
     } else if (arg == "--threads" && i + 1 < argc) {
-        opts.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+        opts.threads = static_cast<unsigned>(
+            numberArg(argv[++i], 0, UINT_MAX, bad));
     } else if (arg == "--no-cache") {
         opts.useAnalysisCache = false;
     } else if (arg == "--shards" && i + 1 < argc) {
-        opts.shards = static_cast<unsigned>(std::atoi(argv[++i]));
-        if (opts.shards == 0)
-            *bad = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
         opts.shards = static_cast<unsigned>(
-            std::atoi(arg.c_str() + std::strlen("--shards=")));
-        if (opts.shards == 0)
-            *bad = true;
-    } else if (arg == "--stream-window" && i + 1 < argc) {
-        opts.streamWindowBytes = static_cast<std::size_t>(
-            std::strtoull(argv[++i], nullptr, 10));
-        if (opts.streamWindowBytes == 0)
-            *bad = true;
-    } else if (arg.rfind("--stream-window=", 0) == 0) {
-        opts.streamWindowBytes = static_cast<std::size_t>(
-            std::strtoull(arg.c_str() +
-                              std::strlen("--stream-window="),
-                          nullptr, 10));
-        if (opts.streamWindowBytes == 0)
-            *bad = true;
+            numberArg(argv[++i], 1, UINT_MAX, bad));
+    } else if (arg.rfind("--shards=", 0) == 0) {
+        opts.shards = static_cast<unsigned>(numberArg(
+            arg.c_str() + std::strlen("--shards="), 1, UINT_MAX, bad));
     } else if (arg == "--cache-file" && i + 1 < argc) {
         opts.cachePath = argv[++i];
     } else if (arg.rfind("--cache-file=", 0) == 0) {
@@ -281,15 +294,11 @@ parseRewriteFlag(RewriteOptions &opts, int argc, char **argv, int &i,
         if (opts.cachePath.empty())
             *bad = true;
     } else if (arg == "--cache-max-bytes" && i + 1 < argc) {
-        opts.cacheMaxBytes = std::strtoull(argv[++i], nullptr, 10);
-        if (opts.cacheMaxBytes == 0)
-            *bad = true;
+        opts.cacheMaxBytes = numberArg(argv[++i], 1, UINT64_MAX, bad);
     } else if (arg.rfind("--cache-max-bytes=", 0) == 0) {
-        opts.cacheMaxBytes = std::strtoull(
-            arg.c_str() + std::strlen("--cache-max-bytes="), nullptr,
-            10);
-        if (opts.cacheMaxBytes == 0)
-            *bad = true;
+        opts.cacheMaxBytes = numberArg(
+            arg.c_str() + std::strlen("--cache-max-bytes="), 1,
+            UINT64_MAX, bad);
     } else if (arg == "--inject" && i + 1 < argc) {
         const auto defect = parseInjectDefect(argv[++i]);
         if (!defect)
@@ -439,7 +448,7 @@ printCacheStats(const RewriteResult &rw, const std::string &path)
                 rw.cacheLoad.droppedEntries);
 }
 
-/** `icp rewrite --shards N`: the multi-process streaming path. */
+/** `icp rewrite --shards N`: the range-bounded streaming path. */
 int
 cmdRewriteSharded(const BinaryImage &img, RewriteOptions &opts,
                   const char *out_path, bool timing)
@@ -468,18 +477,12 @@ cmdRewriteSharded(const BinaryImage &img, RewriteOptions &opts,
     for (std::size_t k = 0; k < rw.stats.shards.size(); ++k) {
         const ShardCounters &sc = rw.stats.shards[k];
         std::printf("shard %zu: [0x%llx, 0x%llx) %u functions "
-                    "(%u instrumented), %llu blocks, %llu insns, "
-                    "%u worker attempt(s)%s, worker peak RSS "
-                    "%llu KB\n",
+                    "(%u instrumented), %llu blocks, %llu insns\n",
                     k, static_cast<unsigned long long>(sc.lo),
                     static_cast<unsigned long long>(sc.hi),
                     sc.functions, sc.instrumented,
                     static_cast<unsigned long long>(sc.blocks),
-                    static_cast<unsigned long long>(sc.insns),
-                    sc.workerAttempts,
-                    sc.degraded ? ", DEGRADED" : "",
-                    static_cast<unsigned long long>(
-                        sc.workerPeakRssBytes / 1024));
+                    static_cast<unsigned long long>(sc.insns));
     }
     if (!opts.cachePath.empty())
         printCacheStats(rw, opts.cachePath);
