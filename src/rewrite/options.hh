@@ -230,12 +230,15 @@ struct RewriteOptions
      * one rewrite pipeline over a list of ranges — the classic
      * rewrite is one range — so output bytes are identical for
      * every value. With one range (shards <= 1) the CFG stays
-     * resident. With N > 1 the function space is split into N
-     * contiguous ranges; each pass rebuilds one range's CFG at a
-     * time from the analysis cache file (each range is analyzed cold
-     * once, in process), so peak memory is O(range), not O(binary).
-     * Sharded runs reject lint manifests, fault injection, session
-     * reuse/repair, and reversed layout orders.
+     * resident and the analysis cache works as in a classic run.
+     * With N > 1 the function space is split into N contiguous
+     * ranges; each of the three passes builds one range's CFG in
+     * memory and frees it, so peak memory is O(range), not
+     * O(binary). Such a run never uses the analysis cache (its
+     * in-memory copy keeps every function) and rejects a cachePath;
+     * useAnalysisCache makes no difference to it. Sharded runs also
+     * reject lint manifests, fault injection, session reuse/repair,
+     * and reversed layout orders.
      */
     unsigned shards = 0;
 };

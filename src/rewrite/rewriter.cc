@@ -1,8 +1,6 @@
 #include "rewrite/rewriter.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <filesystem>
 #include <functional>
 
 #include "analysis/cache.hh"
@@ -101,45 +99,6 @@ alignUp(Addr v, Addr align)
     return (v + align - 1) & ~(align - 1);
 }
 
-/**
- * A private directory under the system temporary directory (TMPDIR
- * honored) for a sharded run's analysis cache file; removed with
- * everything in it, lock file included, when the run ends.
- */
-class TempCacheDir
-{
-  public:
-    TempCacheDir() = default;
-    TempCacheDir(const TempCacheDir &) = delete;
-    TempCacheDir &operator=(const TempCacheDir &) = delete;
-
-    ~TempCacheDir()
-    {
-        std::error_code ec;
-        if (!dir_.empty())
-            std::filesystem::remove_all(dir_, ec);
-    }
-
-    /** Create the directory; the cache path in it, or empty. */
-    std::string
-    create()
-    {
-        std::error_code ec;
-        const std::filesystem::path tmp =
-            std::filesystem::temp_directory_path(ec);
-        if (ec)
-            return {};
-        std::string templ = (tmp / "icp-shard-XXXXXX").string();
-        if (!::mkdtemp(templ.data()))
-            return {};
-        dir_ = templ;
-        return dir_ + "/shards.icpc";
-    }
-
-  private:
-    std::string dir_;
-};
-
 /** Mutable working copy of the output image under construction. */
 class Rewriter
 {
@@ -163,7 +122,6 @@ class Rewriter
         Addr newTarget = 0;
     };
 
-    std::string rejection(bool sharded) const;
     std::vector<const Function *>
     emissionOrder(const CfgModule &cfg) const;
     std::set<Addr> cflBlocks(const Function &func) const;
@@ -175,7 +133,8 @@ class Rewriter
     void fillManifest(const Engine &engine);
     void injectByteDefect();
     void trampolineBegin();
-    void installTrampolines(const CfgModule &cfg, const Engine &engine);
+    void installTrampolines(const CfgModule &cfg, const Engine &engine,
+                            bool use_cache);
     void trampolineFunc(const Function &func,
                         const std::set<Addr> &cfl,
                         const LivenessResult *live,
@@ -445,11 +404,12 @@ Rewriter::trampolineBegin()
  * inputs — CFL block sets and, on the fixed ISAs, liveness — are
  * independent across functions: they are precomputed in parallel,
  * with liveness memoized in the analysis cache under the function's
- * CFG key, so the serial install only does the order-sensitive pool
- * work.
+ * CFG key when @p use_cache, so the serial install only does the
+ * order-sensitive pool work.
  */
 void
-Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine)
+Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine,
+                             bool use_cache)
 {
     struct FuncPre
     {
@@ -471,8 +431,7 @@ Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine)
                 pre[i].cfl = cflBlocks(func);
                 if (!arch_.fixedLength)
                     return;
-                const bool cached =
-                    opts_.useAnalysisCache && func.cacheKey != 0;
+                const bool cached = use_cache && func.cacheKey != 0;
                 if (cached) {
                     if (auto hit =
                             AnalysisCache::global().findLiveness(
@@ -1141,21 +1100,25 @@ Rewriter::injectByteDefect()
 
 /** Why this configuration cannot run, or empty. */
 std::string
-Rewriter::rejection(bool sharded) const
+rejection(const RewriteOptions &opts, const RewritePass &pass,
+          bool sharded)
 {
-    if (opts_.reachabilityPruning && opts_.clobberOriginal) {
+    if (opts.reachabilityPruning && opts.clobberOriginal) {
         return "reachability pruning lets original code execute; it "
                "cannot be combined with clobbering";
     }
     if (!sharded)
         return {};
-    if (opts_.functionOrder != OrderPolicy::original ||
-        opts_.blockOrder != OrderPolicy::original)
+    if (opts.functionOrder != OrderPolicy::original ||
+        opts.blockOrder != OrderPolicy::original)
         return "sharded rewriting requires original layout order";
-    if (opts_.injectDefect != InjectDefect::none)
+    if (opts.injectDefect != InjectDefect::none)
         return "sharded rewriting does not support fault injection";
-    if (pass_.cfg || pass_.previous)
+    if (pass.cfg || pass.previous)
         return "sharded rewriting does not take a session pass";
+    if (opts.shards > 1 && !opts.cachePath.empty())
+        return "sharded rewriting with more than one range analyzes "
+               "in memory and takes no cache file";
     return {};
 }
 
@@ -1166,52 +1129,26 @@ Rewriter::rejection(bool sharded) const
  * built once (or borrowed from the session) and stays resident, and
  * layout keeps every function's assembler stream, so each function
  * is emitted once. With several ranges every pass rebuilds one
- * range's CFG at a time through the analysis cache file, so peak
- * memory is O(largest range); the emit pass re-emits each function
- * at its recorded base. The output is appended to .instr of
- * result.image, or streamed to @p sink in section/address order;
- * the bytes are the same either way.
+ * range's CFG in memory and frees it, so peak memory is O(largest
+ * range); the emit pass re-emits each function at its recorded base.
+ * Such a run never touches the analysis cache: the in-memory cache
+ * keeps every stored Function, which would make memory O(binary)
+ * again. The output is appended to .instr of result.image, or
+ * streamed to @p sink in section/address order; the bytes are the
+ * same either way.
  */
 RewriteResult
 Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
 {
-    result_.failReason = rejection(sink != nullptr);
-    if (!result_.failReason.empty())
-        return result_;
     const bool resident = ranges.size() == 1;
-
-    // Several ranges: the analysis cache file carries each range's
-    // analysis from the first pass to the later ones; without a
-    // configured file, a private temporary one serves for this run.
-    // The in-memory cache is dropped up front so the per-range bound
-    // holds from the first range.
+    const bool use_cache = opts_.useAnalysisCache && resident;
     if (sink)
         result_.stats.shards.resize(ranges.size());
-    std::string cache_path = opts_.cachePath;
-    TempCacheDir temp_dir;
-    if (!resident && opts_.useAnalysisCache) {
-        AnalysisCache::global().clear();
-        if (cache_path.empty())
-            cache_path = temp_dir.create();
-        if (cache_path.empty()) {
-            result_.failReason =
-                "cannot create a temporary cache directory";
-            return result_;
-        }
-    }
 
-    // Saving before the clear persists the entries the previous
-    // range computed on a miss, so each range is analyzed cold once,
-    // in the first pass, and replayed from the file afterwards.
     const auto buildRange = [&](const ShardRange &r) {
-        if (!resident && opts_.useAnalysisCache) {
-            AnalysisCache::global().save(cache_path);
-            AnalysisCache::global().clear();
-            AnalysisCache::global().load(cache_path, input_.arch);
-        }
         AnalysisOptions analysis = opts_.analysis;
         analysis.threads = opts_.threads;
-        analysis.useCache = opts_.useAnalysisCache;
+        analysis.useCache = use_cache;
         analysis.rangeLo = r.lo;
         analysis.rangeHi = r.hi;
         return buildCfg(input_, analysis);
@@ -1320,7 +1257,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             if (!reuse.valid() || !engine.layoutReused(order, reuse))
                 engine.layout(order, resident);
         }
-        installTrampolines(cfg, engine);
+        installTrampolines(cfg, engine, use_cache);
     });
     {
         StageTimer timer(Stage::trampoline);
@@ -1457,15 +1394,19 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
  * One rewrite with the on-disk cache around it: merge the file
  * before analysis runs, write it back after a successful rewrite.
  * Both directions are best-effort — a corrupt or unwritable file can
- * only cost analysis reuse, never correctness. (A sharded run
- * re-merges the file itself, range by range; the load here still
- * produces the user-facing report.)
+ * only cost analysis reuse, never correctness. A rejected
+ * configuration fails before the file is touched.
  */
 RewriteResult
 rewriteWithCache(const BinaryImage &input, const RewriteOptions &options,
                  const RewritePass &pass,
                  const std::vector<ShardRange> &ranges, SbfSink *sink)
 {
+    RewriteResult rejected;
+    rejected.failReason = rejection(options, pass, sink != nullptr);
+    if (!rejected.failReason.empty())
+        return rejected;
+
     const bool persist =
         !options.cachePath.empty() && options.useAnalysisCache;
     CacheLoadReport cache_load;

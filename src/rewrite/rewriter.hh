@@ -70,12 +70,11 @@ std::vector<ShardRange> planShards(const BinaryImage &image,
  * Sharded, streaming rewrite (RewriteOptions::shards): the same
  * pipeline as rewriteBinary over planShards(shards) address ranges
  * instead of one. With several ranges the rewriter holds one
- * range's CFG at a time, rebuilding it in each pass from an
- * analysis cache file (the configured one, or a private temporary
- * file) that the first pass fills, and the rewritten image is
- * appended to @p sink in section/address order instead of being
- * materialized, so peak memory is O(largest range) rather than
- * O(binary). The byte stream written to @p sink is identical to
+ * range's CFG at a time, analyzing it in memory in each pass without
+ * the analysis cache (options.cachePath must be empty), and the
+ * rewritten image is appended to @p sink in section/address order
+ * instead of being materialized, so peak memory is O(largest range)
+ * rather than O(binary). The byte stream written to @p sink is identical to
  * rewriteBinary(...).image.serialize() for the same input and
  * options. result.image is left empty; stats, counter maps and
  * per-shard counters are filled. Never throws; check result.ok.

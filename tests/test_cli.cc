@@ -52,6 +52,15 @@ capture(const std::string &args)
     return out;
 }
 
+/** True when the tool rejects @p args with its usage text, exit 1. */
+bool
+usageRejected(const std::string &args)
+{
+    const std::string out = capture(args + " 2>&1; echo exit=$?");
+    return out.find("usage:") != std::string::npos &&
+           out.find("exit=1\n") != std::string::npos;
+}
+
 } // namespace
 
 TEST(Cli, CompileRewriteRunRoundTrip)
@@ -140,13 +149,55 @@ TEST(Cli, NumericRewriteFlagsAreStrict)
           "--threads -1", "--threads 2x", "--threads ''",
           "--cache-max-bytes -1", "--cache-max-bytes 1k",
           "--cache-max-bytes=0",
-          "--cache-max-bytes 18446744073709551616"}) {
+          "--cache-max-bytes 18446744073709551616", "--repair=2x",
+          "--repair=0", "--repair=", "--repair=-1"}) {
         EXPECT_EQ(exitCode(rewrite + flag), 1) << flag;
     }
     for (const char *flag :
          {"--shards 2", "--shards=4294967295", "--threads 0",
-          "--cache-max-bytes=18446744073709551615"}) {
+          "--cache-max-bytes=18446744073709551615", "--repair=1"}) {
         EXPECT_EQ(exitCode(rewrite + flag), 0) << flag;
+    }
+}
+
+TEST(Cli, NumericCommandFlagsAreStrict)
+{
+    // The other commands parse their numbers the same way. Zero
+    // keeps its meaning where it has one: no eviction cap, no
+    // timeout, hardware threads, the default GC period.
+    ASSERT_EQ(run("compile micro /tmp/icp_cli_numc.sbf"), 0);
+    std::remove("/tmp/icp_cli_numc.icpc");
+    ASSERT_EQ(run("rewrite /tmp/icp_cli_numc.sbf "
+                  "/tmp/icp_cli_numc_out.sbf "
+                  "--cache-file /tmp/icp_cli_numc.icpc"),
+              0);
+    const std::string compact = "cache compact /tmp/icp_cli_numc.icpc ";
+    const std::string gc = "run /tmp/icp_cli_numc.sbf --gc ";
+    // A socket in a missing directory: valid flags get as far as a
+    // failed bind (exit 1 without usage), so nothing starts.
+    const std::string serve = "serve /tmp/icp-cli-numc-none/s.sock ";
+    const std::string client =
+        "client /tmp/icp-cli-numc-none.sock ping ";
+    for (const std::string &args :
+         {compact + "--max-bytes 8k", compact + "--max-bytes=-1",
+          compact + "--max-bytes=", gc + "-1", gc + "1x",
+          serve + "--max-pending -1", serve + "--max-sessions 1x",
+          serve + "--max-pending 0", serve + "--max-sessions 0",
+          serve + "--session-max-bytes 0",
+          serve + "--session-max-bytes 1G", serve + "--timeout-ms -1",
+          serve + "--timeout-ms 2147483648", serve + "--threads +1",
+          client + "--timeout-ms 5s", client + "--timeout-ms -1"}) {
+        EXPECT_TRUE(usageRejected(args)) << args;
+    }
+    EXPECT_EQ(exitCode(compact + "--max-bytes 0"), 0);
+    EXPECT_EQ(exitCode(gc + "0"), 0);
+    EXPECT_EQ(exitCode(gc + "18446744073709551615"), 0);
+    for (const std::string &args :
+         {serve + "--timeout-ms 0 --max-pending 1 --max-sessions 1 "
+                  "--session-max-bytes 1 --threads 0",
+          client + "--timeout-ms 0"}) {
+        EXPECT_EQ(exitCode(args), 1) << args;
+        EXPECT_FALSE(usageRejected(args)) << args;
     }
 }
 

@@ -2,23 +2,20 @@
  * @file
  * Sharded-rewrite tests: shard planning properties, byte identity of
  * the range-bounded streaming path against the classic materializing
- * rewrite across ISAs and modes, a torn cache-file tail that the run
- * repairs, the private temporary cache, and rejection of
- * incompatible option combos.
+ * rewrite across ISAs and modes, range mode leaving the analysis
+ * cache untouched, and rejection of incompatible option combos.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "analysis/cache.hh"
-#include "analysis/cache_store.hh"
 #include "binfmt/stream_writer.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
@@ -29,10 +26,7 @@ using namespace icp;
 namespace
 {
 
-/**
- * Baseline options for sharded-vs-classic comparisons: one thread,
- * no cache file unless a test opts in.
- */
+/** Baseline options for sharded-vs-classic comparisons. */
 RewriteOptions
 shardOptions(RewriteMode mode, unsigned shards)
 {
@@ -48,7 +42,6 @@ std::vector<std::uint8_t>
 classicBytes(const BinaryImage &img, RewriteOptions opts)
 {
     opts.shards = 0;
-    opts.cachePath.clear(); // never warm the sharded run's file
     AnalysisCache::global().clear();
     const RewriteResult rw = rewriteBinary(img, opts);
     EXPECT_TRUE(rw.ok) << rw.failReason;
@@ -69,20 +62,6 @@ shardedBytes(const BinaryImage &img, const RewriteOptions &opts,
     if (result_out)
         *result_out = std::move(rw);
     return bytes;
-}
-
-std::string
-tempCachePath(const char *tag)
-{
-    return "/tmp/icp-test-shard-" + std::string(tag) + "." +
-           std::to_string(getpid()) + ".sbfc";
-}
-
-void
-removeCache(const std::string &path)
-{
-    std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
 }
 
 } // namespace
@@ -209,72 +188,31 @@ TEST(ShardRewrite, CountersIdenticalWithInstrumentation)
     EXPECT_EQ(sharded.entryCounters, classic.entryCounters);
 }
 
-TEST(ShardRewrite, TornCacheTailIsRepairedAndOutputIdentical)
+TEST(ShardRewrite, RangeModeLeavesAnalysisCacheUntouched)
 {
-    // A cache file holding one complete segment, followed by what an
-    // appender killed mid-save leaves behind: a plausible segment
-    // header cut off mid-payload.
-    const std::string cache = tempCachePath("torn");
-    removeCache(cache);
-    {
-        RewriteOptions prime;
-        prime.cachePath = cache;
-        AnalysisCache::global().clear();
-        ASSERT_TRUE(rewriteBinary(
-                        compileProgram(microProfile(Arch::x64, true)),
-                        prime)
-                        .ok);
-    }
-    const std::uint8_t torn[] = {'I', 'C', 'P', 'S', 0xff, 0x13,
-                                 0x37, 0x00, 0xde, 0xad};
-    {
-        std::FILE *f = std::fopen(cache.c_str(), "ab");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(torn, 1, sizeof(torn), f), sizeof(torn));
-        std::fclose(f);
-    }
+    // Several ranges analyze in memory: the run neither clears,
+    // consults nor fills the process-wide analysis cache, which a
+    // classic rewrite has just populated.
     const BinaryImage img =
         compileProgram(chromiumSmallProfile(Arch::x64, true));
-    RewriteOptions opts = shardOptions(RewriteMode::jt, 3);
-    opts.cachePath = cache;
-    EXPECT_EQ(shardedBytes(img, opts), classicBytes(img, opts));
+    const RewriteOptions opts = shardOptions(RewriteMode::jt, 3);
+    const auto classic = classicBytes(img, opts);
+    AnalysisCache &cache = AnalysisCache::global();
+    const AnalysisCache::Stats before = cache.stats();
+    const std::size_t entries = cache.entryCount();
+    ASSERT_GT(entries, 0u);
 
-    // The run's saves dropped the torn tail: a fresh load sees only
-    // complete segments.
-    AnalysisCache::global().clear();
-    const CacheLoadReport report =
-        AnalysisCache::global().load(cache, img.arch);
-    EXPECT_TRUE(report.clean());
-    EXPECT_EQ(report.droppedEntries, 0u);
-    EXPECT_GT(report.loadedEntries(), 0u);
-    removeCache(cache);
-}
-
-TEST(ShardWorkers, PrivateTempCacheUnderTmpdirIsRemoved)
-{
-    // Without --cache-file the range cache lives in a private
-    // mkdtemp directory under TMPDIR, removed with its lock file when
-    // the run ends.
-    const std::string dir =
-        "/tmp/icp-test-shard-tmpdir." + std::to_string(getpid());
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    const char *old = std::getenv("TMPDIR");
-    const std::string saved = old ? old : "";
-    setenv("TMPDIR", dir.c_str(), 1);
-
-    const BinaryImage img =
-        compileProgram(chromiumSmallProfile(Arch::x64, false));
-    const RewriteOptions opts = shardOptions(RewriteMode::jt, 2);
-    const auto bytes = shardedBytes(img, opts);
-
-    if (old)
-        setenv("TMPDIR", saved.c_str(), 1);
-    else
-        unsetenv("TMPDIR");
-    EXPECT_EQ(bytes, classicBytes(img, opts));
-    EXPECT_TRUE(std::filesystem::is_empty(dir));
-    std::filesystem::remove_all(dir);
+    std::vector<std::uint8_t> bytes;
+    VectorSink sink(bytes);
+    const RewriteResult rw = rewriteBinarySharded(img, opts, sink);
+    ASSERT_TRUE(rw.ok) << rw.failReason;
+    EXPECT_EQ(bytes, classic);
+    const AnalysisCache::Stats after = cache.stats();
+    EXPECT_EQ(after.functionHits, before.functionHits);
+    EXPECT_EQ(after.functionMisses, before.functionMisses);
+    EXPECT_EQ(after.livenessHits, before.livenessHits);
+    EXPECT_EQ(after.livenessMisses, before.livenessMisses);
+    EXPECT_EQ(cache.entryCount(), entries);
 }
 
 TEST(ShardRewrite, RejectsIncompatibleOptions)
@@ -310,5 +248,22 @@ TEST(ShardRewrite, RejectsIncompatibleOptions)
             rewriteBinarySharded(img, opts, sink);
         EXPECT_FALSE(rw.ok);
         EXPECT_FALSE(rw.failReason.empty());
+    }
+    {
+        // More than one range takes no cache file; the rejection
+        // comes before the file is loaded or created.
+        const std::string cache = "/tmp/icp-test-shard-reject." +
+                                  std::to_string(getpid()) + ".icpc";
+        std::remove(cache.c_str());
+        RewriteOptions opts = shardOptions(RewriteMode::jt, 2);
+        opts.cachePath = cache;
+        VectorSink sink(bytes);
+        const RewriteResult rw =
+            rewriteBinarySharded(img, opts, sink);
+        EXPECT_FALSE(rw.ok);
+        EXPECT_FALSE(rw.failReason.empty());
+        struct stat st;
+        EXPECT_NE(stat(cache.c_str(), &st), 0);
+        EXPECT_NE(stat((cache + ".lock").c_str(), &st), 0);
     }
 }

@@ -15,7 +15,8 @@
 #                              analysis reuse via rebase-on-hit,
 #                              byte-identical to its cold rewrite
 #   tools/ci.sh sharded        range-bounded --shards rewrite smoke:
-#                              byte identity, lint, cache, timing, RSS
+#                              byte identity, lint, cache-file
+#                              rejection, timing, RSS
 #   tools/ci.sh serve          hot-session daemon smoke: lifecycle via
 #                              `icp client`, warm-hit + byte-identity
 #                              asserts, SIGKILL restart pass

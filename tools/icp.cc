@@ -10,7 +10,7 @@
  *               [--no-placement] [--no-multihop] [--call-emulation]
  *               [--threads N] [--no-cache] [--timing]
  *               [--cache-file PATH] [--cache-max-bytes N]
- *               [--shards N]
+ *               [--shards N]   (N > 1: no --cache-file)
  *               [--lint] [--fail-on S]
  *               [--inject DEFECT] [--repair[=N]]
  *   icp lint    <in.sbf> [rewrite options] [--json] [--timing]
@@ -69,14 +69,15 @@
  * passes, writing the repaired image; exit 0 when the final report
  * is clean at --fail-on, 2 otherwise. `icp rewrite --shards N` runs
  * the sharded streaming rewrite: the function space is split into N
- * contiguous ranges, analyzed one range at a time in process through
- * an analysis-cache file (the --cache-file, or a private temporary
- * one), and the output is streamed to disk in address order so peak
+ * contiguous ranges, each analyzed in memory one range at a time,
+ * and the output is streamed to disk in address order so peak
  * memory is bounded by one range rather than the whole image.
- * Output bytes are identical for every N. Incompatible with
- * --lint/--repair/--inject (lint the output separately with
- * `icp lint`). Numeric flag values are decimal digits only; a sign,
- * a suffix or an out-of-range value is a usage error.
+ * Output bytes are identical for every N. With N > 1 the run uses no
+ * analysis cache, so --cache-file is rejected and --no-cache changes
+ * nothing. Incompatible with --lint/--repair/--inject (lint the
+ * output separately with `icp lint`). Numeric flag values, on every
+ * command, are decimal digits only; a sign, a suffix or an
+ * out-of-range value is a usage error.
  *
  * `icp serve` runs the hot-session daemon of src/serve/: resident
  * RewriteSessions keyed by binary path behind a Unix-domain socket,
@@ -140,7 +141,8 @@ usage()
                  "[--timing] [--lint] [--fail-on S]\n"
                  "                   [--cache-file PATH] "
                  "[--cache-max-bytes N]\n"
-                 "                   [--shards N]\n"
+                 "                   [--shards N] "
+                 "(N > 1 analyzes in memory: no --cache-file)\n"
                  "                   [--inject DEFECT] "
                  "[--repair[=N]]\n"
                  "       icp lint <in.sbf> [rewrite options] "
@@ -484,8 +486,6 @@ cmdRewriteSharded(const BinaryImage &img, RewriteOptions &opts,
                     static_cast<unsigned long long>(sc.blocks),
                     static_cast<unsigned long long>(sc.insns));
     }
-    if (!opts.cachePath.empty())
-        printCacheStats(rw, opts.cachePath);
     if (timing)
         std::printf("%s", StageTimers::global().table().c_str());
     return 0;
@@ -522,10 +522,12 @@ cmdRewrite(int argc, char **argv)
                    arg.rfind("--repair=", 0) == 0) {
             repair = true;
             lint = true;
-            if (arg.size() > std::strlen("--repair=")) {
-                repair_iters = static_cast<unsigned>(
-                    std::atoi(arg.c_str() + std::strlen("--repair=")));
-                if (repair_iters == 0)
+            if (arg != "--repair") {
+                bool bad = false;
+                repair_iters = static_cast<unsigned>(numberArg(
+                    arg.c_str() + std::strlen("--repair="), 1,
+                    UINT_MAX, &bad));
+                if (bad)
                     return usage();
             }
         } else if (arg == "--fail-on" && i + 1 < argc) {
@@ -788,10 +790,12 @@ cmdRun(int argc, char **argv)
 
     Machine::Config cfg;
     for (int i = 1; i < argc; ++i) {
+        bool bad = false;
         if (std::strcmp(argv[i], "--gc") == 0 && i + 1 < argc)
-            cfg.goGcEveryCalls =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            cfg.goGcEveryCalls = numberArg(argv[++i], 0, UINT64_MAX, &bad);
         else
+            return usage();
+        if (bad)
             return usage();
     }
     if (cfg.goGcEveryCalls == 0 && img.features.isGo)
@@ -1276,13 +1280,16 @@ cmdCache(int argc, char **argv)
         std::uint64_t max_bytes = 0;
         for (int i = 2; i < argc; ++i) {
             const std::string arg = argv[i];
+            bool bad = false;
             if (arg == "--max-bytes" && i + 1 < argc)
-                max_bytes = std::strtoull(argv[++i], nullptr, 10);
+                max_bytes = numberArg(argv[++i], 0, UINT64_MAX, &bad);
             else if (arg.rfind("--max-bytes=", 0) == 0)
-                max_bytes = std::strtoull(
-                    arg.c_str() + std::strlen("--max-bytes="),
-                    nullptr, 10);
+                max_bytes = numberArg(
+                    arg.c_str() + std::strlen("--max-bytes="), 0,
+                    UINT64_MAX, &bad);
             else
+                return usage();
+            if (bad)
                 return usage();
         }
         CacheCompactionResult result;
@@ -1337,31 +1344,29 @@ cmdServe(int argc, char **argv)
     bool timing = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool bad = false;
         if (arg == "--session-max-bytes" && i + 1 < argc) {
             sopts.sessionMaxBytes =
-                std::strtoull(argv[++i], nullptr, 10);
-            if (sopts.sessionMaxBytes == 0)
-                return usage();
+                numberArg(argv[++i], 1, UINT64_MAX, &bad);
         } else if (arg == "--max-sessions" && i + 1 < argc) {
-            sopts.maxSessions =
-                static_cast<unsigned>(std::atoi(argv[++i]));
-            if (sopts.maxSessions == 0)
-                return usage();
+            sopts.maxSessions = static_cast<unsigned>(
+                numberArg(argv[++i], 1, UINT_MAX, &bad));
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            sopts.requestTimeoutMs = std::atoi(argv[++i]);
+            sopts.requestTimeoutMs = static_cast<int>(
+                numberArg(argv[++i], 0, INT_MAX, &bad));
         } else if (arg == "--max-pending" && i + 1 < argc) {
-            sopts.maxPending =
-                static_cast<unsigned>(std::atoi(argv[++i]));
-            if (sopts.maxPending == 0)
-                return usage();
+            sopts.maxPending = static_cast<unsigned>(
+                numberArg(argv[++i], 1, UINT_MAX, &bad));
         } else if (arg == "--threads" && i + 1 < argc) {
-            sopts.threads =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            sopts.threads = static_cast<unsigned>(
+                numberArg(argv[++i], 0, UINT_MAX, &bad));
         } else if (arg == "--timing") {
             timing = true;
         } else {
             return usage();
         }
+        if (bad)
+            return usage();
     }
 
     StageTimers::global().reset();
@@ -1463,7 +1468,11 @@ cmdClient(int argc, char **argv)
         } else if (arg == "--iterations" && i + 1 < argc) {
             request.set("iterations", argv[++i]);
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            timeout_ms = std::atoi(argv[++i]);
+            bool bad = false;
+            timeout_ms = static_cast<int>(
+                numberArg(argv[++i], 0, INT_MAX, &bad));
+            if (bad)
+                return usage();
         } else {
             return usage();
         }
