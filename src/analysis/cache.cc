@@ -218,8 +218,8 @@ AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
     entry_rec.value =
         std::make_shared<const Function>(std::move(func));
     std::lock_guard<std::mutex> lock(mu_);
-    pendingFunctions_.erase(key);
     functions_[key] = std::move(entry_rec);
+    dirty_[functionSlot].insert(key);
 }
 
 void
@@ -232,8 +232,8 @@ AnalysisCache::storeLiveness(std::uint64_t key, Arch arch,
     entry_rec.value =
         std::make_shared<const LivenessResult>(std::move(live));
     std::lock_guard<std::mutex> lock(mu_);
-    pendingLiveness_.erase(key);
     liveness_[key] = std::move(entry_rec);
+    dirty_[livenessSlot].insert(key);
 }
 
 void
@@ -245,8 +245,8 @@ AnalysisCache::storeDataDeps(std::uint64_t key, Arch arch,
     entry_rec.origEntry = entry;
     entry_rec.value = std::make_shared<const DataDeps>(std::move(deps));
     std::lock_guard<std::mutex> lock(mu_);
-    pendingDataDeps_.erase(key);
     dataDeps_[key] = std::move(entry_rec);
+    dirty_[dataDepsSlot].insert(key);
 }
 
 AnalysisCache::Stats
@@ -256,14 +256,7 @@ AnalysisCache::stats() const
     return stats_;
 }
 
-std::size_t
-AnalysisCache::entryCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return functions_.size() + liveness_.size() + dataDeps_.size() +
-           pendingFunctions_.size() + pendingLiveness_.size() +
-           pendingDataDeps_.size();
-}
+// entryCount() lives in cache_store.cc: it walks the index slices.
 
 void
 AnalysisCache::clear()
@@ -272,9 +265,10 @@ AnalysisCache::clear()
     functions_.clear();
     liveness_.clear();
     dataDeps_.clear();
-    pendingFunctions_.clear();
-    pendingLiveness_.clear();
-    pendingDataDeps_.clear();
+    slices_.clear();
+    loaded_.clear();
+    for (std::set<std::uint64_t> &dirty : dirty_)
+        dirty.clear();
     stats_ = Stats{};
 }
 

@@ -10,7 +10,7 @@
  * different addresses (or `icp serve` sessions for different
  * binaries in one process) share a single cache entry.
  *
- * The v4 contract that makes an address-free key sound:
+ * The contract that makes an address-free key sound (file v4 on):
  *  - Entries are position-independent. Every absolute address in a
  *    stored result (block bounds, branch targets, jump-table
  *    anchors, liveness keys, read-set ranges) is kept relative to
@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -74,11 +75,20 @@ class MappedCacheFile
     const std::uint8_t *data() const { return data_; }
     std::size_t size() const { return size_; }
 
+    /** Same file (device and inode) as @p other was mapped from. */
+    bool
+    sameFile(const MappedCacheFile &other) const
+    {
+        return device_ == other.device_ && inode_ == other.inode_;
+    }
+
   private:
     MappedCacheFile() = default;
 
     const std::uint8_t *data_ = nullptr;
     std::size_t size_ = 0;
+    std::uint64_t device_ = 0;
+    std::uint64_t inode_ = 0;
     void *map_ = nullptr;              ///< munmap target (or null)
     std::vector<std::uint8_t> buffer_; ///< read() fallback storage
 };
@@ -160,11 +170,12 @@ class AnalysisCache
     static AnalysisCache &global();
 
     /**
-     * nullptr on miss. Counts a hit/miss either way. An entry
-     * indexed lazily from a mapped cache file is checksum-verified
-     * and deserialized on its first lookup here (and only then) — a
-     * corrupt or malformed payload degrades to a miss and the
-     * function simply re-analyzes.
+     * nullptr on miss. Counts a hit/miss either way. Decoded entries
+     * win; otherwise the mapped cache files' index slices are
+     * binary-searched newest segment first, and the newest record's
+     * payload is checksum-verified and deserialized here (and only
+     * then) — a corrupt, out-of-bounds or malformed record degrades
+     * to a miss and the function simply re-analyzes.
      *
      * Entries are canonical at the entry they were analyzed at. When
      * @p entry differs (a cross-binary hit) the result is rebased to
@@ -197,42 +208,47 @@ class AnalysisCache
 
     Stats stats() const;
 
-    /** Decoded plus lazily-indexed entries. */
+    /**
+     * Distinct (kind, key) pairs among decoded entries and the
+     * in-bounds records of the mapped slices. Walks every slice.
+     */
     std::size_t entryCount() const;
     void clear();
 
     // --- on-disk persistence (implemented in cache_store.cc) -----------
 
     /**
-     * Persist the cache to @p path in the v4 format of
+     * Persist the cache to @p path in the format of
      * analysis/cache_store.hh. Delta save: under the advisory
-     * `<path>.lock` flock, the file's existing key set is re-scanned
-     * (merging segments appended by concurrent writers) and only
-     * entries the file lacks are appended as one new segment — when
-     * nothing is missing the file is not touched at all. A v1,
-     * torn-tailed, or unreadable target falls back to a full atomic
-     * rewrite (tmp + rename). When @p max_bytes is non-zero and the
-     * file ends up larger, it is compacted in place under the same
-     * lock (newest-generation entries survive). Returns false when
-     * the file cannot be written.
+     * `<path>.lock` flock, each candidate is binary-searched in the
+     * file's current segment indexes (including segments concurrent
+     * writers appended) and only entries the file lacks are appended
+     * as one new sorted segment — when nothing is missing the file is
+     * not touched at all. The candidates are the entries stored since
+     * load when @p path is the file that was loaded, and every
+     * decoded and mapped entry otherwise. A torn, other-version, or
+     * unreadable target falls back to a full atomic rewrite (tmp +
+     * rename). When @p max_bytes is non-zero and the file ends up
+     * larger, it is compacted in place under the same lock
+     * (newest-generation entries survive). Returns false when the
+     * file cannot be written.
      */
     bool save(const std::string &path,
               std::uint64_t max_bytes = 0) const;
 
     /**
-     * Merge entries from @p path. The file is mapped, file/segment/
-     * entry headers are verified, and surviving entries are indexed
-     * for lazy deserialization — no payload byte is read here
-     * (checksum verification and decode happen on first lookup; a
-     * corrupt payload degrades to a miss there). Tolerant by
-     * construction: a missing file, a bad magic or future version,
-     * truncated or torn segments load as empty-or-partial, each
-     * recorded as a structured cache-* issue on the report — never a
-     * crash. When @p expect_arch is set, entries tagged with any
-     * other ISA are dropped (their keys could never be looked up, but
-     * dropping keeps the merge bounded and reports the mismatch).
-     * Existing in-memory entries win over file entries with the same
-     * key.
+     * Add @p path's entries to the lookup chain. The file is mapped,
+     * its file and segment headers are verified, and each segment's
+     * index slice for @p expect_arch (every known ISA when unset) is
+     * found by binary search — O(segments), no payload or foreign
+     * record is read and nothing is allocated per entry (checksum
+     * verification and decode happen on first lookup; a corrupt
+     * payload degrades to a miss there). Tolerant by construction: a
+     * missing file, a bad magic or future version, truncated or torn
+     * segments load as empty-or-partial, each recorded as a
+     * structured cache-* issue on the report — never a crash.
+     * Decoded in-memory entries win at lookup over file entries with
+     * the same key, and a later load's slices over an earlier one's.
      */
     CacheLoadReport load(const std::string &path,
                          std::optional<Arch> expect_arch = {});
@@ -256,31 +272,67 @@ class AnalysisCache
         std::shared_ptr<const T> value;
     };
 
+    /** Entry kinds, in the order IndexSlice::ranges keeps them. */
+    enum Slot : unsigned
+    {
+        functionSlot,
+        livenessSlot,
+        dataDepsSlot,
+        numSlots
+    };
+
     /**
-     * One not-yet-decoded entry pointing into a mapped cache file.
-     * Checksum verification and decode both happen on first lookup
-     * (keeping load() free of any per-byte work). The shared mapping
-     * keeps the bytes alive.
+     * One segment's index records for one ISA in a mapped cache
+     * file: per kind, the [begin, end) record positions of the
+     * sorted index, plus the payload area the records point into.
+     * The shared mapping keeps the bytes alive.
      */
-    struct PendingEntry
+    struct IndexSlice
+    {
+        std::shared_ptr<MappedCacheFile> file;
+        Arch arch = Arch::x64;
+        const std::uint8_t *records = nullptr;
+        std::uint32_t ranges[numSlots][2] = {};
+        const std::uint8_t *payloads = nullptr;
+        std::uint64_t payloadBytes = 0; ///< present in the file
+    };
+
+    /** A record found in the slices (payload not yet verified). */
+    struct IndexedPayload
     {
         Arch arch = Arch::x64;
+        std::uint8_t kind = 0;
+        std::uint64_t key = 0;
         const std::uint8_t *payload = nullptr;
         std::uint32_t payloadLen = 0;
         std::uint64_t payloadHash = 0;
         std::shared_ptr<MappedCacheFile> file;
+
+        /** The payload hash matches the record (first-use check). */
+        bool intact() const;
     };
+
+    /**
+     * Newest in-bounds record of @p key in @p slot, searching the
+     * slices newest first. Caller holds mu_.
+     */
+    bool findIndexed(Slot slot, std::uint64_t key,
+                     IndexedPayload &out) const;
 
     mutable std::mutex mu_;
     std::unordered_map<std::uint64_t, Entry<Function>> functions_;
     std::unordered_map<std::uint64_t, Entry<LivenessResult>>
         liveness_;
     std::unordered_map<std::uint64_t, Entry<DataDeps>> dataDeps_;
-    std::unordered_map<std::uint64_t, PendingEntry>
-        pendingFunctions_;
-    std::unordered_map<std::uint64_t, PendingEntry> pendingLiveness_;
-    std::unordered_map<std::uint64_t, PendingEntry>
-        pendingDataDeps_;
+
+    /** Slices of every loaded file, oldest segment first. */
+    std::vector<IndexSlice> slices_;
+
+    /** Every file load() mapped (save's same-file test). */
+    std::vector<std::shared_ptr<MappedCacheFile>> loaded_;
+
+    /** Keys store*() wrote, per slot: save's candidates. */
+    std::set<std::uint64_t> dirty_[numSlots];
     Stats stats_;
 };
 

@@ -1,22 +1,25 @@
 /**
  * @file
- * AnalysisCache::save()/load() and the `icp cache` helpers: the v4
- * segmented cache-file format documented in cache_store.hh
- * (position-independent entries, content-addressed keys). A file of
- * any other version loads as empty and the next save overwrites it.
+ * AnalysisCache::save()/load() and the `icp cache` helpers: the v5
+ * segmented cache-file format documented in cache_store.hh (sorted
+ * per-segment indexes, position-independent entries, content-
+ * addressed keys). A file of any other version loads as empty and
+ * the next save overwrites it.
  *
  * Layered like the SBF container code: a bounds-latched ByteReader
- * and kind-specific payload encoders/decoders at the bottom; a
- * header-walking scanner shared by every consumer (load, save's
- * merge step, inspect, verify, compact) in the middle; and the
- * public operations on top. Every decode path validates enum ranges
- * so a corrupt payload can only ever drop its own entry, never read
- * out of bounds or poison the cache.
+ * and kind-specific payload encoders/decoders at the bottom; the
+ * segment index (record reader, binary search) and a header-walking
+ * scanner shared by every consumer (load, save's merge step,
+ * inspect, verify, compact) in the middle; and the public operations
+ * on top. Every decode path validates enum ranges and every record
+ * is bounds-checked against its segment, so a corrupt file can only
+ * ever drop its own entries, never read out of bounds or poison the
+ * cache.
  *
  * Concurrency: writers (save, compact) serialize on an advisory
  * flock over `<path>.lock`. Readers never lock — the format is
  * append-only, so a reader sees a valid prefix plus at most one
- * torn tail, which the scanner salvages entry-by-entry. Full
+ * torn tail, whose in-bounds records the scanner salvages. Full
  * rewrites (version change, torn-tail repair, compaction) write a
  * temp file and rename it into place, which keeps existing mmaps
  * valid on the old inode.
@@ -26,10 +29,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <set>
-#include <unordered_set>
+#include <tuple>
 #include <utility>
 
 #include <fcntl.h>
@@ -492,41 +496,14 @@ decodeDataDeps(ByteReader &rd, DataDeps &deps, Addr &orig_entry)
     return true;
 }
 
-// v4 position-independent payload kinds.
+// Position-independent payload kinds (file v4 on).
 constexpr std::uint8_t entry_kind_function = 4;
 constexpr std::uint8_t entry_kind_liveness = 5;
 constexpr std::uint8_t entry_kind_datadeps = 6;
 
-bool
-knownEntryKind(std::uint8_t kind)
-{
-    return kind == entry_kind_function ||
-           kind == entry_kind_liveness ||
-           kind == entry_kind_datadeps;
-}
-
-void
-appendEntry(std::vector<std::uint8_t> &out, std::uint8_t kind,
-            Arch arch, std::uint64_t key,
-            const std::uint8_t *payload, std::size_t payload_len,
-            std::uint64_t payload_hash)
-{
-    putU8(out, kind);
-    putU8(out, static_cast<std::uint8_t>(arch));
-    putU64(out, key);
-    putU32(out, static_cast<std::uint32_t>(payload_len));
-    putU64(out, payload_hash);
-    out.insert(out.end(), payload, payload + payload_len);
-}
-
-void
-appendEntry(std::vector<std::uint8_t> &out, std::uint8_t kind,
-            Arch arch, std::uint64_t key,
-            const std::vector<std::uint8_t> &payload)
-{
-    appendEntry(out, kind, arch, key, payload.data(), payload.size(),
-                fnv1a(payload.data(), payload.size()));
-}
+/** Entry kind of each AnalysisCache slot, in slot order. */
+constexpr std::uint8_t slot_kinds[] = {
+    entry_kind_function, entry_kind_liveness, entry_kind_datadeps};
 
 // --- advisory file lock ---------------------------------------------------
 
@@ -561,44 +538,171 @@ class CacheFileLock
     int fd_ = -1;
 };
 
-// --- header-walking scanner -----------------------------------------------
 
-/** One structurally-intact entry located in the file (not decoded,
- *  checksum not yet verified). */
-struct RawEntry
+// --- the segment index ----------------------------------------------------
+
+/** One index record (layout in cache_store.hh). */
+struct IndexRecord
 {
-    std::uint8_t kind = 0;
     std::uint8_t arch = 0;
-    std::uint64_t key = 0;
-    const std::uint8_t *payload = nullptr;
+    std::uint8_t kind = 0;
+    std::uint16_t reserved = 0;
     std::uint32_t payloadLen = 0;
+    std::uint64_t key = 0;
+    std::uint64_t payloadOffset = 0;
     std::uint64_t payloadHash = 0;
+};
+
+IndexRecord
+readRecord(const std::uint8_t *records, std::uint32_t i)
+{
+    const std::uint8_t *p =
+        records + static_cast<std::size_t>(i) * cache_index_record_bytes;
+    IndexRecord r;
+    r.arch = p[0];
+    r.kind = p[1];
+    r.reserved = getU16(p + 2);
+    r.payloadLen = getU32(p + 4);
+    r.key = getU64(p + 8);
+    r.payloadOffset = getU64(p + 16);
+    r.payloadHash = getU64(p + 24);
+    return r;
+}
+
+/** (arch, kind) packed so that records order as (group, key). */
+std::uint16_t
+recordGroup(std::uint8_t arch, std::uint8_t kind)
+{
+    return static_cast<std::uint16_t>(arch << 8 | kind);
+}
+
+/**
+ * First of the records [lo, hi) at @p records whose (group, key) is
+ * not below the given one. An unsorted index (corruption) yields some
+ * position in [lo, hi], never a read out of bounds.
+ */
+std::uint32_t
+lowerBound(const std::uint8_t *records, std::uint32_t lo,
+           std::uint32_t hi, std::uint16_t group, std::uint64_t key)
+{
+    while (lo < hi) {
+        const std::uint32_t mid = lo + (hi - lo) / 2;
+        const std::uint8_t *p =
+            records +
+            static_cast<std::size_t>(mid) * cache_index_record_bytes;
+        const std::uint16_t g = recordGroup(p[0], p[1]);
+        if (g < group || (g == group && getU64(p + 8) < key))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/** @p r's payload lies inside the @p payload_bytes present. */
+bool
+inBounds(const IndexRecord &r, std::uint64_t payload_bytes)
+{
+    return r.payloadOffset <= payload_bytes &&
+           r.payloadLen <= payload_bytes - r.payloadOffset;
+}
+
+/**
+ * The record of (arch, kind, key) among records [lo, hi), when its
+ * payload lies inside the @p payload_bytes present.
+ */
+bool
+findRecord(const std::uint8_t *records, std::uint32_t lo,
+           std::uint32_t hi, std::uint64_t payload_bytes,
+           std::uint8_t arch, std::uint8_t kind, std::uint64_t key,
+           IndexRecord &out)
+{
+    const std::uint32_t pos =
+        lowerBound(records, lo, hi, recordGroup(arch, kind), key);
+    if (pos == hi)
+        return false;
+    const IndexRecord r = readRecord(records, pos);
+    if (r.arch != arch || r.kind != kind || r.key != key ||
+        !inBounds(r, payload_bytes))
+        return false;
+    out = r;
+    return true;
+}
+
+/** One segment located in a file; its index is not walked. */
+struct SegmentView
+{
+    std::size_t offset = 0; ///< segment header offset in the file
     std::uint64_t generation = 0;
-    std::size_t offset = 0; ///< entry header offset in the file
-    /** Entry lives in a fully-intact segment (false: salvaged from
-     *  a torn tail — present in memory but not durably on disk). */
-    bool completeSegment = true;
+    const std::uint8_t *records = nullptr;
+    std::uint32_t count = 0; ///< index records present in the file
+    const std::uint8_t *payloads = nullptr;
+    std::uint64_t payloadBytes = 0; ///< payload bytes present
+    bool complete = true;           ///< false: the torn final segment
+
+    IndexRecord record(std::uint32_t i) const
+    {
+        return readRecord(records, i);
+    }
+
+    bool inBounds(const IndexRecord &r) const
+    {
+        return icp::inBounds(r, payloadBytes);
+    }
+
+    const std::uint8_t *payload(const IndexRecord &r) const
+    {
+        return payloads + r.payloadOffset;
+    }
+
+    /** First record at or after group (arch, kind). */
+    std::uint32_t
+    lowerBound(std::uint8_t arch, std::uint8_t kind) const
+    {
+        return icp::lowerBound(records, 0, count,
+                               recordGroup(arch, kind), 0);
+    }
+
+    bool
+    find(std::uint8_t arch, std::uint8_t kind, std::uint64_t key,
+         IndexRecord &out) const
+    {
+        return findRecord(records, 0, count, payloadBytes, arch, kind,
+                          key, out);
+    }
 };
 
 struct ScanResult
 {
     std::uint32_t version = 0;
-    std::uint64_t headerGeneration = 0;
     std::uint64_t maxGeneration = 0;
     unsigned segments = 0;       ///< complete segments
-    std::size_t validBytes = 0;  ///< prefix ending after last one
     bool torn = false;           ///< trailing torn/garbage segment
-    unsigned droppedEntries = 0; ///< structurally lost entries
-    std::vector<RawEntry> entries;
+    unsigned droppedEntries = 0; ///< records lost to a torn tail
+    /** Complete segments in file order, then the torn one (if any). */
+    std::vector<SegmentView> views;
     std::vector<CacheFileIssue> issues;
 
     bool current() const { return version == cache_file_version; }
+
+    /** Newest record of (arch, kind, key) in a complete segment. */
+    bool
+    findDurable(std::uint8_t arch, std::uint8_t kind, std::uint64_t key,
+                IndexRecord &out) const
+    {
+        for (auto it = views.rbegin(); it != views.rend(); ++it)
+            if (it->complete && it->find(arch, kind, key, out))
+                return true;
+        return false;
+    }
 };
 
 /**
- * Walk @p data's headers without decoding or checksumming payloads.
- * Only the current version's segment chain is understood; any other
- * version yields one info-grade cache-version issue and no entries.
+ * Walk @p data's segment headers: O(segments), no index record is
+ * read except in a torn final segment, whose in-bounds records are
+ * counted. Only the current version's segment chain is understood;
+ * any other version yields one info-grade cache-version issue and no
+ * segments.
  */
 ScanResult
 scanBuffer(const std::uint8_t *data, std::size_t size)
@@ -626,9 +730,7 @@ scanBuffer(const std::uint8_t *data, std::size_t size)
         return scan;
     }
 
-    // u64 file generation, then the segment chain.
-    scan.headerGeneration = rd.u64();
-    scan.validBytes = rd.pos();
+    rd.u64(); // file generation
     while (!rd.failed() && rd.remaining() > 0) {
         const std::size_t seg_off = rd.pos();
         if (rd.remaining() < cache_segment_header_bytes) {
@@ -656,60 +758,45 @@ scanBuffer(const std::uint8_t *data, std::size_t size)
             return scan;
         }
 
-        // Walk the segment's entries. A complete segment must
-        // contain exactly `count` entries in `body_bytes`; a torn
-        // final segment salvages the prefix that survived.
-        const bool complete = body_bytes <= rd.remaining();
-        const std::size_t body_limit =
-            seg_off + cache_segment_header_bytes +
-            static_cast<std::size_t>(
-                std::min<std::uint64_t>(body_bytes, rd.remaining()));
+        const std::uint64_t index_bytes =
+            std::uint64_t{count} * cache_index_record_bytes;
+        const std::uint64_t present =
+            std::min<std::uint64_t>(body_bytes, rd.remaining());
+        SegmentView view;
+        view.offset = seg_off;
+        view.generation = generation;
+        view.records = data + rd.pos();
+        view.count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            count, present / cache_index_record_bytes));
+        if (index_bytes <= present) {
+            view.payloads = view.records + index_bytes;
+            view.payloadBytes = present - index_bytes;
+        }
+        view.complete =
+            index_bytes <= body_bytes && body_bytes <= rd.remaining();
+        scan.views.push_back(view);
+        if (view.complete) {
+            ++scan.segments;
+            scan.maxGeneration = std::max(scan.maxGeneration, generation);
+            rd.blob(static_cast<std::size_t>(body_bytes));
+            continue;
+        }
+
+        // Torn append (a writer died mid-write) or a header whose
+        // index does not fit its body: keep the records whose payload
+        // made it into the file and drop the rest of the file.
         std::uint32_t salvaged = 0;
-        bool inconsistent = false;
-        for (std::uint32_t i = 0; i < count; ++i) {
-            RawEntry e;
-            e.offset = rd.pos();
-            if (body_limit - e.offset < cache_entry_header_bytes) {
-                inconsistent = true;
-                break;
-            }
-            e.kind = rd.u8();
-            e.arch = rd.u8();
-            e.key = rd.u64();
-            e.payloadLen = rd.u32();
-            e.payloadHash = rd.u64();
-            if (e.payloadLen > body_limit - rd.pos()) {
-                inconsistent = true;
-                break;
-            }
-            e.payload = rd.blob(e.payloadLen);
-            e.generation = generation;
-            e.completeSegment = complete;
-            scan.entries.push_back(e);
-            ++salvaged;
-        }
-        if (!complete || inconsistent || rd.pos() != body_limit) {
-            // Torn append (writer died mid-write) or a lying
-            // header: keep what was salvaged, drop the rest of the
-            // file. Salvaged entries are marked not-durable so the
-            // next save re-appends them.
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "segment torn at offset %zu; %u of %u "
-                          "entries salvaged, tail dropped",
-                          seg_off, salvaged, count);
-            scan.issues.push_back({"cache-torn", seg_off, msg});
-            scan.torn = true;
-            scan.droppedEntries += count - salvaged;
-            for (std::size_t i = scan.entries.size() - salvaged;
-                 i < scan.entries.size(); ++i)
-                scan.entries[i].completeSegment = false;
-            return scan;
-        }
-        ++scan.segments;
-        scan.maxGeneration =
-            std::max(scan.maxGeneration, generation);
-        scan.validBytes = rd.pos();
+        for (std::uint32_t i = 0; i < view.count; ++i)
+            salvaged += view.inBounds(view.record(i)) ? 1 : 0;
+        char msg[96];
+        std::snprintf(msg, sizeof(msg),
+                      "segment torn at offset %zu; %u of %u "
+                      "entries salvaged, tail dropped",
+                      seg_off, salvaged, count);
+        scan.issues.push_back({"cache-torn", seg_off, msg});
+        scan.torn = true;
+        scan.droppedEntries += count - salvaged;
+        return scan;
     }
     return scan;
 }
@@ -722,6 +809,56 @@ scanFile(const std::shared_ptr<MappedCacheFile> &file)
 
 // --- serialization of headers/segments ------------------------------------
 
+/** One entry to write: payload bytes and their entry hash. */
+struct OutEntry
+{
+    const std::uint8_t *payload = nullptr;
+    std::uint32_t payloadLen = 0;
+    std::uint64_t payloadHash = 0;
+};
+
+/** (arch, kind, key): the index order. */
+using EntryId = std::tuple<std::uint8_t, std::uint8_t, std::uint64_t>;
+
+/** Entries to write, in index order. */
+using OutEntries = std::map<EntryId, OutEntry>;
+
+/**
+ * Encoded payloads that OutEntries point into; deque elements never
+ * move, so the pointers stay valid while entries are added.
+ */
+class PayloadArena
+{
+  public:
+    OutEntry
+    add(const EntryId &id, std::vector<std::uint8_t> payload)
+    {
+        const std::vector<std::uint8_t> &kept =
+            buffers_.emplace_back(std::move(payload));
+        OutEntry e;
+        e.payload = kept.data();
+        e.payloadLen = static_cast<std::uint32_t>(kept.size());
+        e.payloadHash = cacheEntryHash(std::get<0>(id), std::get<1>(id),
+                                       std::get<2>(id), kept.data(),
+                                       kept.size());
+        return e;
+    }
+
+  private:
+    std::deque<std::vector<std::uint8_t>> buffers_;
+};
+
+/** @p r's payload as it lies in the mapped @p payloads area. */
+OutEntry
+mappedEntry(const std::uint8_t *payloads, const IndexRecord &r)
+{
+    OutEntry e;
+    e.payload = payloads + r.payloadOffset;
+    e.payloadLen = r.payloadLen;
+    e.payloadHash = r.payloadHash;
+    return e;
+}
+
 std::vector<std::uint8_t>
 fileHeader(std::uint64_t generation)
 {
@@ -732,20 +869,33 @@ fileHeader(std::uint64_t generation)
     return out;
 }
 
-/** Wrap @p body (concatenated entries) into a framed segment. */
+/** Frame @p entries as one segment: header, sorted index, payloads. */
 std::vector<std::uint8_t>
-segmentBytes(std::uint32_t entry_count,
-             const std::vector<std::uint8_t> &body,
-             std::uint64_t generation)
+segmentBytes(const OutEntries &entries, std::uint64_t generation)
 {
+    std::uint64_t body = entries.size() * cache_index_record_bytes;
+    for (const auto &[id, e] : entries)
+        body += e.payloadLen;
     std::vector<std::uint8_t> out;
-    out.reserve(cache_segment_header_bytes + body.size());
+    out.reserve(cache_segment_header_bytes + body);
     putU32(out, cache_segment_magic);
-    putU32(out, entry_count);
-    putU64(out, body.size());
+    putU32(out, static_cast<std::uint32_t>(entries.size()));
+    putU64(out, body);
     putU64(out, generation);
     putU64(out, fnv1a(out.data(), 24));
-    out.insert(out.end(), body.begin(), body.end());
+    std::uint64_t offset = 0;
+    for (const auto &[id, e] : entries) {
+        putU8(out, std::get<0>(id));
+        putU8(out, std::get<1>(id));
+        putU16(out, 0);
+        putU32(out, e.payloadLen);
+        putU64(out, std::get<2>(id));
+        putU64(out, offset);
+        putU64(out, e.payloadHash);
+        offset += e.payloadLen;
+    }
+    for (const auto &[id, e] : entries)
+        out.insert(out.end(), e.payload, e.payload + e.payloadLen);
     return out;
 }
 
@@ -782,8 +932,8 @@ fileSizeOf(const std::string &path)
 
 /**
  * Compaction body, caller holds the file lock. Rewrites @p path as
- * one deduplicated segment, newest-generation entries first up to
- * @p max_bytes (0 = keep everything that verifies).
+ * one deduplicated sorted segment, newest-generation entries first up
+ * to @p max_bytes (0 = keep everything that verifies).
  */
 bool
 compactLocked(const std::string &path, std::uint64_t max_bytes,
@@ -797,78 +947,86 @@ compactLocked(const std::string &path, std::uint64_t max_bytes,
     if (!scan.issues.empty() && scan.version == 0)
         return false; // not a cache file; refuse to clobber it
 
-    // Deduplicate by (kind, key) — function, liveness, and data-dep
-    // entries share the Function::cacheKey namespace — with the last
-    // occurrence winning (it is the newest append), and heal
-    // silently-corrupt payloads by verifying each checksum here —
-    // compaction is the slow, thorough path.
-    std::map<std::pair<std::uint8_t, std::uint64_t>,
-             const RawEntry *>
-        by_key;
-    for (const RawEntry &e : scan.entries) {
-        if (fnv1a(e.payload, e.payloadLen) != e.payloadHash)
-            continue;
-        // Unknown kinds are kept (forward compat).
-        by_key[{e.kind, e.key}] = &e;
+    // Deduplicate by (arch, kind, key) with the newest segment
+    // winning, and heal silently-corrupt payloads by verifying each
+    // checksum here — compaction is the slow, thorough path. Unknown
+    // kinds are kept (forward compat).
+    struct Candidate
+    {
+        OutEntry entry;
+        std::uint64_t generation = 0;
+        std::size_t position = 0; ///< index record offset in the file
+    };
+    std::map<EntryId, Candidate> by_key;
+    for (const SegmentView &view : scan.views) {
+        for (std::uint32_t i = 0; i < view.count; ++i) {
+            const IndexRecord r = view.record(i);
+            if (!view.inBounds(r))
+                continue;
+            ++out.entriesBefore;
+            if (cacheEntryHash(r.arch, r.kind, r.key, view.payload(r),
+                               r.payloadLen) != r.payloadHash)
+                continue;
+            Candidate &c = by_key[{r.arch, r.kind, r.key}];
+            c.entry = mappedEntry(view.payloads, r);
+            c.generation = view.generation;
+            c.position = static_cast<std::size_t>(
+                view.records - file->data() +
+                std::size_t{i} * cache_index_record_bytes);
+        }
     }
-    out.entriesBefore = static_cast<unsigned>(scan.entries.size());
 
     // Keep newest generations first until the byte cap.
-    std::vector<const RawEntry *> candidates;
+    std::vector<std::pair<EntryId, const Candidate *>> candidates;
     candidates.reserve(by_key.size());
-    for (const auto &[key, e] : by_key)
-        candidates.push_back(e);
+    for (const auto &[id, c] : by_key)
+        candidates.emplace_back(id, &c);
     std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const RawEntry *a, const RawEntry *b) {
-                         if (a->generation != b->generation)
-                             return a->generation > b->generation;
-                         return a->offset < b->offset;
+                     [](const auto &a, const auto &b) {
+                         if (a.second->generation !=
+                             b.second->generation)
+                             return a.second->generation >
+                                    b.second->generation;
+                         return a.second->position < b.second->position;
                      });
     std::uint64_t used =
         cache_file_header_bytes + cache_segment_header_bytes;
-    std::vector<const RawEntry *> kept;
-    for (const RawEntry *e : candidates) {
+    OutEntries kept;
+    for (const auto &[id, c] : candidates) {
         const std::uint64_t cost =
-            cache_entry_header_bytes + e->payloadLen;
-        if (max_bytes != 0 && used + cost > max_bytes &&
-            !kept.empty())
-            break;
+            cache_index_record_bytes + c->entry.payloadLen;
         if (max_bytes != 0 && used + cost > max_bytes)
-            break; // even the newest entry alone exceeds the cap
+            break;
         used += cost;
-        kept.push_back(e);
+        kept.emplace(id, c->entry);
     }
 
-    // Deterministic output order: by key.
-    std::sort(kept.begin(), kept.end(),
-              [](const RawEntry *a, const RawEntry *b) {
-                  if (a->kind != b->kind)
-                      return a->kind < b->kind;
-                  return a->key < b->key;
-              });
-
     const std::uint64_t generation = scan.maxGeneration + 1;
-    std::vector<std::uint8_t> body;
-    for (const RawEntry *e : kept)
-        appendEntry(body, e->kind, static_cast<Arch>(e->arch),
-                    e->key, e->payload, e->payloadLen,
-                    e->payloadHash);
     std::vector<std::uint8_t> bytes = fileHeader(generation);
-    const std::vector<std::uint8_t> seg = segmentBytes(
-        static_cast<std::uint32_t>(kept.size()), body, generation);
+    const std::vector<std::uint8_t> seg = segmentBytes(kept, generation);
     bytes.insert(bytes.end(), seg.begin(), seg.end());
 
     if (!writeFileAtomic(path, bytes))
         return false;
     out.performed = true;
     out.entriesKept = static_cast<unsigned>(kept.size());
-    out.entriesEvicted = static_cast<unsigned>(
-        by_key.size() - kept.size());
+    out.entriesEvicted =
+        static_cast<unsigned>(by_key.size() - kept.size());
     out.bytesAfter = bytes.size();
     return true;
 }
 
 } // namespace
+
+std::uint64_t
+cacheEntryHash(std::uint8_t arch, std::uint8_t kind, std::uint64_t key,
+               const std::uint8_t *payload, std::size_t len)
+{
+    std::uint8_t id[10] = {arch, kind};
+    for (unsigned i = 0; i < 8; ++i)
+        id[2 + i] = static_cast<std::uint8_t>(key >> (8 * i));
+    return fnv1a(payload, len, fnv1a(id, sizeof(id)));
+}
 
 // --- MappedCacheFile ------------------------------------------------------
 
@@ -885,6 +1043,8 @@ MappedCacheFile::open(const std::string &path)
     }
     auto file = std::shared_ptr<MappedCacheFile>(
         new MappedCacheFile());
+    file->device_ = static_cast<std::uint64_t>(st.st_dev);
+    file->inode_ = static_cast<std::uint64_t>(st.st_ino);
     const auto size = static_cast<std::size_t>(st.st_size);
     if (size == 0) {
         ::close(fd);
@@ -924,6 +1084,39 @@ MappedCacheFile::~MappedCacheFile()
 
 // --- lazy lookups ---------------------------------------------------------
 
+bool
+AnalysisCache::findIndexed(Slot slot, std::uint64_t key,
+                           IndexedPayload &out) const
+{
+    const std::uint8_t kind = slot_kinds[slot];
+    for (auto it = slices_.rbegin(); it != slices_.rend(); ++it) {
+        const IndexSlice &s = *it;
+        // An out-of-bounds record (torn tail, corrupt offset) is not
+        // there: an older segment's copy may still serve the key.
+        IndexRecord r;
+        if (!findRecord(s.records, s.ranges[slot][0], s.ranges[slot][1],
+                        s.payloadBytes, static_cast<std::uint8_t>(s.arch),
+                        kind, key, r))
+            continue;
+        out.arch = s.arch;
+        out.kind = kind;
+        out.key = key;
+        out.payload = s.payloads + r.payloadOffset;
+        out.payloadLen = r.payloadLen;
+        out.payloadHash = r.payloadHash;
+        out.file = s.file;
+        return true;
+    }
+    return false;
+}
+
+bool
+AnalysisCache::IndexedPayload::intact() const
+{
+    return cacheEntryHash(static_cast<std::uint8_t>(arch), kind, key,
+                          payload, payloadLen) == payloadHash;
+}
+
 std::shared_ptr<const Function>
 AnalysisCache::findFunction(std::uint64_t key, Addr entry,
                             Addr toc_base)
@@ -931,28 +1124,25 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
     std::unique_lock<std::mutex> lock(mu_);
     auto it = functions_.find(key);
     if (it == functions_.end()) {
-        auto pit = pendingFunctions_.find(key);
-        if (pit == pendingFunctions_.end()) {
+        IndexedPayload ip;
+        if (!findIndexed(functionSlot, key, ip)) {
             stats_.functionMisses++;
             return nullptr;
         }
-        // First lookup of a lazily-indexed entry: verify its
-        // checksum and deserialize it now, outside the lock (the
-        // shared mapping keeps the bytes alive; a racing decode of
-        // the same key is wasted work, not a bug). The canonical
-        // in-memory form keeps absolute addresses at the entry the
-        // payload records (origEntry), not the requested one.
-        const PendingEntry pe = pit->second;
+        // First lookup of a mapped entry: verify its checksum and
+        // deserialize it now, outside the lock (the shared mapping
+        // keeps the bytes alive; a racing decode of the same key is
+        // wasted work, not a bug). The canonical in-memory form keeps
+        // absolute addresses at the entry the payload records
+        // (origEntry), not the requested one.
         lock.unlock();
         Function func;
         std::int64_t toc_delta = 0;
         bool uses_toc = false;
-        ByteReader rd(pe.payload, pe.payloadLen);
+        ByteReader rd(ip.payload, ip.payloadLen);
         const bool ok =
-            fnv1a(pe.payload, pe.payloadLen) == pe.payloadHash &&
-            decodeFunction(rd, func, toc_delta, uses_toc);
+            ip.intact() && decodeFunction(rd, func, toc_delta, uses_toc);
         lock.lock();
-        pendingFunctions_.erase(key);
         if (!ok) {
             // Corrupt or undecodable payload: count the miss and
             // re-analyze; the entry heals on the next compaction.
@@ -961,7 +1151,7 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         }
         func.cacheKey = key;
         Entry<Function> rec;
-        rec.arch = pe.arch;
+        rec.arch = ip.arch;
         rec.origEntry = func.entry;
         rec.tocDelta = toc_delta;
         rec.usesToc = uses_toc;
@@ -1002,27 +1192,24 @@ AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
     std::unique_lock<std::mutex> lock(mu_);
     auto it = liveness_.find(key);
     if (it == liveness_.end()) {
-        auto pit = pendingLiveness_.find(key);
-        if (pit == pendingLiveness_.end()) {
+        IndexedPayload ip;
+        if (!findIndexed(livenessSlot, key, ip)) {
             stats_.livenessMisses++;
             return nullptr;
         }
-        const PendingEntry pe = pit->second;
         lock.unlock();
         LivenessResult live;
         Addr orig_entry = 0;
-        ByteReader rd(pe.payload, pe.payloadLen);
+        ByteReader rd(ip.payload, ip.payloadLen);
         const bool ok =
-            fnv1a(pe.payload, pe.payloadLen) == pe.payloadHash &&
-            decodeLiveness(rd, live, orig_entry);
+            ip.intact() && decodeLiveness(rd, live, orig_entry);
         lock.lock();
-        pendingLiveness_.erase(key);
         if (!ok) {
             stats_.livenessMisses++;
             return nullptr;
         }
         Entry<LivenessResult> rec;
-        rec.arch = pe.arch;
+        rec.arch = ip.arch;
         rec.origEntry = orig_entry;
         rec.value =
             std::make_shared<const LivenessResult>(std::move(live));
@@ -1049,26 +1236,23 @@ AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
     std::unique_lock<std::mutex> lock(mu_);
     auto it = dataDeps_.find(key);
     if (it == dataDeps_.end()) {
-        auto pit = pendingDataDeps_.find(key);
-        if (pit == pendingDataDeps_.end())
+        IndexedPayload ip;
+        if (!findIndexed(dataDepsSlot, key, ip))
             return nullptr;
-        const PendingEntry pe = pit->second;
         lock.unlock();
         DataDeps deps;
         Addr orig_entry = 0;
-        ByteReader rd(pe.payload, pe.payloadLen);
+        ByteReader rd(ip.payload, ip.payloadLen);
         const bool ok =
-            fnv1a(pe.payload, pe.payloadLen) == pe.payloadHash &&
-            decodeDataDeps(rd, deps, orig_entry);
+            ip.intact() && decodeDataDeps(rd, deps, orig_entry);
         lock.lock();
-        pendingDataDeps_.erase(key);
         if (!ok) {
             // Corrupt read-set: the paired function hit degrades to
             // a conservative miss at its consumer.
             return nullptr;
         }
         Entry<DataDeps> rec;
-        rec.arch = pe.arch;
+        rec.arch = ip.arch;
         rec.origEntry = orig_entry;
         rec.value = std::make_shared<const DataDeps>(std::move(deps));
         it = dataDeps_.emplace(key, std::move(rec)).first;
@@ -1086,6 +1270,30 @@ AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
     // image, which is exactly the cross-binary soundness check.
     return std::make_shared<const DataDeps>(
         rebaseDataDeps(*value, orig, entry));
+}
+
+std::size_t
+AnalysisCache::entryCount() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::set<std::pair<unsigned, std::uint64_t>> keys;
+    for (const auto &[key, e] : functions_)
+        keys.insert({functionSlot, key});
+    for (const auto &[key, e] : liveness_)
+        keys.insert({livenessSlot, key});
+    for (const auto &[key, e] : dataDeps_)
+        keys.insert({dataDepsSlot, key});
+    for (const IndexSlice &s : slices_) {
+        for (unsigned slot = 0; slot < numSlots; ++slot) {
+            for (std::uint32_t i = s.ranges[slot][0];
+                 i < s.ranges[slot][1]; ++i) {
+                const IndexRecord r = readRecord(s.records, i);
+                if (inBounds(r, s.payloadBytes))
+                    keys.insert({slot, r.key});
+            }
+        }
+    }
+    return keys.size();
 }
 
 // --- load -----------------------------------------------------------------
@@ -1107,82 +1315,85 @@ AnalysisCache::load(const std::string &path,
     ScanResult scan = scanFile(file);
     report.fileVersion = scan.version;
     report.segments = scan.segments;
-    report.droppedEntries += scan.droppedEntries;
+    report.droppedEntries = scan.droppedEntries;
     report.issues = std::move(scan.issues);
 
-    // Validate entry headers eagerly (one cheap pass over headers
-    // only — no payload byte is touched), then index survivors for
-    // lazy checksum + deserialization on first lookup.
-    std::vector<const RawEntry *> accepted;
-    accepted.reserve(scan.entries.size());
-    for (const RawEntry &e : scan.entries) {
-        if (!knownEntryKind(e.kind)) {
-            // Forward compatibility: a newer writer introduced an
-            // entry kind this build does not understand. Skipping it
-            // only costs re-derivation of whatever it memoized.
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "unknown entry kind %u (newer writer?); "
-                          "entry skipped",
-                          e.kind);
-            report.issues.push_back({"cache-skip", e.offset, msg});
-            ++report.skippedUnknown;
-            continue;
+    // One slice per segment and ISA, bounded by binary search over
+    // the sorted index. No record of another ISA is read.
+    unsigned *loaded[numSlots] = {&report.loadedFunctions,
+                                  &report.loadedLiveness,
+                                  &report.loadedDataDeps};
+    std::vector<IndexSlice> slices;
+    for (const SegmentView &view : scan.views) {
+        for (Arch arch : all_arches) {
+            if (expect_arch && arch != *expect_arch)
+                continue;
+            const auto a = static_cast<std::uint8_t>(arch);
+            IndexSlice slice;
+            slice.file = file;
+            slice.arch = arch;
+            slice.records = view.records;
+            slice.payloads = view.payloads;
+            slice.payloadBytes = view.payloadBytes;
+            const std::uint32_t first = view.lowerBound(a, 0);
+            const std::uint32_t last =
+                std::max(first, view.lowerBound(a + 1, 0));
+            std::uint32_t known = 0;
+            for (unsigned slot = 0; slot < numSlots; ++slot) {
+                const std::uint8_t kind = slot_kinds[slot];
+                // max() keeps the bounds ordered even when a corrupt
+                // index is unsorted.
+                const std::uint32_t lo = view.lowerBound(a, kind);
+                const std::uint32_t hi =
+                    std::max(lo, view.lowerBound(a, kind + 1));
+                slice.ranges[slot][0] = lo;
+                slice.ranges[slot][1] = hi;
+                known += hi - lo;
+                if (view.complete) {
+                    *loaded[slot] += hi - lo;
+                    continue;
+                }
+                for (std::uint32_t i = lo; i < hi; ++i)
+                    *loaded[slot] +=
+                        view.inBounds(view.record(i)) ? 1 : 0;
+            }
+            if (last - first > known) {
+                // Forward compatibility: a newer writer introduced an
+                // entry kind this build does not understand. Skipping
+                // it only costs re-derivation of what it memoized.
+                const unsigned unknown = last - first - known;
+                char msg[112];
+                std::snprintf(msg, sizeof(msg),
+                              "%u %s entries of an unknown kind (newer "
+                              "writer?) skipped",
+                              unknown, archName(arch));
+                report.issues.push_back(
+                    {"cache-skip", view.offset, msg});
+                report.skippedUnknown += unknown;
+            }
+            slices.push_back(slice);
         }
-        if (e.arch > static_cast<std::uint8_t>(Arch::aarch64)) {
-            report.issues.push_back(
-                {"cache-entry", e.offset,
-                 "unknown ISA tag; entry dropped"});
-            ++report.droppedEntries;
-            continue;
-        }
-        if (expect_arch &&
-            static_cast<Arch>(e.arch) != *expect_arch) {
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "entry built for %s, image is %s; "
-                          "entry dropped",
-                          archName(static_cast<Arch>(e.arch)),
-                          archName(*expect_arch));
-            report.issues.push_back({"cache-arch", e.offset, msg});
-            ++report.droppedEntries;
-            continue;
-        }
-        accepted.push_back(&e);
     }
 
     std::lock_guard<std::mutex> lock(mu_);
-    // Decoded in-memory entries win over file entries; among file
-    // entries for the same key the newest occurrence (last in file
-    // order: save() appends replacements when a function's data
-    // read-set changed) wins.
-    for (const RawEntry *e : accepted) {
-        PendingEntry pe;
-        pe.arch = static_cast<Arch>(e->arch);
-        pe.payload = e->payload;
-        pe.payloadLen = e->payloadLen;
-        pe.payloadHash = e->payloadHash;
-        pe.file = file;
-        auto index = [&](auto &decoded, auto &pending,
-                         unsigned &loaded) {
-            if (decoded.count(e->key)) {
-                ++report.skippedExisting;
-                return;
-            }
-            if (!pending.count(e->key))
-                ++loaded;
-            pending[e->key] = std::move(pe);
-        };
-        if (e->kind == entry_kind_function)
-            index(functions_, pendingFunctions_,
-                  report.loadedFunctions);
-        else if (e->kind == entry_kind_liveness)
-            index(liveness_, pendingLiveness_,
-                  report.loadedLiveness);
-        else
-            index(dataDeps_, pendingDataDeps_,
-                  report.loadedDataDeps);
-    }
+    // A file that is mapped again (same inode, so a superset of the
+    // earlier mapping) replaces its earlier slices for these ISAs:
+    // repeated loads keep the lookup chain one mapping long.
+    slices_.erase(
+        std::remove_if(slices_.begin(), slices_.end(),
+                       [&](const IndexSlice &s) {
+                           return s.file->sameFile(*file) &&
+                                  (!expect_arch ||
+                                   s.arch == *expect_arch);
+                       }),
+        slices_.end());
+    slices_.insert(slices_.end(), slices.begin(), slices.end());
+    loaded_.erase(std::remove_if(loaded_.begin(), loaded_.end(),
+                                 [&](const auto &f) {
+                                     return f->sameFile(*file);
+                                 }),
+                  loaded_.end());
+    loaded_.push_back(file);
     return report;
 }
 
@@ -1200,130 +1411,122 @@ AnalysisCache::save(const std::string &path,
     ScanResult scan;
     if (file)
         scan = scanFile(file);
-    const bool append_mode =
-        file && scan.current() && !scan.torn;
+    const bool append_mode = file && scan.current() && !scan.torn;
 
-    // Keys already durable in the file, kept per entry kind —
-    // function, liveness, and data-dep entries share the
-    // Function::cacheKey namespace — plus the newest durable payload
-    // hash of each data read-set, so a read-set that changed under
-    // an unchanged code key (a data edit) triggers a replacement
-    // append instead of being treated as already saved.
-    std::unordered_set<std::uint64_t> file_fn, file_lv, file_deps;
-    std::unordered_map<std::uint64_t, std::uint64_t> file_deps_hash;
-    for (const RawEntry &e : scan.entries) {
-        if (!e.completeSegment)
-            continue;
-        if (e.kind == entry_kind_function)
-            file_fn.insert(e.key);
-        else if (e.kind == entry_kind_liveness)
-            file_lv.insert(e.key);
-        else if (e.kind == entry_kind_datadeps) {
-            file_deps.insert(e.key);
-            file_deps_hash[e.key] = e.payloadHash;
-        }
-    }
-
-    // Collect the delta — everything in memory the file lacks —
-    // under the cache lock, but only as cheap references: values are
-    // shared immutable snapshots, and pending (never-decoded)
-    // entries stay raw so their payload bytes copy straight through
-    // without a decode+re-encode trip. On a fully-warm run this
-    // finds nothing and the save costs one header scan. Ordered maps
-    // keep output byte-stable for identical contents.
-    std::map<std::uint64_t, Entry<Function>> miss_fn;
-    std::map<std::uint64_t, Entry<LivenessResult>> miss_lv;
-    std::map<std::uint64_t, Entry<DataDeps>> miss_deps;
-    std::map<std::uint64_t, PendingEntry> miss_fn_raw, miss_lv_raw,
-        miss_deps_raw;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> deps_payload;
+    // The delta: every candidate the file lacks, each checked by
+    // binary search against the file's current segment indexes.
+    // Decoded values are encoded here; mapped (never-decoded) records
+    // copy straight through without a decode+re-encode trip.
+    PayloadArena arena;
+    OutEntries delta;
+    std::vector<std::shared_ptr<MappedCacheFile>> keep_mapped;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &[key, entry] : dataDeps_) {
-            // Read-sets are tiny (a handful of ranges); encoding
-            // them under the lock to compare against the file's
-            // payload hash is cheaper than a decode round trip.
-            std::vector<std::uint8_t> payload =
-                encodeDataDeps(*entry.value, entry.origEntry);
-            const bool stale =
-                file_deps.count(key) != 0 &&
-                file_deps_hash[key] !=
-                    fnv1a(payload.data(), payload.size());
-            if (!file_deps.count(key) || stale) {
-                miss_deps.emplace(key, entry);
-                deps_payload.emplace(key, std::move(payload));
-            }
-            if (stale) {
-                // A changed read-set under an unchanged code key
-                // means a data edit re-analyzed this function: the
-                // file's function payload is stale too. Append the
-                // fresh one — load() lets the newest occurrence of
-                // a key win.
-                auto fit = functions_.find(key);
-                if (fit != functions_.end())
-                    miss_fn.emplace(key, fit->second);
-            }
-        }
-        for (const auto &[key, pe] : pendingDataDeps_)
-            if (!file_deps.count(key))
-                miss_deps_raw.emplace(key, pe);
-        for (const auto &[key, entry] : functions_)
-            if (!file_fn.count(key))
-                miss_fn.emplace(key, entry);
-        for (const auto &[key, pe] : pendingFunctions_)
-            if (!file_fn.count(key))
-                miss_fn_raw.emplace(key, pe);
-        for (const auto &[key, entry] : liveness_)
-            if (!file_lv.count(key))
-                miss_lv.emplace(key, entry);
-        for (const auto &[key, pe] : pendingLiveness_)
-            if (!file_lv.count(key))
-                miss_lv_raw.emplace(key, pe);
-    }
+        bool same_file = append_mode && !loaded_.empty();
+        for (const auto &mapped : loaded_)
+            same_file = same_file && mapped->sameFile(*file);
 
-    // The delta segment, functions before liveness, sorted by key.
-    std::vector<std::uint8_t> body;
-    std::uint32_t count = 0;
-    for (const auto &[key, entry] : miss_fn) {
-        appendEntry(body, entry_kind_function, entry.arch, key,
-                    encodeFunction(*entry.value, entry.tocDelta,
-                                   entry.usesToc));
-        ++count;
-    }
-    for (const auto &[key, pe] : miss_fn_raw) {
-        appendEntry(body, entry_kind_function, pe.arch, key,
-                    pe.payload, pe.payloadLen, pe.payloadHash);
-        ++count;
-    }
-    for (const auto &[key, entry] : miss_lv) {
-        appendEntry(body, entry_kind_liveness, entry.arch, key,
-                    encodeLiveness(*entry.value, entry.origEntry));
-        ++count;
-    }
-    for (const auto &[key, pe] : miss_lv_raw) {
-        appendEntry(body, entry_kind_liveness, pe.arch, key,
-                    pe.payload, pe.payloadLen, pe.payloadHash);
-        ++count;
-    }
-    for (const auto &[key, entry] : miss_deps) {
-        appendEntry(body, entry_kind_datadeps, entry.arch, key,
-                    deps_payload[key]);
-        ++count;
-    }
-    for (const auto &[key, pe] : miss_deps_raw) {
-        appendEntry(body, entry_kind_datadeps, pe.arch, key,
-                    pe.payload, pe.payloadLen, pe.payloadHash);
-        ++count;
+        auto durable = [&](Arch arch, std::uint8_t kind,
+                           std::uint64_t key, IndexRecord &r) {
+            return scan.findDurable(static_cast<std::uint8_t>(arch),
+                                    kind, key, r);
+        };
+        auto add_function = [&](std::uint64_t key,
+                                const Entry<Function> &e) {
+            const EntryId id{static_cast<std::uint8_t>(e.arch),
+                             entry_kind_function, key};
+            delta[id] = arena.add(
+                id, encodeFunction(*e.value, e.tocDelta, e.usesToc));
+        };
+        auto save_function = [&](std::uint64_t key,
+                                 const Entry<Function> &e) {
+            IndexRecord r;
+            if (!durable(e.arch, entry_kind_function, key, r))
+                add_function(key, e);
+        };
+        auto save_liveness = [&](std::uint64_t key,
+                                 const Entry<LivenessResult> &e) {
+            IndexRecord r;
+            if (durable(e.arch, entry_kind_liveness, key, r))
+                return;
+            const EntryId id{static_cast<std::uint8_t>(e.arch),
+                             entry_kind_liveness, key};
+            delta[id] =
+                arena.add(id, encodeLiveness(*e.value, e.origEntry));
+        };
+        auto save_deps = [&](std::uint64_t key,
+                             const Entry<DataDeps> &e) {
+            // A read-set that changed under an unchanged code key (a
+            // data edit re-analyzed the function) is appended again
+            // together with its function: load() lets the newest
+            // occurrence of a key win.
+            const EntryId id{static_cast<std::uint8_t>(e.arch),
+                             entry_kind_datadeps, key};
+            const OutEntry fresh =
+                arena.add(id, encodeDataDeps(*e.value, e.origEntry));
+            IndexRecord r;
+            const bool present =
+                durable(e.arch, entry_kind_datadeps, key, r);
+            if (present && r.payloadHash == fresh.payloadHash)
+                return;
+            delta[id] = fresh;
+            auto fit = functions_.find(key);
+            if (present && fit != functions_.end())
+                add_function(key, fit->second);
+        };
+
+        if (same_file) {
+            // Everything else in memory came from this file.
+            for (std::uint64_t key : dirty_[dataDepsSlot])
+                save_deps(key, dataDeps_.find(key)->second);
+            for (std::uint64_t key : dirty_[functionSlot])
+                save_function(key, functions_.find(key)->second);
+            for (std::uint64_t key : dirty_[livenessSlot])
+                save_liveness(key, liveness_.find(key)->second);
+        } else {
+            for (const auto &[key, e] : dataDeps_)
+                save_deps(key, e);
+            for (const auto &[key, e] : functions_)
+                save_function(key, e);
+            for (const auto &[key, e] : liveness_)
+                save_liveness(key, e);
+            // Mapped records no decoded entry shadows, newest first.
+            std::set<std::pair<unsigned, std::uint64_t>> seen;
+            for (auto it = slices_.rbegin(); it != slices_.rend();
+                 ++it) {
+                const IndexSlice &s = *it;
+                for (unsigned slot = 0; slot < numSlots; ++slot) {
+                    for (std::uint32_t i = s.ranges[slot][0];
+                         i < s.ranges[slot][1]; ++i) {
+                        const IndexRecord r = readRecord(s.records, i);
+                        IndexRecord found;
+                        if (!inBounds(r, s.payloadBytes) ||
+                            (slot == functionSlot &&
+                             functions_.count(r.key)) ||
+                            (slot == livenessSlot &&
+                             liveness_.count(r.key)) ||
+                            (slot == dataDepsSlot &&
+                             dataDeps_.count(r.key)) ||
+                            !seen.insert({slot, r.key}).second ||
+                            durable(static_cast<Arch>(r.arch), r.kind,
+                                    r.key, found))
+                            continue;
+                        delta.emplace(EntryId{r.arch, r.kind, r.key},
+                                      mappedEntry(s.payloads, r));
+                    }
+                }
+            }
+            keep_mapped = loaded_;
+        }
     }
 
     bool ok = true;
-    if (append_mode && count == 0) {
+    if (append_mode && delta.empty()) {
         // Fully-warm run: nothing new, the file is not touched at
         // all (same bytes, same mtime).
     } else if (append_mode) {
-        const std::uint64_t generation = scan.maxGeneration + 1;
         const std::vector<std::uint8_t> seg =
-            segmentBytes(count, body, generation);
+            segmentBytes(delta, scan.maxGeneration + 1);
         std::ofstream out(path, std::ios::binary | std::ios::app);
         ok = static_cast<bool>(out);
         if (ok) {
@@ -1336,33 +1539,24 @@ AnalysisCache::save(const std::string &path,
                 seg.size(), std::memory_order_relaxed);
     } else {
         // Fresh file, other version, foreign/torn content: full
-        // atomic rewrite. Durable raw entries from any readable scan
-        // are copied through (deduplicated per kind, newest
-        // occurrence first); everything else comes from memory.
-        const std::uint64_t generation = scan.maxGeneration + 1;
-        std::vector<std::uint8_t> full_body;
-        std::uint32_t full_count = 0;
-        if (scan.version != 0) {
-            std::set<std::pair<std::uint8_t, std::uint64_t>> seen;
-            for (auto it = scan.entries.rbegin();
-                 it != scan.entries.rend(); ++it) {
-                const RawEntry &e = *it;
-                // Unknown future kinds pass through so a newer
-                // writer's entries survive us.
-                if (!e.completeSegment ||
-                    !seen.insert({e.kind, e.key}).second)
-                    continue;
-                appendEntry(full_body, e.kind,
-                            static_cast<Arch>(e.arch), e.key,
-                            e.payload, e.payloadLen, e.payloadHash);
-                ++full_count;
+        // atomic rewrite. The file's records of every ISA that made
+        // it to disk pass through (newest segment first, unknown
+        // kinds included so a newer writer's entries survive us);
+        // the delta wins over them.
+        OutEntries all = delta;
+        for (auto it = scan.views.rbegin(); it != scan.views.rend();
+             ++it) {
+            for (std::uint32_t i = 0; i < it->count; ++i) {
+                const IndexRecord r = it->record(i);
+                if (it->inBounds(r))
+                    all.emplace(EntryId{r.arch, r.kind, r.key},
+                                mappedEntry(it->payloads, r));
             }
         }
-        full_body.insert(full_body.end(), body.begin(), body.end());
-        full_count += count;
+        const std::uint64_t generation = scan.maxGeneration + 1;
         std::vector<std::uint8_t> bytes = fileHeader(generation);
         const std::vector<std::uint8_t> seg =
-            segmentBytes(full_count, full_body, generation);
+            segmentBytes(all, generation);
         bytes.insert(bytes.end(), seg.begin(), seg.end());
         ok = writeFileAtomic(path, bytes);
         if (ok)
@@ -1395,24 +1589,37 @@ inspectCacheFile(const std::string &path)
     info.generation = scan.maxGeneration;
     info.segments = scan.segments;
     info.issues = std::move(scan.issues);
-    std::set<std::pair<std::uint8_t, std::uint64_t>> keys;
+    std::set<EntryId> keys;
     std::set<std::uint64_t> payload_hashes;
-    for (const RawEntry &e : scan.entries) {
-        if (e.kind == entry_kind_function) {
-            ++info.functionEntries;
-            info.functionPayloadBytes += e.payloadLen;
-        } else if (e.kind == entry_kind_liveness) {
-            ++info.livenessEntries;
-            info.livenessPayloadBytes += e.payloadLen;
-        } else if (e.kind == entry_kind_datadeps) {
-            ++info.dataDepsEntries;
-            info.dataDepsPayloadBytes += e.payloadLen;
-        } else {
-            ++info.otherEntries;
+    for (const SegmentView &view : scan.views) {
+        // Per-ISA counts straight from the sorted index bounds.
+        for (Arch arch : all_arches) {
+            const auto a = static_cast<std::uint8_t>(arch);
+            const std::uint32_t first = view.lowerBound(a, 0);
+            info.archEntries[a] +=
+                std::max(first, view.lowerBound(a + 1, 0)) - first;
         }
-        info.payloadBytes += e.payloadLen;
-        keys.insert({e.kind, e.key});
-        payload_hashes.insert(e.payloadHash);
+        for (std::uint32_t i = 0; i < view.count; ++i) {
+            const IndexRecord r = view.record(i);
+            if (!view.inBounds(r))
+                continue;
+            if (r.kind == entry_kind_function) {
+                ++info.functionEntries;
+                info.functionPayloadBytes += r.payloadLen;
+            } else if (r.kind == entry_kind_liveness) {
+                ++info.livenessEntries;
+                info.livenessPayloadBytes += r.payloadLen;
+            } else if (r.kind == entry_kind_datadeps) {
+                ++info.dataDepsEntries;
+                info.dataDepsPayloadBytes += r.payloadLen;
+            } else {
+                ++info.otherEntries;
+            }
+            info.payloadBytes += r.payloadLen;
+            keys.insert({r.arch, r.kind, r.key});
+            payload_hashes.insert(
+                fnv1a(view.payload(r), r.payloadLen));
+        }
     }
     info.distinctKeys = static_cast<unsigned>(keys.size());
     info.distinctPayloads =
@@ -1433,66 +1640,94 @@ verifyCacheFile(const std::string &path)
     ScanResult scan = scanFile(file);
     report.fileVersion = scan.version;
     report.segments = scan.segments;
-    report.droppedEntries += scan.droppedEntries;
+    report.droppedEntries = scan.droppedEntries;
     report.issues = std::move(scan.issues);
 
-    for (const RawEntry &e : scan.entries) {
-        if (fnv1a(e.payload, e.payloadLen) != e.payloadHash) {
-            report.issues.push_back(
-                {"cache-checksum", e.offset,
-                 "payload checksum mismatch"});
-            ++report.droppedEntries;
-            continue;
-        }
-        if (e.arch > static_cast<std::uint8_t>(Arch::aarch64)) {
-            report.issues.push_back(
-                {"cache-entry", e.offset, "unknown ISA tag"});
-            ++report.droppedEntries;
-            continue;
-        }
-        ByteReader rd(e.payload, e.payloadLen);
-        if (e.kind == entry_kind_function) {
-            Function func;
-            std::int64_t toc_delta = 0;
-            bool uses_toc = false;
-            if (!decodeFunction(rd, func, toc_delta, uses_toc)) {
+    for (const SegmentView &view : scan.views) {
+        for (std::uint32_t i = 0; i < view.count; ++i) {
+            const IndexRecord r = view.record(i);
+            const std::size_t offset = static_cast<std::size_t>(
+                view.records - file->data() +
+                std::size_t{i} * cache_index_record_bytes);
+            if (i > 0) {
+                const IndexRecord prev = view.record(i - 1);
+                if (std::make_tuple(prev.arch, prev.kind, prev.key) >=
+                    std::make_tuple(r.arch, r.kind, r.key))
+                    report.issues.push_back(
+                        {"cache-entry", offset,
+                         "index record out of (arch, kind, key) "
+                         "order; lookups may miss it"});
+            }
+            if (!view.inBounds(r)) {
+                // A torn tail's lost records are already counted.
+                if (view.complete) {
+                    report.issues.push_back(
+                        {"cache-truncated", offset,
+                         "index record points past its segment"});
+                    ++report.droppedEntries;
+                }
+                continue;
+            }
+            if (cacheEntryHash(r.arch, r.kind, r.key, view.payload(r),
+                               r.payloadLen) != r.payloadHash) {
                 report.issues.push_back(
-                    {"cache-entry", e.offset,
-                     "malformed function payload"});
+                    {"cache-checksum", offset,
+                     "payload checksum mismatch"});
                 ++report.droppedEntries;
                 continue;
             }
-            ++report.loadedFunctions;
-        } else if (e.kind == entry_kind_liveness) {
-            LivenessResult live;
-            Addr orig_entry = 0;
-            if (!decodeLiveness(rd, live, orig_entry)) {
+            if (r.reserved != 0 ||
+                r.arch > static_cast<std::uint8_t>(Arch::aarch64)) {
                 report.issues.push_back(
-                    {"cache-entry", e.offset,
-                     "malformed liveness payload"});
+                    {"cache-entry", offset,
+                     "unknown ISA tag or reserved index bits set"});
                 ++report.droppedEntries;
                 continue;
             }
-            ++report.loadedLiveness;
-        } else if (e.kind == entry_kind_datadeps) {
-            DataDeps deps;
-            Addr orig_entry = 0;
-            if (!decodeDataDeps(rd, deps, orig_entry)) {
-                report.issues.push_back(
-                    {"cache-entry", e.offset,
-                     "malformed data read-set payload"});
-                ++report.droppedEntries;
-                continue;
+            ByteReader rd(view.payload(r), r.payloadLen);
+            if (r.kind == entry_kind_function) {
+                Function func;
+                std::int64_t toc_delta = 0;
+                bool uses_toc = false;
+                if (!decodeFunction(rd, func, toc_delta, uses_toc)) {
+                    report.issues.push_back(
+                        {"cache-entry", offset,
+                         "malformed function payload"});
+                    ++report.droppedEntries;
+                    continue;
+                }
+                ++report.loadedFunctions;
+            } else if (r.kind == entry_kind_liveness) {
+                LivenessResult live;
+                Addr orig_entry = 0;
+                if (!decodeLiveness(rd, live, orig_entry)) {
+                    report.issues.push_back(
+                        {"cache-entry", offset,
+                         "malformed liveness payload"});
+                    ++report.droppedEntries;
+                    continue;
+                }
+                ++report.loadedLiveness;
+            } else if (r.kind == entry_kind_datadeps) {
+                DataDeps deps;
+                Addr orig_entry = 0;
+                if (!decodeDataDeps(rd, deps, orig_entry)) {
+                    report.issues.push_back(
+                        {"cache-entry", offset,
+                         "malformed data read-set payload"});
+                    ++report.droppedEntries;
+                    continue;
+                }
+                ++report.loadedDataDeps;
+            } else {
+                char msg[96];
+                std::snprintf(msg, sizeof(msg),
+                              "unknown entry kind %u (newer writer?); "
+                              "entry skipped",
+                              r.kind);
+                report.issues.push_back({"cache-skip", offset, msg});
+                ++report.skippedUnknown;
             }
-            ++report.loadedDataDeps;
-        } else {
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "unknown entry kind %u (newer writer?); "
-                          "entry skipped",
-                          e.kind);
-            report.issues.push_back({"cache-skip", e.offset, msg});
-            ++report.skippedUnknown;
         }
     }
     return report;

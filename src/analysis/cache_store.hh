@@ -10,17 +10,17 @@
  * stable artifact to cache between runs.
  *
  * Robustness contract: loading never crashes. A missing file, a
- * foreign magic, a version mismatch, a flipped payload byte, a
- * truncated or torn-off tail, or a wrong-ISA entry each degrade to
- * an empty or partial load, with one structured cache-* issue per
- * problem (the same shape as the SBF container's sbf-* diagnostics).
- * This repo is the only writer of these files, so there is no
- * migration: a file of any other version loads as empty with one
- * info-grade cache-version issue, and the next save overwrites it.
- * Cache keys are content hashes, so a surviving entry is usable by
- * construction and a dropped entry only costs re-analysis.
+ * foreign magic, a version mismatch, a flipped payload or index byte,
+ * or a truncated or torn-off tail each degrade to an empty or partial
+ * load, with one structured cache-* issue per problem (the same shape
+ * as the SBF container's sbf-* diagnostics). This repo is the only
+ * writer of these files, so there is no migration: a file of any
+ * other version loads as empty with one info-grade cache-version
+ * issue, and the next save overwrites it. Cache keys are content
+ * hashes, so a surviving entry is usable by construction and a
+ * dropped entry only costs re-analysis.
  *
- * File layout v4 (all integers little-endian):
+ * File layout v5 (all integers little-endian):
  *
  *   u32 magic       "ICPC"
  *   u32 version     cache_file_version
@@ -29,43 +29,59 @@
  * followed by a chain of append-only segments, each one `save()`:
  *
  *   u32 segMagic    "ICPS"
- *   u32 entryCount
- *   u64 bodyBytes   total entry bytes following this header
+ *   u32 count       index records
+ *   u64 bodyBytes   index + payload bytes following this header
  *   u64 generation  monotonically increasing across appends
  *   u64 headerHash  FNV-1a over the previous 24 header bytes
- *   entryCount x {
- *     u8  kind      4 = function CFG, 5 = liveness summary,
- *                   6 = data read-set (all position-independent)
- *     u8  arch      Arch enum value
- *     u64 key       Function::cacheKey the entry memoizes
+ *   count x index record (32 bytes), sorted by (arch, kind, key) {
+ *     u8  arch          Arch enum value
+ *     u8  kind          4 = function CFG, 5 = liveness summary,
+ *                       6 = data read-set (all position-independent)
+ *     u16 reserved      0
  *     u32 payloadLen
- *     u64 payloadHash   FNV-1a over the payload bytes
- *     u8  payload[payloadLen]
+ *     u64 key           Function::cacheKey the entry memoizes
+ *     u64 payloadOffset from the first payload byte of the segment
+ *     u64 payloadHash   FNV-1a over arch, kind, key, then the payload
  *   }
+ *   payload bytes (concatenated, in index order)
  *
- * Version 4 makes entries position-independent: keys are content
- * addresses (no entry address, no symbol name — see cache.hh) and
- * every absolute address in a payload is stored relative to the
- * entry the function was analyzed at, with that original entry (and
- * for functions the analysis-time `tocBase - entry` offset) kept as
- * payload metadata, so a lookup from a *different* binary sharing
- * the code bytes rebases the entry to its own addresses. Forward
- * compatibility is structural: an *unknown* entry kind is skipped
- * with a `cache-skip` info diagnostic — a reader built before a
+ * Entries are position-independent: keys are content addresses (no
+ * entry address, no symbol name — see cache.hh) and every absolute
+ * address in a payload is stored relative to the entry the function
+ * was analyzed at, with that original entry (and for functions the
+ * analysis-time `tocBase - entry` offset) kept as payload metadata,
+ * so a lookup from a *different* binary sharing the code bytes
+ * rebases the entry to its own addresses. Forward compatibility is
+ * structural: records of an *unknown* kind are skipped with one
+ * `cache-skip` info diagnostic per segment — a reader built before a
  * kind was introduced tolerates files that contain it.
  *
- * load() maps the file (zero-copy) and only walks entry headers; a
- * payload's checksum is verified and its bytes deserialized lazily
- * on first cache lookup, so a warm rewrite touching k functions pays
- * O(k) payload work, not O(file). save() appends one segment holding only the entries the
- * file does not already contain (a pure-warm run appends nothing and
- * leaves the file untouched); concurrent writers serialize on an
- * advisory `<path>.lock` flock and re-scan the file's key set under
+ * Costs follow what a run touches, not the file. load() maps the
+ * file (zero-copy), walks only the segment headers, and binary-
+ * searches each segment's index for the slice of the expected ISA;
+ * records of any other ISA are never read and raise no issue, so one
+ * file can serve a fleet of ISAs. A lookup binary-searches the slices
+ * newest segment first (the newest occurrence of a key wins); the
+ * payload hash — seeded with the record's arch, kind and key, so a
+ * flipped index byte fails the same check as a flipped payload byte —
+ * is verified and the payload deserialized on that first lookup only.
+ * A record pointing outside its segment is a miss at lookup and a
+ * cache-truncated issue in verifyCacheFile().
+ *
+ * save() appends one sorted segment holding only the entries the
+ * file lacks (a pure-warm run appends nothing and leaves the file
+ * untouched). When the target is the file this process loaded, the
+ * candidates are only the entries stored since (a dirty set), each
+ * binary-searched against the target's current segment indexes —
+ * including segments other writers appended after our mapping. Any
+ * other target (a different inode, or nothing loaded) merges every
+ * in-memory and mapped entry. Concurrent writers serialize on an
+ * advisory `<path>.lock` flock and re-read the segment chain under
  * the lock before appending, so parallel CI shards merge instead of
- * clobbering. A torn final segment (a writer died mid-append) is
- * salvaged entry-by-entry at load and repaired by the next save,
- * which falls back to a full atomic rewrite (tmp + rename, keeping
- * live mmaps valid on the old inode).
+ * clobbering. A torn final segment (a writer died mid-append) keeps
+ * the records whose payload lies inside the file and is repaired by
+ * the next save, which falls back to a full atomic rewrite (tmp +
+ * rename, keeping live mmaps valid on the old inode).
  *
  * Invalidation: a key covers the function bytes, the analysis
  * options, and the data-section layout (see imageCacheSeed) — but
@@ -81,21 +97,33 @@
 #ifndef ICP_ANALYSIS_CACHE_STORE_HH
 #define ICP_ANALYSIS_CACHE_STORE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "isa/arch.hh"
 
 namespace icp
 {
 
 constexpr std::uint32_t cache_file_magic = 0x43504349;    // "ICPC"
 constexpr std::uint32_t cache_segment_magic = 0x53504349; // "ICPS"
-constexpr std::uint32_t cache_file_version = 4;
+constexpr std::uint32_t cache_file_version = 5;
 
 /** Byte sizes of the fixed-layout records above. */
 constexpr std::size_t cache_file_header_bytes = 16;
 constexpr std::size_t cache_segment_header_bytes = 32;
-constexpr std::size_t cache_entry_header_bytes = 22;
+constexpr std::size_t cache_index_record_bytes = 32;
+
+/**
+ * An index record's payload hash: FNV-1a over the record's arch,
+ * kind and key (u8, u8, u64 little-endian), then the payload bytes.
+ */
+std::uint64_t cacheEntryHash(std::uint8_t arch, std::uint8_t kind,
+                             std::uint64_t key,
+                             const std::uint8_t *payload,
+                             std::size_t len);
 
 /** One structured problem found while loading a cache file. */
 struct CacheFileIssue
@@ -121,21 +149,18 @@ struct CacheLoadReport
     std::uint64_t bytesMapped = 0;
 
     /**
-     * Entries indexed for lazy deserialization (headers verified;
-     * checksum check and payload decode deferred to first lookup).
+     * Index records of the expected ISA, counted from the slices
+     * (checksum check and payload decode deferred to first lookup).
      */
     unsigned loadedFunctions = 0;
     unsigned loadedLiveness = 0;
     unsigned loadedDataDeps = 0;
 
-    /** Entries present in the file but rejected (one issue each). */
+    /** Entries present in the file but rejected. */
     unsigned droppedEntries = 0;
 
     /** Unknown-kind entries tolerated (forward compat, info issue). */
     unsigned skippedUnknown = 0;
-
-    /** Keys already in memory; the in-memory entry won. */
-    unsigned skippedExisting = 0;
 
     std::vector<CacheFileIssue> issues;
 
@@ -162,6 +187,9 @@ struct CacheFileInfo
     unsigned otherEntries = 0;  ///< unknown kinds (forward compat)
     std::uint64_t payloadBytes = 0;
 
+    /** Records per ISA (indexed by Arch), from the index bounds. */
+    std::array<unsigned, all_arches.size()> archEntries{};
+
     /** Per-kind payload bytes (`icp cache info` breakdown). */
     std::uint64_t functionPayloadBytes = 0;
     std::uint64_t livenessPayloadBytes = 0;
@@ -182,17 +210,18 @@ struct CacheFileInfo
 };
 
 /**
- * Walk a cache file's headers without decoding payloads: version,
- * segment chain, per-kind entry counts, structural issues. Cheap —
- * suitable for `icp cache info` and the save-time merge scan.
+ * Walk a cache file's segment indexes without decoding payloads:
+ * version, segment chain, per-kind and per-ISA entry counts,
+ * structural issues (`icp cache info`).
  */
 CacheFileInfo inspectCacheFile(const std::string &path);
 
 /**
- * Eagerly verify a cache file end to end: header chain, per-entry
- * checksums, and a full decode of every payload, without touching
- * the process-wide cache. Every problem is a structured issue on the
- * report (`icp cache verify`).
+ * Eagerly verify a cache file end to end: header chain, index order
+ * and bounds, per-entry checksums, and a full decode of every
+ * payload of every ISA, without touching the process-wide cache.
+ * Every problem is a structured issue on the report (`icp cache
+ * verify`).
  */
 CacheLoadReport verifyCacheFile(const std::string &path);
 
@@ -208,7 +237,7 @@ struct CacheCompactionResult
 };
 
 /**
- * Rewrite @p path as a single-segment v4 file, deduplicating keys
+ * Rewrite @p path as one sorted segment, deduplicating keys
  * and dropping torn tails. When @p max_bytes is non-zero, entries
  * are kept newest-generation-first until the cap: the LRU-ish
  * watermark policy that bounds CI cache growth (`icp cache compact`,

@@ -93,8 +93,6 @@ lintRules()
          "analysis-cache entry payload fails its checksum"},
         {"cache-entry", Severity::warning,
          "analysis-cache entry payload does not decode"},
-        {"cache-arch", Severity::warning,
-         "analysis-cache entry was produced for a different ISA"},
         {"cache-skip", Severity::info,
          "analysis-cache entry of an unknown kind was skipped "
          "(file written by a newer build)"},

@@ -1013,20 +1013,12 @@ diagnosticsFromCacheIssues(const std::vector<CacheFileIssue> &issues)
 {
     std::vector<Diagnostic> out;
     out.reserve(issues.size());
-    // Issues come in long runs of one rule (a shared multi-ISA file
-    // yields one cache-arch issue per foreign entry), so the
-    // registered severity is looked up once per run. Unregistered
-    // cache rules (cache-torn) are warnings.
-    const std::string *run_rule = nullptr;
-    Severity severity = Severity::warning;
     for (const CacheFileIssue &issue : issues) {
-        if (!run_rule || *run_rule != issue.rule) {
-            run_rule = &issue.rule;
-            severity = Severity::warning;
-            for (const LintRuleInfo &rule : lintRules()) {
-                if (issue.rule == rule.id)
-                    severity = rule.severity;
-            }
+        // Unregistered cache rules (cache-torn) are warnings.
+        Severity severity = Severity::warning;
+        for (const LintRuleInfo &rule : lintRules()) {
+            if (issue.rule == rule.id)
+                severity = rule.severity;
         }
         Diagnostic d;
         d.rule = issue.rule;

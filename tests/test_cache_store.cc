@@ -3,17 +3,21 @@
  * Tests for the on-disk AnalysisCache (analysis/cache_store.hh):
  * save/load round-trips restore every entry; a simulated process
  * restart (clear + load) reuses >= 95% of function analyses and
- * rewrites byte-identically; and every corruption mode — missing
- * file, foreign magic, wrong version, truncated tail, flipped
- * payload byte, wrong-ISA entries — loads as empty-or-partial with
- * one structured cache-* issue per problem, never a crash, and never
- * a different rewrite output.
+ * rewrites byte-identically; every corruption mode — missing file,
+ * foreign magic, wrong version, truncated tail, flipped payload or
+ * index byte, unsorted index, out-of-segment record — loads as
+ * empty-or-partial with structured cache-* issues, never a crash,
+ * and never a different rewrite output; and another ISA's entries
+ * in a shared file are skipped without a word.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
+#include <tuple>
 #include <thread>
 #include <vector>
 
@@ -188,6 +192,125 @@ validCacheFile(const std::string &path)
 
 } // namespace
 
+// --- test-side v5 framing --------------------------------------------------
+
+namespace
+{
+
+/** One index record with its payload (test-side parser). */
+struct ParsedEntry
+{
+    std::uint8_t arch = 0;
+    std::uint8_t kind = 0;
+    std::uint64_t key = 0;
+    std::vector<std::uint8_t> payload;
+};
+
+/** Where one segment's parts start in a cache file. */
+struct SegmentLayout
+{
+    std::size_t header = 0;   ///< segment header
+    std::size_t index = 0;    ///< first index record
+    std::size_t payloads = 0; ///< first payload byte
+    std::size_t end = 0;      ///< one past the segment
+    std::uint32_t count = 0;
+};
+
+/** Walk a cache file's segment chain (test-side parser). */
+std::vector<SegmentLayout>
+segmentLayouts(const std::vector<std::uint8_t> &raw)
+{
+    std::vector<SegmentLayout> segs;
+    std::size_t pos = cache_file_header_bytes;
+    while (pos + cache_segment_header_bytes <= raw.size()) {
+        SegmentLayout seg;
+        seg.header = pos;
+        seg.count = getU32(raw.data() + pos + 4);
+        seg.index = pos + cache_segment_header_bytes;
+        seg.payloads = seg.index + seg.count * cache_index_record_bytes;
+        seg.end = seg.index + getU64(raw.data() + pos + 8);
+        EXPECT_LE(seg.end, raw.size());
+        segs.push_back(seg);
+        pos = seg.end;
+    }
+    return segs;
+}
+
+/** Every index record of every segment, with its payload. */
+std::vector<ParsedEntry>
+parseEntries(const std::vector<std::uint8_t> &raw)
+{
+    std::vector<ParsedEntry> entries;
+    for (const SegmentLayout &seg : segmentLayouts(raw)) {
+        for (std::uint32_t i = 0; i < seg.count; ++i) {
+            const std::uint8_t *rec = raw.data() + seg.index +
+                                      i * cache_index_record_bytes;
+            const std::uint32_t len = getU32(rec + 4);
+            const std::size_t at = seg.payloads + getU64(rec + 16);
+            EXPECT_LE(at + len, seg.end);
+            ParsedEntry e;
+            e.arch = rec[0];
+            e.kind = rec[1];
+            e.key = getU64(rec + 8);
+            e.payload.assign(raw.begin() + static_cast<long>(at),
+                             raw.begin() + static_cast<long>(at + len));
+            entries.push_back(std::move(e));
+        }
+    }
+    return entries;
+}
+
+/** Frame @p entries as one sorted segment of @p generation. */
+std::vector<std::uint8_t>
+segmentOf(std::vector<ParsedEntry> entries, std::uint64_t generation)
+{
+    std::sort(entries.begin(), entries.end(),
+              [](const ParsedEntry &a, const ParsedEntry &b) {
+                  return std::tie(a.arch, a.kind, a.key) <
+                         std::tie(b.arch, b.kind, b.key);
+              });
+    std::uint64_t body = entries.size() * cache_index_record_bytes;
+    for (const ParsedEntry &e : entries)
+        body += e.payload.size();
+    std::vector<std::uint8_t> seg;
+    putU32(seg, cache_segment_magic);
+    putU32(seg, static_cast<std::uint32_t>(entries.size()));
+    putU64(seg, body);
+    putU64(seg, generation);
+    putU64(seg, fnv1a(seg.data(), 24));
+    std::uint64_t offset = 0;
+    for (const ParsedEntry &e : entries) {
+        putU8(seg, e.arch);
+        putU8(seg, e.kind);
+        putU16(seg, 0);
+        putU32(seg, static_cast<std::uint32_t>(e.payload.size()));
+        putU64(seg, e.key);
+        putU64(seg, offset);
+        putU64(seg, cacheEntryHash(e.arch, e.kind, e.key,
+                                   e.payload.data(), e.payload.size()));
+        offset += e.payload.size();
+    }
+    for (const ParsedEntry &e : entries)
+        seg.insert(seg.end(), e.payload.begin(), e.payload.end());
+    return seg;
+}
+
+/** Frame @p entries as a single-segment file of @p version. */
+std::vector<std::uint8_t>
+frameCacheFile(std::uint32_t version,
+               const std::vector<ParsedEntry> &entries)
+{
+    std::vector<std::uint8_t> out;
+    putU32(out, cache_file_magic);
+    putU32(out, version);
+    putU64(out, 1); // file generation
+    const std::vector<std::uint8_t> seg = segmentOf(entries, 1);
+    out.insert(out.end(), seg.begin(), seg.end());
+    return out;
+}
+
+} // namespace
+
 TEST(CacheStore, MissingFileIsEmptyAndClean)
 {
     AnalysisCache::global().clear();
@@ -261,14 +384,10 @@ TEST(CacheStore, FlippedPayloadByteDegradesToLazyMiss)
     const unsigned total = clean_rep.loadedEntries();
     ASSERT_GE(total, 2u);
 
-    // First entry starts after the file header and the first
-    // segment header; its payload starts one entry header further
-    // (kind u8 + arch u8 + key u64 + payloadLen u32 + payloadHash
-    // u64). Flip the payload's first byte so only the checksum can
-    // catch it.
-    const std::size_t payload0 = cache_file_header_bytes +
-                                 cache_segment_header_bytes +
-                                 cache_entry_header_bytes;
+    // The first payload starts after the file header, the segment
+    // header and the segment's index. Flip its first byte so only the
+    // checksum can catch it.
+    const std::size_t payload0 = segmentLayouts(raw).front().payloads;
     ASSERT_LT(payload0, raw.size());
     raw[payload0] ^= 0x01;
     writeAll(path, raw);
@@ -296,21 +415,23 @@ TEST(CacheStore, FlippedPayloadByteDegradesToLazyMiss)
     EXPECT_GE(AnalysisCache::global().stats().misses(), 1u);
 }
 
-TEST(CacheStore, WrongIsaEntriesAreDroppedWithIssue)
+TEST(CacheStore, ForeignIsaEntriesAreSkippedSilently)
 {
     const std::string path = tmpPath("wrong_isa");
     // Populate the file from a ppc64le rewrite...
     const BinaryImage img = compileMicro(Arch::ppc64le);
     coldRewrite(img, path);
 
-    // ...then load it expecting x64: every entry is foreign.
+    // ...then load it expecting x64: every entry belongs to another
+    // ISA of a shared file, so none is read and none is an issue.
     AnalysisCache::global().clear();
     const CacheLoadReport rep =
         AnalysisCache::global().load(path, Arch::x64);
     EXPECT_TRUE(rep.fileRead);
-    EXPECT_TRUE(hasIssue(rep, "cache-arch"));
+    EXPECT_TRUE(rep.clean())
+        << (rep.issues.empty() ? "" : rep.issues.front().message);
     EXPECT_EQ(rep.loadedEntries(), 0u);
-    EXPECT_GE(rep.droppedEntries, 1u);
+    EXPECT_EQ(rep.droppedEntries, 0u);
     EXPECT_EQ(AnalysisCache::global().entryCount(), 0u);
 }
 
@@ -319,15 +440,36 @@ TEST(CacheStore, InMemoryEntriesWinOverFileEntries)
     const std::string path = tmpPath("merge");
     const BinaryImage img = compileMicro(Arch::x64);
     coldRewrite(img, path);
-    const std::size_t entries = AnalysisCache::global().entryCount();
+    std::uint64_t key = 0;
+    for (const ParsedEntry &e : parseEntries(readAll(path)))
+        if (e.kind == 4)
+            key = e.key;
+    ASSERT_NE(key, 0u);
 
-    // Load on top of the same in-memory state: nothing new.
+    // An in-memory entry stored before the load shadows the file's
+    // entry for the same key at lookup.
+    AnalysisCache::global().clear();
+    Function mine;
+    mine.name = "in-memory";
+    mine.entry = 0x1000;
+    mine.end = 0x1010;
+    AnalysisCache::global().storeFunction(key, Arch::x64, mine, 0);
     const CacheLoadReport rep =
         AnalysisCache::global().load(path, Arch::x64);
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.loadedEntries(), 0u);
-    EXPECT_EQ(rep.skippedExisting, entries);
-    EXPECT_EQ(AnalysisCache::global().entryCount(), entries);
+    EXPECT_GT(rep.loadedFunctions, 0u);
+    const auto hit =
+        AnalysisCache::global().findFunction(key, 0x1000, 0);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->name, "in-memory");
+
+    // Without it, the same lookup is served from the file.
+    AnalysisCache::global().clear();
+    AnalysisCache::global().load(path, Arch::x64);
+    const auto from_file =
+        AnalysisCache::global().findFunction(key, 0x1000, 0);
+    ASSERT_NE(from_file, nullptr);
+    EXPECT_NE(from_file->name, "in-memory");
 }
 
 // --- corrupt cache never changes the rewrite ------------------------------
@@ -634,64 +776,6 @@ TEST(CacheStore, AutoCompactionTriggersOnSaveWhenOverCap)
 
 // --- v3 data read-sets: round trip and version compatibility ---------------
 
-namespace
-{
-
-/** One parsed entry record: its kind and raw on-disk bytes. */
-struct ParsedEntry
-{
-    std::uint8_t kind = 0;
-    std::vector<std::uint8_t> bytes; ///< header + payload
-};
-
-/** Walk a segmented cache file's entry records (test-side parser). */
-std::vector<ParsedEntry>
-parseEntries(const std::vector<std::uint8_t> &raw)
-{
-    std::vector<ParsedEntry> entries;
-    std::size_t pos = cache_file_header_bytes;
-    while (pos + cache_segment_header_bytes <= raw.size()) {
-        const std::uint32_t count = getU32(raw.data() + pos + 4);
-        pos += cache_segment_header_bytes;
-        for (std::uint32_t i = 0; i < count; ++i) {
-            EXPECT_LE(pos + cache_entry_header_bytes, raw.size());
-            const std::uint32_t len = getU32(raw.data() + pos + 10);
-            const std::size_t total = cache_entry_header_bytes + len;
-            EXPECT_LE(pos + total, raw.size());
-            ParsedEntry e;
-            e.kind = raw[pos];
-            e.bytes.assign(raw.begin() + static_cast<long>(pos),
-                           raw.begin() + static_cast<long>(pos) +
-                               static_cast<long>(total));
-            entries.push_back(std::move(e));
-            pos += total;
-        }
-    }
-    return entries;
-}
-
-/** Frame @p body as a single-segment file of @p version. */
-std::vector<std::uint8_t>
-frameCacheFile(std::uint32_t version, std::uint32_t entry_count,
-               const std::vector<std::uint8_t> &body)
-{
-    std::vector<std::uint8_t> out;
-    putU32(out, cache_file_magic);
-    putU32(out, version);
-    putU64(out, 1); // file generation
-    std::vector<std::uint8_t> seg;
-    putU32(seg, cache_segment_magic);
-    putU32(seg, entry_count);
-    putU64(seg, body.size());
-    putU64(seg, 1); // segment generation
-    putU64(seg, fnv1a(seg.data(), 24));
-    out.insert(out.end(), seg.begin(), seg.end());
-    out.insert(out.end(), body.begin(), body.end());
-    return out;
-}
-
-} // namespace
-
 TEST(CacheStore, V3FileCarriesDataDepsEntries)
 {
     const std::string path = tmpPath("v3_deps");
@@ -721,22 +805,13 @@ TEST(CacheStore, UnknownEntryKindIsSkippedNeverFatal)
 
     // Append a well-formed segment holding one entry of a kind this
     // build has never heard of — what a newer writer would leave.
-    std::vector<std::uint8_t> entry;
-    const std::vector<std::uint8_t> payload = {0xde, 0xad, 0xbe,
-                                               0xef};
-    putU8(entry, 77); // future entry kind
-    putU8(entry, static_cast<std::uint8_t>(Arch::x64));
-    putU64(entry, 0x77777777ULL);
-    putU32(entry, static_cast<std::uint32_t>(payload.size()));
-    putU64(entry, fnv1a(payload.data(), payload.size()));
-    entry.insert(entry.end(), payload.begin(), payload.end());
-    std::vector<std::uint8_t> seg;
-    putU32(seg, cache_segment_magic);
-    putU32(seg, 1);
-    putU64(seg, entry.size());
-    putU64(seg, 99); // newer generation
-    putU64(seg, fnv1a(seg.data(), 24));
-    seg.insert(seg.end(), entry.begin(), entry.end());
+    ParsedEntry future;
+    future.arch = static_cast<std::uint8_t>(Arch::x64);
+    future.kind = 77;
+    future.key = 0x77777777ULL;
+    future.payload = {0xde, 0xad, 0xbe, 0xef};
+    const std::vector<std::uint8_t> seg =
+        segmentOf({future}, 99); // newer generation
     std::vector<std::uint8_t> raw = readAll(path);
     raw.insert(raw.end(), seg.begin(), seg.end());
     writeAll(path, raw);
@@ -773,21 +848,18 @@ TEST(CacheStore, V4FileWithoutDepsDegradesToConservativeMisses)
     // Synthesize a v4 file whose data read-set entries are missing
     // (caching interrupted before the deps landed): same framing,
     // same function and liveness payloads.
-    const std::vector<std::uint8_t> raw = readAll(path);
-    std::vector<std::uint8_t> body;
-    std::uint32_t kept = 0;
+    std::vector<ParsedEntry> kept;
     unsigned deps_dropped = 0;
-    for (const ParsedEntry &e : parseEntries(raw)) {
+    for (ParsedEntry &e : parseEntries(readAll(path))) {
         if (e.kind == 6) {
             ++deps_dropped;
             continue;
         }
-        body.insert(body.end(), e.bytes.begin(), e.bytes.end());
-        ++kept;
+        kept.push_back(std::move(e));
     }
     ASSERT_GT(deps_dropped, 0u);
-    ASSERT_GT(kept, 0u);
-    writeAll(path, frameCacheFile(cache_file_version, kept, body));
+    ASSERT_FALSE(kept.empty());
+    writeAll(path, frameCacheFile(cache_file_version, kept));
 
     // The file loads cleanly: functions index, no deps entries
     // exist to load.
@@ -816,35 +888,41 @@ namespace
 {
 
 /**
- * One hand-framed absolute-form entry of the retired kinds 1-3. Its
- * payload is opaque; a current reader never gets as far as its
- * entries because the file version already disqualifies the file.
+ * One entry of the retired absolute-form kinds 1-3. Its payload is
+ * opaque; a current reader never gets as far as its entries because
+ * the file version already disqualifies the file.
  */
-std::vector<std::uint8_t>
+ParsedEntry
 legacyEntry(std::uint8_t kind, std::uint64_t key)
 {
-    const std::vector<std::uint8_t> payload = {0x01, 0x02, 0x03,
-                                               0x04, 0x05};
-    std::vector<std::uint8_t> out;
-    putU8(out, kind);
-    putU8(out, static_cast<std::uint8_t>(Arch::x64));
-    putU64(out, key);
-    putU32(out, static_cast<std::uint32_t>(payload.size()));
-    putU64(out, fnv1a(payload.data(), payload.size()));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    ParsedEntry e;
+    e.arch = static_cast<std::uint8_t>(Arch::x64);
+    e.kind = kind;
+    e.key = key;
+    e.payload = {0x01, 0x02, 0x03, 0x04, 0x05};
+    return e;
 }
 
-/** The v1 layout: magic, version=1, entryCount, entries. */
+/**
+ * The v1 layout: magic, version=1, entryCount, then each entry as a
+ * kind u8, arch u8, key u64, payloadLen u32, payloadHash u64 header
+ * followed by its payload.
+ */
 std::vector<std::uint8_t>
-frameV1File(std::uint32_t entry_count,
-            const std::vector<std::uint8_t> &body)
+frameV1File(const std::vector<ParsedEntry> &entries)
 {
     std::vector<std::uint8_t> v1;
     putU32(v1, cache_file_magic);
     putU32(v1, 1);
-    putU32(v1, entry_count);
-    v1.insert(v1.end(), body.begin(), body.end());
+    putU32(v1, static_cast<std::uint32_t>(entries.size()));
+    for (const ParsedEntry &e : entries) {
+        putU8(v1, e.kind);
+        putU8(v1, e.arch);
+        putU64(v1, e.key);
+        putU32(v1, static_cast<std::uint32_t>(e.payload.size()));
+        putU64(v1, fnv1a(e.payload.data(), e.payload.size()));
+        v1.insert(v1.end(), e.payload.begin(), e.payload.end());
+    }
     return v1;
 }
 
@@ -906,18 +984,13 @@ runLegacyFile(std::uint32_t file_version,
     const BinaryImage img = compileMicro(Arch::x64);
     const std::vector<std::uint8_t> cold = coldRewrite(img, path);
 
-    std::vector<std::uint8_t> body;
-    std::uint32_t count = 0;
-    for (std::uint8_t kind : legacy_kinds) {
-        const std::vector<std::uint8_t> e =
-            legacyEntry(kind, 0x1000ULL + kind);
-        body.insert(body.end(), e.begin(), e.end());
-        ++count;
-    }
+    std::vector<ParsedEntry> entries;
+    for (std::uint8_t kind : legacy_kinds)
+        entries.push_back(legacyEntry(kind, 0x1000ULL + kind));
     expectIgnoredAndRewritten(
         img, path, cold, file_version,
-        file_version == 1 ? frameV1File(count, body)
-                          : frameCacheFile(file_version, count, body));
+        file_version == 1 ? frameV1File(entries)
+                          : frameCacheFile(file_version, entries));
     expectFullyWarm(img, path, cold);
 }
 
@@ -926,7 +999,9 @@ runLegacyFile(std::uint32_t file_version,
 TEST(CacheStore, OlderVersionFileIsIgnoredAndRewritten)
 {
     // Whatever the framing — a current-shape segment chain, a bare
-    // entry list, or a torn stub — every older version is ignored.
+    // entry list, or a torn stub — every older version (v4, whose
+    // segments carry per-entry headers instead of an index, included)
+    // is ignored.
     const std::string path = tmpPath("old_version");
     const BinaryImage img = compileMicro(Arch::x64);
     const std::vector<std::uint8_t> cold = coldRewrite(img, path);
@@ -965,14 +1040,8 @@ TEST(CacheStore, V1FramingLoadsReadOnlyWithInfoDiagnostic)
     const unsigned count =
         AnalysisCache::global().load(path).loadedEntries();
     ASSERT_GT(count, 0u);
-    const std::vector<std::uint8_t> current = readAll(path);
-    const std::size_t body = cache_file_header_bytes +
-                             cache_segment_header_bytes;
-    ASSERT_LT(body, current.size());
-
-    expectIgnoredAndRewritten(
-        img, path, cold, 1,
-        frameV1File(count, {current.begin() + body, current.end()}));
+    expectIgnoredAndRewritten(img, path, cold, 1,
+                              frameV1File(parseEntries(readAll(path))));
     AnalysisCache::global().clear();
     const CacheLoadReport reloaded =
         AnalysisCache::global().load(path);
@@ -1045,4 +1114,150 @@ TEST(CacheStore, DataEditAppendsReplacementDepsEntries)
     EXPECT_EQ(DepsCounters::global().hitsRejected.load(),
               rejected_mid);
     EXPECT_EQ(second.image.serialize(), first.image.serialize());
+}
+
+// --- seeded mutations of the v5 parser ------------------------------------
+
+namespace
+{
+
+/** One corrupted copy of a cache file. */
+struct Mutation
+{
+    std::string what;
+    std::vector<std::uint8_t> bytes;
+    /** Cut at a segment boundary: a shorter, fully valid file. */
+    bool validPrefix = false;
+};
+
+/** Serialized rewrite of @p img with no cache at all. */
+std::vector<std::uint8_t>
+uncachedRewrite(const BinaryImage &img)
+{
+    AnalysisCache::global().clear();
+    RewriteOptions opts = baseOptions("");
+    opts.useAnalysisCache = false;
+    const RewriteResult rw = rewriteBinary(img, opts);
+    EXPECT_TRUE(rw.ok) << rw.failReason;
+    return rw.image.serialize();
+}
+
+/**
+ * Seeded mutations of @p raw: flipped bits in every segment's header,
+ * index and payloads; cuts inside headers and indexes and at every
+ * segment boundary; two adjacent index records swapped (an unsorted
+ * slice); and records whose offset or length points past their
+ * segment.
+ */
+std::vector<Mutation>
+mutationsOf(const std::vector<std::uint8_t> &raw, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<Mutation> out;
+    auto flip = [&](const char *region, std::size_t lo,
+                    std::size_t hi) {
+        Mutation m;
+        const std::size_t at = lo + rng() % (hi - lo);
+        m.what = std::string("flip ") + region + " byte " +
+                 std::to_string(at);
+        m.bytes = raw;
+        m.bytes[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+        out.push_back(std::move(m));
+    };
+    auto cut = [&](const char *where, std::size_t at, bool valid) {
+        Mutation m;
+        m.what = std::string("truncate ") + where + " at " +
+                 std::to_string(at);
+        m.bytes.assign(raw.begin(), raw.begin() + static_cast<long>(at));
+        m.validPrefix = valid;
+        out.push_back(std::move(m));
+    };
+    auto patch_record = [&](const char *field, std::size_t at,
+                            std::uint64_t value, unsigned width) {
+        Mutation m;
+        m.what = std::string("record ") + field + " past segment at " +
+                 std::to_string(at);
+        m.bytes = raw;
+        for (unsigned i = 0; i < width; ++i)
+            m.bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        out.push_back(std::move(m));
+    };
+
+    for (const SegmentLayout &seg : segmentLayouts(raw)) {
+        for (int i = 0; i < 4; ++i)
+            flip("segment header", seg.header, seg.index);
+        for (int i = 0; i < 8; ++i)
+            flip("index", seg.index, seg.payloads);
+        for (int i = 0; i < 6; ++i)
+            flip("payload", seg.payloads, seg.end);
+
+        cut("at segment boundary", seg.header, true);
+        cut("inside segment header", seg.header + 1 + rng() % 30, false);
+        cut("inside index",
+            seg.index + rng() % (seg.payloads - seg.index - 1) + 1,
+            false);
+
+        const std::uint32_t i = static_cast<std::uint32_t>(
+            rng() % (seg.count - 1));
+        Mutation swap;
+        swap.what = "swap index records " + std::to_string(i) + ", " +
+                    std::to_string(i + 1);
+        swap.bytes = raw;
+        const std::size_t a = seg.index + i * cache_index_record_bytes;
+        std::swap_ranges(
+            swap.bytes.begin() + static_cast<long>(a),
+            swap.bytes.begin() +
+                static_cast<long>(a + cache_index_record_bytes),
+            swap.bytes.begin() +
+                static_cast<long>(a + cache_index_record_bytes));
+        out.push_back(std::move(swap));
+
+        const std::size_t rec =
+            seg.index + (rng() % seg.count) * cache_index_record_bytes;
+        patch_record("offset", rec + 16, seg.end - seg.payloads + 1, 8);
+        patch_record("length", rec + 4, seg.end - seg.payloads + 1, 4);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(CacheStoreMutation, SeededMutationsNeverCrashOrChangeOutput)
+{
+    const std::string path = tmpPath("mutation");
+    const BinaryImage x64 = compileMicro(Arch::x64);
+    const BinaryImage a64 = compileMicro(Arch::aarch64);
+    const BinaryImage x64_nopie = compileMicro(Arch::x64, false);
+    const std::vector<const BinaryImage *> images = {&x64, &a64};
+    std::vector<std::vector<std::uint8_t>> cold;
+    for (const BinaryImage *img : images)
+        cold.push_back(uncachedRewrite(*img));
+
+    // A shared three-segment file: x64, aarch64, x64 non-PIE.
+    std::remove(path.c_str());
+    for (const BinaryImage *img : {&x64, &a64, &x64_nopie}) {
+        AnalysisCache::global().clear();
+        ASSERT_TRUE(rewriteBinary(*img, baseOptions(path)).ok);
+    }
+    const std::vector<std::uint8_t> pristine = readAll(path);
+    ASSERT_EQ(segmentLayouts(pristine).size(), 3u);
+    ASSERT_TRUE(verifyCacheFile(path).clean());
+
+    for (const Mutation &m : mutationsOf(pristine, 0x5eed)) {
+        SCOPED_TRACE(m.what);
+        writeAll(path, m.bytes);
+        // A cut at a segment boundary leaves a valid shorter file
+        // (the format is append-only); everything else is reported.
+        const CacheLoadReport verify = verifyCacheFile(path);
+        EXPECT_EQ(verify.clean(), m.validPrefix)
+            << (verify.issues.empty() ? "" : verify.issues.front().rule);
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            AnalysisCache::global().clear();
+            AnalysisCache::global().load(path, images[i]->arch);
+            const RewriteResult warm =
+                rewriteBinary(*images[i], baseOptions(""));
+            ASSERT_TRUE(warm.ok) << warm.failReason;
+            EXPECT_EQ(warm.image.serialize(), cold[i]);
+        }
+    }
 }

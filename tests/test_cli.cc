@@ -463,6 +463,32 @@ TEST(CliCacheFile, ConcurrentWritersWithOverlappingSetsMerge)
               0);
 }
 
+TEST(Cli, SharedMultiIsaCacheFileLintsClean)
+{
+    // One cache file shared by a fleet of ISAs: the other ISA's
+    // entries are never read, so a clean rewrite lints clean.
+    std::remove("/tmp/icp_cli_shared.icpc");
+    ASSERT_EQ(run("compile chromium-small /tmp/icp_cli_shared_a.sbf "
+                  "--arch aarch64 --pie"),
+              0);
+    ASSERT_EQ(run("compile libxul /tmp/icp_cli_shared_x.sbf --pie"), 0);
+    ASSERT_EQ(run("rewrite /tmp/icp_cli_shared_a.sbf "
+                  "/tmp/icp_cli_shared_a1.sbf --mode jt "
+                  "--cache-file /tmp/icp_cli_shared.icpc"),
+              0);
+    const std::string lint = "lint /tmp/icp_cli_shared_x.sbf --mode jt "
+                             "--cache-file /tmp/icp_cli_shared.icpc "
+                             "--fail-on warning";
+    EXPECT_EQ(exitCode(lint), 0) << capture(lint);
+    // Again, now that the file holds both ISAs' entries.
+    EXPECT_EQ(exitCode(lint), 0) << capture(lint);
+    const std::string info =
+        capture("cache info /tmp/icp_cli_shared.icpc");
+    EXPECT_NE(info.find("per ISA: x86-64 "), std::string::npos) << info;
+    EXPECT_EQ(info.find("x86-64 0 "), std::string::npos) << info;
+    EXPECT_EQ(info.find("aarch64 0\n"), std::string::npos) << info;
+}
+
 TEST(CliCache, InfoVerifyCompactRoundTrip)
 {
     std::remove("/tmp/icp_cli_cmd.icpc");
@@ -478,13 +504,14 @@ TEST(CliCache, InfoVerifyCompactRoundTrip)
               0);
 
     const std::string info = capture("cache info /tmp/icp_cli_cmd.icpc");
-    EXPECT_NE(info.find("v4"), std::string::npos) << info;
+    EXPECT_NE(info.find("v5"), std::string::npos) << info;
     EXPECT_NE(info.find("2 segments"), std::string::npos) << info;
     // Per-kind breakdown and the sharing stats are part of the
     // output contract.
     EXPECT_NE(info.find("function:"), std::string::npos) << info;
     EXPECT_NE(info.find("data read-set:"), std::string::npos) << info;
     EXPECT_NE(info.find("distinct keys"), std::string::npos) << info;
+    EXPECT_NE(info.find("per ISA: x86-64 "), std::string::npos) << info;
     EXPECT_EQ(exitCode("cache verify /tmp/icp_cli_cmd.icpc"), 0);
 
     const std::string compacted = capture(
@@ -519,7 +546,7 @@ TEST(CliCache, RewriteHonorsCacheMaxBytes)
               0);
     const std::string info =
         capture("cache info /tmp/icp_cli_cap.icpc");
-    EXPECT_NE(info.find("v4"), std::string::npos) << info;
+    EXPECT_NE(info.find("v5"), std::string::npos) << info;
     // The capped save compacted the file back under the limit.
     struct stat st;
     ASSERT_EQ(stat("/tmp/icp_cli_cap.icpc", &st), 0);

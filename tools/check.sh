@@ -19,9 +19,10 @@
 #                  untouched (delta save finds nothing to append)
 #   cache-v2       cache store v2 smoke: two concurrent classic
 #                  rewrites merge into one cache file, `icp cache
-#                  verify` finds it clean, and `icp cache compact
+#                  verify` finds it clean, `icp cache compact
 #                  --max-bytes` / `--cache-max-bytes` enforce the
-#                  size cap
+#                  size cap, and an x86-64 lint against a file primed
+#                  with aarch64 entries is clean at --fail-on warning
 #   sharded        range-bounded rewrite smoke: the chromium-small
 #                  corpus through `icp rewrite --shards 1`, `2` and
 #                  `4` must be byte-identical to the classic path and
@@ -218,7 +219,18 @@ leg_cache_v2() {
     ./build/tools/icp rewrite "$dir/b.sbf" "$dir/b_cap.sbf" \
         --cache-file "$cache" --cache-max-bytes 8192 &&
     [ "$(stat -c '%s' "$cache")" -le 8192 ] &&
-    echo "compaction: size cap enforced, file still clean"
+    echo "compaction: size cap enforced, file still clean" &&
+    # One file shared across ISAs: the aarch64 entries are never read
+    # by the x86-64 lint, so a clean rewrite lints clean.
+    ./build/tools/icp compile chromium-small "$dir/cs.sbf" \
+        --arch aarch64 --pie &&
+    ./build/tools/icp compile libxul "$dir/xul.sbf" --pie &&
+    ./build/tools/icp rewrite "$dir/cs.sbf" "$dir/cs_out.sbf" \
+        --mode jt --cache-file "$dir/multi.icpc" &&
+    ./build/tools/icp lint "$dir/xul.sbf" --mode jt \
+        --cache-file "$dir/multi.icpc" --fail-on warning &&
+    ./build/tools/icp cache verify "$dir/multi.icpc" &&
+    echo "shared multi-ISA cache file: lint clean, file clean"
     status=$?
     rm -rf "$dir"
     return $status

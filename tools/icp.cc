@@ -1208,9 +1208,10 @@ printCacheIssues(const std::vector<CacheFileIssue> &issues)
 
 /**
  * `icp cache info|verify|compact <file.icpc>`: maintenance of the
- * on-disk analysis cache. info walks headers only; verify decodes
- * every payload; compact rewrites the file as one deduplicated
- * segment, optionally under a --max-bytes cap (the manual form of
+ * on-disk analysis cache. info walks the segment indexes (per-ISA
+ * counts come from their bounds); verify decodes every payload;
+ * compact rewrites the file as one deduplicated sorted segment,
+ * optionally under a --max-bytes cap (the manual form of
  * --cache-max-bytes).
  */
 int
@@ -1255,6 +1256,11 @@ cmdCache(int argc, char **argv)
         std::printf("  sharing: %u total entries, %u distinct keys, "
                     "%u distinct payloads\n",
                     total, info.distinctKeys, info.distinctPayloads);
+        std::printf("  per ISA:");
+        for (Arch arch : all_arches)
+            std::printf(" %s %u", archName(arch),
+                        info.archEntries[static_cast<unsigned>(arch)]);
+        std::printf("\n");
         printCacheIssues(info.issues);
         return info.issues.empty() ? 0 : 2;
     }
