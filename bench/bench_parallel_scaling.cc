@@ -80,6 +80,10 @@ std::string cache_file = "/tmp/icp_bench_parallel.icpc";
  *  (the bench's usual working directory). */
 std::string icp_binary = "tools/icp";
 
+/** The registry timers the tables below read by name. */
+const Timer relocation = Metrics::global().timer("relocation");
+const Timer cache_rebase = Metrics::global().timer("cache.rebase");
+
 double
 rewriteWallMs(const BinaryImage &img, unsigned threads,
               const std::string &cache_path = "")
@@ -174,7 +178,7 @@ struct Run
     unsigned threads = 0;
     CacheMode mode = CacheMode::cold;
     double wallMs = 0.0;
-    std::string stages; ///< StageTimers JSON of the best rep
+    std::string stages; ///< Metrics JSON of the best rep
     std::uint64_t cacheFileBytes = 0; ///< file size after the run
 };
 
@@ -223,12 +227,12 @@ measure(const BinaryImage &img, unsigned threads, CacheMode mode)
             AnalysisCache::global().clear();
         if (mode == CacheMode::coldDisk)
             std::remove(cache_file.c_str());
-        StageTimers::global().reset();
+        Metrics::global().reset();
         const double ms =
             rewriteWallMs(img, threads, disk ? cache_file : "");
         if (r == 0 || ms < run.wallMs) {
             run.wallMs = ms;
-            run.stages = StageTimers::global().json();
+            run.stages = Metrics::global().json();
             run.cacheFileBytes = disk ? fileBytes(cache_file) : 0;
         }
     }
@@ -265,7 +269,7 @@ struct ChromiumRun
     double wallMs = 0.0;
     std::uint64_t peakRssBytes = 0;  ///< child ru_maxrss
     std::uint64_t outputBytes = 0;   ///< rewritten .sbf size
-    std::string stages;              ///< StageTimers JSON
+    std::string stages;              ///< Metrics JSON
     std::string shardCounters = "[]";
 };
 
@@ -296,7 +300,7 @@ chromiumChildBody(const std::string &sbf_path,
     opts.shards = shards;
     opts.lint = false;
 
-    StageTimers::global().reset();
+    Metrics::global().reset();
     const auto t0 = std::chrono::steady_clock::now();
     RewriteResult rw;
     if (shards == 0) {
@@ -327,7 +331,7 @@ chromiumChildBody(const std::string &sbf_path,
            << std::chrono::duration<double, std::milli>(t1 - t0)
                   .count()
            << "\noutput_bytes=" << fileBytes(out_path)
-           << "\nstages=" << StageTimers::global().json()
+           << "\nstages=" << Metrics::global().json()
            << "\nshard_counters="
            << shardCountersJson(rw.stats.shards) << "\n";
     return report ? 0 : 2;
@@ -473,7 +477,7 @@ warmSessionSection(icp::bench::JsonSections &sections)
 
     RewriteSession session(std::move(img));
 
-    StageTimers::global().reset();
+    Metrics::global().reset();
     auto t0 = std::chrono::steady_clock::now();
     const RewriteResult &full = session.rewrite(opts);
     auto t1 = std::chrono::steady_clock::now();
@@ -485,13 +489,11 @@ warmSessionSection(icp::bench::JsonSections &sections)
     const double full_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     const double full_reloc_ms =
-        static_cast<double>(
-            StageTimers::global().nanos(Stage::relocate)) /
-        1e6;
-    const std::string full_stages = StageTimers::global().json();
+        static_cast<double>(relocation.value()) / 1e6;
+    const std::string full_stages = Metrics::global().json();
     const unsigned full_emitted = full.stats.relocEmittedFunctions;
 
-    StageTimers::global().reset();
+    Metrics::global().reset();
     t0 = std::chrono::steady_clock::now();
     const RewriteSession::LoadOutcome outcome =
         session.loadInput(std::move(edited));
@@ -499,10 +501,8 @@ warmSessionSection(icp::bench::JsonSections &sections)
     const double delta_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     const double delta_reloc_ms =
-        static_cast<double>(
-            StageTimers::global().nanos(Stage::relocate)) /
-        1e6;
-    const std::string delta_stages = StageTimers::global().json();
+        static_cast<double>(relocation.value()) / 1e6;
+    const std::string delta_stages = Metrics::global().json();
     if (!outcome.incremental || !session.lastResult().ok) {
         std::fprintf(stderr, "session delta was not incremental\n");
         std::exit(1);
@@ -670,7 +670,7 @@ warmDatadepsSection(icp::bench::JsonSections &sections)
             std::exit(1);
         }
 
-        StageTimers::global().reset();
+        Metrics::global().reset();
         const auto t0 = std::chrono::steady_clock::now();
         const RewriteSession::LoadOutcome outcome =
             session.loadInput(std::move(edited));
@@ -705,7 +705,7 @@ warmDatadepsSection(icp::bench::JsonSections &sections)
              << res.stats.relocEmittedFunctions
              << ", \"spliced_functions\": "
              << res.stats.relocReusedFunctions
-             << ", \"stages\": " << StageTimers::global().json()
+             << ", \"stages\": " << Metrics::global().json()
              << "}";
     }
     json << "\n  ]";
@@ -1020,14 +1020,14 @@ crossBinarySection(icp::bench::JsonSections &sections)
     json << "[";
     for (std::size_t b = 1; b < imgs.size(); ++b) {
         AnalysisCache::global().clear();
-        StageTimers::global().reset();
+        Metrics::global().reset();
         const auto stats0 = AnalysisCache::global().stats();
         const std::uint64_t cross0 =
-            CacheCounters::global().crossHits.load();
+            CacheCounters::global().crossHits.value();
         const double warm = rewriteWallMs(imgs[b], 1, xbin_cache);
         const auto stats1 = AnalysisCache::global().stats();
         const std::uint64_t cross =
-            CacheCounters::global().crossHits.load() - cross0;
+            CacheCounters::global().crossHits.value() - cross0;
         const std::uint64_t hits =
             stats1.functionHits - stats0.functionHits;
         const std::uint64_t misses =
@@ -1038,10 +1038,8 @@ crossBinarySection(icp::bench::JsonSections &sections)
                       static_cast<double>(hits + misses)
                 : 0.0;
         const double rebase_ms =
-            static_cast<double>(
-                StageTimers::global().nanos(Stage::cacheRebase)) /
-            1e6;
-        const std::string stages = StageTimers::global().json();
+            static_cast<double>(cache_rebase.value()) / 1e6;
+        const std::string stages = Metrics::global().json();
 
         char vs_cold[32], rate[32], rebase[32];
         std::snprintf(vs_cold, sizeof(vs_cold), "%.2fx",

@@ -14,6 +14,13 @@ namespace icp
 namespace
 {
 
+const Timer analysis_timer = Metrics::global().timer("analysis");
+const Timer disasm_timer = Metrics::global().timer("disasm");
+const Timer cfg_timer = Metrics::global().timer("cfg");
+const Timer jump_table_timer = Metrics::global().timer("jump-table");
+const Timer deps_validate_timer =
+    Metrics::global().timer("deps.validate");
+
 /** Per-function construction state. */
 class FunctionBuilder
 {
@@ -129,7 +136,7 @@ FunctionBuilder::traverseFrom(Addr start)
 void
 FunctionBuilder::formBlocks()
 {
-    StageTimer timer(Stage::cfg);
+    ScopedTimer timer(cfg_timer);
     func_.blocks.clear();
     // Drop leaders that fall mid-instruction inside already decoded
     // code (misaligned over-approximated edges are infeasible).
@@ -240,7 +247,7 @@ FunctionBuilder::resolveIndirectJumps()
                 if (before.end == start)
                     pred = &before;
             }
-            StageTimer timer(Stage::jumpTable);
+            ScopedTimer timer(jump_table_timer);
             auto jt = analyzer_.analyze(block, pred);
             if (!jt) {
                 unresolved_.push_back(jump_addr);
@@ -277,7 +284,7 @@ FunctionBuilder::resolveIndirectJumps()
             func_.jumpTables.push_back(std::move(*jt));
         }
         {
-            StageTimer timer(Stage::disasm);
+            ScopedTimer timer(disasm_timer);
             while (!work_.empty()) {
                 const Addr a = work_.front();
                 work_.pop_front();
@@ -371,7 +378,7 @@ FunctionBuilder::build()
         work_.push_back(lp);
     }
     {
-        StageTimer timer(Stage::disasm);
+        ScopedTimer timer(disasm_timer);
         while (!work_.empty()) {
             const Addr a = work_.front();
             work_.pop_front();
@@ -380,7 +387,7 @@ FunctionBuilder::build()
     }
     resolveIndirectJumps();
     {
-        StageTimer timer(Stage::cfg);
+        ScopedTimer timer(cfg_timer);
         classifyGaps();
     }
     return func_;
@@ -388,9 +395,23 @@ FunctionBuilder::build()
 
 } // namespace
 
+const DepsCounters &
+DepsCounters::global()
+{
+    Metrics &m = Metrics::global();
+    static const DepsCounters counters{
+        m.counter("deps.ranges_recorded"),
+        m.counter("deps.bytes_recorded"),
+        m.counter("deps.hits_validated"),
+        m.counter("deps.hits_rejected")};
+    return counters;
+}
+
 CfgModule
 buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
 {
+    // Self time: cache lookups and stores, fan-out, module assembly.
+    const ScopedTimer timer(analysis_timer);
     CfgModule mod;
     mod.image = &image;
 
@@ -441,34 +462,26 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
                         key, sym.addr);
                     bool ok = false;
                     if (deps) {
-                        StageTimer timer(Stage::depsValidate);
+                        ScopedTimer timer(deps_validate_timer);
                         ok = deps->validate(image);
                     }
-                    DepsCounters &dc = DepsCounters::global();
+                    const DepsCounters &dc = DepsCounters::global();
                     if (ok) {
-                        dc.hitsValidated.fetch_add(
-                            1, std::memory_order_relaxed);
+                        dc.hitsValidated.add();
                         built[i] = *hit;
                         built[i].dataDeps = *deps;
                         return;
                     }
-                    dc.hitsRejected.fetch_add(
-                        1, std::memory_order_relaxed);
+                    dc.hitsRejected.add();
                 }
             }
             FunctionBuilder builder(image, opts, sym, try_ranges);
             built[i] = builder.build();
             built[i].cacheKey = key;
-            {
-                StageTimer timer(Stage::depsCompute);
-                built[i].dataDeps = computeDataDeps(built[i], image);
-            }
-            DepsCounters &dc = DepsCounters::global();
-            dc.rangesRecorded.fetch_add(built[i].dataDeps.size(),
-                                        std::memory_order_relaxed);
-            dc.bytesRecorded.fetch_add(
-                built[i].dataDeps.totalBytes(),
-                std::memory_order_relaxed);
+            built[i].dataDeps = computeDataDeps(built[i], image);
+            const DepsCounters &dc = DepsCounters::global();
+            dc.rangesRecorded.add(built[i].dataDeps.size());
+            dc.bytesRecorded.add(built[i].dataDeps.totalBytes());
             if (opts.useCache) {
                 AnalysisCache::global().storeFunction(
                     key, image.arch, built[i], image.tocBase);

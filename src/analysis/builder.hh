@@ -11,6 +11,7 @@
 
 #include "analysis/cfg.hh"
 #include "analysis/jump_table.hh"
+#include "support/stats.hh"
 
 namespace icp
 {
@@ -54,6 +55,23 @@ struct AnalysisOptions
      */
     Addr rangeLo = 0;
     Addr rangeHi = ~static_cast<Addr>(0);
+};
+
+/**
+ * Handles to buildCfg's data read-set counters in Metrics::global():
+ * ranges and bytes recorded for freshly analyzed functions, and the
+ * outcomes of re-hashing a cache hit's read-set (a rejected hit means
+ * a data byte the function reads changed, so the hit degraded to a
+ * conservative miss).
+ */
+struct DepsCounters
+{
+    static const DepsCounters &global();
+
+    Counter rangesRecorded;
+    Counter bytesRecorded;
+    Counter hitsValidated;
+    Counter hitsRejected;
 };
 
 /** Build the module CFG for every function symbol in @p image. */

@@ -139,6 +139,22 @@ DataDeps rebaseDataDeps(const DataDeps &deps, Addr orig_entry,
                         Addr new_entry);
 
 /**
+ * Handles to the cache's counters in Metrics::global(): bytes mapped
+ * by load(), bytes appended by save(), entries deserialized lazily on
+ * first lookup, and cross-binary hits (stored entries analyzed at
+ * another entry address and rebased to the requested one).
+ */
+struct CacheCounters
+{
+    static const CacheCounters &global();
+
+    Counter bytesMapped;
+    Counter bytesAppended;
+    Counter entriesLazy;
+    Counter crossHits;
+};
+
+/**
  * Process-wide memo of per-function analysis results. Thread-safe;
  * entries are shared immutable snapshots. Consulted by buildCfg
  * (function CFGs) and the rewriter (liveness), so the second
@@ -179,7 +195,7 @@ class AnalysisCache
      *
      * Entries are canonical at the entry they were analyzed at. When
      * @p entry differs (a cross-binary hit) the result is rebased to
-     * @p entry (CacheCounters::crossHits, Stage::cacheRebase); toc-
+     * @p entry (CacheCounters::crossHits, timer `cache.rebase`); toc-
      * relative code additionally requires `tocBase - entry` to match
      * the recorded value, else the lookup misses — a rebased
      * toc-relative target would be wrong.

@@ -52,6 +52,10 @@ namespace icp
 namespace
 {
 
+const Timer cache_load_timer = Metrics::global().timer("cache.load");
+const Timer cache_save_timer = Metrics::global().timer("cache.save");
+const Timer cache_rebase_timer = Metrics::global().timer("cache.rebase");
+
 // --- low-level byte IO ----------------------------------------------------
 
 void
@@ -1117,6 +1121,16 @@ AnalysisCache::IndexedPayload::intact() const
                           payload, payloadLen) == payloadHash;
 }
 
+const CacheCounters &
+CacheCounters::global()
+{
+    Metrics &m = Metrics::global();
+    static const CacheCounters counters{
+        m.counter("cache.bytes_mapped"), m.counter("cache.bytes_appended"),
+        m.counter("cache.entries_lazy"), m.counter("cache.cross_hits")};
+    return counters;
+}
+
 std::shared_ptr<const Function>
 AnalysisCache::findFunction(std::uint64_t key, Addr entry,
                             Addr toc_base)
@@ -1157,8 +1171,7 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         rec.usesToc = uses_toc;
         rec.value = std::make_shared<const Function>(std::move(func));
         it = functions_.emplace(key, std::move(rec)).first;
-        CacheCounters::global().entriesLazy.fetch_add(
-            1, std::memory_order_relaxed);
+        CacheCounters::global().entriesLazy.add();
     }
 
     const Entry<Function> &e = it->second;
@@ -1177,11 +1190,10 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         return nullptr;
     }
     stats_.functionHits++;
-    CacheCounters::global().crossHits.fetch_add(
-        1, std::memory_order_relaxed);
+    CacheCounters::global().crossHits.add();
     std::shared_ptr<const Function> value = e.value;
     lock.unlock();
-    StageTimer timer(Stage::cacheRebase);
+    ScopedTimer timer(cache_rebase_timer);
     return std::make_shared<const Function>(
         rebaseFunction(*value, entry));
 }
@@ -1214,8 +1226,7 @@ AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
         rec.value =
             std::make_shared<const LivenessResult>(std::move(live));
         it = liveness_.emplace(key, std::move(rec)).first;
-        CacheCounters::global().entriesLazy.fetch_add(
-            1, std::memory_order_relaxed);
+        CacheCounters::global().entriesLazy.add();
     }
 
     const Entry<LivenessResult> &e = it->second;
@@ -1225,7 +1236,7 @@ AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
     std::shared_ptr<const LivenessResult> value = e.value;
     const Addr orig = e.origEntry;
     lock.unlock();
-    StageTimer timer(Stage::cacheRebase);
+    ScopedTimer timer(cache_rebase_timer);
     return std::make_shared<const LivenessResult>(
         rebaseLiveness(*value, orig, entry));
 }
@@ -1256,8 +1267,7 @@ AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
         rec.origEntry = orig_entry;
         rec.value = std::make_shared<const DataDeps>(std::move(deps));
         it = dataDeps_.emplace(key, std::move(rec)).first;
-        CacheCounters::global().entriesLazy.fetch_add(
-            1, std::memory_order_relaxed);
+        CacheCounters::global().entriesLazy.add();
     }
 
     const Entry<DataDeps> &e = it->second;
@@ -1302,6 +1312,7 @@ CacheLoadReport
 AnalysisCache::load(const std::string &path,
                     std::optional<Arch> expect_arch)
 {
+    const ScopedTimer timer(cache_load_timer);
     CacheLoadReport report;
 
     auto file = MappedCacheFile::open(path);
@@ -1309,8 +1320,7 @@ AnalysisCache::load(const std::string &path,
         return report; // absent file: cold start, not an error
     report.fileRead = true;
     report.bytesMapped = file->size();
-    CacheCounters::global().bytesMapped.fetch_add(
-        file->size(), std::memory_order_relaxed);
+    CacheCounters::global().bytesMapped.add(file->size());
 
     ScanResult scan = scanFile(file);
     report.fileVersion = scan.version;
@@ -1403,6 +1413,7 @@ bool
 AnalysisCache::save(const std::string &path,
                     std::uint64_t max_bytes) const
 {
+    const ScopedTimer timer(cache_save_timer);
     // Writers serialize here; the scan below therefore sees every
     // segment earlier writers appended (merge-on-save).
     CacheFileLock file_lock(path);
@@ -1535,8 +1546,7 @@ AnalysisCache::save(const std::string &path,
             ok = static_cast<bool>(out);
         }
         if (ok)
-            CacheCounters::global().bytesAppended.fetch_add(
-                seg.size(), std::memory_order_relaxed);
+            CacheCounters::global().bytesAppended.add(seg.size());
     } else {
         // Fresh file, other version, foreign/torn content: full
         // atomic rewrite. The file's records of every ISA that made
@@ -1560,8 +1570,7 @@ AnalysisCache::save(const std::string &path,
         bytes.insert(bytes.end(), seg.begin(), seg.end());
         ok = writeFileAtomic(path, bytes);
         if (ok)
-            CacheCounters::global().bytesAppended.fetch_add(
-                bytes.size(), std::memory_order_relaxed);
+            CacheCounters::global().bytesAppended.add(bytes.size());
     }
 
     // Size-cap policy: compact in place while still holding the

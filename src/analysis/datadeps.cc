@@ -6,9 +6,12 @@
 #include "analysis/cache.hh"
 #include "analysis/cfg.hh"
 #include "binfmt/image.hh"
+#include "support/stats.hh"
 
 namespace icp
 {
+
+const Timer deps_compute_timer = Metrics::global().timer("deps.compute");
 
 void
 DataDeps::add(Addr lo, Addr hi)
@@ -97,6 +100,7 @@ hashImageRange(const BinaryImage &image, Addr lo, Addr hi)
 DataDeps
 computeDataDeps(const Function &func, const BinaryImage &image)
 {
+    const ScopedTimer timer(deps_compute_timer);
     DataDeps deps;
 
     // 1. Jump-table extents. The slice dereferences exactly

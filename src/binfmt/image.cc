@@ -7,9 +7,13 @@
 #include "binfmt/stream_writer.hh"
 #include "isa/bytes.hh"
 #include "support/logging.hh"
+#include "support/stats.hh"
 
 namespace icp
 {
+
+const Timer binfmt_encode_timer = Metrics::global().timer("binfmt.encode");
+const Timer binfmt_decode_timer = Metrics::global().timer("binfmt.decode");
 
 const char *
 sectionKindName(SectionKind kind)
@@ -307,6 +311,7 @@ class SbfReader
 std::vector<std::uint8_t>
 BinaryImage::serialize() const
 {
+    const ScopedTimer timer(binfmt_encode_timer);
     std::vector<std::uint8_t> out;
     VectorSink sink(out);
     streamImage(*this, sink);
@@ -317,6 +322,7 @@ std::optional<BinaryImage>
 BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
                             std::vector<SbfIssue> &issues)
 {
+    const ScopedTimer timer(binfmt_decode_timer);
     BinaryImage img;
     SbfReader rd(raw, issues);
 

@@ -93,6 +93,13 @@ planShards(const BinaryImage &image, unsigned shards)
 namespace
 {
 
+const Timer liveness_timer = Metrics::global().timer("liveness");
+const Timer func_ptr_timer = Metrics::global().timer("func-ptr");
+const Timer relocation_timer = Metrics::global().timer("relocation");
+const Timer trampoline_timer = Metrics::global().timer("trampoline");
+const Timer output_timer = Metrics::global().timer("output");
+const Timer rewrite_timer = Metrics::global().timer("rewrite");
+
 Addr
 alignUp(Addr v, Addr align)
 {
@@ -423,7 +430,7 @@ Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine,
             pre.push_back({&func, {}, nullptr});
     }
     {
-        StageTimer timer(Stage::liveness);
+        ScopedTimer timer(liveness_timer);
         ThreadPool::shared().parallelFor(
             pre.size(), effectiveThreads(opts_.threads),
             [&](std::size_t i) {
@@ -450,7 +457,7 @@ Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine,
             });
     }
 
-    StageTimer timer(Stage::trampoline);
+    ScopedTimer timer(trampoline_timer);
     for (const FuncPre &p : pre)
         trampolineFunc(*p.func, p.cfl, p.live.get(), engine);
 }
@@ -1232,11 +1239,11 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             }
         }
         {
-            StageTimer timer(Stage::funcPtr);
+            ScopedTimer timer(func_ptr_timer);
             for (const auto &[entry, func] : cfg.functions)
                 scanner.scanFunction(func);
         }
-        StageTimer timer(Stage::relocate);
+        ScopedTimer timer(relocation_timer);
         engine.plan(order);
         for (const Function *func : order) {
             instrumented_.insert(func->entry);
@@ -1251,7 +1258,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     trampolineBegin();
     forEachRange([&](std::size_t, const CfgModule &cfg) {
         {
-            StageTimer timer(Stage::relocate);
+            ScopedTimer timer(relocation_timer);
             const std::vector<const Function *> order =
                 emissionOrder(cfg);
             if (!reuse.valid() || !engine.layoutReused(order, reuse))
@@ -1260,7 +1267,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
         installTrampolines(cfg, engine, use_cache);
     });
     {
-        StageTimer timer(Stage::trampoline);
+        ScopedTimer timer(trampoline_timer);
         trampolineFinish();
     }
 
@@ -1300,7 +1307,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     if (opts_.clobberOriginal)
         clobberOriginal(instr_ranges);
     {
-        StageTimer timer(Stage::output);
+        ScopedTimer timer(output_timer);
         buildSections(instr_size, rodata_size, engine.raPairs());
     }
     // Manifests and fault injection need the resident CFG.
@@ -1334,7 +1341,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
                 const FuncSpan span = engine.spans()[i];
                 std::vector<std::uint8_t> bytes;
                 {
-                    StageTimer timer(Stage::relocate);
+                    ScopedTimer timer(relocation_timer);
                     bytes = engine.emit(i++, *func);
                 }
                 for (; patch_it != deferred.cend() &&
@@ -1402,6 +1409,8 @@ rewriteWithCache(const BinaryImage &input, const RewriteOptions &options,
                  const RewritePass &pass,
                  const std::vector<ShardRange> &ranges, SbfSink *sink)
 {
+    // Self time: copying the input, assembling the result, teardown.
+    const ScopedTimer timer(rewrite_timer);
     RewriteResult rejected;
     rejected.failReason = rejection(options, pass, sink != nullptr);
     if (!rejected.failReason.empty())
@@ -1410,21 +1419,17 @@ rewriteWithCache(const BinaryImage &input, const RewriteOptions &options,
     const bool persist =
         !options.cachePath.empty() && options.useAnalysisCache;
     CacheLoadReport cache_load;
-    if (persist) {
-        StageTimer timer(Stage::cacheLoad);
+    if (persist)
         cache_load = AnalysisCache::global().load(options.cachePath,
                                                   input.arch);
-    }
 
     Rewriter rewriter(input, options, pass);
     RewriteResult result = rewriter.run(ranges, sink);
     result.cacheLoad = std::move(cache_load);
 
-    if (persist && result.ok) {
-        StageTimer timer(Stage::cacheSave);
+    if (persist && result.ok)
         AnalysisCache::global().save(options.cachePath,
                                      options.cacheMaxBytes);
-    }
     return result;
 }
 

@@ -7,7 +7,6 @@
 #include "analysis/builder.hh"
 #include "analysis/cache.hh"
 #include "support/logging.hh"
-#include "support/stats.hh"
 
 namespace icp
 {
@@ -306,7 +305,6 @@ RewriteSession::mergeDiskCache()
 {
     if (opts_.cachePath.empty() || !opts_.useAnalysisCache)
         return CacheLoadReport{};
-    StageTimer timer(Stage::cacheLoad);
     return AnalysisCache::global().load(opts_.cachePath,
                                         input_->arch);
 }
@@ -317,7 +315,6 @@ RewriteSession::saveDiskCache(const RewriteResult &result)
     if (opts_.cachePath.empty() || !opts_.useAnalysisCache ||
         !result.ok)
         return;
-    StageTimer timer(Stage::cacheSave);
     AnalysisCache::global().save(opts_.cachePath,
                                  opts_.cacheMaxBytes);
 }

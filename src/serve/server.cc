@@ -64,18 +64,6 @@ statStamp(const std::string &path, std::uint64_t &mtime_ns,
     return true;
 }
 
-ServeMessage
-errorReply(const std::string &code, const std::string &message)
-{
-    ServeMessage reply;
-    reply.verb = "error";
-    reply.set("code", code);
-    reply.set("error", message);
-    ServeCounters::global().errors.fetch_add(
-        1, std::memory_order_relaxed);
-    return reply;
-}
-
 /** Session options carried as request fields (the client encodes
  *  its rewrite flags this way; defaults mirror `icp rewrite`). */
 RewriteOptions
@@ -116,10 +104,21 @@ severityFromField(const std::string &name)
     return std::nullopt;
 }
 
+const Timer serve_timer = Metrics::global().timer("serve.req");
+
 } // namespace
 
 ServeServer::ServeServer(ServeOptions options)
-    : opts_(std::move(options)), lockPath_(opts_.socketPath + ".lock")
+    : opts_(std::move(options)),
+      requests_(metrics_.counter("serve.requests")),
+      errors_(metrics_.counter("serve.errors")),
+      sessionHits_(metrics_.counter("serve.session_hits")),
+      sessionMisses_(metrics_.counter("serve.session_misses")),
+      evictions_(metrics_.counter("serve.evictions")),
+      timeouts_(metrics_.counter("serve.timeouts")),
+      badFrames_(metrics_.counter("serve.bad_frames")),
+      rejected_(metrics_.counter("serve.rejected")),
+      lockPath_(opts_.socketPath + ".lock")
 {
 }
 
@@ -249,8 +248,7 @@ ServeServer::run()
             // error — the request was never processed. The read is
             // capped well under the request timeout; a rejecting
             // server must keep accepting.
-            ServeCounters::global().rejected.fetch_add(
-                1, std::memory_order_relaxed);
+            rejected_.add();
             ServeMessage shed_req;
             std::string shed_err;
             const int cap =
@@ -309,7 +307,6 @@ ServeServer::run()
 void
 ServeServer::handleConnection(int fd)
 {
-    ServeCounters &counters = ServeCounters::global();
     for (;;) {
         ServeMessage request;
         std::string error;
@@ -322,11 +319,9 @@ ServeServer::handleConnection(int fd)
             // was wrong with its frame, then drop the connection
             // (framing is unrecoverable mid-stream).
             if (status == FrameStatus::timeout)
-                counters.timeouts.fetch_add(
-                    1, std::memory_order_relaxed);
+                timeouts_.add();
             else
-                counters.badFrames.fetch_add(
-                    1, std::memory_order_relaxed);
+                badFrames_.add();
             writeServeFrame(
                 fd, errorReply(frameStatusName(status), error),
                 opts_.requestTimeoutMs);
@@ -357,9 +352,8 @@ ServeServer::handleConnection(int fd)
 ServeMessage
 ServeServer::handleRequest(const ServeMessage &request)
 {
-    StageTimer timer(Stage::serve);
-    ServeCounters::global().requests.fetch_add(
-        1, std::memory_order_relaxed);
+    const ScopedTimer timer(serve_timer);
+    requests_.add();
     // Test hook: stretch request handling so drain tests can catch
     // a request reliably in flight. Read per request (tests toggle
     // it between cases within one process).
@@ -408,15 +402,13 @@ ServeServer::ensureResident(const std::string &path,
                             std::string &error)
 {
     const std::string key = canonicalPath(path);
-    ServeCounters &counters = ServeCounters::global();
     std::shared_ptr<Resident> resident;
     {
         std::lock_guard<std::mutex> lock(registryMu_);
         auto it = sessions_.find(key);
         if (it != sessions_.end()) {
             warm = true;
-            counters.sessionHits.fetch_add(
-                1, std::memory_order_relaxed);
+            sessionHits_.add();
             it->second->lastUse = ++tick_;
             return it->second;
         }
@@ -428,7 +420,7 @@ ServeServer::ensureResident(const std::string &path,
         return nullptr;
     }
     warm = false;
-    counters.sessionMisses.fetch_add(1, std::memory_order_relaxed);
+    sessionMisses_.add();
     resident = std::make_shared<Resident>();
     resident->key = key;
     resident->opts =
@@ -479,8 +471,7 @@ ServeServer::evictOverBudget(const Resident *keep)
         // Handlers still holding the shared_ptr finish safely; the
         // session is simply no longer resident for future requests.
         sessions_.erase(victim);
-        ServeCounters::global().evictions.fetch_add(
-            1, std::memory_order_relaxed);
+        evictions_.add();
     }
 }
 
@@ -772,14 +763,8 @@ ServeServer::handleStats(const ServeMessage &request)
     const ServeStatsSnapshot snap = statsSnapshot();
     ServeMessage reply;
     reply.verb = "ok";
-    reply.set("requests", snap.requests);
-    reply.set("errors", snap.errors);
-    reply.set("session_hits", snap.sessionHits);
-    reply.set("session_misses", snap.sessionMisses);
-    reply.set("evictions", snap.evictions);
-    reply.set("timeouts", snap.timeouts);
-    reply.set("bad_frames", snap.badFrames);
-    reply.set("rejected", snap.rejected);
+    for (const auto &[name, value] : metrics_.counters())
+        reply.set(name.substr(std::strlen("serve.")), value);
     reply.set("resident_sessions",
               std::uint64_t{snap.residentSessions});
     reply.set("resident_bytes", snap.residentBytes);
@@ -797,22 +782,6 @@ ServeStatsSnapshot
 ServeServer::statsSnapshot() const
 {
     ServeStatsSnapshot snap;
-    const ServeCounters &counters = ServeCounters::global();
-    snap.requests =
-        counters.requests.load(std::memory_order_relaxed);
-    snap.errors = counters.errors.load(std::memory_order_relaxed);
-    snap.sessionHits =
-        counters.sessionHits.load(std::memory_order_relaxed);
-    snap.sessionMisses =
-        counters.sessionMisses.load(std::memory_order_relaxed);
-    snap.evictions =
-        counters.evictions.load(std::memory_order_relaxed);
-    snap.timeouts =
-        counters.timeouts.load(std::memory_order_relaxed);
-    snap.badFrames =
-        counters.badFrames.load(std::memory_order_relaxed);
-    snap.rejected =
-        counters.rejected.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lock(registryMu_);
         snap.residentSessions =
@@ -829,6 +798,18 @@ ServeServer::statsSnapshot() const
         snap.maxMs = latency_.max();
     }
     return snap;
+}
+
+ServeMessage
+ServeServer::errorReply(const std::string &code,
+                        const std::string &message)
+{
+    ServeMessage reply;
+    reply.verb = "error";
+    reply.set("code", code);
+    reply.set("error", message);
+    errors_.add();
+    return reply;
 }
 
 void

@@ -75,7 +75,7 @@ struct ServeOptions
      * `error` reply (code "busy"), and closes it — so an overloaded
      * daemon sheds load in milliseconds instead of queueing
      * unbounded work behind the thread pool. Rejections count in
-     * ServeCounters::rejected (`serve_rejected`).
+     * the server's `serve.rejected` counter.
      */
     unsigned maxPending = 0;
 
@@ -84,18 +84,10 @@ struct ServeOptions
     unsigned threads = 0;
 };
 
-/** Snapshot of the daemon's counters (the `stats` verb). */
+/** Snapshot of the daemon's residency and latency (the `stats` verb
+ *  adds the counters of ServeServer::metrics()). */
 struct ServeStatsSnapshot
 {
-    std::uint64_t requests = 0;
-    std::uint64_t errors = 0;
-    std::uint64_t sessionHits = 0;
-    std::uint64_t sessionMisses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t badFrames = 0;
-    std::uint64_t rejected = 0; ///< connections shed at --max-pending
-
     unsigned residentSessions = 0;
     std::uint64_t residentBytes = 0;
 
@@ -138,6 +130,14 @@ class ServeServer
 
     ServeStatsSnapshot statsSnapshot() const;
 
+    /**
+     * This server's `serve.*` counters: requests, structured error
+     * replies, warm-session hits and misses, LRU evictions, request
+     * timeouts, malformed frames, and connections shed at
+     * --max-pending. Each server counts only its own traffic.
+     */
+    const Metrics &metrics() const { return metrics_; }
+
     const ServeOptions &options() const { return opts_; }
 
   private:
@@ -179,6 +179,10 @@ class ServeServer
     ServeMessage handleDeps(const ServeMessage &request);
     ServeMessage handleStats(const ServeMessage &request);
 
+    /** A structured "error" reply; counts `serve.errors`. */
+    ServeMessage errorReply(const std::string &code,
+                            const std::string &message);
+
     /**
      * Look up or create the resident session for @p path. Sets
      * @p warm to whether it was already resident, bumps the LRU
@@ -205,6 +209,15 @@ class ServeServer
     void noteLatency(double ms);
 
     ServeOptions opts_;
+    Metrics metrics_;
+    Counter requests_;
+    Counter errors_;
+    Counter sessionHits_;
+    Counter sessionMisses_;
+    Counter evictions_;
+    Counter timeouts_;
+    Counter badFrames_;
+    Counter rejected_;
     std::string lockPath_;
     int listenFd_ = -1;
     int lockFd_ = -1;

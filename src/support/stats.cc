@@ -1,6 +1,7 @@
 #include "stats.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -100,114 +101,155 @@ LatencyHistogram::percentile(double p) const
     return std::min(mid, max_);
 }
 
-const char *
-stageName(Stage stage)
+namespace
 {
-    switch (stage) {
-      case Stage::disasm: return "disasm";
-      case Stage::cfg: return "cfg";
-      case Stage::jumpTable: return "jump-table";
-      case Stage::liveness: return "liveness";
-      case Stage::funcPtr: return "func-ptr";
-      case Stage::relocate: return "relocation";
-      case Stage::trampoline: return "trampoline";
-      case Stage::output: return "output";
-      case Stage::lint: return "lint";
-      case Stage::lintChains: return "lint.chains";
-      case Stage::lintClones: return "lint.clones";
-      case Stage::lintPtrs: return "lint.ptrs";
-      case Stage::cacheLoad: return "cache.load";
-      case Stage::cacheSave: return "cache.save";
-      case Stage::cacheRebase: return "cache.rebase";
-      case Stage::depsCompute: return "deps.compute";
-      case Stage::depsValidate: return "deps.validate";
-      case Stage::serve: return "serve.req";
-      case Stage::count_: break;
+
+std::int64_t
+nowNs()
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+std::string
+formatMs(double ns)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.3f", ns / 1e6);
+    return buf;
+}
+
+/** The innermost open ScopedTimer on this thread. */
+thread_local ScopedTimer *open_timer = nullptr;
+
+} // namespace
+
+Metrics::Metrics() : startNs_(nowNs()) {}
+
+Metrics &
+Metrics::global()
+{
+    // Never destroyed: worker threads may still close spans at exit.
+    static Metrics *metrics = new Metrics;
+    return *metrics;
+}
+
+MetricEntry &
+Metrics::entry(const char *name, bool timer)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &e : entries_) {
+        if (e->name == name) {
+            icp_assert(e->timer == timer,
+                       "metric %s is both a timer and a counter", name);
+            return *e;
+        }
     }
-    return "?";
-}
-
-StageTimers &
-StageTimers::global()
-{
-    static StageTimers timers;
-    return timers;
+    entries_.push_back(
+        std::unique_ptr<MetricEntry>(new MetricEntry{name, timer}));
+    return *entries_.back();
 }
 
 void
-StageTimers::add(Stage stage, std::uint64_t nanos)
+Metrics::reset()
 {
-    nanos_[static_cast<unsigned>(stage)].fetch_add(
-        nanos, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &e : entries_) {
+        e->value.store(0, std::memory_order_relaxed);
+        e->touched.store(false, std::memory_order_relaxed);
+    }
+    startNs_ = nowNs();
 }
 
-std::uint64_t
-StageTimers::nanos(Stage stage) const
+std::map<std::string, std::uint64_t>
+Metrics::counters() const
 {
-    return nanos_[static_cast<unsigned>(stage)].load(
-        std::memory_order_relaxed);
+    std::map<std::string, std::uint64_t> out;
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &e : entries_) {
+        if (!e->timer)
+            out[e->name] = e->value.load(std::memory_order_relaxed);
+    }
+    return out;
 }
 
-void
-StageTimers::reset()
+std::vector<Metrics::Row>
+Metrics::rows() const
 {
-    for (auto &n : nanos_)
-        n.store(0, std::memory_order_relaxed);
-    CacheCounters::global().reset();
-    DepsCounters::global().reset();
-    ServeCounters::global().reset();
+    std::vector<Row> rows;
+    bool timed = false;
+    std::int64_t self_ns = 0, wall_ns = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const auto &e : entries_) {
+            if (!e->touched.load(std::memory_order_relaxed))
+                continue;
+            const std::uint64_t v =
+                e->value.load(std::memory_order_relaxed);
+            std::string key = e->name;
+            if (e->timer) {
+                timed = true;
+                self_ns += static_cast<std::int64_t>(v);
+                rows.push_back({e->name, key + "_ms",
+                                formatMs(static_cast<double>(v)), "ms"});
+            } else {
+                std::replace(key.begin(), key.end(), '.', '_');
+                rows.push_back({e->name, key, std::to_string(v), ""});
+            }
+        }
+        wall_ns = nowNs() - startNs_;
+    }
+    std::sort(rows.begin(), rows.end(),
+              [](const Row &a, const Row &b) { return a.name < b.name; });
+    if (!timed)
+        return rows;
+    rows.push_back({"wall", "wall_ms",
+                    formatMs(static_cast<double>(wall_ns)), "ms"});
+    rows.push_back({"(unattributed)", "unattributed_ms",
+                    formatMs(static_cast<double>(wall_ns - self_ns)),
+                    "ms"});
+    rows.push_back({"peak-rss", "peak_rss_bytes",
+                    std::to_string(peakRssBytes()), "bytes"});
+    return rows;
 }
 
-CacheCounters &
-CacheCounters::global()
+std::string
+Metrics::table() const
 {
-    static CacheCounters counters;
-    return counters;
+    std::string out;
+    char line[160];
+    for (const Row &r : rows()) {
+        std::snprintf(line, sizeof(line), "  %-20s %12s%s%s\n",
+                      r.name.c_str(), r.value.c_str(),
+                      *r.unit ? " " : "", r.unit);
+        out += line;
+    }
+    return out;
 }
 
-void
-CacheCounters::reset()
+std::string
+Metrics::json() const
 {
-    bytesMapped.store(0, std::memory_order_relaxed);
-    bytesAppended.store(0, std::memory_order_relaxed);
-    entriesLazy.store(0, std::memory_order_relaxed);
-    crossHits.store(0, std::memory_order_relaxed);
+    std::string out;
+    for (const Row &r : rows())
+        out += (out.empty() ? "\"" : ", \"") + r.key + "\": " + r.value;
+    return "{" + out + "}";
 }
 
-DepsCounters &
-DepsCounters::global()
+ScopedTimer::ScopedTimer(Timer timer)
+    : timer_(timer), parent_(open_timer), startNs_(nowNs())
 {
-    static DepsCounters counters;
-    return counters;
+    open_timer = this;
 }
 
-void
-DepsCounters::reset()
+ScopedTimer::~ScopedTimer()
 {
-    rangesRecorded.store(0, std::memory_order_relaxed);
-    bytesRecorded.store(0, std::memory_order_relaxed);
-    hitsValidated.store(0, std::memory_order_relaxed);
-    hitsRejected.store(0, std::memory_order_relaxed);
-}
-
-ServeCounters &
-ServeCounters::global()
-{
-    static ServeCounters counters;
-    return counters;
-}
-
-void
-ServeCounters::reset()
-{
-    requests.store(0, std::memory_order_relaxed);
-    errors.store(0, std::memory_order_relaxed);
-    sessionHits.store(0, std::memory_order_relaxed);
-    sessionMisses.store(0, std::memory_order_relaxed);
-    evictions.store(0, std::memory_order_relaxed);
-    timeouts.store(0, std::memory_order_relaxed);
-    badFrames.store(0, std::memory_order_relaxed);
-    rejected.store(0, std::memory_order_relaxed);
+    const std::int64_t elapsed = nowNs() - startNs_;
+    timer_.add(static_cast<std::uint64_t>(elapsed - childNs_));
+    if (parent_)
+        parent_->childNs_ += elapsed;
+    open_timer = parent_;
 }
 
 std::uint64_t
@@ -228,162 +270,11 @@ peakRssBytes()
 }
 
 std::string
-StageTimers::table() const
-{
-    std::string out;
-    char line[160];
-    for (unsigned s = 0; s < static_cast<unsigned>(Stage::count_);
-         ++s) {
-        const auto stage = static_cast<Stage>(s);
-        std::snprintf(line, sizeof(line), "  %-12s %10.3f ms\n",
-                      stageName(stage),
-                      static_cast<double>(nanos(stage)) / 1e6);
-        out += line;
-    }
-    const CacheCounters &cc = CacheCounters::global();
-    std::snprintf(line, sizeof(line),
-                  "  %-12s %10llu bytes mapped, %llu appended, "
-                  "%llu lazy entries, %llu cross hits\n",
-                  "cache.io",
-                  static_cast<unsigned long long>(
-                      cc.bytesMapped.load(std::memory_order_relaxed)),
-                  static_cast<unsigned long long>(cc.bytesAppended.load(
-                      std::memory_order_relaxed)),
-                  static_cast<unsigned long long>(cc.entriesLazy.load(
-                      std::memory_order_relaxed)),
-                  static_cast<unsigned long long>(cc.crossHits.load(
-                      std::memory_order_relaxed)));
-    out += line;
-    const DepsCounters &dc = DepsCounters::global();
-    std::snprintf(
-        line, sizeof(line),
-        "  %-12s %10llu ranges (%llu bytes), %llu hits ok, "
-        "%llu rejected\n",
-        "deps.io",
-        static_cast<unsigned long long>(
-            dc.rangesRecorded.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            dc.bytesRecorded.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            dc.hitsValidated.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            dc.hitsRejected.load(std::memory_order_relaxed)));
-    out += line;
-    const ServeCounters &vc = ServeCounters::global();
-    std::snprintf(
-        line, sizeof(line),
-        "  %-12s %10llu requests (%llu errors), %llu hits, "
-        "%llu misses, %llu evicted\n",
-        "serve.io",
-        static_cast<unsigned long long>(
-            vc.requests.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.errors.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.sessionHits.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.sessionMisses.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.evictions.load(std::memory_order_relaxed)));
-    out += line;
-    std::snprintf(line, sizeof(line), "  %-12s %10llu bytes\n",
-                  "peak-rss",
-                  static_cast<unsigned long long>(peakRssBytes()));
-    out += line;
-    return out;
-}
-
-std::string
-StageTimers::json() const
-{
-    std::string out = "{";
-    char item[96];
-    for (unsigned s = 0; s < static_cast<unsigned>(Stage::count_);
-         ++s) {
-        const auto stage = static_cast<Stage>(s);
-        std::snprintf(item, sizeof(item), "%s\"%s_ms\": %.3f",
-                      s == 0 ? "" : ", ", stageName(stage),
-                      static_cast<double>(nanos(stage)) / 1e6);
-        out += item;
-    }
-    const CacheCounters &cc = CacheCounters::global();
-    char counters[256];
-    std::snprintf(
-        counters, sizeof(counters),
-        ", \"cache_bytes_mapped\": %llu, \"cache_bytes_appended\": "
-        "%llu, \"cache_entries_lazy\": %llu, "
-        "\"cache_cross_hits\": %llu",
-        static_cast<unsigned long long>(
-            cc.bytesMapped.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            cc.bytesAppended.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            cc.entriesLazy.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            cc.crossHits.load(std::memory_order_relaxed)));
-    out += counters;
-    const DepsCounters &dc = DepsCounters::global();
-    char deps[192];
-    std::snprintf(
-        deps, sizeof(deps),
-        ", \"deps_ranges_recorded\": %llu, \"deps_bytes_recorded\": "
-        "%llu, \"deps_hits_validated\": %llu, "
-        "\"deps_hits_rejected\": %llu",
-        static_cast<unsigned long long>(
-            dc.rangesRecorded.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            dc.bytesRecorded.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            dc.hitsValidated.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            dc.hitsRejected.load(std::memory_order_relaxed)));
-    out += deps;
-    const ServeCounters &vc = ServeCounters::global();
-    char serve[384];
-    std::snprintf(
-        serve, sizeof(serve),
-        ", \"serve_requests\": %llu, \"serve_errors\": %llu, "
-        "\"serve_session_hits\": %llu, \"serve_session_misses\": "
-        "%llu, \"serve_evictions\": %llu, \"serve_timeouts\": %llu, "
-        "\"serve_bad_frames\": %llu, \"serve_rejected\": %llu",
-        static_cast<unsigned long long>(
-            vc.requests.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.errors.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.sessionHits.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.sessionMisses.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.evictions.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.timeouts.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.badFrames.load(std::memory_order_relaxed)),
-        static_cast<unsigned long long>(
-            vc.rejected.load(std::memory_order_relaxed)));
-    out += serve;
-    std::snprintf(counters, sizeof(counters),
-                  ", \"peak_rss_bytes\": %llu",
-                  static_cast<unsigned long long>(peakRssBytes()));
-    out += counters;
-    out += "}";
-    return out;
-}
-
-std::string
 formatPercent(double v, int decimals)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, v * 100.0);
     return buf;
-}
-
-double
-relativeDelta(double a, double b)
-{
-    icp_assert(a != 0, "relativeDelta: zero base");
-    return (b - a) / a;
 }
 
 } // namespace icp

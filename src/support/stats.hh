@@ -2,8 +2,8 @@
  * @file
  * Small statistics helpers used by the experiment harness: min, max,
  * mean, and percentile over sample vectors, plus percent formatting,
- * and the per-stage pipeline timers the CLI's --timing flag and the
- * scaling benchmark report.
+ * and the metrics registry the CLI's --timing flag, the serve
+ * daemon's stats and the scaling benchmark report.
  */
 
 #ifndef ICP_SUPPORT_STATS_HH
@@ -11,8 +11,10 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -33,8 +35,6 @@ class SampleStats
     double mean() const;
     /** p in [0, 100]; linear interpolation between order statistics. */
     double percentile(double p) const;
-
-    const std::vector<double> &samples() const { return samples_; }
 
   private:
     std::vector<double> samples_;
@@ -79,128 +79,97 @@ class LatencyHistogram
     double max_ = 0.0;
 };
 
-/** Pipeline stages with dedicated wall-clock accumulators. */
-enum class Stage : unsigned
+/** One registered timer or counter (see Metrics). */
+struct MetricEntry
 {
-    disasm,     ///< instruction decoding during CFG traversal
-    cfg,        ///< block formation, edges, gap classification
-    jumpTable,  ///< backward-slicing jump-table analysis
-    liveness,   ///< register liveness fixpoints
-    funcPtr,    ///< function-pointer analysis + rewriting
-    relocate,   ///< per-function relocation/codegen + fixup
-    trampoline, ///< trampoline placement + installation
-    output,     ///< section assembly / maps / clobbering
-    lint,       ///< static soundness verification
-    lintChains, ///< lint: trampoline-chain walking
-    lintClones, ///< lint: jump-table clone re-solving
-    lintPtrs,   ///< lint: loaded function-pointer cells
-    cacheLoad,  ///< on-disk AnalysisCache deserialization
-    cacheSave,  ///< on-disk AnalysisCache serialization
-    cacheRebase,///< rematerializing cross-binary hits at a new entry
-    depsCompute,///< data read-set recording (computeDataDeps)
-    depsValidate,///< data read-set re-hash on cache hits
-    serve,      ///< serve daemon request handling
-    count_      ///< number of stages (not a stage)
+    const std::string name;
+    const bool timer;
+    std::atomic<std::uint64_t> value{0};
+    std::atomic<bool> touched{false};
 };
 
-const char *stageName(Stage stage);
-
-/**
- * Process-wide per-stage time accumulators. Workers on any thread
- * add to the same atomic counters, so under parallel execution a
- * stage's total is summed CPU time across threads (it can exceed
- * wall time); with one thread it is plain wall time. Reset between
- * runs to scope a measurement.
- */
-class StageTimers
+/** A counter in a Metrics registry: a copyable handle to its cell. */
+class Counter
 {
   public:
-    static StageTimers &global();
+    void
+    add(std::uint64_t n = 1) const
+    {
+        entry_->value.fetch_add(n, std::memory_order_relaxed);
+        if (!entry_->touched.load(std::memory_order_relaxed))
+            entry_->touched.store(true, std::memory_order_relaxed);
+    }
 
-    void add(Stage stage, std::uint64_t nanos);
-    std::uint64_t nanos(Stage stage) const;
+    std::uint64_t
+    value() const
+    {
+        return entry_->value.load(std::memory_order_relaxed);
+    }
+
+    operator std::uint64_t() const { return value(); }
+
+  protected:
+    friend class Metrics;
+    explicit Counter(MetricEntry &entry) : entry_(&entry) {}
+    MetricEntry *entry_;
+};
+
+/** A timer: a counter of self nanoseconds, fed by ScopedTimer. */
+class Timer : public Counter
+{
+    friend class Metrics;
+    using Counter::Counter;
+};
+
+/**
+ * One set of named timers and counters. Each metric is registered
+ * once, by name, and used through the handle registration returns;
+ * any thread may add. table() and json() list the entries touched
+ * since reset(), by name; when a timer is among them, then `wall`
+ * (time since reset()), `(unattributed)` = wall − the timers' sum,
+ * and `peak-rss`. Timers
+ * hold self time (see ScopedTimer), so on one thread they never
+ * overlap; with worker threads they sum the workers' time and
+ * `(unattributed)` can go negative. A timer's JSON key is its name
+ * plus `_ms`; a counter's is its name with `.` written as `_`.
+ */
+class Metrics
+{
+  public:
+    Metrics();
+
+    /** The process-wide registry of the analysis/rewrite pipeline. */
+    static Metrics &global();
+
+    /** Register the timer (or counter) @p name, or find it again. */
+    Timer timer(const char *name) { return Timer(entry(name, true)); }
+    Counter counter(const char *name) { return Counter(entry(name, false)); }
+
+    /** Zero and untouch every entry; restart the wall clock. */
     void reset();
 
-    /** Human-readable two-column table (for --timing). */
+    /** Every counter, touched or not, by name. */
+    std::map<std::string, std::uint64_t> counters() const;
+
+    /** Two-column text table (for --timing). */
     std::string table() const;
 
-    /** One flat JSON object: {"disasm_ms": 1.23, ...}. */
+    /** The same rows as one flat JSON object. */
     std::string json() const;
 
   private:
-    std::array<std::atomic<std::uint64_t>,
-               static_cast<unsigned>(Stage::count_)>
-        nanos_{};
-};
+    struct Row
+    {
+        std::string name, key, value;
+        const char *unit;
+    };
 
-/**
- * Process-wide counters for the on-disk analysis cache's hot-path
- * behavior: bytes mapped by load(), bytes appended by save(), and
- * entries deserialized lazily on first lookup. Reset together with
- * StageTimers (same measurement scope); reported by table()/json().
- */
-class CacheCounters
-{
-  public:
-    static CacheCounters &global();
+    MetricEntry &entry(const char *name, bool timer);
+    std::vector<Row> rows() const;
 
-    std::atomic<std::uint64_t> bytesMapped{0};
-    std::atomic<std::uint64_t> bytesAppended{0};
-    std::atomic<std::uint64_t> entriesLazy{0};
-
-    /**
-     * Hits whose stored entry was analyzed at a different entry
-     * address (another binary, or the same library linked elsewhere)
-     * and was rebased to the requested entry on lookup.
-     */
-    std::atomic<std::uint64_t> crossHits{0};
-
-    void reset();
-};
-
-/**
- * Process-wide counters for the data read-set layer: ranges and
- * bytes recorded by computeDataDeps during CFG construction, and the
- * hit-validation outcomes (a rejected hit means a data byte the
- * function reads changed, so the hit degraded to a conservative
- * miss). Reset together with StageTimers; reported by table()/json().
- */
-class DepsCounters
-{
-  public:
-    static DepsCounters &global();
-
-    std::atomic<std::uint64_t> rangesRecorded{0};
-    std::atomic<std::uint64_t> bytesRecorded{0};
-    std::atomic<std::uint64_t> hitsValidated{0};
-    std::atomic<std::uint64_t> hitsRejected{0};
-
-    void reset();
-};
-
-/**
- * Process-wide counters for the `icp serve` daemon: request volume,
- * structured error replies, warm-session hits vs misses, LRU
- * evictions, request timeouts, and malformed frames. Reset together
- * with StageTimers; reported by table()/json().
- */
-class ServeCounters
-{
-  public:
-    static ServeCounters &global();
-
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> sessionHits{0};
-    std::atomic<std::uint64_t> sessionMisses{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<std::uint64_t> badFrames{0};
-
-    /** Connections refused with `error=busy` (pending queue full). */
-    std::atomic<std::uint64_t> rejected{0};
-
-    void reset();
+    mutable std::mutex mu_;
+    std::vector<std::unique_ptr<MetricEntry>> entries_;
+    std::int64_t startNs_;
 };
 
 /**
@@ -211,39 +180,29 @@ class ServeCounters
  */
 std::uint64_t peakRssBytes();
 
-/** RAII accumulator: adds the scope's duration to one stage. */
-class StageTimer
+/**
+ * RAII span: charges the scope's duration to one timer. A span
+ * opened inside another on the same thread is charged to its own
+ * timer only; the enclosing timer keeps the rest (its self time).
+ */
+class ScopedTimer
 {
   public:
-    explicit StageTimer(Stage stage)
-        : stage_(stage), start_(std::chrono::steady_clock::now())
-    {
-    }
+    explicit ScopedTimer(Timer timer);
+    ~ScopedTimer();
 
-    ~StageTimer()
-    {
-        const auto end = std::chrono::steady_clock::now();
-        StageTimers::global().add(
-            stage_,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    end - start_)
-                    .count()));
-    }
-
-    StageTimer(const StageTimer &) = delete;
-    StageTimer &operator=(const StageTimer &) = delete;
+    ScopedTimer(const ScopedTimer &) = delete;
+    ScopedTimer &operator=(const ScopedTimer &) = delete;
 
   private:
-    Stage stage_;
-    std::chrono::steady_clock::time_point start_;
+    Counter timer_;
+    ScopedTimer *parent_;
+    std::int64_t startNs_;
+    std::int64_t childNs_ = 0;
 };
 
 /** Render v (e.g. 0.0123) as a percent string "1.23%". */
 std::string formatPercent(double v, int decimals = 2);
-
-/** Relative difference (b - a) / a. */
-double relativeDelta(double a, double b);
 
 } // namespace icp
 

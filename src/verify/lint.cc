@@ -23,6 +23,11 @@ namespace icp
 namespace
 {
 
+const Timer lint_timer = Metrics::global().timer("lint");
+const Timer lint_chains_timer = Metrics::global().timer("lint.chains");
+const Timer lint_clones_timer = Metrics::global().timer("lint.clones");
+const Timer lint_ptrs_timer = Metrics::global().timer("lint.ptrs");
+
 std::string
 hex(Addr a)
 {
@@ -422,7 +427,7 @@ class Checker
         if (!anyRuleEnabled({"tramp-target", "tramp-range",
                              "tramp-chain", "tramp-trap"}))
             return;
-        const StageTimer timer(Stage::lintChains);
+        const ScopedTimer timer(lint_chains_timer);
         std::vector<const TrampolinePatch *> sites;
         for (const TrampolinePatch &p : m_.trampolines) {
             if (siteEnabled(p.funcEntry))
@@ -514,7 +519,7 @@ class Checker
     {
         if (!anyRuleEnabled({"jt-clone-bounds", "jt-clone-target"}))
             return;
-        const StageTimer timer(Stage::lintClones);
+        const ScopedTimer timer(lint_clones_timer);
         const Section *ro = rew_.findSection(SectionKind::newRodata);
         std::vector<const JumpTableClonePatch *> clones;
         for (const JumpTableClonePatch &p : m_.clones) {
@@ -825,11 +830,7 @@ class Checker
                 continue;
             ++checkedDataDeps_;
 
-            DataDeps expected;
-            {
-                const StageTimer timer(Stage::depsCompute);
-                expected = computeDataDeps(*fn, orig_);
-            }
+            const DataDeps expected = computeDataDeps(*fn, orig_);
             if (ruleEnabled("datadep-missing")) {
                 for (const DepRange &r : expected.ranges()) {
                     if (recorded.covers(r.lo, r.hi))
@@ -889,7 +890,7 @@ class Checker
         }
         if (cells.empty())
             return;
-        const StageTimer timer(Stage::lintPtrs);
+        const ScopedTimer timer(lint_ptrs_timer);
         // Loading is serial; the per-cell reads afterwards touch the
         // loaded memory read-only and are independent.
         const auto proc = loadImage(rew_);
@@ -964,7 +965,7 @@ LintReport
 lintRewrite(const BinaryImage &original, const RewriteResult &rw,
             const LintOptions &opts)
 {
-    const StageTimer timer(Stage::lint);
+    const ScopedTimer timer(lint_timer);
     LintReport rep;
     if (!rw.ok) {
         Diagnostic d;

@@ -874,11 +874,11 @@ TEST(CacheStore, V4FileWithoutDepsDegradesToConservativeMisses)
     // consumer rejects them and re-analyzes (conservative miss) —
     // and still emits byte-identical output.
     const std::uint64_t rejected_before =
-        DepsCounters::global().hitsRejected.load();
+        DepsCounters::global().hitsRejected.value();
     const RewriteResult warm = rewriteBinary(img, baseOptions(path));
     ASSERT_TRUE(warm.ok) << warm.failReason;
     EXPECT_EQ(warm.image.serialize(), cold);
-    EXPECT_GT(DepsCounters::global().hitsRejected.load(),
+    EXPECT_GT(DepsCounters::global().hitsRejected.value(),
               rejected_before);
 }
 
@@ -1095,11 +1095,11 @@ TEST(CacheStore, DataEditAppendsReplacementDepsEntries)
     // replacement function+deps entries for the stale keys.
     AnalysisCache::global().clear();
     const std::uint64_t rejected_before =
-        DepsCounters::global().hitsRejected.load();
+        DepsCounters::global().hitsRejected.value();
     const RewriteResult first =
         rewriteBinary(edited, baseOptions(path));
     ASSERT_TRUE(first.ok) << first.failReason;
-    EXPECT_GT(DepsCounters::global().hitsRejected.load(),
+    EXPECT_GT(DepsCounters::global().hitsRejected.value(),
               rejected_before);
     EXPECT_GE(inspectCacheFile(path).segments, 2u);
 
@@ -1107,11 +1107,11 @@ TEST(CacheStore, DataEditAppendsReplacementDepsEntries)
     // occurrence of the key wins, its deps hash clean.
     AnalysisCache::global().clear();
     const std::uint64_t rejected_mid =
-        DepsCounters::global().hitsRejected.load();
+        DepsCounters::global().hitsRejected.value();
     const RewriteResult second =
         rewriteBinary(edited, baseOptions(path));
     ASSERT_TRUE(second.ok) << second.failReason;
-    EXPECT_EQ(DepsCounters::global().hitsRejected.load(),
+    EXPECT_EQ(DepsCounters::global().hitsRejected.value(),
               rejected_mid);
     EXPECT_EQ(second.image.serialize(), first.image.serialize());
 }

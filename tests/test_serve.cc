@@ -325,6 +325,34 @@ TEST(ServeDaemon, AnswersPingStatsAndUnknownVerbs)
     EXPECT_EQ(daemon.call(missing).verb, "error");
 }
 
+TEST(ServeDaemon, TwoServersReportDisjointStats)
+{
+    // Each server owns its counters: traffic to one never shows in
+    // the other's `stats` reply.
+    DaemonFixture a("stats_a");
+    DaemonFixture b("stats_b");
+
+    ServeMessage ping;
+    ping.verb = "ping";
+    ServeMessage bogus;
+    bogus.verb = "frobnicate";
+    ServeMessage stats;
+    stats.verb = "stats";
+
+    EXPECT_EQ(a.call(ping).verb, "ok");
+    EXPECT_EQ(a.call(ping).verb, "ok");
+    EXPECT_EQ(b.call(bogus).verb, "error");
+
+    const ServeMessage sa = a.call(stats);
+    const ServeMessage sb = b.call(stats);
+    ASSERT_EQ(sa.verb, "ok");
+    ASSERT_EQ(sb.verb, "ok");
+    EXPECT_EQ(sa.getU64("requests"), 3u);
+    EXPECT_EQ(sa.getU64("errors"), 0u);
+    EXPECT_EQ(sb.getU64("requests"), 2u);
+    EXPECT_EQ(sb.getU64("errors"), 1u);
+}
+
 TEST(ServeDaemon, BadFramesGetStructuredErrorsNotCrashes)
 {
     DaemonFixture daemon("abuse");
@@ -383,8 +411,7 @@ TEST(ServeDaemon, BadFramesGetStructuredErrorsNotCrashes)
     ping.verb = "ping";
     EXPECT_EQ(daemon.call(ping).verb, "ok");
 
-    const ServeStatsSnapshot snap = daemon.server().statsSnapshot();
-    EXPECT_GE(snap.badFrames, 3u);
+    EXPECT_GE(daemon.server().metrics().counters().at("serve.bad_frames"), 3u);
 }
 
 TEST(ServeDaemon, WarmRewriteIsIncrementalAndByteIdentical)
@@ -467,7 +494,9 @@ TEST(ServeDaemon, LruEvictionUnderTinyBudgetReopensCorrectly)
     ServeOptions opts;
     opts.sessionMaxBytes = 1;
     DaemonFixture daemon("lru", opts);
-    const ServeStatsSnapshot before = daemon.server().statsSnapshot();
+    const Metrics &metrics = daemon.server().metrics();
+    const std::uint64_t evictions_before =
+        metrics.counters().at("serve.evictions");
 
     ServeMessage open_a;
     open_a.verb = "open";
@@ -479,9 +508,9 @@ TEST(ServeDaemon, LruEvictionUnderTinyBudgetReopensCorrectly)
     open_b.set("path", path_b);
     ASSERT_EQ(daemon.call(open_b).verb, "ok");
 
-    ServeStatsSnapshot snap = daemon.server().statsSnapshot();
-    EXPECT_GE(snap.evictions, before.evictions + 1);
-    EXPECT_LE(snap.residentSessions, 1u);
+    EXPECT_GE(metrics.counters().at("serve.evictions"),
+              evictions_before + 1);
+    EXPECT_LE(daemon.server().statsSnapshot().residentSessions, 1u);
 
     // The evicted binary transparently re-opens cold and still
     // produces the one-shot bytes.
@@ -633,14 +662,14 @@ TEST(ServeDaemon, CrossBinarySessionsShareAnalysisCache)
     ASSERT_EQ(daemon.call(rw_a).verb, "ok");
 
     const std::uint64_t cross_before =
-        CacheCounters::global().crossHits.load();
+        CacheCounters::global().crossHits.value();
     ServeMessage rw_b;
     rw_b.verb = "rewrite";
     rw_b.set("path", path_b);
     rw_b.set("out", out_b);
     ASSERT_EQ(daemon.call(rw_b).verb, "ok");
     const std::uint64_t cross_after =
-        CacheCounters::global().crossHits.load();
+        CacheCounters::global().crossHits.value();
 
     // The shared core is ~60% of each binary's functions; every one
     // of B's core functions should ride A's warm entries.
@@ -670,7 +699,9 @@ TEST(ServeDaemon, BackpressureShedsFloodWithBusyReplies)
     opts.maxPending = 1;
     opts.requestTimeoutMs = 10000;
     DaemonFixture daemon("busy", opts);
-    const ServeStatsSnapshot before = daemon.server().statsSnapshot();
+    const Metrics &metrics = daemon.server().metrics();
+    const std::uint64_t rejected_before =
+        metrics.counters().at("serve.rejected");
 
     // Occupy the only pending slot deterministically: a raw
     // connection that sends nothing holds inflight from accept
@@ -724,8 +755,8 @@ TEST(ServeDaemon, BackpressureShedsFloodWithBusyReplies)
     }
     EXPECT_EQ(last_verb, "ok");
 
-    const ServeStatsSnapshot snap = daemon.server().statsSnapshot();
-    EXPECT_GE(snap.rejected, before.rejected + 4);
+    EXPECT_GE(metrics.counters().at("serve.rejected"),
+              rejected_before + 4);
 }
 
 TEST(ServeDaemon, StaleSocketAndLockFilesDoNotWedgeRestart)

@@ -29,9 +29,10 @@
 #                  lint clean; the `--shards 2` run must show its
 #                  in-memory analysis in the `cfg` timing stage and
 #                  report at most half the classic run's peak RSS
-#                  (range mode's whole reason to exist), and
-#                  `--shards 2 --cache-file F` must exit 1 without
-#                  creating F
+#                  (range mode's whole reason to exist), both
+#                  --threads 1 timing tables must add up to their
+#                  wall row, and `--shards 2 --cache-file F` must
+#                  exit 1 without creating F
 #   cross-binary   content-addressed sharing smoke: two libcommon
 #                  corpus binaries (same static-lib core, different
 #                  link bases) rewritten through one shared
@@ -258,7 +259,7 @@ leg_cross_binary() {
     pct="$(sed -n 's/.*reused (\([0-9.]*\)%).*/\1/p' "$dir/warm.log")" &&
     [ -n "$pct" ] &&
     awk "BEGIN{exit !($pct >= 50)}" &&
-    cross="$(sed -n 's/.* \([0-9][0-9]*\) cross hits.*/\1/p' "$dir/warm.log")" &&
+    cross="$(awk '$1 == "cache.cross_hits" {print $2}' "$dir/warm.log")" &&
     [ -n "$cross" ] && [ "$cross" -gt 0 ] &&
     cmp "$dir/b_cold.sbf" "$dir/b_warm.sbf" &&
     ./build/tools/icp cache verify "$cache" &&
@@ -267,6 +268,19 @@ leg_cross_binary() {
     status=$?
     rm -rf "$dir"
     return $status
+}
+
+# On one thread the --timing spans never overlap: the ms rows plus
+# (unattributed) must add up to wall, within 0.001 ms of rounding per
+# row.
+timing_adds_up() {
+    awk '/^  [^ ]+ +-?[0-9.]+ ms$/ {
+             if ($1 == "wall") wall = $2; else { sum += $2; n++ }
+         }
+         END {
+             d = sum - wall; if (d < 0) d = -d
+             exit !(wall > 0 && d <= 0.001 * (n + 1))
+         }' "$1"
 }
 
 leg_sharded() {
@@ -299,6 +313,9 @@ leg_sharded() {
     cfg_ms="$(awk '$1 == "cfg" {print $2}' "$dir/sharded.log")" &&
     [ -n "$cfg_ms" ] && awk "BEGIN{exit !($cfg_ms > 0)}" &&
     echo "--shards 2: cfg stage $cfg_ms ms" &&
+    timing_adds_up "$dir/classic.log" &&
+    timing_adds_up "$dir/sharded.log" &&
+    echo "--threads 1 timing rows + (unattributed) = wall" &&
     ./build/tools/icp lint "$dir/in.sbf" --mode jt \
         --fail-on error &&
     # More than one range takes no cache file: exit 1, and neither

@@ -97,6 +97,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -172,10 +173,14 @@ usage()
     return 1;
 }
 
+const Timer io_read_timer = Metrics::global().timer("io.read");
+const Timer io_write_timer = Metrics::global().timer("io.write");
+
 bool
 writeFile(const std::string &path,
           const std::vector<std::uint8_t> &bytes)
 {
+    const ScopedTimer timer(io_write_timer);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     if (!out)
         return false;
@@ -187,12 +192,16 @@ writeFile(const std::string &path,
 bool
 readFile(const std::string &path, std::vector<std::uint8_t> &bytes)
 {
+    const ScopedTimer timer(io_read_timer);
     std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (!in || ec)
         return false;
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    return true;
+    bytes.resize(size);
+    in.read(reinterpret_cast<char *>(bytes.data()),
+            static_cast<std::streamsize>(size));
+    return in.gcount() == static_cast<std::streamsize>(size);
 }
 
 /**
@@ -487,7 +496,7 @@ cmdRewriteSharded(const BinaryImage &img, RewriteOptions &opts,
                     static_cast<unsigned long long>(sc.insns));
     }
     if (timing)
-        std::printf("%s", StageTimers::global().table().c_str());
+        std::printf("%s", Metrics::global().table().c_str());
     return 0;
 }
 
@@ -541,8 +550,6 @@ cmdRewrite(int argc, char **argv)
         }
     }
 
-    if (timing)
-        StageTimers::global().reset();
     if (opts.shards > 0) {
         if (lint || repair ||
             opts.injectDefect != InjectDefect::none) {
@@ -594,7 +601,7 @@ cmdRewrite(int argc, char **argv)
     if (!opts.cachePath.empty())
         printCacheStats(rw, opts.cachePath);
     if (timing)
-        std::printf("%s", StageTimers::global().table().c_str());
+        std::printf("%s", Metrics::global().table().c_str());
     if (lint) {
         LintOptions lopts;
         lopts.failOn = fail_on;
@@ -757,8 +764,6 @@ cmdLint(int argc, char **argv)
         return rep.failed(lopts.failOn) ? 2 : 0;
     }
 
-    if (timing)
-        StageTimers::global().reset();
     RewriteSession session(*img);
     const RewriteResult &rw = session.rewrite(opts);
     const LintReport &report = session.lint(lopts);
@@ -773,7 +778,7 @@ cmdLint(int argc, char **argv)
         std::printf("%s", report.renderText().c_str());
         if (timing)
             std::printf("%s",
-                        StageTimers::global().table().c_str());
+                        Metrics::global().table().c_str());
     }
     return report.failed(lopts.failOn) ? 2 : 0;
 }
@@ -1062,7 +1067,7 @@ runDepsCheck(const BinaryImage &img, RewriteOptions opts,
     for (const std::string &name : outcome.dirtyNames)
         std::printf("deps-check dirty: %s\n", name.c_str());
     if (timing)
-        std::printf("%s", StageTimers::global().table().c_str());
+        std::printf("%s", Metrics::global().table().c_str());
 
     const bool dirty_ok = poke_table ? !outcome.dirtyFunctions.empty()
                                      : outcome.dirtyFunctions.empty();
@@ -1110,8 +1115,6 @@ cmdDeps(int argc, char **argv)
             return usage();
         }
     }
-    if (timing)
-        StageTimers::global().reset();
     if (poke != 0)
         return runDepsCheck(img, opts, poke == 2, timing);
 
@@ -1193,7 +1196,7 @@ cmdDeps(int argc, char **argv)
         }
     }
     if (timing && !json)
-        std::printf("%s", StageTimers::global().table().c_str());
+        std::printf("%s", Metrics::global().table().c_str());
     return 0;
 }
 
@@ -1375,7 +1378,6 @@ cmdServe(int argc, char **argv)
             return usage();
     }
 
-    StageTimers::global().reset();
     ServeServer server(sopts);
     std::string error;
     if (!server.start(error)) {
@@ -1399,19 +1401,15 @@ cmdServe(int argc, char **argv)
     g_serve_server = nullptr;
 
     const ServeStatsSnapshot snap = server.statsSnapshot();
-    std::printf("icp serve: drained after %llu requests "
-                "(%llu hits, %llu misses, %llu evictions, "
-                "%llu errors, %llu rejected), p50 %.3f ms, "
-                "p99 %.3f ms\n",
-                static_cast<unsigned long long>(snap.requests),
-                static_cast<unsigned long long>(snap.sessionHits),
-                static_cast<unsigned long long>(snap.sessionMisses),
-                static_cast<unsigned long long>(snap.evictions),
-                static_cast<unsigned long long>(snap.errors),
-                static_cast<unsigned long long>(snap.rejected),
-                snap.p50Ms, snap.p99Ms);
+    std::printf("icp serve: drained:");
+    for (const auto &[name, value] : server.metrics().counters())
+        std::printf(" %s=%llu", name.c_str(),
+                    static_cast<unsigned long long>(value));
+    std::printf(", p50 %.3f ms, p99 %.3f ms\n", snap.p50Ms,
+                snap.p99Ms);
     if (timing)
-        std::printf("%s", StageTimers::global().table().c_str());
+        std::printf("%s%s", Metrics::global().table().c_str(),
+                    server.metrics().table().c_str());
     return rc;
 }
 
@@ -1517,6 +1515,8 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
+    // --timing's wall clock starts here, before any input is read.
+    Metrics::global().reset();
     const std::string cmd = argv[1];
     if (cmd == "compile")
         return cmdCompile(argc - 2, argv + 2);
