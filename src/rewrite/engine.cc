@@ -45,19 +45,6 @@ byOrig(const std::pair<Addr, Addr> &a, const std::pair<Addr, Addr> &b)
     return a.first < b.first;
 }
 
-std::optional<Addr>
-flatLookup(const AddrPairs &map, Addr orig)
-{
-    auto it = std::lower_bound(
-        map.begin(), map.end(), orig,
-        [](const std::pair<Addr, Addr> &p, Addr v) {
-            return p.first < v;
-        });
-    if (it == map.end() || it->first != orig)
-        return std::nullopt;
-    return it->second;
-}
-
 /**
  * Append one function's (original address, stream offset) pairs to
  * @p map at @p base, sorted among themselves. False when they do not
@@ -727,7 +714,7 @@ Engine::layoutReused(const std::vector<const Function *> &funcs,
                 config_.instrBase + ru.instrBytes->size())
             return false;
         if (!ru.dirty->count(func.entry)) {
-            if (!prev.blockMap.count(func.entry))
+            if (!flatLookup(prev.blockMap, func.entry))
                 return false;
             continue;
         }
@@ -742,8 +729,7 @@ Engine::layoutReused(const std::vector<const Function *> &funcs,
     // Final addresses: the previous maps minus each dirty function's
     // original [entry, end) extent, merged with the fresh entries.
     // One ordered pass, no per-entry searches.
-    const auto carry = [&](const std::map<Addr, Addr> &from,
-                           AddrPairs &to) {
+    const auto carry = [&](const AddrPairs &from, AddrPairs &to) {
         to.reserve(from.size());
         auto r = dirty_ranges.begin();
         for (const auto &entry : from) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/cfg.hh"
+#include "rewrite/manifest.hh"
 #include "rewrite/options.hh"
 
 namespace icp
@@ -80,9 +81,6 @@ struct EngineConfig
      */
     unsigned threads = 1;
 };
-
-/** Sorted (original address, relocated address) pairs. */
-using AddrPairs = std::vector<std::pair<Addr, Addr>>;
 
 /**
  * The relocation engine, driven one function list at a time so a

@@ -3,7 +3,7 @@
  * The rewrite manifest: a structured record of every artifact the
  * rewriter emitted — trampoline patches with their byte extents,
  * cloned jump tables, rewritten function-pointer cells, donated
- * scratch ranges, and copies of the address maps. The static
+ * scratch ranges, and the engine's flat address maps. The static
  * soundness verifier (src/verify/) checks the rewritten image
  * against this record; the rewriter fills it when
  * RewriteOptions::lint is set.
@@ -12,6 +12,7 @@
 #ifndef ICP_REWRITE_MANIFEST_HH
 #define ICP_REWRITE_MANIFEST_HH
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -24,6 +25,27 @@
 
 namespace icp
 {
+
+/**
+ * Flat (original address, relocated address) pairs sorted by
+ * original address, one entry per key: the engine's block and
+ * instruction maps, kept in this layout through the manifest.
+ */
+using AddrPairs = std::vector<std::pair<Addr, Addr>>;
+
+/** Binary-search @p map for @p orig's relocated address. */
+inline std::optional<Addr>
+flatLookup(const AddrPairs &map, Addr orig)
+{
+    auto it = std::lower_bound(
+        map.begin(), map.end(), orig,
+        [](const std::pair<Addr, Addr> &p, Addr v) {
+            return p.first < v;
+        });
+    if (it == map.end() || it->first != orig)
+        return std::nullopt;
+    return it->second;
+}
 
 /** One trampoline installation: where, what form, which bytes. */
 struct TrampolinePatch
@@ -92,10 +114,10 @@ struct RewriteManifest
     bool populated = false;
 
     /** Original block start -> relocated address. */
-    std::map<Addr, Addr> blockMap;
+    AddrPairs blockMap;
 
     /** Original instruction -> relocated address. */
-    std::map<Addr, Addr> insnMap;
+    AddrPairs insnMap;
 
     /** (relocated return address -> original return address). */
     std::vector<std::pair<Addr, Addr>> raPairs;

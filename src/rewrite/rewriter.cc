@@ -809,8 +809,8 @@ Rewriter::fillManifest(const Engine &engine)
 {
     RewriteManifest &m = result_.manifest;
     m.populated = true;
-    m.blockMap.insert(engine.blockMap().begin(), engine.blockMap().end());
-    m.insnMap.insert(engine.insnMap().begin(), engine.insnMap().end());
+    m.blockMap = engine.blockMap();
+    m.insnMap = engine.insnMap();
     m.raPairs = engine.raPairs();
     m.funcSpans = engine.spans();
     m.instrumented = instrumented_;
@@ -923,7 +923,7 @@ Rewriter::injectByteDefect()
             for (unsigned i = 0; i < c.entryCount; ++i) {
                 const Addr orig =
                     i < c.origTargets.size() ? c.origTargets[i] : 0;
-                if (!m.blockMap.count(orig))
+                if (!flatLookup(m.blockMap, orig))
                     continue;
                 const Addr at =
                     c.cloneAddr + std::uint64_t{i} * c.entrySize;

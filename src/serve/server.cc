@@ -267,10 +267,11 @@ ServeServer::run()
         }
         ThreadPool::shared().submit([this, fd] {
             handleConnection(fd);
-            {
-                std::lock_guard<std::mutex> lock(inflightMu_);
-                --inflight_;
-            }
+            // Notify under the lock: once the count reaches zero the
+            // drain may return and destroy the server, condition
+            // variable included.
+            std::lock_guard<std::mutex> lock(inflightMu_);
+            --inflight_;
             inflightCv_.notify_all();
         });
     }

@@ -27,6 +27,7 @@ const Timer lint_timer = Metrics::global().timer("lint");
 const Timer lint_chains_timer = Metrics::global().timer("lint.chains");
 const Timer lint_clones_timer = Metrics::global().timer("lint.clones");
 const Timer lint_ptrs_timer = Metrics::global().timer("lint.ptrs");
+const Timer lint_maps_timer = Metrics::global().timer("lint.maps");
 
 std::string
 hex(Addr a)
@@ -35,6 +36,45 @@ hex(Addr a)
     std::snprintf(buf, sizeof(buf), "0x%llx",
                   static_cast<unsigned long long>(a));
     return buf;
+}
+
+/** True when @p map's relocated targets strictly ascend. */
+bool
+targetsAscend(const AddrPairs &map)
+{
+    return std::adjacent_find(
+               map.begin(), map.end(),
+               [](const std::pair<Addr, Addr> &a,
+                  const std::pair<Addr, Addr> &b) {
+                   return a.second >= b.second;
+               }) == map.end();
+}
+
+/**
+ * Every relocated target of the block and instruction maps, sorted
+ * and deduplicated: the valid landing points of a trampoline chain.
+ * Both maps' targets normally ascend with the original address (the
+ * engine lays functions out in address order), so two sorted runs
+ * merge; any other order falls back to a sort.
+ */
+std::vector<Addr>
+relocatedTargets(const RewriteManifest &m)
+{
+    const ScopedTimer timer(lint_maps_timer);
+    std::vector<Addr> out;
+    out.reserve(m.blockMap.size() + m.insnMap.size());
+    for (const auto &kv : m.blockMap)
+        out.push_back(kv.second);
+    const auto mid = static_cast<std::ptrdiff_t>(out.size());
+    for (const auto &kv : m.insnMap)
+        out.push_back(kv.second);
+    if (std::is_sorted(out.begin(), out.begin() + mid) &&
+        std::is_sorted(out.begin() + mid, out.end()))
+        std::inplace_merge(out.begin(), out.begin() + mid, out.end());
+    else
+        std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
 }
 
 /**
@@ -53,12 +93,9 @@ class Checker
           m_(m),
           opts_(opts),
           arch_(rew.archInfo()),
-          instr_(rew.findSection(SectionKind::instr))
+          instr_(rew.findSection(SectionKind::instr)),
+          boundaries_(relocatedTargets(m))
     {
-        for (const auto &kv : m_.blockMap)
-            boundaries_.insert(kv.second);
-        for (const auto &kv : m_.insnMap)
-            boundaries_.insert(kv.second);
     }
 
     std::vector<Diagnostic>
@@ -221,7 +258,8 @@ class Checker
 
         while (true) {
             if (instr_ && instr_->contains(addr)) {
-                if (!boundaries_.count(addr)) {
+                if (!std::binary_search(boundaries_.begin(),
+                                        boundaries_.end(), addr)) {
                     report("tramp-target", Severity::error, p.site,
                            addr, p.funcEntry,
                            "chain lands inside relocated code at " +
@@ -587,23 +625,23 @@ class Checker
             if (*p.origBase == p.origTableAddr) {
                 base_new = p.cloneAddr;
             } else {
-                auto bb = m_.blockMap.find(*p.origBase);
-                if (bb == m_.blockMap.end()) {
+                const auto bb = flatLookup(m_.blockMap, *p.origBase);
+                if (!bb) {
                     report("jt-clone-target", Severity::error,
                            p.jumpAddr, p.cloneAddr, p.funcEntry,
                            "table base anchor " + hex(*p.origBase) +
                                " was not relocated");
                     return;
                 }
-                base_new = bb->second;
+                base_new = *bb;
             }
         }
         const unsigned n = std::min<unsigned>(
             p.entryCount,
             static_cast<unsigned>(p.origTargets.size()));
         for (unsigned i = 0; i < n; ++i) {
-            auto ti = m_.blockMap.find(p.origTargets[i]);
-            if (ti == m_.blockMap.end())
+            const auto ti = flatLookup(m_.blockMap, p.origTargets[i]);
+            if (!ti)
                 continue;
             const Addr at = p.cloneAddr +
                             static_cast<Addr>(i) * p.entrySize;
@@ -624,13 +662,13 @@ class Checker
                     static_cast<std::int64_t>(base_new) +
                     (signExtend(*value, p.entrySize * 8)
                      << p.shift));
-            if (actual != ti->second) {
+            if (actual != *ti) {
                 report("jt-clone-target", Severity::error,
                        p.origTargets[i], at, p.funcEntry,
                        "clone entry " + std::to_string(i) +
                            " decodes to " + hex(actual) +
                            ", expected relocated block " +
-                           hex(ti->second));
+                           hex(*ti));
                 return; // one finding per clone
             }
         }
@@ -701,6 +739,7 @@ class Checker
     {
         if (!ruleEnabled("addr-map-round-trip"))
             return;
+        const ScopedTimer timer(lint_maps_timer);
         checkMapInto("block map", m_.blockMap);
         checkMapInto("instruction map", m_.insnMap);
 
@@ -727,26 +766,54 @@ class Checker
         comparePairs("'.trap_map'", traps, expect_traps);
     }
 
+    /**
+     * Require every target of @p map inside .instr and no two keys
+     * on one target. Reports only the first violation in original
+     * address order.
+     */
     void
-    checkMapInto(const char *what, const std::map<Addr, Addr> &map)
+    checkMapInto(const char *what, const AddrPairs &map)
     {
-        std::map<Addr, Addr> reverse;
-        for (const auto &[o, n] : map) {
-            if (!instr_ || !instr_->contains(n)) {
-                report("addr-map-round-trip", Severity::error, o, n,
-                       o,
-                       std::string(what) + " sends " + hex(o) +
-                           " to " + hex(n) + ", outside .instr");
-                return;
+        std::size_t outside = map.size();
+        for (std::size_t i = 0; i < map.size(); ++i) {
+            if (!instr_ || !instr_->contains(map[i].second)) {
+                outside = i;
+                break;
             }
-            if (!reverse.emplace(n, o).second) {
-                report("addr-map-round-trip", Severity::error, o, n,
-                       o,
-                       std::string(what) + " is not injective: " +
-                           hex(reverse[n]) + " and " + hex(o) +
-                           " both map to " + hex(n));
-                return;
+        }
+
+        // Strictly ascending targets are injective. Otherwise sort
+        // (target, index): the earliest repeat is the smallest later
+        // index of two adjacent pairs on one target, and the pair
+        // before it holds that target's first key.
+        std::size_t repeat = map.size();
+        std::size_t first = 0;
+        if (!targetsAscend(map)) {
+            std::vector<std::pair<Addr, std::size_t>> by_target;
+            by_target.reserve(map.size());
+            for (std::size_t i = 0; i < map.size(); ++i)
+                by_target.emplace_back(map[i].second, i);
+            std::sort(by_target.begin(), by_target.end());
+            for (std::size_t k = 1; k < by_target.size(); ++k) {
+                if (by_target[k].first == by_target[k - 1].first &&
+                    by_target[k].second < repeat) {
+                    repeat = by_target[k].second;
+                    first = by_target[k - 1].second;
+                }
             }
+        }
+
+        if (outside < repeat) {
+            const auto &[o, n] = map[outside];
+            report("addr-map-round-trip", Severity::error, o, n, o,
+                   std::string(what) + " sends " + hex(o) + " to " +
+                       hex(n) + ", outside .instr");
+        } else if (repeat < map.size()) {
+            const auto &[o, n] = map[repeat];
+            report("addr-map-round-trip", Severity::error, o, n, o,
+                   std::string(what) + " is not injective: " +
+                       hex(map[first].first) + " and " + hex(o) +
+                       " both map to " + hex(n));
         }
     }
 
@@ -951,7 +1018,8 @@ class Checker
     const ArchInfo &arch_;
     const Section *instr_;
 
-    std::set<Addr> boundaries_; ///< valid relocated landing points
+    /** Valid relocated landing points, sorted (relocatedTargets). */
+    std::vector<Addr> boundaries_;
     std::vector<Diagnostic> findings_;
 
     bool cfgBuilt_ = false;

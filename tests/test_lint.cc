@@ -6,6 +6,7 @@
  * the manifest records — the verifier's self test.
  */
 
+#include <cstdio>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -229,6 +230,162 @@ TEST(LintInjectionCoverage, EveryDefectFiresOnSomeArch)
         EXPECT_TRUE(fired) << "defect " << injectDefectName(defect)
                            << " never applicable";
     }
+}
+
+// --- addr-map-round-trip over the manifest maps ---------------------------
+
+namespace
+{
+
+std::string
+hexAddr(Addr a)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "0x%llx",
+                  static_cast<unsigned long long>(a));
+    return buf;
+}
+
+/** A clean rewrite whose manifest maps each test corrupts. */
+class LintAddrMaps : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        RewriteOptions opts;
+        opts.mode = RewriteMode::funcPtr;
+        opts.instrumentation.countBlocks = true;
+        rw_ = rewriteBinary(img_, opts);
+        ASSERT_TRUE(rw_.ok) << rw_.failReason;
+        ASSERT_EQ(errorCount(lintRewrite(img_, rw_)), 0u);
+    }
+
+    /**
+     * Instruction-map indices that start no block: retargeting one
+     * moves no trampoline chain's or clone entry's destination.
+     */
+    std::vector<std::size_t>
+    midBlockInsns() const
+    {
+        std::vector<std::size_t> out;
+        const RewriteManifest &m = rw_.manifest;
+        for (std::size_t i = 0; i < m.insnMap.size(); ++i)
+            if (!flatLookup(m.blockMap, m.insnMap[i].first))
+                out.push_back(i);
+        return out;
+    }
+
+    /**
+     * Block-map indices that no cloned table names and no trampoline
+     * targets: a block's relocated start (its counter, with
+     * instrumentation) need not be an instruction-map target.
+     */
+    std::vector<std::size_t>
+    unreferencedBlocks() const
+    {
+        const RewriteManifest &m = rw_.manifest;
+        std::set<Addr> named;
+        std::set<Addr> landings;
+        for (const JumpTableClonePatch &c : m.clones) {
+            named.insert(c.origTargets.begin(), c.origTargets.end());
+            if (c.origBase)
+                named.insert(*c.origBase);
+        }
+        for (const TrampolinePatch &p : m.trampolines)
+            landings.insert(p.target);
+        std::vector<std::size_t> out;
+        for (std::size_t i = 0; i < m.blockMap.size(); ++i)
+            if (!named.count(m.blockMap[i].first) &&
+                !landings.count(m.blockMap[i].second))
+                out.push_back(i);
+        return out;
+    }
+
+    /** Lint the corrupted result; it must hold exactly one error. */
+    Diagnostic
+    onlyError() const
+    {
+        const LintReport rep = lintRewrite(img_, rw_);
+        std::vector<Diagnostic> errors;
+        for (const Diagnostic &d : rep.findings)
+            if (d.severity >= Severity::error)
+                errors.push_back(d);
+        EXPECT_EQ(errors.size(), 1u) << rep.renderText();
+        if (errors.empty())
+            return {};
+        EXPECT_EQ(errors[0].rule, "addr-map-round-trip");
+        return errors[0];
+    }
+
+    const BinaryImage img_ = compileMicro(Arch::x64);
+    RewriteResult rw_;
+};
+
+} // namespace
+
+TEST_F(LintAddrMaps, RepeatedInsnTargetIsNotInjective)
+{
+    AddrPairs &map = rw_.manifest.insnMap;
+    const std::vector<std::size_t> mid = midBlockInsns();
+    ASSERT_GE(mid.size(), 5u);
+
+    // Three repeats: the earliest in original-address order (b) is
+    // reported; the other two's targets sort before and after it.
+    const std::size_t n = mid.size();
+    const std::size_t a = mid[n / 5];
+    const std::size_t b = mid[2 * n / 5];
+    const std::size_t c = mid[3 * n / 5];
+    const std::size_t d = mid[4 * n / 5];
+    map[b].second = map[a].second;
+    map[d].second = map[c].second;
+    map[mid.back()].second = map.front().second;
+
+    const Diagnostic err = onlyError();
+    EXPECT_EQ(err.origAddr, map[b].first);
+    EXPECT_EQ(err.newAddr, map[a].second);
+    EXPECT_EQ(err.message,
+              "instruction map is not injective: " +
+                  hexAddr(map[a].first) + " and " +
+                  hexAddr(map[b].first) + " both map to " +
+                  hexAddr(map[a].second));
+}
+
+TEST_F(LintAddrMaps, BlockTargetOutsideInstr)
+{
+    AddrPairs &map = rw_.manifest.blockMap;
+    const std::vector<std::size_t> blocks = unreferencedBlocks();
+    ASSERT_FALSE(blocks.empty());
+
+    // The original address itself lies in .text, not .instr.
+    const std::size_t k = blocks[blocks.size() / 2];
+    map[k].second = map[k].first;
+
+    const Diagnostic d = onlyError();
+    EXPECT_EQ(d.origAddr, map[k].first);
+    EXPECT_EQ(d.message, "block map sends " + hexAddr(map[k].first) +
+                             " to " + hexAddr(map[k].first) +
+                             ", outside .instr");
+}
+
+TEST_F(LintAddrMaps, EarlierOutsideEntryWinsOverLaterRepeat)
+{
+    AddrPairs &map = rw_.manifest.blockMap;
+    const std::vector<std::size_t> blocks = unreferencedBlocks();
+    ASSERT_GE(blocks.size(), 3u);
+
+    const std::size_t outside = blocks[blocks.size() / 4];
+    const std::size_t first = blocks[blocks.size() / 2];
+    const std::size_t repeat = blocks.back();
+    map[outside].second = map[outside].first;
+    map[repeat].second = map[first].second;
+
+    const Diagnostic d = onlyError();
+    EXPECT_EQ(d.origAddr, map[outside].first);
+    EXPECT_EQ(d.message, "block map sends " +
+                             hexAddr(map[outside].first) + " to " +
+                             hexAddr(map[outside].first) +
+                             ", outside .instr");
 }
 
 // --- severity model and fail-on thresholds --------------------------------

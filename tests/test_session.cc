@@ -10,6 +10,7 @@
 
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -512,6 +513,73 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Arch::x64, Arch::ppc64le, Arch::aarch64),
     [](const ::testing::TestParamInfo<Arch> &info) {
         return sanitize(archName(info.param));
+    });
+
+// --- loadInput: spliced address maps -------------------------------------
+
+namespace
+{
+
+bool
+strictlyAscending(const AddrPairs &map)
+{
+    for (std::size_t i = 1; i < map.size(); ++i)
+        if (map[i - 1].first >= map[i].first)
+            return false;
+    return true;
+}
+
+} // namespace
+
+class SessionSpliceMaps
+    : public ::testing::TestWithParam<std::tuple<Arch, RewriteMode>>
+{
+};
+
+TEST_P(SessionSpliceMaps, OneFunctionEditMatchesColdMaps)
+{
+    const auto [arch, mode] = GetParam();
+    AnalysisCache::global().clear();
+    RewriteOptions opts = baseOptions();
+    opts.mode = mode;
+
+    RewriteSession session(compileMicro(arch));
+    ASSERT_TRUE(session.rewrite(opts).ok);
+    BinaryImage edited = compileMicro(arch);
+    const std::string victim = mutateOneImmediate(edited);
+    ASSERT_FALSE(victim.empty());
+    const auto out = session.loadInput(std::move(edited));
+    ASSERT_TRUE(out.incremental);
+    const RewriteResult &spliced = session.lastResult();
+    ASSERT_TRUE(spliced.ok) << spliced.failReason;
+    // The maps came through the carry path: most functions reused.
+    EXPECT_GT(spliced.stats.relocReusedFunctions, 0u);
+
+    BinaryImage edited_again = compileMicro(arch);
+    ASSERT_EQ(mutateOneImmediate(edited_again), victim);
+    RewriteSession cold(std::move(edited_again));
+    const RewriteResult &cold_rw = cold.rewrite(opts);
+    ASSERT_TRUE(cold_rw.ok) << cold_rw.failReason;
+
+    EXPECT_TRUE(strictlyAscending(spliced.manifest.blockMap));
+    EXPECT_TRUE(strictlyAscending(spliced.manifest.insnMap));
+    EXPECT_TRUE(strictlyAscending(cold_rw.manifest.blockMap));
+    EXPECT_TRUE(strictlyAscending(cold_rw.manifest.insnMap));
+    EXPECT_EQ(spliced.manifest.blockMap, cold_rw.manifest.blockMap);
+    EXPECT_EQ(spliced.manifest.insnMap, cold_rw.manifest.insnMap);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchsModes, SessionSpliceMaps,
+    ::testing::Combine(::testing::Values(Arch::x64, Arch::ppc64le,
+                                         Arch::aarch64),
+                       ::testing::Values(RewriteMode::dir,
+                                         RewriteMode::jt,
+                                         RewriteMode::funcPtr)),
+    [](const ::testing::TestParamInfo<std::tuple<Arch, RewriteMode>>
+           &info) {
+        return sanitize(std::string(archName(std::get<0>(info.param))) +
+                        "_" + rewriteModeName(std::get<1>(info.param)));
     });
 
 TEST(SessionLoadInputFallback, DifferentArchResetsSession)

@@ -4,6 +4,7 @@
 #   tsan           ThreadSanitizer build + parallel determinism tests
 #                  (the pipeline's concurrency is only exercised with
 #                  >= 2 requested threads, which TSan then observes)
+#                  and the serve daemon tests (worker pool, drain)
 #   asan           Address+UBSanitizer build + the memory-heavy suites
 #                  (rewriter, verifier, binfmt, engine, session, cache
 #                  store, sharded rewrite) and the repair-loop CLI
@@ -97,9 +98,11 @@ leg_tsan() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" &&
-    cmake --build build-tsan -j "$jobs" --target test_parallel &&
+    cmake --build build-tsan -j "$jobs" --target test_parallel test_serve &&
     echo "== TSan: parallel pipeline tests ==" &&
-    ./build-tsan/tests/test_parallel
+    ./build-tsan/tests/test_parallel &&
+    echo "== TSan: serve daemon tests ==" &&
+    ./build-tsan/tests/test_serve
 }
 
 leg_asan() {
