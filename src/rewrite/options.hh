@@ -14,6 +14,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "analysis/builder.hh"
 #include "analysis/cache_store.hh"
@@ -242,6 +243,39 @@ struct RewriteOptions
      */
     unsigned shards = 0;
 };
+
+/**
+ * One rewrite flag. `icp rewrite` and the other commands parse
+ * through rewriteFlags(), `icp client` forwards each flag as a wire
+ * field, and the daemon applies that field through the same setter.
+ */
+struct RewriteFlag
+{
+    const char *name; ///< as `icp rewrite` spells it: "--count-blocks"
+    bool takesValue;  ///< `--flag V` or `--flag=V`; else a switch
+
+    /** Apply @p value (null for a switch); false when malformed. */
+    bool (*set)(RewriteOptions &opts, const char *value);
+
+    /** The wire field: the name without its leading dashes, inner
+     *  dashes as underscores (`--count-blocks` -> `count_blocks`). */
+    std::string field() const;
+};
+
+/** Every rewrite flag, once. */
+const std::vector<RewriteFlag> &rewriteFlags();
+
+/** Options before any flag: the library defaults in jt mode, the
+ *  default of every `icp` command and of the daemon's sessions. */
+RewriteOptions flagDefaultOptions();
+
+/**
+ * A numeric flag value: decimal digits only (no sign, space or
+ * suffix) and within [min, max]. Anything else sets *bad and
+ * returns 0.
+ */
+std::uint64_t numberArg(const char *text, std::uint64_t min,
+                        std::uint64_t max, bool *bad);
 
 struct RewriteStats
 {

@@ -1,7 +1,10 @@
 #include "rewrite/rewriter.hh"
 
 #include <algorithm>
+#include <climits>
+#include <cstring>
 #include <functional>
+#include <string_view>
 
 #include "analysis/cache.hh"
 #include "analysis/funcptr.hh"
@@ -61,6 +64,127 @@ parseInjectDefect(const std::string &name)
             return defect;
     }
     return std::nullopt;
+}
+
+std::uint64_t
+numberArg(const char *text, std::uint64_t min, std::uint64_t max,
+          bool *bad)
+{
+    std::uint64_t v = 0;
+    const char *p = text;
+    for (; *p >= '0' && *p <= '9'; ++p) {
+        const unsigned digit = static_cast<unsigned>(*p - '0');
+        if (v > (max - digit) / 10) {
+            *bad = true;
+            return 0;
+        }
+        v = v * 10 + digit;
+    }
+    if (p == text || *p != '\0' || v < min) {
+        *bad = true;
+        return 0;
+    }
+    return v;
+}
+
+std::string
+RewriteFlag::field() const
+{
+    std::string f(name + 2);
+    std::replace(f.begin(), f.end(), '-', '_');
+    return f;
+}
+
+/** Store a well-formed number flag value into @p field. */
+template <typename T>
+static bool
+setNumber(const char *v, std::uint64_t min, std::uint64_t max, T &field)
+{
+    bool bad = false;
+    const std::uint64_t n = numberArg(v, min, max, &bad);
+    if (!bad)
+        field = static_cast<T>(n);
+    return !bad;
+}
+
+const std::vector<RewriteFlag> &
+rewriteFlags()
+{
+    // Each setter is a captureless lambda on (RewriteOptions &o,
+    // const char *v); v is null for a switch.
+    static const std::vector<RewriteFlag> flags = {
+        {"--mode", true,
+         [](auto &o, auto v) {
+             for (RewriteMode m : {RewriteMode::dir, RewriteMode::jt,
+                                   RewriteMode::funcPtr}) {
+                 if (std::strcmp(v, rewriteModeName(m)) == 0) {
+                     o.mode = m;
+                     return true;
+                 }
+             }
+             return false;
+         }},
+        {"--clobber", false,
+         [](auto &o, auto) { o.clobberOriginal = true; return true; }},
+        {"--count-blocks", false,
+         [](auto &o, auto) {
+             o.instrumentation.countBlocks = true;
+             return true;
+         }},
+        {"--count-entries", false,
+         [](auto &o, auto) {
+             o.instrumentation.countFunctionEntries = true;
+             return true;
+         }},
+        {"--no-placement", false,
+         [](auto &o, auto) { o.trampolinePlacement = false; return true; }},
+        {"--no-multihop", false,
+         [](auto &o, auto) { o.multiHop = false; return true; }},
+        {"--call-emulation", false,
+         [](auto &o, auto) { o.raTranslation = false; return true; }},
+        {"--no-cache", false,
+         [](auto &o, auto) { o.useAnalysisCache = false; return true; }},
+        {"--threads", true,
+         [](auto &o, auto v) { return setNumber(v, 0, UINT_MAX, o.threads); }},
+        {"--shards", true,
+         [](auto &o, auto v) { return setNumber(v, 1, UINT_MAX, o.shards); }},
+        {"--cache-file", true,
+         [](auto &o, auto v) {
+             o.cachePath = v;
+             return *v != '\0';
+         }},
+        {"--cache-max-bytes", true,
+         [](auto &o, auto v) {
+             return setNumber(v, 1, UINT64_MAX, o.cacheMaxBytes);
+         }},
+        {"--inject", true,
+         [](auto &o, auto v) {
+             const auto defect = parseInjectDefect(v);
+             if (defect)
+                 o.injectDefect = *defect;
+             return defect.has_value();
+         }},
+        {"--only", true,
+         [](auto &o, auto v) {
+             const std::string_view list = v;
+             for (std::size_t pos = 0; pos <= list.size();) {
+                 const std::size_t comma =
+                     std::min(list.find(',', pos), list.size());
+                 o.onlyFunctions.emplace(list.substr(pos, comma - pos));
+                 pos = comma + 1;
+             }
+             return true;
+         }},
+    };
+    return flags;
+}
+
+RewriteOptions
+flagDefaultOptions()
+{
+    RewriteOptions opts;
+    opts.mode = RewriteMode::jt;
+    return opts;
 }
 
 std::vector<ShardRange>
@@ -1394,7 +1518,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
         result_.image = std::move(out_);
     }
     result_.ok = true;
-    return result_;
+    return std::move(result_);
 }
 
 /**

@@ -288,13 +288,7 @@ RewriteSession::loadInput(BinaryImage newImage)
     pass.cfg = &cfg_;
     pass.previous = &result_;
     pass.dirtyFunctions = dirty;
-    RewriteOptions inner = opts_;
-    inner.cachePath.clear(); // persistence handled here
-    RewriteResult next = rewriteBinary(*input_, inner, pass);
-    next.cacheLoad = cache_load;
-    saveDiskCache(next);
-    result_ = std::move(next);
-    hasResult_ = true;
+    runPass(pass, cache_load);
     report_ = LintReport{};
     hasReport_ = false;
     return out;
@@ -310,13 +304,19 @@ RewriteSession::mergeDiskCache()
 }
 
 void
-RewriteSession::saveDiskCache(const RewriteResult &result)
+RewriteSession::runPass(const RewritePass &pass,
+                        CacheLoadReport cache_load)
 {
-    if (opts_.cachePath.empty() || !opts_.useAnalysisCache ||
-        !result.ok)
-        return;
-    AnalysisCache::global().save(opts_.cachePath,
-                                 opts_.cacheMaxBytes);
+    RewriteOptions inner = opts_;
+    inner.cachePath.clear(); // persistence handled here
+    RewriteResult next = rewriteBinary(*input_, inner, pass);
+    next.cacheLoad = std::move(cache_load);
+    if (next.ok && !opts_.cachePath.empty() && opts_.useAnalysisCache)
+        AnalysisCache::global().save(opts_.cachePath,
+                                     opts_.cacheMaxBytes);
+    // Moved only now: the pass may borrow the previous result.
+    result_ = std::move(next);
+    hasResult_ = true;
 }
 
 void
@@ -353,13 +353,7 @@ RewriteSession::rewrite(const RewriteOptions &options)
 
     RewritePass pass;
     pass.cfg = &cfg_;
-    RewriteOptions inner = opts_;
-    inner.cachePath.clear(); // persistence handled here
-    RewriteResult next = rewriteBinary(*input_, inner, pass);
-    next.cacheLoad = cache_load;
-    saveDiskCache(next);
-    result_ = std::move(next);
-    hasResult_ = true;
+    runPass(pass, cache_load);
 
     // A fresh rewrite invalidates the previous report and resets the
     // repair history: the functions start with a clean slate.
@@ -442,10 +436,9 @@ RewriteSession::repair(const LintReport &report,
         pass.previous = &result_;
         pass.dirtyFunctions = dirty;
     }
-    // result_ stays alive (and unmoved) for the whole call: the pass
-    // borrows the previous image's .instr bytes and manifest.
-    RewriteResult next = rewriteBinary(*input_, opts_, pass);
-    result_ = std::move(next);
+    // The cache file was merged when the session rewrote; keep that
+    // report rather than mapping the file again.
+    runPass(pass, result_.cacheLoad);
 
     LintOptions relint = lintOpts_;
     relint.originalCfg = &cfg_;

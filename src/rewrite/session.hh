@@ -197,9 +197,13 @@ class RewriteSession
      *  unset); must run before ensureCfg() to seed the CFG build. */
     CacheLoadReport mergeDiskCache();
 
-    /** Save the AnalysisCache to opts_.cachePath after a successful
-     *  rewrite (no-op when unset or @p result failed). */
-    void saveDiskCache(const RewriteResult &result);
+    /**
+     * Rewrite under opts_ with @p pass and adopt the result. The
+     * session owns the cache file: the pass gets no cachePath, the
+     * result carries @p cache_load, and a successful pass saves the
+     * file.
+     */
+    void runPass(const RewritePass &pass, CacheLoadReport cache_load);
 
     BinaryImage owned_;
     const BinaryImage *input_;

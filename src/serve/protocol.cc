@@ -139,17 +139,6 @@ ServeMessage::getU64(const std::string &key,
     return std::strtoull(v.c_str(), nullptr, 10);
 }
 
-bool
-ServeMessage::has(const std::string &key) const
-{
-    for (const auto &[k, v] : fields) {
-        (void)v;
-        if (k == key)
-            return true;
-    }
-    return false;
-}
-
 std::vector<std::uint8_t>
 encodeServePayload(const ServeMessage &msg)
 {

@@ -53,8 +53,6 @@ struct ServeMessage
 
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback = 0) const;
-
-    bool has(const std::string &key) const;
 };
 
 /** Serialize the payload text (no length prefix). */

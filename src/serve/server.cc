@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <set>
 
 #include <fcntl.h>
@@ -19,6 +18,7 @@
 
 #include "analysis/cache.hh"
 #include "analysis/datadeps.hh"
+#include "support/file_io.hh"
 #include "support/thread_pool.hh"
 #include "verify/lint.hh"
 
@@ -39,18 +39,6 @@ canonicalPath(const std::string &path)
 }
 
 bool
-readFileBytes(const std::string &path,
-              std::vector<std::uint8_t> &bytes)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    return true;
-}
-
-bool
 statStamp(const std::string &path, std::uint64_t &mtime_ns,
           std::uint64_t &size)
 {
@@ -64,44 +52,25 @@ statStamp(const std::string &path, std::uint64_t &mtime_ns,
     return true;
 }
 
-/** Session options carried as request fields (the client encodes
- *  its rewrite flags this way; defaults mirror `icp rewrite`). */
-RewriteOptions
-optionsFromRequest(const ServeMessage &request, unsigned def_threads)
+/**
+ * Apply each rewrite-flag field of @p request to @p opts through its
+ * flag's setter; a switch's field must be `1`. Returns the first
+ * malformed field, or null.
+ */
+const std::pair<std::string, std::string> *
+applyFlagFields(const ServeMessage &request, RewriteOptions &opts)
 {
-    RewriteOptions opts;
-    opts.mode = RewriteMode::jt;
-    const std::string mode = request.get("mode");
-    if (mode == "dir")
-        opts.mode = RewriteMode::dir;
-    else if (mode == "func-ptr")
-        opts.mode = RewriteMode::funcPtr;
-    opts.threads = static_cast<unsigned>(
-        request.getU64("threads", def_threads));
-    opts.instrumentation.countBlocks =
-        request.getU64("count_blocks") != 0;
-    opts.instrumentation.countFunctionEntries =
-        request.getU64("count_entries") != 0;
-    opts.raTranslation = request.getU64("call_emulation") == 0;
-    opts.clobberOriginal = request.getU64("clobber") != 0;
-    opts.useAnalysisCache = request.getU64("no_cache") == 0;
-    opts.cachePath = request.get("cache_file");
-    opts.cacheMaxBytes = request.getU64("cache_max_bytes");
-    // The selective splice on loadInput needs the manifest.
-    opts.lint = true;
-    return opts;
-}
-
-std::optional<Severity>
-severityFromField(const std::string &name)
-{
-    if (name.empty() || name == "error")
-        return Severity::error;
-    if (name == "warning")
-        return Severity::warning;
-    if (name == "info")
-        return Severity::info;
-    return std::nullopt;
+    for (const auto &field : request.fields) {
+        for (const RewriteFlag &flag : rewriteFlags()) {
+            if (field.first != flag.field())
+                continue;
+            const std::string &value = field.second;
+            if (flag.takesValue ? !flag.set(opts, value.c_str())
+                                : value != "1" || !flag.set(opts, nullptr))
+                return &field;
+        }
+    }
+    return nullptr;
 }
 
 const Timer serve_timer = Metrics::global().timer("serve.req");
@@ -399,7 +368,7 @@ ServeServer::handleRequest(const ServeMessage &request)
 
 std::shared_ptr<ServeServer::Resident>
 ServeServer::ensureResident(const std::string &path,
-                            const ServeMessage &request, bool &warm,
+                            const RewriteOptions &options, bool &warm,
                             std::string &error)
 {
     const std::string key = canonicalPath(path);
@@ -424,8 +393,7 @@ ServeServer::ensureResident(const std::string &path,
     sessionMisses_.add();
     resident = std::make_shared<Resident>();
     resident->key = key;
-    resident->opts =
-        optionsFromRequest(request, opts_.threads);
+    resident->opts = options;
     resident->residentBytes = size;
     {
         std::lock_guard<std::mutex> lock(registryMu_);
@@ -434,7 +402,6 @@ ServeServer::ensureResident(const std::string &path,
             resident = it->second; // lost a race; reuse the winner
         it->second->lastUse = ++tick_;
     }
-    evictOverBudget(resident.get());
     return resident;
 }
 
@@ -488,7 +455,7 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
     const bool stamp_changed = mtime_ns != resident.stampMtimeNs ||
                                size != resident.stampSize;
 
-    if (resident.everRewritten && !stamp_changed) {
+    if (resident.session && !stamp_changed) {
         // Fully warm: the previous result (and its serialized
         // bytes) stand; the request costs no analysis at all.
         const RewriteStats &stats =
@@ -504,7 +471,7 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
     }
 
     std::vector<std::uint8_t> raw;
-    if (!readFileBytes(resident.key, raw)) {
+    if (!readFile(resident.key, raw)) {
         error = "cannot read " + resident.key;
         return false;
     }
@@ -518,46 +485,34 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
         return false;
     }
 
-    std::uint64_t dirty = 0, emitted = 0;
+    std::uint64_t dirty = 0;
     bool incremental = false;
-    if (!resident.everRewritten) {
+    const bool fresh = !resident.session;
+    if (fresh) {
         resident.session =
             std::make_unique<RewriteSession>(std::move(*img));
-        const RewriteResult &rw =
-            resident.session->rewrite(resident.opts);
-        if (!rw.ok) {
-            error = "rewrite failed: " + rw.failReason;
-            resident.session.reset();
-            return false;
-        }
-        emitted = rw.stats.relocEmittedFunctions;
-        resident.everRewritten = true;
     } else {
         const auto outcome =
             resident.session->loadInput(std::move(*img));
         incremental = outcome.incremental;
         dirty = outcome.dirtyFunctions.size();
-        if (!outcome.incremental) {
-            // Not diffable (layout/symbols changed): the session
-            // reset; run a fresh rewrite on the new input.
-            const RewriteResult &rw =
-                resident.session->rewrite(resident.opts);
-            if (!rw.ok) {
-                error = "rewrite failed: " + rw.failReason;
-                return false;
-            }
-            emitted = rw.stats.relocEmittedFunctions;
-        } else {
-            if (!resident.session->lastResult().ok) {
-                error = "incremental rewrite failed: " +
-                        resident.session->lastResult().failReason;
-                return false;
-            }
-            emitted = dirty == 0
-                          ? 0
-                          : resident.session->lastResult()
-                                .stats.relocEmittedFunctions;
+    }
+    if (!incremental) {
+        // A new session, or an input loadInput could not diff
+        // (layout/symbols changed, so the session reset): rewrite
+        // it in full.
+        const RewriteResult &rw =
+            resident.session->rewrite(resident.opts);
+        if (!rw.ok) {
+            error = "rewrite failed: " + rw.failReason;
+            if (fresh)
+                resident.session.reset();
+            return false;
         }
+    } else if (!resident.session->lastResult().ok) {
+        error = "incremental rewrite failed: " +
+                resident.session->lastResult().failReason;
+        return false;
     }
 
     const RewriteResult &rw = resident.session->lastResult();
@@ -570,7 +525,9 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
     reply.set("incremental", std::uint64_t{incremental ? 1u : 0u});
     reply.set("cached", std::uint64_t{0});
     reply.set("dirty", dirty);
-    reply.set("emitted", emitted);
+    reply.set("emitted", incremental && dirty == 0
+                             ? 0
+                             : rw.stats.relocEmittedFunctions);
     reply.set("reused",
               std::uint64_t{rw.stats.relocReusedFunctions});
     reply.set("functions", std::uint64_t{rw.stats.totalFunctions});
@@ -578,14 +535,30 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
 }
 
 ServeMessage
-ServeServer::handleOpen(const ServeMessage &request)
+ServeServer::badField(const std::string &key, const std::string &value)
+{
+    return errorReply("bad-request",
+                      "malformed field " + key + "=" + value);
+}
+
+ServeMessage
+ServeServer::withSession(const ServeMessage &request,
+                         const SessionVerb &verb)
 {
     const std::string path = request.get("path");
     if (path.empty())
-        return errorReply("bad-request", "open needs path=");
+        return errorReply("bad-request",
+                          request.verb + " needs path=");
+    RewriteOptions options = flagDefaultOptions();
+    options.threads = opts_.threads;
+    if (const auto *bad = applyFlagFields(request, options))
+        return badField(bad->first, bad->second);
+    // The selective splice on loadInput needs the manifest.
+    options.lint = true;
+
     bool warm = false;
     std::string error;
-    auto resident = ensureResident(path, request, warm, error);
+    auto resident = ensureResident(path, options, warm, error);
     if (!resident)
         return errorReply("bad-input", error);
 
@@ -596,165 +569,122 @@ ServeServer::handleOpen(const ServeMessage &request)
     if (!refreshResident(*resident, reply, error))
         return errorReply("rewrite-failed", error);
     evictOverBudget(resident.get());
-    reply.set("resident_bytes", resident->residentBytes);
-    reply.set("trampolines",
-              resident->session->lastResult().stats.trampolines);
+    verb(*resident, reply);
     return reply;
+}
+
+ServeMessage
+ServeServer::handleOpen(const ServeMessage &request)
+{
+    return withSession(request, [](Resident &resident,
+                                   ServeMessage &reply) {
+        reply.set("resident_bytes", resident.residentBytes);
+        reply.set("trampolines",
+                  resident.session->lastResult().stats.trampolines);
+    });
 }
 
 ServeMessage
 ServeServer::handleRewrite(const ServeMessage &request)
 {
-    const std::string path = request.get("path");
     const std::string out = request.get("out");
-    if (path.empty() || out.empty())
-        return errorReply("bad-request",
-                          "rewrite needs path= and out=");
-    bool warm = false;
-    std::string error;
-    auto resident = ensureResident(path, request, warm, error);
-    if (!resident)
-        return errorReply("bad-input", error);
-
-    ServeMessage reply;
-    reply.verb = "ok";
-    reply.set("warm", std::uint64_t{warm ? 1u : 0u});
-    std::lock_guard<std::mutex> lock(resident->mu);
-    if (!refreshResident(*resident, reply, error))
-        return errorReply("rewrite-failed", error);
-    evictOverBudget(resident.get());
-
-    std::ofstream sink(out, std::ios::binary | std::ios::trunc);
-    sink.write(
-        reinterpret_cast<const char *>(resident->outputBytes.data()),
-        static_cast<std::streamsize>(resident->outputBytes.size()));
-    if (!sink)
-        return errorReply("io", "cannot write " + out);
-    reply.set("out_bytes",
-              std::uint64_t{resident->outputBytes.size()});
-    return reply;
+    if (out.empty())
+        return errorReply("bad-request", "rewrite needs out=");
+    return withSession(request, [&](Resident &resident,
+                                    ServeMessage &reply) {
+        if (!writeFile(out, resident.outputBytes)) {
+            reply = errorReply("io", "cannot write " + out);
+            return;
+        }
+        reply.set("out_bytes",
+                  std::uint64_t{resident.outputBytes.size()});
+    });
 }
 
 ServeMessage
 ServeServer::handleLint(const ServeMessage &request)
 {
-    const std::string path = request.get("path");
-    if (path.empty())
-        return errorReply("bad-request", "lint needs path=");
-    const auto fail_on = severityFromField(request.get("fail_on"));
+    const std::string fail_on_field = request.get("fail_on");
+    const auto fail_on = parseSeverity(
+        fail_on_field.empty() ? "error" : fail_on_field);
     if (!fail_on)
-        return errorReply("bad-request",
-                          "fail_on must be info|warning|error");
-    bool warm = false;
-    std::string error;
-    auto resident = ensureResident(path, request, warm, error);
-    if (!resident)
-        return errorReply("bad-input", error);
-
-    ServeMessage reply;
-    reply.verb = "ok";
-    reply.set("warm", std::uint64_t{warm ? 1u : 0u});
-    std::lock_guard<std::mutex> lock(resident->mu);
-    if (!refreshResident(*resident, reply, error))
-        return errorReply("rewrite-failed", error);
-
-    LintOptions lopts;
-    lopts.failOn = *fail_on;
-    lopts.threads = resident->opts.threads;
-    const LintReport &report = resident->session->lint(lopts);
-    reply.set("errors",
-              std::uint64_t{report.countAtLeast(Severity::error)});
-    reply.set("warnings",
-              std::uint64_t{report.countAtLeast(Severity::warning)});
-    reply.set("findings", std::uint64_t{report.findings.size()});
-    reply.set("fail",
-              std::uint64_t{report.failed(*fail_on) ? 1u : 0u});
-    // First few findings ride along for context; the full report
-    // stays a one-shot `icp lint` away.
-    unsigned listed = 0;
-    for (const Diagnostic &d : report.findings) {
-        if (listed == 5)
-            break;
-        char key[24];
-        std::snprintf(key, sizeof(key), "finding.%u", listed++);
-        reply.set(key, d.rule + ": " + d.message);
-    }
-    return reply;
+        return badField("fail_on", fail_on_field);
+    return withSession(request, [&](Resident &resident,
+                                    ServeMessage &reply) {
+        LintOptions lopts;
+        lopts.failOn = *fail_on;
+        lopts.threads = resident.opts.threads;
+        const LintReport &report = resident.session->lint(lopts);
+        reply.set("errors",
+                  std::uint64_t{report.countAtLeast(Severity::error)});
+        reply.set(
+            "warnings",
+            std::uint64_t{report.countAtLeast(Severity::warning)});
+        reply.set("findings", std::uint64_t{report.findings.size()});
+        reply.set("fail",
+                  std::uint64_t{report.failed(*fail_on) ? 1u : 0u});
+        // First few findings ride along for context; the full report
+        // stays a one-shot `icp lint` away.
+        unsigned listed = 0;
+        for (const Diagnostic &d : report.findings) {
+            if (listed == 5)
+                break;
+            char key[24];
+            std::snprintf(key, sizeof(key), "finding.%u", listed++);
+            reply.set(key, d.rule + ": " + d.message);
+        }
+    });
 }
 
 ServeMessage
 ServeServer::handleRepair(const ServeMessage &request)
 {
-    const std::string path = request.get("path");
-    if (path.empty())
-        return errorReply("bad-request", "repair needs path=");
-    const auto iters =
-        static_cast<unsigned>(request.getU64("iterations", 2));
-    bool warm = false;
-    std::string error;
-    auto resident = ensureResident(path, request, warm, error);
-    if (!resident)
-        return errorReply("bad-input", error);
-
-    ServeMessage reply;
-    reply.verb = "ok";
-    reply.set("warm", std::uint64_t{warm ? 1u : 0u});
-    std::lock_guard<std::mutex> lock(resident->mu);
-    if (!refreshResident(*resident, reply, error))
-        return errorReply("rewrite-failed", error);
-
-    LintOptions lopts;
-    lopts.threads = resident->opts.threads;
-    resident->session->lint(lopts);
-    const auto outcome =
-        resident->session->repairToFixedPoint(iters);
-    // Repair may have re-emitted functions; refresh the cached
-    // output bytes so the next rewrite serves the repaired image.
-    resident->outputBytes =
-        resident->session->lastResult().image.serialize();
-    reply.set("iterations", std::uint64_t{outcome.iterations});
-    reply.set("repaired",
-              std::uint64_t{outcome.repairedFunctions.size()});
-    reply.set("demoted",
-              std::uint64_t{outcome.demotedFunctions.size()});
-    reply.set("converged",
-              std::uint64_t{outcome.converged ? 1u : 0u});
-    return reply;
+    const std::string iters_field = request.get("iterations", "2");
+    bool bad = false;
+    const auto iters = static_cast<unsigned>(
+        numberArg(iters_field.c_str(), 1, UINT_MAX, &bad));
+    if (bad)
+        return badField("iterations", iters_field);
+    return withSession(request, [&](Resident &resident,
+                                    ServeMessage &reply) {
+        LintOptions lopts;
+        lopts.threads = resident.opts.threads;
+        resident.session->lint(lopts);
+        const auto outcome =
+            resident.session->repairToFixedPoint(iters);
+        // Repair may have re-emitted functions; refresh the cached
+        // output bytes so the next rewrite serves the repaired image.
+        resident.outputBytes =
+            resident.session->lastResult().image.serialize();
+        reply.set("iterations", std::uint64_t{outcome.iterations});
+        reply.set("repaired",
+                  std::uint64_t{outcome.repairedFunctions.size()});
+        reply.set("demoted",
+                  std::uint64_t{outcome.demotedFunctions.size()});
+        reply.set("converged",
+                  std::uint64_t{outcome.converged ? 1u : 0u});
+    });
 }
 
 ServeMessage
 ServeServer::handleDeps(const ServeMessage &request)
 {
-    const std::string path = request.get("path");
-    if (path.empty())
-        return errorReply("bad-request", "deps needs path=");
-    bool warm = false;
-    std::string error;
-    auto resident = ensureResident(path, request, warm, error);
-    if (!resident)
-        return errorReply("bad-input", error);
-
-    ServeMessage reply;
-    reply.verb = "ok";
-    reply.set("warm", std::uint64_t{warm ? 1u : 0u});
-    std::lock_guard<std::mutex> lock(resident->mu);
-    if (!refreshResident(*resident, reply, error))
-        return errorReply("rewrite-failed", error);
-
-    std::uint64_t with_reads = 0, ranges = 0, bytes = 0;
-    for (const auto &[entry, func] :
-         resident->session->analyze().functions) {
-        (void)entry;
-        if (func.dataDeps.empty())
-            continue;
-        ++with_reads;
-        ranges += func.dataDeps.size();
-        bytes += func.dataDeps.totalBytes();
-    }
-    reply.set("functions_with_reads", with_reads);
-    reply.set("ranges", ranges);
-    reply.set("bytes", bytes);
-    return reply;
+    return withSession(request, [](Resident &resident,
+                                   ServeMessage &reply) {
+        std::uint64_t with_reads = 0, ranges = 0, bytes = 0;
+        for (const auto &[entry, func] :
+             resident.session->analyze().functions) {
+            (void)entry;
+            if (func.dataDeps.empty())
+                continue;
+            ++with_reads;
+            ranges += func.dataDeps.size();
+            bytes += func.dataDeps.totalBytes();
+        }
+        reply.set("functions_with_reads", with_reads);
+        reply.set("ranges", ranges);
+        reply.set("bytes", bytes);
+    });
 }
 
 ServeMessage

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -148,6 +149,8 @@ class ServeServer
 
         std::string key;       ///< canonical binary path
         RewriteOptions opts;   ///< options it was opened under
+
+        /** Null until the first rewrite succeeds. */
         std::unique_ptr<RewriteSession> session;
 
         /** Serialized output of the last rewrite (what a one-shot
@@ -161,7 +164,6 @@ class ServeServer
 
         std::uint64_t residentBytes = 0;
         std::uint64_t lastUse = 0; ///< LRU tick
-        bool everRewritten = false;
     };
 
     void handleConnection(int fd);
@@ -183,14 +185,31 @@ class ServeServer
     ServeMessage errorReply(const std::string &code,
                             const std::string &message);
 
+    /** The bad-request reply naming a malformed field. */
+    ServeMessage badField(const std::string &key,
+                          const std::string &value);
+
+    /** One session verb's own work, under the session lock. */
+    using SessionVerb = std::function<void(Resident &, ServeMessage &)>;
+
     /**
-     * Look up or create the resident session for @p path. Sets
-     * @p warm to whether it was already resident, bumps the LRU
-     * tick, and applies eviction after an insert.
+     * The prologue of the session verbs: check path=, apply the flag
+     * fields (a malformed one is a bad-request before any session
+     * exists), find or open the session, lock it, refresh it, evict
+     * over budget; then run @p verb. Options bind when the session
+     * opens; later requests' flag fields are only validated.
+     */
+    ServeMessage withSession(const ServeMessage &request,
+                             const SessionVerb &verb);
+
+    /**
+     * Look up or create (under @p options) the resident session for
+     * @p path. Sets @p warm to whether it was already resident and
+     * bumps the LRU tick.
      */
     std::shared_ptr<Resident>
     ensureResident(const std::string &path,
-                   const ServeMessage &request, bool &warm,
+                   const RewriteOptions &options, bool &warm,
                    std::string &error);
 
     /**

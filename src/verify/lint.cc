@@ -206,17 +206,13 @@ class Checker
         const Function *fn = functionAt(entry);
         if (!fn)
             return nullptr;
-        const bool cached =
-            opts_.useAnalysisCache && fn->cacheKey != 0;
+        const bool cached = fn->cacheKey != 0;
         if (cached) {
             if (auto hit = AnalysisCache::global().findLiveness(
-                    fn->cacheKey, fn->entry)) {
-                ++livenessCacheHits_;
+                    fn->cacheKey, fn->entry))
                 return liveness_.emplace(entry, std::move(hit))
                     .first->second.get();
-            }
         }
-        ++livenessCacheMisses_;
         auto fresh = std::make_shared<LivenessResult>(
             computeLiveness(*fn, arch_));
         if (cached) {
@@ -1005,8 +1001,6 @@ class Checker
     std::uint64_t checkedFdes_ = 0;
     std::uint64_t checkedDataDeps_ = 0;
     bool rebuiltOriginalCfg_ = false;
-    std::uint64_t livenessCacheHits_ = 0;
-    std::uint64_t livenessCacheMisses_ = 0;
 
   private:
     static constexpr unsigned max_chain_steps = 64;
@@ -1072,8 +1066,6 @@ lintRewrite(const BinaryImage &original, const RewriteResult &rw,
     rep.checkedFdes = checker.checkedFdes_;
     rep.checkedDataDeps = checker.checkedDataDeps_;
     rep.rebuiltOriginalCfg = checker.rebuiltOriginalCfg_;
-    rep.livenessCacheHits = checker.livenessCacheHits_;
-    rep.livenessCacheMisses = checker.livenessCacheMisses_;
     return rep;
 }
 

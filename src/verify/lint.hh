@@ -66,13 +66,6 @@ struct LintOptions
      * repeat lints never re-disassemble the original image.
      */
     const CfgModule *originalCfg = nullptr;
-
-    /**
-     * Consult the process-wide AnalysisCache for per-function
-     * liveness (keyed like the rewriter's), so lint after rewrite
-     * reuses the same fixpoints.
-     */
-    bool useAnalysisCache = true;
 };
 
 struct LintReport
@@ -93,10 +86,6 @@ struct LintReport
      * ran). Incremental lint asserts this stays false.
      */
     bool rebuiltOriginalCfg = false;
-
-    /** AnalysisCache liveness traffic from this lint run. */
-    std::uint64_t livenessCacheHits = 0;
-    std::uint64_t livenessCacheMisses = 0;
 
     bool clean() const { return findings.empty(); }
 

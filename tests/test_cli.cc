@@ -6,10 +6,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -150,7 +152,8 @@ TEST(Cli, NumericRewriteFlagsAreStrict)
           "--cache-max-bytes -1", "--cache-max-bytes 1k",
           "--cache-max-bytes=0",
           "--cache-max-bytes 18446744073709551616", "--repair=2x",
-          "--repair=0", "--repair=", "--repair=-1"}) {
+          "--repair=0", "--repair=", "--repair=-1", "--threads=2x",
+          "--mode=bogus"}) {
         EXPECT_EQ(exitCode(rewrite + flag), 1) << flag;
     }
     for (const char *flag :
@@ -186,7 +189,8 @@ TEST(Cli, NumericCommandFlagsAreStrict)
           serve + "--session-max-bytes 0",
           serve + "--session-max-bytes 1G", serve + "--timeout-ms -1",
           serve + "--timeout-ms 2147483648", serve + "--threads +1",
-          client + "--timeout-ms 5s", client + "--timeout-ms -1"}) {
+          client + "--timeout-ms 5s", client + "--timeout-ms -1",
+          client + "--threads 2x", client + "--mode bogus"}) {
         EXPECT_TRUE(usageRejected(args)) << args;
     }
     EXPECT_EQ(exitCode(compact + "--max-bytes 0"), 0);
@@ -199,6 +203,47 @@ TEST(Cli, NumericCommandFlagsAreStrict)
         EXPECT_EQ(exitCode(args), 1) << args;
         EXPECT_FALSE(usageRejected(args)) << args;
     }
+}
+
+TEST(CliServe, ClientRewriteMatchesOneShotForEveryFlag)
+{
+    // `icp client` forwards each rewrite flag as its wire field and
+    // the daemon applies it through the same setter, so the served
+    // output is byte-identical to `icp rewrite` with that flag.
+    // Options bind when a session opens: one input copy per flag.
+    const std::string sock = "/tmp/icp_cli_parity.sock";
+    std::remove(sock.c_str());
+    ASSERT_EQ(std::system((std::string(ICP_CLI_PATH) + " serve " + sock +
+                           " > /dev/null 2>&1 &")
+                              .c_str()),
+              0);
+    bool ready = false;
+    for (int i = 0; i < 100 && !ready; ++i) {
+        ready = run("client " + sock + " ping") == 0;
+        if (!ready)
+            usleep(50000);
+    }
+    EXPECT_TRUE(ready);
+    const char *flags[] = {"--no-multihop", "--no-placement",
+                           "--only switcher,worker", "--count-entries",
+                           "--call-emulation"};
+    for (std::size_t k = 0; k < std::size(flags) && ready; ++k) {
+        const std::string in = "/tmp/icp_cli_parity_" + std::to_string(k);
+        EXPECT_EQ(run("compile micro " + in + ".sbf"), 0);
+        EXPECT_EQ(run("rewrite " + in + ".sbf " + in + "_oneshot.sbf " +
+                      flags[k]),
+                  0);
+        EXPECT_EQ(run("client " + sock + " rewrite " + in + ".sbf " +
+                      in + "_served.sbf " + flags[k]),
+                  0)
+            << flags[k];
+        EXPECT_EQ(std::system(("cmp -s " + in + "_oneshot.sbf " + in +
+                               "_served.sbf")
+                                  .c_str()),
+                  0)
+            << flags[k];
+    }
+    run("client " + sock + " shutdown");
 }
 
 TEST(Cli, LintCleanImageExitsZero)

@@ -36,12 +36,11 @@ using namespace icp;
 namespace
 {
 
-/** The daemon's session defaults (optionsFromRequest with no flags). */
+/** The daemon's session defaults (a request with no flag fields). */
 RewriteOptions
 serveDefaultOptions()
 {
-    RewriteOptions opts;
-    opts.mode = RewriteMode::jt;
+    RewriteOptions opts = flagDefaultOptions();
     opts.lint = true;
     return opts;
 }
@@ -200,7 +199,6 @@ TEST(ServeProtocol, PayloadRoundTrip)
     EXPECT_EQ(back.getU64("threads"), 4u);
     EXPECT_EQ(back.get("note"), "value with = signs == kept");
     EXPECT_EQ(back.getU64("absent", 7), 7u);
-    EXPECT_FALSE(back.has("absent"));
 }
 
 TEST(ServeProtocol, EncoderFoldsNewlinesIntoSpaces)
@@ -323,6 +321,45 @@ TEST(ServeDaemon, AnswersPingStatsAndUnknownVerbs)
     missing.verb = "open";
     missing.set("path", "/tmp/definitely_missing_input.sbf");
     EXPECT_EQ(daemon.call(missing).verb, "error");
+}
+
+TEST(ServeDaemon, MalformedFieldsAreBadRequestsBeforeAnySession)
+{
+    // Every session verb applies the flag fields through the flags'
+    // own setters: a malformed value is a bad-request naming the
+    // field, never a silent default, and no session is created.
+    const std::string in_path = "/tmp/icp_test_serve_fields.sbf";
+    ASSERT_TRUE(writeFileBytes(
+        in_path,
+        compileProgram(microProfile(Arch::x64, true)).serialize()));
+    DaemonFixture daemon("fields");
+    const auto expectBadField = [&](const char *verb, const char *key,
+                                    const char *value) {
+        ServeMessage req;
+        req.verb = verb;
+        req.set("path", in_path);
+        req.set("out", "/tmp/icp_test_serve_fields_out.sbf");
+        req.set(key, value);
+        const ServeMessage reply = daemon.call(req);
+        EXPECT_EQ(reply.verb, "error") << verb << " " << key;
+        EXPECT_EQ(reply.get("code"), "bad-request") << verb << " " << key;
+        EXPECT_NE(reply.get("error").find(key), std::string::npos)
+            << reply.get("error");
+    };
+    for (const char *verb : {"open", "rewrite", "lint", "repair", "deps"})
+        for (const auto &[key, value] :
+             {std::pair{"mode", "bogus"}, {"threads", "2x"},
+              {"count_blocks", "2"}, {"cache_max_bytes", "1k"}})
+            expectBadField(verb, key, value);
+    expectBadField("repair", "iterations", "-1");
+    expectBadField("lint", "fail_on", "fatal");
+
+    ServeMessage stats;
+    stats.verb = "stats";
+    const ServeMessage snap = daemon.call(stats);
+    ASSERT_EQ(snap.verb, "ok");
+    EXPECT_EQ(snap.getU64("resident_sessions"), 0u);
+    EXPECT_EQ(snap.getU64("session_misses"), 0u);
 }
 
 TEST(ServeDaemon, TwoServersReportDisjointStats)

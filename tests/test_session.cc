@@ -8,6 +8,7 @@
  * across thread counts — and identical to a defect-free rewrite.
  */
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <tuple>
@@ -20,6 +21,8 @@
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
 #include "rewrite/session.hh"
+#include "support/file_io.hh"
+#include "support/stats.hh"
 #include "verify/lint.hh"
 
 using namespace icp;
@@ -211,6 +214,32 @@ TEST(SessionRepairFallback, RaMapDefectTriggersFullRewrite)
     EXPECT_TRUE(outcome.fullRewriteFallback);
     // The fallback pass re-emits everything.
     EXPECT_EQ(session.lastResult().stats.relocReusedFunctions, 0u);
+}
+
+TEST(SessionRepairCacheFile, RepairMapsTheCacheFileOnce)
+{
+    // The session merges its cache file once, before the CFG build;
+    // a repair pass must not map the file again.
+    const BinaryImage img = compileMicro(Arch::x64);
+    const std::string path = "/tmp/icp_test_session_repair.icpc";
+    std::remove(path.c_str());
+    RewriteOptions opts = baseOptions();
+    opts.cachePath = path;
+    ASSERT_TRUE(rewriteBinary(img, opts).ok);
+    std::vector<std::uint8_t> file;
+    ASSERT_TRUE(readFile(path, file));
+
+    const auto mapped = [] {
+        return Metrics::global().counters().at("cache.bytes_mapped");
+    };
+    const std::uint64_t before = mapped();
+    opts.injectDefect = InjectDefect::trampTarget;
+    RewriteSession session(img);
+    ASSERT_TRUE(session.rewrite(opts).ok);
+    ASSERT_GE(errorCount(session.lint()), 1u);
+    EXPECT_TRUE(session.repairToFixedPoint(2).converged);
+    EXPECT_EQ(mapped() - before, file.size());
+    std::remove(path.c_str());
 }
 
 // --- persistent defects: trap demotion contains the function --------------

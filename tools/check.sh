@@ -45,9 +45,11 @@
 #                  drive open -> rewrite -> edited rewrite -> lint ->
 #                  shutdown through `icp client`, assert byte identity
 #                  with one-shot rewrites and a warm session hit on
-#                  the second rewrite; a second pass SIGKILLs the
-#                  daemon mid-session and asserts the stale socket and
-#                  lock files don't wedge a restart
+#                  the second rewrite, a flagged client rewrite equal
+#                  to its one-shot, and `--mode bogus` exiting 1; a
+#                  second pass SIGKILLs the daemon mid-session and
+#                  asserts the stale socket and lock files don't
+#                  wedge a restart
 #   datadeps       data-dependency smoke on every ISA: `icp deps
 #                  --poke-padding` (all) and `--poke-table`
 #                  (x64/aarch64; ppc64le embeds its tables in code)
@@ -372,7 +374,10 @@ leg_serve() {
        ./build/tools/icp rewrite "$dir/in.sbf" "$dir/oneshot.sbf" &&
        cp "$dir/edit.sbf" "$dir/edit_in.sbf" &&
        ./build/tools/icp rewrite "$dir/edit_in.sbf" \
-           "$dir/oneshot_edit.sbf"
+           "$dir/oneshot_edit.sbf" &&
+       ./build/tools/icp compile micro "$dir/flags.sbf" --pie &&
+       ./build/tools/icp rewrite "$dir/flags.sbf" \
+           "$dir/oneshot_flags.sbf" --no-multihop --count-entries
     then
         # Pass 1: full session lifecycle against one daemon, ending in
         # a graceful shutdown whose exit status we actually collect.
@@ -398,6 +403,13 @@ leg_serve() {
            echo "serve: edited rewrite warm, byte-identical" &&
            ./build/tools/icp client "$sock" lint "$dir/in.sbf" \
                --fail-on error &&
+           # Rewrite flags travel as fields: same bytes as one-shot.
+           ./build/tools/icp client "$sock" rewrite "$dir/flags.sbf" \
+               "$dir/served_flags.sbf" --no-multihop --count-entries &&
+           cmp "$dir/oneshot_flags.sbf" "$dir/served_flags.sbf" &&
+           echo "serve: flagged rewrite byte-identical" &&
+           { ./build/tools/icp client "$sock" open "$dir/flags.sbf" \
+                 --mode bogus 2>/dev/null; [ $? -eq 1 ]; } &&
            ./build/tools/icp client "$sock" shutdown &&
            wait "$srv"
         then

@@ -4,32 +4,8 @@
  * files, rewrite them with incremental CFG patching, run them in
  * the simulator, and inspect their contents.
  *
- *   icp compile <profile> <out.sbf> [--arch A] [--pie]
- *   icp rewrite <in.sbf> <out.sbf> [--mode M] [--clobber]
- *               [--count-blocks] [--count-entries] [--only f1,f2]
- *               [--no-placement] [--no-multihop] [--call-emulation]
- *               [--threads N] [--no-cache] [--timing]
- *               [--cache-file PATH] [--cache-max-bytes N]
- *               [--shards N]   (N > 1: no --cache-file)
- *               [--lint] [--fail-on S]
- *               [--inject DEFECT] [--repair[=N]]
- *   icp lint    <in.sbf> [rewrite options] [--json] [--timing]
- *               [--fail-on info|warning|error] [--inject DEFECT]
- *               [--no-load-check] [--rules]
- *   icp lint    --diff <a.sbf|baseline.json> <b.sbf>
- *               [rewrite options] [--json] [--fail-on S]
- *   icp run     <in.sbf> [--gc N]
- *   icp inspect <in.sbf> [function]
- *   icp deps    <in.sbf> [--json] [rewrite options]
- *   icp deps    <in.sbf> --poke-padding|--poke-table
- *               [rewrite options]
- *   icp cache   info|verify <file.icpc>
- *   icp cache   compact <file.icpc> [--max-bytes N]
- *   icp serve   <socket> [--session-max-bytes N] [--max-sessions N]
- *               [--timeout-ms N] [--max-pending N] [--threads N]
- *               [--timing]
- *   icp client  <socket> <verb> [paths] [rewrite options]
- *               [--fail-on S] [--iterations N] [--timeout-ms N]
+ * usage() prints the synopsis of every command; every command that
+ * rewrites takes the rewrite options of `icp rewrite`.
  *
  * Profiles: micro, spec0..spec18, libxul, docker, libcuda,
  * chromium, chromium-small, libcommon0..libcommonN (the
@@ -86,10 +62,15 @@
  * sends one request (ping, open, rewrite, lint, repair, deps, stats,
  * shutdown) and prints the reply as one greppable `verb: ok k=v ...`
  * line; exit 0 on an ok reply, 2 when a lint reply reaches the
- * fail-on floor, 1 on errors. SIGTERM/SIGINT drain the daemon
- * gracefully: in-flight requests finish, caches delta-save, and the
- * socket/lock files are removed. SIGKILL leaves them behind, but the
- * flock-held lock file lets a restart detect staleness and rebind.
+ * fail-on floor, 1 on errors. The client takes every rewrite option
+ * of `icp rewrite` and sends it as the wire field named after the
+ * flag (`--count-blocks` -> `count_blocks=1`); the daemon applies it
+ * through the same setter, so a malformed value is an error on
+ * either side, and the options bind when the session opens.
+ * SIGTERM/SIGINT drain the daemon gracefully: in-flight requests
+ * finish, caches delta-save, and the socket/lock files are removed.
+ * SIGKILL leaves them behind, but the flock-held lock file lets a
+ * restart detect staleness and rebind.
  */
 
 #include <algorithm>
@@ -98,13 +79,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <limits.h>
-#include <unistd.h>
 
 #include "analysis/builder.hh"
 #include "analysis/cache.hh"
@@ -118,6 +98,7 @@
 #include "serve/server.hh"
 #include "sim/loader.hh"
 #include "sim/machine.hh"
+#include "support/file_io.hh"
 #include "support/stats.hh"
 #include "verify/lint.hh"
 
@@ -154,8 +135,9 @@ usage()
                  "<b.sbf> [rewrite options] [--json] [--fail-on S]\n"
                  "       icp run <in.sbf> [--gc N]\n"
                  "       icp inspect <in.sbf> [function]\n"
-                 "       icp deps <in.sbf> [--json] "
+                 "       icp deps <in.sbf> [--json] [--timing] "
                  "[--poke-padding|--poke-table]\n"
+                 "                [rewrite options]\n"
                  "       icp cache info|verify <file.icpc>\n"
                  "       icp cache compact <file.icpc> "
                  "[--max-bytes N]\n"
@@ -165,43 +147,14 @@ usage()
                  "[--threads N] [--timing]\n"
                  "       icp client <socket> ping|stats|shutdown\n"
                  "       icp client <socket> open|lint|repair|deps "
-                 "<in.sbf> [options]\n"
+                 "<in.sbf> [rewrite options]\n"
                  "       icp client <socket> rewrite <in.sbf> "
-                 "<out.sbf> [options]\n");
+                 "<out.sbf> [rewrite options]\n"
+                 "                  [--fail-on S] [--iterations N] "
+                 "[--timeout-ms N]\n");
     // Exit 1: operational error, distinct from lint's exit-2
     // "findings reached --fail-on" contract.
     return 1;
-}
-
-const Timer io_read_timer = Metrics::global().timer("io.read");
-const Timer io_write_timer = Metrics::global().timer("io.write");
-
-bool
-writeFile(const std::string &path,
-          const std::vector<std::uint8_t> &bytes)
-{
-    const ScopedTimer timer(io_write_timer);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(out);
-}
-
-bool
-readFile(const std::string &path, std::vector<std::uint8_t> &bytes)
-{
-    const ScopedTimer timer(io_read_timer);
-    std::ifstream in(path, std::ios::binary);
-    std::error_code ec;
-    const std::uintmax_t size = std::filesystem::file_size(path, ec);
-    if (!in || ec)
-        return false;
-    bytes.resize(size);
-    in.read(reinterpret_cast<char *>(bytes.data()),
-            static_cast<std::streamsize>(size));
-    return in.gcount() == static_cast<std::streamsize>(size);
 }
 
 /**
@@ -230,107 +183,33 @@ loadSbf(const char *path)
 }
 
 /**
- * A numeric flag value: decimal digits only (no sign, space or
- * suffix) and within [min, max]. Anything else sets *bad and
- * returns 0.
+ * Parse the rewrite flag at argv[i] into @p opts, advancing i past a
+ * separate value; *value (when given) receives that value, null for
+ * a switch. Null when argv[i] is no rewrite flag; sets *bad when it
+ * is one but malformed.
  */
-std::uint64_t
-numberArg(const char *text, std::uint64_t min, std::uint64_t max,
-          bool *bad)
-{
-    std::uint64_t v = 0;
-    const char *p = text;
-    for (; *p >= '0' && *p <= '9'; ++p) {
-        const unsigned digit = static_cast<unsigned>(*p - '0');
-        if (v > (max - digit) / 10) {
-            *bad = true;
-            return 0;
-        }
-        v = v * 10 + digit;
-    }
-    if (p == text || *p != '\0' || v < min) {
-        *bad = true;
-        return 0;
-    }
-    return v;
-}
-
-/**
- * Parse one rewrite-option flag at argv[i], advancing i past any
- * value. Returns false when argv[i] is not a rewrite option; sets
- * *bad when the flag is recognized but malformed.
- */
-bool
+const RewriteFlag *
 parseRewriteFlag(RewriteOptions &opts, int argc, char **argv, int &i,
-                 bool *bad)
+                 bool *bad, const char **value = nullptr)
 {
-    const std::string arg = argv[i];
-    if (arg == "--mode" && i + 1 < argc) {
-        const std::string m = argv[++i];
-        if (m == "dir")
-            opts.mode = RewriteMode::dir;
-        else if (m == "jt")
-            opts.mode = RewriteMode::jt;
-        else if (m == "func-ptr")
-            opts.mode = RewriteMode::funcPtr;
-        else
-            *bad = true;
-    } else if (arg == "--clobber") {
-        opts.clobberOriginal = true;
-    } else if (arg == "--count-blocks") {
-        opts.instrumentation.countBlocks = true;
-    } else if (arg == "--count-entries") {
-        opts.instrumentation.countFunctionEntries = true;
-    } else if (arg == "--no-placement") {
-        opts.trampolinePlacement = false;
-    } else if (arg == "--no-multihop") {
-        opts.multiHop = false;
-    } else if (arg == "--call-emulation") {
-        opts.raTranslation = false;
-    } else if (arg == "--threads" && i + 1 < argc) {
-        opts.threads = static_cast<unsigned>(
-            numberArg(argv[++i], 0, UINT_MAX, bad));
-    } else if (arg == "--no-cache") {
-        opts.useAnalysisCache = false;
-    } else if (arg == "--shards" && i + 1 < argc) {
-        opts.shards = static_cast<unsigned>(
-            numberArg(argv[++i], 1, UINT_MAX, bad));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-        opts.shards = static_cast<unsigned>(numberArg(
-            arg.c_str() + std::strlen("--shards="), 1, UINT_MAX, bad));
-    } else if (arg == "--cache-file" && i + 1 < argc) {
-        opts.cachePath = argv[++i];
-    } else if (arg.rfind("--cache-file=", 0) == 0) {
-        opts.cachePath = arg.substr(std::strlen("--cache-file="));
-        if (opts.cachePath.empty())
-            *bad = true;
-    } else if (arg == "--cache-max-bytes" && i + 1 < argc) {
-        opts.cacheMaxBytes = numberArg(argv[++i], 1, UINT64_MAX, bad);
-    } else if (arg.rfind("--cache-max-bytes=", 0) == 0) {
-        opts.cacheMaxBytes = numberArg(
-            arg.c_str() + std::strlen("--cache-max-bytes="), 1,
-            UINT64_MAX, bad);
-    } else if (arg == "--inject" && i + 1 < argc) {
-        const auto defect = parseInjectDefect(argv[++i]);
-        if (!defect)
-            *bad = true;
-        else
-            opts.injectDefect = *defect;
-    } else if (arg == "--only" && i + 1 < argc) {
-        std::string list = argv[++i];
-        std::size_t pos = 0;
-        while (pos != std::string::npos) {
-            const std::size_t comma = list.find(',', pos);
-            opts.onlyFunctions.insert(
-                list.substr(pos, comma == std::string::npos
-                                     ? comma
-                                     : comma - pos));
-            pos = comma == std::string::npos ? comma : comma + 1;
-        }
-    } else {
-        return false;
-    }
-    return true;
+    const std::string_view arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const RewriteFlag *flag = nullptr;
+    for (const RewriteFlag &f : rewriteFlags())
+        if (arg.substr(0, eq) == f.name)
+            flag = &f;
+    if (!flag)
+        return nullptr;
+    const char *v = nullptr;
+    if (eq != std::string_view::npos)
+        v = argv[i] + eq + 1;
+    else if (flag->takesValue && i + 1 < argc)
+        v = argv[++i];
+    if (flag->takesValue != (v != nullptr) || !flag->set(opts, v))
+        *bad = true;
+    if (value)
+        *value = v;
+    return flag;
 }
 
 int
@@ -510,13 +389,12 @@ cmdRewrite(int argc, char **argv)
         return 1;
     const BinaryImage &img = *img_opt;
 
-    RewriteOptions opts;
-    opts.mode = RewriteMode::jt;
+    RewriteOptions opts = flagDefaultOptions();
     bool timing = false;
     bool lint = false;
     bool repair = false;
     unsigned repair_iters = 2;
-    Severity fail_on = Severity::error;
+    LintOptions lopts;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         bool bad = false;
@@ -543,7 +421,7 @@ cmdRewrite(int argc, char **argv)
             const auto sev = parseSeverity(argv[++i]);
             if (!sev)
                 return usage();
-            fail_on = *sev;
+            lopts.failOn = *sev;
             lint = true;
         } else {
             return usage();
@@ -561,6 +439,7 @@ cmdRewrite(int argc, char **argv)
         }
         return cmdRewriteSharded(img, opts, argv[1], timing);
     }
+    lopts.threads = opts.threads;
     RewriteSession session(img);
     {
         const RewriteResult &first = session.rewrite(opts);
@@ -571,9 +450,6 @@ cmdRewrite(int argc, char **argv)
         }
     }
     if (repair) {
-        LintOptions lopts;
-        lopts.failOn = fail_on;
-        lopts.threads = opts.threads;
         session.lint(lopts);
         const auto outcome = session.repairToFixedPoint(repair_iters);
         std::printf("repair: %u iteration(s), %zu function(s) "
@@ -603,13 +479,10 @@ cmdRewrite(int argc, char **argv)
     if (timing)
         std::printf("%s", Metrics::global().table().c_str());
     if (lint) {
-        LintOptions lopts;
-        lopts.failOn = fail_on;
-        lopts.threads = opts.threads;
         const LintReport &report =
             repair ? session.lastReport() : session.lint(lopts);
         std::printf("%s", report.renderText().c_str());
-        if (report.failed(fail_on))
+        if (report.failed(lopts.failOn))
             return 2;
     }
     return 0;
@@ -623,44 +496,13 @@ cmdRewrite(int argc, char **argv)
  * directly — the CI lint-baseline gate.
  */
 int
-cmdLintDiff(int argc, char **argv)
+lintDiff(const char *a, const char *b, const RewriteOptions &opts,
+         const LintOptions &lopts, bool json)
 {
-    if (argc < 3)
-        return usage();
-
-    RewriteOptions opts;
-    opts.mode = RewriteMode::jt;
-    opts.lint = true;
-    LintOptions lopts;
-    bool json = false;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        bool bad = false;
-        if (parseRewriteFlag(opts, argc, argv, i, &bad)) {
-            if (bad)
-                return usage();
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--no-load-check") {
-            lopts.checkLoadedImage = false;
-        } else if (arg == "--fail-on" && i + 1 < argc) {
-            const auto sev = parseSeverity(argv[++i]);
-            if (!sev)
-                return usage();
-            lopts.failOn = *sev;
-        } else {
-            return usage();
-        }
-    }
-    lopts.threads = opts.threads;
-
-    // The baseline may be a saved `icp lint --json` report instead
-    // of an SBF image ("lint-baseline gate": CI diffs the current
-    // tree's lint findings against a checked-in report).
     LintReport baseline_report;
     std::vector<std::uint8_t> baseline_raw;
-    if (!readFile(argv[1], baseline_raw)) {
-        std::fprintf(stderr, "cannot read %s\n", argv[1]);
+    if (!readFile(a, baseline_raw)) {
+        std::fprintf(stderr, "cannot read %s\n", a);
         return 1;
     }
     std::size_t skip = 0;
@@ -676,12 +518,12 @@ cmdLintDiff(int argc, char **argv)
             std::fprintf(stderr,
                          "%s: not a lint report (expected the "
                          "output of `icp lint --json`)\n",
-                         argv[1]);
+                         a);
             return 1;
         }
         baseline_report = *parsed;
     } else {
-        const auto before_img = loadSbf(argv[1]);
+        const auto before_img = loadSbf(a);
         if (!before_img)
             return 1;
         RewriteSession before(*before_img);
@@ -689,7 +531,7 @@ cmdLintDiff(int argc, char **argv)
         baseline_report = before.lint(lopts);
     }
 
-    const auto after_img = loadSbf(argv[2]);
+    const auto after_img = loadSbf(b);
     if (!after_img)
         return 1;
     RewriteSession after(*after_img);
@@ -714,16 +556,16 @@ cmdLint(int argc, char **argv)
                         severityName(r.severity), r.summary);
         return 0;
     }
-    if (std::strcmp(argv[0], "--diff") == 0)
-        return cmdLintDiff(argc, argv);
+    const bool diff = std::strcmp(argv[0], "--diff") == 0;
+    if (diff && argc < 3)
+        return usage();
 
-    RewriteOptions opts;
-    opts.mode = RewriteMode::jt;
+    RewriteOptions opts = flagDefaultOptions();
     opts.lint = true;
     LintOptions lopts;
     bool json = false;
     bool timing = false;
-    for (int i = 1; i < argc; ++i) {
+    for (int i = diff ? 3 : 1; i < argc; ++i) {
         const std::string arg = argv[i];
         bool bad = false;
         if (parseRewriteFlag(opts, argc, argv, i, &bad)) {
@@ -731,7 +573,7 @@ cmdLint(int argc, char **argv)
                 return usage();
         } else if (arg == "--json") {
             json = true;
-        } else if (arg == "--timing") {
+        } else if (arg == "--timing" && !diff) {
             timing = true;
         } else if (arg == "--no-load-check") {
             lopts.checkLoadedImage = false;
@@ -744,8 +586,10 @@ cmdLint(int argc, char **argv)
             return usage();
         }
     }
-    const bool show_injected = opts.injectDefect != InjectDefect::none;
     lopts.threads = opts.threads;
+    if (diff)
+        return lintDiff(argv[1], argv[2], opts, lopts, json);
+    const bool show_injected = opts.injectDefect != InjectDefect::none;
 
     std::vector<std::uint8_t> raw;
     if (!readFile(argv[0], raw)) {
@@ -1092,8 +936,7 @@ cmdDeps(int argc, char **argv)
         return 1;
     const BinaryImage &img = *img_opt;
 
-    RewriteOptions opts;
-    opts.mode = RewriteMode::jt;
+    RewriteOptions opts = flagDefaultOptions();
     bool json = false;
     bool timing = false;
     int poke = 0; // 0 = dump, 1 = padding, 2 = table
@@ -1323,12 +1166,9 @@ cmdCache(int argc, char **argv)
 std::string
 absolutePath(const std::string &path)
 {
-    if (!path.empty() && path[0] == '/')
-        return path;
-    char cwd[PATH_MAX];
-    if (getcwd(cwd, sizeof(cwd)) == nullptr)
-        return path;
-    return std::string(cwd) + "/" + path;
+    std::error_code ec;
+    const std::filesystem::path abs = std::filesystem::absolute(path, ec);
+    return ec ? path : abs.string();
 }
 
 ServeServer *g_serve_server = nullptr;
@@ -1449,30 +1289,22 @@ cmdClient(int argc, char **argv)
 
     for (; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--mode" && i + 1 < argc) {
-            request.set("mode", argv[++i]);
-        } else if (arg == "--threads" && i + 1 < argc) {
-            request.set("threads", argv[++i]);
-        } else if (arg == "--cache-file" && i + 1 < argc) {
-            request.set("cache_file", absolutePath(argv[++i]));
-        } else if (arg == "--cache-max-bytes" && i + 1 < argc) {
-            request.set("cache_max_bytes", argv[++i]);
-        } else if (arg == "--count-blocks") {
-            request.set("count_blocks", "1");
-        } else if (arg == "--count-entries") {
-            request.set("count_entries", "1");
-        } else if (arg == "--call-emulation") {
-            request.set("call_emulation", "1");
-        } else if (arg == "--clobber") {
-            request.set("clobber", "1");
-        } else if (arg == "--no-cache") {
-            request.set("no_cache", "1");
+        RewriteOptions checked; // the daemon applies the field again
+        const char *value = nullptr;
+        bool bad = false;
+        if (const RewriteFlag *flag = parseRewriteFlag(
+                checked, argc, argv, i, &bad, &value)) {
+            if (bad)
+                return usage();
+            std::string field_value = value ? value : "1";
+            if (std::strcmp(flag->name, "--cache-file") == 0)
+                field_value = absolutePath(field_value);
+            request.set(flag->field(), field_value);
         } else if (arg == "--fail-on" && i + 1 < argc) {
             request.set("fail_on", argv[++i]);
         } else if (arg == "--iterations" && i + 1 < argc) {
             request.set("iterations", argv[++i]);
         } else if (arg == "--timeout-ms" && i + 1 < argc) {
-            bool bad = false;
             timeout_ms = static_cast<int>(
                 numberArg(argv[++i], 0, INT_MAX, &bad));
             if (bad)
