@@ -79,9 +79,9 @@ functionCacheKey(const BinaryImage &image, const Symbol &sym,
         h = fnvValue(range.lpOff, h);
     }
     std::vector<std::uint8_t> bytes;
-    if (image.readBytes(sym.addr, sym.size, bytes))
-        h = fnv1a(bytes.data(), bytes.size(), h);
-    return h;
+    if (!image.readBytes(sym.addr, sym.size, bytes))
+        return 0;
+    return fnv1a(bytes.data(), bytes.size(), h);
 }
 
 // --- rebase-on-hit --------------------------------------------------------
@@ -94,6 +94,23 @@ inline Addr
 shifted(Addr a, std::uint64_t delta)
 {
     return a == invalid_addr ? a : a + delta;
+}
+
+/** Shift read-set ranges by the entry delta (hashes carry over). */
+DataDeps
+rebaseDataDeps(const DataDeps &deps, Addr orig_entry, Addr new_entry)
+{
+    const std::uint64_t delta = new_entry - orig_entry;
+    if (delta == 0)
+        return deps;
+    std::vector<DepRange> ranges = deps.ranges();
+    for (DepRange &r : ranges) {
+        r.lo += delta;
+        r.hi += delta;
+    }
+    DataDeps out;
+    out.setRanges(std::move(ranges));
+    return out;
 }
 
 } // namespace
@@ -161,22 +178,6 @@ rebaseLiveness(const LivenessResult &live, Addr orig_entry,
     return out;
 }
 
-DataDeps
-rebaseDataDeps(const DataDeps &deps, Addr orig_entry, Addr new_entry)
-{
-    const std::uint64_t delta = new_entry - orig_entry;
-    if (delta == 0)
-        return deps;
-    std::vector<DepRange> ranges = deps.ranges();
-    for (DepRange &r : ranges) {
-        r.lo += delta;
-        r.hi += delta;
-    }
-    DataDeps out;
-    out.setRanges(std::move(ranges));
-    return out;
-}
-
 AnalysisCache &
 AnalysisCache::global()
 {
@@ -191,15 +192,15 @@ AnalysisCache::global()
 
 void
 AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
-                             Function func, Addr toc_base)
+                             std::shared_ptr<const Function> func,
+                             Addr toc_base)
 {
-    const Addr entry = func.entry;
     // Toc-relative address formation (ppc64le addis rd,r2) derives
     // targets from tocBase, not from pc: a rebase is only exact when
     // the requester's tocBase shifts by the same delta as the entry.
     // Record the analysis-time offset so find can enforce that.
     bool uses_toc = false;
-    for (const auto &[start, block] : func.blocks) {
+    for (const auto &[start, block] : func->blocks) {
         for (const Instruction &in : block.insns) {
             if (in.op == Opcode::AddisToc) {
                 uses_toc = true;
@@ -211,15 +212,14 @@ AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
     }
     Entry<Function> entry_rec;
     entry_rec.arch = arch;
-    entry_rec.origEntry = entry;
+    entry_rec.origEntry = func->entry;
     entry_rec.tocDelta = static_cast<std::int64_t>(toc_base) -
-                         static_cast<std::int64_t>(entry);
+                         static_cast<std::int64_t>(func->entry);
     entry_rec.usesToc = uses_toc;
-    entry_rec.value =
-        std::make_shared<const Function>(std::move(func));
+    entry_rec.value = std::move(func);
     std::lock_guard<std::mutex> lock(mu_);
+    entry_rec.stored = ++storeSeq_;
     functions_[key] = std::move(entry_rec);
-    dirty_[functionSlot].insert(key);
 }
 
 void
@@ -232,21 +232,8 @@ AnalysisCache::storeLiveness(std::uint64_t key, Arch arch,
     entry_rec.value =
         std::make_shared<const LivenessResult>(std::move(live));
     std::lock_guard<std::mutex> lock(mu_);
+    entry_rec.stored = ++storeSeq_;
     liveness_[key] = std::move(entry_rec);
-    dirty_[livenessSlot].insert(key);
-}
-
-void
-AnalysisCache::storeDataDeps(std::uint64_t key, Arch arch,
-                             Addr entry, DataDeps deps)
-{
-    Entry<DataDeps> entry_rec;
-    entry_rec.arch = arch;
-    entry_rec.origEntry = entry;
-    entry_rec.value = std::make_shared<const DataDeps>(std::move(deps));
-    std::lock_guard<std::mutex> lock(mu_);
-    dataDeps_[key] = std::move(entry_rec);
-    dirty_[dataDepsSlot].insert(key);
 }
 
 AnalysisCache::Stats
@@ -264,11 +251,8 @@ AnalysisCache::clear()
     std::lock_guard<std::mutex> lock(mu_);
     functions_.clear();
     liveness_.clear();
-    dataDeps_.clear();
     slices_.clear();
     loaded_.clear();
-    for (std::set<std::uint64_t> &dirty : dirty_)
-        dirty.clear();
     stats_ = Stats{};
 }
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * The incremental analysis cache: the "incremental" in incremental
- * CFG patching applied to analysis time. Per-function analysis
- * results (CFG with jump tables, liveness summaries, data read-sets)
- * are memoized under a *content-addressed* FNV-1a key — architecture,
- * analysis options, landing-pad layout, symbol size, and the
- * function's code bytes. The entry address is deliberately not part
- * of the key: two binaries that statically link the same function at
- * different addresses (or `icp serve` sessions for different
- * binaries in one process) share a single cache entry.
+ * The incremental analysis cache: the "incremental" in incremental CFG
+ * patching applied to analysis time. Per-function analysis results (CFG
+ * with jump tables and data read-set, liveness summaries) are memoized
+ * under a *content-addressed* FNV-1a key — architecture, analysis
+ * options, landing-pad layout, symbol size, and the function's code
+ * bytes. The entry address is deliberately not part of the key: two
+ * binaries that statically link the same function at different
+ * addresses (or `icp serve` sessions for different binaries in one
+ * process) share a single cache entry.
  *
  * The contract that makes an address-free key sound (file v4 on):
  *  - Entries are position-independent. Every absolute address in a
@@ -23,10 +23,10 @@
  *    or fails the recorded toc-delta check and simply never hits.
  *  - Data contents are still not part of the key. Every hit is
  *    validated by re-hashing the function's recorded data read-set
- *    (Function::dataDeps, per-range FNV content hashes, stored under
- *    the same key) against the current image *at the rebased
- *    addresses*, and degrades to a conservative miss when the deps
- *    are absent or their bytes changed. Data edits thus invalidate
+ *    (Function::dataDeps, per-range FNV content hashes, part of the
+ *    function's own record) against the current image *at the
+ *    rebased addresses*, and degrades to a conservative miss when
+ *    those bytes changed. Data edits thus invalidate
  *    exactly the functions that read the edited bytes — and a
  *    cross-binary hit is accepted only when the second binary's data
  *    bytes match what the analysis originally read.
@@ -39,13 +39,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "analysis/builder.hh"
-#include "analysis/datadeps.hh"
 #include "analysis/liveness.hh"
 
 namespace icp
@@ -112,7 +110,10 @@ std::uint64_t imageCacheSeed(const BinaryImage &image,
  * @p seed: its size, landing-pad layout (entry-relative try
  * offsets), and code bytes. Neither the entry address nor the symbol
  * name is folded, so the same code linked at a different address —
- * or into a different binary — produces the same key.
+ * or into a different binary — produces the same key. 0 when the
+ * code bytes cannot be read (a symbol running past its section):
+ * such a function must neither look up nor store, since a key
+ * without its bytes would collide with any same-sized one.
  */
 std::uint64_t functionCacheKey(const BinaryImage &image,
                                const Symbol &sym,
@@ -134,10 +135,6 @@ Function rebaseFunction(const Function &func, Addr new_entry);
 LivenessResult rebaseLiveness(const LivenessResult &live,
                               Addr orig_entry, Addr new_entry);
 
-/** Shift read-set ranges by the entry delta (hashes carry over). */
-DataDeps rebaseDataDeps(const DataDeps &deps, Addr orig_entry,
-                        Addr new_entry);
-
 /**
  * Handles to the cache's counters in Metrics::global(): bytes mapped
  * by load(), bytes appended by save(), entries deserialized lazily on
@@ -156,9 +153,12 @@ struct CacheCounters
 
 /**
  * Process-wide memo of per-function analysis results. Thread-safe;
- * entries are shared immutable snapshots. Consulted by buildCfg
- * (function CFGs) and the rewriter (liveness), so the second
- * rewrite of the same image reuses >= 95% of analysis work.
+ * entries are shared immutable snapshots: a stored Function is the
+ * very object buildCfg published, and a same-entry hit hands that
+ * object back, so a module and the cache hold one copy of each
+ * analysis. Consulted by buildCfg (function CFGs) and the rewriter
+ * (liveness), so the second rewrite of the same image reuses >= 95%
+ * of analysis work.
  */
 class AnalysisCache
 {
@@ -193,34 +193,24 @@ class AnalysisCache
      * then) — a corrupt, out-of-bounds or malformed record degrades
      * to a miss and the function simply re-analyzes.
      *
-     * Entries are canonical at the entry they were analyzed at. When
-     * @p entry differs (a cross-binary hit) the result is rebased to
-     * @p entry (CacheCounters::crossHits, timer `cache.rebase`); toc-
+     * Entries are canonical at the entry they were analyzed at, and
+     * a hit at that entry returns the stored object itself. When
+     * @p entry differs (a cross-binary hit) a rebased copy is built
+     * (CacheCounters::crossHits, timer `cache.rebase`); toc-
      * relative code additionally requires `tocBase - entry` to match
      * the recorded value, else the lookup misses — a rebased
      * toc-relative target would be wrong.
      */
     std::shared_ptr<const Function>
     findFunction(std::uint64_t key, Addr entry, Addr toc_base);
-    void storeFunction(std::uint64_t key, Arch arch, Function func,
+    void storeFunction(std::uint64_t key, Arch arch,
+                       std::shared_ptr<const Function> func,
                        Addr toc_base);
 
     std::shared_ptr<const LivenessResult>
     findLiveness(std::uint64_t key, Addr entry);
     void storeLiveness(std::uint64_t key, Arch arch, Addr entry,
                        LivenessResult live);
-
-    /**
-     * The data read-set recorded for @p key's function rebased to
-     * @p entry, or nullptr when none was stored (legacy cache file,
-     * caching off): the consumer must then treat a code-keyed hit as
-     * a conservative miss. Does not count toward hit/miss stats —
-     * deps ride along with their function entry.
-     */
-    std::shared_ptr<const DataDeps> findDataDeps(std::uint64_t key,
-                                                 Addr entry);
-    void storeDataDeps(std::uint64_t key, Arch arch, Addr entry,
-                       DataDeps deps);
 
     Stats stats() const;
 
@@ -241,16 +231,18 @@ class AnalysisCache
      * writers appended) and only entries the file lacks are appended
      * as one new sorted segment — when nothing is missing the file is
      * not touched at all. The candidates are the entries stored since
-     * load when @p path is the file that was loaded, and every
-     * decoded and mapped entry otherwise. A torn, other-version, or
-     * unreadable target falls back to a full atomic rewrite (tmp +
-     * rename). When @p max_bytes is non-zero and the file ends up
-     * larger, it is compacted in place under the same lock
+     * the last save to @p path when it is the file that was loaded,
+     * and every decoded and mapped entry otherwise. A stored entry
+     * whose key the file already holds is appended again when its
+     * payload differs (a data edit re-analyzed the function under an
+     * unchanged key; the newest occurrence of a key wins). A torn,
+     * other-version, or unreadable target falls back to a full atomic
+     * rewrite (tmp + rename). When @p max_bytes is non-zero and the
+     * file ends up larger, it is compacted in place under the same lock
      * (newest-generation entries survive). Returns false when the
      * file cannot be written.
      */
-    bool save(const std::string &path,
-              std::uint64_t max_bytes = 0) const;
+    bool save(const std::string &path, std::uint64_t max_bytes = 0);
 
     /**
      * Add @p path's entries to the lookup chain. The file is mapped,
@@ -277,7 +269,8 @@ class AnalysisCache
      * shared snapshot without copying; a different requested entry
      * rebases a copy). usesToc/tocDelta guard toc-relative code:
      * a hit at a different entry is only valid when the requester's
-     * `tocBase - entry` matches.
+     * `tocBase - entry` matches. stored is the dirty mark: the store()
+     * sequence number, 0 for an entry decoded from a mapped file.
      */
     template <typename T> struct Entry
     {
@@ -285,6 +278,7 @@ class AnalysisCache
         Addr origEntry = 0;
         std::int64_t tocDelta = 0; ///< tocBase - entry at analysis
         bool usesToc = false;      ///< any AddisToc instruction
+        std::uint64_t stored = 0;
         std::shared_ptr<const T> value;
     };
 
@@ -293,7 +287,6 @@ class AnalysisCache
     {
         functionSlot,
         livenessSlot,
-        dataDepsSlot,
         numSlots
     };
 
@@ -339,7 +332,6 @@ class AnalysisCache
     std::unordered_map<std::uint64_t, Entry<Function>> functions_;
     std::unordered_map<std::uint64_t, Entry<LivenessResult>>
         liveness_;
-    std::unordered_map<std::uint64_t, Entry<DataDeps>> dataDeps_;
 
     /** Slices of every loaded file, oldest segment first. */
     std::vector<IndexSlice> slices_;
@@ -347,8 +339,15 @@ class AnalysisCache
     /** Every file load() mapped (save's same-file test). */
     std::vector<std::shared_ptr<MappedCacheFile>> loaded_;
 
-    /** Keys store*() wrote, per slot: save's candidates. */
-    std::set<std::uint64_t> dirty_[numSlots];
+    /** Last store() sequence number issued. */
+    std::uint64_t storeSeq_ = 0;
+
+    /**
+     * Stores up to this sequence number are in the loaded file (a
+     * same-file save wrote or matched them): save's candidates are
+     * the entries stored after it.
+     */
+    std::uint64_t savedSeq_ = 0;
     Stats stats_;
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * AnalysisCache::save()/load() and the `icp cache` helpers: the v5
+ * AnalysisCache::save()/load() and the `icp cache` helpers: the v6
  * segmented cache-file format documented in cache_store.hh (sorted
  * per-segment indexes, position-independent entries, content-
  * addressed keys). A file of any other version loads as empty and
@@ -34,6 +34,7 @@
 #include <map>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include <fcntl.h>
@@ -266,6 +267,12 @@ encodeFunction(const Function &func, std::int64_t toc_delta,
     putU32(out, static_cast<std::uint32_t>(func.blocks.size()));
     for (const auto &[start, block] : func.blocks)
         encodeBlock(out, block, func.entry);
+    putU32(out, static_cast<std::uint32_t>(func.dataDeps.size()));
+    for (const DepRange &r : func.dataDeps.ranges()) {
+        putU64(out, relAddr(r.lo, func.entry));
+        putU64(out, relAddr(r.hi, func.entry));
+        putU64(out, r.hash);
+    }
     return out;
 }
 
@@ -389,8 +396,34 @@ decodeBlock(ByteReader &rd, Block &block, Addr entry)
     return !rd.failed();
 }
 
+/** A function payload's read-set, relative to @p entry. */
+bool
+decodeDataDeps(ByteReader &rd, DataDeps &deps, Addr entry)
+{
+    const std::uint32_t n = rd.u32();
+    if (n > rd.remaining() / 24)
+        return false;
+    std::vector<DepRange> ranges;
+    ranges.reserve(n);
+    Addr prev_hi = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        DepRange r;
+        r.lo = absAddr(rd.u64(), entry);
+        r.hi = absAddr(rd.u64(), entry);
+        r.hash = rd.u64();
+        // The encoder only writes finalized sets: sorted, disjoint,
+        // non-empty ranges. Anything else is not ours.
+        if (r.hi <= r.lo || (i > 0 && r.lo < prev_hi))
+            return false;
+        prev_hi = r.hi;
+        ranges.push_back(r);
+    }
+    deps.setRanges(std::move(ranges));
+    return !rd.failed();
+}
+
 /**
- * Decode a v4 function payload into its canonical form: absolute
+ * Decode a function payload into its canonical form: absolute
  * addresses at the entry it was analyzed at (carried in the payload).
  * Structural validation (sortedness, enum ranges) runs on the
  * rematerialized absolute values — wrap-around deltas round-trip
@@ -438,6 +471,8 @@ decodeFunction(ByteReader &rd, Function &func,
             return false;
         func.blocks.emplace(block.start, std::move(block));
     }
+    if (!decodeDataDeps(rd, func.dataDeps, entry))
+        return false;
     // Trailing garbage means the payload was not written by this
     // encoder: reject rather than guess.
     return !rd.failed() && rd.remaining() == 0;
@@ -458,56 +493,13 @@ decodeLiveness(ByteReader &rd, LivenessResult &live,
     return !rd.failed() && rd.remaining() == 0;
 }
 
-std::vector<std::uint8_t>
-encodeDataDeps(const DataDeps &deps, Addr entry)
-{
-    std::vector<std::uint8_t> out;
-    putU64(out, entry);
-    putU32(out, static_cast<std::uint32_t>(deps.size()));
-    for (const DepRange &r : deps.ranges()) {
-        putU64(out, relAddr(r.lo, entry));
-        putU64(out, relAddr(r.hi, entry));
-        putU64(out, r.hash);
-    }
-    return out;
-}
-
-bool
-decodeDataDeps(ByteReader &rd, DataDeps &deps, Addr &orig_entry)
-{
-    orig_entry = rd.u64();
-    const std::uint32_t n = rd.u32();
-    if (n > rd.remaining() / 24)
-        return false;
-    std::vector<DepRange> ranges;
-    ranges.reserve(n);
-    Addr prev_hi = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        DepRange r;
-        r.lo = absAddr(rd.u64(), orig_entry);
-        r.hi = absAddr(rd.u64(), orig_entry);
-        r.hash = rd.u64();
-        // The encoder only writes finalized sets: sorted, disjoint,
-        // non-empty ranges. Anything else is not ours.
-        if (r.hi <= r.lo || (i > 0 && r.lo < prev_hi))
-            return false;
-        prev_hi = r.hi;
-        ranges.push_back(r);
-    }
-    if (rd.failed() || rd.remaining() != 0)
-        return false;
-    deps.setRanges(std::move(ranges));
-    return true;
-}
-
 // Position-independent payload kinds (file v4 on).
 constexpr std::uint8_t entry_kind_function = 4;
 constexpr std::uint8_t entry_kind_liveness = 5;
-constexpr std::uint8_t entry_kind_datadeps = 6;
 
 /** Entry kind of each AnalysisCache slot, in slot order. */
-constexpr std::uint8_t slot_kinds[] = {
-    entry_kind_function, entry_kind_liveness, entry_kind_datadeps};
+constexpr std::uint8_t slot_kinds[] = {entry_kind_function,
+                                       entry_kind_liveness};
 
 // --- advisory file lock ---------------------------------------------------
 
@@ -1241,47 +1233,6 @@ AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
         rebaseLiveness(*value, orig, entry));
 }
 
-std::shared_ptr<const DataDeps>
-AnalysisCache::findDataDeps(std::uint64_t key, Addr entry)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = dataDeps_.find(key);
-    if (it == dataDeps_.end()) {
-        IndexedPayload ip;
-        if (!findIndexed(dataDepsSlot, key, ip))
-            return nullptr;
-        lock.unlock();
-        DataDeps deps;
-        Addr orig_entry = 0;
-        ByteReader rd(ip.payload, ip.payloadLen);
-        const bool ok =
-            ip.intact() && decodeDataDeps(rd, deps, orig_entry);
-        lock.lock();
-        if (!ok) {
-            // Corrupt read-set: the paired function hit degrades to
-            // a conservative miss at its consumer.
-            return nullptr;
-        }
-        Entry<DataDeps> rec;
-        rec.arch = ip.arch;
-        rec.origEntry = orig_entry;
-        rec.value = std::make_shared<const DataDeps>(std::move(deps));
-        it = dataDeps_.emplace(key, std::move(rec)).first;
-        CacheCounters::global().entriesLazy.add();
-    }
-
-    const Entry<DataDeps> &e = it->second;
-    if (entry == e.origEntry)
-        return e.value;
-    std::shared_ptr<const DataDeps> value = e.value;
-    const Addr orig = e.origEntry;
-    lock.unlock();
-    // Rebased read-set: the consumer re-hashes it against *its*
-    // image, which is exactly the cross-binary soundness check.
-    return std::make_shared<const DataDeps>(
-        rebaseDataDeps(*value, orig, entry));
-}
-
 std::size_t
 AnalysisCache::entryCount() const
 {
@@ -1291,8 +1242,6 @@ AnalysisCache::entryCount() const
         keys.insert({functionSlot, key});
     for (const auto &[key, e] : liveness_)
         keys.insert({livenessSlot, key});
-    for (const auto &[key, e] : dataDeps_)
-        keys.insert({dataDepsSlot, key});
     for (const IndexSlice &s : slices_) {
         for (unsigned slot = 0; slot < numSlots; ++slot) {
             for (std::uint32_t i = s.ranges[slot][0];
@@ -1331,8 +1280,7 @@ AnalysisCache::load(const std::string &path,
     // One slice per segment and ISA, bounded by binary search over
     // the sorted index. No record of another ISA is read.
     unsigned *loaded[numSlots] = {&report.loadedFunctions,
-                                  &report.loadedLiveness,
-                                  &report.loadedDataDeps};
+                                  &report.loadedLiveness};
     std::vector<IndexSlice> slices;
     for (const SegmentView &view : scan.views) {
         for (Arch arch : all_arches) {
@@ -1410,8 +1358,7 @@ AnalysisCache::load(const std::string &path,
 // --- save -----------------------------------------------------------------
 
 bool
-AnalysisCache::save(const std::string &path,
-                    std::uint64_t max_bytes) const
+AnalysisCache::save(const std::string &path, std::uint64_t max_bytes)
 {
     const ScopedTimer timer(cache_save_timer);
     // Writers serialize here; the scan below therefore sees every
@@ -1431,76 +1378,47 @@ AnalysisCache::save(const std::string &path,
     PayloadArena arena;
     OutEntries delta;
     std::vector<std::shared_ptr<MappedCacheFile>> keep_mapped;
+    bool same_file = false;
+    std::uint64_t seq = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        bool same_file = append_mode && !loaded_.empty();
+        same_file = append_mode && !loaded_.empty();
         for (const auto &mapped : loaded_)
             same_file = same_file && mapped->sameFile(*file);
+        seq = storeSeq_;
 
-        auto durable = [&](Arch arch, std::uint8_t kind,
-                           std::uint64_t key, IndexRecord &r) {
-            return scan.findDurable(static_cast<std::uint8_t>(arch),
-                                    kind, key, r);
-        };
-        auto add_function = [&](std::uint64_t key,
-                                const Entry<Function> &e) {
-            const EntryId id{static_cast<std::uint8_t>(e.arch),
-                             entry_kind_function, key};
-            delta[id] = arena.add(
-                id, encodeFunction(*e.value, e.tocDelta, e.usesToc));
-        };
-        auto save_function = [&](std::uint64_t key,
-                                 const Entry<Function> &e) {
-            IndexRecord r;
-            if (!durable(e.arch, entry_kind_function, key, r))
-                add_function(key, e);
-        };
-        auto save_liveness = [&](std::uint64_t key,
-                                 const Entry<LivenessResult> &e) {
-            IndexRecord r;
-            if (durable(e.arch, entry_kind_liveness, key, r))
-                return;
-            const EntryId id{static_cast<std::uint8_t>(e.arch),
-                             entry_kind_liveness, key};
-            delta[id] =
-                arena.add(id, encodeLiveness(*e.value, e.origEntry));
-        };
-        auto save_deps = [&](std::uint64_t key,
-                             const Entry<DataDeps> &e) {
-            // A read-set that changed under an unchanged code key (a
-            // data edit re-analyzed the function) is appended again
-            // together with its function: load() lets the newest
-            // occurrence of a key win.
-            const EntryId id{static_cast<std::uint8_t>(e.arch),
-                             entry_kind_datadeps, key};
-            const OutEntry fresh =
-                arena.add(id, encodeDataDeps(*e.value, e.origEntry));
+        // A key the file holds is skipped, unless this process stored
+        // it and its payload differs from the file's newest record (a
+        // data edit re-analyzed the function under an unchanged key).
+        auto save_entry = [&](std::uint8_t kind, std::uint64_t key,
+                              const auto &e) {
+            const EntryId id{static_cast<std::uint8_t>(e.arch), kind,
+                             key};
             IndexRecord r;
             const bool present =
-                durable(e.arch, entry_kind_datadeps, key, r);
-            if (present && r.payloadHash == fresh.payloadHash)
+                scan.findDurable(std::get<0>(id), kind, key, r);
+            if (present && e.stored == 0)
                 return;
-            delta[id] = fresh;
-            auto fit = functions_.find(key);
-            if (present && fit != functions_.end())
-                add_function(key, fit->second);
+            std::vector<std::uint8_t> payload;
+            if constexpr (std::is_same_v<decltype(*e.value),
+                                         const Function &>)
+                payload = encodeFunction(*e.value, e.tocDelta, e.usesToc);
+            else
+                payload = encodeLiveness(*e.value, e.origEntry);
+            const OutEntry fresh = arena.add(id, std::move(payload));
+            if (!present || r.payloadHash != fresh.payloadHash)
+                delta[id] = fresh;
         };
+        // Same file: everything else in memory came from it or was
+        // saved to it already.
+        for (const auto &[key, e] : functions_)
+            if (!same_file || e.stored > savedSeq_)
+                save_entry(entry_kind_function, key, e);
+        for (const auto &[key, e] : liveness_)
+            if (!same_file || e.stored > savedSeq_)
+                save_entry(entry_kind_liveness, key, e);
 
-        if (same_file) {
-            // Everything else in memory came from this file.
-            for (std::uint64_t key : dirty_[dataDepsSlot])
-                save_deps(key, dataDeps_.find(key)->second);
-            for (std::uint64_t key : dirty_[functionSlot])
-                save_function(key, functions_.find(key)->second);
-            for (std::uint64_t key : dirty_[livenessSlot])
-                save_liveness(key, liveness_.find(key)->second);
-        } else {
-            for (const auto &[key, e] : dataDeps_)
-                save_deps(key, e);
-            for (const auto &[key, e] : functions_)
-                save_function(key, e);
-            for (const auto &[key, e] : liveness_)
-                save_liveness(key, e);
+        if (!same_file) {
             // Mapped records no decoded entry shadows, newest first.
             std::set<std::pair<unsigned, std::uint64_t>> seen;
             for (auto it = slices_.rbegin(); it != slices_.rend();
@@ -1516,11 +1434,9 @@ AnalysisCache::save(const std::string &path,
                              functions_.count(r.key)) ||
                             (slot == livenessSlot &&
                              liveness_.count(r.key)) ||
-                            (slot == dataDepsSlot &&
-                             dataDeps_.count(r.key)) ||
                             !seen.insert({slot, r.key}).second ||
-                            durable(static_cast<Arch>(r.arch), r.kind,
-                                    r.key, found))
+                            scan.findDurable(r.arch, r.kind, r.key,
+                                             found))
                             continue;
                         delta.emplace(EntryId{r.arch, r.kind, r.key},
                                       mappedEntry(s.payloads, r));
@@ -1573,6 +1489,12 @@ AnalysisCache::save(const std::string &path,
             CacheCounters::global().bytesAppended.add(bytes.size());
     }
 
+    if (ok && same_file) {
+        // The file now holds every store up to seq.
+        std::lock_guard<std::mutex> lock(mu_);
+        savedSeq_ = std::max(savedSeq_, seq);
+    }
+
     // Size-cap policy: compact in place while still holding the
     // lock (compaction failure never fails the save).
     if (ok && max_bytes != 0 && fileSizeOf(path) > max_bytes) {
@@ -1618,9 +1540,6 @@ inspectCacheFile(const std::string &path)
             } else if (r.kind == entry_kind_liveness) {
                 ++info.livenessEntries;
                 info.livenessPayloadBytes += r.payloadLen;
-            } else if (r.kind == entry_kind_datadeps) {
-                ++info.dataDepsEntries;
-                info.dataDepsPayloadBytes += r.payloadLen;
             } else {
                 ++info.otherEntries;
             }
@@ -1717,17 +1636,6 @@ verifyCacheFile(const std::string &path)
                     continue;
                 }
                 ++report.loadedLiveness;
-            } else if (r.kind == entry_kind_datadeps) {
-                DataDeps deps;
-                Addr orig_entry = 0;
-                if (!decodeDataDeps(rd, deps, orig_entry)) {
-                    report.issues.push_back(
-                        {"cache-entry", offset,
-                         "malformed data read-set payload"});
-                    ++report.droppedEntries;
-                    continue;
-                }
-                ++report.loadedDataDeps;
             } else {
                 char msg[96];
                 std::snprintf(msg, sizeof(msg),

@@ -3,11 +3,11 @@
  * On-disk persistence of the AnalysisCache: a versioned, per-entry
  * checksummed binary serialization of memoized per-function analysis
  * results (CFG blocks/edges with decoded instructions, jump-table
- * solutions, liveness summaries), keyed by Function::cacheKey and
- * tagged with the ISA they were built for. This turns the warm-cache
- * speedup of repeat rewrites into a cross-invocation property — the
- * same shape as Dyninst's serialized parse data — and gives CI a
- * stable artifact to cache between runs.
+ * solutions, data read-sets, liveness summaries), keyed by
+ * Function::cacheKey and tagged with the ISA they were built for.
+ * This turns the warm-cache speedup of repeat rewrites into a
+ * cross-invocation property — the same shape as Dyninst's serialized
+ * parse data — and gives CI a stable artifact to cache between runs.
  *
  * Robustness contract: loading never crashes. A missing file, a
  * foreign magic, a version mismatch, a flipped payload or index byte,
@@ -20,7 +20,7 @@
  * hashes, so a surviving entry is usable by construction and a
  * dropped entry only costs re-analysis.
  *
- * File layout v5 (all integers little-endian):
+ * File layout v6 (all integers little-endian):
  *
  *   u32 magic       "ICPC"
  *   u32 version     cache_file_version
@@ -35,8 +35,9 @@
  *   u64 headerHash  FNV-1a over the previous 24 header bytes
  *   count x index record (32 bytes), sorted by (arch, kind, key) {
  *     u8  arch          Arch enum value
- *     u8  kind          4 = function CFG, 5 = liveness summary,
- *                       6 = data read-set (all position-independent)
+ *     u8  kind          4 = function CFG with its data read-set,
+ *                       5 = liveness summary (both position-
+ *                       independent)
  *     u16 reserved      0
  *     u32 payloadLen
  *     u64 key           Function::cacheKey the entry memoizes
@@ -71,7 +72,8 @@
  * save() appends one sorted segment holding only the entries the
  * file lacks (a pure-warm run appends nothing and leaves the file
  * untouched). When the target is the file this process loaded, the
- * candidates are only the entries stored since (a dirty set), each
+ * candidates are only the entries stored since its last save (each
+ * entry carries a store sequence number as its dirty mark), each
  * binary-searched against the target's current segment indexes —
  * including segments other writers appended after our mapping. Any
  * other target (a different inode, or nothing loaded) merges every
@@ -83,14 +85,15 @@
  * the next save, which falls back to a full atomic rewrite (tmp +
  * rename, keeping live mmaps valid on the old inode).
  *
- * Invalidation: a key covers the function bytes, the analysis
- * options, and the data-section layout (see imageCacheSeed) — but
- * not data contents. A code edit changes the key, so the stale entry
- * is never looked up again; a data edit keeps the key, and the
- * consumer (buildCfg) rejects the hit when the entry's recorded data
- * read-set no longer hashes clean against the image. save() appends
- * replacement function+deps entries when the in-memory read-set
- * disagrees with the file's (load() lets the newest occurrence of a
+ * Invalidation: a key covers the function's size, landing-pad
+ * layout and code bytes, and the analysis options (see
+ * functionCacheKey and imageCacheSeed) — but not data contents. A
+ * code edit changes the key, so the stale entry is never looked up
+ * again; a data edit keeps the key, and the consumer (buildCfg)
+ * rejects the hit when the read-set inside the function record no
+ * longer hashes clean against the image. save() appends the
+ * re-analyzed function again when its payload differs from the
+ * file's record of the key (load() lets the newest occurrence of a
  * key win), so a warm file converges after data edits too.
  */
 
@@ -109,7 +112,7 @@ namespace icp
 
 constexpr std::uint32_t cache_file_magic = 0x43504349;    // "ICPC"
 constexpr std::uint32_t cache_segment_magic = 0x53504349; // "ICPS"
-constexpr std::uint32_t cache_file_version = 5;
+constexpr std::uint32_t cache_file_version = 6;
 
 /** Byte sizes of the fixed-layout records above. */
 constexpr std::size_t cache_file_header_bytes = 16;
@@ -154,7 +157,6 @@ struct CacheLoadReport
      */
     unsigned loadedFunctions = 0;
     unsigned loadedLiveness = 0;
-    unsigned loadedDataDeps = 0;
 
     /** Entries present in the file but rejected. */
     unsigned droppedEntries = 0;
@@ -169,7 +171,7 @@ struct CacheLoadReport
     unsigned
     loadedEntries() const
     {
-        return loadedFunctions + loadedLiveness + loadedDataDeps;
+        return loadedFunctions + loadedLiveness;
     }
 };
 
@@ -183,7 +185,6 @@ struct CacheFileInfo
     unsigned segments = 0;
     unsigned functionEntries = 0;
     unsigned livenessEntries = 0;
-    unsigned dataDepsEntries = 0;
     unsigned otherEntries = 0;  ///< unknown kinds (forward compat)
     std::uint64_t payloadBytes = 0;
 
@@ -193,7 +194,6 @@ struct CacheFileInfo
     /** Per-kind payload bytes (`icp cache info` breakdown). */
     std::uint64_t functionPayloadBytes = 0;
     std::uint64_t livenessPayloadBytes = 0;
-    std::uint64_t dataDepsPayloadBytes = 0;
 
     /**
      * Sharing stats: with content-addressed keys, every binary whose

@@ -1,5 +1,7 @@
 #include "analysis/cfg.hh"
 
+#include <algorithm>
+
 namespace icp
 {
 
@@ -49,8 +51,11 @@ CfgModule::instrumentableFunctions() const
 const Function *
 CfgModule::functionAt(Addr entry) const
 {
-    auto it = functions.find(entry);
-    return it == functions.end() ? nullptr : &it->second;
+    auto it = std::lower_bound(
+        functions.begin(), functions.end(), entry,
+        [](const FunctionSlot &s, Addr a) { return s.entry < a; });
+    return it == functions.end() || it->entry != entry ? nullptr
+                                                       : it->fn.get();
 }
 
 } // namespace icp

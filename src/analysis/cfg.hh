@@ -11,9 +11,11 @@
 #define ICP_ANALYSIS_CFG_HH
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/datadeps.hh"
@@ -121,17 +123,19 @@ struct Function
 
     /**
      * Analysis-cache key this function was built (or found) under;
-     * 0 when caching was disabled. Derived analyses (liveness) are
-     * memoized under the same key.
+     * 0 when caching was disabled or its bytes could not be read
+     * (such a function is never cached). Derived analyses (liveness)
+     * are memoized under the same key.
      */
     std::uint64_t cacheKey = 0;
 
     /**
      * Data bytes this function's analysis and clones read (jump
      * tables, constant-base data loads), finalized against the image
-     * it was analyzed on. Cache hits keyed on code bytes are
-     * validated by re-hashing these ranges; loadInput keys data-edit
-     * invalidation on overlap with them.
+     * it was analyzed on, and cached with the rest of the function.
+     * Cache hits keyed on code bytes are validated by re-hashing
+     * these ranges; loadInput keys data-edit invalidation on overlap
+     * with them.
      */
     DataDeps dataDeps;
 
@@ -147,12 +151,35 @@ struct Function
     std::set<Addr> jumpTableTargets() const;
 };
 
+/**
+ * One element of CfgModule::functions: an entry address and the
+ * immutable Function analyzed there, shared with the analysis cache
+ * (and with every later module built from the same cache entry).
+ * Binds as `const auto &[entry, fn]`, with fn a `const Function &`.
+ */
+struct FunctionSlot
+{
+    Addr entry = 0;
+    std::shared_ptr<const Function> fn;
+
+    template <std::size_t I>
+    const auto &
+    get() const
+    {
+        if constexpr (I == 0)
+            return entry;
+        else
+            return *fn;
+    }
+};
+
 /** Whole-module analysis result. */
 struct CfgModule
 {
     const BinaryImage *image = nullptr;
 
-    std::map<Addr, Function> functions; ///< keyed by entry
+    /** One slot per analyzed function, sorted by entry. */
+    std::vector<FunctionSlot> functions;
 
     /** Totals for coverage reporting. */
     unsigned totalFunctions() const
@@ -161,9 +188,26 @@ struct CfgModule
     }
     unsigned instrumentableFunctions() const;
 
+    /** The function entered at @p entry (binary search), or null. */
     const Function *functionAt(Addr entry) const;
 };
 
 } // namespace icp
+
+template <>
+struct std::tuple_size<icp::FunctionSlot>
+    : std::integral_constant<std::size_t, 2>
+{
+};
+
+template <> struct std::tuple_element<0, icp::FunctionSlot>
+{
+    using type = const icp::Addr;
+};
+
+template <> struct std::tuple_element<1, icp::FunctionSlot>
+{
+    using type = const icp::Function;
+};
 
 #endif // ICP_ANALYSIS_CFG_HH

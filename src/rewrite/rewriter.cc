@@ -923,9 +923,8 @@ Rewriter::injectSiteAllowed(Addr func_entry) const
 {
     if (opts_.injectOnlyFunction.empty())
         return true;
-    auto it = cfg_->functions.find(func_entry);
-    return it != cfg_->functions.end() &&
-           it->second.name == opts_.injectOnlyFunction;
+    const Function *func = cfg_->functionAt(func_entry);
+    return func && func->name == opts_.injectOnlyFunction;
 }
 
 void

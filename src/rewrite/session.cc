@@ -7,12 +7,17 @@
 #include "analysis/builder.hh"
 #include "analysis/cache.hh"
 #include "support/logging.hh"
+#include "support/stats.hh"
 
 namespace icp
 {
 
 namespace
 {
+
+const Timer diff_timer = Metrics::global().timer("session.diff");
+const Timer deps_index_timer =
+    Metrics::global().timer("session.deps_index");
 
 /**
  * Analysis settings that change the shape of the built CFG. Thread
@@ -91,133 +96,139 @@ RewriteSession::loadInput(BinaryImage newImage)
 {
     LoadOutcome out;
 
-    // Diffable only against a completed rewrite of a same-shaped
-    // binary: same arch, same section layout, same function symbols.
-    bool comparable = hasResult_ && result_.ok &&
-                      newImage.arch == input_->arch &&
-                      newImage.pie == input_->pie &&
-                      newImage.sections.size() ==
-                          input_->sections.size();
-    if (comparable) {
-        const auto olds = input_->functionSymbols();
-        const auto news = newImage.functionSymbols();
-        comparable = olds.size() == news.size();
-        for (std::size_t i = 0; comparable && i < olds.size(); ++i)
-            comparable = olds[i]->addr == news[i]->addr &&
-                         olds[i]->size == news[i]->size &&
-                         olds[i]->name == news[i]->name;
-    }
-
     std::set<Addr> dirty;
     std::vector<std::pair<Addr, Addr>> dataDiffs; // changed [lo, hi)
     std::vector<std::size_t> dataSections;        // their indices
     std::size_t span_count = 0;
-    if (comparable) {
-        const std::vector<DiffSpan> spans = functionSpans(*input_);
-        span_count = spans.size();
-        for (std::size_t i = 0; i < input_->sections.size(); ++i) {
-            const Section &os = input_->sections[i];
-            const Section &ns = newImage.sections[i];
-            if (os.name != ns.name || os.addr != ns.addr ||
-                os.bytes.size() != ns.bytes.size()) {
-                comparable = false; // layout changed
-                break;
-            }
-            if (os.bytes == ns.bytes)
-                continue;
-            if (!os.executable) {
-                // A data edit dirties exactly the functions whose
-                // recorded read-sets overlap the changed bytes
-                // (Function::dataDeps). That is sound only when
-                // analysis reads data through recorded slices:
-                //  - non-PIE images word-scan all of .data/.rodata
-                //    for function pointers (unrecorded reads), and
-                //  - structural sections (.rela.dyn, .dynsym,
-                //    .eh_frame, ...) feed whole-image analyses;
-                // both fall back to a full reset, as does a session
-                // without a manifest to splice from.
-                if (!input_->pie || !result_.manifest.populated ||
-                    (os.kind != SectionKind::rodata &&
-                     os.kind != SectionKind::data)) {
-                    comparable = false;
+    bool comparable = false;
+    {
+        const ScopedTimer timer(diff_timer);
+        // Diffable only against a completed rewrite of a same-shaped
+        // binary: same arch, same section layout, same function symbols.
+        comparable = hasResult_ && result_.ok &&
+                     newImage.arch == input_->arch &&
+                     newImage.pie == input_->pie &&
+                     newImage.sections.size() == input_->sections.size();
+        if (comparable) {
+            const auto olds = input_->functionSymbols();
+            const auto news = newImage.functionSymbols();
+            comparable = olds.size() == news.size();
+            for (std::size_t i = 0; comparable && i < olds.size(); ++i)
+                comparable = olds[i]->addr == news[i]->addr &&
+                             olds[i]->size == news[i]->size &&
+                             olds[i]->name == news[i]->name;
+        }
+
+        if (comparable) {
+            const std::vector<DiffSpan> spans = functionSpans(*input_);
+            span_count = spans.size();
+            for (std::size_t i = 0; i < input_->sections.size(); ++i) {
+                const Section &os = input_->sections[i];
+                const Section &ns = newImage.sections[i];
+                if (os.name != ns.name || os.addr != ns.addr ||
+                    os.bytes.size() != ns.bytes.size()) {
+                    comparable = false; // layout changed
                     break;
                 }
-                std::size_t b = 0;
-                while (b < os.bytes.size()) {
-                    if (os.bytes[b] == ns.bytes[b]) {
-                        ++b;
-                        continue;
-                    }
-                    std::size_t e = b;
-                    while (e < os.bytes.size() &&
-                           os.bytes[e] != ns.bytes[e])
-                        ++e;
-                    dataDiffs.emplace_back(
-                        os.addr + static_cast<Addr>(b),
-                        os.addr + static_cast<Addr>(e));
-                    b = e;
-                }
-                dataSections.push_back(i);
-                continue;
-            }
-            for (std::size_t b = 0; b < os.bytes.size(); ++b) {
-                if (os.bytes[b] == ns.bytes[b])
+                if (os.bytes == ns.bytes)
                     continue;
-                const DiffSpan *span = spanContaining(
-                    spans, os.addr + static_cast<Addr>(b));
-                if (span == nullptr) {
-                    // Changed bytes outside any function (padding,
-                    // scratch space): not attributable.
-                    comparable = false;
-                    break;
+                if (!os.executable) {
+                    // A data edit dirties exactly the functions whose
+                    // recorded read-sets overlap the changed bytes
+                    // (Function::dataDeps). That is sound only when
+                    // analysis reads data through recorded slices:
+                    //  - non-PIE images word-scan all of .data/.rodata
+                    //    for function pointers (unrecorded reads), and
+                    //  - structural sections (.rela.dyn, .dynsym,
+                    //    .eh_frame, ...) feed whole-image analyses;
+                    // both fall back to a full reset, as does a session
+                    // without a manifest to splice from.
+                    if (!input_->pie || !result_.manifest.populated ||
+                        (os.kind != SectionKind::rodata &&
+                         os.kind != SectionKind::data)) {
+                        comparable = false;
+                        break;
+                    }
+                    std::size_t b = 0;
+                    while (b < os.bytes.size()) {
+                        if (os.bytes[b] == ns.bytes[b]) {
+                            ++b;
+                            continue;
+                        }
+                        std::size_t e = b;
+                        while (e < os.bytes.size() &&
+                               os.bytes[e] != ns.bytes[e])
+                            ++e;
+                        dataDiffs.emplace_back(
+                            os.addr + static_cast<Addr>(b),
+                            os.addr + static_cast<Addr>(e));
+                        b = e;
+                    }
+                    dataSections.push_back(i);
+                    continue;
                 }
-                dirty.insert(span->lo);
-                out.dirtyNames.insert(span->name);
+                for (std::size_t b = 0; b < os.bytes.size(); ++b) {
+                    if (os.bytes[b] == ns.bytes[b])
+                        continue;
+                    const DiffSpan *span = spanContaining(
+                        spans, os.addr + static_cast<Addr>(b));
+                    if (span == nullptr) {
+                        // Changed bytes outside any function (padding,
+                        // scratch space): not attributable.
+                        comparable = false;
+                        break;
+                    }
+                    dirty.insert(span->lo);
+                    out.dirtyNames.insert(span->name);
+                }
+                if (!comparable)
+                    break;
             }
-            if (!comparable)
-                break;
         }
     }
+    {
+        // Attributes data diffs to their readers; zero work for a
+        // code-only edit.
+        const ScopedTimer timer(deps_index_timer);
+        if (comparable && !dataDiffs.empty()) {
+            // Edits under donated scratch ranges or function-pointer
+            // cells interact with emitted artifacts in ways the splice
+            // below cannot reproduce; reset conservatively.
+            auto overlapsDiff = [&](Addr lo, Addr hi) {
+                for (const auto &[dlo, dhi] : dataDiffs) {
+                    if (dlo < hi && lo < dhi)
+                        return true;
+                }
+                return false;
+            };
+            for (const auto &[addr, len] : result_.manifest.scratchRanges)
+                if (overlapsDiff(addr, addr + len))
+                    comparable = false;
+            for (const Relocation &rel : input_->relocs)
+                if (overlapsDiff(rel.site, rel.site + 8))
+                    comparable = false;
+            for (const FuncPtrPatch &p : result_.manifest.funcPtrs)
+                if (p.kind == FuncPtrPatch::Kind::dataCell &&
+                    overlapsDiff(p.site, p.site + 8))
+                    comparable = false;
 
-    if (comparable && !dataDiffs.empty()) {
-        // Edits under donated scratch ranges or function-pointer
-        // cells interact with emitted artifacts in ways the splice
-        // below cannot reproduce; reset conservatively.
-        auto overlapsDiff = [&](Addr lo, Addr hi) {
-            for (const auto &[dlo, dhi] : dataDiffs) {
-                if (dlo < hi && lo < dhi)
-                    return true;
-            }
-            return false;
-        };
-        for (const auto &[addr, len] : result_.manifest.scratchRanges)
-            if (overlapsDiff(addr, addr + len))
+            if (comparable && !cfgBuilt_)
                 comparable = false;
-        for (const Relocation &rel : input_->relocs)
-            if (overlapsDiff(rel.site, rel.site + 8))
-                comparable = false;
-        for (const FuncPtrPatch &p : result_.manifest.funcPtrs)
-            if (p.kind == FuncPtrPatch::Kind::dataCell &&
-                overlapsDiff(p.site, p.site + 8))
-                comparable = false;
-
-        if (comparable && !cfgBuilt_)
-            comparable = false;
-        if (comparable) {
-            // Overlap-keyed invalidation: dirty exactly the readers
-            // of the changed bytes.
-            DepIndex index;
-            for (const auto &[entry, func] : cfg_.functions)
-                index.add(entry, func.dataDeps);
-            index.build();
-            std::set<Addr> owners;
-            for (const auto &[lo, hi] : dataDiffs)
-                index.overlapping(lo, hi, owners);
-            for (Addr entry : owners) {
-                dirty.insert(entry);
-                auto it = cfg_.functions.find(entry);
-                if (it != cfg_.functions.end())
-                    out.dirtyNames.insert(it->second.name);
+            if (comparable) {
+                // Overlap-keyed invalidation: dirty exactly the readers
+                // of the changed bytes.
+                DepIndex index;
+                for (const auto &[entry, func] : cfg_.functions)
+                    index.add(entry, func.dataDeps);
+                index.build();
+                std::set<Addr> owners;
+                for (const auto &[lo, hi] : dataDiffs)
+                    index.overlapping(lo, hi, owners);
+                for (Addr entry : owners) {
+                    dirty.insert(entry);
+                    if (const Function *func = cfg_.functionAt(entry))
+                        out.dirtyNames.insert(func->name);
+                }
             }
         }
     }

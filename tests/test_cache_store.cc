@@ -453,7 +453,8 @@ TEST(CacheStore, InMemoryEntriesWinOverFileEntries)
     mine.name = "in-memory";
     mine.entry = 0x1000;
     mine.end = 0x1010;
-    AnalysisCache::global().storeFunction(key, Arch::x64, mine, 0);
+    AnalysisCache::global().storeFunction(
+        key, Arch::x64, std::make_shared<const Function>(mine), 0);
     const CacheLoadReport rep =
         AnalysisCache::global().load(path, Arch::x64);
     EXPECT_TRUE(rep.clean());
@@ -779,19 +780,32 @@ TEST(CacheStore, AutoCompactionTriggersOnSaveWhenOverCap)
 TEST(CacheStore, V3FileCarriesDataDepsEntries)
 {
     const std::string path = tmpPath("v3_deps");
-    coldRewrite(compileMicro(Arch::x64), path);
+    const BinaryImage img = compileMicro(Arch::x64);
+    coldRewrite(img, path);
+    // All hits: the functions carry their keys and read-sets.
+    const CfgModule keyed = buildCfg(img);
 
     const CacheFileInfo info = inspectCacheFile(path);
     EXPECT_EQ(info.version, cache_file_version);
     EXPECT_GT(info.functionEntries, 0u);
-    EXPECT_GT(info.dataDepsEntries, 0u);
     EXPECT_EQ(info.otherEntries, 0u);
 
     AnalysisCache::global().clear();
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.loadedDataDeps, info.dataDepsEntries);
+    EXPECT_EQ(rep.loadedFunctions, info.functionEntries);
     EXPECT_EQ(rep.skippedUnknown, 0u);
+
+    // Each function record decodes with its read-set.
+    unsigned with_reads = 0;
+    for (const auto &[entry, fn] : keyed.functions) {
+        const auto hit = AnalysisCache::global().findFunction(
+            fn.cacheKey, entry, img.tocBase);
+        ASSERT_NE(hit, nullptr) << fn.name;
+        EXPECT_EQ(hit->dataDeps, fn.dataDeps) << fn.name;
+        with_reads += fn.dataDeps.empty() ? 0 : 1;
+    }
+    EXPECT_GT(with_reads, 0u);
 }
 
 TEST(CacheStore, UnknownEntryKindIsSkippedNeverFatal)
@@ -839,47 +853,52 @@ TEST(CacheStore, UnknownEntryKindIsSkippedNeverFatal)
     EXPECT_EQ(warm.image.serialize(), cold);
 }
 
-TEST(CacheStore, V4FileWithoutDepsDegradesToConservativeMisses)
+// --- functions whose bytes cannot be read --------------------------------
+
+TEST(CacheStore, UnreadableFunctionsNeverShareAnEntry)
 {
-    const std::string path = tmpPath("v4_nodeps");
-    const BinaryImage img = compileMicro(Arch::x64);
-    const std::vector<std::uint8_t> cold = coldRewrite(img, path);
+    // Stretch the last two function symbols to one size that runs
+    // past the end of .text: their bytes cannot be read, and a key
+    // without them would hand the second the first one's CFG.
+    BinaryImage img =
+        compileProgram(chromiumSmallProfile(Arch::x64, true));
+    std::vector<Symbol *> funcs;
+    for (Symbol &sym : img.symbols)
+        if (sym.kind == Symbol::Kind::function)
+            funcs.push_back(&sym);
+    std::sort(funcs.begin(), funcs.end(),
+              [](const Symbol *a, const Symbol *b) {
+                  return a->addr < b->addr;
+              });
+    ASSERT_GE(funcs.size(), 2u);
+    Symbol &first = *funcs[funcs.size() - 2];
+    Symbol &second = *funcs.back();
+    const Section *text = img.sectionAt(first.addr);
+    ASSERT_NE(text, nullptr);
+    first.size = second.size = text->end() - first.addr + 0x30;
+    std::vector<std::uint8_t> bytes;
+    ASSERT_FALSE(img.readBytes(first.addr, first.size, bytes));
+    ASSERT_FALSE(img.readBytes(second.addr, second.size, bytes));
 
-    // Synthesize a v4 file whose data read-set entries are missing
-    // (caching interrupted before the deps landed): same framing,
-    // same function and liveness payloads.
-    std::vector<ParsedEntry> kept;
-    unsigned deps_dropped = 0;
-    for (ParsedEntry &e : parseEntries(readAll(path))) {
-        if (e.kind == 6) {
-            ++deps_dropped;
-            continue;
-        }
-        kept.push_back(std::move(e));
-    }
-    ASSERT_GT(deps_dropped, 0u);
-    ASSERT_FALSE(kept.empty());
-    writeAll(path, frameCacheFile(cache_file_version, kept));
-
-    // The file loads cleanly: functions index, no deps entries
-    // exist to load.
+    AnalysisOptions off;
+    off.useCache = false;
+    const CfgModule expect = buildCfg(img, off);
     AnalysisCache::global().clear();
-    const CacheLoadReport rep = AnalysisCache::global().load(path);
-    EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.fileVersion, cache_file_version);
-    EXPECT_GT(rep.loadedFunctions, 0u);
-    EXPECT_EQ(rep.loadedDataDeps, 0u);
-
-    // Absent read-sets make code-keyed hits unverifiable, so the
-    // consumer rejects them and re-analyzes (conservative miss) —
-    // and still emits byte-identical output.
-    const std::uint64_t rejected_before =
-        DepsCounters::global().hitsRejected.value();
-    const RewriteResult warm = rewriteBinary(img, baseOptions(path));
-    ASSERT_TRUE(warm.ok) << warm.failReason;
-    EXPECT_EQ(warm.image.serialize(), cold);
-    EXPECT_GT(DepsCounters::global().hitsRejected.value(),
-              rejected_before);
+    const CfgModule got = buildCfg(img);
+    ASSERT_EQ(got.functions.size(), expect.functions.size());
+    for (const auto &[entry, fn] : expect.functions) {
+        const Function *cached = got.functionAt(entry);
+        ASSERT_NE(cached, nullptr) << fn.name;
+        ASSERT_EQ(cached->blocks.size(), fn.blocks.size()) << fn.name;
+        for (const auto &[start, block] : fn.blocks) {
+            const Block *other = cached->blockAt(start);
+            ASSERT_NE(other, nullptr) << fn.name;
+            EXPECT_EQ(other->start, block.start) << fn.name;
+            EXPECT_EQ(other->end, block.end) << fn.name;
+            EXPECT_EQ(other->insns.size(), block.insns.size())
+                << fn.name;
+        }
+    }
 }
 
 // --- files of another version ---------------------------------------------
@@ -1000,8 +1019,8 @@ TEST(CacheStore, OlderVersionFileIsIgnoredAndRewritten)
 {
     // Whatever the framing — a current-shape segment chain, a bare
     // entry list, or a torn stub — every older version (v4, whose
-    // segments carry per-entry headers instead of an index, included)
-    // is ignored.
+    // segments carry per-entry headers instead of an index, and v5,
+    // whose read-sets are records of their own, included) is ignored.
     const std::string path = tmpPath("old_version");
     const BinaryImage img = compileMicro(Arch::x64);
     const std::vector<std::uint8_t> cold = coldRewrite(img, path);

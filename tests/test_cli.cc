@@ -549,12 +549,14 @@ TEST(CliCache, InfoVerifyCompactRoundTrip)
               0);
 
     const std::string info = capture("cache info /tmp/icp_cli_cmd.icpc");
-    EXPECT_NE(info.find("v5"), std::string::npos) << info;
+    EXPECT_NE(info.find("v6"), std::string::npos) << info;
     EXPECT_NE(info.find("2 segments"), std::string::npos) << info;
     // Per-kind breakdown and the sharing stats are part of the
     // output contract.
     EXPECT_NE(info.find("function:"), std::string::npos) << info;
-    EXPECT_NE(info.find("data read-set:"), std::string::npos) << info;
+    EXPECT_NE(info.find("liveness:"), std::string::npos) << info;
+    // Read-sets live inside function records: no kind of their own.
+    EXPECT_EQ(info.find("data read-set:"), std::string::npos) << info;
     EXPECT_NE(info.find("distinct keys"), std::string::npos) << info;
     EXPECT_NE(info.find("per ISA: x86-64 "), std::string::npos) << info;
     EXPECT_EQ(exitCode("cache verify /tmp/icp_cli_cmd.icpc"), 0);
@@ -591,7 +593,7 @@ TEST(CliCache, RewriteHonorsCacheMaxBytes)
               0);
     const std::string info =
         capture("cache info /tmp/icp_cli_cap.icpc");
-    EXPECT_NE(info.find("v5"), std::string::npos) << info;
+    EXPECT_NE(info.find("v6"), std::string::npos) << info;
     // The capped save compacted the file back under the limit.
     struct stat st;
     ASSERT_EQ(stat("/tmp/icp_cli_cap.icpc", &st), 0);

@@ -316,57 +316,53 @@ TEST(DataDepsCache, RoundTripsThroughStoreAndDiskFile)
     const BinaryImage img = compileMicro(Arch::x64);
     const CfgModule cfg = analyzeNoCache(img);
 
-    const Function *func = nullptr;
-    for (const auto &[entry, f] : cfg.functions) {
-        (void)entry;
-        if (!f.dataDeps.empty())
-            func = &f;
-    }
+    std::shared_ptr<const Function> func;
+    for (const FunctionSlot &slot : cfg.functions)
+        if (!slot.fn->dataDeps.empty())
+            func = slot.fn;
     ASSERT_NE(func, nullptr);
 
+    // The read-set rides in the function record.
     AnalysisCache::global().clear();
     const std::uint64_t key = 0x1234abcdULL;
-    AnalysisCache::global().storeDataDeps(key, Arch::x64,
-                                          func->entry,
-                                          func->dataDeps);
+    AnalysisCache::global().storeFunction(key, Arch::x64, func,
+                                          img.tocBase);
 
-    const auto in_memory =
-        AnalysisCache::global().findDataDeps(key, func->entry);
+    auto find = [&](std::uint64_t k, Addr entry) {
+        return AnalysisCache::global().findFunction(k, entry,
+                                                    img.tocBase);
+    };
+    const auto in_memory = find(key, func->entry);
     ASSERT_NE(in_memory, nullptr);
-    EXPECT_EQ(*in_memory, func->dataDeps);
-    EXPECT_EQ(
-        AnalysisCache::global().findDataDeps(key + 1, func->entry),
-        nullptr);
+    EXPECT_EQ(in_memory->dataDeps, func->dataDeps);
+    EXPECT_EQ(find(key + 1, func->entry), nullptr);
 
     // A lookup at a shifted entry comes back rebased by the same
     // delta, hashes unchanged (the cross-binary contract).
-    const auto rebased = AnalysisCache::global().findDataDeps(
-        key, func->entry + 0x1000);
+    const auto rebased = find(key, func->entry + 0x1000);
     ASSERT_NE(rebased, nullptr);
-    ASSERT_EQ(rebased->size(), func->dataDeps.size());
-    for (std::size_t i = 0; i < rebased->size(); ++i) {
-        EXPECT_EQ(rebased->ranges()[i].lo,
+    ASSERT_EQ(rebased->dataDeps.size(), func->dataDeps.size());
+    for (std::size_t i = 0; i < rebased->dataDeps.size(); ++i) {
+        EXPECT_EQ(rebased->dataDeps.ranges()[i].lo,
                   func->dataDeps.ranges()[i].lo + 0x1000);
-        EXPECT_EQ(rebased->ranges()[i].hash,
+        EXPECT_EQ(rebased->dataDeps.ranges()[i].hash,
                   func->dataDeps.ranges()[i].hash);
     }
 
-    // Through the v4 file: save, clear, lazy-load, look up again.
+    // Through the file: save, clear, lazy-load, look up again.
     FileGuard guard{tmpPath("roundtrip.icpc")};
     ASSERT_TRUE(AnalysisCache::global().save(guard.path));
     AnalysisCache::global().clear();
-    ASSERT_EQ(AnalysisCache::global().findDataDeps(key, func->entry),
-              nullptr);
+    ASSERT_EQ(find(key, func->entry), nullptr);
 
     const CacheLoadReport rep =
         AnalysisCache::global().load(guard.path, Arch::x64);
     EXPECT_TRUE(rep.clean());
     EXPECT_EQ(rep.fileVersion, cache_file_version);
-    EXPECT_EQ(rep.loadedDataDeps, 1u);
+    EXPECT_EQ(rep.loadedFunctions, 1u);
 
-    const auto from_disk =
-        AnalysisCache::global().findDataDeps(key, func->entry);
+    const auto from_disk = find(key, func->entry);
     ASSERT_NE(from_disk, nullptr);
-    EXPECT_EQ(*from_disk, func->dataDeps);
+    EXPECT_EQ(from_disk->dataDeps, func->dataDeps);
     AnalysisCache::global().clear();
 }

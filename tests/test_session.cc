@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -535,6 +536,59 @@ TEST_P(SessionLoadInput, OneFunctionEditReanalyzesOnlyThatFunction)
     // And it still lints clean against the rebuilt CFG.
     EXPECT_EQ(errorCount(session.lint()), 0u)
         << session.lastReport().renderText();
+}
+
+TEST_P(SessionLoadInput, CleanFunctionsStayTheSameObjects)
+{
+    const Arch arch = GetParam();
+    AnalysisCache::global().clear();
+
+    // Two builds of one image share every Function with the cache.
+    const BinaryImage img = compileMicro(arch);
+    const CfgModule first = buildCfg(img);
+    std::map<Addr, const Function *> built;
+    for (const auto &[entry, fn] : first.functions)
+        built[entry] = &fn;
+    const CfgModule second = buildCfg(img);
+    for (const auto &[entry, fn] : second.functions)
+        EXPECT_EQ(&fn, built.at(entry)) << fn.name;
+
+    // A one-function edit re-analyzes that function; every clean one
+    // stays the very object the session held before.
+    RewriteSession session(compileMicro(arch));
+    ASSERT_TRUE(session.rewrite(baseOptions()).ok);
+    std::map<Addr, const Function *> before;
+    for (const auto &[entry, fn] : session.analyze().functions)
+        before[entry] = &fn;
+    BinaryImage edited = compileMicro(arch);
+    ASSERT_FALSE(mutateOneImmediate(edited).empty());
+    const auto out = session.loadInput(std::move(edited));
+    ASSERT_TRUE(out.incremental);
+    ASSERT_EQ(out.dirtyFunctions.size(), 1u);
+    std::size_t shared = 0;
+    for (const auto &[entry, fn] : session.analyze().functions) {
+        if (out.dirtyFunctions.count(entry) == 0) {
+            EXPECT_EQ(&fn, before.at(entry)) << fn.name;
+            shared += &fn == before.at(entry) ? 1 : 0;
+        }
+    }
+    EXPECT_EQ(shared, before.size() - 1);
+}
+
+TEST(SessionLoadInputTiming, OneFunctionEditRecordsDiffSpans)
+{
+    AnalysisCache::global().clear();
+    RewriteSession session(compileMicro(Arch::x64));
+    ASSERT_TRUE(session.rewrite(baseOptions()).ok);
+    BinaryImage edited = compileMicro(Arch::x64);
+    ASSERT_FALSE(mutateOneImmediate(edited).empty());
+
+    Metrics::global().reset();
+    ASSERT_TRUE(session.loadInput(std::move(edited)).incremental);
+    const std::string table = Metrics::global().table();
+    EXPECT_NE(table.find("session.diff "), std::string::npos) << table;
+    EXPECT_NE(table.find("session.deps_index "), std::string::npos)
+        << table;
 }
 
 INSTANTIATE_TEST_SUITE_P(

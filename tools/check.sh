@@ -13,11 +13,13 @@
 #   lint-baseline  lint the canonical input against the checked-in
 #                  report (tests/data/lint_baseline.json): any new
 #                  finding fails with exit 2
-#   warm-cache     two rewrites sharing an on-disk AnalysisCache
-#                  (--cache-file): the second, fresh-process run must
-#                  reuse 100% of function analyses, produce
-#                  byte-identical output, and leave the cache file
-#                  untouched (delta save finds nothing to append)
+#   warm-cache     chromium-small on x64, aarch64 and ppc64le, each
+#                  rewritten twice against one shared on-disk
+#                  AnalysisCache (--cache-file): every second,
+#                  fresh-process run must reuse 100% of function
+#                  analyses, produce byte-identical output, and leave
+#                  the cache file untouched (delta save finds nothing
+#                  to append); `icp cache verify` must then pass
 #   cache-v2       cache store v2 smoke: two concurrent classic
 #                  rewrites merge into one cache file, `icp cache
 #                  verify` finds it clean, `icp cache compact
@@ -167,23 +169,34 @@ leg_lint_baseline() {
 }
 
 leg_warm_cache() {
-    echo "== Warm-cache smoke (--cache-file round trip) =="
+    echo "== Warm-cache smoke (--cache-file round trip, every ISA) =="
     build_cli || return 1
     dir="$(mktemp -d)"
     cache="${ICP_CACHE_FILE:-$dir/analysis-cache.icpc}"
-    mkdir -p "$(dirname "$cache")" &&
-    ./build/tools/icp compile micro "$dir/in.sbf" --pie &&
-    ./build/tools/icp rewrite "$dir/in.sbf" "$dir/cold.sbf" \
-        --cache-file "$cache" &&
-    stamp_before="$(stat -c '%Y %s' "$cache")" &&
-    ./build/tools/icp rewrite "$dir/in.sbf" "$dir/warm.sbf" \
-        --cache-file "$cache" | tee "$dir/warm.log" &&
-    grep -q " reused (100.0%)" "$dir/warm.log" &&
-    cmp "$dir/cold.sbf" "$dir/warm.sbf" &&
-    stamp_after="$(stat -c '%Y %s' "$cache")" &&
-    [ "$stamp_before" = "$stamp_after" ] &&
-    echo "warm run: full reuse, byte-identical output," \
-         "cache file untouched"
+    mkdir -p "$(dirname "$cache")"
+    status=$?
+    # One cache file serves all three ISAs: each ISA's second,
+    # fresh-process run must find its whole slice there.
+    for arch in x64 aarch64 ppc64le; do
+        [ $status -eq 0 ] || break
+        ./build/tools/icp compile chromium-small "$dir/in.sbf" \
+            --arch "$arch" --pie &&
+        ./build/tools/icp rewrite "$dir/in.sbf" "$dir/cold.sbf" \
+            --cache-file "$cache" &&
+        stamp_before="$(stat -c '%Y %s' "$cache")" &&
+        ./build/tools/icp rewrite "$dir/in.sbf" "$dir/warm.sbf" \
+            --cache-file "$cache" | tee "$dir/warm.log" &&
+        grep -q " reused (100.0%)" "$dir/warm.log" &&
+        cmp "$dir/cold.sbf" "$dir/warm.sbf" &&
+        stamp_after="$(stat -c '%Y %s' "$cache")" &&
+        [ "$stamp_before" = "$stamp_after" ] &&
+        echo "$arch warm run: full reuse, byte-identical output," \
+             "cache file untouched"
+        status=$?
+    done
+    [ $status -eq 0 ] &&
+    ./build/tools/icp cache verify "$cache" &&
+    echo "shared cache file verifies clean"
     status=$?
     rm -rf "$dir"
     return $status

@@ -1078,7 +1078,6 @@ cmdCache(int argc, char **argv)
             "%s: v%u, %llu bytes, %u segment%s (generation %llu)\n"
             "  function:      %u entries, %llu payload bytes\n"
             "  liveness:      %u entries, %llu payload bytes\n"
-            "  data read-set: %u entries, %llu payload bytes\n"
             "  unknown kind: %u, %llu payload bytes total\n",
             path.c_str(), info.version,
             static_cast<unsigned long long>(info.fileBytes),
@@ -1090,14 +1089,10 @@ cmdCache(int argc, char **argv)
             info.livenessEntries,
             static_cast<unsigned long long>(
                 info.livenessPayloadBytes),
-            info.dataDepsEntries,
-            static_cast<unsigned long long>(
-                info.dataDepsPayloadBytes),
             info.otherEntries,
             static_cast<unsigned long long>(info.payloadBytes));
         const unsigned total = info.functionEntries +
                                info.livenessEntries +
-                               info.dataDepsEntries +
                                info.otherEntries;
         std::printf("  sharing: %u total entries, %u distinct keys, "
                     "%u distinct payloads\n",
@@ -1118,12 +1113,11 @@ cmdCache(int argc, char **argv)
             return 1;
         }
         std::printf("%s: %u entries verified (%u function, "
-                    "%u liveness, %u data read-set), %u dropped, "
+                    "%u liveness), %u dropped, "
                     "%u skipped (unknown kind)\n",
                     path.c_str(), rep.loadedEntries(),
                     rep.loadedFunctions, rep.loadedLiveness,
-                    rep.loadedDataDeps, rep.droppedEntries,
-                    rep.skippedUnknown);
+                    rep.droppedEntries, rep.skippedUnknown);
         printCacheIssues(rep.issues);
         return rep.clean() ? 0 : 2;
     }
