@@ -288,9 +288,10 @@ chromiumChildBody(const std::string &sbf_path,
     std::vector<std::uint8_t> raw(
         (std::istreambuf_iterator<char>(in)),
         std::istreambuf_iterator<char>());
-    if (raw.empty())
+    std::vector<SbfIssue> issues;
+    const auto img = BinaryImage::tryDeserialize(raw, issues);
+    if (!img)
         return 2;
-    const BinaryImage img = BinaryImage::deserialize(raw);
     raw.clear();
     raw.shrink_to_fit();
 
@@ -304,7 +305,7 @@ chromiumChildBody(const std::string &sbf_path,
     const auto t0 = std::chrono::steady_clock::now();
     RewriteResult rw;
     if (shards == 0) {
-        rw = rewriteBinary(img, opts);
+        rw = rewriteBinary(*img, opts);
         if (rw.ok) {
             const auto bytes = rw.image.serialize();
             std::ofstream out(out_path, std::ios::binary);
@@ -316,7 +317,7 @@ chromiumChildBody(const std::string &sbf_path,
         if (!f)
             return 2;
         FileSink sink(f);
-        rw = rewriteBinarySharded(img, opts, sink);
+        rw = rewriteBinarySharded(*img, opts, sink);
         std::fclose(f);
     }
     const auto t1 = std::chrono::steady_clock::now();

@@ -41,7 +41,14 @@ main(int argc, char **argv)
         bytes.assign(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
     }
-    const BinaryImage img = BinaryImage::deserialize(bytes);
+    std::vector<SbfIssue> issues;
+    const auto parsed = BinaryImage::tryDeserialize(bytes, issues);
+    if (!parsed) {
+        std::fprintf(stderr, "[%s] %s\n", issues.front().rule.c_str(),
+                     issues.front().message.c_str());
+        return 1;
+    }
+    const BinaryImage &img = *parsed;
 
     std::printf("SBF image: arch=%s %s entry=0x%llx loaded=%llu "
                 "bytes\n\n",

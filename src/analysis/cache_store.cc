@@ -6,12 +6,12 @@
  * addressed keys). A file of any other version loads as empty and
  * the next save overwrites it.
  *
- * Layered like the SBF container code: a bounds-latched ByteReader
- * and kind-specific payload encoders/decoders at the bottom; the
- * segment index (record reader, binary search) and a header-walking
- * scanner shared by every consumer (load, save's merge step,
- * inspect, verify, compact) in the middle; and the public operations
- * on top. Every decode path validates enum ranges and every record
+ * Layered like the SBF container code: the bounds-latched ByteReader
+ * of isa/bytes.hh and kind-specific payload encoders/decoders at the
+ * bottom; the segment index (record reader, binary search) and a
+ * header-walking scanner shared by every consumer (load, save's
+ * merge step, inspect, verify, compact) in the middle; and the
+ * public operations on top. Every decode path validates enum ranges and every record
  * is bounds-checked against its segment, so a corrupt file can only
  * ever drop its own entries, never read out of bounds or poison the
  * cache.
@@ -56,99 +56,6 @@ namespace
 const Timer cache_load_timer = Metrics::global().timer("cache.load");
 const Timer cache_save_timer = Metrics::global().timer("cache.save");
 const Timer cache_rebase_timer = Metrics::global().timer("cache.rebase");
-
-// --- low-level byte IO ----------------------------------------------------
-
-void
-putString(std::vector<std::uint8_t> &out, const std::string &s)
-{
-    putU32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-/**
- * Bounds-latched sequential reader: the first out-of-range read
- * flips failed() and every later read returns zeros, so decoders can
- * run straight through and check once at the end.
- */
-class ByteReader
-{
-  public:
-    ByteReader(const std::uint8_t *data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    bool failed() const { return failed_; }
-    std::size_t pos() const { return pos_; }
-    std::size_t remaining() const { return size_ - pos_; }
-
-    std::uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return data_[pos_++];
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        const std::uint32_t v = getU32(data_ + pos_);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        const std::uint64_t v = getU64(data_ + pos_);
-        pos_ += 8;
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint32_t len = u32();
-        if (!need(len))
-            return {};
-        std::string s(reinterpret_cast<const char *>(data_ + pos_),
-                      len);
-        pos_ += len;
-        return s;
-    }
-
-    const std::uint8_t *
-    blob(std::size_t len)
-    {
-        if (!need(len))
-            return nullptr;
-        const std::uint8_t *p = data_ + pos_;
-        pos_ += len;
-        return p;
-    }
-
-  private:
-    bool
-    need(std::uint64_t len)
-    {
-        if (failed_ || pos_ + len > size_) {
-            failed_ = true;
-            return false;
-        }
-        return true;
-    }
-
-    const std::uint8_t *data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-    bool failed_ = false;
-};
 
 // --- payload encoders -----------------------------------------------------
 
@@ -500,6 +407,13 @@ constexpr std::uint8_t entry_kind_liveness = 5;
 /** Entry kind of each AnalysisCache slot, in slot order. */
 constexpr std::uint8_t slot_kinds[] = {entry_kind_function,
                                        entry_kind_liveness};
+
+/** An index record of any other kind is malformed. */
+constexpr bool
+knownKind(std::uint8_t kind)
+{
+    return kind == entry_kind_function || kind == entry_kind_liveness;
+}
 
 // --- advisory file lock ---------------------------------------------------
 
@@ -944,9 +858,8 @@ compactLocked(const std::string &path, std::uint64_t max_bytes,
         return false; // not a cache file; refuse to clobber it
 
     // Deduplicate by (arch, kind, key) with the newest segment
-    // winning, and heal silently-corrupt payloads by verifying each
-    // checksum here — compaction is the slow, thorough path. Unknown
-    // kinds are kept (forward compat).
+    // winning, and heal silently-corrupt records by verifying each
+    // kind and checksum here — compaction is the slow, thorough path.
     struct Candidate
     {
         OutEntry entry;
@@ -960,7 +873,8 @@ compactLocked(const std::string &path, std::uint64_t max_bytes,
             if (!view.inBounds(r))
                 continue;
             ++out.entriesBefore;
-            if (cacheEntryHash(r.arch, r.kind, r.key, view.payload(r),
+            if (!knownKind(r.kind) ||
+                cacheEntryHash(r.arch, r.kind, r.key, view.payload(r),
                                r.payloadLen) != r.payloadHash)
                 continue;
             Candidate &c = by_key[{r.arch, r.kind, r.key}];
@@ -1293,10 +1207,6 @@ AnalysisCache::load(const std::string &path,
             slice.records = view.records;
             slice.payloads = view.payloads;
             slice.payloadBytes = view.payloadBytes;
-            const std::uint32_t first = view.lowerBound(a, 0);
-            const std::uint32_t last =
-                std::max(first, view.lowerBound(a + 1, 0));
-            std::uint32_t known = 0;
             for (unsigned slot = 0; slot < numSlots; ++slot) {
                 const std::uint8_t kind = slot_kinds[slot];
                 // max() keeps the bounds ordered even when a corrupt
@@ -1306,7 +1216,6 @@ AnalysisCache::load(const std::string &path,
                     std::max(lo, view.lowerBound(a, kind + 1));
                 slice.ranges[slot][0] = lo;
                 slice.ranges[slot][1] = hi;
-                known += hi - lo;
                 if (view.complete) {
                     *loaded[slot] += hi - lo;
                     continue;
@@ -1314,20 +1223,6 @@ AnalysisCache::load(const std::string &path,
                 for (std::uint32_t i = lo; i < hi; ++i)
                     *loaded[slot] +=
                         view.inBounds(view.record(i)) ? 1 : 0;
-            }
-            if (last - first > known) {
-                // Forward compatibility: a newer writer introduced an
-                // entry kind this build does not understand. Skipping
-                // it only costs re-derivation of what it memoized.
-                const unsigned unknown = last - first - known;
-                char msg[112];
-                std::snprintf(msg, sizeof(msg),
-                              "%u %s entries of an unknown kind (newer "
-                              "writer?) skipped",
-                              unknown, archName(arch));
-                report.issues.push_back(
-                    {"cache-skip", view.offset, msg});
-                report.skippedUnknown += unknown;
             }
             slices.push_back(slice);
         }
@@ -1466,15 +1361,14 @@ AnalysisCache::save(const std::string &path, std::uint64_t max_bytes)
     } else {
         // Fresh file, other version, foreign/torn content: full
         // atomic rewrite. The file's records of every ISA that made
-        // it to disk pass through (newest segment first, unknown
-        // kinds included so a newer writer's entries survive us);
-        // the delta wins over them.
+        // it to disk pass through (newest segment first); the delta
+        // wins over them.
         OutEntries all = delta;
         for (auto it = scan.views.rbegin(); it != scan.views.rend();
              ++it) {
             for (std::uint32_t i = 0; i < it->count; ++i) {
                 const IndexRecord r = it->record(i);
-                if (it->inBounds(r))
+                if (it->inBounds(r) && knownKind(r.kind))
                     all.emplace(EntryId{r.arch, r.kind, r.key},
                                 mappedEntry(it->payloads, r));
             }
@@ -1532,18 +1426,15 @@ inspectCacheFile(const std::string &path)
         }
         for (std::uint32_t i = 0; i < view.count; ++i) {
             const IndexRecord r = view.record(i);
-            if (!view.inBounds(r))
+            if (!view.inBounds(r) || !knownKind(r.kind))
                 continue;
             if (r.kind == entry_kind_function) {
                 ++info.functionEntries;
                 info.functionPayloadBytes += r.payloadLen;
-            } else if (r.kind == entry_kind_liveness) {
+            } else {
                 ++info.livenessEntries;
                 info.livenessPayloadBytes += r.payloadLen;
-            } else {
-                ++info.otherEntries;
             }
-            info.payloadBytes += r.payloadLen;
             keys.insert({r.arch, r.kind, r.key});
             payload_hashes.insert(
                 fnv1a(view.payload(r), r.payloadLen));
@@ -1637,13 +1528,10 @@ verifyCacheFile(const std::string &path)
                 }
                 ++report.loadedLiveness;
             } else {
-                char msg[96];
-                std::snprintf(msg, sizeof(msg),
-                              "unknown entry kind %u (newer writer?); "
-                              "entry skipped",
-                              r.kind);
-                report.issues.push_back({"cache-skip", offset, msg});
-                ++report.skippedUnknown;
+                report.issues.push_back(
+                    {"cache-entry", offset,
+                     "unknown entry kind " + std::to_string(r.kind)});
+                ++report.droppedEntries;
             }
         }
     }

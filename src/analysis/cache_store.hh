@@ -52,10 +52,10 @@
  * was analyzed at, with that original entry (and for functions the
  * analysis-time `tocBase - entry` offset) kept as payload metadata,
  * so a lookup from a *different* binary sharing the code bytes
- * rebases the entry to its own addresses. Forward compatibility is
- * structural: records of an *unknown* kind are skipped with one
- * `cache-skip` info diagnostic per segment — a reader built before a
- * kind was introduced tolerates files that contain it.
+ * rebases the entry to its own addresses. The repo bumps
+ * cache_file_version for every format change, so a record of any
+ * other kind is malformed: load() never looks it up, verify reports
+ * it as a cache-entry issue, and save and compaction drop it.
  *
  * Costs follow what a run touches, not the file. load() maps the
  * file (zero-copy), walks only the segment headers, and binary-
@@ -161,9 +161,6 @@ struct CacheLoadReport
     /** Entries present in the file but rejected. */
     unsigned droppedEntries = 0;
 
-    /** Unknown-kind entries tolerated (forward compat, info issue). */
-    unsigned skippedUnknown = 0;
-
     std::vector<CacheFileIssue> issues;
 
     bool clean() const { return issues.empty(); }
@@ -185,8 +182,6 @@ struct CacheFileInfo
     unsigned segments = 0;
     unsigned functionEntries = 0;
     unsigned livenessEntries = 0;
-    unsigned otherEntries = 0;  ///< unknown kinds (forward compat)
-    std::uint64_t payloadBytes = 0;
 
     /** Records per ISA (indexed by Arch), from the index bounds. */
     std::array<unsigned, all_arches.size()> archEntries{};

@@ -8,15 +8,29 @@
 namespace icp
 {
 
+namespace
+{
+
+using Pairs = std::vector<std::pair<Addr, Addr>>;
+
+/** Sort @p pairs; the first of two pairs sharing a key, or end(). */
+Pairs::const_iterator
+sortFindDuplicate(Pairs &pairs)
+{
+    std::sort(pairs.begin(), pairs.end());
+    return std::adjacent_find(
+        pairs.begin(), pairs.end(),
+        [](const auto &a, const auto &b) { return a.first == b.first; });
+}
+
+} // namespace
+
 AddrPairMap::AddrPairMap(std::vector<std::pair<Addr, Addr>> pairs)
     : pairs_(std::move(pairs))
 {
-    std::sort(pairs_.begin(), pairs_.end());
-    for (std::size_t i = 1; i < pairs_.size(); ++i) {
-        icp_assert(pairs_[i].first != pairs_[i - 1].first,
-                   "AddrPairMap: duplicate key 0x%llx",
-                   static_cast<unsigned long long>(pairs_[i].first));
-    }
+    const auto dup = sortFindDuplicate(pairs_);
+    icp_assert(dup == pairs_.end(), "AddrPairMap: duplicate key 0x%llx",
+               static_cast<unsigned long long>(dup->first));
 }
 
 std::optional<Addr>
@@ -44,23 +58,22 @@ AddrPairMap::serialize() const
     return out;
 }
 
-AddrPairMap
+std::optional<AddrPairMap>
 AddrPairMap::parse(const std::vector<std::uint8_t> &bytes)
 {
-    icp_assert(bytes.size() >= 4, "addr map truncated");
-    const std::uint32_t count = getU32(bytes.data());
-    icp_assert(bytes.size() >= 4 + std::uint64_t{count} * 16,
-               "addr map truncated");
-    std::vector<std::pair<Addr, Addr>> pairs;
-    pairs.reserve(count);
-    std::size_t pos = 4;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const Addr from = getU64(bytes.data() + pos);
-        const Addr to = getU64(bytes.data() + pos + 8);
-        pairs.emplace_back(from, to);
-        pos += 16;
+    ByteReader rd(bytes);
+    const std::uint32_t count = rd.u32();
+    if (rd.failed() || rd.remaining() != std::uint64_t{count} * 16)
+        return std::nullopt;
+    AddrPairMap map;
+    map.pairs_.resize(count);
+    for (auto &[from, to] : map.pairs_) {
+        from = rd.u64();
+        to = rd.u64();
     }
-    return AddrPairMap(std::move(pairs));
+    if (sortFindDuplicate(map.pairs_) != map.pairs_.end())
+        return std::nullopt;
+    return map;
 }
 
 } // namespace icp

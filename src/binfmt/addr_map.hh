@@ -44,7 +44,13 @@ class AddrPairMap
     }
 
     std::vector<std::uint8_t> serialize() const;
-    static AddrPairMap parse(const std::vector<std::uint8_t> &bytes);
+
+    /**
+     * Parse serialize()'s bytes; nullopt when they are not exactly
+     * one pair list or two pairs share a key.
+     */
+    static std::optional<AddrPairMap>
+    parse(const std::vector<std::uint8_t> &bytes);
 
   private:
     std::vector<std::pair<Addr, Addr>> pairs_; // sorted by first

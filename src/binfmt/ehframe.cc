@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "isa/bytes.hh"
-#include "support/logging.hh"
 
 namespace icp
 {
@@ -41,42 +40,36 @@ serializeEhFrame(const std::vector<FdeRecord> &fdes)
     return out;
 }
 
-std::vector<FdeRecord>
+std::optional<std::vector<FdeRecord>>
 parseEhFrame(const std::vector<std::uint8_t> &bytes)
 {
+    // A record takes at least 29 bytes, which bounds the reserve.
+    constexpr std::size_t min_record = 29;
+    ByteReader rd(bytes);
+    const std::uint32_t count = rd.u32();
     std::vector<FdeRecord> fdes;
-    std::size_t pos = 0;
-    auto need = [&](std::size_t n) {
-        icp_assert(pos + n <= bytes.size(), ".eh_frame truncated");
-    };
-    need(4);
-    const std::uint32_t count = getU32(bytes.data());
-    pos = 4;
-    fdes.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    fdes.reserve(std::min<std::size_t>(count, rd.remaining() / min_record));
+    for (std::uint32_t i = 0; i < count && !rd.failed(); ++i) {
         FdeRecord fde;
-        need(29);
-        fde.start = getU64(bytes.data() + pos);
-        fde.end = getU64(bytes.data() + pos + 8);
-        fde.frameSize = getU32(bytes.data() + pos + 16);
-        fde.raOnStack = (bytes[pos + 20] & 1) != 0;
-        fde.savesCalleeSaved = (bytes[pos + 20] & 2) != 0;
-        fde.raOffset = static_cast<std::int32_t>(
-            getU32(bytes.data() + pos + 21));
-        const std::uint32_t ranges = getU32(bytes.data() + pos + 25);
-        pos += 29;
-        fde.tryRanges.reserve(ranges);
-        for (std::uint32_t r = 0; r < ranges; ++r) {
-            need(12);
+        fde.start = rd.u64();
+        fde.end = rd.u64();
+        fde.frameSize = rd.u32();
+        const std::uint8_t flags = rd.u8();
+        fde.raOnStack = (flags & 1) != 0;
+        fde.savesCalleeSaved = (flags & 2) != 0;
+        fde.raOffset = static_cast<std::int32_t>(rd.u32());
+        for (std::uint32_t r = 0, ranges = rd.u32();
+             r < ranges && !rd.failed(); ++r) {
             TryRange range;
-            range.startOff = getU32(bytes.data() + pos);
-            range.endOff = getU32(bytes.data() + pos + 4);
-            range.lpOff = getU32(bytes.data() + pos + 8);
-            pos += 12;
+            range.startOff = rd.u32();
+            range.endOff = rd.u32();
+            range.lpOff = rd.u32();
             fde.tryRanges.push_back(range);
         }
         fdes.push_back(std::move(fde));
     }
+    if (rd.failed() || rd.remaining() != 0)
+        return std::nullopt;
     return fdes;
 }
 

@@ -63,8 +63,11 @@ struct FdeRecord
 std::vector<std::uint8_t>
 serializeEhFrame(const std::vector<FdeRecord> &fdes);
 
-/** Parse .eh_frame section bytes back into records. */
-std::vector<FdeRecord>
+/**
+ * Parse .eh_frame section bytes back into records; nullopt when the
+ * bytes are not exactly one serialized record list.
+ */
+std::optional<std::vector<FdeRecord>>
 parseEhFrame(const std::vector<std::uint8_t> &bytes);
 
 /**

@@ -1,9 +1,10 @@
 #include "binfmt/image.hh"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 #include <utility>
 
+#include "binfmt/addr_map.hh"
 #include "binfmt/stream_writer.hh"
 #include "isa/bytes.hh"
 #include "support/logging.hh"
@@ -120,7 +121,9 @@ BinaryImage::fdeRecords() const
     const Section *s = findSection(SectionKind::ehFrame);
     if (!s || s->bytes.empty())
         return {};
-    return parseEhFrame(s->bytes);
+    auto fdes = parseEhFrame(s->bytes);
+    icp_assert(fdes, "malformed .eh_frame");
+    return std::move(*fdes);
 }
 
 void
@@ -211,100 +214,30 @@ BinaryImage::addSection(Section section)
 namespace
 {
 
-constexpr std::uint32_t sbf_magic = 0x31464253; // "SBF1"
-
-/**
- * Bounds-checked sequential reader over the raw blob. The first
- * out-of-range read records an sbf-truncated issue and latches the
- * failed state; subsequent reads return zeros so the caller can
- * bail out at the next checkpoint without testing every field.
- */
-class SbfReader
+/** True when @p tag names an enumerator of an enum valued 0..last. */
+template <typename Enum>
+bool
+knownTag(std::uint8_t tag, Enum last)
 {
-  public:
-    SbfReader(const std::vector<std::uint8_t> &raw,
-              std::vector<SbfIssue> &issues)
-        : raw_(raw), issues_(issues)
-    {
-    }
+    return tag <= static_cast<std::uint8_t>(last);
+}
 
-    bool failed() const { return failed_; }
-    std::size_t pos() const { return pos_; }
-
-    std::uint8_t
-    u8()
-    {
-        if (!need(1, "1-byte field"))
-            return 0;
-        return raw_[pos_++];
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!need(4, "4-byte field"))
-            return 0;
-        const std::uint32_t v = getU32(raw_.data() + pos_);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!need(8, "8-byte field"))
-            return 0;
-        const std::uint64_t v = getU64(raw_.data() + pos_);
-        pos_ += 8;
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint32_t len = u32();
-        if (!need(len, "string payload"))
-            return {};
-        std::string s(
-            raw_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            raw_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-        pos_ += len;
-        return s;
-    }
-
-    std::vector<std::uint8_t>
-    blob(std::uint32_t len)
-    {
-        if (!need(len, "section payload"))
-            return {};
-        std::vector<std::uint8_t> bytes(
-            raw_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            raw_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
-        pos_ += len;
-        return bytes;
-    }
-
-  private:
-    bool
-    need(std::uint64_t len, const char *what)
-    {
-        if (failed_)
-            return false;
-        if (pos_ + len > raw_.size()) {
-            failed_ = true;
-            issues_.push_back(
-                {"sbf-truncated", pos_,
-                 std::string(what) + " runs past end of container"});
-            return false;
-        }
+/** True unless @p s's kind has a payload format its bytes break. */
+bool
+payloadParses(const Section &s)
+{
+    if (s.bytes.empty())
+        return true;
+    switch (s.kind) {
+      case SectionKind::ehFrame:
+        return parseEhFrame(s.bytes).has_value();
+      case SectionKind::raMap:
+      case SectionKind::trapMap:
+        return AddrPairMap::parse(s.bytes).has_value();
+      default:
         return true;
     }
-
-    const std::vector<std::uint8_t> &raw_;
-    std::vector<SbfIssue> &issues_;
-    std::size_t pos_ = 0;
-    bool failed_ = false;
-};
+}
 
 } // namespace
 
@@ -323,18 +256,23 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
                             std::vector<SbfIssue> &issues)
 {
     const ScopedTimer timer(binfmt_decode_timer);
+    const std::size_t issues_before = issues.size();
+    ByteReader rd(raw);
     BinaryImage img;
-    SbfReader rd(raw, issues);
+    // The part being decoded when a read first ran past the end.
+    const char *part = "header";
+    const auto enter = [&](const char *next) {
+        if (!rd.failed())
+            part = next;
+    };
 
-    const std::size_t magic_at = rd.pos();
-    if (rd.u32() != sbf_magic) {
-        if (!rd.failed()) {
-            issues.push_back({"sbf-magic", magic_at,
-                              "container does not start with SBF1"});
-        }
+    if (rd.u32() != sbf_magic && !rd.failed()) {
+        issues.push_back(
+            {"sbf-magic", 0, "container does not start with SBF1"});
         return std::nullopt;
     }
-    img.arch = static_cast<Arch>(rd.u8());
+    const std::uint8_t arch = rd.u8();
+    img.arch = static_cast<Arch>(arch);
     img.pie = rd.u8() != 0;
     img.prefBase = rd.u64();
     img.entry = rd.u64();
@@ -345,22 +283,39 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
     img.features.rustMetadata = rd.u8();
     img.features.symbolVersioning = rd.u8();
     img.features.fortranComponent = rd.u8();
+    if (!rd.failed() && !knownTag(arch, Arch::aarch64)) {
+        issues.push_back({"sbf-tag", 4,
+                          "unknown arch tag " + std::to_string(arch)});
+    }
 
-    const std::uint32_t nsec = rd.u32();
-    for (std::uint32_t i = 0; i < nsec && !rd.failed(); ++i) {
+    enter("section record");
+    for (std::uint32_t i = 0, n = rd.u32(); i < n && !rd.failed(); ++i) {
         Section s;
         const std::size_t at = rd.pos();
         s.name = rd.str();
-        s.kind = static_cast<SectionKind>(rd.u8());
+        const std::uint8_t kind = rd.u8();
+        s.kind = static_cast<SectionKind>(kind);
         s.addr = rd.u64();
         s.memSize = rd.u64();
         const std::uint8_t flags = rd.u8();
         s.loadable = flags & 1;
         s.executable = flags & 2;
         s.writable = flags & 4;
-        s.bytes = rd.blob(rd.u32());
+        const std::uint32_t len = rd.u32();
+        if (const std::uint8_t *bytes = rd.blob(len))
+            s.bytes.assign(bytes, bytes + len);
         if (rd.failed())
             break;
+        if (!knownTag(kind, SectionKind::other)) {
+            issues.push_back({"sbf-tag", at,
+                              "section " + s.name +
+                                  " has unknown kind tag " +
+                                  std::to_string(kind)});
+        } else if (!payloadParses(s)) {
+            issues.push_back({"sbf-payload", at,
+                              "section " + s.name + " payload is not " +
+                                  sectionKindName(s.kind) + " data"});
+        }
         if (s.addr + s.memSize < s.addr) {
             issues.push_back({"sbf-section-bounds", at,
                               "section " + s.name +
@@ -382,26 +337,35 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
         img.sections.push_back(std::move(s));
     }
 
-    const std::uint32_t nsym = rd.u32();
-    for (std::uint32_t i = 0; i < nsym && !rd.failed(); ++i) {
+    enter("symbol");
+    for (std::uint32_t i = 0, n = rd.u32(); i < n && !rd.failed(); ++i) {
         Symbol sym;
+        const std::size_t at = rd.pos();
         sym.name = rd.str();
-        sym.kind = static_cast<Symbol::Kind>(rd.u8());
+        const std::uint8_t kind = rd.u8();
+        sym.kind = static_cast<Symbol::Kind>(kind);
         sym.addr = rd.u64();
         sym.size = rd.u64();
+        if (!rd.failed() && !knownTag(kind, Symbol::Kind::object)) {
+            issues.push_back({"sbf-tag", at,
+                              "symbol " + sym.name +
+                                  " has unknown kind tag " +
+                                  std::to_string(kind)});
+        }
         img.symbols.push_back(std::move(sym));
     }
 
-    const std::uint32_t nrel = rd.u32();
-    for (std::uint32_t i = 0; i < nrel && !rd.failed(); ++i) {
+    enter("relocation");
+    const std::size_t relocs_at = rd.pos() + 4;
+    for (std::uint32_t i = 0, n = rd.u32(); i < n && !rd.failed(); ++i) {
         Relocation rel;
         rel.site = rd.u64();
         rel.addend = static_cast<std::int64_t>(rd.u64());
         img.relocs.push_back(rel);
     }
 
-    const std::uint32_t nlrel = rd.u32();
-    for (std::uint32_t i = 0; i < nlrel && !rd.failed(); ++i) {
+    enter("link relocation");
+    for (std::uint32_t i = 0, n = rd.u32(); i < n && !rd.failed(); ++i) {
         LinkReloc rel;
         rel.site = rd.u64();
         rel.symbol = rd.str();
@@ -409,25 +373,38 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
         img.linkRelocs.push_back(std::move(rel));
     }
 
-    if (rd.failed() || !issues.empty())
+    if (rd.failed()) {
+        issues.push_back({"sbf-truncated", rd.pos(),
+                          std::string(part) +
+                              " runs past end of container"});
+        return std::nullopt;
+    }
+
+    // Each relocation's 8-byte slot lies inside one loadable section:
+    // a binary search over the sorted loadable ranges.
+    std::vector<std::pair<Addr, Addr>> loadable;
+    for (const Section &s : img.sections)
+        if (s.loadable)
+            loadable.emplace_back(s.addr, s.end());
+    std::sort(loadable.begin(), loadable.end());
+    for (std::size_t i = 0; i < img.relocs.size(); ++i) {
+        const Addr site = img.relocs[i].site;
+        auto it = std::upper_bound(loadable.begin(), loadable.end(),
+                                   std::pair{site, ~Addr{0}});
+        if (it != loadable.begin() && (--it)->second >= site &&
+            it->second - site >= 8)
+            continue;
+        char msg[96];
+        std::snprintf(msg, sizeof(msg),
+                      "relocation slot 0x%llx lies outside every "
+                      "loadable section",
+                      static_cast<unsigned long long>(site));
+        issues.push_back({"sbf-reloc", relocs_at + 16 * i, msg});
+    }
+
+    if (issues.size() != issues_before)
         return std::nullopt;
     return img;
-}
-
-BinaryImage
-BinaryImage::deserialize(const std::vector<std::uint8_t> &raw)
-{
-    std::vector<SbfIssue> issues;
-    auto img = tryDeserialize(raw, issues);
-    if (!img) {
-        if (issues.empty())
-            issues.push_back({"sbf-truncated", 0, "empty container"});
-        const SbfIssue &first = issues.front();
-        icp_fatal("SBF load failed: [%s] %s (offset %zu)",
-                  first.rule.c_str(), first.message.c_str(),
-                  first.offset);
-    }
-    return std::move(*img);
 }
 
 } // namespace icp

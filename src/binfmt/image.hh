@@ -35,12 +35,19 @@ struct LangFeatures
     bool fortranComponent = false;
 };
 
+/** The first four bytes of every SBF container: "SBF1". */
+constexpr std::uint32_t sbf_magic = 0x31464253;
+
 /**
  * A structured finding from SBF container validation. Rule ids:
  * "sbf-magic" (bad magic), "sbf-truncated" (field or payload runs
- * past the end of the blob), "sbf-section-bounds" (section payload
- * larger than its memory size, or address range wraps), and
- * "sbf-section-overlap" (two sections share addresses).
+ * past the end of the blob), "sbf-tag" (unknown arch, section-kind
+ * or symbol-kind tag), "sbf-section-bounds" (section payload larger
+ * than its memory size, or address range wraps),
+ * "sbf-section-overlap" (two sections share addresses),
+ * "sbf-payload" (an .eh_frame, .ra_map or .trap_map payload does not
+ * parse) and "sbf-reloc" (a relocation slot outside every loadable
+ * section).
  */
 struct SbfIssue
 {
@@ -128,13 +135,13 @@ class BinaryImage
 
     std::vector<std::uint8_t> serialize() const;
 
-    /** Deserialize or die (icp_fatal) naming the violated rule. */
-    static BinaryImage deserialize(const std::vector<std::uint8_t> &raw);
-
     /**
-     * Validating deserialization: malformed containers produce
-     * structured SbfIssue diagnostics instead of aborting. Returns
-     * nullopt (with at least one issue appended) on any violation.
+     * The one validation point for SBF input: a malformed container
+     * produces structured SbfIssue diagnostics instead of aborting.
+     * Returns nullopt (with at least one issue appended) on any
+     * violation. Every later parser of an image this accepted (the
+     * arch table, .eh_frame, the address maps, the loader's
+     * relocations) asserts only invariants that hold here.
      */
     static std::optional<BinaryImage>
     tryDeserialize(const std::vector<std::uint8_t> &raw,

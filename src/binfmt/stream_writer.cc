@@ -1,16 +1,10 @@
 #include "binfmt/stream_writer.hh"
 
+#include "isa/bytes.hh"
 #include "support/logging.hh"
 
 namespace icp
 {
-
-namespace
-{
-
-constexpr std::uint32_t sbf_magic = 0x31464253; // "SBF1"
-
-} // namespace
 
 void
 VectorSink::append(const void *data, std::size_t len)
@@ -27,66 +21,46 @@ FileSink::append(const void *data, std::size_t len)
 }
 
 void
-SbfStreamWriter::putU8(std::uint8_t v)
+SbfStreamWriter::emit(std::vector<std::uint8_t> &bytes)
 {
-    sink_.append(&v, 1);
-}
-
-void
-SbfStreamWriter::putU32(std::uint32_t v)
-{
-    std::uint8_t b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    sink_.append(b, sizeof(b));
-}
-
-void
-SbfStreamWriter::putU64(std::uint64_t v)
-{
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    sink_.append(b, sizeof(b));
-}
-
-void
-SbfStreamWriter::putString(const std::string &s)
-{
-    putU32(static_cast<std::uint32_t>(s.size()));
-    sink_.append(s.data(), s.size());
+    sink_.append(bytes.data(), bytes.size());
+    bytes.clear();
 }
 
 void
 SbfStreamWriter::beginImage(const BinaryImage &img)
 {
-    putU32(sbf_magic);
-    putU8(static_cast<std::uint8_t>(img.arch));
-    putU8(img.pie ? 1 : 0);
-    putU64(img.prefBase);
-    putU64(img.entry);
-    putU64(img.tocBase);
-    putString(img.soname);
-    putU8(img.features.cppExceptions);
-    putU8(img.features.isGo);
-    putU8(img.features.rustMetadata);
-    putU8(img.features.symbolVersioning);
-    putU8(img.features.fortranComponent);
-    putU32(static_cast<std::uint32_t>(img.sections.size()));
+    std::vector<std::uint8_t> out;
+    putU32(out, sbf_magic);
+    putU8(out, static_cast<std::uint8_t>(img.arch));
+    putU8(out, img.pie ? 1 : 0);
+    putU64(out, img.prefBase);
+    putU64(out, img.entry);
+    putU64(out, img.tocBase);
+    putString(out, img.soname);
+    putU8(out, img.features.cppExceptions);
+    putU8(out, img.features.isGo);
+    putU8(out, img.features.rustMetadata);
+    putU8(out, img.features.symbolVersioning);
+    putU8(out, img.features.fortranComponent);
+    putU32(out, static_cast<std::uint32_t>(img.sections.size()));
+    emit(out);
 }
 
 void
 SbfStreamWriter::sectionHeader(const Section &s,
                                std::uint64_t payloadLen)
 {
-    putString(s.name);
-    putU8(static_cast<std::uint8_t>(s.kind));
-    putU64(s.addr);
-    putU64(s.memSize);
-    putU8(static_cast<std::uint8_t>((s.loadable ? 1 : 0) |
-                                    (s.executable ? 2 : 0) |
-                                    (s.writable ? 4 : 0)));
-    putU32(static_cast<std::uint32_t>(payloadLen));
+    std::vector<std::uint8_t> out;
+    putString(out, s.name);
+    putU8(out, static_cast<std::uint8_t>(s.kind));
+    putU64(out, s.addr);
+    putU64(out, s.memSize);
+    putU8(out, static_cast<std::uint8_t>((s.loadable ? 1 : 0) |
+                                         (s.executable ? 2 : 0) |
+                                         (s.writable ? 4 : 0)));
+    putU32(out, static_cast<std::uint32_t>(payloadLen));
+    emit(out);
 }
 
 void
@@ -140,24 +114,29 @@ void
 SbfStreamWriter::finishImage(const BinaryImage &img)
 {
     icp_assert(!streaming_, "finishImage inside streamed section");
-    putU32(static_cast<std::uint32_t>(img.symbols.size()));
+    std::vector<std::uint8_t> out;
+    putU32(out, static_cast<std::uint32_t>(img.symbols.size()));
     for (const auto &sym : img.symbols) {
-        putString(sym.name);
-        putU8(static_cast<std::uint8_t>(sym.kind));
-        putU64(sym.addr);
-        putU64(sym.size);
+        putString(out, sym.name);
+        putU8(out, static_cast<std::uint8_t>(sym.kind));
+        putU64(out, sym.addr);
+        putU64(out, sym.size);
+        emit(out);
     }
-    putU32(static_cast<std::uint32_t>(img.relocs.size()));
+    putU32(out, static_cast<std::uint32_t>(img.relocs.size()));
     for (const auto &rel : img.relocs) {
-        putU64(rel.site);
-        putU64(static_cast<std::uint64_t>(rel.addend));
+        putU64(out, rel.site);
+        putU64(out, static_cast<std::uint64_t>(rel.addend));
+        emit(out);
     }
-    putU32(static_cast<std::uint32_t>(img.linkRelocs.size()));
+    putU32(out, static_cast<std::uint32_t>(img.linkRelocs.size()));
     for (const auto &rel : img.linkRelocs) {
-        putU64(rel.site);
-        putString(rel.symbol);
-        putU64(static_cast<std::uint64_t>(rel.addend));
+        putU64(out, rel.site);
+        putString(out, rel.symbol);
+        putU64(out, static_cast<std::uint64_t>(rel.addend));
+        emit(out);
     }
+    emit(out);
 }
 
 void

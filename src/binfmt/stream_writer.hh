@@ -90,10 +90,8 @@ class SbfStreamWriter
     void finishImage(const BinaryImage &img);
 
   private:
-    void putU8(std::uint8_t v);
-    void putU32(std::uint32_t v);
-    void putU64(std::uint64_t v);
-    void putString(const std::string &s);
+    /** Append @p bytes, packed by isa/bytes.hh, and clear them. */
+    void emit(std::vector<std::uint8_t> &bytes);
     void sectionHeader(const Section &s, std::uint64_t payloadLen);
 
     SbfSink &sink_;

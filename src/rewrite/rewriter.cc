@@ -1100,10 +1100,11 @@ Rewriter::injectByteDefect()
         Section *s = out_.findSection(SectionKind::raMap);
         if (!s || s->bytes.empty())
             return;
-        AddrPairMap parsed = AddrPairMap::parse(s->bytes);
-        if (parsed.empty())
+        const auto parsed = AddrPairMap::parse(s->bytes);
+        icp_assert(parsed, "rewrite wrote a malformed .ra_map");
+        if (parsed->empty())
             return;
-        auto pairs = parsed.pairs();
+        auto pairs = parsed->pairs();
         pairs[0].second += 4;
         s->bytes = AddrPairMap(pairs).serialize();
         s->memSize = s->bytes.size();
@@ -1228,11 +1229,13 @@ Rewriter::injectByteDefect()
     }
 }
 
-/** Why this configuration cannot run, or empty. */
+/** Why this input and configuration cannot run, or empty. */
 std::string
-rejection(const RewriteOptions &opts, const RewritePass &pass,
-          bool sharded)
+rejection(const BinaryImage &input, const RewriteOptions &opts,
+          const RewritePass &pass, bool sharded)
 {
+    if (!input.findSection(SectionKind::text))
+        return "input has no .text section";
     if (opts.reachabilityPruning && opts.clobberOriginal) {
         return "reachability pruning lets original code execute; it "
                "cannot be combined with clobbering";
@@ -1524,7 +1527,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
  * One rewrite with the on-disk cache around it: merge the file
  * before analysis runs, write it back after a successful rewrite.
  * Both directions are best-effort — a corrupt or unwritable file can
- * only cost analysis reuse, never correctness. A rejected
+ * only cost analysis reuse, never correctness. A rejected input or
  * configuration fails before the file is touched.
  */
 RewriteResult
@@ -1535,7 +1538,8 @@ rewriteWithCache(const BinaryImage &input, const RewriteOptions &options,
     // Self time: copying the input, assembling the result, teardown.
     const ScopedTimer timer(rewrite_timer);
     RewriteResult rejected;
-    rejected.failReason = rejection(options, pass, sink != nullptr);
+    rejected.failReason =
+        rejection(input, options, pass, sink != nullptr);
     if (!rejected.failReason.empty())
         return rejected;
 

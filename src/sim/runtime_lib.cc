@@ -13,7 +13,9 @@ parseMapSection(const BinaryImage &image, SectionKind kind)
 {
     if (const Section *s = image.findSection(kind);
         s && !s->bytes.empty()) {
-        return AddrPairMap::parse(s->bytes);
+        auto map = AddrPairMap::parse(s->bytes);
+        icp_assert(map, "malformed %s", s->name.c_str());
+        return std::move(*map);
     }
     return AddrPairMap();
 }

@@ -78,10 +78,17 @@ lintRules()
          "container does not start with the SBF magic"},
         {"sbf-truncated", Severity::error,
          "container field or payload runs past the end of the blob"},
+        {"sbf-tag", Severity::error,
+         "unknown arch, section-kind or symbol-kind tag"},
         {"sbf-section-bounds", Severity::error,
          "section payload exceeds its memory size or wraps"},
         {"sbf-section-overlap", Severity::error,
          "two sections share addresses"},
+        {"sbf-payload", Severity::error,
+         "an .eh_frame, .ra_map or .trap_map payload does not parse"},
+        {"sbf-reloc", Severity::error,
+         "a relocation's 8-byte slot lies outside every loadable "
+         "section"},
         {"cache-magic", Severity::warning,
          "analysis-cache file does not start with the ICPC magic"},
         {"cache-version", Severity::info,
@@ -92,10 +99,8 @@ lintRules()
         {"cache-checksum", Severity::warning,
          "analysis-cache entry payload fails its checksum"},
         {"cache-entry", Severity::warning,
-         "analysis-cache entry payload does not decode"},
-        {"cache-skip", Severity::info,
-         "analysis-cache entry of an unknown kind was skipped "
-         "(file written by a newer build)"},
+         "analysis-cache entry is of an unknown kind or its payload "
+         "does not decode"},
     };
     return rules;
 }

@@ -739,21 +739,23 @@ class Checker
         checkMapInto("block map", m_.blockMap);
         checkMapInto("instruction map", m_.insnMap);
 
-        // .ra_map must round-trip to the manifest's pairs.
-        const Section *ra = rew_.findSection(SectionKind::raMap);
-        std::vector<std::pair<Addr, Addr>> stored;
-        if (ra)
-            stored = AddrPairMap::parse(ra->bytes).pairs();
+        // .ra_map must round-trip to the manifest's pairs; a map
+        // that does not parse stores none of them.
+        const auto storedPairs = [&](SectionKind kind) {
+            const Section *s = rew_.findSection(kind);
+            std::optional<AddrPairMap> map;
+            if (s)
+                map = AddrPairMap::parse(s->bytes);
+            return map ? map->pairs() : AddrPairs{};
+        };
+        const AddrPairs stored = storedPairs(SectionKind::raMap);
         std::vector<std::pair<Addr, Addr>> expect =
             AddrPairMap(m_.raPairs).pairs();
         checkedRaPairs_ = expect.size();
         comparePairs("'.ra_map'", stored, expect);
 
         // .trap_map must hold exactly the trap trampolines.
-        const Section *tm = rew_.findSection(SectionKind::trapMap);
-        std::vector<std::pair<Addr, Addr>> traps;
-        if (tm)
-            traps = AddrPairMap::parse(tm->bytes).pairs();
+        const AddrPairs traps = storedPairs(SectionKind::trapMap);
         std::vector<std::pair<Addr, Addr>> expect_traps;
         for (const TrampolinePatch &p : m_.trampolines)
             if (p.kind == TrampolineKind::trap)

@@ -1,0 +1,91 @@
+/**
+ * @file
+ * Crafted malformed SBF inputs shared by the validation tests: each
+ * is `icp compile micro --pie` of one ISA with one field changed.
+ * The first three are container defects that tryDeserialize rejects
+ * naming a rule; the last decodes cleanly but cannot be rewritten.
+ */
+
+#ifndef ICP_TESTS_CRAFTED_SBF_HH
+#define ICP_TESTS_CRAFTED_SBF_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "binfmt/image.hh"
+#include "codegen/compiler.hh"
+#include "codegen/workloads.hh"
+#include "isa/bytes.hh"
+
+namespace icp
+{
+
+enum class SbfDefect
+{
+    badArch,      ///< arch byte set to 7
+    ehFrameCount, ///< .eh_frame FDE count plus one
+    relocSite,    ///< first relocation site set to 0xdead0000
+    noText,       ///< .text kind byte set to `other`
+};
+
+inline constexpr SbfDefect all_sbf_defects[] = {
+    SbfDefect::badArch, SbfDefect::ehFrameCount, SbfDefect::relocSite,
+    SbfDefect::noText};
+
+inline const char *
+sbfDefectName(SbfDefect defect)
+{
+    switch (defect) {
+      case SbfDefect::badArch: return "bad-arch";
+      case SbfDefect::ehFrameCount: return "eh-frame-count";
+      case SbfDefect::relocSite: return "reloc-site";
+      case SbfDefect::noText: return "no-text";
+    }
+    return "?";
+}
+
+/** The rule tryDeserialize names, or null when the file decodes. */
+inline const char *
+sbfDefectRule(SbfDefect defect)
+{
+    switch (defect) {
+      case SbfDefect::badArch: return "sbf-tag";
+      case SbfDefect::ehFrameCount: return "sbf-payload";
+      case SbfDefect::relocSite: return "sbf-reloc";
+      case SbfDefect::noText: return nullptr;
+    }
+    return nullptr;
+}
+
+/** The serialized micro --pie image of @p arch with @p defect. */
+inline std::vector<std::uint8_t>
+craftSbf(Arch arch, SbfDefect defect)
+{
+    BinaryImage img = compileProgram(microProfile(arch, true));
+    switch (defect) {
+      case SbfDefect::badArch:
+        break;
+      case SbfDefect::ehFrameCount: {
+        std::vector<std::uint8_t> &eh =
+            img.findSection(SectionKind::ehFrame)->bytes;
+        std::vector<std::uint8_t> count;
+        putU32(count, getU32(eh.data()) + 1);
+        std::copy(count.begin(), count.end(), eh.begin());
+        break;
+      }
+      case SbfDefect::relocSite:
+        img.relocs.at(0).site = 0xdead0000;
+        break;
+      case SbfDefect::noText:
+        img.findSection(SectionKind::text)->kind = SectionKind::other;
+        break;
+    }
+    std::vector<std::uint8_t> raw = img.serialize();
+    if (defect == SbfDefect::badArch)
+        raw[4] = 7; // right after the magic
+    return raw;
+}
+
+} // namespace icp
+
+#endif // ICP_TESTS_CRAFTED_SBF_HH

@@ -5,7 +5,8 @@
  * x option variants). Unlike the identity sweeps, which compare two
  * code paths of the same build, this pins the bytes against a
  * recorded earlier output, so a refactor that changes every path the
- * same way is still caught.
+ * same way is still caught. An output that the SBF validator rejects
+ * records the rule instead of a digest.
  *
  *   rewrite_digests --check FILE   recompute; exit 1 on any mismatch
  *   rewrite_digests --write FILE   record the current digests
@@ -94,6 +95,10 @@ digestOf(const BinaryImage &img, const RewriteOptions &opts,
     }
     if (!ok)
         return "failed";
+    // Validation rejects nothing the rewriter writes.
+    std::vector<SbfIssue> issues;
+    if (!BinaryImage::tryDeserialize(bytes, issues))
+        return "rejected:" + issues.front().rule;
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016" PRIx64,
                   fnv1a(bytes.data(), bytes.size()));

@@ -2,7 +2,8 @@
  * @file
  * Binary-format tests: SBF serialization round trips, .eh_frame
  * record encoding, FDE lookup, landing-pad resolution, address-map
- * properties against a reference map, and image accessors.
+ * properties against a reference map, image accessors, and a seeded
+ * mutation sweep over the container's validation.
  */
 
 #include <algorithm>
@@ -17,6 +18,9 @@
 #include "binfmt/stream_writer.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
+#include "isa/bytes.hh"
+#include "rewrite/rewriter.hh"
+#include "sim/loader.hh"
 #include "support/random.hh"
 
 using namespace icp;
@@ -55,8 +59,28 @@ TEST(AddrPairMap, SerializationRoundTrip)
         {0x1000, 0x2000}, {0x1008, 0x2040}, {0xffffffffffULL, 7},
     };
     const AddrPairMap map(pairs);
-    const AddrPairMap back = AddrPairMap::parse(map.serialize());
-    EXPECT_EQ(back.pairs(), map.pairs());
+    const auto back = AddrPairMap::parse(map.serialize());
+    ASSERT_TRUE(back);
+    EXPECT_EQ(back->pairs(), map.pairs());
+}
+
+TEST(AddrPairMap, ParseRejectsMalformedBytes)
+{
+    const std::vector<std::uint8_t> good =
+        AddrPairMap({{0x1000, 0x2000}, {0x1008, 0x2040}}).serialize();
+    auto bytes = good;
+    bytes.pop_back(); // truncated
+    EXPECT_FALSE(AddrPairMap::parse(bytes));
+    bytes = good;
+    bytes.push_back(0); // trailing byte
+    EXPECT_FALSE(AddrPairMap::parse(bytes));
+    bytes = good;
+    std::copy(good.begin() + 4, good.begin() + 12, bytes.begin() + 20);
+    EXPECT_FALSE(AddrPairMap::parse(bytes)); // duplicate key
+    bytes = good;
+    bytes[3] = 0xff; // a count no payload can hold
+    EXPECT_FALSE(AddrPairMap::parse(bytes));
+    EXPECT_FALSE(AddrPairMap::parse({}));
 }
 
 TEST(EhFrame, RecordsRoundTrip)
@@ -74,7 +98,9 @@ TEST(EhFrame, RecordsRoundTrip)
     fdes[1].raOnStack = false;
 
     const auto bytes = serializeEhFrame(fdes);
-    const auto back = parseEhFrame(bytes);
+    const auto parsed = parseEhFrame(bytes);
+    ASSERT_TRUE(parsed);
+    const std::vector<FdeRecord> &back = *parsed;
     ASSERT_EQ(back.size(), 2u);
     EXPECT_EQ(back[0].start, fdes[0].start);
     EXPECT_EQ(back[0].frameSize, 48u);
@@ -83,6 +109,15 @@ TEST(EhFrame, RecordsRoundTrip)
     EXPECT_EQ(back[0].tryRanges[0].lpOff, 0x80u);
     EXPECT_FALSE(back[1].raOnStack);
     EXPECT_FALSE(back[1].savesCalleeSaved);
+
+    // One record more than the bytes hold, or one byte too many,
+    // does not parse.
+    auto longer = bytes;
+    longer[0] += 1;
+    EXPECT_FALSE(parseEhFrame(longer));
+    longer = bytes;
+    longer.push_back(0);
+    EXPECT_FALSE(parseEhFrame(longer));
 }
 
 TEST(EhFrame, IndexLookupAndLandingPads)
@@ -113,8 +148,11 @@ TEST(Image, SerializeRoundTripOnRealWorkload)
 {
     const BinaryImage img =
         compileProgram(microProfile(Arch::ppc64le, true));
-    const BinaryImage back =
-        BinaryImage::deserialize(img.serialize());
+    std::vector<SbfIssue> issues;
+    const auto parsed = BinaryImage::tryDeserialize(img.serialize(), issues);
+    ASSERT_TRUE(parsed);
+    EXPECT_TRUE(issues.empty());
+    const BinaryImage &back = *parsed;
     EXPECT_EQ(back.arch, img.arch);
     EXPECT_EQ(back.pie, img.pie);
     EXPECT_EQ(back.entry, img.entry);
@@ -238,4 +276,145 @@ TEST(StreamWriter, FileSinkMatchesVectorSink)
               from_file.size());
     std::fclose(f);
     EXPECT_EQ(from_file, img.serialize());
+}
+
+// --- seeded SBF mutation ----------------------------------------------------
+//
+// tryDeserialize is the one validation point: every mutated container
+// is either rejected with an issue, or every later parser of it (the
+// arch table, .eh_frame, the address maps, the loader) succeeds.
+
+namespace
+{
+
+/** One mutable byte range of a serialized image. */
+struct Region
+{
+    const char *name;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    int section = -1; ///< index of the section whose payload this is
+};
+
+/** The header, section records, map payloads, symbols and relocs. */
+std::vector<Region>
+regionsOf(const std::vector<std::uint8_t> &raw)
+{
+    std::vector<Region> regions;
+    ByteReader rd(raw);
+    rd.u32();
+    rd.u8();
+    rd.u8();
+    rd.u64();
+    rd.u64();
+    rd.u64();
+    rd.str();
+    for (int i = 0; i < 5; ++i)
+        rd.u8();
+    const std::uint32_t nsec = rd.u32();
+    regions.push_back({"header", 0, rd.pos()});
+    for (std::uint32_t i = 0; i < nsec; ++i) {
+        const std::size_t at = rd.pos();
+        rd.str();
+        const auto kind = static_cast<SectionKind>(rd.u8());
+        rd.u64();
+        rd.u64();
+        rd.u8();
+        const std::uint32_t len = rd.u32();
+        const std::size_t payload = rd.pos();
+        rd.blob(len);
+        regions.push_back({"section record", at, payload});
+        if ((kind == SectionKind::ehFrame || kind == SectionKind::raMap ||
+             kind == SectionKind::trapMap) &&
+            len != 0)
+            regions.push_back({sectionKindName(kind), payload,
+                               payload + len, static_cast<int>(i)});
+    }
+    std::size_t at = rd.pos();
+    for (std::uint32_t i = 0, n = rd.u32(); i < n; ++i) {
+        rd.str();
+        rd.u8();
+        rd.u64();
+        rd.u64();
+    }
+    regions.push_back({"symbols", at, rd.pos()});
+    at = rd.pos();
+    rd.blob(std::size_t{rd.u32()} * 16);
+    regions.push_back({"relocations", at, rd.pos()});
+    EXPECT_FALSE(rd.failed());
+    return regions;
+}
+
+} // namespace
+
+TEST(SbfMutation, EveryMutationIsRejectedOrUsable)
+{
+    unsigned rejected = 0;
+    unsigned accepted = 0;
+    for (Arch arch : all_arches) {
+        // A rewrite output carries .eh_frame, .ra_map and .trap_map.
+        RewriteOptions opts;
+        opts.mode = RewriteMode::jt;
+        opts.useAnalysisCache = false;
+        const RewriteResult rw =
+            rewriteBinary(compileProgram(microProfile(arch, true)), opts);
+        ASSERT_TRUE(rw.ok) << rw.failReason;
+        const std::vector<std::uint8_t> raw = rw.image.serialize();
+        const std::vector<Region> regions = regionsOf(raw);
+        Rng rng(0x5bf0 + static_cast<unsigned>(arch));
+        for (int trial = 0; trial < 400; ++trial) {
+            const Region &r = regions[rng.range(0, regions.size() - 1)];
+            const std::size_t at = rng.range(r.begin, r.end - 1);
+            std::vector<std::uint8_t> bytes = raw;
+            std::string what = std::string(r.name) + " ";
+            const std::uint64_t kind = rng.range(0, 3);
+            if (kind == 0) {
+                bytes.resize(at);
+                what += "container cut at " + std::to_string(at);
+            } else if (kind == 1 && r.section >= 0) {
+                BinaryImage img = rw.image;
+                Section &s = img.sections[r.section];
+                s.bytes.resize(at - r.begin);
+                bytes = img.serialize();
+                what += "payload cut to " + std::to_string(at - r.begin);
+            } else {
+                for (std::uint64_t n = rng.range(1, 3); n > 0; --n) {
+                    const std::size_t byte = rng.range(r.begin, r.end - 1);
+                    bytes[byte] ^= 1u << rng.range(0, 7);
+                    what += "flip@" + std::to_string(byte) + " ";
+                }
+            }
+            SCOPED_TRACE(std::string(archName(arch)) + ": " + what);
+
+            std::vector<SbfIssue> issues;
+            const auto img = BinaryImage::tryDeserialize(bytes, issues);
+            if (!img) {
+                EXPECT_FALSE(issues.empty());
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            EXPECT_TRUE(issues.empty());
+            img->archInfo();
+            img->fdeRecords();
+            for (SectionKind kind :
+                 {SectionKind::raMap, SectionKind::trapMap}) {
+                const Section *s = img->findSection(kind);
+                if (s && !s->bytes.empty()) {
+                    EXPECT_TRUE(AddrPairMap::parse(s->bytes));
+                }
+            }
+            std::uint64_t mem = 0;
+            for (const Section &s : img->sections)
+                mem += s.loadable ? std::min<std::uint64_t>(
+                                        s.memSize, 1ull << 40)
+                                  : 0;
+            if (mem < (64ull << 20)) {
+                EXPECT_NE(loadImage(*img), nullptr);
+            }
+        }
+    }
+    // Both outcomes occur, so the sweep exercises both paths.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(accepted, 0u);
 }

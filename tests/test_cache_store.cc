@@ -788,13 +788,11 @@ TEST(CacheStore, V3FileCarriesDataDepsEntries)
     const CacheFileInfo info = inspectCacheFile(path);
     EXPECT_EQ(info.version, cache_file_version);
     EXPECT_GT(info.functionEntries, 0u);
-    EXPECT_EQ(info.otherEntries, 0u);
 
     AnalysisCache::global().clear();
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(rep.clean());
     EXPECT_EQ(rep.loadedFunctions, info.functionEntries);
-    EXPECT_EQ(rep.skippedUnknown, 0u);
 
     // Each function record decodes with its read-set.
     unsigned with_reads = 0;
@@ -817,8 +815,8 @@ TEST(CacheStore, UnknownEntryKindIsSkippedNeverFatal)
     const unsigned before =
         AnalysisCache::global().load(path).loadedEntries();
 
-    // Append a well-formed segment holding one entry of a kind this
-    // build has never heard of — what a newer writer would leave.
+    // Append a well-formed segment holding one entry of a kind the
+    // format does not define.
     ParsedEntry future;
     future.arch = static_cast<std::uint8_t>(Arch::x64);
     future.kind = 77;
@@ -830,27 +828,31 @@ TEST(CacheStore, UnknownEntryKindIsSkippedNeverFatal)
     raw.insert(raw.end(), seg.begin(), seg.end());
     writeAll(path, raw);
 
-    // Structural tolerance: the unknown entry is skipped with one
-    // info-shaped cache-skip issue; everything else loads.
+    // Load never looks the record up: no issue, nothing dropped.
     AnalysisCache::global().clear();
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(rep.fileRead);
-    EXPECT_EQ(rep.skippedUnknown, 1u);
-    EXPECT_TRUE(hasIssue(rep, "cache-skip"));
+    EXPECT_TRUE(rep.clean());
     EXPECT_EQ(rep.droppedEntries, 0u);
     EXPECT_EQ(rep.loadedEntries(), before);
 
-    // The eager verifier and the header walker agree.
+    // The eager verifier reports it as a malformed entry.
     const CacheLoadReport verify = verifyCacheFile(path);
-    EXPECT_EQ(verify.skippedUnknown, 1u);
-    EXPECT_TRUE(hasIssue(verify, "cache-skip"));
-    EXPECT_EQ(inspectCacheFile(path).otherEntries, 1u);
+    EXPECT_TRUE(hasIssue(verify, "cache-entry"));
+    EXPECT_EQ(verify.droppedEntries, 1u);
+    EXPECT_EQ(verify.loadedEntries(), before);
 
-    // And a warm rewrite through the file is unaffected.
+    // A warm rewrite through the file is unaffected.
     AnalysisCache::global().clear();
     const RewriteResult warm = rewriteBinary(img, baseOptions(path));
     ASSERT_TRUE(warm.ok) << warm.failReason;
     EXPECT_EQ(warm.image.serialize(), cold);
+
+    // Compaction drops it, leaving a clean file.
+    CacheCompactionResult compaction;
+    ASSERT_TRUE(compactCacheFile(path, 0, compaction));
+    EXPECT_EQ(compaction.entriesKept, before);
+    EXPECT_TRUE(verifyCacheFile(path).clean());
 }
 
 // --- functions whose bytes cannot be read --------------------------------

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <string>
 
@@ -14,6 +15,8 @@
 #include <unistd.h>
 
 #include <gtest/gtest.h>
+
+#include "crafted_sbf.hh"
 
 #ifndef ICP_CLI_PATH
 #error "ICP_CLI_PATH must be defined by the build"
@@ -315,6 +318,46 @@ TEST(Cli, LintMalformedContainerReportsRule)
 
     // Non-lint commands fail with the same structured rule id.
     EXPECT_EQ(exitCode("inspect /tmp/icp_cli_trunc.sbf"), 1);
+}
+
+TEST(Cli, MalformedSbfExitsCleanlyNeverAborts)
+{
+    // A rejected container fails each command with its sbf-* rule:
+    // exit 1, or lint's exit 2 for an error finding. A file without
+    // .text decodes, so only the commands that rewrite fail on it.
+    for (icp::Arch arch : icp::all_arches) {
+        for (icp::SbfDefect defect : icp::all_sbf_defects) {
+            const std::string path =
+                std::string("/tmp/icp_cli_crafted_") +
+                icp::archName(arch) + "_" + icp::sbfDefectName(defect) +
+                ".sbf";
+            SCOPED_TRACE(path);
+            {
+                const auto raw = icp::craftSbf(arch, defect);
+                std::ofstream out(path, std::ios::binary);
+                out.write(reinterpret_cast<const char *>(raw.data()),
+                          static_cast<std::streamsize>(raw.size()));
+            }
+            const char *rule = icp::sbfDefectRule(defect);
+            EXPECT_EQ(exitCode("rewrite " + path +
+                               " /tmp/icp_cli_crafted_out.sbf"),
+                      1);
+            EXPECT_EQ(exitCode("lint " + path + " --mode func-ptr"), 2);
+            const std::string lint =
+                capture("lint " + path + " --mode func-ptr");
+            EXPECT_NE(lint.find(rule ? rule : "lint-input"),
+                      std::string::npos)
+                << lint;
+            EXPECT_EQ(exitCode("inspect " + path), rule ? 1 : 0);
+            EXPECT_EQ(exitCode("run " + path), rule ? 1 : 0);
+            if (rule) {
+                const std::string err =
+                    capture("run " + path + " 2>&1; true");
+                EXPECT_NE(err.find(rule), std::string::npos) << err;
+            }
+            std::remove(path.c_str());
+        }
+    }
 }
 
 TEST(Cli, RewriteWithLintGate)

@@ -3,8 +3,11 @@
  * Death tests for the internal-invariant machinery: icp_assert /
  * icp_panic abort with a diagnostic, and the library's precondition
  * checks fire on misuse (duplicate map keys, overlapping sections,
- * double finalize, unbound labels, out-of-order streamed chunks).
+ * double finalize, unbound labels, out-of-order streamed chunks),
+ * while malformed SBF input is rejected with a structured issue.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -13,8 +16,11 @@
 #include "binfmt/stream_writer.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
+#include "crafted_sbf.hh"
 #include "isa/assembler.hh"
+#include "rewrite/rewriter.hh"
 #include "support/logging.hh"
+#include "verify/diagnostics.hh"
 
 using namespace icp;
 
@@ -117,25 +123,9 @@ TEST(DeathTests, StreamWriterRejectsOutOfOrderChunks)
 
 // --- malformed SBF containers ---------------------------------------------
 //
-// The aborting deserialize() names the violated validation rule, and
-// the validating tryDeserialize() reports the same rule as a
-// structured issue instead of dying.
-
-TEST(DeathTests, DeserializeNamesTruncationRule)
-{
-    auto raw = compileProgram(microProfile(Arch::x64, false))
-                   .serialize();
-    raw.resize(raw.size() / 2);
-    EXPECT_DEATH(BinaryImage::deserialize(raw), "sbf-truncated");
-}
-
-TEST(DeathTests, DeserializeNamesMagicRule)
-{
-    auto raw = compileProgram(microProfile(Arch::x64, false))
-                   .serialize();
-    raw[0] ^= 0xff;
-    EXPECT_DEATH(BinaryImage::deserialize(raw), "sbf-magic");
-}
+// tryDeserialize is the one place that judges SBF input: a malformed
+// container is a structured issue naming a registered rule, never an
+// abort further down.
 
 TEST(SbfValidation, TryDeserializeReportsTruncation)
 {
@@ -207,4 +197,45 @@ TEST(SbfValidation, TryDeserializeRoundTripsValidImage)
     EXPECT_TRUE(issues.empty());
     EXPECT_EQ(parsed->arch, img.arch);
     EXPECT_EQ(parsed->sections.size(), img.sections.size());
+}
+
+TEST(SbfValidation, CraftedContainerDefectsNameRegisteredRules)
+{
+    for (Arch arch : all_arches) {
+        for (SbfDefect defect : all_sbf_defects) {
+            const char *rule = sbfDefectRule(defect);
+            if (!rule)
+                continue;
+            SCOPED_TRACE(std::string(archName(arch)) + " " +
+                         sbfDefectName(defect));
+            std::vector<SbfIssue> issues;
+            EXPECT_FALSE(BinaryImage::tryDeserialize(
+                craftSbf(arch, defect), issues));
+            ASSERT_EQ(issues.size(), 1u);
+            EXPECT_EQ(issues[0].rule, rule) << issues[0].message;
+            const auto &rules = lintRules();
+            EXPECT_TRUE(std::any_of(rules.begin(), rules.end(),
+                                    [&](const LintRuleInfo &r) {
+                                        return r.id == issues[0].rule;
+                                    }));
+        }
+    }
+}
+
+TEST(SbfValidation, MissingTextDecodesButRewriteFails)
+{
+    for (Arch arch : all_arches) {
+        SCOPED_TRACE(archName(arch));
+        std::vector<SbfIssue> issues;
+        const auto img = BinaryImage::tryDeserialize(
+            craftSbf(arch, SbfDefect::noText), issues);
+        ASSERT_TRUE(img);
+        EXPECT_TRUE(issues.empty());
+        RewriteOptions opts;
+        opts.useAnalysisCache = false;
+        const RewriteResult rw = rewriteBinary(*img, opts);
+        EXPECT_FALSE(rw.ok);
+        EXPECT_NE(rw.failReason.find(".text"), std::string::npos)
+            << rw.failReason;
+    }
 }

@@ -6,14 +6,17 @@
  * answer warm rewrites through loadInput's one-function invalidation
  * byte-identically to one-shot rewrites, LRU eviction under a tiny
  * budget re-opens evicted binaries correctly, concurrent clients on
- * distinct binaries stay isolated, and a drain completes in-flight
- * requests before removing the socket and lock files.
+ * distinct binaries stay isolated, a drain completes in-flight
+ * requests before removing the socket and lock files, and seeded
+ * mutations of captured request frames or malformed SBF inputs end
+ * in a structured reply, never a dead daemon.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,9 +30,11 @@
 #include "analysis/cache.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
+#include "crafted_sbf.hh"
 #include "rewrite/session.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
+#include "support/random.hh"
 
 using namespace icp;
 
@@ -176,6 +181,54 @@ rawConnect(const std::string &socket_path)
     return fd;
 }
 
+/** Request payloads a client sends, as the daemon receives them. */
+std::vector<std::vector<std::uint8_t>>
+capturedRequests(const std::string &sbf_path, bool with_writes)
+{
+    std::vector<ServeMessage> requests(6);
+    requests[0].verb = "ping";
+    requests[1].verb = "stats";
+    requests[2].verb = "open";
+    requests[2].set("path", sbf_path);
+    requests[3].verb = "open";
+    requests[3].set("path", sbf_path);
+    requests[3].set("mode", "jt");
+    requests[3].set("threads", std::uint64_t{1});
+    requests[3].set("count_blocks", std::uint64_t{1});
+    requests[4].verb = "lint";
+    requests[4].set("path", sbf_path);
+    requests[4].set("fail_on", "warning");
+    requests[5].verb = "deps";
+    requests[5].set("path", sbf_path);
+    if (with_writes) {
+        ServeMessage rewrite;
+        rewrite.verb = "rewrite";
+        rewrite.set("path", sbf_path);
+        rewrite.set("out", sbf_path + ".out");
+        requests.push_back(rewrite);
+        ServeMessage shutdown;
+        shutdown.verb = "shutdown";
+        requests.push_back(shutdown);
+    }
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (const ServeMessage &request : requests)
+        payloads.push_back(encodeServePayload(request));
+    return payloads;
+}
+
+/** One seeded mutation: 1-3 bit flips, or a cut at a random length. */
+std::vector<std::uint8_t>
+mutatePayload(std::vector<std::uint8_t> bytes, Rng &rng)
+{
+    if (rng.chance(0.25)) {
+        bytes.resize(rng.range(0, bytes.size() - 1));
+        return bytes;
+    }
+    for (std::uint64_t n = rng.range(1, 3); n > 0; --n)
+        bytes[rng.range(0, bytes.size() - 1)] ^= 1u << rng.range(0, 7);
+    return bytes;
+}
+
 } // namespace
 
 // --- protocol framing -----------------------------------------------------
@@ -292,6 +345,35 @@ TEST(ServeProtocol, FrameReadDegradesStructurally)
     EXPECT_EQ(readServeFrame(fds[1], out, 1000, error),
               FrameStatus::closed);
     close(fds[1]);
+}
+
+TEST(ServeProtocol, MutatedPayloadsParseOrFailStructurally)
+{
+    // Every mutated payload either fails with a reason or parses to
+    // a message that survives its own encoding unchanged.
+    Rng rng(0x5e7e);
+    const auto payloads =
+        capturedRequests("/tmp/icp_test_serve_fuzz.sbf", true);
+    unsigned parsed = 0;
+    for (int trial = 0; trial < 4000; ++trial) {
+        const auto bytes =
+            mutatePayload(payloads[trial % payloads.size()], rng);
+        ServeMessage msg;
+        std::string error;
+        if (!parseServePayload(bytes.data(), bytes.size(), msg, error)) {
+            EXPECT_FALSE(error.empty());
+            continue;
+        }
+        ++parsed;
+        const auto again = encodeServePayload(msg);
+        ServeMessage back;
+        ASSERT_TRUE(parseServePayload(again.data(), again.size(), back,
+                                      error))
+            << error;
+        EXPECT_EQ(back.verb, msg.verb);
+        EXPECT_EQ(back.fields, msg.fields);
+    }
+    EXPECT_GT(parsed, 0u);
 }
 
 // --- daemon behavior ------------------------------------------------------
@@ -845,4 +927,98 @@ TEST(ServeDaemon, SecondDaemonOnSameSocketIsRefused)
     ServeMessage ping;
     ping.verb = "ping";
     EXPECT_EQ(daemon.call(ping).verb, "ok");
+}
+
+TEST(ServeDaemon, MutatedFramesGetStructuredReplies)
+{
+    // Each mutated request frame ends in a reply the protocol parses
+    // (ok or a structured error) or a closed connection; the daemon
+    // keeps serving throughout.
+    AnalysisCache::global().clear();
+    const std::string in_path = "/tmp/icp_test_serve_fuzz.sbf";
+    ASSERT_TRUE(writeFileBytes(
+        in_path,
+        compileProgram(microProfile(Arch::x64, true)).serialize()));
+    DaemonFixture daemon("fuzz");
+    Rng rng(0xf7a3);
+    const auto payloads = capturedRequests(in_path, false);
+    std::map<std::string, unsigned> replies;
+    for (int trial = 0; trial < 120; ++trial) {
+        const auto bytes =
+            mutatePayload(payloads[trial % payloads.size()], rng);
+        std::vector<std::uint8_t> frame(4);
+        for (unsigned b = 0; b < 4; ++b)
+            frame[b] = static_cast<std::uint8_t>(bytes.size() >> (8 * b));
+        frame.insert(frame.end(), bytes.begin(), bytes.end());
+        const int fd = rawConnect(daemon.socketPath());
+        ASSERT_GE(fd, 0);
+        // The daemon may hang up early (an empty frame is malformed
+        // at its header), so a failed send is an outcome, not an error.
+        (void)send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+        shutdown(fd, SHUT_WR);
+        ServeMessage reply;
+        std::string error;
+        const FrameStatus status = readServeFrame(fd, reply, 20000, error);
+        close(fd);
+        EXPECT_TRUE(status == FrameStatus::ok ||
+                    status == FrameStatus::closed)
+            << frameStatusName(status) << " " << error;
+        if (status == FrameStatus::ok) {
+            EXPECT_TRUE(reply.verb == "ok" || reply.verb == "error")
+                << reply.verb;
+            ++replies[reply.verb];
+        }
+    }
+    // Some mutations stay valid requests, most do not.
+    EXPECT_GT(replies["ok"], 0u);
+    EXPECT_GT(replies["error"], 0u);
+    ServeMessage ping;
+    ping.verb = "ping";
+    EXPECT_EQ(daemon.call(ping).verb, "ok");
+    std::remove(in_path.c_str());
+}
+
+TEST(ServeDaemon, MalformedSbfOpensGetErrorsAndTheDaemonStaysUp)
+{
+    AnalysisCache::global().clear();
+    DaemonFixture daemon("crafted");
+    for (Arch arch : all_arches) {
+        for (SbfDefect defect : all_sbf_defects) {
+            const std::string path =
+                std::string("/tmp/icp_test_serve_crafted_") +
+                archName(arch) + "_" + sbfDefectName(defect) + ".sbf";
+            ASSERT_TRUE(writeFileBytes(path, craftSbf(arch, defect)));
+            ServeMessage open;
+            open.verb = "open";
+            open.set("path", path);
+            const ServeMessage reply = daemon.call(open);
+            EXPECT_EQ(reply.verb, "error") << path;
+            const char *rule = sbfDefectRule(defect);
+            EXPECT_NE(reply.get("error").find(rule ? rule : ".text"),
+                      std::string::npos)
+                << reply.get("error");
+            std::remove(path.c_str());
+        }
+    }
+
+    ServeMessage ping;
+    ping.verb = "ping";
+    EXPECT_EQ(daemon.call(ping).verb, "ok");
+
+    // A valid file still rewrites byte-identically to a one-shot run.
+    const std::string in_path = "/tmp/icp_test_serve_crafted_ok.sbf";
+    const std::string out_path = "/tmp/icp_test_serve_crafted_out.sbf";
+    const BinaryImage base = compileProgram(microProfile(Arch::x64, true));
+    ASSERT_TRUE(writeFileBytes(in_path, base.serialize()));
+    ServeMessage rewrite;
+    rewrite.verb = "rewrite";
+    rewrite.set("path", in_path);
+    rewrite.set("out", out_path);
+    ASSERT_EQ(daemon.call(rewrite).verb, "ok");
+    RewriteSession oneshot(base);
+    const RewriteResult &rw = oneshot.rewrite(serveDefaultOptions());
+    ASSERT_TRUE(rw.ok) << rw.failReason;
+    EXPECT_EQ(readFileBytes(out_path), rw.image.serialize());
+    std::remove(in_path.c_str());
+    std::remove(out_path.c_str());
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the support layer: deterministic RNG, interval
- * map, statistics, the metrics registry, and the table renderer.
+ * Unit tests for the support layer: deterministic RNG, statistics,
+ * the metrics registry, and the table renderer.
  */
 
 #include <chrono>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "support/interval_map.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
@@ -69,40 +68,6 @@ TEST(Rng, WeightedPickHonorsWeights)
         counts[rng.weightedPick({1.0, 2.0, 0.0})]++;
     EXPECT_EQ(counts[2], 0u);
     EXPECT_NEAR(counts[1], 2 * counts[0], counts[0] / 2);
-}
-
-TEST(IntervalMap, InsertFindAndOverlapRejection)
-{
-    IntervalMap<int> map;
-    EXPECT_TRUE(map.insert(10, 20, 1));
-    EXPECT_TRUE(map.insert(20, 30, 2));
-    EXPECT_FALSE(map.insert(15, 25, 3)); // overlaps both
-    EXPECT_FALSE(map.insert(5, 11, 4));  // overlaps head
-    EXPECT_TRUE(map.insert(0, 10, 5));   // adjacent is fine
-
-    EXPECT_EQ(*map.find(10), 1);
-    EXPECT_EQ(*map.find(19), 1);
-    EXPECT_EQ(*map.find(20), 2);
-    EXPECT_EQ(map.find(30), nullptr);
-    EXPECT_EQ(*map.find(0), 5);
-
-    auto bounds = map.bounds(25);
-    ASSERT_TRUE(bounds.has_value());
-    EXPECT_EQ(bounds->first, 20u);
-    EXPECT_EQ(bounds->second, 30u);
-}
-
-TEST(IntervalMap, NextAtOrAfterAndErase)
-{
-    IntervalMap<int> map;
-    map.insert(100, 110, 1);
-    map.insert(200, 210, 2);
-    auto next = map.nextAtOrAfter(111);
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(next->start, 200u);
-    EXPECT_TRUE(map.eraseAt(200));
-    EXPECT_FALSE(map.eraseAt(200));
-    EXPECT_FALSE(map.nextAtOrAfter(111).has_value());
 }
 
 TEST(SampleStats, MinMaxMeanPercentile)

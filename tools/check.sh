@@ -7,8 +7,8 @@
 #                  and the serve daemon tests (worker pool, drain)
 #   asan           Address+UBSanitizer build + the memory-heavy suites
 #                  (rewriter, verifier, binfmt, engine, session, cache
-#                  store, sharded rewrite) and the repair-loop CLI
-#                  smoke
+#                  store, sharded rewrite, serve daemon) and the
+#                  repair-loop CLI smoke
 #   release        plain release build + the complete ctest suite
 #   lint-baseline  lint the canonical input against the checked-in
 #                  report (tests/data/lint_baseline.json): any new
@@ -117,8 +117,9 @@ leg_asan() {
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" &&
     cmake --build build-asan -j "$jobs" \
         --target test_lint test_rewrite test_binfmt test_engine \
-                 test_session test_cache_store test_shard icp_cli &&
-    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard tests ==" &&
+                 test_session test_cache_store test_shard test_serve \
+                 icp_cli &&
+    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve tests ==" &&
     ./build-asan/tests/test_lint &&
     ./build-asan/tests/test_rewrite &&
     ./build-asan/tests/test_binfmt &&
@@ -126,6 +127,7 @@ leg_asan() {
     ./build-asan/tests/test_session &&
     ./build-asan/tests/test_cache_store &&
     ./build-asan/tests/test_shard &&
+    ./build-asan/tests/test_serve &&
     echo "== ASan+UBSan: repair-loop smoke (inject -> repair -> lint) ==" &&
     smoke_dir="$(mktemp -d)" &&
     ./build-asan/tools/icp compile micro "$smoke_dir/in.sbf" --pie &&

@@ -1077,8 +1077,7 @@ cmdCache(int argc, char **argv)
         std::printf(
             "%s: v%u, %llu bytes, %u segment%s (generation %llu)\n"
             "  function:      %u entries, %llu payload bytes\n"
-            "  liveness:      %u entries, %llu payload bytes\n"
-            "  unknown kind: %u, %llu payload bytes total\n",
+            "  liveness:      %u entries, %llu payload bytes\n",
             path.c_str(), info.version,
             static_cast<unsigned long long>(info.fileBytes),
             info.segments, info.segments == 1 ? "" : "s",
@@ -1088,12 +1087,9 @@ cmdCache(int argc, char **argv)
                 info.functionPayloadBytes),
             info.livenessEntries,
             static_cast<unsigned long long>(
-                info.livenessPayloadBytes),
-            info.otherEntries,
-            static_cast<unsigned long long>(info.payloadBytes));
-        const unsigned total = info.functionEntries +
-                               info.livenessEntries +
-                               info.otherEntries;
+                info.livenessPayloadBytes));
+        const unsigned total =
+            info.functionEntries + info.livenessEntries;
         std::printf("  sharing: %u total entries, %u distinct keys, "
                     "%u distinct payloads\n",
                     total, info.distinctKeys, info.distinctPayloads);
@@ -1113,11 +1109,10 @@ cmdCache(int argc, char **argv)
             return 1;
         }
         std::printf("%s: %u entries verified (%u function, "
-                    "%u liveness), %u dropped, "
-                    "%u skipped (unknown kind)\n",
+                    "%u liveness), %u dropped\n",
                     path.c_str(), rep.loadedEntries(),
                     rep.loadedFunctions, rep.loadedLiveness,
-                    rep.droppedEntries, rep.skippedUnknown);
+                    rep.droppedEntries);
         printCacheIssues(rep.issues);
         return rep.clean() ? 0 : 2;
     }
