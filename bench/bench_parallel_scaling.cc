@@ -549,17 +549,12 @@ warmSessionSection(icp::bench::JsonSections &sections)
 Addr
 findUnreadDataByte(RewriteSession &session)
 {
-    DepIndex index;
-    for (const auto &[entry, func] : session.analyze().functions)
-        index.add(entry, func.dataDeps);
-    index.build();
-
+    const CfgModule &cfg = session.analyze();
     const RewriteManifest &manifest = session.lastResult().manifest;
     auto claimed = [&](Addr a) {
-        std::set<Addr> owners;
-        index.overlapping(a, a + 1, owners);
-        if (!owners.empty())
-            return true;
+        for (const FunctionSlot &slot : cfg.functions)
+            if (slot.fn->dataDeps.overlaps(a, a + 1))
+                return true;
         for (const auto &[addr, len] : manifest.scratchRanges)
             if (a >= addr && a < addr + len)
                 return true;

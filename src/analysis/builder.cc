@@ -18,8 +18,6 @@ const Timer analysis_timer = Metrics::global().timer("analysis");
 const Timer disasm_timer = Metrics::global().timer("disasm");
 const Timer cfg_timer = Metrics::global().timer("cfg");
 const Timer jump_table_timer = Metrics::global().timer("jump-table");
-const Timer deps_validate_timer =
-    Metrics::global().timer("deps.validate");
 
 /** Per-function construction state. */
 class FunctionBuilder
@@ -466,12 +464,7 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
                     // cross-binary hit the read-set comes back
                     // rebased to *this* image's addresses, so the
                     // re-hash checks this binary's data bytes.
-                    bool ok = false;
-                    {
-                        ScopedTimer timer(deps_validate_timer);
-                        ok = hit->dataDeps.validate(image);
-                    }
-                    if (ok) {
+                    if (hit->dataDeps.validate(image)) {
                         dc.hitsValidated.add();
                         built[i] = std::move(hit);
                         return;

@@ -12,6 +12,7 @@ namespace icp
 {
 
 const Timer deps_compute_timer = Metrics::global().timer("deps.compute");
+const Timer deps_validate_timer = Metrics::global().timer("deps.validate");
 
 void
 DataDeps::add(Addr lo, Addr hi)
@@ -43,6 +44,9 @@ DataDeps::finalize(const BinaryImage &image)
 bool
 DataDeps::validate(const BinaryImage &image) const
 {
+    if (ranges_.empty())
+        return true;
+    const ScopedTimer timer(deps_validate_timer);
     for (const DepRange &r : ranges_)
         if (hashImageRange(image, r.lo, r.hi) != r.hash)
             return false;
@@ -217,40 +221,6 @@ computeDataDeps(const Function &func, const BinaryImage &image)
 
     deps.finalize(image);
     return deps;
-}
-
-void
-DepIndex::add(Addr funcEntry, const DataDeps &deps)
-{
-    for (const DepRange &r : deps.ranges())
-        nodes_.push_back({r.lo, r.hi, funcEntry});
-    built_ = false;
-}
-
-void
-DepIndex::build()
-{
-    std::sort(nodes_.begin(), nodes_.end(),
-              [](const Node &a, const Node &b) {
-                  return a.lo != b.lo ? a.lo < b.lo : a.hi < b.hi;
-              });
-    built_ = true;
-}
-
-void
-DepIndex::overlapping(Addr lo, Addr hi, std::set<Addr> &out) const
-{
-    if (hi <= lo || !built_)
-        return;
-    // Nodes from different owners may nest arbitrarily, so only the
-    // upper bound (first node starting at or past hi) is a binary
-    // search; below it every node's extent must be tested.
-    auto end = std::partition_point(
-        nodes_.begin(), nodes_.end(),
-        [&](const Node &n) { return n.lo < hi; });
-    for (auto it = nodes_.begin(); it != end; ++it)
-        if (it->hi > lo)
-            out.insert(it->owner);
 }
 
 } // namespace icp

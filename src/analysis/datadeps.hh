@@ -11,12 +11,13 @@
  *
  * Two consumers:
  *
- *  - Overlap-keyed invalidation (RewriteSession::loadInput): a data
- *    edit dirties exactly the functions whose recorded ranges
- *    overlap the changed bytes — a string-table edit re-analyzes and
- *    re-emits zero functions — and the analysis cache validates a
- *    hit by re-hashing its recorded ranges against the current image
- *    instead of folding every data byte into the key.
+ *  - Invalidation: validate() is the one test for "did the bytes
+ *    this function read change?". The analysis cache applies it to
+ *    every hit instead of folding every data byte into the key, and
+ *    RewriteSession::loadInput applies it to every function of the
+ *    previous CFG, so a data edit dirties exactly the functions
+ *    whose read-sets it touches — a string-table edit re-analyzes
+ *    and re-emits zero functions.
  *
  *  - Audit (src/verify lint rules datadep-missing / datadep-stale /
  *    datadep-overbroad): the recorded read-set is a checkable
@@ -32,7 +33,6 @@
 #define ICP_ANALYSIS_DATADEPS_HH
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "support/types.hh"
@@ -72,7 +72,9 @@ class DataDeps
     /**
      * True when every recorded range still hashes to its recorded
      * value in @p image — i.e. no byte this function's analysis read
-     * has changed, so a cache hit keyed on code bytes alone is safe.
+     * has changed, so a cache hit keyed on code bytes alone is safe
+     * and a session may splice the function's previous output.
+     * Timed as `deps.validate`.
      */
     bool validate(const BinaryImage &image) const;
 
@@ -115,36 +117,6 @@ std::uint64_t hashImageRange(const BinaryImage &image, Addr lo,
  */
 DataDeps computeDataDeps(const Function &func,
                          const BinaryImage &image);
-
-/**
- * An overlap index over many functions' read-sets: flat sorted
- * ranges tagged with their owning function entry. Build once per
- * invalidation query set (loadInput); query per changed byte range.
- */
-class DepIndex
-{
-  public:
-    /** Add one function's finalized read-set. */
-    void add(Addr funcEntry, const DataDeps &deps);
-
-    /** Sort; call after the last add() and before overlapping(). */
-    void build();
-
-    /** Collect owners of ranges intersecting [lo, hi) into @p out. */
-    void overlapping(Addr lo, Addr hi, std::set<Addr> &out) const;
-
-    std::size_t rangeCount() const { return nodes_.size(); }
-
-  private:
-    struct Node
-    {
-        Addr lo = 0;
-        Addr hi = 0;
-        Addr owner = 0;
-    };
-    std::vector<Node> nodes_;
-    bool built_ = false;
-};
 
 } // namespace icp
 

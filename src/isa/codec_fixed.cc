@@ -37,6 +37,19 @@ regByte(Reg r)
     return v;
 }
 
+/**
+ * Decode the register field @p v into @p out; false when @p v names
+ * no register, so regByte() could never have encoded it.
+ */
+bool
+regField(unsigned v, Reg &out)
+{
+    if (v >= num_regs)
+        return false;
+    out = static_cast<Reg>(v);
+    return true;
+}
+
 std::uint8_t
 szLog2(std::uint8_t size)
 {
@@ -324,16 +337,19 @@ CodecFixed::decode(const std::uint8_t *bytes, std::size_t avail,
 
       case T_JMPIND:
         out.op = Opcode::JmpInd;
-        out.rs1 = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rs1))
+            break;
         return true;
       case T_CALLIND:
         out.op = Opcode::CallInd;
-        out.rs1 = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rs1))
+            break;
         return true;
       case T_MTTAR:
         if (!opts_.hasToc) break;
         out.op = Opcode::MoveToTar;
-        out.rs1 = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rs1))
+            break;
         return true;
 
       case T_MOVREG: case T_ADD: case T_SUB: case T_MUL: case T_XOR:
@@ -344,24 +360,28 @@ CodecFixed::decode(const std::uint8_t *bytes, std::size_t avail,
           case T_MUL: out.op = Opcode::Mul; break;
           default: out.op = Opcode::Xor; break;
         }
-        out.rd = static_cast<Reg>(bytes[1]);
-        out.rs1 = static_cast<Reg>(bytes[2]);
+        if (!regField(bytes[1], out.rd) ||
+            !regField(bytes[2], out.rs1))
+            break;
         return true;
       case T_CMP:
         out.op = Opcode::Cmp;
-        out.rs1 = static_cast<Reg>(bytes[1]);
-        out.rs2 = static_cast<Reg>(bytes[2]);
+        if (!regField(bytes[1], out.rs1) ||
+            !regField(bytes[2], out.rs2))
+            break;
         return true;
 
       case T_SHL: case T_SHR:
         out.op = tag == T_SHL ? Opcode::ShlImm : Opcode::ShrImm;
-        out.rd = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rd))
+            break;
         out.imm = bytes[2];
         return true;
 
       case T_MOVZK:
         out.op = Opcode::MovImm;
-        out.rd = static_cast<Reg>(bytes[1] & 0x1f);
+        if (!regField(bytes[1] & 0x1f, out.rd))
+            break;
         out.movShift = static_cast<std::uint8_t>(
             ((bytes[1] >> 5) & 3) * 16);
         out.movKeep = bytes[1] & 0x80;
@@ -370,25 +390,29 @@ CodecFixed::decode(const std::uint8_t *bytes, std::size_t avail,
 
       case T_ADDIMM:
         out.op = Opcode::AddImm;
-        out.rd = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rd))
+            break;
         out.imm = signExtend(getU16(bytes + 2), 16);
         return true;
       case T_CMPIMM:
         out.op = Opcode::CmpImm;
-        out.rs1 = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rs1))
+            break;
         out.imm = signExtend(getU16(bytes + 2), 16);
         return true;
       case T_ADDISTOC:
         if (!opts_.hasToc) break;
         out.op = Opcode::AddisToc;
-        out.rd = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rd))
+            break;
         out.imm = signExtend(getU16(bytes + 2), 16);
         return true;
 
       case T_LEA: {
         if (!opts_.hasAdr) break;
         out.op = Opcode::Lea;
-        out.rd = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rd))
+            break;
         const std::int64_t words = signExtend(getU16(bytes + 2), 16);
         out.target = static_cast<Addr>(
             static_cast<std::int64_t>(addr) + words * 4);
@@ -397,7 +421,8 @@ CodecFixed::decode(const std::uint8_t *bytes, std::size_t avail,
       case T_ADRP: {
         if (!opts_.hasAdr) break;
         out.op = Opcode::AdrPage;
-        out.rd = static_cast<Reg>(bytes[1]);
+        if (!regField(bytes[1], out.rd))
+            break;
         const std::int64_t pages = signExtend(getU16(bytes + 2), 16);
         out.target = static_cast<Addr>(
             (static_cast<std::int64_t>(addr >> 16) + pages) << 16);
@@ -407,33 +432,40 @@ CodecFixed::decode(const std::uint8_t *bytes, std::size_t avail,
       case T_LOAD: case T_STORE:
         if (tag == T_LOAD) {
             out.op = Opcode::Load;
-            out.rd = static_cast<Reg>(bytes[1]);
+            if (!regField(bytes[1], out.rd))
+                break;
         } else {
             out.op = Opcode::Store;
-            out.rs2 = static_cast<Reg>(bytes[1]);
+            if (!regField(bytes[1], out.rs2))
+                break;
         }
-        out.rs1 = static_cast<Reg>(bytes[2]);
+        if (!regField(bytes[2], out.rs1))
+            break;
         out.imm = signExtend(bytes[3], 8) * 8;
         return true;
 
       case T_LOADSZ: case T_STORESZ:
         if (tag == T_LOADSZ) {
             out.op = Opcode::LoadSz;
-            out.rd = static_cast<Reg>(bytes[1]);
+            if (!regField(bytes[1], out.rd))
+                break;
         } else {
             out.op = Opcode::StoreSz;
-            out.rs2 = static_cast<Reg>(bytes[1]);
+            if (!regField(bytes[1], out.rs2))
+                break;
         }
-        out.rs1 = static_cast<Reg>(bytes[2]);
+        if (!regField(bytes[2], out.rs1))
+            break;
         out.memSize = static_cast<std::uint8_t>(1u << ((bytes[3] >> 1) & 3));
         out.signedLoad = bytes[3] & 1;
         return true;
 
       case T_LOADIDX:
         out.op = Opcode::LoadIdx;
-        out.rd = static_cast<Reg>(bytes[1]);
-        out.rs1 = static_cast<Reg>(bytes[2]);
-        out.rs2 = static_cast<Reg>(bytes[3] >> 3);
+        if (!regField(bytes[1], out.rd) ||
+            !regField(bytes[2], out.rs1) ||
+            !regField(bytes[3] >> 3, out.rs2))
+            break;
         out.memSize = static_cast<std::uint8_t>(1u << ((bytes[3] >> 1) & 3));
         out.signedLoad = bytes[3] & 1;
         return true;
@@ -444,6 +476,8 @@ CodecFixed::decode(const std::uint8_t *bytes, std::size_t avail,
         return true;
 
       case T_JCC: {
+        if ((bytes[1] >> 4) > static_cast<unsigned>(Cond::ge))
+            break; // no such condition
         out.op = Opcode::JmpCond;
         out.cond = static_cast<Cond>(bytes[1] >> 4);
         const std::uint32_t w = (static_cast<std::uint32_t>(bytes[1] & 0xf)

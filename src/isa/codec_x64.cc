@@ -386,7 +386,8 @@ CodecX64::decode(const std::uint8_t *bytes, std::size_t avail, Addr addr,
         dispTarget(signExtend(getU32(bytes + 1), 32));
         return true;
       case T_JCC:
-        if (!need(6)) return false;
+        if (!need(6) || bytes[1] > static_cast<unsigned>(Cond::ge))
+            return false;
         out.op = Opcode::JmpCond;
         out.cond = static_cast<Cond>(bytes[1]);
         dispTarget(signExtend(getU32(bytes + 2), 32));
@@ -447,7 +448,8 @@ CodecX64::decode(const std::uint8_t *bytes, std::size_t avail, Addr addr,
         return true;
 
       case T_LOADSZ: case T_STORESZ:
-        if (!need(7)) return false;
+        // bytes[2] holds only the size and sign bits.
+        if (!need(7) || bytes[2] > 7) return false;
         if (tag == T_LOADSZ) {
             out.op = Opcode::LoadSz;
             out.rd = unpackHi(bytes[1]);
@@ -462,7 +464,8 @@ CodecX64::decode(const std::uint8_t *bytes, std::size_t avail, Addr addr,
         return true;
 
       case T_LOADIDX:
-        if (!need(7)) return false;
+        // The index register must fit regBits' four bits.
+        if (!need(7) || (bytes[2] >> 3) > 15) return false;
         out.op = Opcode::LoadIdx;
         out.rd = unpackHi(bytes[1]);
         out.rs1 = unpackLo(bytes[1]);

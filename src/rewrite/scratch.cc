@@ -15,7 +15,6 @@ ScratchPool::donate(Addr start, std::uint64_t len, unsigned align)
     if (len == 0)
         return;
     free_[aligned] = std::max(free_[aligned], len);
-    donated_ += len;
 }
 
 std::optional<Addr>

@@ -32,11 +32,9 @@ class ScratchPool
                                  std::int64_t range, unsigned align);
 
     std::uint64_t bytesFree() const;
-    std::uint64_t bytesDonated() const { return donated_; }
 
   private:
     std::map<Addr, std::uint64_t> free_; ///< start -> length
-    std::uint64_t donated_ = 0;
 };
 
 } // namespace icp

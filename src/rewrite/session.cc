@@ -1,6 +1,8 @@
 #include "rewrite/session.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -16,8 +18,6 @@ namespace
 {
 
 const Timer diff_timer = Metrics::global().timer("session.diff");
-const Timer deps_index_timer =
-    Metrics::global().timer("session.deps_index");
 
 /**
  * Analysis settings that change the shape of the built CFG. Thread
@@ -58,35 +58,72 @@ selectiveLintRules()
 }
 
 /**
- * Sorted function spans of @p image for attributing changed bytes.
+ * The first index in [i, n) where @p a and @p b differ, or n. Equal
+ * blocks are skipped with memcmp, which is many times faster than a
+ * byte-wise std::mismatch; std::mismatch then finds the byte.
  */
-struct DiffSpan
+std::size_t
+firstDiff(const std::uint8_t *a, const std::uint8_t *b, std::size_t i,
+          std::size_t n)
 {
-    Addr lo = 0;
-    Addr hi = 0;
-    std::string name;
-};
-
-std::vector<DiffSpan>
-functionSpans(const BinaryImage &image)
-{
-    std::vector<DiffSpan> spans;
-    for (const Symbol *sym : image.functionSymbols())
-        spans.push_back({sym->addr, sym->addr + sym->size, sym->name});
-    return spans; // functionSymbols() is already address-sorted
+    constexpr std::size_t block = 256;
+    while (n - i >= block && std::memcmp(a + i, b + i, block) == 0)
+        i += block;
+    return static_cast<std::size_t>(
+        std::mismatch(a + i, a + n, b + i).first - a);
 }
 
-/** The span containing @p a, or nullptr. */
-const DiffSpan *
-spanContaining(const std::vector<DiffSpan> &spans, Addr a)
+/**
+ * The changed byte runs [lo, hi) between two equal-sized sections,
+ * as addresses in ascending order.
+ */
+std::vector<std::pair<Addr, Addr>>
+changedRuns(const Section &os, const Section &ns)
 {
-    auto it = std::upper_bound(
-        spans.begin(), spans.end(), a,
-        [](Addr v, const DiffSpan &s) { return v < s.lo; });
-    if (it == spans.begin())
-        return nullptr;
-    --it;
-    return a < it->hi ? &*it : nullptr;
+    std::vector<std::pair<Addr, Addr>> runs;
+    const std::uint8_t *a = os.bytes.data();
+    const std::uint8_t *b = ns.bytes.data();
+    const std::size_t n = os.bytes.size();
+    for (std::size_t i = firstDiff(a, b, 0, n); i < n;
+         i = firstDiff(a, b, i, n)) {
+        const std::size_t lo = i;
+        i = static_cast<std::size_t>(
+            std::mismatch(a + i, a + n, b + i, std::not_equal_to<>())
+                .first -
+            a);
+        runs.emplace_back(os.addr + lo, os.addr + i);
+    }
+    return runs;
+}
+
+/**
+ * Mark every function span in @p funcs (address-sorted) that
+ * overlaps [lo, hi) dirty. @p reach holds the running maximum of
+ * the spans' ends, which stays sorted even where spans nest, so a
+ * binary search finds the first span that can reach @p lo. False
+ * when a byte of the run lies outside every span (padding, scratch
+ * space): the change is not attributable to a function.
+ */
+bool
+attributeCodeRun(const std::vector<const Symbol *> &funcs,
+                 const std::vector<Addr> &reach, Addr lo, Addr hi,
+                 std::set<Addr> &dirty, std::set<std::string> &names)
+{
+    const auto first =
+        std::upper_bound(reach.begin(), reach.end(), lo) - reach.begin();
+    Addr covered = lo;
+    for (auto i = static_cast<std::size_t>(first);
+         i < funcs.size() && funcs[i]->addr < hi; ++i) {
+        const Symbol &sym = *funcs[i];
+        if (sym.size == 0 || sym.addr + sym.size <= lo)
+            continue; // empty, or nested inside an earlier span
+        if (sym.addr > covered)
+            return false;
+        covered = std::max(covered, sym.addr + sym.size);
+        dirty.insert(sym.addr);
+        names.insert(sym.name);
+    }
+    return covered >= hi;
 }
 
 } // namespace
@@ -97,144 +134,102 @@ RewriteSession::loadInput(BinaryImage newImage)
     LoadOutcome out;
 
     std::set<Addr> dirty;
-    std::vector<std::pair<Addr, Addr>> dataDiffs; // changed [lo, hi)
-    std::vector<std::size_t> dataSections;        // their indices
-    std::size_t span_count = 0;
+    std::vector<std::size_t> dataSections; // edited data sections
+    std::vector<std::pair<Addr, Addr>> dataRuns; // their changed bytes
+    std::vector<const Symbol *> olds;
     bool comparable = false;
     {
         const ScopedTimer timer(diff_timer);
         // Diffable only against a completed rewrite of a same-shaped
         // binary: same arch, same section layout, same function symbols.
-        comparable = hasResult_ && result_.ok &&
+        comparable = hasResult_ && result_.ok && cfgBuilt_ &&
                      newImage.arch == input_->arch &&
                      newImage.pie == input_->pie &&
                      newImage.sections.size() == input_->sections.size();
+        std::vector<Addr> reach; // running max of function span ends
         if (comparable) {
-            const auto olds = input_->functionSymbols();
+            olds = input_->functionSymbols();
             const auto news = newImage.functionSymbols();
             comparable = olds.size() == news.size();
             for (std::size_t i = 0; comparable && i < olds.size(); ++i)
                 comparable = olds[i]->addr == news[i]->addr &&
                              olds[i]->size == news[i]->size &&
                              olds[i]->name == news[i]->name;
+            for (const Symbol *sym : olds)
+                reach.push_back(std::max(reach.empty() ? 0 : reach.back(),
+                                         sym->addr + sym->size));
         }
-
-        if (comparable) {
-            const std::vector<DiffSpan> spans = functionSpans(*input_);
-            span_count = spans.size();
-            for (std::size_t i = 0; i < input_->sections.size(); ++i) {
-                const Section &os = input_->sections[i];
-                const Section &ns = newImage.sections[i];
-                if (os.name != ns.name || os.addr != ns.addr ||
-                    os.bytes.size() != ns.bytes.size()) {
-                    comparable = false; // layout changed
-                    break;
-                }
-                if (os.bytes == ns.bytes)
-                    continue;
-                if (!os.executable) {
-                    // A data edit dirties exactly the functions whose
-                    // recorded read-sets overlap the changed bytes
-                    // (Function::dataDeps). That is sound only when
-                    // analysis reads data through recorded slices:
-                    //  - non-PIE images word-scan all of .data/.rodata
-                    //    for function pointers (unrecorded reads), and
-                    //  - structural sections (.rela.dyn, .dynsym,
-                    //    .eh_frame, ...) feed whole-image analyses;
-                    // both fall back to a full reset, as does a session
-                    // without a manifest to splice from.
-                    if (!input_->pie || !result_.manifest.populated ||
-                        (os.kind != SectionKind::rodata &&
-                         os.kind != SectionKind::data)) {
-                        comparable = false;
-                        break;
-                    }
-                    std::size_t b = 0;
-                    while (b < os.bytes.size()) {
-                        if (os.bytes[b] == ns.bytes[b]) {
-                            ++b;
-                            continue;
-                        }
-                        std::size_t e = b;
-                        while (e < os.bytes.size() &&
-                               os.bytes[e] != ns.bytes[e])
-                            ++e;
-                        dataDiffs.emplace_back(
-                            os.addr + static_cast<Addr>(b),
-                            os.addr + static_cast<Addr>(e));
-                        b = e;
-                    }
-                    dataSections.push_back(i);
-                    continue;
-                }
-                for (std::size_t b = 0; b < os.bytes.size(); ++b) {
-                    if (os.bytes[b] == ns.bytes[b])
-                        continue;
-                    const DiffSpan *span = spanContaining(
-                        spans, os.addr + static_cast<Addr>(b));
-                    if (span == nullptr) {
-                        // Changed bytes outside any function (padding,
-                        // scratch space): not attributable.
-                        comparable = false;
-                        break;
-                    }
-                    dirty.insert(span->lo);
-                    out.dirtyNames.insert(span->name);
-                }
-                if (!comparable)
-                    break;
+        for (std::size_t i = 0;
+             comparable && i < input_->sections.size(); ++i) {
+            const Section &os = input_->sections[i];
+            const Section &ns = newImage.sections[i];
+            if (os.name != ns.name || os.addr != ns.addr ||
+                os.bytes.size() != ns.bytes.size()) {
+                comparable = false; // layout changed
+                break;
             }
+            const auto runs = changedRuns(os, ns);
+            if (runs.empty())
+                continue;
+            if (os.executable) {
+                // A code edit dirties the functions it lands in.
+                for (const auto &[lo, hi] : runs)
+                    comparable = comparable &&
+                                 attributeCodeRun(olds, reach, lo, hi,
+                                                  dirty, out.dirtyNames);
+                continue;
+            }
+            // A data edit dirties the functions whose recorded
+            // read-sets (Function::dataDeps) stop validating, below.
+            // That is sound only when analysis reads data through
+            // recorded slices:
+            //  - non-PIE images word-scan all of .data/.rodata for
+            //    function pointers (unrecorded reads), and
+            //  - structural sections (.rela.dyn, .dynsym, .eh_frame,
+            //    ...) feed whole-image analyses;
+            // both fall back to a full reset, as does a session without
+            // a manifest to splice from.
+            comparable = input_->pie && result_.manifest.populated &&
+                         (os.kind == SectionKind::rodata ||
+                          os.kind == SectionKind::data);
+            dataSections.push_back(i);
+            dataRuns.insert(dataRuns.end(), runs.begin(), runs.end());
         }
-    }
-    {
-        // Attributes data diffs to their readers; zero work for a
-        // code-only edit.
-        const ScopedTimer timer(deps_index_timer);
-        if (comparable && !dataDiffs.empty()) {
-            // Edits under donated scratch ranges or function-pointer
-            // cells interact with emitted artifacts in ways the splice
-            // below cannot reproduce; reset conservatively.
-            auto overlapsDiff = [&](Addr lo, Addr hi) {
-                for (const auto &[dlo, dhi] : dataDiffs) {
-                    if (dlo < hi && lo < dhi)
-                        return true;
-                }
-                return false;
-            };
-            for (const auto &[addr, len] : result_.manifest.scratchRanges)
-                if (overlapsDiff(addr, addr + len))
-                    comparable = false;
-            for (const Relocation &rel : input_->relocs)
-                if (overlapsDiff(rel.site, rel.site + 8))
-                    comparable = false;
-            for (const FuncPtrPatch &p : result_.manifest.funcPtrs)
-                if (p.kind == FuncPtrPatch::Kind::dataCell &&
-                    overlapsDiff(p.site, p.site + 8))
-                    comparable = false;
 
-            if (comparable && !cfgBuilt_)
-                comparable = false;
-            if (comparable) {
-                // Overlap-keyed invalidation: dirty exactly the readers
-                // of the changed bytes.
-                DepIndex index;
-                for (const auto &[entry, func] : cfg_.functions)
-                    index.add(entry, func.dataDeps);
-                index.build();
-                std::set<Addr> owners;
-                for (const auto &[lo, hi] : dataDiffs)
-                    index.overlapping(lo, hi, owners);
-                for (Addr entry : owners) {
+        // Edits under donated scratch ranges, relocation slots or
+        // rewritten function-pointer cells interact with emitted
+        // artifacts in ways the splice below cannot reproduce; reset
+        // conservatively.
+        auto edited = [&](Addr lo, Addr hi) {
+            for (const auto &[dlo, dhi] : dataRuns)
+                if (dlo < hi && lo < dhi)
+                    return true;
+            return false;
+        };
+        if (comparable && !dataRuns.empty()) {
+            for (const auto &[addr, len] : result_.manifest.scratchRanges)
+                comparable = comparable && !edited(addr, addr + len);
+            for (const Relocation &rel : input_->relocs)
+                comparable = comparable && !edited(rel.site, rel.site + 8);
+            for (const FuncPtrPatch &p : result_.manifest.funcPtrs)
+                if (p.kind == FuncPtrPatch::Kind::dataCell)
+                    comparable = comparable && !edited(p.site, p.site + 8);
+        }
+
+        // One test for a clean function, the one a cache hit passes:
+        // every data byte its analysis read still hashes the same.
+        if (comparable) {
+            for (const auto &[entry, func] : cfg_.functions) {
+                if (!func.dataDeps.validate(newImage)) {
                     dirty.insert(entry);
-                    if (const Function *func = cfg_.functionAt(entry))
-                        out.dirtyNames.insert(func->name);
+                    out.dirtyNames.insert(func.name);
                 }
             }
         }
     }
     if (comparable)
         out.unchangedFunctions =
-            static_cast<unsigned>(span_count - dirty.size());
+            static_cast<unsigned>(olds.size() - dirty.size());
 
     // Adopt the new image; the old CFG described the old bytes.
     owned_ = std::move(newImage);

@@ -106,30 +106,33 @@ class RewriteSession
          */
         bool incremental = false;
 
-        /** Entries of functions whose bodies changed. */
+        /** Entries of functions whose code or read data changed. */
         std::set<Addr> dirtyFunctions;
 
         /** Names of those functions. */
         std::set<std::string> dirtyNames;
 
-        /** Function symbols whose bodies were byte-identical. */
+        /** Function symbols that stayed clean. */
         unsigned unchangedFunctions = 0;
     };
 
     /**
      * Replace the session's input with @p newImage (a new build of
-     * the same binary). Diffs the new image's function bodies against
-     * the current input: functions whose bytes changed are marked
-     * dirty, the CFG is rebuilt (unchanged functions hit the
-     * AnalysisCache by content key), and — when a previous rewrite
-     * exists under compatible layout — only the dirty functions are
-     * re-rewritten via the selective re-rewrite path; every other
-     * function's bytes are spliced from the previous result.
+     * the same binary). A function is dirty when its code bytes
+     * changed or its recorded read-set (Function::dataDeps) no
+     * longer validates against the new image — the test a cache hit
+     * passes. The CFG is rebuilt (clean functions hit the
+     * AnalysisCache by content key), and only the dirty functions
+     * are re-rewritten via the selective re-rewrite path; every
+     * other function's bytes are spliced from the previous result.
      *
-     * When the images are not diffable (different arch, section
-     * layout, symbol set, or data-section bytes changed — cloned
-     * jump tables copy data, so a data edit invalidates splicing),
-     * the session resets to a fresh state on the new input.
+     * The session resets to a fresh state on the new input when the
+     * images are not diffable: different arch, section layout or
+     * function symbols; changed executable bytes outside every
+     * function; a data edit in a non-PIE image, outside
+     * .rodata/.data, or without a manifest; or a data edit over a
+     * relocation slot, donated scratch range or rewritten pointer
+     * cell.
      */
     LoadOutcome loadInput(BinaryImage newImage);
 
@@ -183,7 +186,6 @@ class RewriteSession
 
     const BinaryImage &input() const { return *input_; }
     bool hasResult() const { return hasResult_; }
-    bool hasReport() const { return hasReport_; }
     const RewriteResult &lastResult() const { return result_; }
     const LintReport &lastReport() const { return report_; }
 

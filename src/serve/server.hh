@@ -19,8 +19,8 @@
  * serializes requests against the same binary while distinct
  * binaries proceed in parallel. A `rewrite` against a warm session
  * whose input file changed goes through RewriteSession::loadInput's
- * input-diff / overlap-keyed invalidation, so a one-function edit
- * re-analyzes and re-emits exactly one function.
+ * per-function change test, so a one-function edit re-analyzes and
+ * re-emits exactly one function.
  *
  * Robustness: per-request socket timeouts, structured "error"
  * replies for malformed frames and failed operations (a broken

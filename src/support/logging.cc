@@ -2,12 +2,11 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 namespace icp
 {
-
-int log_verbosity = 0;
 
 namespace detail
 {
@@ -38,12 +37,6 @@ abortWithMessage(const char *kind, const char *file, int line,
     std::fprintf(stderr, "icp %s: %s (%s:%d)\n", kind, msg.c_str(),
                  file, line);
     std::abort();
-}
-
-void
-emitMessage(const char *kind, const std::string &msg)
-{
-    std::fprintf(stderr, "icp %s: %s\n", kind, msg.c_str());
 }
 
 } // namespace detail

@@ -1,32 +1,24 @@
 /**
  * @file
- * Error-handling and status-message helpers, modeled after gem5's
- * logging.hh. panic() is for internal invariant violations (a bug in
- * this library); fatal() is for conditions caused by the caller or by
- * input data; warn()/inform() report conditions without aborting.
+ * Abort helpers, modeled after gem5's logging.hh: icp_panic() and
+ * icp_assert() are for internal invariant violations (a bug in this
+ * library). Bad input is never a reason to abort; it is reported
+ * through the caller's error path instead.
  */
 
 #ifndef ICP_SUPPORT_LOGGING_HH
 #define ICP_SUPPORT_LOGGING_HH
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
 #include <string>
 
 namespace icp
 {
-
-/** Global verbosity switch: 0 = quiet, 1 = inform, 2 = debug. */
-extern int log_verbosity;
 
 namespace detail
 {
 
 [[noreturn]] void abortWithMessage(const char *kind, const char *file,
                                    int line, const std::string &msg);
-
-void emitMessage(const char *kind, const std::string &msg);
 
 /** Minimal printf-style formatter producing a std::string. */
 std::string formatString(const char *fmt, ...)
@@ -42,27 +34,6 @@ std::string formatString(const char *fmt, ...)
 #define icp_panic(...)                                                     \
     ::icp::detail::abortWithMessage("panic", __FILE__, __LINE__,           \
         ::icp::detail::formatString(__VA_ARGS__))
-
-/**
- * Abort due to an unrecoverable caller/input error.
- */
-#define icp_fatal(...)                                                     \
-    ::icp::detail::abortWithMessage("fatal", __FILE__, __LINE__,           \
-        ::icp::detail::formatString(__VA_ARGS__))
-
-/** Report a suspicious but survivable condition. */
-#define icp_warn(...)                                                      \
-    ::icp::detail::emitMessage("warn",                                     \
-        ::icp::detail::formatString(__VA_ARGS__))
-
-/** Report normal operating status (suppressed when quiet). */
-#define icp_inform(...)                                                    \
-    do {                                                                   \
-        if (::icp::log_verbosity >= 1) {                                   \
-            ::icp::detail::emitMessage("info",                             \
-                ::icp::detail::formatString(__VA_ARGS__));                 \
-        }                                                                  \
-    } while (0)
 
 /** Assert an internal invariant; compiled in all build types. */
 #define icp_assert(cond, ...)                                              \

@@ -878,7 +878,7 @@ class Checker
      * hashes must match the image (datadep-stale), and the recorded
      * total must not exceed the actual reads beyond a threshold
      * (datadep-overbroad) — an overbroad set is sound but erodes the
-     * precision of overlap-keyed invalidation. One finding per rule
+     * precision of data-edit invalidation. One finding per rule
      * per function, so a planted defect yields a focused report.
      */
     void

@@ -358,6 +358,33 @@ TEST(Cli, MalformedSbfExitsCleanlyNeverAborts)
             std::remove(path.c_str());
         }
     }
+
+    // An x64 file relabelled as a fixed-length ISA decodes, but its
+    // code bytes carry register fields that ISA cannot encode. The
+    // decoder rejects them as illegal instructions, so every command
+    // exits 0 or 1 instead of asserting in the encoder.
+    for (icp::Arch arch : {icp::Arch::ppc64le, icp::Arch::aarch64}) {
+        const std::string path = std::string("/tmp/icp_cli_x64_as_") +
+                                 icp::archName(arch) + ".sbf";
+        SCOPED_TRACE(path);
+        {
+            auto raw = icp::compileProgram(
+                           icp::microProfile(icp::Arch::x64, true))
+                           .serialize();
+            raw[4] = static_cast<std::uint8_t>(arch);
+            std::ofstream out(path, std::ios::binary);
+            out.write(reinterpret_cast<const char *>(raw.data()),
+                      static_cast<std::streamsize>(raw.size()));
+        }
+        for (const std::string &cmd :
+             {"rewrite " + path + " /tmp/icp_cli_crafted_out.sbf --mode jt",
+              "lint " + path + " --mode func-ptr", "inspect " + path,
+              "run " + path}) {
+            const int code = exitCode(cmd);
+            EXPECT_TRUE(code == 0 || code == 1) << cmd << " -> " << code;
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Cli, RewriteWithLintGate)

@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -167,39 +166,6 @@ TEST(HashImageRange, UnmappedIsZeroAndContentSensitive)
     img.sections[static_cast<std::size_t>(sec - img.sections.data())]
         .bytes[3] ^= 0x01;
     EXPECT_NE(hashImageRange(img, sec->addr, sec->addr + 8), h);
-}
-
-// --- overlap index ---------------------------------------------------------
-
-TEST(DepIndexTest, OverlapQueryCollectsOwners)
-{
-    DataDeps a;
-    a.setRanges({{0x100, 0x110, 1}});
-    DataDeps b;
-    b.setRanges({{0x108, 0x120, 2}, {0x300, 0x308, 3}});
-
-    DepIndex index;
-    index.add(0x4000, a);
-    index.add(0x5000, b);
-    index.build();
-    EXPECT_EQ(index.rangeCount(), 3u);
-
-    std::set<Addr> owners;
-    index.overlapping(0x10c, 0x10d, owners);
-    EXPECT_EQ(owners, (std::set<Addr>{0x4000, 0x5000}));
-
-    owners.clear();
-    index.overlapping(0x118, 0x119, owners);
-    EXPECT_EQ(owners, (std::set<Addr>{0x5000}));
-
-    owners.clear();
-    index.overlapping(0x120, 0x300, owners); // exactly the gap
-    EXPECT_TRUE(owners.empty());
-
-    // Accumulation across queries (the loadInput usage pattern).
-    index.overlapping(0x100, 0x101, owners);
-    index.overlapping(0x304, 0x305, owners);
-    EXPECT_EQ(owners, (std::set<Addr>{0x4000, 0x5000}));
 }
 
 // --- computeDataDeps on compiled corpora -----------------------------------

@@ -177,10 +177,85 @@ TEST_P(CodecPerArch, BranchRangeEdges)
     }
 }
 
+TEST_P(CodecPerArch, UnknownConditionDecodesIllegal)
+{
+    // The condition is byte 1 on x64 and the high nibble of byte 1 on
+    // the fixed-length ISAs; a value past Cond::ge names no condition
+    // the simulator or invertCond() can act on.
+    const Addr at = 0x400000;
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(arch().codec->encode(makeJmpCond(Cond::ne, at + 64), at,
+                                     bytes));
+    bytes[1] = arch().fixedLength
+                   ? static_cast<std::uint8_t>(0x90 | (bytes[1] & 0x0f))
+                   : 9;
+    Instruction out;
+    EXPECT_FALSE(arch().codec->decode(bytes.data(), bytes.size(), at, out));
+    EXPECT_EQ(out.op, Opcode::Illegal);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllArches, CodecPerArch,
                          ::testing::Values(Arch::x64, Arch::ppc64le,
                                            Arch::aarch64),
                          archOnly);
+
+TEST(CodecFixed, OutOfRangeRegisterFieldDecodesIllegal)
+{
+    // Each case: one encoding and the register bytes it carries.
+    // Setting any of them to 0x1f (past num_regs) must decode false,
+    // never an instruction the encoder would refuse to re-encode.
+    struct Case
+    {
+        Instruction in;
+        std::vector<unsigned> regBytes;
+    };
+    const std::vector<Case> cases = {
+        {makeAddImm(Reg::r1, 5), {1}},
+        {makeMovReg(Reg::r1, Reg::r2), {1, 2}},
+        {makeCmp(Reg::r1, Reg::r2), {1, 2}},
+        {makeLoad(Reg::r1, Reg::r2, 8), {1, 2}},
+        {makeJmpInd(Reg::r3), {1}},
+        {makeMovZk(Reg::r1, 7, 0, false), {1}}, // low 5 bits: rd
+    };
+    for (const Arch a : {Arch::ppc64le, Arch::aarch64}) {
+        const Codec &codec = *ArchInfo::get(a).codec;
+        for (const Case &c : cases) {
+            std::vector<std::uint8_t> bytes;
+            ASSERT_TRUE(codec.encode(c.in, 0x400000, bytes))
+                << c.in.toString();
+            for (const unsigned at : c.regBytes) {
+                std::vector<std::uint8_t> bad = bytes;
+                bad[at] |= 0x1f;
+                Instruction out;
+                EXPECT_FALSE(
+                    codec.decode(bad.data(), bad.size(), 0x400000, out))
+                    << archName(a) << " " << c.in.toString()
+                    << " byte " << at;
+                EXPECT_EQ(out.op, Opcode::Illegal);
+            }
+        }
+    }
+}
+
+TEST(CodecX64, UnencodableSizeOrIndexFieldDecodesIllegal)
+{
+    // Byte 2 of LoadSz holds only the size and sign bits; byte 2 of
+    // LoadIdx also holds a four-bit index register. Anything wider
+    // would decode to a size or register the encoder rejects.
+    const Codec &codec = *ArchInfo::get(Arch::x64).codec;
+    for (const Instruction &in :
+         {makeLoadSz(Reg::r1, Reg::r2, 8, 4, false),
+          makeLoadIdx(Reg::r1, Reg::r2, Reg::r3, 4)}) {
+        std::vector<std::uint8_t> bytes;
+        ASSERT_TRUE(codec.encode(in, 0x400000, bytes)) << in.toString();
+        bytes[2] |= 0x80;
+        Instruction out;
+        EXPECT_FALSE(
+            codec.decode(bytes.data(), bytes.size(), 0x400000, out))
+            << in.toString();
+        EXPECT_EQ(out.op, Opcode::Illegal);
+    }
+}
 
 TEST(Assembler, LabelsResolveForwardAndBackward)
 {

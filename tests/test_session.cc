@@ -575,7 +575,7 @@ TEST_P(SessionLoadInput, CleanFunctionsStayTheSameObjects)
     EXPECT_EQ(shared, before.size() - 1);
 }
 
-TEST(SessionLoadInputTiming, OneFunctionEditRecordsDiffSpans)
+TEST(SessionLoadInputTiming, OneFunctionEditTimesDiffAndValidate)
 {
     AnalysisCache::global().clear();
     RewriteSession session(compileMicro(Arch::x64));
@@ -587,7 +587,7 @@ TEST(SessionLoadInputTiming, OneFunctionEditRecordsDiffSpans)
     ASSERT_TRUE(session.loadInput(std::move(edited)).incremental);
     const std::string table = Metrics::global().table();
     EXPECT_NE(table.find("session.diff "), std::string::npos) << table;
-    EXPECT_NE(table.find("session.deps_index "), std::string::npos)
+    EXPECT_NE(table.find("deps.validate "), std::string::npos)
         << table;
 }
 
@@ -703,7 +703,34 @@ TEST(SessionLoadInputFallback, DataSectionEditForcesFullRewrite)
     EXPECT_FALSE(session.hasResult());
 }
 
-// --- loadInput: overlap-keyed data-edit invalidation -----------------------
+TEST(SessionLoadInputFallback, CodeEditOutsideEveryFunctionResets)
+{
+    RewriteSession session(compileMicro(Arch::x64));
+    ASSERT_TRUE(session.rewrite(baseOptions()).ok);
+
+    // Flip a .text byte no function symbol covers (inter-function
+    // padding): the change is attributable to no function.
+    BinaryImage edited = compileMicro(Arch::x64);
+    Section *text = edited.findSection(SectionKind::text);
+    ASSERT_NE(text, nullptr);
+    const auto funcs = edited.functionSymbols();
+    Addr gap = 0;
+    for (Addr a = text->addr; gap == 0 && a < text->end(); ++a) {
+        bool covered = false;
+        for (const Symbol *sym : funcs)
+            covered = covered || (a >= sym->addr && a < sym->addr + sym->size);
+        if (!covered)
+            gap = a;
+    }
+    ASSERT_NE(gap, 0u) << "no padding byte in .text";
+    text->bytes[static_cast<std::size_t>(gap - text->addr)] ^= 0x01;
+
+    const auto out = session.loadInput(std::move(edited));
+    EXPECT_FALSE(out.incremental);
+    EXPECT_FALSE(session.hasResult());
+}
+
+// --- loadInput: data-edit invalidation -----------------------
 
 namespace
 {
@@ -717,18 +744,13 @@ namespace
 Addr
 findUnreadDataByte(RewriteSession &session)
 {
-    DepIndex index;
-    for (const auto &[entry, func] : session.analyze().functions)
-        index.add(entry, func.dataDeps);
-    index.build();
-
+    const CfgModule &cfg = session.analyze();
     const RewriteManifest &manifest =
         session.lastResult().manifest;
     auto claimed = [&](Addr a) {
-        std::set<Addr> owners;
-        index.overlapping(a, a + 1, owners);
-        if (!owners.empty())
-            return true;
+        for (const FunctionSlot &slot : cfg.functions)
+            if (slot.fn->dataDeps.overlaps(a, a + 1))
+                return true;
         for (const auto &[addr, len] : manifest.scratchRanges)
             if (a >= addr && a < addr + len)
                 return true;
@@ -771,22 +793,15 @@ flipImageByte(BinaryImage &img, Addr victim)
     FAIL() << "victim byte not backed by file bytes";
 }
 
-} // namespace
-
-class SessionDataDeps : public ::testing::TestWithParam<Arch>
+/**
+ * A data edit no analysis reads: zero dirty functions, and the new
+ * data bytes splice into the previous result byte-identical to a
+ * cold rewrite of the edited input.
+ */
+void
+checkUnreadDataEdit(const ProgramSpec &spec)
 {
-};
-
-TEST_P(SessionDataDeps, UnreadDataEditSplicesWithZeroDirty)
-{
-    const Arch arch = GetParam();
     AnalysisCache::global().clear();
-
-    // rodataPadding is a blob no analysis reads — the string-table
-    // shape of the paper's data-edit workload.
-    ProgramSpec spec = microProfile(arch, /*pie=*/true);
-    spec.rodataPadding = 512;
-
     RewriteSession session(compileProgram(spec));
     ASSERT_TRUE(session.rewrite(baseOptions()).ok);
 
@@ -800,9 +815,8 @@ TEST_P(SessionDataDeps, UnreadDataEditSplicesWithZeroDirty)
     const auto out = session.loadInput(std::move(edited));
     const auto post = AnalysisCache::global().stats();
 
-    // Overlap-keyed invalidation: zero readers, zero re-analysis,
-    // zero re-emission — the new data bytes splice into the previous
-    // result wholesale.
+    // Zero readers, zero re-analysis, zero re-emission — the new
+    // data bytes splice into the previous result wholesale.
     EXPECT_TRUE(out.incremental);
     EXPECT_TRUE(out.dirtyFunctions.empty());
     EXPECT_EQ(post.functionMisses - pre.functionMisses, 0u);
@@ -821,21 +835,24 @@ TEST_P(SessionDataDeps, UnreadDataEditSplicesWithZeroDirty)
         << session.lastReport().renderText();
 }
 
-TEST_P(SessionDataDeps, JumpTableEditDirtiesExactlyItsReaders)
+/**
+ * Redirect one entry of an out-of-code jump table onto another
+ * (valid table bytes, different target): exactly the functions
+ * whose read-sets overlap the entry go dirty, and the output stays
+ * byte-identical to a cold rewrite. Skips when the input has no
+ * such table (ppc64le embeds its tables in code).
+ */
+void
+checkJumpTableEdit(const ProgramSpec &spec)
 {
-    const Arch arch = GetParam();
     AnalysisCache::global().clear();
-
-    RewriteSession session(compileMicro(arch));
+    RewriteSession session(compileProgram(spec));
     ASSERT_TRUE(session.rewrite(baseOptions()).ok);
 
-    // Find an out-of-code jump table and redirect one entry onto
-    // another (valid table bytes, different target) — the edit only
-    // the table's reader may notice.
+    const CfgModule &cfg = session.analyze();
     const JumpTable *jt = nullptr;
-    for (const auto &[entry, func] : session.analyze().functions) {
-        (void)entry;
-        for (const JumpTable &t : func.jumpTables) {
+    for (const FunctionSlot &slot : cfg.functions) {
+        for (const JumpTable &t : slot.fn->jumpTables) {
             if (!t.embeddedInCode && t.targets.size() >= 2 &&
                 t.targets[0] != t.targets[1]) {
                 jt = &t;
@@ -847,22 +864,21 @@ TEST_P(SessionDataDeps, JumpTableEditDirtiesExactlyItsReaders)
     }
     if (jt == nullptr)
         GTEST_SKIP() << "no out-of-code jump table on "
-                     << archName(arch);
+                     << archName(spec.arch);
     const Addr site = jt->tableAddr;
     const unsigned width = jt->entrySize;
 
-    // The expected dirty set: every function whose read-set overlaps
-    // the poked entry (computed before the edit invalidates the CFG).
-    DepIndex index;
-    for (const auto &[entry, func] : session.analyze().functions)
-        index.add(entry, func.dataDeps);
-    index.build();
+    // The expected dirty set, independent of loadInput's validate
+    // test: every function whose read-set overlaps the edited entry
+    // (computed before the edit invalidates the CFG).
     std::set<Addr> expected;
-    index.overlapping(site, site + width, expected);
+    for (const FunctionSlot &slot : cfg.functions)
+        if (slot.fn->dataDeps.overlaps(site, site + width))
+            expected.insert(slot.entry);
     ASSERT_FALSE(expected.empty())
         << "table bytes missing from every read-set";
 
-    BinaryImage edited = compileMicro(arch);
+    BinaryImage edited = compileProgram(spec);
     std::vector<std::uint8_t> donor;
     ASSERT_TRUE(edited.readBytes(site + width, width, donor));
     ASSERT_TRUE(edited.writeBytes(site, donor));
@@ -872,7 +888,7 @@ TEST_P(SessionDataDeps, JumpTableEditDirtiesExactlyItsReaders)
     EXPECT_EQ(out.dirtyFunctions, expected);
 
     // Byte-identity with a cold rewrite of the same edited input.
-    BinaryImage edited_again = compileMicro(arch);
+    BinaryImage edited_again = compileProgram(spec);
     ASSERT_TRUE(edited_again.writeBytes(site, donor));
     RewriteSession cold(std::move(edited_again));
     const RewriteResult &cold_rw = cold.rewrite(baseOptions());
@@ -884,8 +900,51 @@ TEST_P(SessionDataDeps, JumpTableEditDirtiesExactlyItsReaders)
         << session.lastReport().renderText();
 }
 
+} // namespace
+
+/** The data-edit checks on a PIE micro compile. */
+class SessionDataDeps : public ::testing::TestWithParam<Arch>
+{
+};
+
+TEST_P(SessionDataDeps, UnreadDataEditSplicesWithZeroDirty)
+{
+    // rodataPadding is a blob no analysis reads — the string-table
+    // shape of the paper's data-edit workload.
+    ProgramSpec spec = microProfile(GetParam(), /*pie=*/true);
+    spec.rodataPadding = 512;
+    checkUnreadDataEdit(spec);
+}
+
+TEST_P(SessionDataDeps, JumpTableEditDirtiesExactlyItsReaders)
+{
+    checkJumpTableEdit(microProfile(GetParam(), /*pie=*/true));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllArchs, SessionDataDeps,
+    ::testing::Values(Arch::x64, Arch::ppc64le, Arch::aarch64),
+    [](const ::testing::TestParamInfo<Arch> &info) {
+        return sanitize(archName(info.param));
+    });
+
+/** The same checks on a PIE chromium-small compile. */
+class SessionDataDepsChromiumSmall : public ::testing::TestWithParam<Arch>
+{
+};
+
+TEST_P(SessionDataDepsChromiumSmall, UnreadDataEditSplicesWithZeroDirty)
+{
+    checkUnreadDataEdit(chromiumSmallProfile(GetParam(), /*pie=*/true));
+}
+
+TEST_P(SessionDataDepsChromiumSmall, JumpTableEditDirtiesExactlyItsReaders)
+{
+    checkJumpTableEdit(chromiumSmallProfile(GetParam(), /*pie=*/true));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllArchs, SessionDataDepsChromiumSmall,
     ::testing::Values(Arch::x64, Arch::ppc64le, Arch::aarch64),
     [](const ::testing::TestParamInfo<Arch> &info) {
         return sanitize(archName(info.param));

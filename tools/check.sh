@@ -52,12 +52,14 @@
 #                  second pass SIGKILLs the daemon mid-session and
 #                  asserts the stale socket and lock files don't
 #                  wedge a restart
-#   datadeps       data-dependency smoke on every ISA: `icp deps
-#                  --poke-padding` (all) and `--poke-table`
-#                  (x64/aarch64; ppc64le embeds its tables in code)
-#                  must report identical=1, each datadep-* lint rule
-#                  must fire under --inject at its severity, and the
-#                  clean binary must stay lint-clean
+#   datadeps       data-dependency smoke: the release build's
+#                  `test_session --gtest_filter='*SessionDataDeps*'`
+#                  (unread-data and jump-table edits through
+#                  loadInput on micro and chromium-small, 3 ISAs:
+#                  expected dirty set, byte identity with a cold
+#                  rewrite, lint clean); then on every ISA each
+#                  datadep-* lint rule must fire under --inject at its
+#                  severity, and the clean binary must stay lint-clean
 #   tidy           clang-tidy over src/ + tools/ using the exported
 #                  compilation database; skipped (PASS) when
 #                  clang-tidy is not installed
@@ -472,38 +474,27 @@ leg_serve() {
 }
 
 leg_datadeps() {
-    echo "== Data-dependency smoke (icp deps pokes + inject matrix) =="
+    echo "== Data-dependency smoke (SessionDataDeps + inject matrix) =="
     build_cli || return 1
-    dir="$(mktemp -d)"
     status=0
+    # Data edits through RewriteSession::loadInput: an unread byte
+    # re-analyzes and re-emits nothing, a jump-table entry dirties
+    # exactly its readers, and both stay byte-identical to a cold
+    # rewrite.
+    if ! cmake --build build -j "$jobs" --target test_session \
+            >/dev/null ||
+       ! ./build/tests/test_session \
+            --gtest_filter='*SessionDataDeps*' --gtest_brief=1; then
+        echo "datadeps: SessionDataDeps failed"
+        status=1
+    fi
+    dir="$(mktemp -d)"
     for arch in x64 aarch64 ppc64le; do
         in="$dir/in-$arch.sbf"
         if ! ./build/tools/icp compile chromium-small "$in" \
                 --pie --arch "$arch"; then
             status=1
             continue
-        fi
-        # Padding poke: a data-only edit no function reads must make
-        # the warm pass re-analyze and re-emit nothing.
-        if ! ./build/tools/icp deps "$in" --poke-padding |
-                tee "$dir/pad-$arch.log" ||
-           ! grep -q "deps-check padding: .* dirty=0 emitted=0 identical=1" \
-                "$dir/pad-$arch.log"; then
-            echo "datadeps: padding poke failed ($arch)"
-            status=1
-        fi
-        # Table poke: retargeting one jump-table entry must dirty
-        # exactly its reader and still emit byte-identical output.
-        # ppc64le embeds its tables in code, so there is nothing to
-        # poke without touching text.
-        if [ "$arch" != "ppc64le" ]; then
-            if ! ./build/tools/icp deps "$in" --poke-table |
-                    tee "$dir/tbl-$arch.log" ||
-               ! grep -q "deps-check table: .* identical=1 lint-errors=0" \
-                    "$dir/tbl-$arch.log"; then
-                echo "datadeps: table poke failed ($arch)"
-                status=1
-            fi
         fi
         # Each datadep rule fires under injection at its severity:
         # missing/stale are errors, overbroad is a warning only.
@@ -533,7 +524,7 @@ leg_datadeps() {
     done
     rm -rf "$dir"
     [ $status -eq 0 ] &&
-    echo "deps checks: pokes identical, rules fire, clean stays clean"
+    echo "deps checks: data edits splice, rules fire, clean stays clean"
     return $status
 }
 

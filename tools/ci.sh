@@ -20,8 +20,8 @@
 #   tools/ci.sh serve          hot-session daemon smoke: lifecycle via
 #                              `icp client`, warm-hit + byte-identity
 #                              asserts, SIGKILL restart pass
-#   tools/ci.sh datadeps       per-ISA `icp deps` poke checks plus the
-#                              datadep-* lint-rule inject matrix
+#   tools/ci.sh datadeps       SessionDataDeps data-edit tests plus the
+#                              per-ISA datadep-* lint-rule inject matrix
 #   tools/ci.sh tidy           clang-tidy over src/ + tools/ (skips
 #                              cleanly when clang-tidy is absent)
 #   tools/ci.sh bench-selftest the repository benchmark's self-tests

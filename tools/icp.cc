@@ -14,14 +14,7 @@
  * `icp deps` dumps each function's recorded data read-set
  * (Function::dataDeps): the byte ranges its jump-table and
  * function-pointer slices read from data sections, with per-range
- * content hashes. The --poke-* forms run the overlap-keyed
- * invalidation check end to end: rewrite in a session, edit the
- * input in memory (--poke-padding flips a data byte no analysis
- * reads; --poke-table edits a jump-table entry), feed the edit
- * through RewriteSession::loadInput, and compare the incrementally
- * updated output byte-for-byte against a cold rewrite of the edited
- * input. One greppable `deps-check ...` line reports dirty/emitted/
- * identical/lint-errors; exit 0 when the check holds, 2 otherwise.
+ * content hashes.
  *
  * `icp lint` rewrites the input in memory and runs the static
  * soundness verifier over the result. Exit codes: 0 when no finding
@@ -136,8 +129,7 @@ usage()
                  "       icp run <in.sbf> [--gc N]\n"
                  "       icp inspect <in.sbf> [function]\n"
                  "       icp deps <in.sbf> [--json] [--timing] "
-                 "[--poke-padding|--poke-table]\n"
-                 "                [rewrite options]\n"
+                 "[rewrite options]\n"
                  "       icp cache info|verify <file.icpc>\n"
                  "       icp cache compact <file.icpc> "
                  "[--max-bytes N]\n"
@@ -726,205 +718,8 @@ cmdInspect(int argc, char **argv)
 }
 
 /**
- * `icp deps --poke-padding|--poke-table`: the end-to-end
- * overlap-keyed invalidation check. Rewrites @p img in a session,
- * edits the input image in memory (an unread data byte, or one
- * jump-table entry), pushes the edit through loadInput, and compares
- * the incrementally updated output byte-for-byte against a cold
- * rewrite of the edited image. Prints one greppable line:
- *
- *   deps-check <mode>: incremental=I dirty=N emitted=M identical=B
- *   lint-errors=K
- *
- * Exit 0 when the invariant holds (padding: zero dirty; table: at
- * least one dirty reader; both: identical output, no lint errors),
- * 2 when it does not, 1 on operational failure.
- */
-int
-runDepsCheck(const BinaryImage &img, RewriteOptions opts,
-             bool poke_table, bool timing)
-{
-    opts.lint = true; // loadInput's splice path needs the manifest
-    RewriteSession session(img);
-    {
-        const RewriteResult &first = session.rewrite(opts);
-        if (!first.ok) {
-            std::fprintf(stderr, "rewrite failed: %s\n",
-                         first.failReason.c_str());
-            return 1;
-        }
-    }
-    const RewriteManifest &manifest = session.lastResult().manifest;
-
-    BinaryImage edited = img;
-    const char *mode = poke_table ? "table" : "padding";
-    Addr poke_lo = 0, poke_hi = 0;
-    if (!poke_table) {
-        // Find the highest .rodata byte nothing reads: outside every
-        // recorded read-set, runtime-relocation slot, donated scratch
-        // range, and rewritten pointer cell — the rewriter-facing
-        // definition of "padding".
-        DepIndex index;
-        for (const auto &[entry, func] : session.analyze().functions)
-            index.add(entry, func.dataDeps);
-        index.build();
-        auto claimed = [&](Addr a) {
-            std::set<Addr> owners;
-            index.overlapping(a, a + 1, owners);
-            if (!owners.empty())
-                return true;
-            for (const Relocation &rel : img.relocs)
-                if (a >= rel.site && a < rel.site + 8)
-                    return true;
-            for (const auto &[lo, len] : manifest.scratchRanges)
-                if (a >= lo && a < lo + len)
-                    return true;
-            for (const FuncPtrPatch &p : manifest.funcPtrs)
-                if (p.kind == FuncPtrPatch::Kind::dataCell &&
-                    a >= p.site && a < p.site + 8)
-                    return true;
-            return false;
-        };
-        for (Section &sec : edited.sections) {
-            if (sec.kind != SectionKind::rodata || !sec.loadable)
-                continue;
-            for (std::size_t at = sec.bytes.size(); at-- > 0;) {
-                const Addr a = sec.addr + at;
-                if (claimed(a))
-                    continue;
-                sec.bytes[at] ^= 0x5a;
-                poke_lo = a;
-                poke_hi = a + 1;
-                break;
-            }
-            if (poke_hi != 0)
-                break;
-        }
-        if (poke_hi == 0) {
-            std::fprintf(stderr, "deps-check: no unread .rodata "
-                                 "byte to poke\n");
-            return 1;
-        }
-    } else {
-        // Overwrite one entry of a non-embedded jump table with
-        // another entry's bytes: the table still decodes to valid
-        // block heads, but its content (and hash) changes, so
-        // exactly its reader must go dirty. Prefer a victim entry
-        // whose target also appears elsewhere in the table — then
-        // the function's jump-table *target set* is unchanged and
-        // the selective splice can re-emit it at the same size
-        // instead of falling back to a full emission.
-        auto tryPoke = [&](const JumpTable &jt, bool same_set) {
-            if (jt.embeddedInCode || jt.entryCount < 2 ||
-                jt.targets.size() < jt.entryCount)
-                return false;
-            Section *sec = edited.sectionAt(jt.tableAddr);
-            if (!sec || sec->executable)
-                return false;
-            const std::size_t base = static_cast<std::size_t>(
-                jt.tableAddr - sec->addr);
-            if (base + jt.entryCount * jt.entrySize >
-                sec->bytes.size())
-                return false;
-            for (unsigned i = 0; i < jt.entryCount; ++i) {
-                if (same_set) {
-                    unsigned dup = 0;
-                    for (unsigned k = 0; k < jt.entryCount; ++k)
-                        dup += jt.targets[k] == jt.targets[i];
-                    if (dup < 2)
-                        continue;
-                }
-                for (unsigned j = 0; j < jt.entryCount; ++j) {
-                    if (jt.targets[j] == jt.targets[i])
-                        continue;
-                    const std::size_t di = base + i * jt.entrySize;
-                    const std::size_t dj = base + j * jt.entrySize;
-                    for (unsigned b = 0; b < jt.entrySize; ++b)
-                        sec->bytes[di + b] = sec->bytes[dj + b];
-                    poke_lo = jt.tableAddr + i * jt.entrySize;
-                    poke_hi = poke_lo + jt.entrySize;
-                    return true;
-                }
-            }
-            return false;
-        };
-        for (const bool same_set : {true, false}) {
-            for (const auto &[entry, func] :
-                 session.analyze().functions) {
-                (void)entry;
-                for (const JumpTable &jt : func.jumpTables)
-                    if (tryPoke(jt, same_set))
-                        break;
-                if (poke_hi != 0)
-                    break;
-            }
-            if (poke_hi != 0)
-                break;
-        }
-        if (poke_hi == 0) {
-            std::fprintf(stderr,
-                         "deps-check: no pokeable jump table (need a "
-                         "non-embedded table with two distinct "
-                         "entries)\n");
-            return 1;
-        }
-    }
-
-    const auto outcome = session.loadInput(edited);
-    if (!session.lastResult().ok) {
-        std::fprintf(stderr, "incremental rewrite failed: %s\n",
-                     session.lastResult().failReason.c_str());
-        return 1;
-    }
-    const unsigned emitted =
-        outcome.dirtyFunctions.empty()
-            ? 0
-            : session.lastResult().stats.relocEmittedFunctions;
-
-    // Ground truth: a cold rewrite of the edited image, analysis
-    // cache off so nothing from the warm pass can leak in.
-    RewriteOptions cold = opts;
-    cold.useAnalysisCache = false;
-    cold.cachePath.clear();
-    cold.lint = false;
-    const RewriteResult cold_rw = rewriteBinary(edited, cold);
-    if (!cold_rw.ok) {
-        std::fprintf(stderr, "cold rewrite failed: %s\n",
-                     cold_rw.failReason.c_str());
-        return 1;
-    }
-    const bool identical = cold_rw.image.serialize() ==
-                           session.lastResult().image.serialize();
-
-    LintOptions lopts;
-    lopts.threads = opts.threads;
-    const unsigned lint_errors =
-        session.lint(lopts).countAtLeast(Severity::error);
-
-    std::printf("deps-check %s: poke=[0x%llx,0x%llx) incremental=%d "
-                "dirty=%zu emitted=%u identical=%d lint-errors=%u\n",
-                mode, static_cast<unsigned long long>(poke_lo),
-                static_cast<unsigned long long>(poke_hi),
-                outcome.incremental ? 1 : 0,
-                outcome.dirtyFunctions.size(), emitted,
-                identical ? 1 : 0, lint_errors);
-    for (const std::string &name : outcome.dirtyNames)
-        std::printf("deps-check dirty: %s\n", name.c_str());
-    if (timing)
-        std::printf("%s", Metrics::global().table().c_str());
-
-    const bool dirty_ok = poke_table ? !outcome.dirtyFunctions.empty()
-                                     : outcome.dirtyFunctions.empty();
-    return (outcome.incremental && dirty_ok && identical &&
-            lint_errors == 0)
-               ? 0
-               : 2;
-}
-
-/**
  * `icp deps <in.sbf>`: dump every function's recorded data read-set
- * (text or --json) plus summary stats; with --poke-padding or
- * --poke-table, run the invalidation check instead.
+ * (text or --json) plus summary stats.
  */
 int
 cmdDeps(int argc, char **argv)
@@ -939,7 +734,6 @@ cmdDeps(int argc, char **argv)
     RewriteOptions opts = flagDefaultOptions();
     bool json = false;
     bool timing = false;
-    int poke = 0; // 0 = dump, 1 = padding, 2 = table
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         bool bad = false;
@@ -950,16 +744,10 @@ cmdDeps(int argc, char **argv)
             json = true;
         } else if (arg == "--timing") {
             timing = true;
-        } else if (arg == "--poke-padding") {
-            poke = 1;
-        } else if (arg == "--poke-table") {
-            poke = 2;
         } else {
             return usage();
         }
     }
-    if (poke != 0)
-        return runDepsCheck(img, opts, poke == 2, timing);
 
     AnalysisOptions aopts = opts.analysis;
     aopts.threads = opts.threads;
