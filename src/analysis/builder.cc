@@ -232,10 +232,6 @@ FunctionBuilder::resolveIndirectJumps()
                 });
             if (known)
                 continue;
-            if (!opts_.resolveJumpTables) {
-                unresolved_.push_back(jump_addr);
-                continue;
-            }
             // Layout predecessor: the block ending exactly at this
             // block's start with a fall-through edge.
             const Block *pred = nullptr;

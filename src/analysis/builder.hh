@@ -18,9 +18,6 @@ namespace icp
 
 struct AnalysisOptions
 {
-    /** Run jump-table analysis (all modeled tools do). */
-    bool resolveJumpTables = true;
-
     /**
      * Our gap-decoding heuristic: unresolved indirect jumps in a
      * function whose address range has no non-nop gaps are treated

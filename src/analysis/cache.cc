@@ -49,7 +49,6 @@ imageCacheSeed(const BinaryImage &image, const AnalysisOptions &opts)
     std::uint64_t h = fnvValue(
         static_cast<std::uint64_t>(image.arch), 0xcbf29ce484222325ULL);
     h = fnvValue(image.pie ? 1 : 0, h);
-    h = fnvValue(opts.resolveJumpTables ? 1 : 0, h);
     h = fnvValue(opts.tailCallHeuristic ? 1 : 0, h);
     h = fnvDouble(opts.inject.failProb, h);
     h = fnvDouble(opts.inject.overProb, h);

@@ -134,8 +134,9 @@ struct Function
      * tables, constant-base data loads), finalized against the image
      * it was analyzed on, and cached with the rest of the function.
      * Cache hits keyed on code bytes are validated by re-hashing
-     * these ranges; loadInput keys data-edit invalidation on overlap
-     * with them.
+     * these ranges, and RewriteSession::loadInput dirties a function
+     * whose ranges no longer validate (DataDeps::validate) against
+     * the edited image: one test for both.
      */
     DataDeps dataDeps;
 

@@ -1,5 +1,6 @@
 #include "analysis/funcptr.hh"
 
+#include "isa/bytes.hh"
 #include "support/logging.hh"
 
 namespace icp
@@ -41,10 +42,7 @@ FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
                 continue;
             for (Offset off = 0; off + 8 <= sec.bytes.size();
                  off += 8) {
-                std::uint64_t v = 0;
-                for (unsigned b = 0; b < 8; ++b)
-                    v |= static_cast<std::uint64_t>(
-                             sec.bytes[off + b]) << (8 * b);
+                const std::uint64_t v = getU64(&sec.bytes[off]);
                 if (!isEntry(v))
                     continue;
                 FuncPtrDef def;

@@ -66,7 +66,7 @@ boltRewrite(const BinaryImage &input, BoltOperation op)
         ro.bytes = std::move(rodata);
         out.addSection(std::move(ro));
     }
-    rewriteRegeneratedFuncPtrs(out, *old_text, cfg, engine);
+    rewriteRegeneratedFuncPtrs(out, cfg, engine);
 
     const std::optional<Addr> entry = engine.lookupBlock(input.entry);
     icp_assert(entry.has_value(), "entry missing");

@@ -89,7 +89,7 @@ irLowerRewrite(const BinaryImage &input,
     // Rewrite every function-pointer definition (the all-rewritten
     // property that gives IR lowering its zero-overhead profile).
     result.stats.rewrittenFuncPtrs =
-        rewriteRegeneratedFuncPtrs(out, *old_text, cfg, engine);
+        rewriteRegeneratedFuncPtrs(out, cfg, engine);
 
     // Regenerate unwind records for the new layout (BOLT-style
     // "update DWARF"; trivial here because the qualifying binaries

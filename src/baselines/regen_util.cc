@@ -1,44 +1,24 @@
 #include "baselines/regen_util.hh"
 
-#include "analysis/funcptr.hh"
-
 namespace icp
 {
 
 std::uint64_t
-rewriteRegeneratedFuncPtrs(BinaryImage &out, Section &new_text,
-                           const CfgModule &cfg,
+rewriteRegeneratedFuncPtrs(BinaryImage &out, const CfgModule &cfg,
                            const Engine &engine)
 {
+    // Looked up here, after the caller added its sections: a
+    // Section pointer taken before an addSection() dangles.
+    Section &new_text = *out.findSection(SectionKind::text);
     const FuncPtrAnalysisResult fps = analyzeFuncPtrs(cfg);
+    const RelocIndex relocs(out.relocs);
     std::uint64_t rewritten = 0;
-
     for (const auto &def : fps.defs) {
-        Addr new_value;
-        if (def.delta == 0) {
-            const std::optional<Addr> at =
-                engine.lookupBlock(def.funcEntry);
-            if (!at)
-                continue;
-            new_value = *at;
-        } else {
-            const std::optional<Addr> at = engine.lookupInsn(
-                def.funcEntry + static_cast<Addr>(def.delta));
-            if (!at)
-                continue;
-            new_value = *at - static_cast<Addr>(def.delta);
-        }
-
+        const std::optional<Addr> new_value = funcPtrTarget(def, engine);
+        if (!new_value)
+            continue;
         if (def.kind == FuncPtrDef::Kind::dataCell) {
-            for (auto &rel : out.relocs) {
-                if (rel.site == def.site)
-                    rel.addend = static_cast<std::int64_t>(new_value);
-            }
-            std::vector<std::uint8_t> raw;
-            for (unsigned b = 0; b < 8; ++b)
-                raw.push_back(
-                    static_cast<std::uint8_t>(new_value >> (8 * b)));
-            out.writeBytes(def.site, raw);
+            patchFuncPtrCell(out, relocs, def.site, *new_value);
             ++rewritten;
             continue;
         }
@@ -49,7 +29,7 @@ rewriteRegeneratedFuncPtrs(BinaryImage &out, Section &new_text,
             if (const std::optional<Addr> at = engine.lookupInsn(orig)) {
                 patched |= patchFuncPtrInsn(out, new_text.bytes,
                                             new_text.addr, *at,
-                                            new_value);
+                                            *new_value);
             }
         }
         if (patched)

@@ -15,13 +15,13 @@ namespace icp
 {
 
 /**
- * Rewrite all function-pointer definitions of @p cfg in @p out:
- * relocation-backed cells, data-scan cells, and code-immediate /
- * pc-relative definitions inside the regenerated text section
- * @p new_text. Returns the number of rewritten definitions.
+ * Rewrite all function-pointer definitions of @p cfg in @p out at
+ * their funcPtrTarget(): relocation-backed cells, data-scan cells,
+ * and code-immediate / pc-relative definitions inside out's .text,
+ * which holds the regenerated code. Returns the number of rewritten
+ * definitions.
  */
 std::uint64_t rewriteRegeneratedFuncPtrs(BinaryImage &out,
-                                         Section &new_text,
                                          const CfgModule &cfg,
                                          const Engine &engine);
 

@@ -186,6 +186,15 @@ BinaryImage::writeBytes(Addr addr, const std::vector<std::uint8_t> &bytes)
     return true;
 }
 
+bool
+BinaryImage::writeValue(Addr addr, std::uint64_t value, unsigned size)
+{
+    std::vector<std::uint8_t> raw(size);
+    for (unsigned i = 0; i < size; ++i)
+        raw[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    return writeBytes(addr, raw);
+}
+
 Addr
 BinaryImage::highWaterMark(unsigned alignment) const
 {
@@ -405,6 +414,24 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
     if (issues.size() != issues_before)
         return std::nullopt;
     return img;
+}
+
+RelocIndex::RelocIndex(const std::vector<Relocation> &relocs)
+{
+    bySite_.reserve(relocs.size());
+    for (std::size_t i = 0; i < relocs.size(); ++i)
+        bySite_.emplace_back(relocs[i].site, i);
+    std::sort(bySite_.begin(), bySite_.end());
+}
+
+std::span<const RelocIndex::Entry>
+RelocIndex::in(Addr lo, Addr hi) const
+{
+    const auto first =
+        std::lower_bound(bySite_.begin(), bySite_.end(), Entry{lo, 0});
+    const auto last = std::lower_bound(first, bySite_.end(),
+                                       Entry{std::max(lo, hi), 0});
+    return {first, last};
 }
 
 } // namespace icp

@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "binfmt/ehframe.hh"
@@ -125,6 +127,9 @@ class BinaryImage
     /** Write bytes into the containing section. */
     bool writeBytes(Addr addr, const std::vector<std::uint8_t> &bytes);
 
+    /** Write a little-endian value of @p size bytes at @p addr. */
+    bool writeValue(Addr addr, std::uint64_t value, unsigned size);
+
     /** First free address after all sections, rounded up. */
     Addr highWaterMark(unsigned alignment = 4096) const;
 
@@ -148,6 +153,34 @@ class BinaryImage
                    std::vector<SbfIssue> &issues);
 
     const ArchInfo &archInfo() const { return ArchInfo::get(arch); }
+};
+
+/**
+ * The relocations of one image ordered by site, built once per
+ * operation: "which relocations sit at these addresses" is a binary
+ * search instead of a scan of every relocation.
+ */
+class RelocIndex
+{
+  public:
+    /** A relocation's site and its position in the indexed vector. */
+    using Entry = std::pair<Addr, std::size_t>;
+
+    explicit RelocIndex(const std::vector<Relocation> &relocs);
+
+    /** The relocations whose site lies in [lo, hi), ordered by site,
+     *  then position. */
+    std::span<const Entry> in(Addr lo, Addr hi) const;
+
+    /** The relocations at exactly @p site. */
+    std::span<const Entry>
+    at(Addr site) const
+    {
+        return in(site, site + 1);
+    }
+
+  private:
+    std::vector<Entry> bySite_;
 };
 
 } // namespace icp

@@ -74,8 +74,6 @@ Assembler::itemLength(const Item &item) const
                    opcodeName(item.in.op), arch_.name);
         return len;
       }
-      case Item::Kind::data:
-        return static_cast<unsigned>(item.data.size());
       case Item::Kind::dataDiff:
         return item.diffSize;
     }
@@ -187,42 +185,6 @@ Assembler::emitAddisTocPair(Reg rd, Label label, Addr toc_base)
 }
 
 void
-Assembler::emitAdrPagePair(Reg rd, Label label)
-{
-    icp_assert(!finalized_, "emit after finalize");
-    Item page;
-    page.in = makeAdrPage(rd, 0);
-    page.targetLabel = label;
-    page.fixup = Item::Fixup::target;
-    page.offset = cursor_;
-    page.length = itemLength(page);
-    cursor_ += page.length;
-    items_.push_back(std::move(page));
-
-    Item lo;
-    lo.in = makeAddImm(rd, 0);
-    lo.targetLabel = label;
-    lo.fixup = Item::Fixup::adrLo;
-    lo.offset = cursor_;
-    lo.length = itemLength(lo);
-    cursor_ += lo.length;
-    items_.push_back(std::move(lo));
-}
-
-void
-Assembler::emitData(const std::vector<std::uint8_t> &bytes)
-{
-    icp_assert(!finalized_, "emit after finalize");
-    Item item;
-    item.kind = Item::Kind::data;
-    item.data = bytes;
-    item.offset = cursor_;
-    item.length = itemLength(item);
-    cursor_ += item.length;
-    items_.push_back(std::move(item));
-}
-
-void
 Assembler::emitDataLabelDiff(Label target, Label base, unsigned size,
                              unsigned shift)
 {
@@ -300,12 +262,6 @@ Assembler::finalize()
                         static_cast<std::uint64_t>(off), 16);
                     break;
                   }
-                  case Item::Fixup::adrLo: {
-                    const Addr page = ((t + 0x8000) >> 16) << 16;
-                    in.imm = static_cast<std::int64_t>(t) -
-                             static_cast<std::int64_t>(page);
-                    break;
-                  }
                   case Item::Fixup::none:
                     icp_panic("label without fixup");
                 }
@@ -317,9 +273,6 @@ Assembler::finalize()
                        arch_.name);
             break;
           }
-          case Item::Kind::data:
-            out.insert(out.end(), item.data.begin(), item.data.end());
-            break;
           case Item::Kind::dataDiff: {
             const std::int64_t diff =
                 static_cast<std::int64_t>(labelAddr(item.diffA)) -

@@ -81,15 +81,6 @@ class Assembler
      */
     void emitAddisTocPair(Reg rd, Label label, Addr toc_base);
 
-    /**
-     * aarch64 adrp pair to a label: AdrPage rd, label followed by
-     * AddImm rd, low-part, resolved at finalize.
-     */
-    void emitAdrPagePair(Reg rd, Label label);
-
-    /** Append raw data bytes (embedded jump tables), align-safe. */
-    void emitData(const std::vector<std::uint8_t> &bytes);
-
     /** Reserve a data placeholder patched at finalize via callback. */
     void emitDataLabelDiff(Label target, Label base, unsigned size,
                            unsigned shift = 0);
@@ -113,15 +104,14 @@ class Assembler
   private:
     struct Item
     {
-        enum class Kind { instr, data, dataDiff };
+        enum class Kind { instr, dataDiff };
         /** How a label reference patches the instruction. */
-        enum class Fixup { none, target, movChunk, tocHi, tocLo, adrLo };
+        enum class Fixup { none, target, movChunk, tocHi, tocLo };
         Kind kind = Kind::instr;
         Fixup fixup = Fixup::none;
         Addr tocBase = 0;             // for tocHi/tocLo
         Instruction in;
         Label targetLabel = -1;       // instr with label target
-        std::vector<std::uint8_t> data;
         // dataDiff: value = (labelAddr(a) - labelAddr(b)) >> shift
         Label diffA = -1;
         Label diffB = -1;

@@ -194,15 +194,6 @@ makeMovZk(Reg rd, std::uint16_t imm, std::uint8_t shift, bool keep)
 }
 
 Instruction
-makeMovHi(Reg rd, std::uint16_t imm)
-{
-    auto in = base(Opcode::MovHi);
-    in.rd = rd;
-    in.imm = imm;
-    return in;
-}
-
-Instruction
 makeMovReg(Reg rd, Reg rs)
 {
     auto in = base(Opcode::MovReg);
@@ -215,15 +206,6 @@ Instruction
 makeAdd(Reg rd, Reg rs)
 {
     auto in = base(Opcode::Add);
-    in.rd = rd;
-    in.rs1 = rs;
-    return in;
-}
-
-Instruction
-makeSub(Reg rd, Reg rs)
-{
-    auto in = base(Opcode::Sub);
     in.rd = rd;
     in.rs1 = rs;
     return in;
@@ -336,17 +318,6 @@ makeLoadIdx(Reg rd, Reg baseReg, Reg index, std::uint8_t size,
     in.memSize = size;
     in.imm = disp;
     in.signedLoad = sign_extend;
-    return in;
-}
-
-Instruction
-makeStoreSz(Reg baseReg, std::int64_t disp, Reg src, std::uint8_t size)
-{
-    auto in = base(Opcode::StoreSz);
-    in.rs1 = baseReg;
-    in.rs2 = src;
-    in.imm = disp;
-    in.memSize = size;
     return in;
 }
 

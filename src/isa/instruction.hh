@@ -84,10 +84,8 @@ Instruction makeMovImm(Reg rd, std::int64_t imm);
 /** movz/movk-style piecewise immediate (fixed-length ISAs). */
 Instruction makeMovZk(Reg rd, std::uint16_t imm, std::uint8_t shift,
                       bool keep);
-Instruction makeMovHi(Reg rd, std::uint16_t imm);
 Instruction makeMovReg(Reg rd, Reg rs);
 Instruction makeAdd(Reg rd, Reg rs);
-Instruction makeSub(Reg rd, Reg rs);
 Instruction makeMul(Reg rd, Reg rs);
 Instruction makeXor(Reg rd, Reg rs);
 Instruction makeAddImm(Reg rd, std::int64_t imm);
@@ -101,8 +99,6 @@ Instruction makeLoadSz(Reg rd, Reg base, std::int64_t disp,
                        std::uint8_t size, bool sign_extend = false);
 Instruction makeLoadIdx(Reg rd, Reg base, Reg index, std::uint8_t size,
                         std::int64_t disp = 0, bool sign_extend = false);
-Instruction makeStoreSz(Reg base, std::int64_t disp, Reg src,
-                        std::uint8_t size);
 Instruction makeLea(Reg rd, Addr target);
 Instruction makeAdrPage(Reg rd, Addr target);
 Instruction makeAddisToc(Reg rd, std::int32_t hi16);

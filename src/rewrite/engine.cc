@@ -911,6 +911,27 @@ Engine::cloneBytes() const
     return out;
 }
 
+std::optional<Addr>
+funcPtrTarget(const FuncPtrDef &def, const Engine &engine)
+{
+    if (def.delta == 0)
+        return engine.lookupBlock(def.funcEntry);
+    const Addr delta = static_cast<Addr>(def.delta);
+    const std::optional<Addr> at = engine.lookupInsn(def.funcEntry + delta);
+    if (!at)
+        return std::nullopt;
+    return *at - delta;
+}
+
+void
+patchFuncPtrCell(BinaryImage &out, const RelocIndex &relocs, Addr site,
+                 Addr value)
+{
+    for (const RelocIndex::Entry &rel : relocs.at(site))
+        out.relocs[rel.second].addend = static_cast<std::int64_t>(value);
+    out.writeValue(site, value, 8);
+}
+
 bool
 patchFuncPtrInsn(const BinaryImage &image, std::vector<std::uint8_t> &bytes,
                  Addr base, Addr at, Addr new_target)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/cfg.hh"
+#include "analysis/funcptr.hh"
 #include "rewrite/manifest.hh"
 #include "rewrite/options.hh"
 
@@ -235,6 +236,26 @@ class Engine
     const std::vector<std::uint8_t> *reusedBytes_ = nullptr;
     unsigned reusedCount_ = 0;
 };
+
+/**
+ * Where the function pointer @p def must point after relocation (the
+ * one retargeting rule of §5.2): an entry pointer at its function's
+ * relocated entry block, so entry instrumentation still runs; a
+ * displaced pointer (entry + delta, Listing 1's +1) at the relocated
+ * instruction at entry + delta, minus delta. nullopt when that
+ * address was not relocated: the pointer stays valid as it is.
+ */
+std::optional<Addr> funcPtrTarget(const FuncPtrDef &def,
+                                  const Engine &engine);
+
+/**
+ * Point the 8-byte data cell at @p site of @p out at @p value: the
+ * cell's bytes and the addend of every relocation at @p site, so the
+ * loader writes @p value whichever of them it applies last.
+ * @p relocs indexes out.relocs.
+ */
+void patchFuncPtrCell(BinaryImage &out, const RelocIndex &relocs,
+                      Addr site, Addr value);
 
 /**
  * Re-target the function-pointer-forming instruction at @p at (a

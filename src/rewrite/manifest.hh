@@ -142,7 +142,9 @@ struct RewriteManifest
      * Per-function data read-sets (function entry -> finalized
      * ranges), copied from the analyzed CFG. The datadep-* lint
      * rules audit these against a recomputation from the original
-     * image; loadInput keys data-edit invalidation on them.
+     * image. Data-edit invalidation does not read them:
+     * RewriteSession::loadInput runs DataDeps::validate on the
+     * session CFG's functions instead.
      */
     std::map<Addr, DataDeps> dataDeps;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string_view>
@@ -237,7 +238,7 @@ class Rewriter
     Rewriter(const BinaryImage &input, const RewriteOptions &opts,
              const RewritePass &pass)
         : input_(input), opts_(opts), pass_(pass),
-          arch_(input.archInfo())
+          arch_(input.archInfo()), relocs_(input.relocs)
     {
     }
 
@@ -290,6 +291,8 @@ class Rewriter
     const RewriteOptions &opts_;
     const RewritePass &pass_;
     const ArchInfo &arch_;
+    /** Sites of input_.relocs, which out_.relocs copies in order. */
+    const RelocIndex relocs_;
 
     /** With one range, its CFG, built once (or borrowed from
      *  pass_.cfg) and kept for the whole run; null with several,
@@ -783,52 +786,20 @@ Rewriter::rewriteFuncPtrs(const Engine &engine,
         // mode; exact entry pointers only in func-ptr mode.
         if (opts_.mode != RewriteMode::funcPtr && def.delta == 0)
             continue;
-        Addr new_value;
-        if (def.delta == 0) {
-            // Point at the relocated block start so entry
-            // instrumentation still runs.
-            const std::optional<Addr> relocated =
-                engine.lookupBlock(def.funcEntry);
-            if (!relocated)
-                continue; // not relocated; pointer stays valid
-            new_value = *relocated;
-        } else {
-            const Addr use_point = def.funcEntry +
-                                   static_cast<Addr>(def.delta);
-            const std::optional<Addr> relocated =
-                engine.lookupInsn(use_point);
-            if (!relocated)
-                continue;
-            new_value = *relocated - static_cast<Addr>(def.delta);
-        }
+        const std::optional<Addr> new_value = funcPtrTarget(def, engine);
+        if (!new_value)
+            continue; // not relocated; pointer stays valid
 
-        FuncPtrPatch patch;
-        patch.site = def.site;
-        patch.funcEntry = def.funcEntry;
-        patch.delta = def.delta;
-        patch.newValue = new_value;
-
-        if (def.kind == FuncPtrDef::Kind::dataCell) {
-            // Update the relocation addend and the initialized
-            // bytes.
-            for (auto &rel : out_.relocs) {
-                if (rel.site == def.site) {
-                    rel.addend = static_cast<std::int64_t>(new_value);
-                }
-            }
-            std::vector<std::uint8_t> raw;
-            for (unsigned b = 0; b < 8; ++b)
-                raw.push_back(
-                    static_cast<std::uint8_t>(new_value >> (8 * b)));
-            out_.writeBytes(def.site, raw);
-            result_.stats.rewrittenFuncPtrs++;
-            patch.kind = FuncPtrPatch::Kind::dataCell;
-        } else {
-            patchCodeDef(def, new_value, engine, deferred);
-            result_.stats.rewrittenFuncPtrs++;
-            patch.kind = FuncPtrPatch::Kind::codeDef;
-        }
-        result_.manifest.funcPtrs.push_back(patch);
+        const bool cell = def.kind == FuncPtrDef::Kind::dataCell;
+        if (cell)
+            patchFuncPtrCell(out_, relocs_, def.site, *new_value);
+        else
+            patchCodeDef(def, *new_value, engine, deferred);
+        result_.stats.rewrittenFuncPtrs++;
+        result_.manifest.funcPtrs.push_back(
+            {cell ? FuncPtrPatch::Kind::dataCell
+                  : FuncPtrPatch::Kind::codeDef,
+             def.site, def.funcEntry, def.delta, *new_value});
     }
 }
 void
@@ -1127,7 +1098,7 @@ Rewriter::injectByteDefect()
       }
 
       case InjectDefect::funcPtrStale: {
-        // Restore a rewritten pointer cell (bytes and relocation)
+        // Restore a rewritten pointer cell (bytes and relocations)
         // to its original value.
         for (const auto &p : m.funcPtrs) {
             if (p.kind != FuncPtrPatch::Kind::dataCell ||
@@ -1136,19 +1107,7 @@ Rewriter::injectByteDefect()
             const auto orig = input_.readValue(p.site, 8);
             if (!orig)
                 continue;
-            std::vector<std::uint8_t> raw;
-            for (unsigned b = 0; b < 8; ++b)
-                raw.push_back(
-                    static_cast<std::uint8_t>(*orig >> (8 * b)));
-            out_.writeBytes(p.site, raw);
-            for (const auto &in_rel : input_.relocs) {
-                if (in_rel.site != p.site)
-                    continue;
-                for (auto &rel : out_.relocs) {
-                    if (rel.site == p.site)
-                        rel.addend = in_rel.addend;
-                }
-            }
+            patchFuncPtrCell(out_, relocs_, p.site, *orig);
             m.injectedRule = "func-ptr-target";
             return;
         }
@@ -1234,8 +1193,34 @@ std::string
 rejection(const BinaryImage &input, const RewriteOptions &opts,
           const RewritePass &pass, bool sharded)
 {
-    if (!input.findSection(SectionKind::text))
+    const Section *text = input.findSection(SectionKind::text);
+    if (!text)
         return "input has no .text section";
+    // The relocated code reaches the input's sections pc-relatively
+    // (long trampolines, widened address formation, TOC pairs), and
+    // .instr goes above them with room for four times .text: that
+    // must fit in half the reach, the rest left to .newrodata.
+    const ArchInfo &arch = input.archInfo();
+    Addr lo = input.highWaterMark(1), hi = lo;
+    if (arch.hasToc) {
+        lo = std::min(lo, input.tocBase);
+        hi = std::max(hi, input.tocBase);
+    }
+    for (const Section &s : input.sections)
+        if (s.loadable)
+            lo = std::min(lo, s.addr);
+    const std::uint64_t reach = arch.longTrampRange / 2;
+    if (hi - lo > reach || text->memSize > reach ||
+        hi - lo + 4 * text->memSize + 0x10000 > reach) {
+        char msg[160];
+        std::snprintf(msg, sizeof(msg),
+                      "layout beyond pc-relative reach: sections span "
+                      "[0x%llx, 0x%llx) and .text is 0x%llx bytes",
+                      static_cast<unsigned long long>(lo),
+                      static_cast<unsigned long long>(hi),
+                      static_cast<unsigned long long>(text->memSize));
+        return msg;
+    }
     if (opts.reachabilityPruning && opts.clobberOriginal) {
         return "reachability pruning lets original code execute; it "
                "cannot be combined with clobbering";

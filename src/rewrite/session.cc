@@ -27,8 +27,7 @@ const Timer diff_timer = Metrics::global().timer("session.diff");
 bool
 sameCfgShape(const AnalysisOptions &a, const AnalysisOptions &b)
 {
-    return a.resolveJumpTables == b.resolveJumpTables &&
-           a.tailCallHeuristic == b.tailCallHeuristic &&
+    return a.tailCallHeuristic == b.tailCallHeuristic &&
            a.inject.failProb == b.inject.failProb &&
            a.inject.overProb == b.inject.overProb &&
            a.inject.underProb == b.inject.underProb &&
@@ -209,8 +208,12 @@ RewriteSession::loadInput(BinaryImage newImage)
         if (comparable && !dataRuns.empty()) {
             for (const auto &[addr, len] : result_.manifest.scratchRanges)
                 comparable = comparable && !edited(addr, addr + len);
-            for (const Relocation &rel : input_->relocs)
-                comparable = comparable && !edited(rel.site, rel.site + 8);
+            // A relocation slot is 8 bytes: one starting up to 7
+            // bytes before a run still overlaps it.
+            const RelocIndex relocs(input_->relocs);
+            for (const auto &[lo, hi] : dataRuns)
+                comparable = comparable &&
+                             relocs.in(lo < 7 ? 0 : lo - 7, hi).empty();
             for (const FuncPtrPatch &p : result_.manifest.funcPtrs)
                 if (p.kind == FuncPtrPatch::Kind::dataCell)
                     comparable = comparable && !edited(p.site, p.site + 8);
@@ -274,15 +277,9 @@ RewriteSession::loadInput(BinaryImage newImage)
             }
         }
         if (!dataSections.empty()) {
-            for (const FuncPtrPatch &p : result_.manifest.funcPtrs) {
-                if (p.kind != FuncPtrPatch::Kind::dataCell)
-                    continue;
-                std::vector<std::uint8_t> raw;
-                for (unsigned b = 0; b < 8; ++b)
-                    raw.push_back(static_cast<std::uint8_t>(
-                        p.newValue >> (8 * b)));
-                result_.image.writeBytes(p.site, raw);
-            }
+            for (const FuncPtrPatch &p : result_.manifest.funcPtrs)
+                if (p.kind == FuncPtrPatch::Kind::dataCell)
+                    result_.image.writeValue(p.site, p.newValue, 8);
         }
         return out;
     }
@@ -414,7 +411,7 @@ RewriteSession::repair(const LintReport &report,
     // Second failed targeted attempt -> demote to trap trampolines.
     for (const std::string &name : names) {
         const unsigned fails = ++failCounts_[name];
-        if (policy.demoteToTrapOnSecondFailure && fails >= 2) {
+        if (fails >= 2) {
             opts_.forceTrapFunctions.insert(name);
             out.demotedFunctions.insert(name);
         }

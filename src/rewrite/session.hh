@@ -56,13 +56,6 @@ class RewriteSession
     struct RepairPolicy
     {
         /**
-         * After a function's second failed targeted re-rewrite,
-         * demote every trampoline in it to a trap — the
-         * always-sound §4.3 fallback, at runtime cost.
-         */
-        bool demoteToTrapOnSecondFailure = true;
-
-        /**
          * Clear RewriteOptions::injectDefect before re-rewriting,
          * modeling a transient defect that one repair pass fixes.
          * Tests set this false (with injectOnlyFunction) to model a
@@ -159,8 +152,11 @@ class RewriteSession
     /**
      * One repair pass driven by @p report: re-rewrite the functions
      * owning its error findings (selectively when every finding is
-     * attributable), then incrementally re-lint. Requires rewrite()
-     * and lint() to have run. Updates lastResult()/lastReport().
+     * attributable), then incrementally re-lint. A function's
+     * second failed attempt demotes every trampoline in it to a
+     * trap, the always-sound §4.3 fallback, at runtime cost.
+     * Requires rewrite() and lint() to have run. Updates
+     * lastResult()/lastReport().
      */
     RepairOutcome repair(const LintReport &report,
                          const RepairPolicy &policy);

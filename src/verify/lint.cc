@@ -109,8 +109,7 @@ class Checker
         checkAddrMaps();
         checkEhFrames();
         checkDataDeps();
-        if (opts_.checkLoadedImage)
-            checkFuncPtrs();
+        checkFuncPtrs();
         return std::move(findings_);
     }
 

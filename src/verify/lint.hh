@@ -36,12 +36,6 @@ struct LintOptions
     Severity failOn = Severity::error;
 
     /**
-     * Run the loader-backed function-pointer rule (maps the image
-     * into simulated memory and applies runtime relocations).
-     */
-    bool checkLoadedImage = true;
-
-    /**
      * Worker threads for the per-site rule checkers (trampoline
      * chains, clone entries, func-ptr cells): 0 = hardware
      * concurrency, 1 = serial. Findings are reported in the same

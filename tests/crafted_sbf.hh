@@ -3,7 +3,8 @@
  * Crafted malformed SBF inputs shared by the validation tests: each
  * is `icp compile micro --pie` of one ISA with one field changed.
  * The first three are container defects that tryDeserialize rejects
- * naming a rule; the last decodes cleanly but cannot be rewritten.
+ * naming a rule; the last two decode cleanly but cannot be rewritten.
+ * duplicateFuncPtrReloc crafts a well-formed edge case instead.
  */
 
 #ifndef ICP_TESTS_CRAFTED_SBF_HH
@@ -26,8 +27,10 @@ enum class SbfDefect
     ehFrameCount, ///< .eh_frame FDE count plus one
     relocSite,    ///< first relocation site set to 0xdead0000
     noText,       ///< .text kind byte set to `other`
+    farSection,   ///< .rodata address plus 2^36: beyond pc-relative reach
 };
 
+/** The defects every reader handles alike (farSection is rewrite-only). */
 inline constexpr SbfDefect all_sbf_defects[] = {
     SbfDefect::badArch, SbfDefect::ehFrameCount, SbfDefect::relocSite,
     SbfDefect::noText};
@@ -40,6 +43,7 @@ sbfDefectName(SbfDefect defect)
       case SbfDefect::ehFrameCount: return "eh-frame-count";
       case SbfDefect::relocSite: return "reloc-site";
       case SbfDefect::noText: return "no-text";
+      case SbfDefect::farSection: return "far-section";
     }
     return "?";
 }
@@ -53,6 +57,7 @@ sbfDefectRule(SbfDefect defect)
       case SbfDefect::ehFrameCount: return "sbf-payload";
       case SbfDefect::relocSite: return "sbf-reloc";
       case SbfDefect::noText: return nullptr;
+      case SbfDefect::farSection: return nullptr;
     }
     return nullptr;
 }
@@ -79,11 +84,36 @@ craftSbf(Arch arch, SbfDefect defect)
       case SbfDefect::noText:
         img.findSection(SectionKind::text)->kind = SectionKind::other;
         break;
+      case SbfDefect::farSection:
+        img.findSection(SectionKind::rodata)->addr += Addr{1} << 36;
+        break;
     }
     std::vector<std::uint8_t> raw = img.serialize();
     if (defect == SbfDefect::badArch)
         raw[4] = 7; // right after the magic
     return raw;
+}
+
+/**
+ * Append a second relocation at the site of @p img's first
+ * relocation that points at a function entry, with the same addend:
+ * a well-formed input whose rewritten pointer cell carries two
+ * relocations. Returns that site (0 when no relocation points at a
+ * function entry).
+ */
+inline Addr
+duplicateFuncPtrReloc(BinaryImage &img)
+{
+    for (std::size_t i = 0; i < img.relocs.size(); ++i) {
+        const Relocation rel = img.relocs[i];
+        const Symbol *sym =
+            img.functionContaining(static_cast<Addr>(rel.addend));
+        if (!sym || sym->addr != static_cast<Addr>(rel.addend))
+            continue;
+        img.relocs.push_back(rel);
+        return rel.site;
+    }
+    return 0;
 }
 
 } // namespace icp

@@ -2,10 +2,12 @@
  * @file
  * Golden output digests: FNV-1a over the serialized output of
  * rewriteBinary for a fixed matrix (3 ISAs x 3 modes x two programs
- * x option variants). Unlike the identity sweeps, which compare two
- * code paths of the same build, this pins the bytes against a
- * recorded earlier output, so a refactor that changes every path the
- * same way is still caught. An output that the SBF validator rejects
+ * x option variants), of the two regenerating baselines (IR lowering
+ * and BOLT-like) on 3 ISAs, and of a crafted input whose pointer
+ * cell carries two relocations. Unlike the identity sweeps, which
+ * compare two code paths of the same build, this pins the bytes
+ * against a recorded earlier output, so a refactor that changes
+ * every path the same way is still caught. An output that the SBF validator rejects
  * records the rule instead of a digest.
  *
  *   rewrite_digests --check FILE   recompute; exit 1 on any mismatch
@@ -26,10 +28,13 @@
 #include <vector>
 
 #include "analysis/cache.hh"
+#include "baselines/boltlike.hh"
+#include "baselines/irlower.hh"
 #include "binfmt/stream_writer.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
 #include "rewrite/rewriter.hh"
+#include "crafted_sbf.hh"
 
 using namespace icp;
 
@@ -77,6 +82,21 @@ variants()
     return list;
 }
 
+/** The digest of serialized output @p bytes, or the rule the SBF
+ *  validator rejects them with. */
+std::string
+digestOfBytes(const std::vector<std::uint8_t> &bytes)
+{
+    // Validation rejects nothing the rewriter writes.
+    std::vector<SbfIssue> issues;
+    if (!BinaryImage::tryDeserialize(bytes, issues))
+        return "rejected:" + issues.front().rule;
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64,
+                  fnv1a(bytes.data(), bytes.size()));
+    return hex;
+}
+
 std::string
 digestOf(const BinaryImage &img, const RewriteOptions &opts,
          bool sharded)
@@ -93,16 +113,25 @@ digestOf(const BinaryImage &img, const RewriteOptions &opts,
         if (ok)
             bytes = rw.image.serialize();
     }
-    if (!ok)
-        return "failed";
-    // Validation rejects nothing the rewriter writes.
-    std::vector<SbfIssue> issues;
-    if (!BinaryImage::tryDeserialize(bytes, issues))
-        return "rejected:" + issues.front().rule;
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016" PRIx64,
-                  fnv1a(bytes.data(), bytes.size()));
-    return hex;
+    return ok ? digestOfBytes(bytes) : "failed";
+}
+
+std::string
+irLowerDigest(const BinaryImage &img, bool count_blocks)
+{
+    AnalysisCache::global().clear();
+    InstrumentationSpec spec;
+    spec.countBlocks = count_blocks;
+    const RewriteResult rw = irLowerRewrite(img, spec);
+    return rw.ok ? digestOfBytes(rw.image.serialize()) : "failed";
+}
+
+std::string
+boltDigest(const BinaryImage &img, BoltOperation op)
+{
+    AnalysisCache::global().clear();
+    const BoltOutcome out = boltRewrite(img, op);
+    return out.ok ? digestOfBytes(out.image.serialize()) : "failed";
 }
 
 /** "arch mode program variant" -> digest, in matrix order. */
@@ -133,6 +162,54 @@ computeMatrix()
                 }
             }
         }
+    }
+
+    // The regenerating baselines retarget every pointer definition
+    // of the regenerated code: PIE relocation cells, non-PIE data
+    // cells and code definitions. The duplicate-site input pins that
+    // every relocation at a retargeted cell takes the new addend.
+    // IR lowering refuses C++ exceptions: the baseline inputs drop
+    // them.
+    const auto plain = [](ProgramSpec spec) {
+        spec.features.cppExceptions = false;
+        return spec;
+    };
+    for (Arch arch : {Arch::x64, Arch::aarch64, Arch::ppc64le}) {
+        const std::string isa = archName(arch);
+        const BinaryImage micro =
+            compileProgram(plain(microProfile(arch, true)));
+        const BinaryImage micro_static =
+            compileProgram(plain(microProfile(arch, false)));
+        ProgramSpec linked = plain(microProfile(arch, true));
+        linked.emitLinkRelocs = true;
+        const BinaryImage micro_linked = compileProgram(linked);
+        BinaryImage dup = micro;
+        duplicateFuncPtrReloc(dup);
+
+        rows.emplace_back(isa + " irlower micro-plain-pie base",
+                          irLowerDigest(micro, false));
+        rows.emplace_back(isa + " irlower micro-plain-pie counters",
+                          irLowerDigest(micro, true));
+        rows.emplace_back(isa + " irlower micro-plain-pie-dup-reloc base",
+                          irLowerDigest(dup, false));
+        rows.emplace_back(
+            isa + " bolt micro-plain-pie-link-relocs reorder-functions",
+            boltDigest(micro_linked, BoltOperation::reorderFunctions));
+        rows.emplace_back(
+            isa + " bolt micro-plain-pie reorder-blocks",
+            boltDigest(micro, BoltOperation::reorderBlocks));
+        rows.emplace_back(
+            isa + " bolt micro-plain reorder-blocks",
+            boltDigest(micro_static, BoltOperation::reorderBlocks));
+        rows.emplace_back(
+            isa + " bolt micro-plain-pie-dup-reloc reorder-blocks",
+            boltDigest(dup, BoltOperation::reorderBlocks));
+
+        RewriteOptions opts;
+        opts.mode = RewriteMode::funcPtr;
+        opts.threads = 1;
+        rows.emplace_back(isa + " func-ptr micro-plain-pie-dup-reloc base",
+                          digestOf(dup, opts, false));
     }
     return rows;
 }

@@ -15,6 +15,7 @@
 #include "baselines/srbi.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
+#include "crafted_sbf.hh"
 #include "harness/experiment.hh"
 #include "harness/verify.hh"
 #include "rewrite/rewriter.hh"
@@ -213,6 +214,37 @@ TEST(IrLower, RegeneratesRunnableBinary)
     EXPECT_EQ(run.checksum, golden.checksum);
     // No original .text left: size stays close to the original.
     EXPECT_LT(lowered.stats.sizeIncrease(), 0.25);
+}
+
+TEST(FuncPtrRetarget, DuplicateSiteRelocationsAllTakeTheNewAddend)
+{
+    // A pointer cell with two relocations: the rewriter and IR
+    // lowering retarget it through one writer, which gives both
+    // relocations the new value, so the loader writes it either way.
+    for (Arch arch : all_arches) {
+        SCOPED_TRACE(archName(arch));
+        BinaryImage img = compileProgram(plainSpec(arch, true));
+        const Addr site = duplicateFuncPtrReloc(img);
+        ASSERT_NE(site, 0u);
+        const auto before = img.readValue(site, 8);
+        RewriteOptions opts;
+        opts.mode = RewriteMode::funcPtr;
+        for (const RewriteResult &rw :
+             {rewriteBinary(img, opts), irLowerRewrite(img, {})}) {
+            ASSERT_TRUE(rw.ok) << rw.failReason;
+            const auto cell = rw.image.readValue(site, 8);
+            ASSERT_TRUE(cell && before);
+            EXPECT_NE(*cell, *before);
+            unsigned at_site = 0;
+            for (const Relocation &rel : rw.image.relocs) {
+                if (rel.site != site)
+                    continue;
+                ++at_site;
+                EXPECT_EQ(static_cast<Addr>(rel.addend), *cell);
+            }
+            EXPECT_EQ(at_site, 2u);
+        }
+    }
 }
 
 TEST(IrLower, AllOrNothingOnAnalysisFailure)

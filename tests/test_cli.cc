@@ -385,6 +385,42 @@ TEST(Cli, MalformedSbfExitsCleanlyNeverAborts)
         }
         std::remove(path.c_str());
     }
+
+    // A section moved out of pc-relative reach of .text decodes, but
+    // the relocated code could not reach it: the rewrite is rejected
+    // naming the cause. Each ISA aborted at its own site before
+    // (x64: an adrp widening in the assembler; aarch64: the adrp of a
+    // long trampoline; ppc64le: the TOC reach of a long trampoline).
+    for (icp::Arch arch : icp::all_arches) {
+        const std::string path = std::string("/tmp/icp_cli_far_") +
+                                 icp::archName(arch) + ".sbf";
+        SCOPED_TRACE(path);
+        {
+            const auto raw =
+                icp::craftSbf(arch, icp::SbfDefect::farSection);
+            std::ofstream out(path, std::ios::binary);
+            out.write(reinterpret_cast<const char *>(raw.data()),
+                      static_cast<std::streamsize>(raw.size()));
+        }
+        for (const char *mode : {"jt", "func-ptr"}) {
+            const std::string cmd = "rewrite " + path +
+                " /tmp/icp_cli_crafted_out.sbf --mode " + mode;
+            EXPECT_EQ(exitCode(cmd), 1) << cmd;
+            const std::string err = capture(cmd + " 2>&1; true");
+            EXPECT_NE(err.find("pc-relative reach"), std::string::npos)
+                << err;
+        }
+        const std::string lint_cmd = "lint " + path + " --mode func-ptr";
+        EXPECT_EQ(exitCode(lint_cmd), 2);
+        const std::string lint = capture(lint_cmd);
+        EXPECT_NE(lint.find("pc-relative reach"), std::string::npos)
+            << lint;
+        for (const std::string &cmd : {"inspect " + path, "run " + path}) {
+            const int code = exitCode(cmd);
+            EXPECT_TRUE(code == 0 || code == 1) << cmd << " -> " << code;
+        }
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Cli, RewriteWithLintGate)

@@ -123,7 +123,7 @@ usage()
                  "       icp lint <in.sbf> [rewrite options] "
                  "[--json] [--fail-on info|warning|error]\n"
                  "                [--inject DEFECT] "
-                 "[--no-load-check] [--timing] [--rules]\n"
+                 "[--timing] [--rules]\n"
                  "       icp lint --diff <a.sbf|baseline.json> "
                  "<b.sbf> [rewrite options] [--json] [--fail-on S]\n"
                  "       icp run <in.sbf> [--gc N]\n"
@@ -567,8 +567,6 @@ cmdLint(int argc, char **argv)
             json = true;
         } else if (arg == "--timing" && !diff) {
             timing = true;
-        } else if (arg == "--no-load-check") {
-            lopts.checkLoadedImage = false;
         } else if (arg == "--fail-on" && i + 1 < argc) {
             const auto sev = parseSeverity(argv[++i]);
             if (!sev)
