@@ -1,5 +1,7 @@
 #include "isa/assembler.hh"
 
+#include <cstdio>
+
 #include "isa/bytes.hh"
 #include "support/logging.hh"
 
@@ -224,6 +226,15 @@ Assembler::labelAddr(Label label) const
 std::vector<std::uint8_t>
 Assembler::finalize()
 {
+    std::string error;
+    std::optional<std::vector<std::uint8_t>> out = finalize(error);
+    icp_assert(out.has_value(), "%s", error.c_str());
+    return std::move(*out);
+}
+
+std::optional<std::vector<std::uint8_t>>
+Assembler::finalize(std::string &error)
+{
     icp_assert(!finalized_, "finalize called twice");
     finalized_ = true;
 
@@ -266,11 +277,17 @@ Assembler::finalize()
                     icp_panic("label without fixup");
                 }
             }
-            const bool ok = arch_.codec->encode(in, addr, out);
-            icp_assert(ok, "encode failed for '%s' at 0x%llx on %s",
-                       in.toString().c_str(),
-                       static_cast<unsigned long long>(addr),
-                       arch_.name);
+            if (!arch_.codec->encode(in, addr, out)) {
+                char msg[160];
+                std::snprintf(msg, sizeof(msg),
+                              "cannot encode '%s' at 0x%llx on %s: "
+                              "beyond its reach",
+                              in.toString().c_str(),
+                              static_cast<unsigned long long>(addr),
+                              arch_.name);
+                error = msg;
+                return std::nullopt;
+            }
             break;
           }
           case Item::Kind::dataDiff: {
@@ -278,10 +295,18 @@ Assembler::finalize()
                 static_cast<std::int64_t>(labelAddr(item.diffA)) -
                 static_cast<std::int64_t>(labelAddr(item.diffB));
             const std::int64_t value = diff >> item.diffShift;
-            icp_assert(item.diffSize == 8 ||
-                       fitsSigned(value, item.diffSize * 8),
-                       "label diff %lld does not fit %u bytes",
-                       static_cast<long long>(value), item.diffSize);
+            if (item.diffSize != 8 &&
+                !fitsSigned(value, item.diffSize * 8)) {
+                char msg[96];
+                std::snprintf(msg, sizeof(msg),
+                              "label difference %lld at 0x%llx does "
+                              "not fit %u bytes",
+                              static_cast<long long>(value),
+                              static_cast<unsigned long long>(addr),
+                              item.diffSize);
+                error = msg;
+                return std::nullopt;
+            }
             for (unsigned i = 0; i < item.diffSize; ++i) {
                 out.push_back(static_cast<std::uint8_t>(
                     static_cast<std::uint64_t>(value) >> (8 * i)));

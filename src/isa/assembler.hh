@@ -10,6 +10,8 @@
 #define ICP_ISA_ASSEMBLER_HH
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "isa/arch.hh"
@@ -22,9 +24,11 @@ namespace icp
  * Emits a code stream for one ISA starting at a fixed address.
  * Branch/address-formation instructions may reference labels; labels
  * are bound to the current position with bind(). finalize() resolves
- * everything and returns the bytes. Address-dependent encodings that
- * fail to reach their targets are a hard error (the caller controls
- * layout and must keep references in range).
+ * everything and returns the bytes. An address-dependent encoding
+ * that fails to reach its target is reported by the finalize()
+ * overload that takes an error string, and is a hard error in the
+ * other (for callers that control layout and keep references in
+ * range).
  */
 class Assembler
 {
@@ -93,7 +97,14 @@ class Assembler
 
     Addr startAddr() const { return start_; }
 
-    /** Resolve labels and encode; callable once. */
+    /**
+     * Resolve labels and encode; callable once. nullopt when an
+     * instruction or label difference cannot be encoded at its final
+     * address (a branch beyond its reach); @p error then names it.
+     */
+    std::optional<std::vector<std::uint8_t>> finalize(std::string &error);
+
+    /** finalize() for streams that cannot fail: a failure asserts. */
     std::vector<std::uint8_t> finalize();
 
     /** Address a label was bound to (valid after binding). */

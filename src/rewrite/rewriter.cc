@@ -1436,7 +1436,10 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
 
     // Pass 3 — emit each function's final bytes in span (= address)
     // order, apply its func-ptr patches, and hand them with the
-    // alignment padding before them to @p put.
+    // alignment padding before them to @p put. A function that cannot
+    // be encoded at its base (a branch back to original code beyond
+    // its reach) stops the pass; its reason is returned, and a sink
+    // then holds a partial stream.
     std::stable_sort(deferred.begin(), deferred.end(),
                      [](const InstrPatch &a, const InstrPatch &b) {
                          return a.at < b.at;
@@ -1444,17 +1447,23 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     const auto emitInstr = [&](const std::function<void(
                                    Addr, const std::vector<std::uint8_t> &)>
                                    &put) {
+        std::string error;
         auto patch_it = deferred.cbegin();
         std::size_t i = 0;
         Addr cursor = instrBase_;
         forEachRange([&](std::size_t, const CfgModule &cfg) {
             for (const Function *func : emissionOrder(cfg)) {
+                if (!error.empty())
+                    return;
                 const FuncSpan span = engine.spans()[i];
-                std::vector<std::uint8_t> bytes;
+                std::optional<std::vector<std::uint8_t>> emitted;
                 {
                     ScopedTimer timer(relocation_timer);
-                    bytes = engine.emit(i++, *func);
+                    emitted = engine.emit(i++, *func, error);
                 }
+                if (!emitted)
+                    return;
+                std::vector<std::uint8_t> &bytes = *emitted;
                 for (; patch_it != deferred.cend() &&
                        patch_it->at < span.base + span.size;
                      ++patch_it) {
@@ -1474,12 +1483,16 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
                 cursor = span.base + span.size;
             }
         });
-        icp_assert(cursor == engine.layoutEnd(),
-                   "emitted payload diverged from layout");
-        icp_assert(patch_it == deferred.cend(),
-                   "unapplied func-ptr patches");
+        if (error.empty()) {
+            icp_assert(cursor == engine.layoutEnd(),
+                       "emitted payload diverged from layout");
+            icp_assert(patch_it == deferred.cend(),
+                       "unapplied func-ptr patches");
+        }
+        return error;
     };
 
+    std::string emit_error;
     if (sink) {
         SbfStreamWriter writer(*sink);
         writer.beginImage(out_);
@@ -1489,20 +1502,30 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
                 continue;
             }
             writer.beginStreamedSection(sec, instr_size);
-            emitInstr([&](Addr at, const std::vector<std::uint8_t> &b) {
-                writer.addChunk(at - instrBase_, b.data(), b.size());
-            });
+            emit_error = emitInstr(
+                [&](Addr at, const std::vector<std::uint8_t> &b) {
+                    writer.addChunk(at - instrBase_, b.data(), b.size());
+                });
+            if (!emit_error.empty())
+                break;
             writer.endStreamedSection();
         }
-        writer.finishImage(out_);
+        if (emit_error.empty())
+            writer.finishImage(out_);
     } else {
         std::vector<std::uint8_t> &payload =
             out_.findSection(SectionKind::instr)->bytes;
         payload.reserve(instr_size);
-        emitInstr([&](Addr, const std::vector<std::uint8_t> &b) {
+        emit_error = emitInstr([&](Addr, const std::vector<std::uint8_t> &b) {
             payload.insert(payload.end(), b.begin(), b.end());
         });
-        result_.image = std::move(out_);
+        if (emit_error.empty())
+            result_.image = std::move(out_);
+    }
+    if (!emit_error.empty()) {
+        RewriteResult failed;
+        failed.failReason = std::move(emit_error);
+        return failed;
     }
     result_.ok = true;
     return std::move(result_);

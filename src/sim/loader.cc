@@ -31,7 +31,7 @@ loadImage(const BinaryImage &image, std::int64_t slide)
     for (const auto &rel : image.relocs) {
         const Addr site = proc->module.toLoaded(rel.site);
         const std::uint64_t value = static_cast<std::uint64_t>(
-            rel.addend + slide);
+            rel.addend) + static_cast<std::uint64_t>(slide);
         const bool ok = proc->mem.write(site, 8, value);
         icp_assert(ok, "relocation site 0x%llx unmapped",
                    static_cast<unsigned long long>(site));

@@ -27,15 +27,13 @@ struct LoadedModule
     Addr
     toLoaded(Addr pref) const
     {
-        return static_cast<Addr>(static_cast<std::int64_t>(pref) +
-                                 slide);
+        return pref + static_cast<Addr>(slide);
     }
 
     Addr
     toPref(Addr loaded) const
     {
-        return static_cast<Addr>(static_cast<std::int64_t>(loaded) -
-                                 slide);
+        return loaded - static_cast<Addr>(slide);
     }
 };
 
@@ -47,9 +45,6 @@ struct Process
     Addr stackTop = 0;
     Addr stackLimit = 0;
 };
-
-/** Default slide applied to PIE images (0 for non-PIE). */
-inline constexpr std::int64_t default_pie_slide = 0x10000000;
 
 /**
  * Load @p image into a fresh process. @p slide must be 0 for

@@ -7,7 +7,7 @@
 #define ICP_SIM_MEMORY_HH
 
 #include <cstdint>
-#include <memory>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -17,9 +17,12 @@ namespace icp
 {
 
 /**
- * Sparse byte-addressable memory. Pages are allocated on map/write;
- * reading an unmapped address is a fault the caller must check so
- * that wild control flow and data accesses are caught instead of
+ * Sparse byte-addressable memory. map() records an accessible range
+ * without allocating it: a page is allocated, zero-filled, on its
+ * first write, and a mapped page nothing wrote reads as zeros. So the
+ * cost of a mapping is what the process writes into it, not its
+ * size. Reading an unmapped address is a fault the caller must check
+ * so that wild control flow and data accesses are caught instead of
  * silently returning zeroes.
  */
 class Memory
@@ -39,7 +42,7 @@ class Memory
     /** Write @p size bytes little-endian; false if unmapped. */
     bool write(Addr addr, unsigned size, std::uint64_t value);
 
-    /** Bulk copy-in (loader); maps pages as needed. */
+    /** Bulk copy-in (loader); maps the range first. */
     void writeBlock(Addr addr, const std::vector<std::uint8_t> &bytes);
 
     /** Bulk read; false if any byte unmapped. */
@@ -48,17 +51,23 @@ class Memory
 
     /**
      * Direct pointer to the bytes backing @p addr, valid for
-     * min(avail, page-remainder) bytes; nullptr when unmapped. Used
-     * by the instruction fetch fast path.
+     * min(avail, page-remainder) bytes; nullptr when unmapped. A
+     * mapped page nothing wrote yields shared zeros. Used by the
+     * instruction fetch fast path.
      */
     const std::uint8_t *peek(Addr addr, std::size_t &avail) const;
 
   private:
     using Page = std::vector<std::uint8_t>;
 
-    Page *pageFor(Addr addr, bool create);
-    const Page *pageFor(Addr addr) const;
+    /** The page holding @p addr, allocated if mapped and absent. */
+    Page *writablePage(Addr addr);
 
+    /** True when page number @p page lies in a mapped range. */
+    bool inRange(std::uint64_t page) const;
+
+    /** Page numbers [first, last], coalesced: first -> last. */
+    std::map<std::uint64_t, std::uint64_t> ranges_;
     std::unordered_map<std::uint64_t, Page> pages_;
 };
 

@@ -10,7 +10,9 @@
  * (§7), cloned jump tables stay in bounds and decode to relocated
  * block heads (§5), address maps round-trip (§6), unwind coverage
  * survives, and rewritten function-pointer cells load to their
- * relocated targets (§5.2).
+ * relocated targets (§5.2). "Load" is the loader's rule evaluated on
+ * the image bytes and relocation records (BinaryImage::loadedValue);
+ * no process is simulated, so lint does not depend on the simulator.
  */
 
 #ifndef ICP_VERIFY_LINT_HH
@@ -37,7 +39,7 @@ struct LintOptions
 
     /**
      * Worker threads for the per-site rule checkers (trampoline
-     * chains, clone entries, func-ptr cells): 0 = hardware
+     * chains, clone entries): 0 = hardware
      * concurrency, 1 = serial. Findings are reported in the same
      * deterministic order for every value.
      */

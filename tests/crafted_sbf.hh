@@ -1,22 +1,26 @@
 /**
  * @file
  * Crafted malformed SBF inputs shared by the validation tests: each
- * is `icp compile micro --pie` of one ISA with one field changed.
- * The first three are container defects that tryDeserialize rejects
- * naming a rule; the last two decode cleanly but cannot be rewritten.
+ * is `icp compile micro --pie` of one ISA with one or two fields
+ * changed. The first three are container defects that tryDeserialize
+ * rejects naming a rule; the rest decode cleanly but cannot be
+ * rewritten (farFallthrough only on the fixed-length ISAs).
  * duplicateFuncPtrReloc crafts a well-formed edge case instead.
  */
 
 #ifndef ICP_TESTS_CRAFTED_SBF_HH
 #define ICP_TESTS_CRAFTED_SBF_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "binfmt/image.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
 #include "isa/bytes.hh"
+#include "isa/instruction.hh"
 
 namespace icp
 {
@@ -28,7 +32,13 @@ enum class SbfDefect
     relocSite,    ///< first relocation site set to 0xdead0000
     noText,       ///< .text kind byte set to `other`
     farSection,   ///< .rodata address plus 2^36: beyond pc-relative reach
+    wrappedBranch, ///< first conditional branch retargeted below address 0
+    farFallthrough, ///< .eh_frame memSize 144 MB, main cut after a call
 };
+
+/** The defects that decode but make relocated code unencodable. */
+inline constexpr SbfDefect unencodable_sbf_defects[] = {
+    SbfDefect::wrappedBranch, SbfDefect::farFallthrough};
 
 /** The defects every reader handles alike (farSection is rewrite-only). */
 inline constexpr SbfDefect all_sbf_defects[] = {
@@ -44,6 +54,8 @@ sbfDefectName(SbfDefect defect)
       case SbfDefect::relocSite: return "reloc-site";
       case SbfDefect::noText: return "no-text";
       case SbfDefect::farSection: return "far-section";
+      case SbfDefect::wrappedBranch: return "wrapped-branch";
+      case SbfDefect::farFallthrough: return "far-fallthrough";
     }
     return "?";
 }
@@ -57,9 +69,33 @@ sbfDefectRule(SbfDefect defect)
       case SbfDefect::ehFrameCount: return "sbf-payload";
       case SbfDefect::relocSite: return "sbf-reloc";
       case SbfDefect::noText: return nullptr;
-      case SbfDefect::farSection: return nullptr;
+      case SbfDefect::farSection:
+      case SbfDefect::wrappedBranch:
+      case SbfDefect::farFallthrough: return nullptr;
     }
     return nullptr;
+}
+
+/**
+ * The first instruction in @p img's .text at or after @p from with
+ * opcode @p op, or nullopt.
+ */
+inline std::optional<Instruction>
+findInsn(const BinaryImage &img, Addr from, Opcode op)
+{
+    const Section *text = img.findSection(SectionKind::text);
+    const ArchInfo &arch = img.archInfo();
+    Instruction in;
+    for (Addr at = from; at < text->addr + text->bytes.size();
+         at += in.length) {
+        const std::size_t off = at - text->addr;
+        if (!arch.codec->decode(text->bytes.data() + off,
+                                text->bytes.size() - off, at, in))
+            return std::nullopt;
+        if (in.op == op)
+            return in;
+    }
+    return std::nullopt;
 }
 
 /** The serialized micro --pie image of @p arch with @p defect. */
@@ -87,6 +123,36 @@ craftSbf(Arch arch, SbfDefect defect)
       case SbfDefect::farSection:
         img.findSection(SectionKind::rodata)->addr += Addr{1} << 36;
         break;
+      case SbfDefect::wrappedBranch: {
+        // The most negative displacement the encoding holds: the
+        // decoded target wraps below zero, out of reach of .instr.
+        Section *text = img.findSection(SectionKind::text);
+        Instruction jcc =
+            findInsn(img, text->addr, Opcode::JmpCond).value();
+        jcc.target = img.archInfo().fixedLength
+                         ? jcc.addr - (Addr{1} << 21)
+                         : jcc.addr + jcc.length - (Addr{1} << 31);
+        std::vector<std::uint8_t> bytes;
+        img.archInfo().codec->encode(jcc, jcc.addr, bytes);
+        std::copy(bytes.begin(), bytes.end(),
+                  text->bytes.begin() +
+                      static_cast<std::ptrdiff_t>(jcc.addr - text->addr));
+        break;
+      }
+      case SbfDefect::farFallthrough: {
+        // .instr lands 144 MB above .text, and main's first call now
+        // ends it, so the call's fall-through leaves the function: a
+        // direct jump back to original code that only x86-64 reaches.
+        img.findSection(SectionKind::ehFrame)->memSize = 144u << 20;
+        for (Symbol &sym : img.symbols) {
+            if (sym.name != "main")
+                continue;
+            const Instruction call =
+                findInsn(img, sym.addr, Opcode::Call).value();
+            sym.size = call.addr + call.length - sym.addr;
+        }
+        break;
+      }
     }
     std::vector<std::uint8_t> raw = img.serialize();
     if (defect == SbfDefect::badArch)

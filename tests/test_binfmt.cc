@@ -404,14 +404,9 @@ TEST(SbfMutation, EveryMutationIsRejectedOrUsable)
                     EXPECT_TRUE(AddrPairMap::parse(s->bytes));
                 }
             }
-            std::uint64_t mem = 0;
-            for (const Section &s : img->sections)
-                mem += s.loadable ? std::min<std::uint64_t>(
-                                        s.memSize, 1ull << 40)
-                                  : 0;
-            if (mem < (64ull << 20)) {
-                EXPECT_NE(loadImage(*img), nullptr);
-            }
+            // Loading allocates only the pages it writes, so any
+            // memSize loads.
+            EXPECT_NE(loadImage(*img), nullptr);
         }
     }
     // Both outcomes occur, so the sweep exercises both paths.

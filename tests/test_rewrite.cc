@@ -3,14 +3,16 @@
  * Integration tests of the core rewriter: all three modes on all
  * three ISAs under the strong test (clobbered original bytes +
  * counting instrumentation), partial instrumentation, placement
- * ablation, and the Go-specific behaviours (dir==jt, func-ptr-mode
- * failure, RA-translated GC unwinding).
+ * ablation, the Go-specific behaviours (dir==jt, func-ptr-mode
+ * failure, RA-translated GC unwinding), and inputs whose relocated
+ * branches cannot be encoded.
  */
 
 #include <gtest/gtest.h>
 
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
+#include "crafted_sbf.hh"
 #include "harness/verify.hh"
 #include "rewrite/rewriter.hh"
 
@@ -199,4 +201,35 @@ TEST(RewriteGo, PlusOnePointerHandledInJtMode)
     const VerifyOutcome outcome =
         verifyRewrite(img, rw, Machine::Config{});
     EXPECT_TRUE(outcome.pass) << outcome.reason;
+}
+
+TEST(RewriteReach, UnencodableBranchFailsNamingIt)
+{
+    // A branch from .instr back to original code beyond its encoding's
+    // reach fails the rewrite with the branch named, instead of
+    // aborting in the assembler. x86-64 reaches the far fall-through.
+    for (Arch arch : all_arches) {
+        for (SbfDefect defect : unencodable_sbf_defects) {
+            SCOPED_TRACE(std::string(archName(arch)) + " " +
+                         sbfDefectName(defect));
+            std::vector<SbfIssue> issues;
+            const auto img =
+                BinaryImage::tryDeserialize(craftSbf(arch, defect), issues);
+            ASSERT_TRUE(img.has_value());
+            const bool fails = defect == SbfDefect::wrappedBranch ||
+                               arch != Arch::x64;
+            for (RewriteMode mode : {RewriteMode::jt, RewriteMode::funcPtr}) {
+                RewriteOptions opts;
+                opts.mode = mode;
+                opts.useAnalysisCache = false;
+                const RewriteResult rw = rewriteBinary(*img, opts);
+                EXPECT_EQ(rw.ok, !fails) << rw.failReason;
+                if (fails) {
+                    EXPECT_NE(rw.failReason.find("beyond its reach"),
+                              std::string::npos)
+                        << rw.failReason;
+                }
+            }
+        }
+    }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Simulator tests on hand-assembled images: instruction semantics,
- * both call conventions, stack ops, memory faults, trap dispatch
+ * both call conventions, stack ops, memory faults, lazily mapped
+ * memory, trap dispatch
  * through the runtime library, exception unwinding with landing
  * pads, PIE slides with relocations, the i-cache model, and the
  * step limit.
@@ -159,6 +160,50 @@ TEST(Sim, MemoryFaultOnUnmapped)
     const RunResult r = runIt(img);
     EXPECT_FALSE(r.halted);
     EXPECT_EQ(r.fault, FaultKind::badMemory);
+}
+
+TEST(Sim, MappedMemoryReadsZeroUntilWritten)
+{
+    // A 1 TiB mapping costs nothing until written; its untouched
+    // pages read as zeros, and the bytes past it still fault.
+    Memory mem;
+    const Addr base = 0x7000'0000'0000;
+    mem.map(base, std::uint64_t{1} << 40);
+    std::uint64_t v = 1;
+    ASSERT_TRUE(mem.read(base + 0x123456789, 8, v));
+    EXPECT_EQ(v, 0u);
+    const Addr last = base + (std::uint64_t{1} << 40) - 4;
+    ASSERT_TRUE(mem.write(last, 4, 0xdeadbeef));
+    ASSERT_TRUE(mem.read(last, 4, v));
+    EXPECT_EQ(v, 0xdeadbeefu);
+    EXPECT_FALSE(mem.read(last, 8, v));
+    EXPECT_FALSE(mem.isMapped(last + 4));
+
+    // A write across the mapping's end changes nothing.
+    EXPECT_FALSE(mem.write(last + 2, 4, 0x11223344));
+    ASSERT_TRUE(mem.read(last, 4, v));
+    EXPECT_EQ(v, 0xdeadbeefu);
+
+    // A block copy across pages, and a peek of an untouched page.
+    std::vector<std::uint8_t> block(3 * Memory::page_size + 5);
+    for (std::size_t i = 0; i < block.size(); ++i)
+        block[i] = static_cast<std::uint8_t>(i * 7);
+    mem.writeBlock(0x1ffd, block);
+    std::vector<std::uint8_t> back;
+    ASSERT_TRUE(mem.readBlock(0x1ffd, block.size(), back));
+    EXPECT_EQ(back, block);
+    std::size_t avail = 0;
+    const std::uint8_t *p = mem.peek(base + 0x10, avail);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(avail, Memory::page_size - 0x10);
+    EXPECT_EQ(p[0], 0);
+
+    // A range that wraps the address space maps both ends.
+    EXPECT_FALSE(mem.isMapped(0));
+    mem.map(~Addr{0} - 0xfff, 0x3000);
+    EXPECT_TRUE(mem.isMapped(~Addr{0}));
+    EXPECT_TRUE(mem.isMapped(0));
+    EXPECT_FALSE(mem.isMapped(0x2000 + block.size() + Memory::page_size));
 }
 
 TEST(Sim, TrapWithoutRuntimeLibFaults)
