@@ -54,7 +54,11 @@ boltRewrite(const BinaryImage &input, BoltOperation op)
     BinaryImage out = input;
     Section *old_text = out.findSection(SectionKind::text);
     old_text->addr = config.instrBase;
-    old_text->bytes = engine.relocate(order);
+    std::optional<std::vector<std::uint8_t>> code =
+        engine.relocate(order, outcome.error);
+    if (!code)
+        return outcome;
+    old_text->bytes = std::move(*code);
     old_text->memSize = old_text->bytes.size();
     std::vector<std::uint8_t> rodata = engine.cloneBytes();
     if (!rodata.empty()) {

@@ -72,7 +72,11 @@ irLowerRewrite(const BinaryImage &input,
     // the new .text.
     Engine engine(input, config);
     old_text->addr = config.instrBase;
-    old_text->bytes = engine.relocate(order);
+    std::optional<std::vector<std::uint8_t>> code =
+        engine.relocate(order, result.failReason);
+    if (!code)
+        return result;
+    old_text->bytes = std::move(*code);
     old_text->memSize = old_text->bytes.size();
 
     std::vector<std::uint8_t> rodata = engine.cloneBytes();

@@ -259,6 +259,34 @@ TEST(IrLower, AllOrNothingOnAnalysisFailure)
     EXPECT_FALSE(lowered.ok);
 }
 
+TEST(Baselines, UnencodableBranchFailsNamingIt)
+{
+    // The regenerating baselines relocate every function, so a branch
+    // whose target wraps below zero cannot be encoded in .instr: each
+    // fails naming the branch instead of aborting in the assembler.
+    for (Arch arch : all_arches) {
+        SCOPED_TRACE(archName(arch));
+        std::vector<SbfIssue> issues;
+        const auto img = BinaryImage::tryDeserialize(
+            craftSbf(arch, SbfDefect::wrappedBranch), issues);
+        ASSERT_TRUE(img.has_value());
+        const BoltOutcome bolt =
+            boltRewrite(*img, BoltOperation::reorderBlocks);
+        EXPECT_FALSE(bolt.ok);
+        EXPECT_NE(bolt.error.find("beyond its reach"), std::string::npos)
+            << bolt.error;
+        // Past IR lowering's metadata gate, which refuses the
+        // exceptions of the micro workload before any emission.
+        BinaryImage plain = *img;
+        plain.features.cppExceptions = false;
+        const RewriteResult lowered = irLowerRewrite(plain, {});
+        EXPECT_FALSE(lowered.ok);
+        EXPECT_NE(lowered.failReason.find("beyond its reach"),
+                  std::string::npos)
+            << lowered.failReason;
+    }
+}
+
 TEST(Bolt, FunctionReorderNeedsLinkRelocs)
 {
     const BinaryImage no_relocs =

@@ -881,6 +881,9 @@ TEST(CacheStore, UnreadableFunctionsNeverShareAnEntry)
     std::vector<std::uint8_t> bytes;
     ASSERT_FALSE(img.readBytes(first.addr, first.size, bytes));
     ASSERT_FALSE(img.readBytes(second.addr, second.size, bytes));
+    // An unreadable length is refused before anything is allocated.
+    ASSERT_FALSE(img.readBytes(first.addr, std::size_t{1} << 40, bytes));
+    ASSERT_TRUE(bytes.empty());
 
     AnalysisOptions off;
     off.useCache = false;

@@ -66,6 +66,20 @@ allFunctions(const CfgModule &cfg)
     return all;
 }
 
+/** engine.relocate(@p funcs), failing the test if it cannot encode. */
+std::vector<std::uint8_t>
+relocated(Engine &engine, const std::vector<const Function *> &funcs)
+{
+    std::string error;
+    std::optional<std::vector<std::uint8_t>> bytes =
+        engine.relocate(funcs, error);
+    if (!bytes) {
+        ADD_FAILURE() << error;
+        return {};
+    }
+    return std::move(*bytes);
+}
+
 } // namespace
 
 TEST(Engine, RaPairsCoverCallsAndThrows)
@@ -74,7 +88,7 @@ TEST(Engine, RaPairsCoverCallsAndThrows)
         compileProgram(microProfile(Arch::x64, false));
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     Engine engine(img, baseConfig(img));
-    engine.relocate(allFunctions(cfg));
+    relocated(engine, allFunctions(cfg));
 
     // Count call sites + throw sites in the CFG; every one must
     // have an RA pair, keyed at a relocated address and mapping to
@@ -103,7 +117,7 @@ TEST(Engine, CallEmulationEmitsNoRaPairs)
     config.callEmulation = true;
     Engine engine(img, config);
     const std::vector<std::uint8_t> bytes =
-        engine.relocate(allFunctions(cfg));
+        relocated(engine, allFunctions(cfg));
     EXPECT_TRUE(engine.raPairs().empty());
 
     // Emulated calls materialize return addresses pc-relatively:
@@ -130,7 +144,7 @@ TEST(Engine, VeneersForFarReturnsToOriginalSpace)
     half.resize(std::min<std::size_t>(half.size(), 30));
     Engine engine(img, baseConfig(img));
     const auto insns = decodeAll(ArchInfo::get(Arch::ppc64le),
-                                 engine.relocate(half),
+                                 relocated(engine, half),
                                  baseConfig(img).instrBase);
     // Veneer signature: AddisToc r13 followed by CallInd/JmpInd r13.
     bool veneer = false;
@@ -156,9 +170,9 @@ TEST(Engine, BlockReorderRepairsFallthrough)
     EngineConfig config = baseConfig(img);
     config.blockOrder = OrderPolicy::reversed;
     Engine reversed(img, config);
-    const auto reversed_bytes = reversed.relocate(allFunctions(cfg));
+    const auto reversed_bytes = relocated(reversed, allFunctions(cfg));
     Engine normal(img, baseConfig(img));
-    const auto normal_bytes = normal.relocate(allFunctions(cfg));
+    const auto normal_bytes = relocated(normal, allFunctions(cfg));
 
     // Reversal forces explicit jumps where layout fall-through died.
     const auto &arch = ArchInfo::get(Arch::x64);
@@ -184,7 +198,7 @@ TEST(Engine, CloneEntriesResolveToRelocatedBlocks)
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     EngineConfig config = baseConfig(img);
     Engine engine(img, config);
-    engine.relocate(allFunctions(cfg));
+    relocated(engine, allFunctions(cfg));
     const std::vector<std::uint8_t> rodata = engine.cloneBytes();
     ASSERT_FALSE(engine.clones().empty());
 
@@ -223,7 +237,7 @@ TEST(Engine, A64SubWordTablesWidenAndStaySigned)
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     EngineConfig config = baseConfig(img);
     Engine engine(img, config);
-    const auto bytes = engine.relocate(allFunctions(cfg));
+    const auto bytes = relocated(engine, allFunctions(cfg));
     ASSERT_EQ(engine.clones().size(), 1u);
     EXPECT_TRUE(engine.clones()[0].widened);
     EXPECT_EQ(engine.clones()[0].entrySize, 4u);
@@ -246,7 +260,7 @@ TEST(Engine, InsnMapCoversEveryRelocatedInstruction)
         compileProgram(microProfile(Arch::ppc64le, false));
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     Engine engine(img, baseConfig(img));
-    engine.relocate(allFunctions(cfg));
+    relocated(engine, allFunctions(cfg));
     for (const auto &[entry, func] : cfg.functions) {
         for (const auto &[start, block] : func.blocks) {
             for (const auto &in : block.insns) {
