@@ -18,6 +18,7 @@ const Timer analysis_timer = Metrics::global().timer("analysis");
 const Timer disasm_timer = Metrics::global().timer("disasm");
 const Timer cfg_timer = Metrics::global().timer("cfg");
 const Timer jump_table_timer = Metrics::global().timer("jump-table");
+const Timer liveness_timer = Metrics::global().timer("liveness");
 
 /** Per-function construction state. */
 class FunctionBuilder
@@ -474,6 +475,10 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
             func.dataDeps = computeDataDeps(func, image);
             dc.rangesRecorded.add(func.dataDeps.size());
             dc.bytesRecorded.add(func.dataDeps.totalBytes());
+            if (image.archInfo().fixedLength) {
+                ScopedTimer timer(liveness_timer);
+                func.liveness = computeLiveness(func, image.archInfo());
+            }
             built[i] = std::make_shared<const Function>(std::move(func));
             if (key != 0)
                 AnalysisCache::global().storeFunction(

@@ -112,6 +112,20 @@ rebaseDataDeps(const DataDeps &deps, Addr orig_entry, Addr new_entry)
     return out;
 }
 
+/** Shift liveness keys (block starts) by the entry delta. */
+LivenessResult
+rebaseLiveness(const LivenessResult &live, Addr orig_entry,
+               Addr new_entry)
+{
+    const std::uint64_t delta = new_entry - orig_entry;
+    if (delta == 0)
+        return live;
+    LivenessResult out;
+    for (const auto &[addr, regs] : live.liveIn)
+        out.liveIn.emplace(addr + delta, regs);
+    return out;
+}
+
 } // namespace
 
 Function
@@ -161,19 +175,7 @@ rebaseFunction(const Function &func, Addr new_entry)
         a += delta;
 
     out.dataDeps = rebaseDataDeps(out.dataDeps, func.entry, new_entry);
-    return out;
-}
-
-LivenessResult
-rebaseLiveness(const LivenessResult &live, Addr orig_entry,
-               Addr new_entry)
-{
-    const std::uint64_t delta = new_entry - orig_entry;
-    if (delta == 0)
-        return live;
-    LivenessResult out;
-    for (const auto &[addr, regs] : live.liveIn)
-        out.liveIn.emplace(addr + delta, regs);
+    out.liveness = rebaseLiveness(out.liveness, func.entry, new_entry);
     return out;
 }
 
@@ -184,8 +186,8 @@ AnalysisCache::global()
     return cache;
 }
 
-// findFunction/findLiveness live in cache_store.cc: a lookup that
-// misses the decoded maps may have to deserialize a lazily-indexed
+// findFunction lives in cache_store.cc: a lookup that misses the
+// decoded map may have to deserialize a lazily-indexed
 // entry from a mapped cache file, and the payload decoders are
 // private to the store.
 
@@ -209,9 +211,8 @@ AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
         if (uses_toc)
             break;
     }
-    Entry<Function> entry_rec;
+    Entry entry_rec;
     entry_rec.arch = arch;
-    entry_rec.origEntry = func->entry;
     entry_rec.tocDelta = static_cast<std::int64_t>(toc_base) -
                          static_cast<std::int64_t>(func->entry);
     entry_rec.usesToc = uses_toc;
@@ -219,20 +220,6 @@ AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
     std::lock_guard<std::mutex> lock(mu_);
     entry_rec.stored = ++storeSeq_;
     functions_[key] = std::move(entry_rec);
-}
-
-void
-AnalysisCache::storeLiveness(std::uint64_t key, Arch arch,
-                             Addr entry, LivenessResult live)
-{
-    Entry<LivenessResult> entry_rec;
-    entry_rec.arch = arch;
-    entry_rec.origEntry = entry;
-    entry_rec.value =
-        std::make_shared<const LivenessResult>(std::move(live));
-    std::lock_guard<std::mutex> lock(mu_);
-    entry_rec.stored = ++storeSeq_;
-    liveness_[key] = std::move(entry_rec);
 }
 
 AnalysisCache::Stats
@@ -249,7 +236,6 @@ AnalysisCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     functions_.clear();
-    liveness_.clear();
     slices_.clear();
     loaded_.clear();
     stats_ = Stats{};

@@ -2,8 +2,8 @@
  * @file
  * The incremental analysis cache: the "incremental" in incremental CFG
  * patching applied to analysis time. Per-function analysis results (CFG
- * with jump tables and data read-set, liveness summaries) are memoized
- * under a *content-addressed* FNV-1a key — architecture, analysis
+ * with jump tables, data read-set and liveness, one record per
+ * function) are memoized under a *content-addressed* FNV-1a key — architecture, analysis
  * options, landing-pad layout, symbol size, and the function's code
  * bytes. The entry address is deliberately not part of the key: two
  * binaries that statically link the same function at different
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "analysis/builder.hh"
-#include "analysis/liveness.hh"
 
 namespace icp
 {
@@ -125,15 +124,12 @@ std::uint64_t functionCacheKey(const BinaryImage &image,
  * entry/end, block bounds, instruction addresses and branch targets
  * (the invalid_addr sentinel is preserved), edges, call targets,
  * jump-table anchors and computed targets, landing pads, indirect
- * tail calls, and the data read-set ranges (their content hashes are
- * position-independent and carry over). Sound for byte-identical
- * code because all of these derive from pc-relative displacements.
+ * tail calls, the data read-set ranges (their content hashes are
+ * position-independent and carry over) and the liveness keys (block
+ * starts). Sound for byte-identical code because all of these derive
+ * from pc-relative displacements.
  */
 Function rebaseFunction(const Function &func, Addr new_entry);
-
-/** Shift liveness keys (instruction addresses) by the entry delta. */
-LivenessResult rebaseLiveness(const LivenessResult &live,
-                              Addr orig_entry, Addr new_entry);
 
 /**
  * Handles to the cache's counters in Metrics::global(): bytes mapped
@@ -156,9 +152,8 @@ struct CacheCounters
  * entries are shared immutable snapshots: a stored Function is the
  * very object buildCfg published, and a same-entry hit hands that
  * object back, so a module and the cache hold one copy of each
- * analysis. Consulted by buildCfg (function CFGs) and the rewriter
- * (liveness), so the second rewrite of the same image reuses >= 95%
- * of analysis work.
+ * analysis. Consulted by buildCfg only, so the second rewrite of the
+ * same image reuses >= 95% of analysis work.
  */
 class AnalysisCache
 {
@@ -167,20 +162,9 @@ class AnalysisCache
     {
         std::uint64_t functionHits = 0;
         std::uint64_t functionMisses = 0;
-        std::uint64_t livenessHits = 0;
-        std::uint64_t livenessMisses = 0;
 
-        std::uint64_t
-        hits() const
-        {
-            return functionHits + livenessHits;
-        }
-
-        std::uint64_t
-        misses() const
-        {
-            return functionMisses + livenessMisses;
-        }
+        std::uint64_t hits() const { return functionHits; }
+        std::uint64_t misses() const { return functionMisses; }
     };
 
     static AnalysisCache &global();
@@ -207,16 +191,11 @@ class AnalysisCache
                        std::shared_ptr<const Function> func,
                        Addr toc_base);
 
-    std::shared_ptr<const LivenessResult>
-    findLiveness(std::uint64_t key, Addr entry);
-    void storeLiveness(std::uint64_t key, Arch arch, Addr entry,
-                       LivenessResult live);
-
     Stats stats() const;
 
     /**
-     * Distinct (kind, key) pairs among decoded entries and the
-     * in-bounds records of the mapped slices. Walks every slice.
+     * Distinct keys among decoded entries and the in-bounds records
+     * of the mapped slices. Walks every slice.
      */
     std::size_t entryCount() const;
     void clear();
@@ -263,45 +242,38 @@ class AnalysisCache
 
   private:
     /**
-     * One memoized result, tagged with the ISA it was built for and
-     * the entry address it was analyzed at (the canonical form keeps
-     * absolute addresses at origEntry so same-entry hits return the
+     * One memoized function, tagged with the ISA it was built for.
+     * The canonical form keeps absolute addresses at the entry it
+     * was analyzed at (value->entry), so same-entry hits return the
      * shared snapshot without copying; a different requested entry
-     * rebases a copy). usesToc/tocDelta guard toc-relative code:
-     * a hit at a different entry is only valid when the requester's
-     * `tocBase - entry` matches. stored is the dirty mark: the store()
-     * sequence number, 0 for an entry decoded from a mapped file.
+     * rebases a copy. usesToc/tocDelta guard toc-relative code: a
+     * hit at a different entry is only valid when the requester's
+     * `tocBase - entry` matches. stored is the dirty mark: the
+     * store() sequence number, 0 for an entry decoded from a mapped
+     * file.
      */
-    template <typename T> struct Entry
+    struct Entry
     {
         Arch arch = Arch::x64;
-        Addr origEntry = 0;
         std::int64_t tocDelta = 0; ///< tocBase - entry at analysis
         bool usesToc = false;      ///< any AddisToc instruction
         std::uint64_t stored = 0;
-        std::shared_ptr<const T> value;
-    };
-
-    /** Entry kinds, in the order IndexSlice::ranges keeps them. */
-    enum Slot : unsigned
-    {
-        functionSlot,
-        livenessSlot,
-        numSlots
+        std::shared_ptr<const Function> value;
     };
 
     /**
      * One segment's index records for one ISA in a mapped cache
-     * file: per kind, the [begin, end) record positions of the
-     * sorted index, plus the payload area the records point into.
-     * The shared mapping keeps the bytes alive.
+     * file: the [begin, end) record positions of the sorted index,
+     * plus the payload area the records point into. The shared
+     * mapping keeps the bytes alive.
      */
     struct IndexSlice
     {
         std::shared_ptr<MappedCacheFile> file;
         Arch arch = Arch::x64;
         const std::uint8_t *records = nullptr;
-        std::uint32_t ranges[numSlots][2] = {};
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
         const std::uint8_t *payloads = nullptr;
         std::uint64_t payloadBytes = 0; ///< present in the file
     };
@@ -310,7 +282,6 @@ class AnalysisCache
     struct IndexedPayload
     {
         Arch arch = Arch::x64;
-        std::uint8_t kind = 0;
         std::uint64_t key = 0;
         const std::uint8_t *payload = nullptr;
         std::uint32_t payloadLen = 0;
@@ -322,16 +293,13 @@ class AnalysisCache
     };
 
     /**
-     * Newest in-bounds record of @p key in @p slot, searching the
-     * slices newest first. Caller holds mu_.
+     * Newest in-bounds record of @p key, searching the slices newest
+     * first. Caller holds mu_.
      */
-    bool findIndexed(Slot slot, std::uint64_t key,
-                     IndexedPayload &out) const;
+    bool findIndexed(std::uint64_t key, IndexedPayload &out) const;
 
     mutable std::mutex mu_;
-    std::unordered_map<std::uint64_t, Entry<Function>> functions_;
-    std::unordered_map<std::uint64_t, Entry<LivenessResult>>
-        liveness_;
+    std::unordered_map<std::uint64_t, Entry> functions_;
 
     /** Slices of every loaded file, oldest segment first. */
     std::vector<IndexSlice> slices_;

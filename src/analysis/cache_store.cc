@@ -1,13 +1,13 @@
 /**
  * @file
- * AnalysisCache::save()/load() and the `icp cache` helpers: the v6
+ * AnalysisCache::save()/load() and the `icp cache` helpers: the v7
  * segmented cache-file format documented in cache_store.hh (sorted
  * per-segment indexes, position-independent entries, content-
  * addressed keys). A file of any other version loads as empty and
  * the next save overwrites it.
  *
  * Layered like the SBF container code: the bounds-latched ByteReader
- * of isa/bytes.hh and kind-specific payload encoders/decoders at the
+ * of isa/bytes.hh and the function payload encoder/decoder at the
  * bottom; the segment index (record reader, binary search) and a
  * header-walking scanner shared by every consumer (load, save's
  * merge step, inspect, verify, compact) in the middle; and the
@@ -34,7 +34,6 @@
 #include <map>
 #include <set>
 #include <tuple>
-#include <type_traits>
 #include <utility>
 
 #include <fcntl.h>
@@ -45,6 +44,7 @@
 
 #include "analysis/cache.hh"
 #include "isa/bytes.hh"
+#include "support/logging.hh"
 #include "support/stats.hh"
 
 namespace icp
@@ -180,19 +180,20 @@ encodeFunction(const Function &func, std::int64_t toc_delta,
         putU64(out, relAddr(r.hi, func.entry));
         putU64(out, r.hash);
     }
-    return out;
-}
-
-std::vector<std::uint8_t>
-encodeLiveness(const LivenessResult &live, Addr entry)
-{
-    std::vector<std::uint8_t> out;
-    putU64(out, entry);
-    putU32(out, static_cast<std::uint32_t>(live.liveIn.size()));
-    for (const auto &[addr, regs] : live.liveIn) {
-        putU64(out, relAddr(addr, entry));
+    // Liveness is empty (x86-64) or one set per block keyed by its
+    // start, so the sets alone are stored, in block order.
+    const std::map<Addr, RegSet> &live = func.liveness.liveIn;
+    icp_assert(live.empty() ||
+                   std::equal(live.begin(), live.end(),
+                              func.blocks.begin(), func.blocks.end(),
+                              [](const auto &l, const auto &b) {
+                                  return l.first == b.first;
+                              }),
+               "liveness of %s is not keyed by its block starts",
+               func.name.c_str());
+    putU32(out, static_cast<std::uint32_t>(live.size()));
+    for (const auto &[start, regs] : live)
         putU32(out, regs.raw());
-    }
     return out;
 }
 
@@ -330,6 +331,28 @@ decodeDataDeps(ByteReader &rd, DataDeps &deps, Addr entry)
 }
 
 /**
+ * A function payload's liveness into @p func: no sets, or one per
+ * block in block order, each over the registers RegSet names.
+ */
+bool
+decodeLiveness(ByteReader &rd, Function &func)
+{
+    std::map<Addr, RegSet> &live = func.liveness.liveIn;
+    const std::uint32_t n = rd.u32();
+    if (n != 0 && n != func.blocks.size())
+        return false;
+    if (n > rd.remaining() / 4)
+        return false;
+    for (auto it = func.blocks.begin(); live.size() < n; ++it) {
+        const std::uint32_t raw = rd.u32();
+        if (raw >> num_regs != 0)
+            return false;
+        live.emplace_hint(live.end(), it->first, RegSet::fromRaw(raw));
+    }
+    return !rd.failed();
+}
+
+/**
  * Decode a function payload into its canonical form: absolute
  * addresses at the entry it was analyzed at (carried in the payload).
  * Structural validation (sortedness, enum ranges) runs on the
@@ -378,42 +401,16 @@ decodeFunction(ByteReader &rd, Function &func,
             return false;
         func.blocks.emplace(block.start, std::move(block));
     }
-    if (!decodeDataDeps(rd, func.dataDeps, entry))
+    if (!decodeDataDeps(rd, func.dataDeps, entry) ||
+        !decodeLiveness(rd, func))
         return false;
     // Trailing garbage means the payload was not written by this
     // encoder: reject rather than guess.
     return !rd.failed() && rd.remaining() == 0;
 }
 
-bool
-decodeLiveness(ByteReader &rd, LivenessResult &live,
-               Addr &orig_entry)
-{
-    orig_entry = rd.u64();
-    const std::uint32_t n = rd.u32();
-    if (n > rd.remaining() / 12)
-        return false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const Addr addr = absAddr(rd.u64(), orig_entry);
-        live.liveIn.emplace(addr, RegSet::fromRaw(rd.u32()));
-    }
-    return !rd.failed() && rd.remaining() == 0;
-}
-
-// Position-independent payload kinds (file v4 on).
+/** The one record kind: a position-independent Function. */
 constexpr std::uint8_t entry_kind_function = 4;
-constexpr std::uint8_t entry_kind_liveness = 5;
-
-/** Entry kind of each AnalysisCache slot, in slot order. */
-constexpr std::uint8_t slot_kinds[] = {entry_kind_function,
-                                       entry_kind_liveness};
-
-/** An index record of any other kind is malformed. */
-constexpr bool
-knownKind(std::uint8_t kind)
-{
-    return kind == entry_kind_function || kind == entry_kind_liveness;
-}
 
 // --- advisory file lock ---------------------------------------------------
 
@@ -873,7 +870,7 @@ compactLocked(const std::string &path, std::uint64_t max_bytes,
             if (!view.inBounds(r))
                 continue;
             ++out.entriesBefore;
-            if (!knownKind(r.kind) ||
+            if (r.kind != entry_kind_function ||
                 cacheEntryHash(r.arch, r.kind, r.key, view.payload(r),
                                r.payloadLen) != r.payloadHash)
                 continue;
@@ -995,21 +992,18 @@ MappedCacheFile::~MappedCacheFile()
 // --- lazy lookups ---------------------------------------------------------
 
 bool
-AnalysisCache::findIndexed(Slot slot, std::uint64_t key,
-                           IndexedPayload &out) const
+AnalysisCache::findIndexed(std::uint64_t key, IndexedPayload &out) const
 {
-    const std::uint8_t kind = slot_kinds[slot];
     for (auto it = slices_.rbegin(); it != slices_.rend(); ++it) {
         const IndexSlice &s = *it;
         // An out-of-bounds record (torn tail, corrupt offset) is not
         // there: an older segment's copy may still serve the key.
         IndexRecord r;
-        if (!findRecord(s.records, s.ranges[slot][0], s.ranges[slot][1],
-                        s.payloadBytes, static_cast<std::uint8_t>(s.arch),
-                        kind, key, r))
+        if (!findRecord(s.records, s.begin, s.end, s.payloadBytes,
+                        static_cast<std::uint8_t>(s.arch),
+                        entry_kind_function, key, r))
             continue;
         out.arch = s.arch;
-        out.kind = kind;
         out.key = key;
         out.payload = s.payloads + r.payloadOffset;
         out.payloadLen = r.payloadLen;
@@ -1023,8 +1017,9 @@ AnalysisCache::findIndexed(Slot slot, std::uint64_t key,
 bool
 AnalysisCache::IndexedPayload::intact() const
 {
-    return cacheEntryHash(static_cast<std::uint8_t>(arch), kind, key,
-                          payload, payloadLen) == payloadHash;
+    return cacheEntryHash(static_cast<std::uint8_t>(arch),
+                          entry_kind_function, key, payload,
+                          payloadLen) == payloadHash;
 }
 
 const CacheCounters &
@@ -1045,7 +1040,7 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
     auto it = functions_.find(key);
     if (it == functions_.end()) {
         IndexedPayload ip;
-        if (!findIndexed(functionSlot, key, ip)) {
+        if (!findIndexed(key, ip)) {
             stats_.functionMisses++;
             return nullptr;
         }
@@ -1070,9 +1065,8 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
             return nullptr;
         }
         func.cacheKey = key;
-        Entry<Function> rec;
+        Entry rec;
         rec.arch = ip.arch;
-        rec.origEntry = func.entry;
         rec.tocDelta = toc_delta;
         rec.usesToc = uses_toc;
         rec.value = std::make_shared<const Function>(std::move(func));
@@ -1080,8 +1074,8 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         CacheCounters::global().entriesLazy.add();
     }
 
-    const Entry<Function> &e = it->second;
-    if (entry == e.origEntry) {
+    const Entry &e = it->second;
+    if (entry == e.value->entry) {
         stats_.functionHits++;
         return e.value;
     }
@@ -1104,66 +1098,18 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
         rebaseFunction(*value, entry));
 }
 
-std::shared_ptr<const LivenessResult>
-AnalysisCache::findLiveness(std::uint64_t key, Addr entry)
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = liveness_.find(key);
-    if (it == liveness_.end()) {
-        IndexedPayload ip;
-        if (!findIndexed(livenessSlot, key, ip)) {
-            stats_.livenessMisses++;
-            return nullptr;
-        }
-        lock.unlock();
-        LivenessResult live;
-        Addr orig_entry = 0;
-        ByteReader rd(ip.payload, ip.payloadLen);
-        const bool ok =
-            ip.intact() && decodeLiveness(rd, live, orig_entry);
-        lock.lock();
-        if (!ok) {
-            stats_.livenessMisses++;
-            return nullptr;
-        }
-        Entry<LivenessResult> rec;
-        rec.arch = ip.arch;
-        rec.origEntry = orig_entry;
-        rec.value =
-            std::make_shared<const LivenessResult>(std::move(live));
-        it = liveness_.emplace(key, std::move(rec)).first;
-        CacheCounters::global().entriesLazy.add();
-    }
-
-    const Entry<LivenessResult> &e = it->second;
-    stats_.livenessHits++;
-    if (entry == e.origEntry)
-        return e.value;
-    std::shared_ptr<const LivenessResult> value = e.value;
-    const Addr orig = e.origEntry;
-    lock.unlock();
-    ScopedTimer timer(cache_rebase_timer);
-    return std::make_shared<const LivenessResult>(
-        rebaseLiveness(*value, orig, entry));
-}
-
 std::size_t
 AnalysisCache::entryCount() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::set<std::pair<unsigned, std::uint64_t>> keys;
+    std::set<std::uint64_t> keys;
     for (const auto &[key, e] : functions_)
-        keys.insert({functionSlot, key});
-    for (const auto &[key, e] : liveness_)
-        keys.insert({livenessSlot, key});
+        keys.insert(key);
     for (const IndexSlice &s : slices_) {
-        for (unsigned slot = 0; slot < numSlots; ++slot) {
-            for (std::uint32_t i = s.ranges[slot][0];
-                 i < s.ranges[slot][1]; ++i) {
-                const IndexRecord r = readRecord(s.records, i);
-                if (inBounds(r, s.payloadBytes))
-                    keys.insert({slot, r.key});
-            }
+        for (std::uint32_t i = s.begin; i < s.end; ++i) {
+            const IndexRecord r = readRecord(s.records, i);
+            if (inBounds(r, s.payloadBytes))
+                keys.insert(r.key);
         }
     }
     return keys.size();
@@ -1193,8 +1139,6 @@ AnalysisCache::load(const std::string &path,
 
     // One slice per segment and ISA, bounded by binary search over
     // the sorted index. No record of another ISA is read.
-    unsigned *loaded[numSlots] = {&report.loadedFunctions,
-                                  &report.loadedLiveness};
     std::vector<IndexSlice> slices;
     for (const SegmentView &view : scan.views) {
         for (Arch arch : all_arches) {
@@ -1207,21 +1151,16 @@ AnalysisCache::load(const std::string &path,
             slice.records = view.records;
             slice.payloads = view.payloads;
             slice.payloadBytes = view.payloadBytes;
-            for (unsigned slot = 0; slot < numSlots; ++slot) {
-                const std::uint8_t kind = slot_kinds[slot];
-                // max() keeps the bounds ordered even when a corrupt
-                // index is unsorted.
-                const std::uint32_t lo = view.lowerBound(a, kind);
-                const std::uint32_t hi =
-                    std::max(lo, view.lowerBound(a, kind + 1));
-                slice.ranges[slot][0] = lo;
-                slice.ranges[slot][1] = hi;
-                if (view.complete) {
-                    *loaded[slot] += hi - lo;
-                    continue;
-                }
-                for (std::uint32_t i = lo; i < hi; ++i)
-                    *loaded[slot] +=
+            // max() keeps the bounds ordered even when a corrupt
+            // index is unsorted.
+            slice.begin = view.lowerBound(a, entry_kind_function);
+            slice.end = std::max(
+                slice.begin, view.lowerBound(a, entry_kind_function + 1));
+            if (view.complete) {
+                report.loadedFunctions += slice.end - slice.begin;
+            } else {
+                for (std::uint32_t i = slice.begin; i < slice.end; ++i)
+                    report.loadedFunctions +=
                         view.inBounds(view.record(i)) ? 1 : 0;
             }
             slices.push_back(slice);
@@ -1285,57 +1224,40 @@ AnalysisCache::save(const std::string &path, std::uint64_t max_bytes)
         // A key the file holds is skipped, unless this process stored
         // it and its payload differs from the file's newest record (a
         // data edit re-analyzed the function under an unchanged key).
-        auto save_entry = [&](std::uint8_t kind, std::uint64_t key,
-                              const auto &e) {
-            const EntryId id{static_cast<std::uint8_t>(e.arch), kind,
-                             key};
-            IndexRecord r;
-            const bool present =
-                scan.findDurable(std::get<0>(id), kind, key, r);
-            if (present && e.stored == 0)
-                return;
-            std::vector<std::uint8_t> payload;
-            if constexpr (std::is_same_v<decltype(*e.value),
-                                         const Function &>)
-                payload = encodeFunction(*e.value, e.tocDelta, e.usesToc);
-            else
-                payload = encodeLiveness(*e.value, e.origEntry);
-            const OutEntry fresh = arena.add(id, std::move(payload));
-            if (!present || r.payloadHash != fresh.payloadHash)
-                delta[id] = fresh;
-        };
         // Same file: everything else in memory came from it or was
         // saved to it already.
-        for (const auto &[key, e] : functions_)
-            if (!same_file || e.stored > savedSeq_)
-                save_entry(entry_kind_function, key, e);
-        for (const auto &[key, e] : liveness_)
-            if (!same_file || e.stored > savedSeq_)
-                save_entry(entry_kind_liveness, key, e);
+        for (const auto &[key, e] : functions_) {
+            if (same_file && e.stored <= savedSeq_)
+                continue;
+            const EntryId id{static_cast<std::uint8_t>(e.arch),
+                             entry_kind_function, key};
+            IndexRecord r;
+            const bool present = scan.findDurable(
+                std::get<0>(id), entry_kind_function, key, r);
+            if (present && e.stored == 0)
+                continue;
+            const OutEntry fresh = arena.add(
+                id, encodeFunction(*e.value, e.tocDelta, e.usesToc));
+            if (!present || r.payloadHash != fresh.payloadHash)
+                delta[id] = fresh;
+        }
 
         if (!same_file) {
             // Mapped records no decoded entry shadows, newest first.
-            std::set<std::pair<unsigned, std::uint64_t>> seen;
+            std::set<std::uint64_t> seen;
             for (auto it = slices_.rbegin(); it != slices_.rend();
                  ++it) {
                 const IndexSlice &s = *it;
-                for (unsigned slot = 0; slot < numSlots; ++slot) {
-                    for (std::uint32_t i = s.ranges[slot][0];
-                         i < s.ranges[slot][1]; ++i) {
-                        const IndexRecord r = readRecord(s.records, i);
-                        IndexRecord found;
-                        if (!inBounds(r, s.payloadBytes) ||
-                            (slot == functionSlot &&
-                             functions_.count(r.key)) ||
-                            (slot == livenessSlot &&
-                             liveness_.count(r.key)) ||
-                            !seen.insert({slot, r.key}).second ||
-                            scan.findDurable(r.arch, r.kind, r.key,
-                                             found))
-                            continue;
-                        delta.emplace(EntryId{r.arch, r.kind, r.key},
-                                      mappedEntry(s.payloads, r));
-                    }
+                for (std::uint32_t i = s.begin; i < s.end; ++i) {
+                    const IndexRecord r = readRecord(s.records, i);
+                    IndexRecord found;
+                    if (!inBounds(r, s.payloadBytes) ||
+                        functions_.count(r.key) ||
+                        !seen.insert(r.key).second ||
+                        scan.findDurable(r.arch, r.kind, r.key, found))
+                        continue;
+                    delta.emplace(EntryId{r.arch, r.kind, r.key},
+                                  mappedEntry(s.payloads, r));
                 }
             }
             keep_mapped = loaded_;
@@ -1368,7 +1290,7 @@ AnalysisCache::save(const std::string &path, std::uint64_t max_bytes)
              ++it) {
             for (std::uint32_t i = 0; i < it->count; ++i) {
                 const IndexRecord r = it->record(i);
-                if (it->inBounds(r) && knownKind(r.kind))
+                if (it->inBounds(r) && r.kind == entry_kind_function)
                     all.emplace(EntryId{r.arch, r.kind, r.key},
                                 mappedEntry(it->payloads, r));
             }
@@ -1426,15 +1348,10 @@ inspectCacheFile(const std::string &path)
         }
         for (std::uint32_t i = 0; i < view.count; ++i) {
             const IndexRecord r = view.record(i);
-            if (!view.inBounds(r) || !knownKind(r.kind))
+            if (!view.inBounds(r) || r.kind != entry_kind_function)
                 continue;
-            if (r.kind == entry_kind_function) {
-                ++info.functionEntries;
-                info.functionPayloadBytes += r.payloadLen;
-            } else {
-                ++info.livenessEntries;
-                info.livenessPayloadBytes += r.payloadLen;
-            }
+            ++info.functionEntries;
+            info.functionPayloadBytes += r.payloadLen;
             keys.insert({r.arch, r.kind, r.key});
             payload_hashes.insert(
                 fnv1a(view.payload(r), r.payloadLen));
@@ -1503,36 +1420,24 @@ verifyCacheFile(const std::string &path)
                 ++report.droppedEntries;
                 continue;
             }
-            ByteReader rd(view.payload(r), r.payloadLen);
-            if (r.kind == entry_kind_function) {
-                Function func;
-                std::int64_t toc_delta = 0;
-                bool uses_toc = false;
-                if (!decodeFunction(rd, func, toc_delta, uses_toc)) {
-                    report.issues.push_back(
-                        {"cache-entry", offset,
-                         "malformed function payload"});
-                    ++report.droppedEntries;
-                    continue;
-                }
-                ++report.loadedFunctions;
-            } else if (r.kind == entry_kind_liveness) {
-                LivenessResult live;
-                Addr orig_entry = 0;
-                if (!decodeLiveness(rd, live, orig_entry)) {
-                    report.issues.push_back(
-                        {"cache-entry", offset,
-                         "malformed liveness payload"});
-                    ++report.droppedEntries;
-                    continue;
-                }
-                ++report.loadedLiveness;
-            } else {
+            if (r.kind != entry_kind_function) {
                 report.issues.push_back(
                     {"cache-entry", offset,
                      "unknown entry kind " + std::to_string(r.kind)});
                 ++report.droppedEntries;
+                continue;
             }
+            ByteReader rd(view.payload(r), r.payloadLen);
+            Function func;
+            std::int64_t toc_delta = 0;
+            bool uses_toc = false;
+            if (!decodeFunction(rd, func, toc_delta, uses_toc)) {
+                report.issues.push_back({"cache-entry", offset,
+                                         "malformed function payload"});
+                ++report.droppedEntries;
+                continue;
+            }
+            ++report.loadedFunctions;
         }
     }
     return report;

@@ -2,9 +2,10 @@
  * @file
  * On-disk persistence of the AnalysisCache: a versioned, per-entry
  * checksummed binary serialization of memoized per-function analysis
- * results (CFG blocks/edges with decoded instructions, jump-table
- * solutions, data read-sets, liveness summaries), keyed by
- * Function::cacheKey and tagged with the ISA they were built for.
+ * results, one record per function (CFG blocks/edges with decoded
+ * instructions, jump-table solutions, data read-set, register
+ * liveness), keyed by Function::cacheKey and tagged with the ISA it
+ * was built for.
  * This turns the warm-cache speedup of repeat rewrites into a
  * cross-invocation property — the same shape as Dyninst's serialized
  * parse data — and gives CI a stable artifact to cache between runs.
@@ -20,7 +21,7 @@
  * hashes, so a surviving entry is usable by construction and a
  * dropped entry only costs re-analysis.
  *
- * File layout v6 (all integers little-endian):
+ * File layout v7 (all integers little-endian):
  *
  *   u32 magic       "ICPC"
  *   u32 version     cache_file_version
@@ -35,9 +36,10 @@
  *   u64 headerHash  FNV-1a over the previous 24 header bytes
  *   count x index record (32 bytes), sorted by (arch, kind, key) {
  *     u8  arch          Arch enum value
- *     u8  kind          4 = function CFG with its data read-set,
- *                       5 = liveness summary (both position-
- *                       independent)
+ *     u8  kind          4 = function: the position-independent
+ *                       CFG with its data read-set and, on the
+ *                       fixed-length ISAs, one liveness set per
+ *                       block (the only kind)
  *     u16 reserved      0
  *     u32 payloadLen
  *     u64 key           Function::cacheKey the entry memoizes
@@ -112,7 +114,7 @@ namespace icp
 
 constexpr std::uint32_t cache_file_magic = 0x43504349;    // "ICPC"
 constexpr std::uint32_t cache_segment_magic = 0x53504349; // "ICPS"
-constexpr std::uint32_t cache_file_version = 6;
+constexpr std::uint32_t cache_file_version = 7;
 
 /** Byte sizes of the fixed-layout records above. */
 constexpr std::size_t cache_file_header_bytes = 16;
@@ -156,7 +158,6 @@ struct CacheLoadReport
      * (checksum check and payload decode deferred to first lookup).
      */
     unsigned loadedFunctions = 0;
-    unsigned loadedLiveness = 0;
 
     /** Entries present in the file but rejected. */
     unsigned droppedEntries = 0;
@@ -164,12 +165,6 @@ struct CacheLoadReport
     std::vector<CacheFileIssue> issues;
 
     bool clean() const { return issues.empty(); }
-
-    unsigned
-    loadedEntries() const
-    {
-        return loadedFunctions + loadedLiveness;
-    }
 };
 
 /** Header-walk summary of a cache file (`icp cache info`). */
@@ -181,24 +176,21 @@ struct CacheFileInfo
     std::uint64_t fileBytes = 0;
     unsigned segments = 0;
     unsigned functionEntries = 0;
-    unsigned livenessEntries = 0;
 
     /** Records per ISA (indexed by Arch), from the index bounds. */
     std::array<unsigned, all_arches.size()> archEntries{};
 
-    /** Per-kind payload bytes (`icp cache info` breakdown). */
     std::uint64_t functionPayloadBytes = 0;
-    std::uint64_t livenessPayloadBytes = 0;
 
     /**
      * Sharing stats: with content-addressed keys, every binary whose
-     * functions share code collapses onto the same (kind, key)
-     * pairs. distinctKeys < total entries means append-path
+     * functions share code collapses onto the same (ISA, key)
+     * pairs. distinctKeys < functionEntries means append-path
      * duplicates (replacement appends); distinctPayloads <
      * distinctKeys means byte-identical payloads stored under
      * several keys (near-miss dedup headroom).
      */
-    unsigned distinctKeys = 0;     ///< unique (kind, key) pairs
+    unsigned distinctKeys = 0;     ///< unique (ISA, key) pairs
     unsigned distinctPayloads = 0; ///< unique payload hashes
 
     std::vector<CacheFileIssue> issues;
@@ -206,7 +198,7 @@ struct CacheFileInfo
 
 /**
  * Walk a cache file's segment indexes without decoding payloads:
- * version, segment chain, per-kind and per-ISA entry counts,
+ * version, segment chain, entry counts in total and per ISA,
  * structural issues (`icp cache info`).
  */
 CacheFileInfo inspectCacheFile(const std::string &path);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/datadeps.hh"
+#include "analysis/liveness.hh"
 #include "binfmt/image.hh"
 #include "isa/instruction.hh"
 
@@ -124,8 +125,8 @@ struct Function
     /**
      * Analysis-cache key this function was built (or found) under;
      * 0 when caching was disabled or its bytes could not be read
-     * (such a function is never cached). Derived analyses (liveness)
-     * are memoized under the same key.
+     * (such a function is never cached). The whole Function, with
+     * its read-set and liveness, is one record under this key.
      */
     std::uint64_t cacheKey = 0;
 
@@ -139,6 +140,14 @@ struct Function
      * the edited image: one test for both.
      */
     DataDeps dataDeps;
+
+    /**
+     * Register liveness at every block start, computed with the CFG
+     * on fixed-length ISAs (whose long trampolines need a dead
+     * scratch register) and cached with the rest of the function;
+     * empty on x86-64.
+     */
+    LivenessResult liveness;
 
     bool instrumentable() const
     {

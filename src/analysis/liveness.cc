@@ -1,5 +1,10 @@
 #include "analysis/liveness.hh"
 
+#include <algorithm>
+#include <vector>
+
+#include "analysis/cfg.hh"
+
 namespace icp
 {
 
@@ -39,13 +44,14 @@ LivenessResult::deadRegAt(Addr block_start) const
 LivenessResult
 computeLiveness(const Function &func, const ArchInfo &arch)
 {
-    LivenessResult result;
-
-    // Block-local def/use summaries.
+    // Block-local def/use summaries and successors, by block ordinal
+    // (address order).
     struct Summary
     {
         RegSet use; ///< read before any write
         RegSet def; ///< written
+        bool leaves = false; ///< some path leaves the function
+        std::vector<std::size_t> succs;
     };
     // The synthetic ABI: r0 return value, r1 argument, r6/r8/r9
     // callee-saved; everything else is clobbered by a call.
@@ -56,7 +62,12 @@ computeLiveness(const Function &func, const ArchInfo &arch)
             callerClobbered.add(reg);
     }
 
-    std::map<Addr, Summary> summaries;
+    std::vector<Addr> starts;
+    starts.reserve(func.blocks.size());
+    for (const auto &[start, block] : func.blocks)
+        starts.push_back(start);
+    std::vector<Summary> summaries;
+    summaries.reserve(func.blocks.size());
     for (const auto &[start, block] : func.blocks) {
         Summary s;
         for (const auto &in : block.insns) {
@@ -71,48 +82,48 @@ computeLiveness(const Function &func, const ArchInfo &arch)
             if (isCall(in.op))
                 s.def |= callerClobbered;
         }
-        summaries[start] = s;
+        // Live-out seed: blocks leaving the function (returns, tail
+        // calls, unresolved indirect flow, edges out of the
+        // function) treat everything as live.
+        s.leaves = block.endsFunction || block.endsInUnresolvedIndirect ||
+                   block.succs.empty();
+        for (const auto &edge : block.succs) {
+            auto it =
+                std::lower_bound(starts.begin(), starts.end(), edge.target);
+            if (it == starts.end() || *it != edge.target)
+                s.leaves = true;
+            else
+                s.succs.push_back(
+                    static_cast<std::size_t>(it - starts.begin()));
+        }
+        summaries.push_back(std::move(s));
     }
 
-    // Live-out seed: blocks leaving the function (returns, tail
-    // calls, unresolved indirect flow) treat everything as live.
-    std::map<Addr, RegSet> liveOut;
-    auto outOf = [&](const Block &block) {
-        RegSet out;
-        if (block.endsFunction || block.endsInUnresolvedIndirect ||
-            block.succs.empty()) {
-            out = allRegs();
-        }
-        for (const auto &edge : block.succs) {
-            auto it = result.liveIn.find(edge.target);
-            if (it != result.liveIn.end())
-                out |= it->second;
-            else if (!func.blocks.count(edge.target))
-                out = allRegs();
-        }
-        return out;
-    };
-
-    // Fixpoint (reverse order helps convergence).
+    // Fixpoint (reverse order helps convergence). A block not yet
+    // visited contributes nothing to its predecessors' live-out.
+    std::vector<RegSet> live(summaries.size());
     bool changed = true;
     unsigned rounds = 0;
     while (changed && rounds++ < 64) {
         changed = false;
-        for (auto it = func.blocks.rbegin(); it != func.blocks.rend();
-             ++it) {
-            const Addr start = it->first;
-            const Block &block = it->second;
-            RegSet out = outOf(block);
-            RegSet in = out;
-            in -= summaries[start].def;
-            in |= summaries[start].use;
-            auto cur = result.liveIn.find(start);
-            if (cur == result.liveIn.end() || !(cur->second == in)) {
-                result.liveIn[start] = in;
+        for (std::size_t i = summaries.size(); i-- > 0;) {
+            const Summary &s = summaries[i];
+            RegSet in = s.leaves ? allRegs() : RegSet{};
+            for (std::size_t succ : s.succs)
+                in |= live[succ];
+            in -= s.def;
+            in |= s.use;
+            if (rounds == 1 || !(in == live[i])) {
+                live[i] = in;
                 changed = true;
             }
         }
     }
+
+    LivenessResult result;
+    std::size_t i = 0;
+    for (const auto &[start, block] : func.blocks)
+        result.liveIn.emplace_hint(result.liveIn.end(), start, live[i++]);
     return result;
 }
 

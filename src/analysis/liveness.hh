@@ -3,6 +3,8 @@
  * Backward register liveness over a function CFG (§7): the long
  * trampoline sequences on ppc64le and aarch64 need a scratch
  * register to hold the branch target, found by this analysis.
+ * buildCfg runs it for every function on a fixed-length ISA and
+ * keeps the result in Function::liveness.
  */
 
 #ifndef ICP_ANALYSIS_LIVENESS_HH
@@ -10,11 +12,12 @@
 
 #include <map>
 
-#include "analysis/cfg.hh"
 #include "isa/reg_usage.hh"
 
 namespace icp
 {
+
+struct Function; // analysis/cfg.hh
 
 /** Live-register sets at block boundaries of one function. */
 class LivenessResult
@@ -33,8 +36,9 @@ class LivenessResult
 };
 
 /**
- * Compute liveness for @p func. Indirect control flow leaving the
- * function conservatively treats every register as live.
+ * Compute liveness for @p func: one set per block. Indirect control
+ * flow leaving the function conservatively treats every register as
+ * live.
  */
 LivenessResult computeLiveness(const Function &func,
                                const ArchInfo &arch);

@@ -60,14 +60,17 @@ boltRewrite(const BinaryImage &input, BoltOperation op)
         return outcome;
     old_text->bytes = std::move(*code);
     old_text->memSize = old_text->bytes.size();
-    std::vector<std::uint8_t> rodata = engine.cloneBytes();
-    if (!rodata.empty()) {
+    std::optional<std::vector<std::uint8_t>> rodata =
+        engine.cloneBytes(outcome.error);
+    if (!rodata)
+        return outcome;
+    if (!rodata->empty()) {
         Section ro;
         ro.name = ".newrodata";
         ro.kind = SectionKind::newRodata;
         ro.addr = config.newRodataBase;
-        ro.memSize = rodata.size();
-        ro.bytes = std::move(rodata);
+        ro.memSize = rodata->size();
+        ro.bytes = std::move(*rodata);
         out.addSection(std::move(ro));
     }
     rewriteRegeneratedFuncPtrs(out, cfg, engine);

@@ -79,14 +79,17 @@ irLowerRewrite(const BinaryImage &input,
     old_text->bytes = std::move(*code);
     old_text->memSize = old_text->bytes.size();
 
-    std::vector<std::uint8_t> rodata = engine.cloneBytes();
-    if (!rodata.empty()) {
+    std::optional<std::vector<std::uint8_t>> rodata =
+        engine.cloneBytes(result.failReason);
+    if (!rodata)
+        return result;
+    if (!rodata->empty()) {
         Section ro;
         ro.name = ".newrodata";
         ro.kind = SectionKind::newRodata;
         ro.addr = config.newRodataBase;
-        ro.memSize = rodata.size();
-        ro.bytes = std::move(rodata);
+        ro.memSize = rodata->size();
+        ro.bytes = std::move(*rodata);
         out.addSection(std::move(ro));
     }
 

@@ -417,6 +417,7 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
     }
 
     enter("symbol");
+    std::vector<std::size_t> symbol_offsets;
     for (std::uint32_t i = 0, n = rd.u32(); i < n && !rd.failed(); ++i) {
         Symbol sym;
         const std::size_t at = rd.pos();
@@ -431,6 +432,7 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
                                   " has unknown kind tag " +
                                   std::to_string(kind)});
         }
+        symbol_offsets.push_back(at);
         img.symbols.push_back(std::move(sym));
     }
 
@@ -457,6 +459,24 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
                           std::string(part) +
                               " runs past end of container"});
         return std::nullopt;
+    }
+
+    // A function symbol that starts in a section lies inside its
+    // stored bytes, so reading the function's code never materializes
+    // zero fill. One that starts in no section is unreadable, and
+    // harmless: the regenerating baselines leave their functions'
+    // symbols at the addresses of the .text they moved.
+    for (std::size_t i = 0; i < img.symbols.size(); ++i) {
+        const Symbol &sym = img.symbols[i];
+        const Section *s = img.sectionAt(sym.addr);
+        if (sym.kind != Symbol::Kind::function || !s)
+            continue;
+        const Offset off = sym.addr - s->addr;
+        if (off <= s->bytes.size() && sym.size <= s->bytes.size() - off)
+            continue;
+        issues.push_back({"sbf-symbol", symbol_offsets[i],
+                          "function " + sym.name +
+                              " runs past its section's stored bytes"});
     }
 
     // Each relocation's 8-byte slot lies inside one loadable section:

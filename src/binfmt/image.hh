@@ -51,8 +51,9 @@ constexpr std::uint32_t sbf_magic = 0x31464253;
  * than its memory size, or address range wraps),
  * "sbf-section-overlap" (two sections share addresses),
  * "sbf-payload" (an .eh_frame, .ra_map or .trap_map payload does not
- * parse) and "sbf-reloc" (a relocation slot outside every loadable
- * section).
+ * parse), "sbf-symbol" (a function symbol that starts in a section
+ * but runs past its stored bytes) and "sbf-reloc" (a relocation slot
+ * outside every loadable section).
  */
 struct SbfIssue
 {

@@ -1,6 +1,7 @@
 #include "rewrite/engine.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 
 #include "isa/assembler.hh"
@@ -859,12 +860,22 @@ Engine::paddingBytes(Addr from, Addr to) const
     return out;
 }
 
-std::vector<std::uint8_t>
-Engine::cloneBytes() const
+std::optional<std::vector<std::uint8_t>>
+Engine::cloneBytes(std::string &error) const
 {
     std::vector<std::uint8_t> out;
     for (const TableClone &clone : clones_) {
         const JumpTable &jt = clone.table;
+        const auto fail = [&](const char *why, unsigned long long at) {
+            char msg[160];
+            std::snprintf(msg, sizeof(msg),
+                          "cannot clone the jump table at 0x%llx: %s "
+                          "(0x%llx)",
+                          static_cast<unsigned long long>(jt.tableAddr),
+                          why, at);
+            error = msg;
+            return std::nullopt;
+        };
         for (unsigned i = 0; i < jt.entryCount; ++i) {
             std::uint64_t value = 0;
             const Addr orig_target =
@@ -881,22 +892,24 @@ Engine::cloneBytes() const
                         // the code.
                         std::optional<Addr> anchor =
                             lookupBlock(*jt.base);
-                        icp_assert(anchor.has_value(),
-                                   "anchor 0x%llx not relocated",
-                                   static_cast<unsigned long long>(
-                                       *jt.base));
+                        if (!anchor)
+                            return fail("its anchor is not relocated",
+                                        *jt.base);
                         base_new = *anchor;
                     }
                     const std::int64_t diff =
                         static_cast<std::int64_t>(*tnew) -
                         static_cast<std::int64_t>(base_new);
-                    icp_assert((diff & ((1LL << jt.shift) - 1)) == 0,
-                               "clone entry not aligned");
+                    if ((diff & ((1LL << jt.shift) - 1)) != 0)
+                        return fail("an entry's distance from its anchor "
+                                    "is not a multiple of its scale",
+                                    orig_target);
                     const std::int64_t entry = diff >> jt.shift;
-                    icp_assert(clone.entrySize == 8 ||
-                                   fitsSigned(entry,
-                                              clone.entrySize * 8),
-                               "clone entry does not fit");
+                    if (clone.entrySize != 8 &&
+                        !fitsSigned(entry, clone.entrySize * 8))
+                        return fail("an entry's distance from its anchor "
+                                    "does not fit its width",
+                                    orig_target);
                     value = static_cast<std::uint64_t>(entry);
                 }
             }

@@ -149,8 +149,15 @@ class Engine
     /** The inter-span alignment padding bytes (encoded nops). */
     std::vector<std::uint8_t> paddingBytes(Addr from, Addr to) const;
 
-    /** The .newrodata payload (valid once layout is complete). */
-    std::vector<std::uint8_t> cloneBytes() const;
+    /**
+     * The .newrodata payload (valid once layout is complete). nullopt
+     * when a cloned entry cannot be encoded against the relocated
+     * code (an anchor that was not relocated, or a distance the
+     * entry's scale or width cannot hold); @p error then names the
+     * table.
+     */
+    std::optional<std::vector<std::uint8_t>>
+    cloneBytes(std::string &error) const;
 
     /** Relocated address of an original block start, if relocated. */
     std::optional<Addr> lookupBlock(Addr orig) const;

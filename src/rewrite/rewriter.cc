@@ -9,7 +9,6 @@
 
 #include "analysis/cache.hh"
 #include "analysis/funcptr.hh"
-#include "analysis/liveness.hh"
 #include "binfmt/addr_map.hh"
 #include "binfmt/stream_writer.hh"
 #include "rewrite/engine.hh"
@@ -218,7 +217,6 @@ planShards(const BinaryImage &image, unsigned shards)
 namespace
 {
 
-const Timer liveness_timer = Metrics::global().timer("liveness");
 const Timer func_ptr_timer = Metrics::global().timer("func-ptr");
 const Timer relocation_timer = Metrics::global().timer("relocation");
 const Timer trampoline_timer = Metrics::global().timer("trampoline");
@@ -265,11 +263,9 @@ class Rewriter
     void fillManifest(const Engine &engine);
     void injectByteDefect();
     void trampolineBegin();
-    void installTrampolines(const CfgModule &cfg, const Engine &engine,
-                            bool use_cache);
+    void installTrampolines(const CfgModule &cfg, const Engine &engine);
     void trampolineFunc(const Function &func,
                         const std::set<Addr> &cfl,
-                        const LivenessResult *live,
                         const Engine &engine);
     void trampolineFinish();
     void accountTrampoline(const TrampolineRequest &req,
@@ -534,70 +530,35 @@ Rewriter::trampolineBegin()
 /**
  * Trampolines for the instrumented functions of one range, installed
  * in ascending entry order whatever the emission order (the scratch
- * pool evolves in that order in every configuration). Per-function
- * inputs — CFL block sets and, on the fixed ISAs, liveness — are
- * independent across functions: they are precomputed in parallel,
- * with liveness memoized in the analysis cache under the function's
- * CFG key when @p use_cache, so the serial install only does the
- * order-sensitive pool work.
+ * pool evolves in that order in every configuration). The CFL block
+ * sets are independent across functions: they are precomputed in
+ * parallel, so the serial install only does the order-sensitive pool
+ * work. Liveness comes with each Function (buildCfg computes it).
  */
 void
-Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine,
-                             bool use_cache)
+Rewriter::installTrampolines(const CfgModule &cfg, const Engine &engine)
 {
-    struct FuncPre
-    {
-        const Function *func = nullptr;
-        std::set<Addr> cfl;
-        std::shared_ptr<const LivenessResult> live;
-    };
-    std::vector<FuncPre> pre;
+    ScopedTimer timer(trampoline_timer);
+    std::vector<std::pair<const Function *, std::set<Addr>>> pre;
     for (const auto &[entry, func] : cfg.functions) {
         if (instrumented_.count(entry))
-            pre.push_back({&func, {}, nullptr});
+            pre.emplace_back(&func, std::set<Addr>{});
     }
-    {
-        ScopedTimer timer(liveness_timer);
-        ThreadPool::shared().parallelFor(
-            pre.size(), effectiveThreads(opts_.threads),
-            [&](std::size_t i) {
-                const Function &func = *pre[i].func;
-                pre[i].cfl = cflBlocks(func);
-                if (!arch_.fixedLength)
-                    return;
-                const bool cached = use_cache && func.cacheKey != 0;
-                if (cached) {
-                    if (auto hit =
-                            AnalysisCache::global().findLiveness(
-                                func.cacheKey, func.entry)) {
-                        pre[i].live = hit;
-                        return;
-                    }
-                }
-                pre[i].live = std::make_shared<LivenessResult>(
-                    computeLiveness(func, arch_));
-                if (cached) {
-                    AnalysisCache::global().storeLiveness(
-                        func.cacheKey, input_.arch, func.entry,
-                        *pre[i].live);
-                }
-            });
-    }
-
-    ScopedTimer timer(trampoline_timer);
-    for (const FuncPre &p : pre)
-        trampolineFunc(*p.func, p.cfl, p.live.get(), engine);
+    ThreadPool::shared().parallelFor(
+        pre.size(), effectiveThreads(opts_.threads),
+        [&](std::size_t i) { pre[i].second = cflBlocks(*pre[i].first); });
+    for (const auto &[func, cfl] : pre)
+        trampolineFunc(*func, cfl, engine);
 }
 
 /**
  * Phase 1 for one function: in-place installs; unused superblock
  * bytes (source 2 of §7's scratch space) are donated to the pool for
- * phase 2. @p live may be null on variable-length ISAs.
+ * phase 2.
  */
 void
 Rewriter::trampolineFunc(const Function &func,
                          const std::set<Addr> &cfl,
-                         const LivenessResult *live,
                          const Engine &engine)
 {
     result_.stats.cflBlocks += cfl.size();
@@ -652,7 +613,7 @@ Rewriter::trampolineFunc(const Function &func,
                    static_cast<unsigned long long>(start));
         req.target = *target;
         req.scratchReg = arch_.fixedLength
-            ? live->deadRegAt(start)
+            ? func.liveness.deadRegAt(start)
             : Reg::none;
 
         if (force_trap) {
@@ -687,7 +648,8 @@ Rewriter::trampolineFunc(const Function &func,
                 if (arch_.hasToc)
                     bad = Reg::toc;
             } else {
-                const RegSet live_set = live->liveAtBlockStart(start);
+                const RegSet live_set =
+                    func.liveness.liveAtBlockStart(start);
                 for (unsigned r = 0; r < num_gp_regs; ++r) {
                     if (live_set.contains(static_cast<Reg>(r))) {
                         bad = static_cast<Reg>(r);
@@ -1375,7 +1337,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             if (!reuse.valid() || !engine.layoutReused(order, reuse))
                 engine.layout(order, resident);
         }
-        installTrampolines(cfg, engine, use_cache);
+        installTrampolines(cfg, engine);
     });
     {
         ScopedTimer timer(trampoline_timer);
@@ -1401,15 +1363,19 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     instr.executable = true;
     out_.addSection(std::move(instr));
 
-    std::vector<std::uint8_t> rodata = engine.cloneBytes();
-    const std::uint64_t rodata_size = rodata.size();
-    if (!rodata.empty()) {
+    RewriteResult failed;
+    std::optional<std::vector<std::uint8_t>> rodata =
+        engine.cloneBytes(failed.failReason);
+    if (!rodata)
+        return failed;
+    const std::uint64_t rodata_size = rodata->size();
+    if (!rodata->empty()) {
         Section ro;
         ro.name = ".newrodata";
         ro.kind = SectionKind::newRodata;
         ro.addr = newRodataBase_;
-        ro.memSize = rodata.size();
-        ro.bytes = std::move(rodata);
+        ro.memSize = rodata->size();
+        ro.bytes = std::move(*rodata);
         out_.addSection(std::move(ro));
     }
 
@@ -1523,7 +1489,6 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             result_.image = std::move(out_);
     }
     if (!emit_error.empty()) {
-        RewriteResult failed;
         failed.failReason = std::move(emit_error);
         return failed;
     }

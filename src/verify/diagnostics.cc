@@ -86,6 +86,9 @@ lintRules()
          "two sections share addresses"},
         {"sbf-payload", Severity::error,
          "an .eh_frame, .ra_map or .trap_map payload does not parse"},
+        {"sbf-symbol", Severity::error,
+         "a function symbol starts in a section but runs past its "
+         "stored bytes"},
         {"sbf-reloc", Severity::error,
          "a relocation's 8-byte slot lies outside every loadable "
          "section"},

@@ -8,8 +8,6 @@
 #include <set>
 
 #include "analysis/builder.hh"
-#include "analysis/cache.hh"
-#include "analysis/liveness.hh"
 #include "binfmt/addr_map.hh"
 #include "binfmt/ehframe.hh"
 #include "isa/bytes.hh"
@@ -195,32 +193,6 @@ class Checker
             rebuiltOriginalCfg_ = true;
         }
         return cfg_.functionAt(entry);
-    }
-
-    const LivenessResult *
-    livenessAt(Addr entry)
-    {
-        auto it = liveness_.find(entry);
-        if (it != liveness_.end())
-            return it->second.get();
-        const Function *fn = functionAt(entry);
-        if (!fn)
-            return nullptr;
-        const bool cached = fn->cacheKey != 0;
-        if (cached) {
-            if (auto hit = AnalysisCache::global().findLiveness(
-                    fn->cacheKey, fn->entry))
-                return liveness_.emplace(entry, std::move(hit))
-                    .first->second.get();
-        }
-        auto fresh = std::make_shared<LivenessResult>(
-            computeLiveness(*fn, arch_));
-        if (cached) {
-            AnalysisCache::global().storeLiveness(
-                fn->cacheKey, orig_.arch, fn->entry, *fresh);
-        }
-        return liveness_.emplace(entry, std::move(fresh))
-            .first->second.get();
     }
 
     // --- R1/R2/R3/R12: trampoline chain walking --------------------------
@@ -501,10 +473,11 @@ class Checker
             if (p.scratchReg == Reg::none ||
                 static_cast<unsigned>(p.scratchReg) >= num_gp_regs)
                 continue;
-            const LivenessResult *live = livenessAt(p.funcEntry);
-            if (!live)
+            const Function *fn = functionAt(p.funcEntry);
+            if (!fn)
                 continue;
-            if (live->liveAtBlockStart(p.site).contains(p.scratchReg))
+            if (fn->liveness.liveAtBlockStart(p.site).contains(
+                    p.scratchReg))
                 report("tramp-scratch-live", Severity::error, p.site,
                        p.target, p.funcEntry,
                        std::string("long form clobbers ") +
@@ -1011,7 +984,6 @@ class Checker
 
     bool cfgBuilt_ = false;
     CfgModule cfg_;
-    std::map<Addr, std::shared_ptr<const LivenessResult>> liveness_;
 };
 
 } // namespace

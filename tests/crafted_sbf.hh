@@ -3,8 +3,9 @@
  * Crafted malformed SBF inputs shared by the validation tests: each
  * is `icp compile micro --pie` of one ISA with one or two fields
  * changed. The first three are container defects that tryDeserialize
- * rejects naming a rule; the rest decode cleanly but cannot be
- * rewritten (farFallthrough only on the fixed-length ISAs).
+ * rejects naming a rule, and so is hugeSymbol; the rest decode
+ * cleanly but cannot be rewritten (farFallthrough only on the
+ * fixed-length ISAs; the two clone defects are aarch64 bit flips).
  * duplicateFuncPtrReloc crafts a well-formed edge case instead.
  */
 
@@ -34,16 +35,26 @@ enum class SbfDefect
     farSection,   ///< .rodata address plus 2^36: beyond pc-relative reach
     wrappedBranch, ///< first conditional branch retargeted below address 0
     farFallthrough, ///< .eh_frame memSize 144 MB, main cut after a call
+    cloneAnchor,    ///< aarch64: a jump table's anchor is not relocated
+    cloneScale,     ///< aarch64: a cloned entry is not a whole scale
+    hugeSymbol,     ///< .eh_frame memSize 2^41 holding a 2^40-byte symbol
 };
 
 /** The defects that decode but make relocated code unencodable. */
 inline constexpr SbfDefect unencodable_sbf_defects[] = {
     SbfDefect::wrappedBranch, SbfDefect::farFallthrough};
 
+/**
+ * The aarch64 defects that decode but leave a jump table that cannot
+ * be cloned against the relocated code (jt and func-ptr mode).
+ */
+inline constexpr SbfDefect unclonable_sbf_defects[] = {
+    SbfDefect::cloneAnchor, SbfDefect::cloneScale};
+
 /** The defects every reader handles alike (farSection is rewrite-only). */
 inline constexpr SbfDefect all_sbf_defects[] = {
     SbfDefect::badArch, SbfDefect::ehFrameCount, SbfDefect::relocSite,
-    SbfDefect::noText};
+    SbfDefect::noText, SbfDefect::hugeSymbol};
 
 inline const char *
 sbfDefectName(SbfDefect defect)
@@ -56,6 +67,9 @@ sbfDefectName(SbfDefect defect)
       case SbfDefect::farSection: return "far-section";
       case SbfDefect::wrappedBranch: return "wrapped-branch";
       case SbfDefect::farFallthrough: return "far-fallthrough";
+      case SbfDefect::cloneAnchor: return "clone-anchor";
+      case SbfDefect::cloneScale: return "clone-scale";
+      case SbfDefect::hugeSymbol: return "huge-symbol";
     }
     return "?";
 }
@@ -69,9 +83,12 @@ sbfDefectRule(SbfDefect defect)
       case SbfDefect::ehFrameCount: return "sbf-payload";
       case SbfDefect::relocSite: return "sbf-reloc";
       case SbfDefect::noText: return nullptr;
+      case SbfDefect::hugeSymbol: return "sbf-symbol";
       case SbfDefect::farSection:
       case SbfDefect::wrappedBranch:
-      case SbfDefect::farFallthrough: return nullptr;
+      case SbfDefect::farFallthrough:
+      case SbfDefect::cloneAnchor:
+      case SbfDefect::cloneScale: return nullptr;
     }
     return nullptr;
 }
@@ -153,10 +170,47 @@ craftSbf(Arch arch, SbfDefect defect)
         }
         break;
       }
+      case SbfDefect::hugeSymbol: {
+        // .eh_frame claims 2 TiB, and the first function symbol moves
+        // into it with 1 TiB: inside the section's address range, far
+        // past its stored bytes.
+        Section *eh = img.findSection(SectionKind::ehFrame);
+        eh->memSize = Addr{1} << 41;
+        for (Symbol &sym : img.symbols) {
+            if (sym.kind != Symbol::Kind::function)
+                continue;
+            sym.addr = eh->addr;
+            sym.size = Addr{1} << 40;
+            break;
+        }
+        break;
+      }
+      case SbfDefect::cloneAnchor:
+      case SbfDefect::cloneScale:
+        break;
     }
     std::vector<std::uint8_t> raw = img.serialize();
-    if (defect == SbfDefect::badArch)
+    // Raw bit flips found by a seeded mutation sweep of the aarch64
+    // file: cloneAnchor flips .text bytes at 0x12145 and 0x122a0,
+    // cloneScale a .rela.dyn byte and the .text byte at 0x1213a.
+    const auto flip = [&](std::size_t at, unsigned bit) {
+        raw.at(at) ^= static_cast<std::uint8_t>(1u << bit);
+    };
+    switch (defect) {
+      case SbfDefect::badArch:
         raw[4] = 7; // right after the magic
+        break;
+      case SbfDefect::cloneAnchor:
+        flip(684, 5);
+        flip(1031, 5);
+        break;
+      case SbfDefect::cloneScale:
+        flip(1720, 0);
+        flip(673, 2);
+        break;
+      default:
+        break;
+    }
     return raw;
 }
 

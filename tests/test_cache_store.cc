@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <tuple>
@@ -160,7 +161,7 @@ TEST_P(CacheStoreArch, SaveLoadRestoresEveryEntry)
     EXPECT_TRUE(rep.fileRead);
     EXPECT_TRUE(rep.clean())
         << (rep.issues.empty() ? "" : rep.issues.front().message);
-    EXPECT_EQ(rep.loadedEntries(), entries);
+    EXPECT_EQ(rep.loadedFunctions, entries);
     EXPECT_EQ(rep.droppedEntries, 0u);
     EXPECT_EQ(AnalysisCache::global().entryCount(), entries);
 }
@@ -318,7 +319,7 @@ TEST(CacheStore, MissingFileIsEmptyAndClean)
         "/tmp/icp_cache_store_definitely_missing.icpc");
     EXPECT_FALSE(rep.fileRead);
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.loadedEntries(), 0u);
+    EXPECT_EQ(rep.loadedFunctions, 0u);
     EXPECT_EQ(AnalysisCache::global().entryCount(), 0u);
 }
 
@@ -333,7 +334,7 @@ TEST(CacheStore, ForeignMagicLoadsEmptyWithIssue)
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(rep.fileRead);
     EXPECT_TRUE(hasIssue(rep, "cache-magic"));
-    EXPECT_EQ(rep.loadedEntries(), 0u);
+    EXPECT_EQ(rep.loadedFunctions, 0u);
     EXPECT_EQ(AnalysisCache::global().entryCount(), 0u);
 }
 
@@ -348,7 +349,7 @@ TEST(CacheStore, WrongVersionLoadsEmptyWithIssue)
     AnalysisCache::global().clear();
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(hasIssue(rep, "cache-version"));
-    EXPECT_EQ(rep.loadedEntries(), 0u);
+    EXPECT_EQ(rep.loadedFunctions, 0u);
     EXPECT_EQ(AnalysisCache::global().entryCount(), 0u);
 }
 
@@ -369,7 +370,7 @@ TEST(CacheStore, TruncatedFileLoadsPartialWithIssue)
     EXPECT_TRUE(hasIssue(rep, "cache-torn"));
     EXPECT_GE(rep.droppedEntries, 1u);
     EXPECT_EQ(AnalysisCache::global().entryCount(),
-              rep.loadedEntries());
+              rep.loadedFunctions);
 }
 
 TEST(CacheStore, FlippedPayloadByteDegradesToLazyMiss)
@@ -381,7 +382,7 @@ TEST(CacheStore, FlippedPayloadByteDegradesToLazyMiss)
     AnalysisCache::global().clear();
     const CacheLoadReport clean_rep =
         AnalysisCache::global().load(path);
-    const unsigned total = clean_rep.loadedEntries();
+    const unsigned total = clean_rep.loadedFunctions;
     ASSERT_GE(total, 2u);
 
     // The first payload starts after the file header, the segment
@@ -399,7 +400,7 @@ TEST(CacheStore, FlippedPayloadByteDegradesToLazyMiss)
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(rep.clean());
     EXPECT_EQ(rep.droppedEntries, 0u);
-    EXPECT_EQ(rep.loadedEntries(), total);
+    EXPECT_EQ(rep.loadedFunctions, total);
 
     // The eager verifier still pinpoints the corruption.
     const CacheLoadReport verify = verifyCacheFile(path);
@@ -430,7 +431,7 @@ TEST(CacheStore, ForeignIsaEntriesAreSkippedSilently)
     EXPECT_TRUE(rep.fileRead);
     EXPECT_TRUE(rep.clean())
         << (rep.issues.empty() ? "" : rep.issues.front().message);
-    EXPECT_EQ(rep.loadedEntries(), 0u);
+    EXPECT_EQ(rep.loadedFunctions, 0u);
     EXPECT_EQ(rep.droppedEntries, 0u);
     EXPECT_EQ(AnalysisCache::global().entryCount(), 0u);
 }
@@ -645,7 +646,7 @@ TEST(CacheStore, SaveMergesWithEntriesFromOtherWriters)
     coldRewrite(img, path);
     AnalysisCache::global().clear();
     const CacheLoadReport first = AnalysisCache::global().load(path);
-    const unsigned count_a = first.loadedEntries();
+    const unsigned count_a = first.loadedFunctions;
     ASSERT_GT(count_a, 0u);
 
     // Writer 2 analyzed workload B with no knowledge of the file
@@ -662,7 +663,7 @@ TEST(CacheStore, SaveMergesWithEntriesFromOtherWriters)
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(rep.clean())
         << (rep.issues.empty() ? "" : rep.issues.front().message);
-    EXPECT_EQ(rep.loadedEntries(), count_a + count_b);
+    EXPECT_EQ(rep.loadedFunctions, count_a + count_b);
 }
 
 TEST(CacheStore, TornFinalSegmentKeepsPriorSegmentsReadable)
@@ -675,13 +676,13 @@ TEST(CacheStore, TornFinalSegmentKeepsPriorSegmentsReadable)
     coldRewrite(img, path);
     AnalysisCache::global().clear();
     const CacheLoadReport first = AnalysisCache::global().load(path);
-    const unsigned count_a = first.loadedEntries();
+    const unsigned count_a = first.loadedFunctions;
     const std::uint64_t size_a = stampOf(path).size;
     AnalysisCache::global().clear();
     ASSERT_TRUE(rewriteBinary(other, baseOptions(path)).ok);
     AnalysisCache::global().clear();
     const unsigned count_total =
-        AnalysisCache::global().load(path).loadedEntries();
+        AnalysisCache::global().load(path).loadedFunctions;
     ASSERT_GT(count_total, count_a);
 
     // Tear segment B: drop the file's last 10 bytes (a writer died
@@ -695,8 +696,8 @@ TEST(CacheStore, TornFinalSegmentKeepsPriorSegmentsReadable)
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_TRUE(hasIssue(rep, "cache-torn"));
     EXPECT_GE(rep.droppedEntries, 1u);
-    EXPECT_GE(rep.loadedEntries(), count_a);
-    EXPECT_LT(rep.loadedEntries(), count_total);
+    EXPECT_GE(rep.loadedFunctions, count_a);
+    EXPECT_LT(rep.loadedFunctions, count_total);
     EXPECT_EQ(inspectCacheFile(path).segments, 1u);
     (void)size_a;
 
@@ -706,7 +707,7 @@ TEST(CacheStore, TornFinalSegmentKeepsPriorSegmentsReadable)
     EXPECT_TRUE(verify.clean())
         << (verify.issues.empty() ? ""
                                   : verify.issues.front().message);
-    EXPECT_EQ(verify.loadedEntries(), rep.loadedEntries());
+    EXPECT_EQ(verify.loadedFunctions, rep.loadedFunctions);
 }
 
 TEST(CacheStore, CompactionEvictsOldestGenerationsUnderSizeCap)
@@ -747,9 +748,7 @@ TEST(CacheStore, CompactionEvictsOldestGenerationsUnderSizeCap)
     ASSERT_TRUE(warm.ok) << warm.failReason;
     EXPECT_TRUE(warm.cacheLoad.clean());
     const auto stats = AnalysisCache::global().stats();
-    EXPECT_EQ(stats.misses(), 0u)
-        << stats.functionMisses << " function / "
-        << stats.livenessMisses << " liveness misses";
+    EXPECT_EQ(stats.misses(), 0u);
     EXPECT_EQ(warm.image.serialize(), cold_other);
 }
 
@@ -813,7 +812,7 @@ TEST(CacheStore, UnknownEntryKindIsSkippedNeverFatal)
     const std::vector<std::uint8_t> cold = coldRewrite(img, path);
     AnalysisCache::global().clear();
     const unsigned before =
-        AnalysisCache::global().load(path).loadedEntries();
+        AnalysisCache::global().load(path).loadedFunctions;
 
     // Append a well-formed segment holding one entry of a kind the
     // format does not define.
@@ -834,13 +833,13 @@ TEST(CacheStore, UnknownEntryKindIsSkippedNeverFatal)
     EXPECT_TRUE(rep.fileRead);
     EXPECT_TRUE(rep.clean());
     EXPECT_EQ(rep.droppedEntries, 0u);
-    EXPECT_EQ(rep.loadedEntries(), before);
+    EXPECT_EQ(rep.loadedFunctions, before);
 
     // The eager verifier reports it as a malformed entry.
     const CacheLoadReport verify = verifyCacheFile(path);
     EXPECT_TRUE(hasIssue(verify, "cache-entry"));
     EXPECT_EQ(verify.droppedEntries, 1u);
-    EXPECT_EQ(verify.loadedEntries(), before);
+    EXPECT_EQ(verify.loadedFunctions, before);
 
     // A warm rewrite through the file is unaffected.
     AnalysisCache::global().clear();
@@ -967,7 +966,7 @@ expectIgnoredAndRewritten(const BinaryImage &img,
     AnalysisCache::global().clear();
     const CacheLoadReport rep = AnalysisCache::global().load(path);
     EXPECT_EQ(rep.fileVersion, version);
-    EXPECT_EQ(rep.loadedEntries(), 0u);
+    EXPECT_EQ(rep.loadedFunctions, 0u);
     ASSERT_EQ(rep.issues.size(), 1u) << "v" << version;
     EXPECT_EQ(rep.issues.front().rule, "cache-version");
     const auto diags = diagnosticsFromCacheIssues(rep.issues);
@@ -1062,7 +1061,7 @@ TEST(CacheStore, V1FramingLoadsReadOnlyWithInfoDiagnostic)
     const std::vector<std::uint8_t> cold = coldRewrite(img, path);
     AnalysisCache::global().clear();
     const unsigned count =
-        AnalysisCache::global().load(path).loadedEntries();
+        AnalysisCache::global().load(path).loadedFunctions;
     ASSERT_GT(count, 0u);
     expectIgnoredAndRewritten(img, path, cold, 1,
                               frameV1File(parseEntries(readAll(path))));
@@ -1070,7 +1069,7 @@ TEST(CacheStore, V1FramingLoadsReadOnlyWithInfoDiagnostic)
     const CacheLoadReport reloaded =
         AnalysisCache::global().load(path);
     EXPECT_TRUE(reloaded.clean());
-    EXPECT_EQ(reloaded.loadedEntries(), count);
+    EXPECT_EQ(reloaded.loadedFunctions, count);
 }
 
 TEST(CacheStore, V1FileWithLegacyEntriesMigratesToV4)
@@ -1152,6 +1151,8 @@ struct Mutation
     std::vector<std::uint8_t> bytes;
     /** Cut at a segment boundary: a shorter, fully valid file. */
     bool validPrefix = false;
+    /** The issue verify must report, where it is known. */
+    const char *rule = nullptr;
 };
 
 /** Serialized rewrite of @p img with no cache at all. */
@@ -1244,6 +1245,83 @@ mutationsOf(const std::vector<std::uint8_t> &raw, std::uint64_t seed)
     return out;
 }
 
+/**
+ * Mutations of the liveness part that ends each function payload of
+ * a fixed-length ISA (u32 count, then one u32 register set per
+ * block): flipped bits, which the payload checksum catches, and a
+ * count or a register set the encoder never writes with the checksum
+ * recomputed, which the decoder must reject. The liveness part of
+ * a record is found from its function's block count in @p images.
+ */
+std::vector<Mutation>
+livenessMutationsOf(const std::vector<std::uint8_t> &raw,
+                    const std::vector<const BinaryImage *> &images,
+                    std::uint64_t seed)
+{
+    std::map<std::uint64_t, std::size_t> blocks;
+    for (const BinaryImage *img : images) {
+        if (!img->archInfo().fixedLength)
+            continue;
+        AnalysisCache::global().clear();
+        for (const auto &[entry, func] : buildCfg(*img).functions)
+            blocks[func.cacheKey] = func.blocks.size();
+    }
+    AnalysisCache::global().clear();
+
+    std::mt19937_64 rng(seed);
+    std::vector<Mutation> out;
+    for (const SegmentLayout &seg : segmentLayouts(raw)) {
+        for (std::uint32_t i = 0; i < seg.count; ++i) {
+            const std::size_t rec = seg.index + i * cache_index_record_bytes;
+            const auto it = blocks.find(getU64(raw.data() + rec + 8));
+            if (it == blocks.end() || rng() % 4 != 0)
+                continue;
+            const std::size_t end = seg.payloads +
+                                    getU64(raw.data() + rec + 16) +
+                                    getU32(raw.data() + rec + 4);
+            const std::size_t live = end - 4 * (it->second + 1);
+            EXPECT_EQ(getU32(raw.data() + live), it->second);
+            const auto rehash = [&](Mutation &m) {
+                const std::size_t begin =
+                    end - getU32(raw.data() + rec + 4);
+                std::vector<std::uint8_t> hash;
+                putU64(hash, cacheEntryHash(raw[rec], raw[rec + 1],
+                                            getU64(raw.data() + rec + 8),
+                                            m.bytes.data() + begin,
+                                            end - begin));
+                std::copy(hash.begin(), hash.end(),
+                          m.bytes.begin() + static_cast<long>(rec + 24));
+            };
+
+            Mutation flip;
+            const std::size_t at = live + rng() % (end - live);
+            flip.what = "flip liveness byte " + std::to_string(at);
+            flip.bytes = raw;
+            flip.bytes[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+            flip.rule = "cache-checksum";
+            out.push_back(std::move(flip));
+
+            Mutation count;
+            count.what = "rehashed liveness count at " + std::to_string(live);
+            count.bytes = raw;
+            count.bytes[live] ^= 1;
+            count.rule = "cache-entry";
+            rehash(count);
+            out.push_back(std::move(count));
+
+            Mutation set;
+            const std::size_t reg = live + 4 + 4 * (rng() % it->second);
+            set.what = "rehashed liveness set at " + std::to_string(reg);
+            set.bytes = raw;
+            set.bytes[reg + 3] |= 0x80; // a register RegSet does not name
+            set.rule = "cache-entry";
+            rehash(set);
+            out.push_back(std::move(set));
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(CacheStoreMutation, SeededMutationsNeverCrashOrChangeOutput)
@@ -1251,23 +1329,30 @@ TEST(CacheStoreMutation, SeededMutationsNeverCrashOrChangeOutput)
     const std::string path = tmpPath("mutation");
     const BinaryImage x64 = compileMicro(Arch::x64);
     const BinaryImage a64 = compileMicro(Arch::aarch64);
+    const BinaryImage ppc = compileMicro(Arch::ppc64le);
     const BinaryImage x64_nopie = compileMicro(Arch::x64, false);
-    const std::vector<const BinaryImage *> images = {&x64, &a64};
+    const std::vector<const BinaryImage *> images = {&x64, &a64, &ppc};
     std::vector<std::vector<std::uint8_t>> cold;
     for (const BinaryImage *img : images)
         cold.push_back(uncachedRewrite(*img));
 
-    // A shared three-segment file: x64, aarch64, x64 non-PIE.
+    // A shared four-segment file: x64, aarch64, ppc64le (both with
+    // liveness in their function records), x64 non-PIE.
     std::remove(path.c_str());
-    for (const BinaryImage *img : {&x64, &a64, &x64_nopie}) {
+    for (const BinaryImage *img : {&x64, &a64, &ppc, &x64_nopie}) {
         AnalysisCache::global().clear();
         ASSERT_TRUE(rewriteBinary(*img, baseOptions(path)).ok);
     }
     const std::vector<std::uint8_t> pristine = readAll(path);
-    ASSERT_EQ(segmentLayouts(pristine).size(), 3u);
+    ASSERT_EQ(segmentLayouts(pristine).size(), 4u);
     ASSERT_TRUE(verifyCacheFile(path).clean());
 
-    for (const Mutation &m : mutationsOf(pristine, 0x5eed)) {
+    std::vector<Mutation> mutations = mutationsOf(pristine, 0x5eed);
+    const std::vector<Mutation> live =
+        livenessMutationsOf(pristine, images, 0x5eed);
+    EXPECT_GE(live.size(), 12u);
+    mutations.insert(mutations.end(), live.begin(), live.end());
+    for (const Mutation &m : mutations) {
         SCOPED_TRACE(m.what);
         writeAll(path, m.bytes);
         // A cut at a segment boundary leaves a valid shorter file
@@ -1275,6 +1360,10 @@ TEST(CacheStoreMutation, SeededMutationsNeverCrashOrChangeOutput)
         const CacheLoadReport verify = verifyCacheFile(path);
         EXPECT_EQ(verify.clean(), m.validPrefix)
             << (verify.issues.empty() ? "" : verify.issues.front().rule);
+        if (m.rule) {
+            EXPECT_EQ(verify.issues.size(), 1u);
+            EXPECT_TRUE(hasIssue(verify, m.rule));
+        }
         for (std::size_t i = 0; i < images.size(); ++i) {
             AnalysisCache::global().clear();
             AnalysisCache::global().load(path, images[i]->arch);

@@ -471,9 +471,38 @@ TEST(Cli, MalformedSbfExitsCleanlyNeverAborts)
         }
     }
 
+    // A jump table that a bit flip left unclonable against the
+    // relocated code (an anchor that is not relocated, an entry that
+    // is not a whole scale from it): the rewrite fails naming the
+    // table, and lint reports lint-input.
+    for (icp::SbfDefect defect : icp::unclonable_sbf_defects) {
+        const std::string path = std::string("/tmp/icp_cli_crafted_") +
+                                 icp::sbfDefectName(defect) + ".sbf";
+        SCOPED_TRACE(path);
+        {
+            const auto raw = icp::craftSbf(icp::Arch::aarch64, defect);
+            std::ofstream out(path, std::ios::binary);
+            out.write(reinterpret_cast<const char *>(raw.data()),
+                      static_cast<std::streamsize>(raw.size()));
+        }
+        for (const char *mode : {"jt", "func-ptr"}) {
+            const std::string cmd = "rewrite " + path +
+                " /tmp/icp_cli_crafted_out.sbf --mode " + mode;
+            EXPECT_EQ(exitCode(cmd), 1) << cmd;
+            const std::string err = capture(cmd + " 2>&1; true");
+            EXPECT_NE(err.find("cannot clone the jump table"),
+                      std::string::npos)
+                << err;
+        }
+        const std::string lint_cmd = "lint " + path + " --mode func-ptr";
+        EXPECT_EQ(exitCode(lint_cmd), 2);
+        const std::string lint = capture(lint_cmd);
+        EXPECT_NE(lint.find("lint-input"), std::string::npos) << lint;
+        std::remove(path.c_str());
+    }
+
     // A function symbol whose size (2^40) runs far past its section
-    // decodes, since symbol sizes are not checked against sections.
-    // Its bytes are unreadable; nothing may try to allocate them.
+    // is rejected (sbf-symbol) before anything reads its bytes.
     {
         const std::string path = "/tmp/icp_cli_huge_symbol.sbf";
         {
@@ -737,13 +766,14 @@ TEST(CliCache, InfoVerifyCompactRoundTrip)
               0);
 
     const std::string info = capture("cache info /tmp/icp_cli_cmd.icpc");
-    EXPECT_NE(info.find("v6"), std::string::npos) << info;
+    EXPECT_NE(info.find("v7"), std::string::npos) << info;
     EXPECT_NE(info.find("2 segments"), std::string::npos) << info;
-    // Per-kind breakdown and the sharing stats are part of the
-    // output contract.
+    // The entry count and the sharing stats are part of the output
+    // contract.
     EXPECT_NE(info.find("function:"), std::string::npos) << info;
-    EXPECT_NE(info.find("liveness:"), std::string::npos) << info;
-    // Read-sets live inside function records: no kind of their own.
+    // Read-sets and liveness live inside function records: no kind
+    // of their own.
+    EXPECT_EQ(info.find("liveness:"), std::string::npos) << info;
     EXPECT_EQ(info.find("data read-set:"), std::string::npos) << info;
     EXPECT_NE(info.find("distinct keys"), std::string::npos) << info;
     EXPECT_NE(info.find("per ISA: x86-64 "), std::string::npos) << info;
@@ -781,7 +811,7 @@ TEST(CliCache, RewriteHonorsCacheMaxBytes)
               0);
     const std::string info =
         capture("cache info /tmp/icp_cli_cap.icpc");
-    EXPECT_NE(info.find("v6"), std::string::npos) << info;
+    EXPECT_NE(info.find("v7"), std::string::npos) << info;
     // The capped save compacted the file back under the limit.
     struct stat st;
     ASSERT_EQ(stat("/tmp/icp_cli_cap.icpc", &st), 0);

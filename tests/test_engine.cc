@@ -199,7 +199,9 @@ TEST(Engine, CloneEntriesResolveToRelocatedBlocks)
     EngineConfig config = baseConfig(img);
     Engine engine(img, config);
     relocated(engine, allFunctions(cfg));
-    const std::vector<std::uint8_t> rodata = engine.cloneBytes();
+    std::string error;
+    const std::vector<std::uint8_t> rodata =
+        engine.cloneBytes(error).value();
     ASSERT_FALSE(engine.clones().empty());
 
     for (const auto &clone : engine.clones()) {

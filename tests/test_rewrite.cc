@@ -203,6 +203,30 @@ TEST(RewriteGo, PlusOnePointerHandledInJtMode)
     EXPECT_TRUE(outcome.pass) << outcome.reason;
 }
 
+TEST(RewriteReach, UnclonableTableFailsNamingIt)
+{
+    // A jump table whose cloned entries cannot be encoded against the
+    // relocated code fails the rewrite naming the table, instead of
+    // aborting in Engine::cloneBytes.
+    for (SbfDefect defect : unclonable_sbf_defects) {
+        SCOPED_TRACE(sbfDefectName(defect));
+        std::vector<SbfIssue> issues;
+        const auto img = BinaryImage::tryDeserialize(
+            craftSbf(Arch::aarch64, defect), issues);
+        ASSERT_TRUE(img.has_value());
+        for (RewriteMode mode : {RewriteMode::jt, RewriteMode::funcPtr}) {
+            RewriteOptions opts;
+            opts.mode = mode;
+            opts.useAnalysisCache = false;
+            const RewriteResult rw = rewriteBinary(*img, opts);
+            EXPECT_FALSE(rw.ok);
+            EXPECT_NE(rw.failReason.find("cannot clone the jump table"),
+                      std::string::npos)
+                << rw.failReason;
+        }
+    }
+}
+
 TEST(RewriteReach, UnencodableBranchFailsNamingIt)
 {
     // A branch from .instr back to original code beyond its encoding's

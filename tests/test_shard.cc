@@ -210,8 +210,6 @@ TEST(ShardRewrite, RangeModeLeavesAnalysisCacheUntouched)
     const AnalysisCache::Stats after = cache.stats();
     EXPECT_EQ(after.functionHits, before.functionHits);
     EXPECT_EQ(after.functionMisses, before.functionMisses);
-    EXPECT_EQ(after.livenessHits, before.livenessHits);
-    EXPECT_EQ(after.livenessMisses, before.livenessMisses);
     EXPECT_EQ(cache.entryCount(), entries);
 }
 

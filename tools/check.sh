@@ -9,9 +9,12 @@
 #                  (rewriter, verifier, binfmt, engine, session, cache
 #                  store, sharded rewrite, serve daemon, the
 #                  regenerating baselines, which share the rewriter's
-#                  function-pointer retargeter, and the simulator and
+#                  function-pointer retargeter, the simulator and
 #                  loader, whose lazily mapped memory the binfmt
-#                  mutation sweep loads) and the repair-loop CLI smoke
+#                  mutation sweep loads, and the rewrite mutation
+#                  sweep, which rewrites, lints and runs bit-flipped
+#                  inputs in forked children) and the repair-loop CLI
+#                  smoke
 #   release        plain release build + the complete ctest suite
 #   lint-baseline  lint the canonical input against the checked-in
 #                  report (tests/data/lint_baseline.json): any new
@@ -123,8 +126,9 @@ leg_asan() {
     cmake --build build-asan -j "$jobs" \
         --target test_lint test_rewrite test_binfmt test_engine \
                  test_session test_cache_store test_shard test_serve \
-                 test_baselines test_sim test_loader icp_cli &&
-    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader tests ==" &&
+                 test_baselines test_sim test_loader \
+                 test_rewrite_mutation icp_cli &&
+    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation tests ==" &&
     ./build-asan/tests/test_lint &&
     ./build-asan/tests/test_rewrite &&
     ./build-asan/tests/test_binfmt &&
@@ -136,6 +140,7 @@ leg_asan() {
     ./build-asan/tests/test_baselines &&
     ./build-asan/tests/test_sim &&
     ./build-asan/tests/test_loader &&
+    ./build-asan/tests/test_rewrite_mutation &&
     echo "== ASan+UBSan: repair-loop smoke (inject -> repair -> lint) ==" &&
     smoke_dir="$(mktemp -d)" &&
     ./build-asan/tools/icp compile micro "$smoke_dir/in.sbf" --pie &&

@@ -326,7 +326,7 @@ printCacheStats(const RewriteResult &rw, const std::string &path)
                     : 100.0 *
                           static_cast<double>(cstats.functionHits) /
                           static_cast<double>(lookups),
-                rw.cacheLoad.loadedEntries(), path.c_str(),
+                rw.cacheLoad.loadedFunctions, path.c_str(),
                 rw.cacheLoad.droppedEntries);
 }
 
@@ -863,7 +863,8 @@ cmdCache(int argc, char **argv)
         std::printf(
             "%s: v%u, %llu bytes, %u segment%s (generation %llu)\n"
             "  function:      %u entries, %llu payload bytes\n"
-            "  liveness:      %u entries, %llu payload bytes\n",
+            "  sharing: %u total entries, %u distinct keys, "
+            "%u distinct payloads\n",
             path.c_str(), info.version,
             static_cast<unsigned long long>(info.fileBytes),
             info.segments, info.segments == 1 ? "" : "s",
@@ -871,14 +872,8 @@ cmdCache(int argc, char **argv)
             info.functionEntries,
             static_cast<unsigned long long>(
                 info.functionPayloadBytes),
-            info.livenessEntries,
-            static_cast<unsigned long long>(
-                info.livenessPayloadBytes));
-        const unsigned total =
-            info.functionEntries + info.livenessEntries;
-        std::printf("  sharing: %u total entries, %u distinct keys, "
-                    "%u distinct payloads\n",
-                    total, info.distinctKeys, info.distinctPayloads);
+            info.functionEntries, info.distinctKeys,
+            info.distinctPayloads);
         std::printf("  per ISA:");
         for (Arch arch : all_arches)
             std::printf(" %s %u", archName(arch),
@@ -894,10 +889,8 @@ cmdCache(int argc, char **argv)
             std::fprintf(stderr, "cannot read %s\n", path.c_str());
             return 1;
         }
-        std::printf("%s: %u entries verified (%u function, "
-                    "%u liveness), %u dropped\n",
-                    path.c_str(), rep.loadedEntries(),
-                    rep.loadedFunctions, rep.loadedLiveness,
+        std::printf("%s: %u entries verified, %u dropped\n",
+                    path.c_str(), rep.loadedFunctions,
                     rep.droppedEntries);
         printCacheIssues(rep.issues);
         return rep.clean() ? 0 : 2;
