@@ -405,7 +405,8 @@ DepsCounters::global()
 }
 
 CfgModule
-buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
+buildCfg(const BinaryImage &image, const AnalysisOptions &opts,
+         const CfgReuse &reuse)
 {
     // Self time: cache lookups and stores, fan-out, module assembly.
     const ScopedTimer timer(analysis_timer);
@@ -439,14 +440,19 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts)
         syms.size(), effectiveThreads(opts.threads),
         [&](std::size_t i) {
             const Symbol &sym = *syms[i];
+            if (reuse.module && !reuse.dirty->count(sym.addr)) {
+                if (const FunctionSlot *slot =
+                        reuse.module->slotAt(sym.addr)) {
+                    built[i] = slot->fn;
+                    return;
+                }
+            }
             auto it = tries.find(sym.addr);
             static const std::vector<TryRange> none;
             const std::vector<TryRange> &try_ranges =
                 it == tries.end() ? none : it->second;
 
-            // Key 0: caching off, or bytes that cannot be read (a
-            // key without them would collide); neither looks up nor
-            // stores.
+            // Key 0: caching off; neither looks up nor stores.
             const std::uint64_t key =
                 opts.useCache
                     ? functionCacheKey(image, sym, try_ranges, seed)

@@ -71,9 +71,27 @@ struct DepsCounters
     Counter hitsRejected;
 };
 
-/** Build the module CFG for every function symbol in @p image. */
+/**
+ * A module to build from: the CFG of an earlier build of the same
+ * binary (same function symbols) and the entries whose functions
+ * changed since (RewriteSession::loadInput's dirty set).
+ */
+struct CfgReuse
+{
+    const CfgModule *module = nullptr;
+    const std::set<Addr> *dirty = nullptr;
+};
+
+/**
+ * Build the module CFG for every function symbol in @p image. With
+ * @p reuse, every function outside its dirty set is @p reuse's own
+ * slot, shared as it is: no cache key, lookup or read-set check
+ * (the caller has just validated it). Only the dirty functions go
+ * through the analysis cache and the builder.
+ */
 CfgModule buildCfg(const BinaryImage &image,
-                   const AnalysisOptions &opts = AnalysisOptions{});
+                   const AnalysisOptions &opts = AnalysisOptions{},
+                   const CfgReuse &reuse = CfgReuse{});
 
 } // namespace icp
 

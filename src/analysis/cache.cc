@@ -1,5 +1,7 @@
 #include "analysis/cache.hh"
 
+#include "support/logging.hh"
+
 namespace icp
 {
 
@@ -78,8 +80,9 @@ functionCacheKey(const BinaryImage &image, const Symbol &sym,
         h = fnvValue(range.lpOff, h);
     }
     std::vector<std::uint8_t> bytes;
-    if (!image.readBytes(sym.addr, sym.size, bytes))
-        return 0;
+    icp_assert(image.readBytes(sym.addr, sym.size, bytes),
+               "function %s lies outside every section",
+               sym.name.c_str());
     return fnv1a(bytes.data(), bytes.size(), h);
 }
 

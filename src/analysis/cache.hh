@@ -109,10 +109,9 @@ std::uint64_t imageCacheSeed(const BinaryImage &image,
  * @p seed: its size, landing-pad layout (entry-relative try
  * offsets), and code bytes. Neither the entry address nor the symbol
  * name is folded, so the same code linked at a different address —
- * or into a different binary — produces the same key. 0 when the
- * code bytes cannot be read (a symbol running past its section):
- * such a function must neither look up nor store, since a key
- * without its bytes would collide with any same-sized one.
+ * or into a different binary — produces the same key. The code
+ * bytes must be readable: BinaryImage::tryDeserialize rejects a
+ * function symbol outside its section's stored bytes (sbf-symbol).
  */
 std::uint64_t functionCacheKey(const BinaryImage &image,
                                const Symbol &sym,

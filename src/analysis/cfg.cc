@@ -48,14 +48,20 @@ CfgModule::instrumentableFunctions() const
     return n;
 }
 
-const Function *
-CfgModule::functionAt(Addr entry) const
+const FunctionSlot *
+CfgModule::slotAt(Addr entry) const
 {
     auto it = std::lower_bound(
         functions.begin(), functions.end(), entry,
         [](const FunctionSlot &s, Addr a) { return s.entry < a; });
-    return it == functions.end() || it->entry != entry ? nullptr
-                                                       : it->fn.get();
+    return it == functions.end() || it->entry != entry ? nullptr : &*it;
+}
+
+const Function *
+CfgModule::functionAt(Addr entry) const
+{
+    const FunctionSlot *slot = slotAt(entry);
+    return slot ? slot->fn.get() : nullptr;
 }
 
 } // namespace icp

@@ -38,6 +38,8 @@ struct Edge
 {
     Addr target;
     EdgeKind kind;
+
+    bool operator==(const Edge &) const = default;
 };
 
 /** A basic block: [start, end) with decoded instructions. */
@@ -94,6 +96,8 @@ struct JumpTable
 
     /** True when the table bytes live inside .text (ppc64le). */
     bool embeddedInCode = false;
+
+    bool operator==(const JumpTable &) const = default;
 };
 
 /** Why a function was marked uninstrumentable. */
@@ -124,9 +128,9 @@ struct Function
 
     /**
      * Analysis-cache key this function was built (or found) under;
-     * 0 when caching was disabled or its bytes could not be read
-     * (such a function is never cached). The whole Function, with
-     * its read-set and liveness, is one record under this key.
+     * 0 when caching was disabled (such a function is never
+     * cached). The whole Function, with its read-set and liveness,
+     * is one record under this key.
      */
     std::uint64_t cacheKey = 0;
 
@@ -198,7 +202,11 @@ struct CfgModule
     }
     unsigned instrumentableFunctions() const;
 
-    /** The function entered at @p entry (binary search), or null. */
+    /** The slot of the function entered at @p entry (binary
+     *  search), or null. */
+    const FunctionSlot *slotAt(Addr entry) const;
+
+    /** The function entered at @p entry, or null. */
     const Function *functionAt(Addr entry) const;
 };
 

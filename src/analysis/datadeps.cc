@@ -1,7 +1,7 @@
 #include "analysis/datadeps.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
 
 #include "analysis/cache.hh"
 #include "analysis/cfg.hh"
@@ -142,17 +142,13 @@ computeDataDeps(const Function &func, const BinaryImage &image)
             bool known = false;
             std::uint64_t c = 0;
         };
-        std::unordered_map<unsigned, Track> regs;
-        auto get = [&](Reg r) -> Track {
-            auto it = regs.find(static_cast<unsigned>(r));
-            return it == regs.end() ? Track{} : it->second;
-        };
-        auto set = [&](Reg r, Track t) {
-            regs[static_cast<unsigned>(r)] = t;
-        };
+        // One slot per register, and the last for Reg::none.
+        std::array<Track, num_regs + 1> regs{};
+        auto get = [&](Reg r) -> Track { return regs[regSlot(r)]; };
+        auto set = [&](Reg r, Track t) { regs[regSlot(r)] = t; };
         auto kill = [&](Reg r) {
             if (r != Reg::none)
-                regs.erase(static_cast<unsigned>(r));
+                regs[regSlot(r)] = Track{};
         };
 
         for (const auto &in : block.insns) {

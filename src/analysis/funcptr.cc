@@ -1,5 +1,8 @@
 #include "analysis/funcptr.hh"
 
+#include <algorithm>
+#include <array>
+
 #include "isa/bytes.hh"
 #include "support/logging.hh"
 
@@ -11,9 +14,14 @@ FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
 {
     // Function ranges from the symbol table. CFG construction defines
     // Function::end as sym.addr + sym.size, so this is the same map
-    // analyzeFuncPtrs historically built from the module CFG.
-    for (const Symbol *sym : image.functionSymbols())
-        ranges_[sym->addr] = sym->addr + sym->size;
+    // analyzeFuncPtrs historically built from the module CFG. The
+    // symbols come sorted by address; of several at one address the
+    // last wins.
+    for (const Symbol *sym : image.functionSymbols()) {
+        if (!ranges_.empty() && ranges_.back().first == sym->addr)
+            ranges_.pop_back();
+        ranges_.emplace_back(sym->addr, sym->addr + sym->size);
+    }
 
     // 1. Relocation-backed data cells pointing at function entries.
     for (const auto &rel : image.relocs) {
@@ -24,7 +32,7 @@ FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
             def.site = rel.site;
             def.funcEntry = value;
             def.hasReloc = true;
-            cellDefIdx_[rel.site] = result_.defs.size();
+            cellDefIdx_.emplace_back(rel.site, result_.defs.size());
             result_.defs.push_back(def);
         } else if (!containing(value)) {
             // Pointer-shaped relocation to no known function — the
@@ -49,17 +57,52 @@ FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
                 def.kind = FuncPtrDef::Kind::dataCell;
                 def.site = sec.addr + off;
                 def.funcEntry = v;
-                cellDefIdx_[def.site] = result_.defs.size();
+                cellDefIdx_.emplace_back(def.site, result_.defs.size());
                 result_.defs.push_back(def);
             }
         }
     }
+
+    // One index per cell address, the last def there winning.
+    std::stable_sort(cellDefIdx_.begin(), cellDefIdx_.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < cellDefIdx_.size(); ++i) {
+        if (i + 1 < cellDefIdx_.size() &&
+            cellDefIdx_[i + 1].first == cellDefIdx_[i].first)
+            continue;
+        cellDefIdx_[out++] = cellDefIdx_[i];
+    }
+    cellDefIdx_.resize(out);
+}
+
+const std::size_t *
+FuncPtrScanner::cellDef(Addr site) const
+{
+    auto it = std::lower_bound(
+        cellDefIdx_.begin(), cellDefIdx_.end(), site,
+        [](const auto &p, Addr v) { return p.first < v; });
+    return it == cellDefIdx_.end() || it->first != site ? nullptr
+                                                        : &it->second;
+}
+
+bool
+FuncPtrScanner::isEntry(Addr a) const
+{
+    auto it = std::lower_bound(
+        ranges_.begin(), ranges_.end(), a,
+        [](const auto &p, Addr v) { return p.first < v; });
+    return it != ranges_.end() && it->first == a;
 }
 
 std::optional<Addr>
 FuncPtrScanner::containing(Addr a) const
 {
-    auto it = ranges_.upper_bound(a);
+    auto it = std::upper_bound(
+        ranges_.begin(), ranges_.end(), a,
+        [](Addr v, const auto &p) { return v < p.first; });
     if (it == ranges_.begin())
         return std::nullopt;
     --it;
@@ -71,9 +114,10 @@ FuncPtrScanner::containing(Addr a) const
 // 3. Code scan: immediates and pc-relative address formation
 // producing function entries; forward slice loads of known cells
 // through arithmetic (Listing 1's +1).
-void
-FuncPtrScanner::scanFunction(const Function &func)
+FunctionPtrs
+FuncPtrScanner::scan(const Function &func) const
 {
+    FunctionPtrs out;
     for (const auto &[bstart, block] : func.blocks) {
         (void)bstart;
         struct Track
@@ -84,17 +128,13 @@ FuncPtrScanner::scanFunction(const Function &func)
             std::vector<Addr> defAddrs;
             Addr cell = 0;
         };
-        std::unordered_map<unsigned, Track> regs;
-        auto get = [&](Reg r) -> Track {
-            auto it = regs.find(static_cast<unsigned>(r));
-            return it == regs.end() ? Track{} : it->second;
-        };
-        auto set = [&](Reg r, Track t) {
-            regs[static_cast<unsigned>(r)] = std::move(t);
-        };
+        // One slot per register, and the last for Reg::none.
+        std::array<Track, num_regs + 1> regs;
+        auto get = [&](Reg r) -> Track { return regs[regSlot(r)]; };
+        auto set = [&](Reg r, Track t) { regs[regSlot(r)] = std::move(t); };
         auto kill = [&](Reg r) {
             if (r != Reg::none)
-                regs.erase(static_cast<unsigned>(r));
+                regs[regSlot(r)] = Track{};
         };
         auto recordConstDef = [&](const Track &t,
                                   FuncPtrDef::Kind kind) {
@@ -105,7 +145,7 @@ FuncPtrScanner::scanFunction(const Function &func)
             def.site = t.defAddrs.front();
             def.defAddrs = t.defAddrs;
             def.funcEntry = t.c;
-            result_.defs.push_back(def);
+            out.defs.push_back(def);
         };
 
         for (const auto &in : block.insns) {
@@ -182,10 +222,7 @@ FuncPtrScanner::scanFunction(const Function &func)
                 } else if (t.kind == Track::Kind::cellPtr) {
                     // Forward slice: a known cell's pointer gets
                     // displaced before use (Listing 1).
-                    auto idx = cellDefIdx_.find(t.cell);
-                    if (idx != cellDefIdx_.end()) {
-                        result_.defs[idx->second].delta += in.imm;
-                    }
+                    out.deltas.emplace_back(t.cell, in.imm);
                     kill(in.rd);
                 } else {
                     kill(in.rd);
@@ -198,7 +235,7 @@ FuncPtrScanner::scanFunction(const Function &func)
                     const Addr cell =
                         base.c +
                         static_cast<std::uint64_t>(in.imm);
-                    if (cellDefIdx_.count(cell)) {
+                    if (cellDef(cell)) {
                         Track t;
                         t.kind = Track::Kind::cellPtr;
                         t.cell = cell;
@@ -218,6 +255,17 @@ FuncPtrScanner::scanFunction(const Function &func)
             }
         }
     }
+    return out;
+}
+
+void
+FuncPtrScanner::scanFunction(const Function &func)
+{
+    FunctionPtrs ptrs = scan(func);
+    for (FuncPtrDef &def : ptrs.defs)
+        result_.defs.push_back(std::move(def));
+    for (const auto &[cell, delta] : ptrs.deltas)
+        result_.defs[*cellDef(cell)].delta += delta;
 }
 
 FuncPtrAnalysisResult

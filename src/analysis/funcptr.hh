@@ -16,8 +16,7 @@
 #ifndef ICP_ANALYSIS_FUNCPTR_HH
 #define ICP_ANALYSIS_FUNCPTR_HH
 
-#include <map>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/cfg.hh"
@@ -54,6 +53,21 @@ struct FuncPtrDef
 
     /** Backed by a relocation entry (rewrite via the reloc). */
     bool hasReloc = false;
+
+    bool operator==(const FuncPtrDef &) const = default;
+};
+
+/**
+ * What one function's code contributes to the analysis (pass 3):
+ * the pointer definitions it forms, and the displacements its loads
+ * apply to known cells, each as (cell, displacement) in code order.
+ */
+struct FunctionPtrs
+{
+    std::vector<FuncPtrDef> defs;
+    std::vector<std::pair<Addr, std::int64_t>> deltas;
+
+    bool operator==(const FunctionPtrs &) const = default;
 };
 
 struct FuncPtrAnalysisResult
@@ -88,17 +102,24 @@ class FuncPtrScanner
     /** Code scan (pass 3) for one function; call in address order. */
     void scanFunction(const Function &func);
 
+    /** The code scan of @p func alone, leaving the result as it is. */
+    FunctionPtrs scan(const Function &func) const;
+
     /** Move the accumulated result out; the scanner is done after. */
     FuncPtrAnalysisResult take() { return std::move(result_); }
 
   private:
-    bool isEntry(Addr a) const { return ranges_.count(a) > 0; }
+    bool isEntry(Addr a) const;
     std::optional<Addr> containing(Addr a) const;
+    /** Index in result_.defs of the cell at @p site, or null. */
+    const std::size_t *cellDef(Addr site) const;
 
     const BinaryImage &image_;
     bool fixed_;
-    std::map<Addr, Addr> ranges_; ///< function entry -> end
-    std::unordered_map<Addr, std::size_t> cellDefIdx_;
+    /** (function entry, end), sorted by entry. */
+    std::vector<std::pair<Addr, Addr>> ranges_;
+    /** (cell address, index in result_.defs), sorted by address. */
+    std::vector<std::pair<Addr, std::size_t>> cellDefIdx_;
     FuncPtrAnalysisResult result_;
 };
 

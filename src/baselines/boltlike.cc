@@ -74,6 +74,7 @@ boltRewrite(const BinaryImage &input, BoltOperation op)
         out.addSection(std::move(ro));
     }
     rewriteRegeneratedFuncPtrs(out, cfg, engine);
+    relocateFunctionSymbols(out, engine);
 
     const std::optional<Addr> entry = engine.lookupBlock(input.entry);
     icp_assert(entry.has_value(), "entry missing");

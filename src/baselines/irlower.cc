@@ -97,6 +97,7 @@ irLowerRewrite(const BinaryImage &input,
     // property that gives IR lowering its zero-overhead profile).
     result.stats.rewrittenFuncPtrs =
         rewriteRegeneratedFuncPtrs(out, cfg, engine);
+    relocateFunctionSymbols(out, engine);
 
     // Regenerate unwind records for the new layout (BOLT-style
     // "update DWARF"; trivial here because the qualifying binaries

@@ -1,5 +1,7 @@
 #include "baselines/regen_util.hh"
 
+#include <algorithm>
+
 namespace icp
 {
 
@@ -36,6 +38,27 @@ rewriteRegeneratedFuncPtrs(BinaryImage &out, const CfgModule &cfg,
             ++rewritten;
     }
     return rewritten;
+}
+
+void
+relocateFunctionSymbols(BinaryImage &out, const Engine &engine)
+{
+    std::vector<FuncSpan> spans = engine.spans();
+    std::sort(spans.begin(), spans.end(),
+              [](const FuncSpan &a, const FuncSpan &b) {
+                  return a.entry < b.entry;
+              });
+    for (Symbol &sym : out.symbols) {
+        if (sym.kind != Symbol::Kind::function)
+            continue;
+        auto it = std::lower_bound(
+            spans.begin(), spans.end(), sym.addr,
+            [](const FuncSpan &s, Addr a) { return s.entry < a; });
+        if (it == spans.end() || it->entry != sym.addr)
+            continue;
+        sym.addr = it->base;
+        sym.size = it->size;
+    }
 }
 
 } // namespace icp

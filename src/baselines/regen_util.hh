@@ -25,6 +25,14 @@ std::uint64_t rewriteRegeneratedFuncPtrs(BinaryImage &out,
                                          const CfgModule &cfg,
                                          const Engine &engine);
 
+/**
+ * Point every function symbol of @p out that @p engine relocated at
+ * its regenerated code: the span's base and emitted size. Run after
+ * the original .text moved to the engine's instrBase, where the
+ * original addresses no longer lie in any section.
+ */
+void relocateFunctionSymbols(BinaryImage &out, const Engine &engine);
+
 } // namespace icp
 
 #endif // ICP_BASELINES_REGEN_UTIL_HH

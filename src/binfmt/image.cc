@@ -461,16 +461,19 @@ BinaryImage::tryDeserialize(const std::vector<std::uint8_t> &raw,
         return std::nullopt;
     }
 
-    // A function symbol that starts in a section lies inside its
-    // stored bytes, so reading the function's code never materializes
-    // zero fill. One that starts in no section is unreadable, and
-    // harmless: the regenerating baselines leave their functions'
-    // symbols at the addresses of the .text they moved.
+    // A function symbol lies inside one section's stored bytes, so
+    // its code is always readable and never materializes zero fill.
     for (std::size_t i = 0; i < img.symbols.size(); ++i) {
         const Symbol &sym = img.symbols[i];
-        const Section *s = img.sectionAt(sym.addr);
-        if (sym.kind != Symbol::Kind::function || !s)
+        if (sym.kind != Symbol::Kind::function)
             continue;
+        const Section *s = img.sectionAt(sym.addr);
+        if (!s) {
+            issues.push_back({"sbf-symbol", symbol_offsets[i],
+                              "function " + sym.name +
+                                  " lies in no section"});
+            continue;
+        }
         const Offset off = sym.addr - s->addr;
         if (off <= s->bytes.size() && sym.size <= s->bytes.size() - off)
             continue;

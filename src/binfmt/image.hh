@@ -38,6 +38,8 @@ struct LangFeatures
     bool rustMetadata = false;
     bool symbolVersioning = false;
     bool fortranComponent = false;
+
+    bool operator==(const LangFeatures &) const = default;
 };
 
 /** The first four bytes of every SBF container: "SBF1". */
@@ -51,8 +53,8 @@ constexpr std::uint32_t sbf_magic = 0x31464253;
  * than its memory size, or address range wraps),
  * "sbf-section-overlap" (two sections share addresses),
  * "sbf-payload" (an .eh_frame, .ra_map or .trap_map payload does not
- * parse), "sbf-symbol" (a function symbol that starts in a section
- * but runs past its stored bytes) and "sbf-reloc" (a relocation slot
+ * parse), "sbf-symbol" (a function symbol outside one section's
+ * stored bytes) and "sbf-reloc" (a relocation slot
  * outside every loadable section).
  */
 struct SbfIssue

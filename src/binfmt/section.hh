@@ -74,6 +74,8 @@ struct Symbol
     Kind kind = Kind::function;
     Addr addr = 0;
     std::uint64_t size = 0;
+
+    bool operator==(const Symbol &) const = default;
 };
 
 /**
@@ -85,6 +87,8 @@ struct Relocation
 {
     Addr site = 0;
     std::int64_t addend = 0;
+
+    bool operator==(const Relocation &) const = default;
 };
 
 /**
@@ -96,6 +100,8 @@ struct LinkReloc
     Addr site = 0;
     std::string symbol;
     std::int64_t addend = 0;
+
+    bool operator==(const LinkReloc &) const = default;
 };
 
 } // namespace icp

@@ -7,6 +7,7 @@
 #ifndef ICP_ISA_REGISTERS_HH
 #define ICP_ISA_REGISTERS_HH
 
+#include <algorithm>
 #include <cstdint>
 
 namespace icp
@@ -32,6 +33,16 @@ enum class Reg : std::uint8_t
 
 /** Number of addressable register slots in the machine state. */
 inline constexpr unsigned num_regs = 18;
+
+/**
+ * Index of @p r in a table of num_regs + 1 slots: its number, and
+ * the last slot for Reg::none (decoders produce no other value).
+ */
+inline unsigned
+regSlot(Reg r)
+{
+    return std::min(static_cast<unsigned>(r), num_regs);
+}
 
 /** Number of general-purpose registers (r0..r13). */
 inline constexpr unsigned num_gp_regs = 14;

@@ -685,9 +685,52 @@ Engine::layout(const std::vector<const Function *> &funcs, bool keep)
 }
 
 /**
+ * Whether @p fs, @p func emitted at @p span's base, reproduces that
+ * span of a complete layout: its size, and exactly the entries of
+ * @p blocks and @p insns in the function's original extent and of
+ * @p ras in the span. A clean function's bytes may branch to any
+ * block of @p func, so equal sizes alone do not make a splice sound.
+ */
+bool
+Engine::sliceMatches(const FuncStream &fs, const Function &func,
+                     const FuncSpan &span, const AddrPairs &blocks,
+                     const AddrPairs &insns, const AddrPairs &ras) const
+{
+    if (fs.size != span.size)
+        return false;
+    const auto byKey = [](const std::pair<Addr, Addr> &p, Addr v) {
+        return p.first < v;
+    };
+    const auto same = [&](const std::vector<std::pair<Addr, Offset>> &offs,
+                          const AddrPairs &map) {
+        const auto lo = std::lower_bound(map.begin(), map.end(),
+                                         func.entry, byKey);
+        const auto hi = std::lower_bound(lo, map.end(), func.end, byKey);
+        if (static_cast<std::size_t>(hi - lo) != offs.size())
+            return false;
+        AddrPairs mine;
+        mine.reserve(offs.size());
+        for (const auto &[orig, off] : offs)
+            mine.emplace_back(orig, fs.base + off);
+        std::sort(mine.begin(), mine.end());
+        return std::equal(mine.begin(), mine.end(), lo);
+    };
+    if (!same(fs.blockOffsets, blocks) || !same(fs.insnOffsets, insns))
+        return false;
+    auto ra = std::lower_bound(ras.begin(), ras.end(), span.base, byKey);
+    for (const auto &[off, orig] : fs.raOffsets) {
+        if (ra == ras.end() || *ra != std::pair{fs.base + off, orig})
+            return false;
+        ++ra;
+    }
+    return ra == ras.end() || ra->first >= span.base + span.size;
+}
+
+/**
  * Selective re-rewrite: re-emit only the dirty functions at the bases
- * the previous pass recorded; every other function's bytes, block /
- * instruction map entries, and RA pairs carry over verbatim.
+ * the previous pass recorded; every other function's bytes, and the
+ * block / instruction maps and RA pairs, carry over verbatim. Each
+ * dirty function must reproduce its slice of the previous layout.
  */
 bool
 Engine::layoutReused(const std::vector<const Function *> &funcs,
@@ -699,15 +742,12 @@ Engine::layoutReused(const std::vector<const Function *> &funcs,
     if (spans.size() != funcs.size())
         return false;
 
-    // Re-emit each dirty function at its exact previous base. A size
-    // change would shift every later function: bail to a full run.
     // Reused functions are byte-unchanged under the dirty-set
     // contract; each one's entry block is still looked up as a
     // containment check, so a manifest that does not cover the
     // current CFG falls back instead of producing a wrong map.
     std::vector<FuncStream> streams(funcs.size());
     std::vector<bool> reused(funcs.size(), true);
-    std::vector<std::pair<Addr, Addr>> dirty_ranges;
     for (std::size_t i = 0; i < funcs.size(); ++i) {
         const Function &func = *funcs[i];
         if (spans[i].entry != func.entry ||
@@ -720,63 +760,15 @@ Engine::layoutReused(const std::vector<const Function *> &funcs,
             continue;
         }
         streams[i] = emitStream(func, spans[i].base);
-        if (streams[i].size != spans[i].size)
+        if (!sliceMatches(streams[i], func, spans[i], prev.blockMap,
+                          prev.insnMap, prev.raPairs))
             return false;
         reused[i] = false;
-        dirty_ranges.emplace_back(func.entry, func.end);
-    }
-    std::sort(dirty_ranges.begin(), dirty_ranges.end());
-
-    // Final addresses: the previous maps minus each dirty function's
-    // original [entry, end) extent, merged with the fresh entries.
-    // One ordered pass, no per-entry searches.
-    const auto carry = [&](const AddrPairs &from, AddrPairs &to) {
-        to.reserve(from.size());
-        auto r = dirty_ranges.begin();
-        for (const auto &entry : from) {
-            while (r != dirty_ranges.end() && r->second <= entry.first)
-                ++r;
-            if (r == dirty_ranges.end() || entry.first < r->first)
-                to.push_back(entry);
-        }
-    };
-    carry(prev.blockMap, blockMap_);
-    carry(prev.insnMap, insnMap_);
-    const std::size_t b0 = blockMap_.size();
-    const std::size_t i0 = insnMap_.size();
-    for (const FuncStream &fs : streams) {
-        appendSorted(blockMap_, fs.blockOffsets, fs.base);
-        appendSorted(insnMap_, fs.insnOffsets, fs.base);
-    }
-    mergeAppended(blockMap_, b0);
-    mergeAppended(insnMap_, i0);
-
-    // RA pairs in emission order: the previous pass appended them
-    // span by span, so they are sorted by relocated address and a
-    // reused function's pairs are exactly the previous pairs whose
-    // relocated address falls in its span — found by binary search,
-    // not a full scan per function.
-    icp_assert(std::is_sorted(prev.raPairs.begin(),
-                              prev.raPairs.end(), byOrig),
-               "previous RA pairs not in emission order");
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-        if (!reused[i]) {
-            const FuncStream &fs = streams[i];
-            for (const auto &[off, orig] : fs.raOffsets)
-                raPairs_.emplace_back(fs.base + off, orig);
-            continue;
-        }
-        const Addr lo = spans[i].base;
-        const Addr hi = spans[i].base + spans[i].size;
-        auto it = std::lower_bound(
-            prev.raPairs.begin(), prev.raPairs.end(), lo,
-            [](const std::pair<Addr, Addr> &p, Addr v) {
-                return p.first < v;
-            });
-        for (; it != prev.raPairs.end() && it->first < hi; ++it)
-            raPairs_.push_back(*it);
     }
 
+    blockMap_ = prev.blockMap;
+    insnMap_ = prev.insnMap;
+    raPairs_ = prev.raPairs;
     spans_ = spans;
     cursor_ = spans.back().base + spans.back().size;
     streams_ = std::move(streams);
@@ -784,6 +776,49 @@ Engine::layoutReused(const std::vector<const Function *> &funcs,
     reusedBytes_ = ru.instrBytes;
     reusedCount_ = static_cast<unsigned>(
         std::count(reused_.begin(), reused_.end(), true));
+    return true;
+}
+
+void
+Engine::adopt(RewriteResult &prev)
+{
+    icp_assert(spans_.empty(), "adopt needs an empty layout");
+    RewriteManifest &m = prev.manifest;
+    blockMap_ = std::move(m.blockMap);
+    insnMap_ = std::move(m.insnMap);
+    raPairs_ = std::move(m.raPairs);
+    spans_ = std::move(m.funcSpans);
+    blockCounters_ = std::move(prev.blockCounters);
+    entryCounters_ = std::move(prev.entryCounters);
+    relocatedBlocks_.reserve(blockMap_.size());
+    for (const auto &[orig, at] : blockMap_)
+        relocatedBlocks_.push_back(orig);
+    cursor_ = spans_.empty() ? config_.instrBase
+                             : spans_.back().base + spans_.back().size;
+}
+
+void
+Engine::release(RewriteResult &result)
+{
+    RewriteManifest &m = result.manifest;
+    m.blockMap = std::move(blockMap_);
+    m.insnMap = std::move(insnMap_);
+    m.raPairs = std::move(raPairs_);
+    m.funcSpans = std::move(spans_);
+    result.blockCounters = std::move(blockCounters_);
+    result.entryCounters = std::move(entryCounters_);
+}
+
+bool
+Engine::relayout(std::size_t i, const Function &func, Addr first_clone)
+{
+    cloneCursor_ = first_clone;
+    planClones(func);
+    FuncStream fs = emitStream(func, spans_[i].base);
+    if (!sliceMatches(fs, func, spans_[i], blockMap_, insnMap_, raPairs_))
+        return false;
+    streams_.resize(spans_.size());
+    streams_[i] = std::move(fs);
     return true;
 }
 

@@ -124,10 +124,32 @@ class Engine
      * (the complete emission order), re-emitting only the dirty
      * functions at their previous bases. Returns false, leaving the
      * layout empty, when the previous layout cannot be reproduced
-     * exactly; the caller then falls back to layout().
+     * exactly (a dirty function's size, block, instruction or
+     * return-address offsets changed); the caller then falls back
+     * to layout().
      */
     bool layoutReused(const std::vector<const Function *> &funcs,
                       const EngineReuse &reuse);
+
+    /**
+     * Replay (RewritePass): take @p prev's complete layout, moved
+     * out of it, as this engine's own — its block / instruction /
+     * return-address maps, spans and counter ids — without planning
+     * or laying out anything. relayout() then re-emits single
+     * functions against it, and release() moves it back.
+     */
+    void adopt(RewriteResult &prev);
+
+    /** Move an adopted layout into @p result's manifest and counters. */
+    void release(RewriteResult &result);
+
+    /**
+     * After adopt(): plan @p func's jump-table clones from
+     * @p first_clone (its first .newrodata slot) and re-emit it at
+     * span @p i's base for emit(). False when it does not reproduce
+     * its slice of the adopted layout.
+     */
+    bool relayout(std::size_t i, const Function &func, Addr first_clone);
 
     /**
      * Final bytes of span @p i, whose function is @p func. nullopt
@@ -215,6 +237,9 @@ class Engine
     std::vector<const Block *>
     blockEmitOrder(const Function &func) const;
     FuncStream emitStream(const Function &func, Addr base) const;
+    bool sliceMatches(const FuncStream &fs, const Function &func,
+                      const FuncSpan &span, const AddrPairs &blocks,
+                      const AddrPairs &insns, const AddrPairs &ras) const;
     bool decisionsHold(const FuncStream &fs, Addr base) const;
     void emitBlock(FuncStream &fs, const Function &func,
                    const Block &block, Addr fallthrough_next) const;

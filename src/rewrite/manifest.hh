@@ -59,6 +59,8 @@ struct TrampolinePatch
 
     /** Byte extents written, as (address, length) pairs. */
     std::vector<std::pair<Addr, std::uint64_t>> writes;
+
+    bool operator==(const TrampolinePatch &) const = default;
 };
 
 /** One cloned jump table placed in .newrodata. */
@@ -76,6 +78,8 @@ struct JumpTableClonePatch
     std::optional<Addr> origBase;
     Addr origTableAddr = 0;
     std::vector<Addr> origTargets; ///< original targets, entry order
+
+    bool operator==(const JumpTableClonePatch &) const = default;
 };
 
 /** One rewritten function-pointer definition. */
@@ -92,6 +96,8 @@ struct FuncPtrPatch
     Addr funcEntry = 0; ///< pointee function
     std::int64_t delta = 0; ///< displaced-pointer offset (§5.2)
     Addr newValue = 0;  ///< rewritten pointer value
+
+    bool operator==(const FuncPtrPatch &) const = default;
 };
 
 /**
@@ -106,6 +112,8 @@ struct FuncSpan
     Addr entry = 0;          ///< original function entry
     Addr base = 0;           ///< relocated base inside .instr
     std::uint64_t size = 0;  ///< emitted bytes (without padding)
+
+    bool operator==(const FuncSpan &) const = default;
 };
 
 struct RewriteManifest

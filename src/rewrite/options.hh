@@ -111,6 +111,8 @@ struct ShardCounters
     unsigned instrumented = 0;
     std::uint64_t blocks = 0; ///< basic blocks across the shard
     std::uint64_t insns = 0;  ///< decoded instructions
+
+    bool operator==(const ShardCounters &) const = default;
 };
 
 struct RewriteOptions
@@ -326,12 +328,18 @@ struct RewriteStats
             : static_cast<double>(instrumentedFunctions) /
                   static_cast<double>(totalFunctions);
     }
+
+    bool operator==(const RewriteStats &) const = default;
 };
 
 struct RewriteResult
 {
     bool ok = false;
     std::string failReason;
+
+    /** The pass replayed RewritePass::previous instead of running
+     *  the pipeline (see RewritePass). */
+    bool replayed = false;
 
     BinaryImage image;
     RewriteStats stats;

@@ -236,7 +236,7 @@ class Rewriter
     Rewriter(const BinaryImage &input, const RewriteOptions &opts,
              const RewritePass &pass)
         : input_(input), opts_(opts), pass_(pass),
-          arch_(input.archInfo()), relocs_(input.relocs)
+          arch_(input.archInfo())
     {
     }
 
@@ -252,8 +252,11 @@ class Rewriter
         Addr newTarget = 0;
     };
 
+    bool emitted(const Function &func) const;
     std::vector<const Function *>
     emissionOrder(const CfgModule &cfg) const;
+    bool samePlan(const Function &was, const Function &now) const;
+    bool replay(const EngineConfig &config);
     std::set<Addr> cflBlocks(const Function &func) const;
     std::set<Addr> blocksReachingInstrumentation(
         const Function &func) const;
@@ -287,8 +290,9 @@ class Rewriter
     const RewriteOptions &opts_;
     const RewritePass &pass_;
     const ArchInfo &arch_;
-    /** Sites of input_.relocs, which out_.relocs copies in order. */
-    const RelocIndex relocs_;
+    /** Sites of input_.relocs, which out_.relocs copies in order
+     *  (built by the full pipeline; a replay needs none). */
+    std::optional<RelocIndex> relocs_;
 
     /** With one range, its CFG, built once (or borrowed from
      *  pass_.cfg) and kept for the whole run; null with several,
@@ -322,18 +326,23 @@ class Rewriter
     std::vector<PendingTramp> pendingTramps_;
 };
 
+/** Whether @p func is relocated (instrumented) under opts_. */
+bool
+Rewriter::emitted(const Function &func) const
+{
+    return func.instrumentable() &&
+           (opts_.onlyFunctions.empty() ||
+            opts_.onlyFunctions.count(func.name));
+}
+
 /** Instrumented functions of @p cfg, in emission order. */
 std::vector<const Function *>
 Rewriter::emissionOrder(const CfgModule &cfg) const
 {
     std::vector<const Function *> order;
     for (const auto &[entry, func] : cfg.functions) {
-        if (!func.instrumentable())
-            continue;
-        if (!opts_.onlyFunctions.empty() &&
-            !opts_.onlyFunctions.count(func.name))
-            continue;
-        order.push_back(&func);
+        if (emitted(func))
+            order.push_back(&func);
     }
     if (opts_.functionOrder == OrderPolicy::reversed)
         std::reverse(order.begin(), order.end());
@@ -754,7 +763,7 @@ Rewriter::rewriteFuncPtrs(const Engine &engine,
 
         const bool cell = def.kind == FuncPtrDef::Kind::dataCell;
         if (cell)
-            patchFuncPtrCell(out_, relocs_, def.site, *new_value);
+            patchFuncPtrCell(out_, *relocs_, def.site, *new_value);
         else
             patchCodeDef(def, *new_value, engine, deferred);
         result_.stats.rewrittenFuncPtrs++;
@@ -1069,7 +1078,7 @@ Rewriter::injectByteDefect()
             const auto orig = input_.readValue(p.site, 8);
             if (!orig)
                 continue;
-            patchFuncPtrCell(out_, relocs_, p.site, *orig);
+            patchFuncPtrCell(out_, *relocs_, p.site, *orig);
             m.injectedRule = "func-ptr-target";
             return;
         }
@@ -1148,6 +1157,257 @@ Rewriter::injectByteDefect()
       case InjectDefect::tocScratch:
         return;
     }
+}
+
+/**
+ * Whether the plan and trampoline stages read the same from @p was
+ * as from @p now, two builds of one relocated function: block
+ * extents (layout order, counter ids, superblocks), jump tables
+ * (clones, operand substitutions, protected data), landing pads, the
+ * CFL blocks and the dead register at each of them.
+ */
+bool
+Rewriter::samePlan(const Function &was, const Function &now) const
+{
+    if (was.blocks.size() != now.blocks.size() ||
+        was.jumpTables != now.jumpTables ||
+        was.landingPads != now.landingPads)
+        return false;
+    for (auto a = was.blocks.begin(), b = now.blocks.begin();
+         a != was.blocks.end(); ++a, ++b) {
+        if (a->first != b->first || a->second.end != b->second.end)
+            return false;
+    }
+    const std::set<Addr> cfl = cflBlocks(now);
+    if (cflBlocks(was) != cfl)
+        return false;
+    if (arch_.fixedLength) {
+        for (Addr start : cfl) {
+            if (was.liveness.deadRegAt(start) !=
+                now.liveness.deadRegAt(start))
+                return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * The replay of pass_.previous (RewritePass). When every dirty
+ * function is shape-preserving — unchanged in all that the plan,
+ * trampoline and pointer stages read from it, and re-emitted at its
+ * previous base into exactly its previous slice of the layout — a
+ * full pass would reproduce the previous one everywhere but in those
+ * functions' own bytes: by induction over entry order, the scratch
+ * pool, the counter ids, the clone slots and every other function's
+ * products come out the same. The result is then the previous one,
+ * moved, with the input's bytes brought up to date and the dirty
+ * spans re-emitted into the previous payload. False, with
+ * pass_.previous as it was, when any check fails; run() then takes
+ * the full pipeline.
+ */
+bool
+Rewriter::replay(const EngineConfig &config)
+{
+    RewriteResult *prev = pass_.previous;
+    if (!prev || !prev->ok || !prev->manifest.populated ||
+        !prev->manifest.injectedRule.empty() || !opts_.lint ||
+        opts_.clobberOriginal ||
+        opts_.injectDefect != InjectDefect::none ||
+        prev->image.sections.size() < input_.sections.size())
+        return false;
+    // The input's sections lead the previous output, in order.
+    for (std::size_t i = 0; i < input_.sections.size(); ++i) {
+        const Section &was = prev->image.sections[i];
+        const Section &now = input_.sections[i];
+        if (was.addr != now.addr || was.bytes.size() != now.bytes.size())
+            return false;
+    }
+    const Section *prev_instr =
+        prev->image.findSection(SectionKind::instr);
+    if (!prev_instr || prev_instr->addr != instrBase_)
+        return false;
+
+    // The dirty functions' plans, against the CFG the previous pass
+    // ran on (this one when the input did not change).
+    const CfgModule &before = pass_.previousCfg ? *pass_.previousCfg
+                                                : *cfg_;
+    struct Redo
+    {
+        const Function *func;
+        std::size_t span;
+        Addr firstClone;
+    };
+    std::vector<Redo> redo; // relocated ones, by span
+    std::vector<FuncPtrDef> code_defs;
+    const RewriteManifest &m = prev->manifest;
+    {
+        ScopedTimer timer(func_ptr_timer);
+        const FuncPtrScanner scanner(input_);
+        for (Addr entry : pass_.dirtyFunctions) {
+            const Function *now = cfg_->functionAt(entry);
+            const Function *was = before.functionAt(entry);
+            if (!now || !was || emitted(*now) != emitted(*was) ||
+                opts_.forceTrapFunctions.count(now->name))
+                return false;
+            FunctionPtrs ptrs = scanner.scan(*now);
+            if (ptrs != scanner.scan(*was))
+                return false;
+            code_defs.insert(code_defs.end(), ptrs.defs.begin(),
+                             ptrs.defs.end());
+            if (!emitted(*now))
+                continue;
+            if (!samePlan(*was, *now))
+                return false;
+            const auto span = std::find_if(
+                m.funcSpans.begin(), m.funcSpans.end(),
+                [&](const FuncSpan &s) { return s.entry == entry; });
+            if (span == m.funcSpans.end())
+                return false;
+            const auto clone = std::find_if(
+                m.clones.begin(), m.clones.end(),
+                [&](const JumpTableClonePatch &c) {
+                    return c.funcEntry == entry;
+                });
+            redo.push_back({now,
+                            static_cast<std::size_t>(
+                                span - m.funcSpans.begin()),
+                            clone == m.clones.end() ? newRodataBase_
+                                                    : clone->cloneAddr});
+        }
+    }
+    std::sort(redo.begin(), redo.end(),
+              [](const Redo &a, const Redo &b) { return a.span < b.span; });
+
+    Engine engine(input_, config);
+    engine.adopt(*prev);
+    std::vector<std::vector<std::uint8_t>> emitted_bytes;
+    std::vector<std::pair<Addr, Addr>> text_patches; // (at, value)
+    const auto spanOf = [&](std::size_t k) -> const FuncSpan & {
+        return engine.spans()[redo[k].span];
+    };
+    {
+        ScopedTimer timer(relocation_timer);
+        bool same = true;
+        for (const Redo &r : redo)
+            same = same && engine.relayout(r.span, *r.func, r.firstClone);
+        std::string error;
+        for (const Redo &r : redo) {
+            if (!same)
+                break;
+            auto bytes = engine.emit(r.span, *r.func, error);
+            same = bytes.has_value();
+            if (same)
+                emitted_bytes.push_back(std::move(*bytes));
+        }
+
+        // The dirty functions' code pointer definitions, as
+        // rewriteFuncPtrs() writes them: relocated ones into their
+        // re-emitted bytes now, the others into .text below.
+        for (const FuncPtrDef &def : code_defs) {
+            if (!same)
+                break;
+            if (opts_.mode != RewriteMode::funcPtr && def.delta == 0)
+                continue;
+            const std::optional<Addr> value = funcPtrTarget(def, engine);
+            if (!value)
+                continue;
+            for (Addr orig : def.defAddrs) {
+                const std::optional<Addr> at = engine.lookupInsn(orig);
+                if (!at) {
+                    text_patches.emplace_back(orig, *value);
+                    continue;
+                }
+                std::size_t k = 0;
+                while (k < redo.size() &&
+                       (*at < spanOf(k).base ||
+                        *at >= spanOf(k).base + spanOf(k).size))
+                    ++k;
+                same = k < redo.size();
+                if (!same)
+                    break;
+                icp_assert(patchFuncPtrInsn(input_, emitted_bytes[k],
+                                            spanOf(k).base, *at, *value),
+                           "func-ptr code patch failed at 0x%llx",
+                           static_cast<unsigned long long>(*at));
+            }
+        }
+        if (!same) {
+            engine.release(*prev);
+            return false;
+        }
+    }
+
+    // Replaying: the previous output, brought up to date. Data
+    // sections take the new input's bytes (the loader-visible
+    // pointer cells rewritten again); the dirty functions' original
+    // code does too, keeping the trampoline bytes inside it.
+    BinaryImage out = std::move(prev->image);
+    for (std::size_t i = 0; i < input_.sections.size(); ++i) {
+        const Section &now = input_.sections[i];
+        if (now.kind == SectionKind::rodata ||
+            now.kind == SectionKind::data)
+            out.sections[i].bytes = now.bytes;
+    }
+    for (const FuncPtrPatch &p : m.funcPtrs) {
+        if (p.kind == FuncPtrPatch::Kind::dataCell)
+            out.writeValue(p.site, p.newValue, 8);
+    }
+    std::vector<std::pair<Addr, Addr>> dirty_code;
+    for (Addr entry : pass_.dirtyFunctions) {
+        const Function *func = cfg_->functionAt(entry);
+        dirty_code.emplace_back(func->entry, func->end);
+    }
+    const auto inDirtyCode = [&](Addr lo, Addr hi) {
+        return std::any_of(dirty_code.begin(), dirty_code.end(),
+                           [&](const std::pair<Addr, Addr> &r) {
+                               return r.first < hi && lo < r.second;
+                           });
+    };
+    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> kept;
+    for (const TrampolinePatch &p : m.trampolines) {
+        for (const auto &[at, len] : p.writes) {
+            if (!inDirtyCode(at, at + len))
+                continue;
+            kept.emplace_back(at, std::vector<std::uint8_t>{});
+            icp_assert(out.readBytes(at, len, kept.back().second),
+                       "trampoline bytes unreadable");
+        }
+    }
+    std::vector<std::uint8_t> code;
+    for (const auto &[lo, hi] : dirty_code) {
+        icp_assert(input_.readBytes(lo, hi - lo, code) &&
+                       out.writeBytes(lo, code),
+                   "function code unreadable");
+    }
+    for (const auto &[at, bytes] : kept)
+        out.writeBytes(at, bytes);
+    Section *text = out.findSection(SectionKind::text);
+    for (const auto &[at, value] : text_patches) {
+        icp_assert(patchFuncPtrInsn(input_, text->bytes, text->addr, at,
+                                    value),
+                   "func-ptr code patch failed at 0x%llx",
+                   static_cast<unsigned long long>(at));
+    }
+    std::vector<std::uint8_t> &payload =
+        out.findSection(SectionKind::instr)->bytes;
+    for (std::size_t k = 0; k < redo.size(); ++k) {
+        std::copy(emitted_bytes[k].begin(), emitted_bytes[k].end(),
+                  payload.begin() + static_cast<std::ptrdiff_t>(
+                                        spanOf(k).base - instrBase_));
+    }
+
+    const auto reused =
+        static_cast<unsigned>(engine.spans().size() - redo.size());
+    engine.release(*prev);
+    result_ = std::move(*prev);
+    result_.image = std::move(out);
+    for (Addr entry : pass_.dirtyFunctions)
+        result_.manifest.dataDeps[entry] = cfg_->functionAt(entry)->dataDeps;
+    result_.stats.relocEmittedFunctions =
+        static_cast<unsigned>(redo.size());
+    result_.stats.relocReusedFunctions = reused;
+    result_.replayed = true;
+    return true;
 }
 
 /** Why this input and configuration cannot run, or empty. */
@@ -1250,9 +1510,6 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             }
         };
 
-    // Every range's CFG decodes the unmutated input; only the copy
-    // is patched.
-    out_ = input_;
     instrBase_ = input_.highWaterMark(4096);
     // Estimate .instr extent to place .newrodata after it: snippets
     // and veneers expand code; 4x the original text is a safe bound.
@@ -1271,6 +1528,13 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     config.goRaTranslation =
         opts_.raTranslation && input_.features.isGo;
     config.threads = opts_.threads;
+    if (resident && !sink && cfg_ && replay(config))
+        return std::move(result_);
+
+    // Every range's CFG decodes the unmutated input; only the copy
+    // is patched.
+    out_ = input_;
+    relocs_.emplace(input_.relocs);
     Engine engine(input_, config);
 
     // Selective re-rewrite: hand the engine the previous pass's
@@ -1290,7 +1554,11 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     // Pass 1 — plan: statistics, the function-pointer scan (every
     // mode: even dir/jt need the displaced pointers of §5.2), and
     // clone/counter planning.
-    FuncPtrScanner scanner(input_);
+    std::optional<FuncPtrScanner> scanner;
+    {
+        ScopedTimer timer(func_ptr_timer);
+        scanner.emplace(input_);
+    }
     std::vector<std::pair<Addr, Addr>> instr_ranges;
     forEachRange([&](std::size_t k, const CfgModule &cfg) {
         const std::vector<const Function *> order = emissionOrder(cfg);
@@ -1314,7 +1582,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
         {
             ScopedTimer timer(func_ptr_timer);
             for (const auto &[entry, func] : cfg.functions)
-                scanner.scanFunction(func);
+                scanner->scanFunction(func);
         }
         ScopedTimer timer(relocation_timer);
         engine.plan(order);
@@ -1323,7 +1591,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             instr_ranges.emplace_back(func->entry, func->end);
         }
     });
-    funcPtrs_ = scanner.take();
+    funcPtrs_ = scanner->take();
     result_.stats.originalLoadedSize = input_.loadedSize();
 
     // Pass 2 — layout, then the range's trampolines: a function's
@@ -1364,8 +1632,11 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     out_.addSection(std::move(instr));
 
     RewriteResult failed;
-    std::optional<std::vector<std::uint8_t>> rodata =
-        engine.cloneBytes(failed.failReason);
+    std::optional<std::vector<std::uint8_t>> rodata;
+    {
+        ScopedTimer timer(relocation_timer);
+        rodata = engine.cloneBytes(failed.failReason);
+    }
     if (!rodata)
         return failed;
     const std::uint64_t rodata_size = rodata->size();
@@ -1380,7 +1651,10 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
     }
 
     std::vector<InstrPatch> deferred;
-    rewriteFuncPtrs(engine, deferred);
+    {
+        ScopedTimer timer(func_ptr_timer);
+        rewriteFuncPtrs(engine, deferred);
+    }
     if (opts_.clobberOriginal)
         clobberOriginal(instr_ranges);
     {

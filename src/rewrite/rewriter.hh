@@ -24,17 +24,32 @@ namespace icp
 /**
  * Cross-pass context for an incremental re-rewrite. All pointers are
  * borrowed and must outlive the rewriteBinary call. With @c cfg set,
- * the rewriter skips its own CFG construction; with @c previous set,
- * the relocation engine re-emits only @c dirtyFunctions (entries)
- * and splices every other function's bytes from the previous pass,
- * falling back to a full emission when the layout cannot be
- * reproduced. RewriteSession owns the lifecycle; plain callers use
- * the two-argument overload.
+ * the rewriter skips its own CFG construction.
+ *
+ * With @c previous set too, the pass is a re-rewrite of the input
+ * @c previous was made from, changed only in @c dirtyFunctions
+ * (entries) and in data bytes no clean function reads. When every
+ * dirty function keeps its shape — its pointer definitions, blocks,
+ * jump tables, CFL blocks, trampoline requests and emitted block,
+ * instruction and return-address offsets are those of the previous
+ * pass — the pass replays @c previous: it moves that result's image,
+ * manifest and counters out of it, brings the input's bytes up to
+ * date, and re-emits only the dirty spans (RewriteResult::replayed).
+ * The shape of a dirty function is judged against @c previousCfg,
+ * the CFG the previous pass ran on (null: @c cfg, when the input is
+ * the same). Otherwise, and always under clobbering, fault injection
+ * or a trap demotion of a dirty function, the full pipeline runs,
+ * and the relocation engine re-emits only the dirty functions and
+ * splices every other function's bytes from @c previous, falling
+ * back to a full emission when the layout cannot be reproduced.
+ * RewriteSession owns the lifecycle; plain callers use the
+ * two-argument overload.
  */
 struct RewritePass
 {
     const CfgModule *cfg = nullptr;
-    const RewriteResult *previous = nullptr;
+    RewriteResult *previous = nullptr;
+    const CfgModule *previousCfg = nullptr;
     std::set<Addr> dirtyFunctions;
 };
 

@@ -125,6 +125,23 @@ attributeCodeRun(const std::vector<const Symbol *> &funcs,
     return covered >= hi;
 }
 
+/**
+ * Whether two images agree in everything but section contents: the
+ * header, the symbol, relocation and link-relocation lists, and the
+ * number of sections (whose headers loadInput compares one by one).
+ */
+bool
+sameMetadata(const BinaryImage &a, const BinaryImage &b)
+{
+    return a.arch == b.arch && a.pie == b.pie &&
+           a.prefBase == b.prefBase && a.entry == b.entry &&
+           a.tocBase == b.tocBase && a.soname == b.soname &&
+           a.features == b.features &&
+           a.sections.size() == b.sections.size() &&
+           a.symbols == b.symbols && a.relocs == b.relocs &&
+           a.linkRelocs == b.linkRelocs;
+}
+
 } // namespace
 
 RewriteSession::LoadOutcome
@@ -133,27 +150,18 @@ RewriteSession::loadInput(BinaryImage newImage)
     LoadOutcome out;
 
     std::set<Addr> dirty;
-    std::vector<std::size_t> dataSections; // edited data sections
-    std::vector<std::pair<Addr, Addr>> dataRuns; // their changed bytes
+    std::vector<std::pair<Addr, Addr>> dataRuns; // changed data bytes
     std::vector<const Symbol *> olds;
     bool comparable = false;
     {
         const ScopedTimer timer(diff_timer);
         // Diffable only against a completed rewrite of a same-shaped
-        // binary: same arch, same section layout, same function symbols.
+        // binary: same header, section layout, symbols and relocations.
         comparable = hasResult_ && result_.ok && cfgBuilt_ &&
-                     newImage.arch == input_->arch &&
-                     newImage.pie == input_->pie &&
-                     newImage.sections.size() == input_->sections.size();
+                     sameMetadata(newImage, *input_);
         std::vector<Addr> reach; // running max of function span ends
         if (comparable) {
             olds = input_->functionSymbols();
-            const auto news = newImage.functionSymbols();
-            comparable = olds.size() == news.size();
-            for (std::size_t i = 0; comparable && i < olds.size(); ++i)
-                comparable = olds[i]->addr == news[i]->addr &&
-                             olds[i]->size == news[i]->size &&
-                             olds[i]->name == news[i]->name;
             for (const Symbol *sym : olds)
                 reach.push_back(std::max(reach.empty() ? 0 : reach.back(),
                                          sym->addr + sym->size));
@@ -162,8 +170,12 @@ RewriteSession::loadInput(BinaryImage newImage)
              comparable && i < input_->sections.size(); ++i) {
             const Section &os = input_->sections[i];
             const Section &ns = newImage.sections[i];
-            if (os.name != ns.name || os.addr != ns.addr ||
-                os.bytes.size() != ns.bytes.size()) {
+            if (os.name != ns.name || os.kind != ns.kind ||
+                os.addr != ns.addr || os.memSize != ns.memSize ||
+                os.bytes.size() != ns.bytes.size() ||
+                os.loadable != ns.loadable ||
+                os.executable != ns.executable ||
+                os.writable != ns.writable) {
                 comparable = false; // layout changed
                 break;
             }
@@ -191,7 +203,6 @@ RewriteSession::loadInput(BinaryImage newImage)
             comparable = input_->pie && result_.manifest.populated &&
                          (os.kind == SectionKind::rodata ||
                           os.kind == SectionKind::data);
-            dataSections.push_back(i);
             dataRuns.insert(dataRuns.end(), runs.begin(), runs.end());
         }
 
@@ -234,10 +245,12 @@ RewriteSession::loadInput(BinaryImage newImage)
         out.unchangedFunctions =
             static_cast<unsigned>(olds.size() - dirty.size());
 
-    // Adopt the new image; the old CFG described the old bytes.
+    // Adopt the new image; the old CFG described the old bytes, and
+    // stays alive for the pass to judge the dirty functions against.
     owned_ = std::move(newImage);
     input_ = &owned_;
     cfgBuilt_ = false;
+    const CfgModule previous = std::move(cfg_);
 
     if (!comparable) {
         // Unrelated input: behave like a fresh session.
@@ -250,50 +263,27 @@ RewriteSession::loadInput(BinaryImage newImage)
         return out;
     }
 
-    // Rebuild the CFG on the new bytes. Unchanged functions hit the
-    // AnalysisCache by content key, so only the dirty bodies (plus
-    // any cold-cache remainder) actually re-analyze.
+    // Rebuild the CFG on the new bytes: the clean functions are the
+    // previous module's, shared; only the dirty ones re-analyze.
     const CacheLoadReport cache_load = mergeDiskCache();
-    ensureCfg();
+    ensureCfg(CfgReuse{&previous, &dirty});
 
-    out.incremental = true;
-    out.dirtyFunctions = dirty;
-
-    if (dirty.empty()) {
-        // Code-identical input: the previous result stands. A
-        // zero-overlap data edit (a string-table change no analysis
-        // read) is spliced into the output image wholesale — the
-        // rewrite copies input data sections verbatim, so copying
-        // the new bytes and re-applying the recorded pointer-cell
-        // patches reproduces a cold rewrite of the edited input
-        // byte for byte, with zero functions re-emitted.
-        for (std::size_t i : dataSections) {
-            const Section &ns = input_->sections[i];
-            for (Section &rs : result_.image.sections) {
-                if (rs.name == ns.name && rs.addr == ns.addr) {
-                    rs.bytes = ns.bytes;
-                    break;
-                }
-            }
-        }
-        if (!dataSections.empty()) {
-            for (const FuncPtrPatch &p : result_.manifest.funcPtrs)
-                if (p.kind == FuncPtrPatch::Kind::dataCell)
-                    result_.image.writeValue(p.site, p.newValue, 8);
-        }
-        return out;
-    }
-
-    // Selective re-rewrite: re-emit only the changed functions,
-    // splice everything else from the previous pass (PR 3's repair
-    // path). result_ stays alive and unmoved during the call.
+    // Re-rewrite: a replay of the previous pass when every dirty
+    // function kept its shape (none at all after a data edit that no
+    // analysis read), else the selective re-rewrite that re-emits
+    // only the dirty functions. result_ stays alive during the call;
+    // a replay moves its contents into the new result.
     RewritePass pass;
     pass.cfg = &cfg_;
     pass.previous = &result_;
+    pass.previousCfg = &previous;
     pass.dirtyFunctions = dirty;
     runPass(pass, cache_load);
     report_ = LintReport{};
     hasReport_ = false;
+    out.incremental = true;
+    out.replayed = result_.replayed;
+    out.dirtyFunctions = std::move(dirty);
     return out;
 }
 
@@ -323,7 +313,7 @@ RewriteSession::runPass(const RewritePass &pass,
 }
 
 void
-RewriteSession::ensureCfg()
+RewriteSession::ensureCfg(const CfgReuse &reuse)
 {
     AnalysisOptions aopts = opts_.analysis;
     aopts.threads = opts_.threads;
@@ -332,7 +322,7 @@ RewriteSession::ensureCfg()
         cfgOpts_ = aopts;
         return;
     }
-    cfg_ = buildCfg(*input_, aopts);
+    cfg_ = buildCfg(*input_, aopts, reuse);
     cfgBuilt_ = true;
     cfgOpts_ = aopts;
 }

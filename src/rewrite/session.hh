@@ -27,6 +27,7 @@
 #include <set>
 #include <string>
 
+#include "analysis/builder.hh"
 #include "analysis/cfg.hh"
 #include "rewrite/rewriter.hh"
 #include "verify/lint.hh"
@@ -92,7 +93,7 @@ class RewriteSession
     {
         /**
          * True when the new input was diffable against the old one
-         * (same arch, same layout, same function symbols) and the
+         * (same header, layout, symbols and relocations) and the
          * previous rewrite was reused selectively: only changed
          * functions were re-analyzed and re-emitted, everything else
          * was spliced from the previous pass's bytes.
@@ -105,6 +106,13 @@ class RewriteSession
         /** Names of those functions. */
         std::set<std::string> dirtyNames;
 
+        /**
+         * True when the re-rewrite replayed the previous pass (every
+         * dirty function kept its shape; see RewritePass): only the
+         * dirty spans were re-emitted and nothing else re-planned.
+         */
+        bool replayed = false;
+
         /** Function symbols that stayed clean. */
         unsigned unchangedFunctions = 0;
     };
@@ -114,18 +122,23 @@ class RewriteSession
      * the same binary). A function is dirty when its code bytes
      * changed or its recorded read-set (Function::dataDeps) no
      * longer validates against the new image — the test a cache hit
-     * passes. The CFG is rebuilt (clean functions hit the
-     * AnalysisCache by content key), and only the dirty functions
-     * are re-rewritten via the selective re-rewrite path; every
-     * other function's bytes are spliced from the previous result.
+     * passes. The CFG is rebuilt from the previous one: clean
+     * functions are shared as they are, only the dirty ones are
+     * analyzed. When every dirty function kept its shape, the pass
+     * replays the previous result: it re-emits only the dirty
+     * functions and carries everything else over (see RewritePass;
+     * LoadOutcome::replayed). Otherwise the full pipeline re-runs,
+     * re-emitting only the dirty functions and splicing every other
+     * function's bytes from the previous result where the layout
+     * allows.
      *
      * The session resets to a fresh state on the new input when the
-     * images are not diffable: different arch, section layout or
-     * function symbols; changed executable bytes outside every
-     * function; a data edit in a non-PIE image, outside
-     * .rodata/.data, or without a manifest; or a data edit over a
-     * relocation slot, donated scratch range or rewritten pointer
-     * cell.
+     * images are not diffable: a different header (arch, PIE, base,
+     * entry, TOC), section layout, symbol or relocation list;
+     * changed executable bytes outside every function; a data edit
+     * in a non-PIE image, outside .rodata/.data, or without a
+     * manifest; or a data edit over a relocation slot, donated
+     * scratch range or rewritten pointer cell.
      */
     LoadOutcome loadInput(BinaryImage newImage);
 
@@ -189,7 +202,7 @@ class RewriteSession
     const RewriteOptions &options() const { return opts_; }
 
   private:
-    void ensureCfg();
+    void ensureCfg(const CfgReuse &reuse = CfgReuse{});
 
     /** Merge opts_.cachePath into the AnalysisCache (no-op when
      *  unset); must run before ensureCfg() to seed the CFG build. */

@@ -525,9 +525,8 @@ ServeServer::refreshResident(Resident &resident, ServeMessage &reply,
     reply.set("incremental", std::uint64_t{incremental ? 1u : 0u});
     reply.set("cached", std::uint64_t{0});
     reply.set("dirty", dirty);
-    reply.set("emitted", incremental && dirty == 0
-                             ? 0
-                             : rw.stats.relocEmittedFunctions);
+    reply.set("emitted",
+              std::uint64_t{rw.stats.relocEmittedFunctions});
     reply.set("reused",
               std::uint64_t{rw.stats.relocReusedFunctions});
     reply.set("functions", std::uint64_t{rw.stats.totalFunctions});

@@ -513,12 +513,15 @@ TEST_P(SessionLoadInput, OneFunctionEditReanalyzesOnlyThatFunction)
               static_cast<unsigned>(total - 1));
 
     // Analysis-reuse: exactly the edited function's CFG was rebuilt;
-    // every other function hit the AnalysisCache by content key.
+    // every other function is the previous module's, shared without
+    // a cache lookup.
     EXPECT_EQ(post.functionMisses - pre.functionMisses, 1u);
-    EXPECT_GE(post.functionHits - pre.functionHits, total - 1);
+    EXPECT_EQ(post.functionHits - pre.functionHits, 0u);
 
-    // Selective re-rewrite: one function re-emitted, the rest
-    // spliced verbatim from the previous pass.
+    // An immediate flip keeps the function's shape: the pass
+    // replayed the previous one, re-emitting one function and
+    // keeping the rest verbatim.
+    EXPECT_TRUE(out.replayed);
     const RewriteStats &stats = session.lastResult().stats;
     EXPECT_EQ(stats.relocEmittedFunctions, 1u);
     EXPECT_EQ(stats.relocReusedFunctions, instrumented - 1);

@@ -11,10 +11,12 @@
 #                  regenerating baselines, which share the rewriter's
 #                  function-pointer retargeter, the simulator and
 #                  loader, whose lazily mapped memory the binfmt
-#                  mutation sweep loads, and the rewrite mutation
+#                  mutation sweep loads, the rewrite mutation
 #                  sweep, which rewrites, lints and runs bit-flipped
-#                  inputs in forked children) and the repair-loop CLI
-#                  smoke
+#                  inputs in forked children, and the session edit
+#                  sequences, which replay or re-run a rewrite per
+#                  edit and compare each step with a cold rewrite)
+#                  and the repair-loop CLI smoke
 #   release        plain release build + the complete ctest suite
 #   lint-baseline  lint the canonical input against the checked-in
 #                  report (tests/data/lint_baseline.json): any new
@@ -127,8 +129,8 @@ leg_asan() {
         --target test_lint test_rewrite test_binfmt test_engine \
                  test_session test_cache_store test_shard test_serve \
                  test_baselines test_sim test_loader \
-                 test_rewrite_mutation icp_cli &&
-    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation tests ==" &&
+                 test_rewrite_mutation test_session_edits icp_cli &&
+    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation / session edit tests ==" &&
     ./build-asan/tests/test_lint &&
     ./build-asan/tests/test_rewrite &&
     ./build-asan/tests/test_binfmt &&
@@ -141,6 +143,7 @@ leg_asan() {
     ./build-asan/tests/test_sim &&
     ./build-asan/tests/test_loader &&
     ./build-asan/tests/test_rewrite_mutation &&
+    ./build-asan/tests/test_session_edits &&
     echo "== ASan+UBSan: repair-loop smoke (inject -> repair -> lint) ==" &&
     smoke_dir="$(mktemp -d)" &&
     ./build-asan/tools/icp compile micro "$smoke_dir/in.sbf" --pie &&
