@@ -413,21 +413,9 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts,
     CfgModule mod;
     mod.image = &image;
 
-    // Landing pads per function from .eh_frame.
-    std::map<Addr, std::vector<TryRange>> tries;
-    for (const auto &fde : image.fdeRecords()) {
-        if (!fde.tryRanges.empty())
-            tries[fde.start] = fde.tryRanges;
-    }
-
     const std::uint64_t seed =
         opts.useCache ? imageCacheSeed(image, opts) : 0;
 
-    // Functions are analyzed independently; build (or fetch) each
-    // one in parallel into an index-addressed slot, then publish in
-    // address order so the module is identical for any thread count.
-    // A hit publishes the cache's own immutable Function, and a fresh
-    // result is stored as the very object the module holds.
     std::vector<const Symbol *> syms = image.functionSymbols();
     if (opts.rangeLo != 0 || opts.rangeHi != ~static_cast<Addr>(0)) {
         std::erase_if(syms, [&](const Symbol *sym) {
@@ -435,18 +423,42 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts,
                    sym->addr >= opts.rangeHi;
         });
     }
+    // A clean function of @p reuse is its slot, shared; the others
+    // are built (or fetched), and only their try ranges are read.
     std::vector<std::shared_ptr<const Function>> built(syms.size());
-    ThreadPool::shared().parallelFor(
-        syms.size(), effectiveThreads(opts.threads),
-        [&](std::size_t i) {
-            const Symbol &sym = *syms[i];
-            if (reuse.module && !reuse.dirty->count(sym.addr)) {
-                if (const FunctionSlot *slot =
-                        reuse.module->slotAt(sym.addr)) {
-                    built[i] = slot->fn;
-                    return;
-                }
+    std::vector<std::size_t> todo;
+    std::vector<Addr> starts; // ascending: syms is sorted
+    for (std::size_t i = 0; i < syms.size(); ++i) {
+        if (reuse.module && !reuse.dirty->count(syms[i]->addr)) {
+            if (const FunctionSlot *slot =
+                    reuse.module->slotAt(syms[i]->addr)) {
+                built[i] = slot->fn;
+                continue;
             }
+        }
+        todo.push_back(i);
+        starts.push_back(syms[i]->addr);
+    }
+
+    // Landing pads per function from .eh_frame.
+    std::map<Addr, std::vector<TryRange>> tries;
+    const Section *eh = image.findSection(SectionKind::ehFrame);
+    if (eh && !eh->bytes.empty() && !todo.empty()) {
+        auto parsed = parseTryRanges(eh->bytes, starts);
+        icp_assert(parsed, "malformed .eh_frame");
+        tries = std::move(*parsed);
+    }
+
+    // Functions are analyzed independently; build (or fetch) each
+    // one in parallel into an index-addressed slot, then publish in
+    // address order so the module is identical for any thread count.
+    // A hit publishes the cache's own immutable Function, and a fresh
+    // result is stored as the very object the module holds.
+    ThreadPool::shared().parallelFor(
+        todo.size(), effectiveThreads(opts.threads),
+        [&](std::size_t k) {
+            const std::size_t i = todo[k];
+            const Symbol &sym = *syms[i];
             auto it = tries.find(sym.addr);
             static const std::vector<TryRange> none;
             const std::vector<TryRange> &try_ranges =

@@ -9,8 +9,9 @@
 namespace icp
 {
 
-FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
-    : image_(image), fixed_(image.archInfo().fixedLength)
+FuncPtrIndex::FuncPtrIndex(const BinaryImage &image,
+                           FuncPtrAnalysisResult &cells)
+    : fixed_(image.archInfo().fixedLength), tocBase_(image.tocBase)
 {
     // Function ranges from the symbol table. CFG construction defines
     // Function::end as sym.addr + sym.size, so this is the same map
@@ -32,12 +33,12 @@ FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
             def.site = rel.site;
             def.funcEntry = value;
             def.hasReloc = true;
-            cellDefIdx_.emplace_back(rel.site, result_.defs.size());
-            result_.defs.push_back(def);
+            cellDefIdx_.emplace_back(rel.site, cells.defs.size());
+            cells.defs.push_back(def);
         } else if (!containing(value)) {
             // Pointer-shaped relocation to no known function — the
             // Go .vtab obfuscation lands here and stays unrewritten.
-            ++result_.unclassifiedRelocs;
+            ++cells.unclassifiedRelocs;
         }
     }
 
@@ -57,8 +58,8 @@ FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
                 def.kind = FuncPtrDef::Kind::dataCell;
                 def.site = sec.addr + off;
                 def.funcEntry = v;
-                cellDefIdx_.emplace_back(def.site, result_.defs.size());
-                result_.defs.push_back(def);
+                cellDefIdx_.emplace_back(def.site, cells.defs.size());
+                cells.defs.push_back(def);
             }
         }
     }
@@ -79,7 +80,7 @@ FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
 }
 
 const std::size_t *
-FuncPtrScanner::cellDef(Addr site) const
+FuncPtrIndex::cellDef(Addr site) const
 {
     auto it = std::lower_bound(
         cellDefIdx_.begin(), cellDefIdx_.end(), site,
@@ -89,7 +90,7 @@ FuncPtrScanner::cellDef(Addr site) const
 }
 
 bool
-FuncPtrScanner::isEntry(Addr a) const
+FuncPtrIndex::isEntry(Addr a) const
 {
     auto it = std::lower_bound(
         ranges_.begin(), ranges_.end(), a,
@@ -98,7 +99,7 @@ FuncPtrScanner::isEntry(Addr a) const
 }
 
 std::optional<Addr>
-FuncPtrScanner::containing(Addr a) const
+FuncPtrIndex::containing(Addr a) const
 {
     auto it = std::upper_bound(
         ranges_.begin(), ranges_.end(), a,
@@ -115,7 +116,7 @@ FuncPtrScanner::containing(Addr a) const
 // producing function entries; forward slice loads of known cells
 // through arithmetic (Listing 1's +1).
 FunctionPtrs
-FuncPtrScanner::scan(const Function &func) const
+FuncPtrIndex::scan(const Function &func) const
 {
     FunctionPtrs out;
     for (const auto &[bstart, block] : func.blocks) {
@@ -204,7 +205,7 @@ FuncPtrScanner::scan(const Function &func) const
               case Opcode::AddisToc: {
                 Track t;
                 t.kind = Track::Kind::constant;
-                t.c = image_.tocBase +
+                t.c = tocBase_ +
                       (static_cast<std::uint64_t>(in.imm) << 16);
                 t.defAddrs = {in.addr};
                 set(in.rd, t);
@@ -258,14 +259,19 @@ FuncPtrScanner::scan(const Function &func) const
     return out;
 }
 
+FuncPtrScanner::FuncPtrScanner(const BinaryImage &image)
+    : index_(std::make_shared<const FuncPtrIndex>(image, result_))
+{
+}
+
 void
 FuncPtrScanner::scanFunction(const Function &func)
 {
-    FunctionPtrs ptrs = scan(func);
+    FunctionPtrs ptrs = index_->scan(func);
     for (FuncPtrDef &def : ptrs.defs)
         result_.defs.push_back(std::move(def));
     for (const auto &[cell, delta] : ptrs.deltas)
-        result_.defs[*cellDef(cell)].delta += delta;
+        result_.defs[*index_->cellDef(cell)].delta += delta;
 }
 
 FuncPtrAnalysisResult

@@ -16,6 +16,7 @@
 #ifndef ICP_ANALYSIS_FUNCPTR_HH
 #define ICP_ANALYSIS_FUNCPTR_HH
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -85,14 +86,46 @@ struct FuncPtrAnalysisResult
 };
 
 /**
+ * The module-level half of the analysis (passes 1 and 2): the
+ * function ranges of the image's symbol table and the pointer cells
+ * its relocations (or, for non-PIE images, its data words) define,
+ * plus the code scan of one function against them. It depends on
+ * nothing else of the image, so it is immutable and can be shared by
+ * a later pass over an input with the same symbols, relocations and
+ * non-PIE data words: a RewritePass replay scans its dirty functions
+ * with the previous pass's index (RewriteResult::funcPtrIndex).
+ */
+class FuncPtrIndex
+{
+  public:
+    /** Index @p image; its cell definitions are appended to @p cells. */
+    FuncPtrIndex(const BinaryImage &image, FuncPtrAnalysisResult &cells);
+
+    /** The code scan (pass 3) of @p func alone. */
+    FunctionPtrs scan(const Function &func) const;
+
+    /** Index in the cell definitions of the cell at @p site, or null. */
+    const std::size_t *cellDef(Addr site) const;
+
+  private:
+    bool isEntry(Addr a) const;
+    std::optional<Addr> containing(Addr a) const;
+
+    bool fixed_;
+    Addr tocBase_;
+    /** (function entry, end), sorted by entry. */
+    std::vector<std::pair<Addr, Addr>> ranges_;
+    /** (cell address, index in the cell definitions), by address. */
+    std::vector<std::pair<Addr, std::size_t>> cellDefIdx_;
+};
+
+/**
  * Incremental form of the analysis for drivers that never hold the
- * whole-module CFG (the sharded rewriter): construction runs the
- * module-level passes — relocation-backed cells and, for non-PIE
- * images, the raw data-word scan — against the image's function
- * symbol table; scanFunction() then contributes one function's code
+ * whole-module CFG (the sharded rewriter): construction builds the
+ * FuncPtrIndex; scanFunction() then contributes one function's code
  * scan at a time. Feeding every function in ascending entry order
- * yields a result identical to analyzeFuncPtrs() (which is now a
- * thin wrapper over this class).
+ * yields a result identical to analyzeFuncPtrs() (which is a thin
+ * wrapper over this class).
  */
 class FuncPtrScanner
 {
@@ -102,25 +135,18 @@ class FuncPtrScanner
     /** Code scan (pass 3) for one function; call in address order. */
     void scanFunction(const Function &func);
 
-    /** The code scan of @p func alone, leaving the result as it is. */
-    FunctionPtrs scan(const Function &func) const;
+    /** The module-level index, to share with a later pass. */
+    const std::shared_ptr<const FuncPtrIndex> &index() const
+    {
+        return index_;
+    }
 
     /** Move the accumulated result out; the scanner is done after. */
     FuncPtrAnalysisResult take() { return std::move(result_); }
 
   private:
-    bool isEntry(Addr a) const;
-    std::optional<Addr> containing(Addr a) const;
-    /** Index in result_.defs of the cell at @p site, or null. */
-    const std::size_t *cellDef(Addr site) const;
-
-    const BinaryImage &image_;
-    bool fixed_;
-    /** (function entry, end), sorted by entry. */
-    std::vector<std::pair<Addr, Addr>> ranges_;
-    /** (cell address, index in result_.defs), sorted by address. */
-    std::vector<std::pair<Addr, std::size_t>> cellDefIdx_;
     FuncPtrAnalysisResult result_;
+    std::shared_ptr<const FuncPtrIndex> index_;
 };
 
 /** Run the analysis over @p cfg. */

@@ -13,7 +13,9 @@
 #define ICP_BINFMT_EHFRAME_HH
 
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "support/types.hh"
@@ -71,8 +73,20 @@ std::optional<std::vector<FdeRecord>>
 parseEhFrame(const std::vector<std::uint8_t> &bytes);
 
 /**
+ * The try ranges of the FDEs in .eh_frame @p bytes that start at one
+ * of @p starts (ascending), read without materializing the other
+ * records. FDEs without try ranges are left out; of several at one
+ * start, the last in record order wins. Nullopt when the bytes are
+ * not exactly one serialized record list.
+ */
+std::optional<std::map<Addr, std::vector<TryRange>>>
+parseTryRanges(const std::vector<std::uint8_t> &bytes,
+               const std::vector<Addr> &starts);
+
+/**
  * FDE lookup table built once per module by the unwinder: binary
- * search over [start, end) ranges sorted by start address.
+ * search over [start, end) ranges sorted by start address (records
+ * with one start keep their record order).
  */
 class FdeIndex
 {
@@ -87,6 +101,18 @@ class FdeIndex
   private:
     std::vector<FdeRecord> fdes_; // sorted by start
 };
+
+/**
+ * For each of @p pcs (ascending), the [start, end) of the FDE that
+ * FdeIndex::find would return, nullopt where none covers it, read
+ * from .eh_frame @p bytes without materializing a record. Records
+ * laid out by start, as serializeEhFrame's callers write them, take
+ * one pass and memory for @p pcs only. Asserts on bytes that
+ * parseEhFrame rejects.
+ */
+std::vector<std::optional<std::pair<Addr, Addr>>>
+coveringFdes(const std::vector<std::uint8_t> &bytes,
+             const std::vector<Addr> &pcs);
 
 } // namespace icp
 

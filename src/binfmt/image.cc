@@ -517,6 +517,21 @@ RelocIndex::RelocIndex(const std::vector<Relocation> &relocs)
     std::sort(bySite_.begin(), bySite_.end());
 }
 
+RelocIndex::RelocIndex(const std::vector<Relocation> &relocs,
+                       const std::vector<Addr> &cells)
+{
+    for (std::size_t i = 0; i < relocs.size(); ++i) {
+        // A cell overlaps the slot when it starts in
+        // [site - 7, site + 7].
+        const Addr site = relocs[i].site;
+        const Addr lo = site < 7 ? 0 : site - 7;
+        const auto it = std::lower_bound(cells.begin(), cells.end(), lo);
+        if (it != cells.end() && *it - lo <= site - lo + 7)
+            bySite_.emplace_back(site, i);
+    }
+    std::sort(bySite_.begin(), bySite_.end());
+}
+
 std::span<const RelocIndex::Entry>
 RelocIndex::in(Addr lo, Addr hi) const
 {

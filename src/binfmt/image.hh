@@ -197,6 +197,15 @@ class RelocIndex
 
     explicit RelocIndex(const std::vector<Relocation> &relocs);
 
+    /**
+     * Index only the relocations whose 8-byte slot overlaps the
+     * 8-byte cell at one of @p cells (ascending): enough for
+     * BinaryImage::loadedValue of those cells, at one filter pass
+     * over the list instead of a sort of all of it.
+     */
+    RelocIndex(const std::vector<Relocation> &relocs,
+               const std::vector<Addr> &cells);
+
     /** The relocations whose site lies in [lo, hi), ordered by site,
      *  then position. */
     std::span<const Entry> in(Addr lo, Addr hi) const;

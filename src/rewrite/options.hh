@@ -11,6 +11,7 @@
 #define ICP_REWRITE_OPTIONS_HH
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -23,6 +24,8 @@
 
 namespace icp
 {
+
+class FuncPtrIndex;
 
 /** Binary rewriting modes (§3): which control flow is rewritten. */
 enum class RewriteMode : std::uint8_t
@@ -350,6 +353,14 @@ struct RewriteResult
 
     /** What was emitted where; input to the static verifier. */
     RewriteManifest manifest;
+
+    /**
+     * The function-pointer scan's module-level index (function
+     * ranges and pointer cells). A replay of this result scans its
+     * dirty functions against it: a RewritePass input has the same
+     * symbols, relocations and non-PIE data words.
+     */
+    std::shared_ptr<const FuncPtrIndex> funcPtrIndex;
 
     /**
      * Outcome of loading RewriteOptions::cachePath (default-empty

@@ -1210,6 +1210,7 @@ Rewriter::replay(const EngineConfig &config)
 {
     RewriteResult *prev = pass_.previous;
     if (!prev || !prev->ok || !prev->manifest.populated ||
+        !prev->funcPtrIndex ||
         !prev->manifest.injectedRule.empty() || !opts_.lint ||
         opts_.clobberOriginal ||
         opts_.injectDefect != InjectDefect::none ||
@@ -1242,15 +1243,15 @@ Rewriter::replay(const EngineConfig &config)
     const RewriteManifest &m = prev->manifest;
     {
         ScopedTimer timer(func_ptr_timer);
-        const FuncPtrScanner scanner(input_);
+        const FuncPtrIndex &index = *prev->funcPtrIndex;
         for (Addr entry : pass_.dirtyFunctions) {
             const Function *now = cfg_->functionAt(entry);
             const Function *was = before.functionAt(entry);
             if (!now || !was || emitted(*now) != emitted(*was) ||
                 opts_.forceTrapFunctions.count(now->name))
                 return false;
-            FunctionPtrs ptrs = scanner.scan(*now);
-            if (ptrs != scanner.scan(*was))
+            FunctionPtrs ptrs = index.scan(*now);
+            if (ptrs != index.scan(*was))
                 return false;
             code_defs.insert(code_defs.end(), ptrs.defs.begin(),
                              ptrs.defs.end());
@@ -1591,6 +1592,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             instr_ranges.emplace_back(func->entry, func->end);
         }
     });
+    result_.funcPtrIndex = scanner->index();
     funcPtrs_ = scanner->take();
     result_.stats.originalLoadedSize = input_.loadedSize();
 

@@ -37,26 +37,6 @@ sameCfgShape(const AnalysisOptions &a, const AnalysisOptions &b)
 }
 
 /**
- * Rules whose findings attach to a single function, plus the global
- * overlap rule (cheap, and a re-rewrite can move any patch). The
- * selective re-lint runs exactly these; addr-map round-trips are the
- * one omission — their findings are never function-attributable, so
- * any such error already forced the full-rewrite fallback.
- */
-const std::set<std::string> &
-selectiveLintRules()
-{
-    static const std::set<std::string> rules = {
-        "tramp-target",  "tramp-range",      "tramp-chain",
-        "tramp-trap",    "tramp-scratch-live", "toc-preserved",
-        "jt-clone-bounds", "jt-clone-target", "patch-overlap",
-        "eh-frame-cover", "func-ptr-target",
-        "datadep-missing", "datadep-stale", "datadep-overbroad",
-    };
-    return rules;
-}
-
-/**
  * The first index in [i, n) where @p a and @p b differ, or n. Equal
  * blocks are skipped with memcmp, which is many times faster than a
  * byte-wise std::mismatch; std::mismatch then finds the byte.
@@ -256,8 +236,7 @@ RewriteSession::loadInput(BinaryImage newImage)
         // Unrelated input: behave like a fresh session.
         result_ = RewriteResult{};
         hasResult_ = false;
-        report_ = LintReport{};
-        hasReport_ = false;
+        dropReport();
         failCounts_.clear();
         out.dirtyNames.clear();
         return out;
@@ -279,8 +258,6 @@ RewriteSession::loadInput(BinaryImage newImage)
     pass.previousCfg = &previous;
     pass.dirtyFunctions = dirty;
     runPass(pass, cache_load);
-    report_ = LintReport{};
-    hasReport_ = false;
     out.incremental = true;
     out.replayed = result_.replayed;
     out.dirtyFunctions = std::move(dirty);
@@ -307,9 +284,50 @@ RewriteSession::runPass(const RewritePass &pass,
     if (next.ok && !opts_.cachePath.empty() && opts_.useAnalysisCache)
         AnalysisCache::global().save(opts_.cachePath,
                                      opts_.cacheMaxBytes);
+
+    // The last report stays mergeable across a pass over the
+    // previous result: a replay changed exactly the dirty functions
+    // (it moved the previous result into this one); a re-run may
+    // also have changed another function's records. Any other pass
+    // starts over.
+    if (!next.ok || !pass.previous) {
+        dropReport();
+    } else {
+        stale_.insert(pass.dirtyFunctions.begin(),
+                      pass.dirtyFunctions.end());
+        if (!next.replayed) {
+            const std::set<Addr> changed =
+                changedFunctions(result_.manifest, next.manifest);
+            stale_.insert(changed.begin(), changed.end());
+        }
+        reportCurrent_ = false;
+    }
     // Moved only now: the pass may borrow the previous result.
     result_ = std::move(next);
     hasResult_ = true;
+}
+
+void
+RewriteSession::dropReport()
+{
+    report_ = LintReport{};
+    hasReport_ = false;
+    reportCurrent_ = false;
+    stale_.clear();
+}
+
+void
+RewriteSession::lintResult()
+{
+    LintOptions effective = lintOpts_;
+    effective.originalCfg = &cfg_;
+    if (hasReport_)
+        report_ = relint(*input_, result_, report_, stale_, effective);
+    else
+        report_ = lintRewrite(*input_, result_, effective);
+    hasReport_ = true;
+    reportCurrent_ = true;
+    stale_.clear();
 }
 
 void
@@ -346,12 +364,10 @@ RewriteSession::rewrite(const RewriteOptions &options)
 
     RewritePass pass;
     pass.cfg = &cfg_;
-    runPass(pass, cache_load);
+    runPass(pass, cache_load); // drops the report: a fresh pass
 
-    // A fresh rewrite invalidates the previous report and resets the
-    // repair history: the functions start with a clean slate.
-    report_ = LintReport{};
-    hasReport_ = false;
+    // A fresh rewrite also resets the repair history: the functions
+    // start with a clean slate.
     failCounts_.clear();
     return result_;
 }
@@ -361,12 +377,12 @@ RewriteSession::lint(const LintOptions &options)
 {
     icp_assert(hasResult_, "RewriteSession::lint() before rewrite()");
     ensureCfg();
+    // The previous report merges only under the same scope.
+    if (options.onlyRules != lintOpts_.onlyRules ||
+        options.onlyFunctions != lintOpts_.onlyFunctions)
+        dropReport();
     lintOpts_ = options;
-
-    LintOptions effective = options;
-    effective.originalCfg = &cfg_;
-    report_ = lintRewrite(*input_, result_, effective);
-    hasReport_ = true;
+    lintResult();
     return report_;
 }
 
@@ -375,7 +391,7 @@ RewriteSession::repair(const LintReport &report,
                        const RepairPolicy &policy)
 {
     icp_assert(hasResult_, "RewriteSession::repair() before rewrite()");
-    icp_assert(hasReport_, "RewriteSession::repair() before lint()");
+    icp_assert(reportCurrent_, "RewriteSession::repair() before lint()");
 
     RepairOutcome out;
 
@@ -433,28 +449,10 @@ RewriteSession::repair(const LintReport &report,
     // report rather than mapping the file again.
     runPass(pass, result_.cacheLoad);
 
-    LintOptions relint = lintOpts_;
-    relint.originalCfg = &cfg_;
-    if (selective) {
-        // Incremental re-lint: only the re-emitted functions' sites
-        // (every other function's bytes were spliced verbatim), plus
-        // the global overlap rule. Findings for untouched functions
-        // carry over from the previous report.
-        relint.onlyFunctions = dirty;
-        relint.onlyRules = selectiveLintRules();
-        LintReport partial = lintRewrite(*input_, result_, relint);
-        for (const Diagnostic &d : report_.findings) {
-            if (names.count(d.function))
-                continue; // re-checked above
-            if (d.rule == "patch-overlap")
-                continue; // re-checked globally above
-            partial.findings.push_back(d);
-        }
-        report_ = std::move(partial);
-    } else {
-        report_ = lintRewrite(*input_, result_, relint);
-    }
-    hasReport_ = true;
+    // A selective pass kept the report mergeable: the re-lint checks
+    // only what the pass changed, plus the image-global rules; the
+    // fallback re-lints in full.
+    lintResult();
 
     out.converged = !report_.failed(lintOpts_.failOn);
     return out;
@@ -466,7 +464,7 @@ RewriteSession::repairToFixedPoint(unsigned max_iterations,
 {
     icp_assert(hasResult_,
                "RewriteSession::repairToFixedPoint() before rewrite()");
-    if (!hasReport_)
+    if (!reportCurrent_)
         lint(lintOpts_);
 
     RepairOutcome total;

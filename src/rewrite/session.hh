@@ -14,10 +14,12 @@
  *
  * repair() maps each error-severity finding to its owning function,
  * re-emits only those functions (splicing every other function's
- * bytes from the previous pass), demotes a function to trap
- * trampolines when a second targeted attempt still fails, and
- * re-lints only the touched rules/sites against the session's
- * cached CFG. rewriteBinary() remains as a thin one-shot wrapper.
+ * bytes from the previous pass), and demotes a function to trap
+ * trampolines when a second targeted attempt still fails. After a
+ * repair or an edit (loadInput), the next lint re-checks only the
+ * functions the passes changed, against the session's cached CFG,
+ * and carries the rest of the last report (relint). rewriteBinary()
+ * remains as a thin one-shot wrapper.
  */
 
 #ifndef ICP_REWRITE_SESSION_HH
@@ -159,6 +161,12 @@ class RewriteSession
      * Lint the last rewrite against the session's cached CFG (the
      * verifier never rebuilds the original CFG through this path).
      * @p options' originalCfg field is overridden by the session.
+     * When the last lint ran under the same onlyRules and
+     * onlyFunctions and only loadInput's or repair's passes over the
+     * previous result came since, the report is relint()'s merge:
+     * the functions those passes changed are re-checked, the
+     * image-global rules re-run, and every other finding is carried
+     * (LintReport::relintedFunctions). Otherwise it is a full lint.
      */
     LintReport &lint(const LintOptions &options = LintOptions{});
 
@@ -196,6 +204,8 @@ class RewriteSession
     const BinaryImage &input() const { return *input_; }
     bool hasResult() const { return hasResult_; }
     const RewriteResult &lastResult() const { return result_; }
+    /** The last lint's report; after a later pass, until the next
+     *  lint(), it describes the result it was made for. */
     const LintReport &lastReport() const { return report_; }
 
     /** Options as amended by repair (defect cleared, demotions). */
@@ -216,6 +226,15 @@ class RewriteSession
      */
     void runPass(const RewritePass &pass, CacheLoadReport cache_load);
 
+    /** Forget the last report: the next lint runs in full. */
+    void dropReport();
+
+    /**
+     * Lint the last result under lintOpts_: relint() merged with the
+     * last report when there is one, else a full lintRewrite.
+     */
+    void lintResult();
+
     BinaryImage owned_;
     const BinaryImage *input_;
 
@@ -227,9 +246,19 @@ class RewriteSession
     AnalysisOptions cfgOpts_; ///< options cfg_ was built under
 
     RewriteResult result_;
-    LintReport report_;
     bool hasResult_ = false;
+
+    /**
+     * The last lint report. It stays mergeable (hasReport_) across
+     * passes over the previous result — loadInput's replay or
+     * selective re-rewrite, repair's selective pass — and stale_
+     * collects the functions those passes changed; it describes the
+     * last result as it is only while reportCurrent_.
+     */
+    LintReport report_;
     bool hasReport_ = false;
+    bool reportCurrent_ = false;
+    std::set<Addr> stale_;
 
     /** Failed targeted re-rewrites per function name. */
     std::map<std::string, unsigned> failCounts_;

@@ -620,6 +620,12 @@ ServeServer::handleLint(const ServeMessage &request)
             "warnings",
             std::uint64_t{report.countAtLeast(Severity::warning)});
         reply.set("findings", std::uint64_t{report.findings.size()});
+        // Functions re-checked: after an edit, the ones it changed
+        // (the rest carried over); every function for a full lint.
+        reply.set("relinted",
+                  report.relintedFunctions.value_or(
+                      resident.session->lastResult()
+                          .stats.totalFunctions));
         reply.set("fail",
                   std::uint64_t{report.failed(*fail_on) ? 1u : 0u});
         // First few findings ride along for context; the full report

@@ -46,6 +46,16 @@ struct Diagnostic
 
     std::string function; ///< containing function, when known
     std::string message;
+
+    /**
+     * The function entry the verifier checked the finding's site
+     * under (the key LintOptions::onlyFunctions selects by, and the
+     * one a merged report carries by); invalid_addr when none. Not
+     * rendered.
+     */
+    Addr funcEntry = invalid_addr;
+
+    bool operator==(const Diagnostic &) const = default;
 };
 
 /** A registered lint rule: id, default severity, one-line summary. */

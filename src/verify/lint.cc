@@ -4,8 +4,10 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "analysis/builder.hh"
 #include "binfmt/addr_map.hh"
@@ -36,10 +38,21 @@ hex(Addr a)
     return buf;
 }
 
+/** The canonical finding order (LintReport::findings). */
+bool
+findingBefore(const Diagnostic &a, const Diagnostic &b)
+{
+    return std::tie(a.origAddr, a.newAddr, a.rule, a.severity,
+                    a.function, a.message, a.funcEntry) <
+           std::tie(b.origAddr, b.newAddr, b.rule, b.severity,
+                    b.function, b.message, b.funcEntry);
+}
+
 /** True when @p map's relocated targets strictly ascend. */
 bool
 targetsAscend(const AddrPairs &map)
 {
+    const ScopedTimer timer(lint_maps_timer);
     return std::adjacent_find(
                map.begin(), map.end(),
                [](const std::pair<Addr, Addr> &a,
@@ -92,7 +105,8 @@ class Checker
           opts_(opts),
           arch_(rew.archInfo()),
           instr_(rew.findSection(SectionKind::instr)),
-          boundaries_(relocatedTargets(m))
+          blockAscend_(targetsAscend(m.blockMap)),
+          insnAscend_(targetsAscend(m.insnMap))
     {
     }
 
@@ -127,6 +141,7 @@ class Checker
         if (const Symbol *s = orig_.functionContaining(func_entry))
             d.function = s->name;
         d.message = std::move(msg);
+        d.funcEntry = func_entry;
         return d;
     }
 
@@ -160,11 +175,56 @@ class Checker
     bool
     siteEnabled(Addr func_entry) const
     {
-        return opts_.onlyFunctions.empty() ||
-               opts_.onlyFunctions.count(func_entry) > 0;
+        return !opts_.onlyFunctions ||
+               opts_.onlyFunctions->count(func_entry) > 0;
+    }
+
+    /**
+     * Call @p fn with every element of @p by_entry (a map or set
+     * keyed by function entry) whose entry the site filter keeps, in
+     * entry order: a lookup per selected function when the lint is
+     * scoped, not a walk of the whole container.
+     */
+    template <class Container, class Fn>
+    void
+    forEachSelected(const Container &by_entry, Fn &&fn) const
+    {
+        if (!opts_.onlyFunctions) {
+            for (const auto &element : by_entry)
+                fn(element);
+            return;
+        }
+        for (Addr entry : *opts_.onlyFunctions) {
+            const auto it = by_entry.find(entry);
+            if (it != by_entry.end())
+                fn(*it);
+        }
     }
 
     // --- shared helpers --------------------------------------------------
+
+    /**
+     * Whether @p a is a relocated block or instruction start. With
+     * ascending targets (as the engine lays them out) that is a
+     * binary search on the maps themselves; otherwise on
+     * boundaries_, which a chain walk builds first.
+     */
+    bool
+    isBoundary(Addr a) const
+    {
+        if (!blockAscend_ || !insnAscend_)
+            return std::binary_search(boundaries_.begin(),
+                                      boundaries_.end(), a);
+        const auto hasTarget = [a](const AddrPairs &map) {
+            return std::binary_search(
+                map.begin(), map.end(), std::pair<Addr, Addr>{0, a},
+                [](const std::pair<Addr, Addr> &x,
+                   const std::pair<Addr, Addr> &y) {
+                    return x.second < y.second;
+                });
+        };
+        return hasTarget(m_.blockMap) || hasTarget(m_.insnMap);
+    }
 
     bool
     decodeAt(Addr a, Instruction &in) const
@@ -226,8 +286,7 @@ class Checker
 
         while (true) {
             if (instr_ && instr_->contains(addr)) {
-                if (!std::binary_search(boundaries_.begin(),
-                                        boundaries_.end(), addr)) {
+                if (!isBoundary(addr)) {
                     report("tramp-target", Severity::error, p.site,
                            addr, p.funcEntry,
                            "chain lands inside relocated code at " +
@@ -440,6 +499,8 @@ class Checker
                 sites.push_back(&p);
         }
         checkedTrampolines_ = sites.size();
+        if (!sites.empty() && (!blockAscend_ || !insnAscend_))
+            boundaries_ = relocatedTargets(m_);
         // Per-site chain walks are independent and read-only; the
         // index-slot results keep finding order deterministic for
         // every thread count.
@@ -686,11 +747,11 @@ class Checker
                                hex(pr.second) + ")");
         }
 
-        std::sort(exts.begin(), exts.end(),
-                  [](const Ext &a, const Ext &b) {
-                      return a.lo < b.lo ||
-                             (a.lo == b.lo && a.hi < b.hi);
-                  });
+        const auto before = [](const Ext &a, const Ext &b) {
+            return a.lo < b.lo || (a.lo == b.lo && a.hi < b.hi);
+        };
+        if (!std::is_sorted(exts.begin(), exts.end(), before))
+            std::stable_sort(exts.begin(), exts.end(), before);
         for (std::size_t i = 1; i < exts.size(); ++i)
             if (exts[i].lo < exts[i - 1].hi)
                 report("patch-overlap", Severity::error,
@@ -709,8 +770,8 @@ class Checker
         if (!ruleEnabled("addr-map-round-trip"))
             return;
         const ScopedTimer timer(lint_maps_timer);
-        checkMapInto("block map", m_.blockMap);
-        checkMapInto("instruction map", m_.insnMap);
+        checkMapInto("block map", m_.blockMap, blockAscend_);
+        checkMapInto("instruction map", m_.insnMap, insnAscend_);
 
         // .ra_map must round-trip to the manifest's pairs; a map
         // that does not parse stores none of them.
@@ -743,13 +804,29 @@ class Checker
      * address order.
      */
     void
-    checkMapInto(const char *what, const AddrPairs &map)
+    checkMapInto(const char *what, const AddrPairs &map, bool ascend)
     {
+        // Ascending targets put the ones below .instr first and the
+        // ones past it last: two binary searches find the first.
         std::size_t outside = map.size();
-        for (std::size_t i = 0; i < map.size(); ++i) {
-            if (!instr_ || !instr_->contains(map[i].second)) {
-                outside = i;
-                break;
+        const auto byTarget = [](const std::pair<Addr, Addr> &p,
+                                 Addr a) { return p.second < a; };
+        if (!instr_) {
+            outside = 0;
+        } else if (ascend) {
+            if (!map.empty() && !instr_->contains(map.front().second))
+                outside = 0;
+            else
+                outside = static_cast<std::size_t>(
+                    std::lower_bound(map.begin(), map.end(),
+                                     instr_->end(), byTarget) -
+                    map.begin());
+        } else {
+            for (std::size_t i = 0; i < map.size(); ++i) {
+                if (!instr_->contains(map[i].second)) {
+                    outside = i;
+                    break;
+                }
             }
         }
 
@@ -759,7 +836,7 @@ class Checker
         // before it holds that target's first key.
         std::size_t repeat = map.size();
         std::size_t first = 0;
-        if (!targetsAscend(map)) {
+        if (!ascend) {
             std::vector<std::pair<Addr, std::size_t>> by_target;
             by_target.reserve(map.size());
             for (std::size_t i = 0; i < map.size(); ++i)
@@ -822,21 +899,28 @@ class Checker
         if (m_.instrumented.empty() ||
             !ruleEnabled("eh-frame-cover"))
             return;
-        const FdeIndex orig_idx(orig_.fdeRecords());
-        const FdeIndex new_idx(rew_.fdeRecords());
-        for (Addr entry : m_.instrumented) {
-            if (!siteEnabled(entry))
-                continue;
-            const FdeRecord *of = orig_idx.find(entry);
-            if (!of)
+        std::vector<Addr> entries;
+        forEachSelected(m_.instrumented,
+                        [&](Addr entry) { entries.push_back(entry); });
+        if (entries.empty())
+            return;
+        const auto covering = [&](const BinaryImage &img) {
+            const Section *s = img.findSection(SectionKind::ehFrame);
+            return coveringFdes(s ? s->bytes : std::vector<std::uint8_t>{},
+                                entries);
+        };
+        const auto was = covering(orig_);
+        const auto now = covering(rew_);
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            const Addr entry = entries[i];
+            if (!was[i])
                 continue;
             ++checkedFdes_;
-            const FdeRecord *nf = new_idx.find(entry);
-            if (!nf || nf->start != of->start || nf->end != of->end)
+            if (now[i] != was[i])
                 report("eh-frame-cover", Severity::error, entry,
                        invalid_addr, entry,
-                       "FDE [" + hex(of->start) + ", " +
-                           hex(of->end) +
+                       "FDE [" + hex(was[i]->first) + ", " +
+                           hex(was[i]->second) +
                            ") no longer covers the instrumented "
                            "function");
         }
@@ -860,12 +944,11 @@ class Checker
         if (!anyRuleEnabled({"datadep-missing", "datadep-stale",
                              "datadep-overbroad"}))
             return;
-        for (const auto &[entry, recorded] : m_.dataDeps) {
-            if (!siteEnabled(entry))
-                continue;
+        forEachSelected(m_.dataDeps, [&](const auto &element) {
+            const auto &[entry, recorded] = element;
             const Function *fn = functionAt(entry);
             if (!fn)
-                continue;
+                return;
             ++checkedDataDeps_;
 
             const DataDeps expected = computeDataDeps(*fn, orig_);
@@ -910,7 +993,7 @@ class Checker
                                std::to_string(want));
                 }
             }
-        }
+        });
     }
 
     // --- R11: function-pointer cells under the loader ---------------------
@@ -933,7 +1016,19 @@ class Checker
         if (std::none_of(m_.funcPtrs.begin(), m_.funcPtrs.end(), wanted))
             return;
         const ScopedTimer timer(lint_ptrs_timer);
-        const RelocIndex index(rew_.relocs);
+        // A lint scoped to a few functions indexes only the
+        // relocations its cells can load.
+        std::vector<Addr> cells;
+        if (opts_.onlyFunctions) {
+            for (const FuncPtrPatch &p : m_.funcPtrs) {
+                if (wanted(p))
+                    cells.push_back(p.site);
+            }
+            std::sort(cells.begin(), cells.end());
+        }
+        const RelocIndex index = opts_.onlyFunctions
+                                     ? RelocIndex(rew_.relocs, cells)
+                                     : RelocIndex(rew_.relocs);
         const std::int64_t slide = rew_.pie ? default_pie_slide : 0;
         for (const FuncPtrPatch &p : m_.funcPtrs) {
             if (!wanted(p))
@@ -978,7 +1073,15 @@ class Checker
     const ArchInfo &arch_;
     const Section *instr_;
 
-    /** Valid relocated landing points, sorted (relocatedTargets). */
+    /** Whether the block and instruction maps' targets ascend. */
+    const bool blockAscend_;
+    const bool insnAscend_;
+
+    /**
+     * Valid relocated landing points, sorted (relocatedTargets);
+     * built only when a chain is walked over maps whose targets do
+     * not ascend.
+     */
     std::vector<Addr> boundaries_;
     std::vector<Diagnostic> findings_;
 
@@ -1024,6 +1127,7 @@ lintRewrite(const BinaryImage &original, const RewriteResult &rw,
         rep.findings.insert(rep.findings.end(),
                             cache_diags.begin(), cache_diags.end());
     }
+    std::sort(rep.findings.begin(), rep.findings.end(), findingBefore);
     rep.checkedTrampolines = checker.checkedTrampolines_;
     rep.checkedCloneEntries = checker.checkedCloneEntries_;
     rep.checkedFuncPtrs = checker.checkedFuncPtrs_;
@@ -1032,6 +1136,137 @@ lintRewrite(const BinaryImage &original, const RewriteResult &rw,
     rep.checkedDataDeps = checker.checkedDataDeps_;
     rep.rebuiltOriginalCfg = checker.rebuiltOriginalCfg_;
     return rep;
+}
+
+bool
+isFunctionRule(const std::string &rule)
+{
+    static const std::set<std::string, std::less<>> rules = {
+        "tramp-target",    "tramp-range",        "tramp-chain",
+        "tramp-trap",      "tramp-scratch-live", "toc-preserved",
+        "jt-clone-bounds", "jt-clone-target",    "eh-frame-cover",
+        "func-ptr-target", "datadep-missing",    "datadep-stale",
+        "datadep-overbroad",
+    };
+    return rules.count(rule) > 0;
+}
+
+LintReport
+relint(const BinaryImage &original, const RewriteResult &rw,
+       const LintReport &previous, const std::set<Addr> &changed,
+       const LintOptions &opts)
+{
+    LintOptions scoped = opts;
+    if (opts.onlyFunctions) {
+        scoped.onlyFunctions.emplace();
+        std::set_intersection(
+            changed.begin(), changed.end(), opts.onlyFunctions->begin(),
+            opts.onlyFunctions->end(),
+            std::inserter(*scoped.onlyFunctions,
+                          scoped.onlyFunctions->end()));
+    } else {
+        scoped.onlyFunctions = changed;
+    }
+    LintReport fresh = lintRewrite(original, rw, scoped);
+    if (!rw.ok || !rw.manifest.populated)
+        return fresh;
+
+    // The image-global rules re-ran in full, and so did the
+    // function-attributable ones for every re-checked function:
+    // everything else of the previous report stands. Both lists are
+    // in the canonical order, so one merge keeps it.
+    std::vector<Diagnostic> carried;
+    for (const Diagnostic &d : previous.findings) {
+        if (isFunctionRule(d.rule) &&
+            !scoped.onlyFunctions->count(d.funcEntry))
+            carried.push_back(d);
+    }
+    std::vector<Diagnostic> merged;
+    merged.reserve(carried.size() + fresh.findings.size());
+    std::merge(carried.begin(), carried.end(), fresh.findings.begin(),
+               fresh.findings.end(), std::back_inserter(merged),
+               findingBefore);
+    fresh.findings = std::move(merged);
+    fresh.relintedFunctions = scoped.onlyFunctions->size();
+    return fresh;
+}
+
+namespace
+{
+
+/**
+ * Add to @p out every key whose records differ between @p a and
+ * @p b, records grouped by @p key in their list order.
+ */
+template <class T, class Key>
+void
+diffRecords(const std::vector<T> &a, const std::vector<T> &b, Key key,
+            std::set<Addr> &out)
+{
+    const auto grouped = [&](const std::vector<T> &v) {
+        std::vector<const T *> p;
+        p.reserve(v.size());
+        for (const T &x : v)
+            p.push_back(&x);
+        std::stable_sort(p.begin(), p.end(),
+                         [&](const T *x, const T *y) {
+                             return key(*x) < key(*y);
+                         });
+        return p;
+    };
+    const std::vector<const T *> pa = grouped(a), pb = grouped(b);
+    std::size_t i = 0, j = 0;
+    while (i < pa.size() || j < pb.size()) {
+        const Addr k = j == pb.size() || (i < pa.size() &&
+                                          key(*pa[i]) <= key(*pb[j]))
+                           ? key(*pa[i])
+                           : key(*pb[j]);
+        std::size_t i2 = i, j2 = j;
+        while (i2 < pa.size() && key(*pa[i2]) == k)
+            ++i2;
+        while (j2 < pb.size() && key(*pb[j2]) == k)
+            ++j2;
+        if (!std::equal(pa.begin() + static_cast<std::ptrdiff_t>(i),
+                        pa.begin() + static_cast<std::ptrdiff_t>(i2),
+                        pb.begin() + static_cast<std::ptrdiff_t>(j),
+                        pb.begin() + static_cast<std::ptrdiff_t>(j2),
+                        [](const T *x, const T *y) { return *x == *y; }))
+            out.insert(k);
+        i = i2;
+        j = j2;
+    }
+}
+
+} // namespace
+
+std::set<Addr>
+changedFunctions(const RewriteManifest &before,
+                 const RewriteManifest &after)
+{
+    std::set<Addr> out;
+    diffRecords(before.trampolines, after.trampolines,
+                [](const TrampolinePatch &p) { return p.funcEntry; }, out);
+    diffRecords(before.clones, after.clones,
+                [](const JumpTableClonePatch &p) { return p.funcEntry; },
+                out);
+    diffRecords(before.funcPtrs, after.funcPtrs,
+                [](const FuncPtrPatch &p) { return p.funcEntry; }, out);
+    diffRecords(before.funcSpans, after.funcSpans,
+                [](const FuncSpan &s) { return s.entry; }, out);
+    std::set_symmetric_difference(
+        before.instrumented.begin(), before.instrumented.end(),
+        after.instrumented.begin(), after.instrumented.end(),
+        std::inserter(out, out.end()));
+    for (const auto &[entry, deps] : before.dataDeps) {
+        const auto it = after.dataDeps.find(entry);
+        if (it == after.dataDeps.end() || !(it->second == deps))
+            out.insert(entry);
+    }
+    for (const auto &[entry, deps] : after.dataDeps) {
+        if (!before.dataDeps.count(entry))
+            out.insert(entry);
+    }
+    return out;
 }
 
 std::vector<Diagnostic>

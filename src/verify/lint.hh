@@ -49,11 +49,14 @@ struct LintOptions
     std::set<std::string> onlyRules;
 
     /**
-     * When non-empty, check only sites owned by these function
-     * entries. Image-global rules (patch-overlap, addr-map
-     * round-trips) ignore this filter.
+     * When set, the function-attributable rules check only sites
+     * owned by these function entries; an empty set checks none, so
+     * only the image-global rules run. The image-global rules
+     * (patch-overlap, addr-map-round-trip, cache-file) ignore this
+     * filter and always check the whole image. relint() sets it to
+     * the functions a pass changed.
      */
-    std::set<Addr> onlyFunctions;
+    std::optional<std::set<Addr>> onlyFunctions;
 
     /**
      * Original-image CFG to use for the liveness-backed rules
@@ -66,9 +69,17 @@ struct LintOptions
 
 struct LintReport
 {
+    /**
+     * In one canonical order, the same for a full and a merged
+     * report: by original address, then rewritten address, rule,
+     * severity, function, message and function entry.
+     */
     std::vector<Diagnostic> findings;
 
-    // What was examined (for reporting; zero when skipped).
+    // What this lint examined (for reporting; zero when skipped). In
+    // a merged report (relint) they count the re-checked functions'
+    // sites plus the image-global rules' whole-image work, not the
+    // carried findings' sites: they are not a full lint's totals.
     std::uint64_t checkedTrampolines = 0;
     std::uint64_t checkedCloneEntries = 0;
     std::uint64_t checkedFuncPtrs = 0;
@@ -82,6 +93,14 @@ struct LintReport
      * ran). Incremental lint asserts this stays false.
      */
     bool rebuiltOriginalCfg = false;
+
+    /**
+     * Set on a merged report (relint): how many functions the
+     * function-attributable rules re-checked; every other function's
+     * findings were carried from the previous report. Nullopt for a
+     * full lint.
+     */
+    std::optional<std::uint64_t> relintedFunctions;
 
     bool clean() const { return findings.empty(); }
 
@@ -113,6 +132,43 @@ struct LintReport
 LintReport lintRewrite(const BinaryImage &original,
                        const RewriteResult &rw,
                        const LintOptions &opts = LintOptions{});
+
+/**
+ * The rules whose findings belong to one function's sites (the
+ * trampoline, clone, unwind, read-set and pointer-cell rules), as
+ * opposed to the image-global ones. A merged report carries only
+ * their findings.
+ */
+bool isFunctionRule(const std::string &rule);
+
+/**
+ * Incremental lint after passes that changed only @p changed
+ * (function entries) since @p previous was made: lintRewrite with
+ * onlyFunctions set to @p changed (intersected with
+ * opts.onlyFunctions when that is set), which re-runs every
+ * image-global rule in full, merged with every finding of
+ * @p previous that a function-attributable rule reported for a
+ * function it did not re-check. @p previous must come from the same
+ * onlyRules and onlyFunctions, over a result that differs from
+ * @p rw only in the @p changed functions' sites (see
+ * changedFunctions). When @p rw failed or has no manifest, the
+ * fresh report is returned alone.
+ */
+LintReport relint(const BinaryImage &original, const RewriteResult &rw,
+                  const LintReport &previous,
+                  const std::set<Addr> &changed,
+                  const LintOptions &opts = LintOptions{});
+
+/**
+ * The function entries whose manifest records a function-attributable
+ * rule reads differ between two passes: their trampolines, cloned
+ * tables, pointer cells (by pointee), relocated span, read-set or
+ * instrumentation. A function whose records are equal and whose own
+ * code did not change keeps its findings: its patch bytes and
+ * relocated bytes are what the records determine.
+ */
+std::set<Addr> changedFunctions(const RewriteManifest &before,
+                                const RewriteManifest &after);
 
 /** Convert SBF container issues into lint diagnostics. */
 std::vector<Diagnostic>

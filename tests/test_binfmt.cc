@@ -144,6 +144,68 @@ TEST(EhFrame, IndexLookupAndLandingPads)
     EXPECT_FALSE(mid->landingPadFor(0x10).has_value());
 }
 
+/**
+ * The readers that skip the records they do not need agree with the
+ * full parse: coveringFdes with FdeIndex::find, for records in start
+ * order and in any other, with nested extents and repeated starts;
+ * parseTryRanges with the records' own try ranges.
+ */
+TEST(EhFrame, PartialReadersMatchTheFullParse)
+{
+    std::vector<FdeRecord> fdes;
+    const auto add = [&](Addr start, Addr end) {
+        FdeRecord fde;
+        fde.start = start;
+        fde.end = end;
+        fde.tryRanges = {{0, 4, static_cast<Offset>(fdes.size())}};
+        fdes.push_back(fde);
+    };
+    add(0x1000, 0x1100);
+    add(0x1100, 0x1300); // holds the next one
+    add(0x1180, 0x11c0);
+    add(0x1400, 0x1480);
+    add(0x1400, 0x1420); // a repeated start: the later one wins
+    add(0x1500, 0x1500); // empty
+    std::vector<Addr> pcs;
+    for (Addr pc = 0xf00; pc < 0x1600; pc += 0x20)
+        pcs.push_back(pc);
+    for (const FdeRecord &fde : fdes)
+        for (Addr d : {Addr{0}, Addr{1}})
+            pcs.push_back(fde.start - d);
+    std::sort(pcs.begin(), pcs.end());
+    pcs.erase(std::unique(pcs.begin(), pcs.end()), pcs.end());
+
+    for (const bool shuffled : {false, true}) {
+        SCOPED_TRACE(shuffled ? "records out of order" : "in order");
+        if (shuffled)
+            std::reverse(fdes.begin(), fdes.begin() + 3);
+        const auto bytes = serializeEhFrame(fdes);
+        const FdeIndex index(fdes);
+        const auto covering = coveringFdes(bytes, pcs);
+        ASSERT_EQ(covering.size(), pcs.size());
+        for (std::size_t i = 0; i < pcs.size(); ++i) {
+            SCOPED_TRACE("pc " + std::to_string(pcs[i]));
+            const FdeRecord *want = index.find(pcs[i]);
+            ASSERT_EQ(covering[i].has_value(), want != nullptr);
+            if (want) {
+                EXPECT_EQ(covering[i]->first, want->start);
+                EXPECT_EQ(covering[i]->second, want->end);
+            }
+        }
+    }
+    EXPECT_EQ(coveringFdes({}, pcs).size(), pcs.size());
+
+    const auto tries =
+        parseTryRanges(serializeEhFrame(fdes), {0x1100, 0x1400, 0x1600});
+    ASSERT_TRUE(tries.has_value());
+    ASSERT_EQ(tries->size(), 2u);
+    EXPECT_EQ(tries->at(0x1100).front().lpOff, 1u);
+    EXPECT_EQ(tries->at(0x1400).front().lpOff, 4u);
+    auto longer = serializeEhFrame(fdes);
+    longer.push_back(0);
+    EXPECT_FALSE(parseTryRanges(longer, {0x1100}).has_value());
+}
+
 TEST(Image, SerializeRoundTripOnRealWorkload)
 {
     const BinaryImage img =

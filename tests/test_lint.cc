@@ -388,6 +388,66 @@ TEST_F(LintAddrMaps, EarlierOutsideEntryWinsOverLaterRepeat)
                              ", outside .instr");
 }
 
+/**
+ * An addr-map-round-trip finding names the function that holds the
+ * map key, but it comes from an image-global rule. relint(), which
+ * repair's re-lint and the session's post-edit lint share, must
+ * re-run that rule when it re-checks the function, not drop the
+ * finding with the function's own ones; a function-rule finding of a
+ * function it does not re-check is carried as it was.
+ */
+TEST_F(LintAddrMaps, RelintRerunsGlobalRulesAndCarriesTheRest)
+{
+    const LintReport clean = lintRewrite(img_, rw_);
+    AddrPairs &map = rw_.manifest.blockMap;
+    const std::vector<std::size_t> blocks = unreferencedBlocks();
+    ASSERT_FALSE(blocks.empty());
+    const std::size_t k = blocks[blocks.size() / 2];
+    const Addr target = map[k].second;
+    map[k].second = map[k].first;
+    const Symbol *owner = img_.functionContaining(map[k].first);
+    ASSERT_NE(owner, nullptr);
+
+    LintReport planted = lintRewrite(img_, rw_);
+    const Diagnostic err = onlyError();
+    EXPECT_EQ(err.function, owner->name);
+    EXPECT_TRUE(isFunctionRule("tramp-trap"));
+    EXPECT_FALSE(isFunctionRule(err.rule));
+
+    // A carried function-rule finding of another function (its
+    // unknown addresses sort it last, as the merge expects).
+    const Symbol *other = nullptr;
+    for (const Symbol *sym : img_.functionSymbols())
+        if (sym->addr != owner->addr)
+            other = sym;
+    ASSERT_NE(other, nullptr);
+    Diagnostic kept;
+    kept.rule = "tramp-trap";
+    kept.severity = Severity::warning;
+    kept.function = other->name;
+    kept.funcEntry = other->addr;
+    planted.findings.push_back(kept);
+
+    // Re-checking the owner re-runs the map rule: still broken, the
+    // error stays; the other function's finding is carried.
+    const LintReport again = relint(img_, rw_, planted, {owner->addr});
+    EXPECT_TRUE(again.findings == planted.findings) << again.renderText();
+    ASSERT_TRUE(again.relintedFunctions.has_value());
+    EXPECT_EQ(*again.relintedFunctions, 1u);
+
+    // Mended, the re-check clears it; re-checking the other function
+    // too drops its stale finding.
+    map[k].second = target;
+    const LintReport mended =
+        relint(img_, rw_, planted, {owner->addr, other->addr});
+    EXPECT_TRUE(mended.findings == clean.findings) << mended.renderText();
+    // An empty set re-checks no function but every global rule.
+    const LintReport globals = relint(img_, rw_, planted, {});
+    EXPECT_EQ(globals.countAtLeast(Severity::error), 0u);
+    EXPECT_EQ(globals.findings.size(), clean.findings.size() + 1);
+    EXPECT_EQ(globals.checkedTrampolines, 0u);
+}
+
 // --- severity model and fail-on thresholds --------------------------------
 
 TEST(LintSeverity, TrapTrampolinesAreWarningsNotErrors)

@@ -7,9 +7,9 @@
  * against a simulated load.
  */
 
-#include <gtest/gtest.h>
-
 #include <algorithm>
+
+#include <gtest/gtest.h>
 
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
@@ -114,8 +114,10 @@ namespace
 
 /**
  * loadedValue of each 8-byte cell at @p sites equals what the
- * simulated loader leaves at the slid address. Every site lies in a
- * loadable section, so both readings are mapped.
+ * simulated loader leaves at the slid address, under an index of
+ * every relocation and under one filtered to the cells read (all of
+ * @p sites, and the one cell alone). Every site lies in a loadable
+ * section, so both readings are mapped.
  */
 void
 expectLoadedValuesMatch(const BinaryImage &img,
@@ -123,6 +125,9 @@ expectLoadedValuesMatch(const BinaryImage &img,
 {
     const auto proc = loadImage(img);
     const RelocIndex index(img.relocs);
+    std::vector<Addr> cells = sites;
+    std::sort(cells.begin(), cells.end());
+    const RelocIndex near(img.relocs, cells);
     for (const Addr site : sites) {
         SCOPED_TRACE("cell 0x" + std::to_string(site));
         std::uint64_t loaded = 0;
@@ -132,6 +137,10 @@ expectLoadedValuesMatch(const BinaryImage &img,
             img.loadedValue(site, index, proc->module.slide);
         ASSERT_TRUE(value.has_value());
         EXPECT_EQ(*value, loaded);
+        EXPECT_EQ(img.loadedValue(site, near, proc->module.slide), value);
+        EXPECT_EQ(img.loadedValue(site, RelocIndex(img.relocs, {site}),
+                                  proc->module.slide),
+                  value);
     }
 }
 

@@ -35,6 +35,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "support/random.hh"
+#include "verify/lint.hh"
 
 using namespace icp;
 
@@ -593,6 +594,54 @@ TEST(ServeDaemon, WarmRewriteIsIncrementalAndByteIdentical)
     EXPECT_EQ(daemon.exitCode(), 0);
     std::remove(in_path.c_str());
     std::remove(out_path.c_str());
+}
+
+/**
+ * An in-place one-function edit followed by a lint: the session's
+ * lint re-checks only the function the edit changed (the reply's
+ * relinted equals its dirty count) and carries the rest of the
+ * previous report, and its error and warning counts equal a one-shot
+ * lint of a cold rewrite of the edited input.
+ */
+TEST(ServeDaemon, LintAfterAnEditRechecksOnlyTheEditedFunction)
+{
+    AnalysisCache::global().clear();
+    const std::string in_path = "/tmp/icp_test_serve_relint.sbf";
+    const BinaryImage base = compileProgram(microProfile(Arch::x64, true));
+    ASSERT_TRUE(writeFileBytes(in_path, base.serialize()));
+
+    DaemonFixture daemon("relint");
+    ServeMessage lint;
+    lint.verb = "lint";
+    lint.set("path", in_path);
+    lint.set("fail_on", "warning");
+
+    // The first lint of a session runs in full.
+    const ServeMessage first = daemon.call(lint);
+    ASSERT_EQ(first.verb, "ok");
+    EXPECT_EQ(first.getU64("relinted"), first.getU64("functions"));
+
+    BinaryImage edited = base;
+    ASSERT_FALSE(mutateOneImmediate(edited).empty());
+    const RewriteResult rw = rewriteBinary(edited, serveDefaultOptions());
+    ASSERT_TRUE(rw.ok) << rw.failReason;
+    const LintReport oneshot = lintRewrite(edited, rw);
+    ASSERT_TRUE(writeFileBytes(in_path, edited.serialize()));
+
+    const ServeMessage second = daemon.call(lint);
+    ASSERT_EQ(second.verb, "ok");
+    EXPECT_EQ(second.getU64("incremental"), 1u);
+    EXPECT_EQ(second.getU64("dirty"), 1u);
+    EXPECT_EQ(second.getU64("relinted"), second.getU64("dirty"));
+    EXPECT_EQ(second.getU64("errors"),
+              oneshot.countAtLeast(Severity::error));
+    EXPECT_EQ(second.getU64("warnings"),
+              oneshot.countAtLeast(Severity::warning));
+    EXPECT_EQ(second.getU64("findings"), oneshot.findings.size());
+
+    daemon.stop();
+    EXPECT_EQ(daemon.exitCode(), 0);
+    std::remove(in_path.c_str());
 }
 
 TEST(ServeDaemon, LruEvictionUnderTinyBudgetReopensCorrectly)

@@ -11,11 +11,18 @@
  * read-set covers must take the full pipeline. After every step the
  * session's output must equal a cold rewrite of the same bytes: the
  * same serialized image, the same stats but for the reuse counters,
- * the same manifest and the same counter ids.
+ * the same manifest and the same counter ids; and the session's lint,
+ * which re-checks only the functions the edit changed and carries the
+ * rest of the previous report, must equal a full lint of the result,
+ * finding for finding. SessionEditLint drives a session whose report
+ * carries findings (a defect planted in one function, kept across
+ * repair) through the same comparison, and SessionEditLintTraps one
+ * whose clean functions' trap warnings an edit moves.
  */
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -29,6 +36,7 @@
 #include "rewrite/engine.hh"
 #include "rewrite/session.hh"
 #include "support/random.hh"
+#include "verify/lint.hh"
 
 using namespace icp;
 
@@ -360,6 +368,26 @@ expectSameAsCold(const RewriteResult &got, const RewriteResult &cold)
     EXPECT_TRUE(a.dataDeps == b.dataDeps);
 }
 
+/**
+ * The session's lint of its last result (merged with the previous
+ * report) against a full lint of the same result: the same findings
+ * in the same order. Returns the session's report.
+ */
+const LintReport &
+expectLintMatchesFull(RewriteSession &session)
+{
+    const LintReport &merged = session.lint();
+    LintOptions full;
+    full.originalCfg = &session.analyze();
+    const LintReport whole =
+        lintRewrite(session.input(), session.lastResult(), full);
+    EXPECT_TRUE(merged.findings == whole.findings)
+        << "merged:\n" << merged.renderText() << "full:\n"
+        << whole.renderText();
+    EXPECT_TRUE(diffReports(whole, merged).functions.empty());
+    return merged;
+}
+
 } // namespace
 
 using EditParam = std::tuple<Arch, RewriteMode, bool>;
@@ -381,6 +409,7 @@ TEST_P(SessionEditSequence, EveryStepMatchesAColdRewrite)
     BinaryImage current = compileProgram(editedProgram(arch));
     RewriteSession session(current);
     ASSERT_TRUE(session.rewrite(opts).ok);
+    EXPECT_FALSE(session.lint().relintedFunctions.has_value());
 
     // Twenty steps, half of them shape-preserving, in a seeded
     // order. Fixed-length ISAs have one instruction length: flips
@@ -418,6 +447,19 @@ TEST_P(SessionEditSequence, EveryStepMatchesAColdRewrite)
         const RewriteResult cold = rewriteBinary(next, cold_opts);
         ASSERT_TRUE(cold.ok) << cold.failReason;
         expectSameAsCold(session.lastResult(), cold);
+
+        // A replay re-checks exactly the dirty functions (none after
+        // an unread data edit); a re-run also those whose records
+        // moved.
+        const LintReport &report = expectLintMatchesFull(session);
+        ASSERT_TRUE(report.relintedFunctions.has_value());
+        if (out.replayed) {
+            EXPECT_EQ(*report.relintedFunctions,
+                      out.dirtyFunctions.size());
+        } else {
+            EXPECT_GE(*report.relintedFunctions,
+                      out.dirtyFunctions.size());
+        }
         current = std::move(next);
     }
     EXPECT_GE(applied[EditKind::flip], 6u);
@@ -444,6 +486,143 @@ INSTANTIATE_TEST_SUITE_P(
         std::replace(name.begin(), name.end(), '-', '_');
         return name;
     });
+
+/**
+ * A report that carries findings: a trampoline defect planted in one
+ * function and kept planted across a repair (no demotion yet), then
+ * a flip in another function and an unread data edit. The planted
+ * function is not re-checked after the edits (its records do not
+ * change), so its findings are carried; after every step the merged
+ * report must equal a full lint.
+ */
+class SessionEditLint : public ::testing::TestWithParam<Arch>
+{
+};
+
+TEST_P(SessionEditLint, CarriedFindingsMatchAFullLint)
+{
+    const Arch arch = GetParam();
+    RewriteOptions opts;
+    opts.mode = RewriteMode::jt;
+    opts.threads = 1;
+    opts.injectDefect = InjectDefect::trampTarget;
+    BinaryImage current = compileProgram(editedProgram(arch));
+    RewriteSession session(current);
+    ASSERT_TRUE(session.rewrite(opts).ok);
+    std::string victim;
+    for (const Diagnostic &d : session.lint().findings) {
+        if (d.severity == Severity::error && !d.function.empty())
+            victim = d.function;
+    }
+    ASSERT_FALSE(victim.empty());
+
+    opts.injectOnlyFunction = victim;
+    ASSERT_TRUE(session.rewrite(opts).ok);
+    ASSERT_FALSE(session.lastResult().manifest.injectedRule.empty());
+    EXPECT_FALSE(expectLintMatchesFull(session).clean());
+
+    // One repair re-plants the defect: the merged re-lint still
+    // reports it.
+    RewriteSession::RepairPolicy keep;
+    keep.clearInjectedDefect = false;
+    const auto repaired = session.repair(session.lastReport(), keep);
+    EXPECT_FALSE(repaired.converged);
+    EXPECT_TRUE(repaired.demotedFunctions.empty());
+    {
+        const LintReport &report = expectLintMatchesFull(session);
+        EXPECT_GE(report.countAtLeast(Severity::error), 1u);
+    }
+
+    // Edits elsewhere: the victim's code stays as it is.
+    std::optional<Symbol> victim_sym;
+    for (const Symbol *sym : current.functionSymbols())
+        if (sym->name == victim)
+            victim_sym = *sym;
+    ASSERT_TRUE(victim_sym.has_value());
+    const auto victimCode = [&](const BinaryImage &img) {
+        std::vector<std::uint8_t> bytes;
+        EXPECT_TRUE(
+            img.readBytes(victim_sym->addr, victim_sym->size, bytes));
+        return bytes;
+    };
+    Rng rng(0x11a7 + static_cast<std::uint64_t>(arch));
+    for (const EditKind kind : {EditKind::flip, EditKind::data}) {
+        SCOPED_TRACE(kindName(kind));
+        BinaryImage next = current;
+        bool applied = false;
+        for (unsigned tries = 0; !applied && tries < 16; ++tries) {
+            next = current;
+            applied = applyEdit(next, kind, rng) &&
+                      victimCode(next) == victimCode(current);
+        }
+        ASSERT_TRUE(applied);
+        const auto out = session.loadInput(next);
+        ASSERT_TRUE(out.incremental);
+        EXPECT_EQ(out.dirtyFunctions.empty(), kind == EditKind::data);
+        EXPECT_EQ(out.dirtyNames.count(victim), 0u);
+
+        const LintReport &report = expectLintMatchesFull(session);
+        ASSERT_TRUE(report.relintedFunctions.has_value());
+        EXPECT_LT(*report.relintedFunctions,
+                  session.analyze().functions.size());
+        EXPECT_GE(report.countAtLeast(Severity::error), 1u);
+        const bool carried = std::any_of(
+            report.findings.begin(), report.findings.end(),
+            [&](const Diagnostic &d) { return d.function == victim; });
+        EXPECT_TRUE(carried);
+        current = std::move(next);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllArchs, SessionEditLint,
+                         ::testing::Values(Arch::x64, Arch::ppc64le,
+                                           Arch::aarch64),
+                         [](const ::testing::TestParamInfo<Arch> &info) {
+                             std::string name = archName(info.param);
+                             std::replace(name.begin(), name.end(), '-',
+                                          '_');
+                             return name;
+                         });
+
+/**
+ * Trap fallbacks (no placement analysis, no multi-hop) give clean
+ * functions findings of their own: a tramp-trap warning naming each
+ * trap's relocated target. A jump-table or branch edit that grows a
+ * function moves the functions laid out after it, and with them
+ * those targets: the merged report must re-check the moved
+ * functions, not carry their old warnings.
+ */
+TEST(SessionEditLintTraps, MovedFunctionsAreRechecked)
+{
+    RewriteOptions opts;
+    opts.mode = RewriteMode::jt;
+    opts.trampolinePlacement = false;
+    opts.multiHop = false;
+    opts.instrumentation.countBlocks = true;
+    opts.threads = 1;
+    BinaryImage current = compileProgram(editedProgram(Arch::x64));
+    RewriteSession session(current);
+    ASSERT_TRUE(session.rewrite(opts).ok);
+    ASSERT_GT(session.lastResult().stats.trapTramps, 0u);
+    EXPECT_GE(session.lint().countAtLeast(Severity::warning), 1u);
+
+    Rng rng(0x7a95);
+    unsigned moved = 0;
+    for (unsigned step = 0; step < 6; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        BinaryImage next = current;
+        ASSERT_TRUE(applyEdit(
+            next, step % 2 ? EditKind::branch : EditKind::table, rng));
+        const auto out = session.loadInput(next);
+        ASSERT_TRUE(out.incremental);
+        const LintReport &report = expectLintMatchesFull(session);
+        ASSERT_TRUE(report.relintedFunctions.has_value());
+        if (*report.relintedFunctions > out.dirtyFunctions.size())
+            ++moved;
+        current = std::move(next);
+    }
+    EXPECT_GE(moved, 1u);
+}
 
 /**
  * A dirty function that keeps its emitted size while its instruction

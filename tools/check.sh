@@ -4,7 +4,9 @@
 #   tsan           ThreadSanitizer build + parallel determinism tests
 #                  (the pipeline's concurrency is only exercised with
 #                  >= 2 requested threads, which TSan then observes)
-#                  and the serve daemon tests (worker pool, drain)
+#                  and the serve daemon tests (worker pool, drain,
+#                  and an in-place one-function edit followed by a
+#                  lint that re-checks only the edited function)
 #   asan           Address+UBSanitizer build + the memory-heavy suites
 #                  (rewriter, verifier, binfmt, engine, session, cache
 #                  store, sharded rewrite, serve daemon, the
@@ -15,7 +17,8 @@
 #                  sweep, which rewrites, lints and runs bit-flipped
 #                  inputs in forked children, and the session edit
 #                  sequences, which replay or re-run a rewrite per
-#                  edit and compare each step with a cold rewrite)
+#                  edit and compare each step with a cold rewrite
+#                  and each merged lint with a full one)
 #                  and the repair-loop CLI smoke
 #   release        plain release build + the complete ctest suite
 #   lint-baseline  lint the canonical input against the checked-in
@@ -56,7 +59,11 @@
 #                  shutdown through `icp client`, assert byte identity
 #                  with one-shot rewrites and a warm session hit on
 #                  the second rewrite, a flagged client rewrite equal
-#                  to its one-shot, and `--mode bogus` exiting 1; a
+#                  to its one-shot, and `--mode bogus` exiting 1 (its
+#                  "edit" swaps the input for another program, which
+#                  resets the session: the incremental edit -> lint
+#                  path is test_serve's, run in tier-1 and in the
+#                  asan and tsan legs); a
 #                  second pass SIGKILLs the daemon mid-session and
 #                  asserts the stale socket and lock files don't
 #                  wedge a restart
