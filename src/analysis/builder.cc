@@ -1,7 +1,7 @@
 #include "analysis/builder.hh"
 
 #include <algorithm>
-#include <deque>
+#include <span>
 
 #include "analysis/cache.hh"
 #include "support/logging.hh"
@@ -20,7 +20,13 @@ const Timer cfg_timer = Metrics::global().timer("cfg");
 const Timer jump_table_timer = Metrics::global().timer("jump-table");
 const Timer liveness_timer = Metrics::global().timer("liveness");
 
-/** Per-function construction state. */
+/**
+ * Per-function construction state: one table indexed by byte offset
+ * from the entry, holding the instruction decoded at each offset (an
+ * index into insns_) and whether a block may start there (a leader).
+ * Blocks form from the table in address order, and only after an
+ * instruction or a leader was added since they last formed.
+ */
 class FunctionBuilder
 {
   public:
@@ -34,13 +40,37 @@ class FunctionBuilder
         func_.end = sym.addr + sym.size;
         for (const auto &range : try_ranges)
             func_.landingPads.insert(sym.addr + range.lpOff);
+
+        // Zero decodes as illegal on every ISA, so instructions start
+        // only in stored bytes, and a decoded image keeps each
+        // function symbol inside one section's stored bytes
+        // (sbf-symbol): the table spans those of [entry, end).
+        std::uint64_t stored = 0;
+        if (const Section *s = image.sectionAt(sym.addr)) {
+            const Offset off = sym.addr - s->addr;
+            if (off < s->bytes.size())
+                stored = std::min<std::uint64_t>(sym.size,
+                                                 s->bytes.size() - off);
+        }
+        slots_.resize(stored);
+        insns_.reserve(stored / 4 + 1);
     }
 
     Function build();
 
   private:
+    static constexpr std::uint32_t no_insn = ~std::uint32_t{0};
+
+    /** What starts at one byte offset from the entry. */
+    struct Slot
+    {
+        std::uint32_t insn = no_insn; ///< index into insns_
+        bool leader = false;
+    };
+
     bool decodeAt(Addr addr, Instruction &in) const;
     void traverseFrom(Addr addr);
+    void drainWork();
     void formBlocks();
     void resolveIndirectJumps();
     void classifyGaps();
@@ -51,14 +81,65 @@ class FunctionBuilder
         return a >= func_.entry && a < func_.end;
     }
 
+    /** The slot of @p a, or null outside the table. */
+    Slot *
+    slotAt(Addr a)
+    {
+        return a >= func_.entry && a - func_.entry < slots_.size()
+                   ? &slots_[a - func_.entry]
+                   : nullptr;
+    }
+
+    /** The instruction decoded at @p a, or null. */
+    const Instruction *
+    insnAt(Addr a)
+    {
+        const Slot *slot = slotAt(a);
+        return slot && slot->insn != no_insn ? &insns_[slot->insn]
+                                             : nullptr;
+    }
+
+    bool
+    isLeader(Addr a)
+    {
+        const Slot *slot = slotAt(a);
+        return slot && slot->leader;
+    }
+
+    /** Whether a block starts at @p a: a leader an instruction
+     *  starts at. */
+    bool
+    startsBlock(Addr a)
+    {
+        const Slot *slot = slotAt(a);
+        return slot && slot->leader && slot->insn != no_insn;
+    }
+
+    /** Mark @p a a leader and queue it for traversal. */
+    void
+    addLeader(Addr a)
+    {
+        if (Slot *slot = slotAt(a); slot && !slot->leader) {
+            slot->leader = true;
+            formed_ = false;
+        }
+        work_.push_back(a);
+    }
+
     const BinaryImage &image_;
     const AnalysisOptions &opts_;
     JumpTableAnalyzer analyzer_;
 
     Function func_;
-    std::map<Addr, Instruction> insns_;
-    std::set<Addr> leaders_;
-    std::deque<Addr> work_;
+    std::vector<Slot> slots_;
+    std::vector<Instruction> insns_; ///< in decode order
+    std::vector<Addr> work_;         ///< traversal queue, in order
+
+    /** func_.blocks reflect every instruction and leader. */
+    bool formed_ = false;
+
+    /** One block's instruction indices while it forms. */
+    std::vector<std::uint32_t> blockInsns_;
 
     /** Ranges of embedded jump-table data (not code). */
     std::vector<std::pair<Addr, Addr>> dataRanges_;
@@ -70,55 +151,54 @@ class FunctionBuilder
 bool
 FunctionBuilder::decodeAt(Addr addr, Instruction &in) const
 {
-    const auto &arch = image_.archInfo();
-    std::vector<std::uint8_t> bytes;
-    const std::size_t want = std::min<std::uint64_t>(
-        arch.maxInstrLen, func_.end - addr);
-    if (want == 0 || !image_.readBytes(addr, want, bytes))
+    if (addr < func_.entry || addr - func_.entry >= slots_.size())
         return false;
-    return arch.codec->decode(bytes.data(), bytes.size(), addr, in);
+    const auto &arch = image_.archInfo();
+    std::uint8_t buf[16];
+    icp_assert(arch.maxInstrLen <= sizeof(buf), "maxInstrLen %u",
+               arch.maxInstrLen);
+    const std::span<std::uint8_t> bytes(
+        buf, std::min<std::uint64_t>(arch.maxInstrLen, func_.end - addr));
+    return image_.readBytes(addr, bytes) &&
+           arch.codec->decode(bytes.data(), bytes.size(), addr, in);
 }
 
 void
 FunctionBuilder::traverseFrom(Addr start)
 {
-    if (!inFunction(start) || insns_.count(start))
+    if (!inFunction(start) || insnAt(start))
         return;
     if (start % image_.archInfo().instrAlign != 0)
         return;
     Addr cur = start;
-    while (inFunction(cur) && !insns_.count(cur)) {
+    while (inFunction(cur) && !insnAt(cur)) {
         Instruction in;
         if (!decodeAt(cur, in)) {
             // Undecodable byte: stop this run; the gap classifier
             // will see it.
             return;
         }
-        insns_.emplace(cur, in);
+        slotAt(cur)->insn = static_cast<std::uint32_t>(insns_.size());
+        insns_.push_back(in);
+        formed_ = false;
         const Addr next = cur + in.length;
 
         if (isControlFlow(in.op)) {
             switch (in.op) {
               case Opcode::Jmp:
-                if (inFunction(in.target)) {
-                    leaders_.insert(in.target);
-                    work_.push_back(in.target);
-                }
+                if (inFunction(in.target))
+                    addLeader(in.target);
                 // Targets outside are direct tail calls.
                 break;
               case Opcode::JmpCond:
-                if (inFunction(in.target)) {
-                    leaders_.insert(in.target);
-                    work_.push_back(in.target);
-                }
-                leaders_.insert(next);
-                work_.push_back(next);
+                if (inFunction(in.target))
+                    addLeader(in.target);
+                addLeader(next);
                 break;
               case Opcode::Call:
               case Opcode::CallInd:
               case Opcode::CallIndMem:
-                leaders_.insert(next);
-                work_.push_back(next);
+                addLeader(next);
                 break;
               default:
                 // Ret/Halt/Trap/Throw/JmpInd/JmpTar terminate runs.
@@ -127,72 +207,75 @@ FunctionBuilder::traverseFrom(Addr start)
             return;
         }
         cur = next;
-        if (leaders_.count(cur))
+        if (isLeader(cur))
             return;
     }
 }
 
 void
+FunctionBuilder::drainWork()
+{
+    ScopedTimer timer(disasm_timer);
+    // traverseFrom appends; the queue runs in discovery order.
+    for (std::size_t i = 0; i < work_.size(); ++i)
+        traverseFrom(work_[i]);
+    work_.clear();
+}
+
+void
 FunctionBuilder::formBlocks()
 {
+    if (formed_)
+        return;
+    formed_ = true;
     ScopedTimer timer(cfg_timer);
     func_.blocks.clear();
-    // Drop leaders that fall mid-instruction inside already decoded
-    // code (misaligned over-approximated edges are infeasible).
-    std::set<Addr> starts;
-    for (const auto &[a, in] : insns_)
-        starts.insert(a);
-    std::set<Addr> valid_leaders;
-    for (Addr l : leaders_) {
-        if (starts.count(l))
-            valid_leaders.insert(l);
-    }
-    valid_leaders.insert(func_.entry);
-
-    for (Addr start : valid_leaders) {
-        if (!insns_.count(start))
+    // A leader no instruction starts at (inside a decoded instruction,
+    // or where nothing decodes) is an infeasible edge: dropped.
+    for (std::size_t off = 0; off < slots_.size(); ++off) {
+        const Slot &slot = slots_[off];
+        if (!slot.leader || slot.insn == no_insn)
             continue;
         Block block;
-        block.start = start;
-        Addr cur = start;
-        while (true) {
-            auto it = insns_.find(cur);
-            if (it == insns_.end())
-                break;
-            const Instruction &in = it->second;
-            block.insns.push_back(in);
-            cur += in.length;
-            if (isControlFlow(in.op))
-                break;
-            if (valid_leaders.count(cur))
+        block.start = func_.entry + off;
+        blockInsns_.clear();
+        Addr cur = block.start;
+        for (const Instruction *in = insnAt(cur); in; in = insnAt(cur)) {
+            blockInsns_.push_back(
+                static_cast<std::uint32_t>(in - insns_.data()));
+            cur += in->length;
+            if (isControlFlow(in->op) || startsBlock(cur))
                 break;
         }
         block.end = cur;
-        if (block.insns.empty())
-            continue;
+        block.insns.reserve(blockInsns_.size());
+        for (std::uint32_t i : blockInsns_)
+            block.insns.push_back(insns_[i]);
 
         // Successor edges.
         const Instruction &last = block.last();
         const Addr next = block.end;
+        Edge succs[2];
+        unsigned n = 0;
         switch (last.op) {
           case Opcode::Jmp:
             if (inFunction(last.target))
-                block.succs.push_back({last.target, EdgeKind::taken});
+                succs[n++] = {last.target, EdgeKind::taken};
             else
                 block.endsFunction = true;
             break;
           case Opcode::JmpCond:
             if (inFunction(last.target))
-                block.succs.push_back({last.target, EdgeKind::taken});
-            block.succs.push_back({next, EdgeKind::fallthrough});
+                succs[n++] = {last.target, EdgeKind::taken};
+            succs[n++] = {next, EdgeKind::fallthrough};
             break;
           case Opcode::Call:
             block.callTarget = last.target;
-            block.succs.push_back({next, EdgeKind::callFallthrough});
+            succs[n++] = {next, EdgeKind::callFallthrough};
             break;
           case Opcode::CallInd:
           case Opcode::CallIndMem:
-            block.succs.push_back({next, EdgeKind::callFallthrough});
+            succs[n++] = {next, EdgeKind::callFallthrough};
             break;
           case Opcode::JmpInd:
           case Opcode::JmpTar:
@@ -206,10 +289,12 @@ FunctionBuilder::formBlocks()
             break;
           default:
             if (!isControlFlow(last.op))
-                block.succs.push_back({next, EdgeKind::fallthrough});
+                succs[n++] = {next, EdgeKind::fallthrough};
             break;
         }
-        func_.blocks.emplace(block.start, std::move(block));
+        block.succs.assign(succs, succs + n);
+        func_.blocks.emplace_hint(func_.blocks.end(), block.start,
+                                  std::move(block));
     }
 }
 
@@ -259,8 +344,7 @@ FunctionBuilder::resolveIndirectJumps()
                     continue;
                 if (t % image_.archInfo().instrAlign != 0)
                     continue;
-                leaders_.insert(t);
-                work_.push_back(t);
+                addLeader(t);
                 discovered = true;
             }
             // An anchor-relative base (a code label the entries are
@@ -271,21 +355,13 @@ FunctionBuilder::resolveIndirectJumps()
             if (jt->base && *jt->base != jt->tableAddr &&
                 inFunction(*jt->base) &&
                 *jt->base % image_.archInfo().instrAlign == 0 &&
-                !leaders_.count(*jt->base)) {
-                leaders_.insert(*jt->base);
-                work_.push_back(*jt->base);
+                !isLeader(*jt->base)) {
+                addLeader(*jt->base);
                 discovered = true;
             }
             func_.jumpTables.push_back(std::move(*jt));
         }
-        {
-            ScopedTimer timer(disasm_timer);
-            while (!work_.empty()) {
-                const Addr a = work_.front();
-                work_.pop_front();
-                traverseFrom(a);
-            }
-        }
+        drainWork();
         if (!discovered && round > 0)
             break;
         if (!discovered && unresolved_.empty())
@@ -299,8 +375,15 @@ FunctionBuilder::resolveIndirectJumps()
         if (!block)
             continue;
         block->endsInUnresolvedIndirect = false;
+        const auto edge = [&](Addr t) {
+            return inFunction(t) && startsBlock(t);
+        };
+        block->succs.reserve(
+            block->succs.size() +
+            static_cast<std::size_t>(std::count_if(
+                jt.targets.begin(), jt.targets.end(), edge)));
         for (Addr t : jt.targets) {
-            if (inFunction(t) && func_.blocks.count(t))
+            if (edge(t))
                 block->succs.push_back({t, EdgeKind::jumpTable});
         }
     }
@@ -366,28 +449,17 @@ FunctionBuilder::classifyGaps()
 Function
 FunctionBuilder::build()
 {
-    leaders_.insert(func_.entry);
-    work_.push_back(func_.entry);
-    for (Addr lp : func_.landingPads) {
-        leaders_.insert(lp);
-        work_.push_back(lp);
-    }
-    {
-        ScopedTimer timer(disasm_timer);
-        while (!work_.empty()) {
-            const Addr a = work_.front();
-            work_.pop_front();
-            traverseFrom(a);
-        }
-    }
+    addLeader(func_.entry);
+    for (Addr lp : func_.landingPads)
+        addLeader(lp);
+    drainWork();
     resolveIndirectJumps();
     {
         ScopedTimer timer(cfg_timer);
         classifyGaps();
     }
-    // A copy, not a move: the copy's vectors are sized exactly, while
-    // func_'s keep their growth slack (28 MB of peak RSS on chromium).
-    return func_;
+    // Every vector of a block was sized exactly as it formed.
+    return std::move(func_);
 }
 
 } // namespace

@@ -16,6 +16,20 @@ fnv1a(const void *data, std::size_t len, std::uint64_t hash)
     return hash;
 }
 
+std::optional<std::uint64_t>
+fnv1aImage(const BinaryImage &image, Addr addr, std::uint64_t len,
+           std::uint64_t hash)
+{
+    const auto stored = image.storedBytes(addr, len);
+    if (!stored)
+        return std::nullopt;
+    hash = fnv1a(stored->data(), stored->size(), hash);
+    // Zero bytes: the xor leaves the hash as it is.
+    for (std::uint64_t i = stored->size(); i < len; ++i)
+        hash *= 0x100000001b3ULL;
+    return hash;
+}
+
 namespace
 {
 
@@ -79,11 +93,11 @@ functionCacheKey(const BinaryImage &image, const Symbol &sym,
         h = fnvValue(range.endOff, h);
         h = fnvValue(range.lpOff, h);
     }
-    std::vector<std::uint8_t> bytes;
-    icp_assert(image.readBytes(sym.addr, sym.size, bytes),
-               "function %s lies outside every section",
+    const std::optional<std::uint64_t> key =
+        fnv1aImage(image, sym.addr, sym.size, h);
+    icp_assert(key.has_value(), "function %s lies outside every section",
                sym.name.c_str());
-    return fnv1a(bytes.data(), bytes.size(), h);
+    return *key;
 }
 
 // --- rebase-on-hit --------------------------------------------------------

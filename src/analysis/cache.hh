@@ -95,6 +95,15 @@ std::uint64_t fnv1a(const void *data, std::size_t len,
                     std::uint64_t hash = 0xcbf29ce484222325ULL);
 
 /**
+ * fnv1a continued over the @p len bytes at @p addr of @p image, as
+ * readBytes would return them (zero past the stored bytes), read in
+ * place. Nullopt unless one section holds them all.
+ */
+std::optional<std::uint64_t>
+fnv1aImage(const BinaryImage &image, Addr addr, std::uint64_t len,
+           std::uint64_t hash = 0xcbf29ce484222325ULL);
+
+/**
  * Image-wide key component: architecture, PIE-ness, and analysis
  * options — nothing position-dependent (no base addresses, no
  * section layout), so binaries laid out differently can share

@@ -95,10 +95,9 @@ DataDeps::setRanges(std::vector<DepRange> ranges)
 std::uint64_t
 hashImageRange(const BinaryImage &image, Addr lo, Addr hi)
 {
-    std::vector<std::uint8_t> bytes;
-    if (hi <= lo || !image.readBytes(lo, hi - lo, bytes))
+    if (hi <= lo)
         return 0;
-    return fnv1a(bytes.data(), bytes.size());
+    return fnv1aImage(image, lo, hi - lo).value_or(0);
 }
 
 DataDeps

@@ -146,20 +146,28 @@ BinaryImage::loadedSize() const
     return total;
 }
 
+std::optional<std::span<const std::uint8_t>>
+BinaryImage::storedBytes(Addr addr, std::uint64_t len) const
+{
+    const Section *s = sectionAt(addr);
+    if (!s || len > s->end() - addr)
+        return std::nullopt;
+    const Offset off = addr - s->addr;
+    if (off >= s->bytes.size())
+        return std::span<const std::uint8_t>();
+    return std::span<const std::uint8_t>(
+        s->bytes.data() + off,
+        std::min<std::uint64_t>(len, s->bytes.size() - off));
+}
+
 bool
 BinaryImage::readBytes(Addr addr, std::span<std::uint8_t> out) const
 {
-    const Section *s = sectionAt(addr);
-    if (!s || out.size() > s->end() - addr)
+    const auto stored = storedBytes(addr, out.size());
+    if (!stored)
         return false;
-    const Offset off = addr - s->addr;
-    const std::size_t file =
-        off < s->bytes.size()
-            ? std::min<std::size_t>(out.size(), s->bytes.size() - off)
-            : 0;
-    if (file > 0)
-        std::copy_n(s->bytes.data() + off, file, out.data());
-    std::fill(out.begin() + static_cast<std::ptrdiff_t>(file),
+    std::copy(stored->begin(), stored->end(), out.begin());
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(stored->size()),
               out.end(), 0);
     return true;
 }

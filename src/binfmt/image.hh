@@ -125,6 +125,14 @@ class BinaryImage
     std::uint64_t loadedSize() const;
 
     /**
+     * The stored bytes of the @p len bytes at @p addr, in place: a
+     * prefix of them, shorter than @p len when the rest lies in zero
+     * fill. Nullopt unless one section holds them all.
+     */
+    std::optional<std::span<const std::uint8_t>>
+    storedBytes(Addr addr, std::uint64_t len) const;
+
+    /**
      * Copy the out.size() bytes at @p addr into @p out, reading zero
      * past the section's file bytes; false unless one section holds
      * them all. Allocates nothing.

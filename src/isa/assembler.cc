@@ -24,6 +24,13 @@ Assembler::newLabel()
 }
 
 void
+Assembler::reserve(std::size_t items, std::size_t labels)
+{
+    items_.reserve(items);
+    labels_.reserve(labels);
+}
+
+void
 Assembler::bind(Label label)
 {
     icp_assert(label >= 0 &&

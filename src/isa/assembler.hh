@@ -40,6 +40,9 @@ class Assembler
     /** Allocate a fresh unbound label. */
     Label newLabel();
 
+    /** Make room for @p items emitted items and @p labels labels. */
+    void reserve(std::size_t items, std::size_t labels);
+
     /** Bind @p label to the current position. */
     void bind(Label label);
 

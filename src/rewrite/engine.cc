@@ -98,8 +98,12 @@ struct Engine::FuncStream
     std::unique_ptr<Assembler> as;
     Addr base = 0;
 
-    /** Labels of this function's own blocks (bound at emit). */
-    std::map<Addr, Assembler::Label> ownLabels;
+    /**
+     * This function's block starts, ascending (its func.blocks keys):
+     * the block at index i has label i, allocated first and bound
+     * at emit.
+     */
+    std::vector<Addr> ownStarts;
 
     /** Labels of other functions' blocks (bound after layout). */
     std::map<Addr, Assembler::Label> externalLabels;
@@ -130,15 +134,28 @@ struct Engine::FuncStream
     };
     std::vector<Decision> decisions;
 
+    /** Encoding buffer of the address-dependent checks. */
+    std::vector<std::uint8_t> scratch;
+
     std::uint64_t size = 0;
+
+    /** Label of one of this function's blocks, or -1. */
+    Assembler::Label
+    ownLabel(Addr block_start) const
+    {
+        const auto it = std::lower_bound(ownStarts.begin(),
+                                         ownStarts.end(), block_start);
+        return it != ownStarts.end() && *it == block_start
+                   ? static_cast<Assembler::Label>(it - ownStarts.begin())
+                   : -1;
+    }
 
     /** Label of a relocated block start (own or external). */
     Assembler::Label
     labelFor(Addr block_start)
     {
-        auto own = ownLabels.find(block_start);
-        if (own != ownLabels.end())
-            return own->second;
+        if (const Assembler::Label own = ownLabel(block_start); own >= 0)
+            return own;
         auto [it, inserted] =
             externalLabels.try_emplace(block_start, -1);
         if (inserted)
@@ -482,11 +499,11 @@ Engine::emitTranslated(FuncStream &fs, const Function &func,
         // .instr; widen to the adrp/add pair (same absolute value).
         // Reachability depends on the final address: recorded.
         {
-            std::vector<std::uint8_t> scratch;
             FuncStream::Decision d;
             d.off = static_cast<Offset>(as.here() - as.startAddr());
             d.in = in;
-            d.taken = arch_.codec->encode(in, as.here(), scratch);
+            fs.scratch.clear();
+            d.taken = arch_.codec->encode(in, as.here(), fs.scratch);
             fs.decisions.push_back(d);
             if (!d.taken) {
                 as.emit(makeAdrPage(in.rd, in.target));
@@ -511,7 +528,7 @@ Engine::emitBlock(FuncStream &fs, const Function &func,
                   const Block &block, Addr fallthrough_next) const
 {
     Assembler &as = *fs.as;
-    as.bind(fs.ownLabels.at(block.start));
+    as.bind(fs.ownLabel(block.start));
     fs.blockOffsets.emplace_back(
         block.start, static_cast<Offset>(as.here() - as.startAddr()));
 
@@ -593,8 +610,18 @@ Engine::emitStream(const Function &func, Addr base) const
     FuncStream fs;
     fs.base = base;
     fs.as = std::make_unique<Assembler>(arch_, base);
-    for (const auto &[start, block] : func.blocks)
-        fs.ownLabels.emplace(start, fs.as->newLabel());
+    fs.ownStarts.reserve(func.blocks.size());
+    std::size_t insns = 0;
+    for (const auto &[start, block] : func.blocks) {
+        fs.ownStarts.push_back(start);
+        insns += block.insns.size();
+    }
+    // Most instructions emit as one item; a block may add a jump.
+    fs.as->reserve(insns + func.blocks.size(), func.blocks.size());
+    fs.blockOffsets.reserve(func.blocks.size());
+    fs.insnOffsets.reserve(insns);
+    for (std::size_t i = 0; i < fs.ownStarts.size(); ++i)
+        fs.as->newLabel();
     const std::vector<const Block *> order = blockEmitOrder(func);
     for (std::size_t i = 0; i < order.size(); ++i) {
         const Addr next =
@@ -608,6 +635,7 @@ Engine::emitStream(const Function &func, Addr base) const
 bool
 Engine::decisionsHold(const FuncStream &fs, Addr base) const
 {
+    std::vector<std::uint8_t> scratch;
     for (const auto &d : fs.decisions) {
         if (d.isVeneer) {
             if (veneerNeeded(arch_, base + d.off, d.target) !=
@@ -615,7 +643,7 @@ Engine::decisionsHold(const FuncStream &fs, Addr base) const
                 return false;
             }
         } else {
-            std::vector<std::uint8_t> scratch;
+            scratch.clear();
             if (arch_.codec->encode(d.in, base + d.off, scratch) !=
                 d.taken) {
                 return false;

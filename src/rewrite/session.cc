@@ -299,6 +299,7 @@ RewriteSession::runPass(const RewritePass &pass,
             const std::set<Addr> changed =
                 changedFunctions(result_.manifest, next.manifest);
             stale_.insert(changed.begin(), changed.end());
+            mapsKept_ = false;
         }
         reportCurrent_ = false;
     }
@@ -314,6 +315,7 @@ RewriteSession::dropReport()
     hasReport_ = false;
     reportCurrent_ = false;
     stale_.clear();
+    mapsKept_ = false;
 }
 
 void
@@ -321,6 +323,8 @@ RewriteSession::lintResult()
 {
     LintOptions effective = lintOpts_;
     effective.originalCfg = &cfg_;
+    if (hasReport_ && mapsKept_)
+        effective.mapOrder = report_.mapOrder;
     if (hasReport_)
         report_ = relint(*input_, result_, report_, stale_, effective);
     else
@@ -328,6 +332,7 @@ RewriteSession::lintResult()
     hasReport_ = true;
     reportCurrent_ = true;
     stale_.clear();
+    mapsKept_ = true;
 }
 
 void

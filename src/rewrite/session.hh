@@ -260,6 +260,13 @@ class RewriteSession
     bool reportCurrent_ = false;
     std::set<Addr> stale_;
 
+    /**
+     * Every pass since report_ was made replayed the previous result,
+     * which moves the address maps over as they were: the next lint
+     * reuses report_.mapOrder instead of proving it again.
+     */
+    bool mapsKept_ = false;
+
     /** Failed targeted re-rewrites per function name. */
     std::map<std::string, unsigned> failCounts_;
 };

@@ -105,8 +105,10 @@ class Checker
           opts_(opts),
           arch_(rew.archInfo()),
           instr_(rew.findSection(SectionKind::instr)),
-          blockAscend_(targetsAscend(m.blockMap)),
-          insnAscend_(targetsAscend(m.insnMap))
+          order_(opts.mapOrder
+                     ? *opts.mapOrder
+                     : MapOrder{targetsAscend(m.blockMap),
+                                targetsAscend(m.insnMap)})
     {
     }
 
@@ -212,7 +214,7 @@ class Checker
     bool
     isBoundary(Addr a) const
     {
-        if (!blockAscend_ || !insnAscend_)
+        if (!order_.bothAscend())
             return std::binary_search(boundaries_.begin(),
                                       boundaries_.end(), a);
         const auto hasTarget = [a](const AddrPairs &map) {
@@ -499,7 +501,7 @@ class Checker
                 sites.push_back(&p);
         }
         checkedTrampolines_ = sites.size();
-        if (!sites.empty() && (!blockAscend_ || !insnAscend_))
+        if (!sites.empty() && !order_.bothAscend())
             boundaries_ = relocatedTargets(m_);
         // Per-site chain walks are independent and read-only; the
         // index-slot results keep finding order deterministic for
@@ -770,8 +772,10 @@ class Checker
         if (!ruleEnabled("addr-map-round-trip"))
             return;
         const ScopedTimer timer(lint_maps_timer);
-        checkMapInto("block map", m_.blockMap, blockAscend_);
-        checkMapInto("instruction map", m_.insnMap, insnAscend_);
+        checkMapInto("block map", m_.blockMap,
+                     order_.blockTargetsAscend);
+        checkMapInto("instruction map", m_.insnMap,
+                     order_.insnTargetsAscend);
 
         // .ra_map must round-trip to the manifest's pairs; a map
         // that does not parse stores none of them.
@@ -1055,6 +1059,8 @@ class Checker
     }
 
   public:
+    const MapOrder &mapOrder() const { return order_; }
+
     std::uint64_t checkedTrampolines_ = 0;
     std::uint64_t checkedCloneEntries_ = 0;
     std::uint64_t checkedFuncPtrs_ = 0;
@@ -1074,8 +1080,7 @@ class Checker
     const Section *instr_;
 
     /** Whether the block and instruction maps' targets ascend. */
-    const bool blockAscend_;
-    const bool insnAscend_;
+    const MapOrder order_;
 
     /**
      * Valid relocated landing points, sorted (relocatedTargets);
@@ -1135,6 +1140,7 @@ lintRewrite(const BinaryImage &original, const RewriteResult &rw,
     rep.checkedFdes = checker.checkedFdes_;
     rep.checkedDataDeps = checker.checkedDataDeps_;
     rep.rebuiltOriginalCfg = checker.rebuiltOriginalCfg_;
+    rep.mapOrder = checker.mapOrder();
     return rep;
 }
 

@@ -32,6 +32,25 @@
 namespace icp
 {
 
+/**
+ * Whether the relocated targets of a manifest's block and instruction
+ * maps strictly ascend. Proving it reads every pair of both maps (3M
+ * on chromium); a replayed pass moves the maps over as they were, so
+ * a session carries the proof from its last report.
+ */
+struct MapOrder
+{
+    bool blockTargetsAscend = false;
+    bool insnTargetsAscend = false;
+
+    bool bothAscend() const
+    {
+        return blockTargetsAscend && insnTargetsAscend;
+    }
+
+    bool operator==(const MapOrder &) const = default;
+};
+
 struct LintOptions
 {
     /** Findings at or above this severity fail the lint. */
@@ -65,6 +84,13 @@ struct LintOptions
      * repeat lints never re-disassemble the original image.
      */
     const CfgModule *originalCfg = nullptr;
+
+    /**
+     * The order of the linted result's maps, already proved (a
+     * previous report's mapOrder over the same maps); unset, the lint
+     * proves it.
+     */
+    std::optional<MapOrder> mapOrder;
 };
 
 struct LintReport
@@ -93,6 +119,9 @@ struct LintReport
      * ran). Incremental lint asserts this stays false.
      */
     bool rebuiltOriginalCfg = false;
+
+    /** The maps' order the checker used; unset when it did not run. */
+    std::optional<MapOrder> mapOrder;
 
     /**
      * Set on a merged report (relint): how many functions the

@@ -6,6 +6,10 @@
  * identification (including the Listing-1 +1 pattern).
  */
 
+#include <functional>
+#include <optional>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "analysis/builder.hh"
@@ -13,6 +17,7 @@
 #include "analysis/liveness.hh"
 #include "codegen/compiler.hh"
 #include "codegen/workloads.hh"
+#include "isa/assembler.hh"
 
 using namespace icp;
 
@@ -44,6 +49,103 @@ archOnly(const ::testing::TestParamInfo<Arch> &info)
       case Arch::aarch64: return "aarch64";
     }
     return "unknown";
+}
+
+constexpr Addr text_base = 0x401000;
+constexpr Addr ro_base = 0x402000;
+
+/**
+ * An image holding one function: @p emit's code at text_base, under
+ * a symbol of @p size bytes (the code's length when unset), with
+ * @p rodata at ro_base and, when @p tries is not empty, an .eh_frame
+ * record of the function carrying those try ranges.
+ */
+BinaryImage
+oneFunction(Arch arch, const std::function<void(Assembler &)> &emit,
+            std::optional<std::uint64_t> size = std::nullopt,
+            const std::vector<std::uint8_t> &rodata = {},
+            const std::vector<TryRange> &tries = {})
+{
+    BinaryImage img;
+    img.arch = arch;
+    img.prefBase = 0x400000;
+    img.entry = text_base;
+    img.tocBase = 0x500000;
+
+    Assembler as(ArchInfo::get(arch), text_base);
+    emit(as);
+    Section text;
+    text.name = ".text";
+    text.kind = SectionKind::text;
+    text.addr = text_base;
+    text.bytes = as.finalize();
+    text.memSize = text.bytes.size();
+    text.executable = true;
+    const std::uint64_t code_size = text.bytes.size();
+    img.sections.push_back(std::move(text));
+
+    Section ro;
+    ro.name = ".rodata";
+    ro.kind = SectionKind::rodata;
+    ro.addr = ro_base;
+    ro.bytes = rodata;
+    ro.memSize = std::max<std::uint64_t>(rodata.size(), 1);
+    img.sections.push_back(std::move(ro));
+
+    const std::uint64_t func_size = size.value_or(code_size);
+    if (!tries.empty()) {
+        Section eh;
+        eh.name = ".eh_frame";
+        eh.kind = SectionKind::ehFrame;
+        eh.addr = 0x403000;
+        img.sections.push_back(std::move(eh));
+        FdeRecord fde;
+        fde.start = text_base;
+        fde.end = text_base + func_size;
+        fde.tryRanges = tries;
+        img.setFdeRecords({fde});
+    }
+    img.symbols.push_back(
+        {"f", Symbol::Kind::function, text_base, func_size});
+    return img;
+}
+
+/**
+ * @p func's blocks, entry-relative: "[start,end) n=insns -> succs"
+ * per block, where a successor is its offset and one letter of its
+ * kind (f fall-through, t taken, c call fall-through, j jump table),
+ * and flags "end" (endsFunction) and "unresolved".
+ */
+std::string
+blockShape(const Function &func)
+{
+    std::ostringstream os;
+    for (const auto &[start, block] : func.blocks) {
+        os << "[" << start - func.entry << "," << block.end - func.entry
+           << ") n=" << block.insns.size();
+        for (const Edge &e : block.succs) {
+            static const char kinds[] = {'f', 't', 'c', 'j'};
+            os << " " << e.target - func.entry
+               << kinds[static_cast<int>(e.kind)];
+        }
+        if (block.endsFunction)
+            os << " end";
+        if (block.endsInUnresolvedIndirect)
+            os << " unresolved";
+        os << "; ";
+    }
+    return os.str();
+}
+
+/** The single function of @p img, built without the cache. */
+Function
+buildOne(const BinaryImage &img)
+{
+    AnalysisOptions opts;
+    opts.useCache = false;
+    const CfgModule cfg = buildCfg(img, opts);
+    EXPECT_EQ(cfg.functions.size(), 1u);
+    return cfg.functions.empty() ? Function{} : *cfg.functions[0].fn;
 }
 
 } // namespace
@@ -271,4 +373,142 @@ TEST(CfgSuite, SpecSuiteCoverageShape)
         }
         EXPECT_GT(total, 500u);
     }
+}
+
+// --- Builder edge cases ----------------------------------------------------
+//
+// Hand-assembled functions whose blocks are pinned exactly: a leader
+// no instruction starts at is dropped, never a block of its own.
+
+TEST(BuilderEdges, BranchIntoTheMiddleOfAnInstructionDropsTheLeader)
+{
+    // The jcc aims two bytes into the 10-byte movimm, at a zero
+    // immediate byte: nothing decodes there, so no block starts
+    // there, and the taken edge keeps its target.
+    const BinaryImage img = oneFunction(Arch::x64, [](Assembler &as) {
+        as.emit(makeMovImm(Reg::r1, 0));
+        as.emit(makeCmpImm(Reg::r1, 0));
+        as.emit(makeJmpCond(Cond::eq, text_base + 2));
+        as.emit(makeRet());
+    });
+    const Function f = buildOne(img);
+    EXPECT_TRUE(f.instrumentable());
+    EXPECT_EQ(blockShape(f), "[0,22) n=3 2t 22f; [22,23) n=1 end; ");
+}
+
+TEST(BuilderEdges, JumpTableTargetsMisalignedAndAtTheEnd)
+{
+    // aarch64 (4-byte instructions): entries 0 and 1 reach the two
+    // cases, entry 2 is two bytes into case 1 and entry 3 is the
+    // function's end. Neither of the last two becomes a block or a
+    // jump-table edge; the table keeps all four targets.
+    const Addr f0 = text_base;
+    std::vector<std::uint8_t> table;
+    for (Addr t : {f0 + 24, f0 + 28, f0 + 30, f0 + 32}) {
+        const auto v = static_cast<std::uint32_t>(t - ro_base);
+        for (int i = 0; i < 4; ++i)
+            table.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    const BinaryImage img = oneFunction(
+        Arch::aarch64,
+        [&](Assembler &as) {
+            as.emit(makeCmpImm(Reg::r7, 4));
+            as.emit(makeJmpCond(Cond::ge, f0 + 24));
+            as.emit(makeLea(Reg::r2, ro_base));
+            as.emit(makeLoadIdx(Reg::r3, Reg::r2, Reg::r7, 4, 0, true));
+            as.emit(makeAdd(Reg::r3, Reg::r2));
+            as.emit(makeJmpInd(Reg::r3));
+            as.emit(makeRet());
+            as.emit(makeRet());
+        },
+        std::nullopt, table);
+    const Function f = buildOne(img);
+    EXPECT_TRUE(f.instrumentable());
+    ASSERT_EQ(f.jumpTables.size(), 1u);
+    EXPECT_EQ(f.jumpTables[0].targets,
+              (std::vector<Addr>{f0 + 24, f0 + 28, f0 + 30, f0 + 32}));
+    EXPECT_EQ(blockShape(f), "[0,8) n=2 24t 8f; [8,24) n=4 24j 28j; "
+                             "[24,28) n=1 end; [28,32) n=1 end; ");
+}
+
+TEST(BuilderEdges, JumpTableTargetSplitsADecodedBlock)
+{
+    // The jcc's default block (two nops and a ret) is decoded before
+    // the table is resolved; entry 1 lands on its second nop. Nothing
+    // new decodes there, yet the block must split at the new leader.
+    const Addr dflt = text_base + 29; // after the 29-byte dispatch
+    std::vector<std::uint8_t> table;
+    for (Addr t : {dflt, dflt + 1}) {
+        const auto v = static_cast<std::uint32_t>(t - ro_base);
+        for (int i = 0; i < 4; ++i)
+            table.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    const BinaryImage img = oneFunction(
+        Arch::x64,
+        [&](Assembler &as) {
+            as.emit(makeCmpImm(Reg::r7, 2));
+            as.emit(makeJmpCond(Cond::ge, dflt));
+            as.emit(makeLea(Reg::r2, ro_base));
+            as.emit(makeLoadIdx(Reg::r3, Reg::r2, Reg::r7, 4, 0, true));
+            as.emit(makeAdd(Reg::r3, Reg::r2));
+            as.emit(makeJmpInd(Reg::r3));
+            ASSERT_EQ(as.here(), dflt);
+            as.emit(makeNop());
+            as.emit(makeNop());
+            as.emit(makeRet());
+        },
+        std::nullopt, table);
+    const Function f = buildOne(img);
+    EXPECT_TRUE(f.instrumentable());
+    ASSERT_EQ(f.jumpTables.size(), 1u);
+    EXPECT_EQ(blockShape(f), "[0,12) n=2 29t 12f; [12,29) n=4 29j 30j; "
+                             "[29,30) n=1 30f; [30,32) n=2 end; ");
+}
+
+TEST(BuilderEdges, LandingPadWhereNoInstructionStarts)
+{
+    // Landing pads two and three bytes into a movimm: at +2 the
+    // immediate's first byte (0x01) decodes as a nop, which runs
+    // into a zero byte, so that pad is a one-nop block overlapping
+    // the movimm; at +3 nothing decodes, so there is no block.
+    const BinaryImage img = oneFunction(
+        Arch::x64,
+        [](Assembler &as) {
+            as.emit(makeMovImm(Reg::r1, 1));
+            as.emit(makeRet());
+        },
+        std::nullopt, {}, {{0, 10, 2}, {0, 10, 3}});
+    const Function f = buildOne(img);
+    EXPECT_EQ(f.landingPads,
+              (std::set<Addr>{text_base + 2, text_base + 3}));
+    EXPECT_EQ(blockShape(f), "[0,11) n=2 end; [2,3) n=1 3f; ");
+}
+
+TEST(BuilderEdges, LastInstructionRunningPastTheSymbol)
+{
+    // The symbol ends one byte into the addimm: it does not decode,
+    // so the block stops after the nop and falls through to the
+    // symbol's last byte.
+    const BinaryImage img = oneFunction(
+        Arch::x64,
+        [](Assembler &as) {
+            as.emit(makeNop());
+            as.emit(makeAddImm(Reg::r1, 1));
+            as.emit(makeRet());
+        },
+        2);
+    const Function f = buildOne(img);
+    EXPECT_EQ(f.end, text_base + 2);
+    EXPECT_EQ(blockShape(f), "[0,1) n=1 1f; ");
+}
+
+TEST(BuilderEdges, ZeroSizeSymbolHasNoBlocks)
+{
+    const BinaryImage img = oneFunction(
+        Arch::x64, [](Assembler &as) { as.emit(makeRet()); }, 0);
+    const Function f = buildOne(img);
+    EXPECT_EQ(f.entry, text_base);
+    EXPECT_EQ(f.end, text_base);
+    EXPECT_TRUE(f.blocks.empty());
+    EXPECT_TRUE(f.instrumentable());
 }

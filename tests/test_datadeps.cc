@@ -168,6 +168,49 @@ TEST(HashImageRange, UnmappedIsZeroAndContentSensitive)
     EXPECT_NE(hashImageRange(img, sec->addr, sec->addr + 8), h);
 }
 
+TEST(HashInPlace, KeysAndRangeHashesArePinned)
+{
+    // Cache files and read-sets store these hashes, so their values
+    // are part of the format: pinned here on micro x64 (PIE), with a
+    // data section and a function stretched past their stored bytes
+    // so both hash zero fill the same way.
+    BinaryImage img = compileMicro(Arch::x64);
+    Section *text = img.findSection(SectionKind::text);
+    ASSERT_NE(text, nullptr);
+    const std::size_t data_index = static_cast<std::size_t>(
+        firstDataSection(img) - img.sections.data());
+
+    std::uint64_t keys = 0;
+    for (const Symbol *sym : img.functionSymbols()) {
+        keys = fnv1a(&keys, sizeof(keys),
+                     functionCacheKey(img, *sym, {}, 0x1234));
+        keys = fnv1a(&keys, sizeof(keys),
+                     functionCacheKey(img, *sym, {{1, 2, 3}}, 0x1234));
+    }
+    EXPECT_EQ(keys, 14896875785874358401ull);
+
+    Section &data = img.sections[data_index];
+    const Addr lo = data.addr;
+    const Addr stored_end = data.addr + data.bytes.size();
+    EXPECT_EQ(hashImageRange(img, lo, stored_end),
+              13961540330085132261ull);
+    EXPECT_EQ(hashImageRange(img, lo + 3, lo + 11),
+              11470059341666184323ull);
+
+    // Zero fill past the stored bytes hashes as zero bytes.
+    data.memSize = data.bytes.size() + 24;
+    EXPECT_EQ(hashImageRange(img, stored_end - 4, stored_end + 20),
+              9354609568656401157ull);
+    EXPECT_EQ(hashImageRange(img, stored_end + 2, stored_end + 24),
+              17890621422390769789ull);
+
+    text->memSize = text->bytes.size() + 16;
+    const Symbol tail{"tail", Symbol::Kind::function,
+                      text->addr + text->bytes.size() - 3, 12};
+    EXPECT_EQ(functionCacheKey(img, tail, {}, 0x1234),
+              5008670011315154793ull);
+}
+
 // --- computeDataDeps on compiled corpora -----------------------------------
 
 namespace

@@ -385,6 +385,8 @@ expectLintMatchesFull(RewriteSession &session)
         << "merged:\n" << merged.renderText() << "full:\n"
         << whole.renderText();
     EXPECT_TRUE(diffReports(whole, merged).functions.empty());
+    // The map order a replay carried over is the one a full lint proves.
+    EXPECT_EQ(merged.mapOrder, whole.mapOrder);
     return merged;
 }
 

@@ -18,8 +18,13 @@
 #                  inputs in forked children, and the session edit
 #                  sequences, which replay or re-run a rewrite per
 #                  edit and compare each step with a cold rewrite
-#                  and each merged lint with a full one)
-#                  and the repair-loop CLI smoke
+#                  and each merged lint with a full one, and the
+#                  analysis, CFG-property and jump-table unit suites,
+#                  which drive the CFG builder's offset-indexed table
+#                  over hand-assembled edge cases and compiled
+#                  corpora) and the repair-loop CLI smoke; the
+#                  allocation guard (test_alloc_guard) stays out, as
+#                  it replaces the operator new that ASan owns
 #   release        plain release build + the complete ctest suite
 #   lint-baseline  lint the canonical input against the checked-in
 #                  report (tests/data/lint_baseline.json): any new
@@ -136,8 +141,10 @@ leg_asan() {
         --target test_lint test_rewrite test_binfmt test_engine \
                  test_session test_cache_store test_shard test_serve \
                  test_baselines test_sim test_loader \
-                 test_rewrite_mutation test_session_edits icp_cli &&
-    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation / session edit tests ==" &&
+                 test_rewrite_mutation test_session_edits \
+                 test_analysis test_cfg_properties test_jump_table_unit \
+                 icp_cli &&
+    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation / session edit / analysis tests ==" &&
     ./build-asan/tests/test_lint &&
     ./build-asan/tests/test_rewrite &&
     ./build-asan/tests/test_binfmt &&
@@ -151,6 +158,9 @@ leg_asan() {
     ./build-asan/tests/test_loader &&
     ./build-asan/tests/test_rewrite_mutation &&
     ./build-asan/tests/test_session_edits &&
+    ./build-asan/tests/test_analysis &&
+    ./build-asan/tests/test_cfg_properties &&
+    ./build-asan/tests/test_jump_table_unit &&
     echo "== ASan+UBSan: repair-loop smoke (inject -> repair -> lint) ==" &&
     smoke_dir="$(mktemp -d)" &&
     ./build-asan/tools/icp compile micro "$smoke_dir/in.sbf" --pie &&
