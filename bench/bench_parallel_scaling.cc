@@ -974,10 +974,11 @@ serveSection(icp::bench::JsonSections &sections)
  * binary is then rewritten in a fresh-process model (in-memory cache
  * cleared, file loaded) against that file. Content-addressed keys
  * make every core function's entry hit despite the address shift;
- * rebase-on-hit pays only the address arithmetic. Reported per warm
- * binary: wall vs its own cold baseline, the function-analysis hit
- * rate, how many of those hits were cross-binary (origin entry !=
- * lookup entry), and the rebase stage cost.
+ * a first hit decodes its record at the lookup entry. Reported per
+ * warm binary: wall vs its own cold baseline, the function-analysis
+ * hit rate, how many of those hits were cross-binary (origin entry !=
+ * lookup entry), and the rebase stage cost, which only in-memory
+ * re-hits at a second entry (same bytes twice in one binary) pay.
  */
 void
 crossBinarySection(icp::bench::JsonSections &sections)

@@ -151,16 +151,8 @@ class FunctionBuilder
 bool
 FunctionBuilder::decodeAt(Addr addr, Instruction &in) const
 {
-    if (addr < func_.entry || addr - func_.entry >= slots_.size())
-        return false;
-    const auto &arch = image_.archInfo();
-    std::uint8_t buf[16];
-    icp_assert(arch.maxInstrLen <= sizeof(buf), "maxInstrLen %u",
-               arch.maxInstrLen);
-    const std::span<std::uint8_t> bytes(
-        buf, std::min<std::uint64_t>(arch.maxInstrLen, func_.end - addr));
-    return image_.readBytes(addr, bytes) &&
-           arch.codec->decode(bytes.data(), bytes.size(), addr, in);
+    return addr >= func_.entry && addr - func_.entry < slots_.size() &&
+           decodeInstructionAt(image_, addr, func_.end, in);
 }
 
 void
@@ -464,6 +456,20 @@ FunctionBuilder::build()
 
 } // namespace
 
+bool
+decodeInstructionAt(const BinaryImage &image, Addr addr, Addr end,
+                    Instruction &in)
+{
+    const auto &arch = image.archInfo();
+    std::uint8_t buf[16];
+    icp_assert(arch.maxInstrLen <= sizeof(buf), "maxInstrLen %u",
+               arch.maxInstrLen);
+    const std::span<std::uint8_t> bytes(
+        buf, std::min<std::uint64_t>(arch.maxInstrLen, end - addr));
+    return image.readBytes(addr, bytes) &&
+           arch.codec->decode(bytes.data(), bytes.size(), addr, in);
+}
+
 const DepsCounters &
 DepsCounters::global()
 {
@@ -544,7 +550,7 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts,
             const DepsCounters &dc = DepsCounters::global();
             if (key != 0) {
                 if (auto hit = AnalysisCache::global().findFunction(
-                        key, sym.addr, image.tocBase)) {
+                        key, image, sym)) {
                     // The key covers code bytes but not data
                     // contents; accept the hit only when the data
                     // bytes its analysis read are unchanged — for a

@@ -93,6 +93,15 @@ CfgModule buildCfg(const BinaryImage &image,
                    const AnalysisOptions &opts = AnalysisOptions{},
                    const CfgReuse &reuse = CfgReuse{});
 
+/**
+ * Decode the instruction at @p addr of a function ending at @p end
+ * the way buildCfg does: from at most maxInstrLen bytes of @p image,
+ * never reading past @p end. An analysis-cache hit rebuilds a
+ * record's instructions through this, so they equal the builder's.
+ */
+bool decodeInstructionAt(const BinaryImage &image, Addr addr, Addr end,
+                         Instruction &in);
+
 } // namespace icp
 
 #endif // ICP_ANALYSIS_BUILDER_HH

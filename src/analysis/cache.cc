@@ -230,6 +230,7 @@ AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
     }
     Entry entry_rec;
     entry_rec.arch = arch;
+    entry_rec.origEntry = func->entry;
     entry_rec.tocDelta = static_cast<std::int64_t>(toc_base) -
                          static_cast<std::int64_t>(func->entry);
     entry_rec.usesToc = uses_toc;

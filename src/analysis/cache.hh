@@ -14,8 +14,11 @@
  *  - Entries are position-independent. Every absolute address in a
  *    stored result (block bounds, branch targets, jump-table
  *    anchors, liveness keys, read-set ranges) is kept relative to
- *    the entry it was analyzed at; find*() rematerializes absolute
- *    addresses at the *requested* entry (rebase-on-hit). Identical
+ *    the entry it was analyzed at; findFunction() rematerializes
+ *    absolute addresses at the *requested* entry, decoding a file
+ *    record there directly and rebasing an in-memory one (file v8
+ *    on, instructions are re-decoded from the requester's code
+ *    bytes, which the key covers). Identical
  *    bytes imply identical pc-relative displacements, so every
  *    derived address shifts by exactly the entry delta; code whose
  *    bytes embed absolute addresses (non-PIE immediates,
@@ -143,7 +146,7 @@ Function rebaseFunction(const Function &func, Addr new_entry);
  * Handles to the cache's counters in Metrics::global(): bytes mapped
  * by load(), bytes appended by save(), entries deserialized lazily on
  * first lookup, and cross-binary hits (stored entries analyzed at
- * another entry address and rebased to the requested one).
+ * another entry address and served at the requested one).
  */
 struct CacheCounters
 {
@@ -178,6 +181,7 @@ class AnalysisCache
     static AnalysisCache &global();
 
     /**
+     * The analysis of @p sym in @p image stored under @p key, or
      * nullptr on miss. Counts a hit/miss either way. Decoded entries
      * win; otherwise the mapped cache files' index slices are
      * binary-searched newest segment first, and the newest record's
@@ -185,16 +189,24 @@ class AnalysisCache
      * then) — a corrupt, out-of-bounds or malformed record degrades
      * to a miss and the function simply re-analyzes.
      *
-     * Entries are canonical at the entry they were analyzed at, and
-     * a hit at that entry returns the stored object itself. When
-     * @p entry differs (a cross-binary hit) a rebased copy is built
-     * (CacheCounters::crossHits, timer `cache.rebase`); toc-
-     * relative code additionally requires `tocBase - entry` to match
-     * the recorded value, else the lookup misses — a rebased
-     * toc-relative target would be wrong.
+     * A record holds no instruction bodies: the decode places it at
+     * sym.addr and re-decodes every block's instructions from
+     * @p image's bytes, which the key covers. It is a miss unless the
+     * record ends at the symbol's end and every block decodes to
+     * exactly its recorded instruction count and end.
+     *
+     * Each entry remembers the entry its analysis ran at
+     * (Entry::origEntry); a hit at any other entry is a
+     * cross-binary hit (CacheCounters::crossHits), and toc-relative
+     * code additionally requires `tocBase - entry` to match the
+     * recorded value, else the lookup misses — a rebased toc-relative
+     * target would be wrong. A hit at the entry the in-memory object
+     * sits at returns that object itself; any other entry gets a
+     * rebased copy (timer `cache.rebase`).
      */
     std::shared_ptr<const Function>
-    findFunction(std::uint64_t key, Addr entry, Addr toc_base);
+    findFunction(std::uint64_t key, const BinaryImage &image,
+                 const Symbol &sym);
     void storeFunction(std::uint64_t key, Arch arch,
                        std::shared_ptr<const Function> func,
                        Addr toc_base);
@@ -251,18 +263,21 @@ class AnalysisCache
   private:
     /**
      * One memoized function, tagged with the ISA it was built for.
-     * The canonical form keeps absolute addresses at the entry it
-     * was analyzed at (value->entry), so same-entry hits return the
-     * shared snapshot without copying; a different requested entry
-     * rebases a copy. usesToc/tocDelta guard toc-relative code: a
-     * hit at a different entry is only valid when the requester's
-     * `tocBase - entry` matches. stored is the dirty mark: the
-     * store() sequence number, 0 for an entry decoded from a mapped
-     * file.
+     * value keeps absolute addresses at one entry: where it was
+     * analyzed, or where a mapped record was first looked up. Hits
+     * at value->entry return the shared snapshot without copying; a
+     * different requested entry rebases a copy. origEntry is the
+     * entry the analysis ran at (a record's payload carries it), the
+     * reference for cross-hit accounting. usesToc/tocDelta guard
+     * toc-relative code: a hit at another entry than origEntry is
+     * only valid when the requester's `tocBase - entry` matches.
+     * stored is the dirty mark: the store() sequence number, 0 for
+     * an entry decoded from a mapped file.
      */
     struct Entry
     {
         Arch arch = Arch::x64;
+        Addr origEntry = 0;        ///< entry at analysis
         std::int64_t tocDelta = 0; ///< tocBase - entry at analysis
         bool usesToc = false;      ///< any AddisToc instruction
         std::uint64_t stored = 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * AnalysisCache::save()/load() and the `icp cache` helpers: the v7
+ * AnalysisCache::save()/load() and the `icp cache` helpers: the v8
  * segmented cache-file format documented in cache_store.hh (sorted
  * per-segment indexes, position-independent entries, content-
  * addressed keys). A file of any other version loads as empty and
@@ -64,8 +64,8 @@ const Timer cache_rebase_timer = Metrics::global().timer("cache.rebase");
  * wrap-around u64 deltas from the function entry, so a payload is
  * position-independent and decoding at any entry reconstructs
  * consistent absolute addresses (two's-complement round trip).
- * The invalid_addr sentinel (unresolved Instruction::target) is
- * preserved verbatim — it must not shift.
+ * The invalid_addr sentinel is preserved verbatim — it must not
+ * shift.
  */
 std::uint64_t
 relAddr(Addr a, Addr entry)
@@ -77,26 +77,6 @@ Addr
 absAddr(std::uint64_t rel, Addr entry)
 {
     return rel == invalid_addr ? rel : rel + entry;
-}
-
-void
-encodeInstruction(std::vector<std::uint8_t> &out,
-                  const Instruction &in, Addr entry)
-{
-    putU8(out, static_cast<std::uint8_t>(in.op));
-    putU8(out, static_cast<std::uint8_t>(in.rd));
-    putU8(out, static_cast<std::uint8_t>(in.rs1));
-    putU8(out, static_cast<std::uint8_t>(in.rs2));
-    putU8(out, static_cast<std::uint8_t>(in.cond));
-    putU8(out, in.memSize);
-    putU8(out, in.signedLoad ? 1 : 0);
-    putU8(out, in.movShift);
-    putU8(out, in.movKeep ? 1 : 0);
-    putU8(out, in.formHint);
-    putU64(out, static_cast<std::uint64_t>(in.imm));
-    putU64(out, relAddr(in.target, entry));
-    putU64(out, relAddr(in.addr, entry));
-    putU32(out, in.length);
 }
 
 void
@@ -137,9 +117,9 @@ encodeBlock(std::vector<std::uint8_t> &out, const Block &block,
     putU8(out, flags);
     putU64(out, block.callTarget ? relAddr(*block.callTarget, entry)
                                  : 0);
+    // The instructions themselves are re-decoded from the code bytes
+    // at lookup; the count is what the re-decode must reproduce.
     putU32(out, static_cast<std::uint32_t>(block.insns.size()));
-    for (const Instruction &in : block.insns)
-        encodeInstruction(out, in, entry);
     putU32(out, static_cast<std::uint32_t>(block.succs.size()));
     for (const Edge &e : block.succs) {
         putU64(out, relAddr(e.target, entry));
@@ -147,17 +127,26 @@ encodeBlock(std::vector<std::uint8_t> &out, const Block &block,
     }
 }
 
+/**
+ * What a function payload records beside the function itself: the
+ * entry the analysis ran at (provenance for cross-hit accounting)
+ * and the toc offset guard for toc-relative code.
+ */
+struct RecordMeta
+{
+    Addr origEntry = 0;
+    std::int64_t tocDelta = 0;
+    bool usesToc = false;
+};
+
+/** @p func's payload; its addresses are relative to func.entry. */
 std::vector<std::uint8_t>
-encodeFunction(const Function &func, std::int64_t toc_delta,
-               bool uses_toc)
+encodeFunction(const Function &func, const RecordMeta &meta)
 {
     std::vector<std::uint8_t> out;
-    // Position-independence metadata: the entry the analysis ran at
-    // (provenance for cross-hit accounting and the canonical decode
-    // base) and the toc offset guard for toc-relative code.
-    putU64(out, func.entry);
-    putU64(out, static_cast<std::uint64_t>(toc_delta));
-    putU8(out, uses_toc ? 1 : 0);
+    putU64(out, meta.origEntry);
+    putU64(out, static_cast<std::uint64_t>(meta.tocDelta));
+    putU8(out, meta.usesToc ? 1 : 0);
     putString(out, func.name);
     putU64(out, relAddr(func.end, func.entry));
     putU8(out, static_cast<std::uint8_t>(func.failure));
@@ -200,46 +189,6 @@ encodeFunction(const Function &func, std::int64_t toc_delta,
 // --- payload decoders -----------------------------------------------------
 
 bool
-validReg(std::uint8_t v)
-{
-    return v < num_regs || v == static_cast<std::uint8_t>(Reg::none);
-}
-
-bool
-decodeInstruction(ByteReader &rd, Instruction &in, Addr entry)
-{
-    const std::uint8_t op = rd.u8();
-    const std::uint8_t vrd = rd.u8();
-    const std::uint8_t rs1 = rd.u8();
-    const std::uint8_t rs2 = rd.u8();
-    const std::uint8_t cond = rd.u8();
-    in.memSize = rd.u8();
-    in.signedLoad = rd.u8() != 0;
-    in.movShift = rd.u8();
-    in.movKeep = rd.u8() != 0;
-    in.formHint = rd.u8();
-    in.imm = static_cast<std::int64_t>(rd.u64());
-    in.target = absAddr(rd.u64(), entry);
-    in.addr = absAddr(rd.u64(), entry);
-    in.length = rd.u32();
-    if (rd.failed())
-        return false;
-    if (op >= static_cast<std::uint8_t>(Opcode::NumOpcodes))
-        return false;
-    if (!validReg(vrd) || !validReg(rs1) || !validReg(rs2))
-        return false;
-    if (cond > static_cast<std::uint8_t>(Cond::ge) &&
-        cond != static_cast<std::uint8_t>(Cond::none))
-        return false;
-    in.op = static_cast<Opcode>(op);
-    in.rd = static_cast<Reg>(vrd);
-    in.rs1 = static_cast<Reg>(rs1);
-    in.rs2 = static_cast<Reg>(rs2);
-    in.cond = static_cast<Cond>(cond);
-    return true;
-}
-
-bool
 decodeJumpTable(ByteReader &rd, JumpTable &jt, Addr entry)
 {
     jt.jumpAddr = absAddr(rd.u64(), entry);
@@ -269,11 +218,24 @@ decodeJumpTable(ByteReader &rd, JumpTable &jt, Addr entry)
     return !rd.failed();
 }
 
+/**
+ * One block of a payload at @p entry, for a function @p size bytes
+ * long: its bounds must lie inside the function, and its recorded
+ * instruction count must fit them. With @p image, the instructions
+ * are re-decoded from the image's bytes the way the builder decoded
+ * them, and must come to exactly that count and end; without one
+ * (verify), the block keeps no instructions.
+ */
 bool
-decodeBlock(ByteReader &rd, Block &block, Addr entry)
+decodeBlock(ByteReader &rd, Block &block, Addr entry, std::uint64_t size,
+            const BinaryImage *image)
 {
-    block.start = absAddr(rd.u64(), entry);
-    block.end = absAddr(rd.u64(), entry);
+    const std::uint64_t rel_start = rd.u64();
+    const std::uint64_t rel_end = rd.u64();
+    if (rel_start >= rel_end || rel_end > size)
+        return false;
+    block.start = entry + rel_start;
+    block.end = entry + rel_end;
     const std::uint8_t flags = rd.u8();
     if (flags > 7)
         return false;
@@ -283,11 +245,18 @@ decodeBlock(ByteReader &rd, Block &block, Addr entry)
     if (flags & 4)
         block.callTarget = absAddr(call_target, entry);
     const std::uint32_t ninsns = rd.u32();
-    if (ninsns > rd.remaining() / 38) // encoded instruction size
+    if (ninsns == 0 || ninsns > rel_end - rel_start)
         return false;
-    block.insns.resize(ninsns);
-    for (Instruction &in : block.insns) {
-        if (!decodeInstruction(rd, in, entry))
+    if (image) {
+        block.insns.resize(ninsns);
+        Addr cur = block.start;
+        for (Instruction &in : block.insns) {
+            if (cur >= block.end ||
+                !decodeInstructionAt(*image, cur, entry + size, in))
+                return false;
+            cur += in.length;
+        }
+        if (cur != block.end)
             return false;
     }
     const std::uint32_t nsuccs = rd.u32();
@@ -352,23 +321,37 @@ decodeLiveness(ByteReader &rd, Function &func)
     return !rd.failed();
 }
 
+/** Where a lookup decodes a record: the symbol that asked, in its image. */
+struct DecodeSite
+{
+    const BinaryImage &image;
+    const Symbol &sym;
+};
+
 /**
- * Decode a function payload into its canonical form: absolute
- * addresses at the entry it was analyzed at (carried in the payload).
- * Structural validation (sortedness, enum ranges) runs on the
- * rematerialized absolute values — wrap-around deltas round-trip
- * exactly, so this checks the same invariants the encoder wrote.
+ * Decode a function payload. With a @p site, every absolute address
+ * is rematerialized at the site's symbol, the record must be as long
+ * as that symbol, and its instructions are rebuilt from the image's
+ * bytes (see decodeBlock); without one, the decode happens at the
+ * record's origin entry and checks structure only. Structural
+ * validation (sortedness, enum ranges, bounds) runs on the
+ * rematerialized values — wrap-around deltas round-trip exactly, so
+ * this checks the same invariants the encoder wrote.
  */
 bool
-decodeFunction(ByteReader &rd, Function &func,
-               std::int64_t &toc_delta, bool &uses_toc)
+decodeFunction(ByteReader &rd, Function &func, RecordMeta &meta,
+               const DecodeSite *site)
 {
-    const Addr entry = rd.u64();
-    toc_delta = static_cast<std::int64_t>(rd.u64());
-    uses_toc = rd.u8() != 0;
+    meta.origEntry = rd.u64();
+    meta.tocDelta = static_cast<std::int64_t>(rd.u64());
+    meta.usesToc = rd.u8() != 0;
+    const Addr entry = site ? site->sym.addr : meta.origEntry;
     func.entry = entry;
     func.name = rd.str();
-    func.end = absAddr(rd.u64(), entry);
+    const std::uint64_t size = rd.u64();
+    if (site && size != site->sym.size)
+        return false;
+    func.end = entry + size;
     const std::uint8_t failure = rd.u8();
     if (failure >
         static_cast<std::uint8_t>(AnalysisFailure::gapsWithRealCode))
@@ -397,9 +380,11 @@ decodeFunction(ByteReader &rd, Function &func,
         return false;
     for (std::uint32_t i = 0; i < nblocks; ++i) {
         Block block;
-        if (!decodeBlock(rd, block, entry))
+        if (!decodeBlock(rd, block, entry, size,
+                         site ? &site->image : nullptr))
             return false;
-        func.blocks.emplace(block.start, std::move(block));
+        func.blocks.emplace_hint(func.blocks.end(), block.start,
+                                 std::move(block));
     }
     if (!decodeDataDeps(rd, func.dataDeps, entry) ||
         !decodeLiveness(rd, func))
@@ -1033,9 +1018,10 @@ CacheCounters::global()
 }
 
 std::shared_ptr<const Function>
-AnalysisCache::findFunction(std::uint64_t key, Addr entry,
-                            Addr toc_base)
+AnalysisCache::findFunction(std::uint64_t key, const BinaryImage &image,
+                            const Symbol &sym)
 {
+    const Addr entry = sym.addr;
     std::unique_lock<std::mutex> lock(mu_);
     auto it = functions_.find(key);
     if (it == functions_.end()) {
@@ -1045,52 +1031,53 @@ AnalysisCache::findFunction(std::uint64_t key, Addr entry,
             return nullptr;
         }
         // First lookup of a mapped entry: verify its checksum and
-        // deserialize it now, outside the lock (the shared mapping
-        // keeps the bytes alive; a racing decode of the same key is
-        // wasted work, not a bug). The canonical in-memory form keeps
-        // absolute addresses at the entry the payload records
-        // (origEntry), not the requested one.
+        // decode it at the requested entry, rebuilding its
+        // instructions from this image's code bytes, outside the lock
+        // (the shared mapping keeps the bytes alive; a racing decode
+        // of the same key is wasted work, not a bug).
         lock.unlock();
         Function func;
-        std::int64_t toc_delta = 0;
-        bool uses_toc = false;
+        RecordMeta meta;
         ByteReader rd(ip.payload, ip.payloadLen);
+        const DecodeSite site{image, sym};
         const bool ok =
-            ip.intact() && decodeFunction(rd, func, toc_delta, uses_toc);
+            ip.intact() && decodeFunction(rd, func, meta, &site);
         lock.lock();
         if (!ok) {
-            // Corrupt or undecodable payload: count the miss and
-            // re-analyze; the entry heals on the next compaction.
+            // Corrupt, undecodable, or not this symbol's code: count
+            // the miss and re-analyze; a corrupt entry heals on the
+            // next compaction.
             stats_.functionMisses++;
             return nullptr;
         }
         func.cacheKey = key;
         Entry rec;
         rec.arch = ip.arch;
-        rec.tocDelta = toc_delta;
-        rec.usesToc = uses_toc;
+        rec.origEntry = meta.origEntry;
+        rec.tocDelta = meta.tocDelta;
+        rec.usesToc = meta.usesToc;
         rec.value = std::make_shared<const Function>(std::move(func));
         it = functions_.emplace(key, std::move(rec)).first;
         CacheCounters::global().entriesLazy.add();
     }
 
     const Entry &e = it->second;
-    if (entry == e.value->entry) {
-        stats_.functionHits++;
-        return e.value;
-    }
     // Cross-binary hit: the same code bytes at a different address.
-    // Toc-relative code derives targets from tocBase, so the rebase
-    // is only exact when the requester's toc offset matches.
-    if (e.usesToc &&
-        static_cast<std::int64_t>(toc_base) -
+    // Toc-relative code derives targets from tocBase, so the hit is
+    // only exact when the requester's toc offset matches.
+    const bool cross = entry != e.origEntry;
+    if (cross && e.usesToc &&
+        static_cast<std::int64_t>(image.tocBase) -
                 static_cast<std::int64_t>(entry) !=
             e.tocDelta) {
         stats_.functionMisses++;
         return nullptr;
     }
     stats_.functionHits++;
-    CacheCounters::global().crossHits.add();
+    if (cross)
+        CacheCounters::global().crossHits.add();
+    if (entry == e.value->entry)
+        return e.value;
     std::shared_ptr<const Function> value = e.value;
     lock.unlock();
     ScopedTimer timer(cache_rebase_timer);
@@ -1237,7 +1224,8 @@ AnalysisCache::save(const std::string &path, std::uint64_t max_bytes)
             if (present && e.stored == 0)
                 continue;
             const OutEntry fresh = arena.add(
-                id, encodeFunction(*e.value, e.tocDelta, e.usesToc));
+                id, encodeFunction(*e.value, {e.origEntry, e.tocDelta,
+                                              e.usesToc}));
             if (!present || r.payloadHash != fresh.payloadHash)
                 delta[id] = fresh;
         }
@@ -1427,11 +1415,12 @@ verifyCacheFile(const std::string &path)
                 ++report.droppedEntries;
                 continue;
             }
+            // Structure only: the instructions are checked against
+            // the code bytes when a lookup decodes the record.
             ByteReader rd(view.payload(r), r.payloadLen);
             Function func;
-            std::int64_t toc_delta = 0;
-            bool uses_toc = false;
-            if (!decodeFunction(rd, func, toc_delta, uses_toc)) {
+            RecordMeta meta;
+            if (!decodeFunction(rd, func, meta, nullptr)) {
                 report.issues.push_back({"cache-entry", offset,
                                          "malformed function payload"});
                 ++report.droppedEntries;

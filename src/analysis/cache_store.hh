@@ -2,10 +2,10 @@
  * @file
  * On-disk persistence of the AnalysisCache: a versioned, per-entry
  * checksummed binary serialization of memoized per-function analysis
- * results, one record per function (CFG blocks/edges with decoded
- * instructions, jump-table solutions, data read-set, register
- * liveness), keyed by Function::cacheKey and tagged with the ISA it
- * was built for.
+ * results, one record per function (CFG blocks and edges, jump-table
+ * solutions, data read-set, register liveness — what analysis
+ * derived, not the instructions it decoded), keyed by
+ * Function::cacheKey and tagged with the ISA it was built for.
  * This turns the warm-cache speedup of repeat rewrites into a
  * cross-invocation property — the same shape as Dyninst's serialized
  * parse data — and gives CI a stable artifact to cache between runs.
@@ -21,7 +21,7 @@
  * hashes, so a surviving entry is usable by construction and a
  * dropped entry only costs re-analysis.
  *
- * File layout v7 (all integers little-endian):
+ * File layout v8 (all integers little-endian):
  *
  *   u32 magic       "ICPC"
  *   u32 version     cache_file_version
@@ -48,13 +48,28 @@
  *   }
  *   payload bytes (concatenated, in index order)
  *
+ * A function payload holds the entry the analysis ran at, the toc
+ * guard (tocBase - entry, whether any instruction is toc-relative),
+ * the name, the size, the failure, the landing pads, the indirect
+ * tail calls and the jump tables; then per block its start, end,
+ * flags, call target, instruction count and successors; then the
+ * read-set and the liveness. It holds no instruction bodies: a
+ * lookup re-decodes each block from the code bytes of the image
+ * that asks (decodeInstructionAt, the builder's own decode). The key
+ * covers exactly the bytes [entry, entry + size), the builder
+ * decodes only inside them, and decoding depends only on the bytes
+ * and the address, so the re-decode reproduces the analysis's
+ * instructions. A lookup refuses a record (a miss) unless its size
+ * is the symbol's, every block lies inside [entry, end), and every
+ * block decodes to exactly its recorded count and end.
+ *
  * Entries are position-independent: keys are content addresses (no
  * entry address, no symbol name — see cache.hh) and every absolute
  * address in a payload is stored relative to the entry the function
  * was analyzed at, with that original entry (and for functions the
  * analysis-time `tocBase - entry` offset) kept as payload metadata,
  * so a lookup from a *different* binary sharing the code bytes
- * rebases the entry to its own addresses. The repo bumps
+ * decodes the entry at its own addresses. The repo bumps
  * cache_file_version for every format change, so a record of any
  * other kind is malformed: load() never looks it up, verify reports
  * it as a cache-entry issue, and save and compaction drop it.
@@ -67,7 +82,8 @@
  * newest segment first (the newest occurrence of a key wins); the
  * payload hash — seeded with the record's arch, kind and key, so a
  * flipped index byte fails the same check as a flipped payload byte —
- * is verified and the payload deserialized on that first lookup only.
+ * is verified and the payload deserialized on that first lookup only,
+ * directly at the requested entry.
  * A record pointing outside its segment is a miss at lookup and a
  * cache-truncated issue in verifyCacheFile().
  *
@@ -114,7 +130,7 @@ namespace icp
 
 constexpr std::uint32_t cache_file_magic = 0x43504349;    // "ICPC"
 constexpr std::uint32_t cache_segment_magic = 0x53504349; // "ICPS"
-constexpr std::uint32_t cache_file_version = 7;
+constexpr std::uint32_t cache_file_version = 8;
 
 /** Byte sizes of the fixed-layout records above. */
 constexpr std::size_t cache_file_header_bytes = 16;
@@ -205,8 +221,10 @@ CacheFileInfo inspectCacheFile(const std::string &path);
 
 /**
  * Eagerly verify a cache file end to end: header chain, index order
- * and bounds, per-entry checksums, and a full decode of every
+ * and bounds, per-entry checksums, and a structural decode of every
  * payload of every ISA, without touching the process-wide cache.
+ * With no image at hand it cannot check instruction counts against
+ * code bytes; a lookup does.
  * Every problem is a structured issue on the report (`icp cache
  * verify`).
  */

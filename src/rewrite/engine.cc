@@ -60,7 +60,15 @@ appendSorted(AddrPairs &map,
     for (const auto &[orig, off] : offsets)
         map.emplace_back(orig, base + off);
     const auto first = map.begin() + static_cast<std::ptrdiff_t>(from);
-    std::sort(first, map.end(), byOrig);
+    // The default block order emits ascending addresses. Only a run
+    // that strictly ascends is left as it is: sorting it is the
+    // identity, while equal keys could come out of std::sort in
+    // another order.
+    const auto descends = [](const auto &a, const auto &b) {
+        return a.first >= b.first;
+    };
+    if (std::adjacent_find(first, map.end(), descends) != map.end())
+        std::sort(first, map.end(), byOrig);
     return from == 0 || first == map.end() ||
            map[from - 1].first < first->first;
 }

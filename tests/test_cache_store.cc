@@ -167,6 +167,121 @@ TEST_P(CacheStoreArch, SaveLoadRestoresEveryEntry)
     EXPECT_EQ(AnalysisCache::global().entryCount(), entries);
 }
 
+namespace
+{
+
+/** @p got equals @p want field by field, instructions included. */
+void
+expectSameAnalysis(const Function &got, const Function &want)
+{
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(got.entry, want.entry);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.failure, want.failure);
+    EXPECT_EQ(got.landingPads, want.landingPads);
+    EXPECT_EQ(got.indirectTailCalls, want.indirectTailCalls);
+    EXPECT_EQ(got.jumpTables, want.jumpTables);
+    EXPECT_EQ(got.dataDeps, want.dataDeps);
+    EXPECT_EQ(got.liveness.liveIn, want.liveness.liveIn);
+    ASSERT_EQ(got.blocks.size(), want.blocks.size());
+    auto g = got.blocks.begin();
+    for (const auto &[start, wb] : want.blocks) {
+        const Block &gb = (g++)->second;
+        EXPECT_EQ(gb.start, start);
+        EXPECT_EQ(gb.end, wb.end);
+        EXPECT_EQ(gb.succs, wb.succs);
+        EXPECT_EQ(gb.callTarget, wb.callTarget);
+        EXPECT_EQ(gb.endsInUnresolvedIndirect,
+                  wb.endsInUnresolvedIndirect);
+        EXPECT_EQ(gb.endsFunction, wb.endsFunction);
+        ASSERT_EQ(gb.insns.size(), wb.insns.size()) << start;
+        for (std::size_t i = 0; i < wb.insns.size(); ++i) {
+            const Instruction &a = gb.insns[i], &b = wb.insns[i];
+            SCOPED_TRACE(b.addr);
+            EXPECT_EQ(a.op, b.op);
+            EXPECT_EQ(a.rd, b.rd);
+            EXPECT_EQ(a.rs1, b.rs1);
+            EXPECT_EQ(a.rs2, b.rs2);
+            EXPECT_EQ(a.cond, b.cond);
+            EXPECT_EQ(a.imm, b.imm);
+            EXPECT_EQ(a.memSize, b.memSize);
+            EXPECT_EQ(a.signedLoad, b.signedLoad);
+            EXPECT_EQ(a.movShift, b.movShift);
+            EXPECT_EQ(a.movKeep, b.movKeep);
+            EXPECT_EQ(a.formHint, b.formHint);
+            EXPECT_EQ(a.target, b.target);
+            EXPECT_EQ(a.addr, b.addr);
+            EXPECT_EQ(a.length, b.length);
+        }
+    }
+}
+
+} // namespace
+
+TEST_P(CacheStoreArch, HitsEqualColdAnalysisAcrossBinaries)
+{
+    // A record keeps no instructions: a hit rebuilds them from the
+    // requesting binary's code bytes at its own entry. Member 0 of a
+    // shared-library corpus primes the file; its own lookups are
+    // direct hits, member 1's core functions cross-binary ones.
+    const Arch arch = GetParam();
+    const std::vector<ProgramSpec> corpus = libcommonCorpus(arch, 4);
+    const std::string path =
+        tmpPath(std::string("cross_") + archName(arch));
+    coldRewrite(compileProgram(corpus[0]), path);
+
+    for (unsigned member : {0u, 1u}) {
+        SCOPED_TRACE(member);
+        const BinaryImage img = compileProgram(corpus[member]);
+        AnalysisOptions no_cache;
+        no_cache.useCache = false;
+        const CfgModule cold = buildCfg(img, no_cache);
+        AnalysisCache::global().clear();
+        const CfgModule keyed = buildCfg(img); // the keys
+        ASSERT_EQ(keyed.functions.size(), cold.functions.size());
+        std::map<Addr, const Symbol *> syms;
+        for (const Symbol *sym : img.functionSymbols())
+            syms.emplace(sym->addr, sym);
+
+        AnalysisCache::global().clear();
+        ASSERT_TRUE(AnalysisCache::global().load(path, arch).clean());
+        const std::uint64_t cross0 =
+            CacheCounters::global().crossHits.value();
+        std::size_t hits = 0;
+        for (std::size_t i = 0; i < keyed.functions.size(); ++i) {
+            const FunctionSlot &slot = keyed.functions[i];
+            const auto hit = AnalysisCache::global().findFunction(
+                slot.fn->cacheKey, img, *syms.at(slot.entry));
+            if (!hit)
+                continue;
+            ++hits;
+            expectSameAnalysis(*hit, *cold.functions[i].fn);
+        }
+        const std::uint64_t cross =
+            CacheCounters::global().crossHits.value() - cross0;
+        // Functions with the same bytes share one record, so member 0
+        // makes cross-binary hits of its own.
+        if (member == 0) {
+            EXPECT_EQ(hits, keyed.functions.size());
+            EXPECT_GT(hits, cross);
+        } else {
+            EXPECT_GT(hits, keyed.functions.size() / 2);
+            EXPECT_GT(cross, 0u);
+        }
+
+        // The same hits through a whole rewrite: the output is the
+        // uncached one.
+        AnalysisCache::global().clear();
+        RewriteOptions opts = baseOptions("");
+        opts.useAnalysisCache = false;
+        const RewriteResult want = rewriteBinary(img, opts);
+        AnalysisCache::global().clear();
+        const RewriteResult got = rewriteBinary(img, baseOptions(path));
+        ASSERT_TRUE(want.ok && got.ok) << got.failReason;
+        EXPECT_EQ(got.image.serialize(), want.image.serialize());
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllArchs, CacheStoreArch,
     ::testing::Values(Arch::x64, Arch::ppc64le, Arch::aarch64),
@@ -417,6 +532,90 @@ TEST(CacheStore, FlippedPayloadByteDegradesToLazyMiss)
     EXPECT_GE(AnalysisCache::global().stats().misses(), 1u);
 }
 
+namespace
+{
+
+/** Offset of the first block record in a v8 function payload. */
+std::size_t
+firstBlockOffset(const std::vector<std::uint8_t> &p)
+{
+    const auto count = [&](std::size_t at) {
+        return std::size_t{getU32(p.data() + at)};
+    };
+    std::size_t at = 8 + 8 + 1;  // origin entry, toc delta, uses toc
+    at += 4 + count(at);         // name
+    at += 8 + 1;                 // size, failure
+    at += 4 + 8 * count(at);     // landing pads
+    at += 4 + 8 * count(at);     // indirect tail calls
+    const std::size_t tables = count(at);
+    at += 4;
+    for (std::size_t i = 0; i < tables; ++i) {
+        at += 8 + 8 + 4 + 1 + 4 + 1 + 8; // jump, table, ..., base
+        at += 4 + 8 * count(at);         // base definitions
+        at += 8 + 4;                     // load address, entry count
+        at += 4 + 8 * count(at) + 1;     // targets, embedded
+    }
+    return at + 4; // block count
+}
+
+} // namespace
+
+TEST(CacheStore, RecordThatDisagreesWithTheCodeIsOneMiss)
+{
+    // A record whose checksum holds but whose first block's
+    // instruction count or end is not what the code bytes decode to:
+    // verify (structure only) cannot tell, and the lookup that
+    // re-decodes the block refuses it as one counted miss.
+    const std::string path = tmpPath("disagree");
+    const BinaryImage img = compileMicro(Arch::x64);
+    const std::vector<std::uint8_t> cold = coldRewrite(img, path);
+    std::map<std::uint64_t, unsigned> users;
+    for (const FunctionSlot &slot : buildCfg(img).functions)
+        ++users[slot.fn->cacheKey];
+    const std::vector<ParsedEntry> entries = parseEntries(readAll(path));
+    ASSERT_EQ(entries.size(), users.size());
+
+    // A record one function looks up, whose first block spans at
+    // least two instructions.
+    std::size_t victim = entries.size();
+    std::size_t block = 0;
+    for (std::size_t i = 0; i < entries.size() && victim == entries.size();
+         ++i) {
+        const std::vector<std::uint8_t> &p = entries[i].payload;
+        block = firstBlockOffset(p);
+        if (users[entries[i].key] == 1 && getU32(p.data() + block + 25) >= 2)
+            victim = i;
+    }
+    ASSERT_LT(victim, entries.size());
+
+    const auto patch = [&](std::size_t at, std::uint64_t value,
+                           unsigned width) {
+        std::vector<ParsedEntry> edited = entries;
+        for (unsigned i = 0; i < width; ++i)
+            edited[victim].payload[at + i] =
+                static_cast<std::uint8_t>(value >> (8 * i));
+        return frameCacheFile(cache_file_version, edited);
+    };
+    const std::uint8_t *b = entries[victim].payload.data() + block;
+    const std::vector<std::pair<const char *, std::vector<std::uint8_t>>>
+        files = {{"count + 1", patch(block + 25, getU32(b + 25) + 1, 4)},
+                 {"count - 1", patch(block + 25, getU32(b + 25) - 1, 4)},
+                 {"end - 1", patch(block + 8, getU64(b + 8) - 1, 8)}};
+    for (const auto &[what, raw] : files) {
+        SCOPED_TRACE(what);
+        writeAll(path, raw);
+        const CacheLoadReport verify = verifyCacheFile(path);
+        EXPECT_TRUE(verify.clean())
+            << (verify.issues.empty() ? "" : verify.issues.front().rule);
+        AnalysisCache::global().clear();
+        const RewriteResult warm = rewriteBinary(img, baseOptions(path));
+        ASSERT_TRUE(warm.ok) << warm.failReason;
+        EXPECT_EQ(warm.image.serialize(), cold);
+        const AnalysisCache::Stats stats = AnalysisCache::global().stats();
+        EXPECT_EQ(stats.functionMisses, 1u);
+    }
+}
+
 TEST(CacheStore, ForeignIsaEntriesAreSkippedSilently)
 {
     const std::string path = tmpPath("wrong_isa");
@@ -442,27 +641,34 @@ TEST(CacheStore, InMemoryEntriesWinOverFileEntries)
     const std::string path = tmpPath("merge");
     const BinaryImage img = compileMicro(Arch::x64);
     coldRewrite(img, path);
+    // A file record decodes against the code bytes of the symbol that
+    // looks it up, so the lookups below are made as a real function.
+    const Symbol &sym = *img.functionSymbols().front();
     std::uint64_t key = 0;
-    for (const ParsedEntry &e : parseEntries(readAll(path)))
-        if (e.kind == 4)
-            key = e.key;
+    for (const FunctionSlot &slot : buildCfg(img).functions)
+        if (slot.entry == sym.addr)
+            key = slot.fn->cacheKey;
     ASSERT_NE(key, 0u);
+    bool in_file = false;
+    for (const ParsedEntry &e : parseEntries(readAll(path)))
+        in_file = in_file || (e.kind == 4 && e.key == key);
+    ASSERT_TRUE(in_file);
 
     // An in-memory entry stored before the load shadows the file's
     // entry for the same key at lookup.
     AnalysisCache::global().clear();
     Function mine;
     mine.name = "in-memory";
-    mine.entry = 0x1000;
-    mine.end = 0x1010;
+    mine.entry = sym.addr;
+    mine.end = sym.addr + sym.size;
     AnalysisCache::global().storeFunction(
-        key, Arch::x64, std::make_shared<const Function>(mine), 0);
+        key, Arch::x64, std::make_shared<const Function>(mine),
+        img.tocBase);
     const CacheLoadReport rep =
         AnalysisCache::global().load(path, Arch::x64);
     EXPECT_TRUE(rep.clean());
     EXPECT_GT(rep.loadedFunctions, 0u);
-    const auto hit =
-        AnalysisCache::global().findFunction(key, 0x1000, 0);
+    const auto hit = AnalysisCache::global().findFunction(key, img, sym);
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->name, "in-memory");
 
@@ -470,7 +676,7 @@ TEST(CacheStore, InMemoryEntriesWinOverFileEntries)
     AnalysisCache::global().clear();
     AnalysisCache::global().load(path, Arch::x64);
     const auto from_file =
-        AnalysisCache::global().findFunction(key, 0x1000, 0);
+        AnalysisCache::global().findFunction(key, img, sym);
     ASSERT_NE(from_file, nullptr);
     EXPECT_NE(from_file->name, "in-memory");
 }
@@ -795,10 +1001,13 @@ TEST(CacheStore, V3FileCarriesDataDepsEntries)
     EXPECT_EQ(rep.loadedFunctions, info.functionEntries);
 
     // Each function record decodes with its read-set.
+    std::map<Addr, const Symbol *> syms;
+    for (const Symbol *sym : img.functionSymbols())
+        syms.emplace(sym->addr, sym);
     unsigned with_reads = 0;
     for (const auto &[entry, fn] : keyed.functions) {
         const auto hit = AnalysisCache::global().findFunction(
-            fn.cacheKey, entry, img.tocBase);
+            fn.cacheKey, img, *syms.at(entry));
         ASSERT_NE(hit, nullptr) << fn.name;
         EXPECT_EQ(hit->dataDeps, fn.dataDeps) << fn.name;
         with_reads += fn.dataDeps.empty() ? 0 : 1;
@@ -1016,8 +1225,9 @@ TEST(CacheStore, OlderVersionFileIsIgnoredAndRewritten)
 {
     // Whatever the framing — a current-shape segment chain, a bare
     // entry list, or a torn stub — every older version (v4, whose
-    // segments carry per-entry headers instead of an index, and v5,
-    // whose read-sets are records of their own, included) is ignored.
+    // segments carry per-entry headers instead of an index, v5,
+    // whose read-sets are records of their own, and v7, whose block
+    // records carry their instructions, included) is ignored.
     const std::string path = tmpPath("old_version");
     const BinaryImage img = compileMicro(Arch::x64);
     const std::vector<std::uint8_t> cold = coldRewrite(img, path);

@@ -766,7 +766,7 @@ TEST(CliCache, InfoVerifyCompactRoundTrip)
               0);
 
     const std::string info = capture("cache info /tmp/icp_cli_cmd.icpc");
-    EXPECT_NE(info.find("v7"), std::string::npos) << info;
+    EXPECT_NE(info.find("v8"), std::string::npos) << info;
     EXPECT_NE(info.find("2 segments"), std::string::npos) << info;
     // The entry count and the sharing stats are part of the output
     // contract.
@@ -811,7 +811,7 @@ TEST(CliCache, RewriteHonorsCacheMaxBytes)
               0);
     const std::string info =
         capture("cache info /tmp/icp_cli_cap.icpc");
-    EXPECT_NE(info.find("v7"), std::string::npos) << info;
+    EXPECT_NE(info.find("v8"), std::string::npos) << info;
     // The capped save compacted the file back under the limit.
     struct stat st;
     ASSERT_EQ(stat("/tmp/icp_cli_cap.icpc", &st), 0);

@@ -337,9 +337,11 @@ TEST(DataDepsCache, RoundTripsThroughStoreAndDiskFile)
     AnalysisCache::global().storeFunction(key, Arch::x64, func,
                                           img.tocBase);
 
+    // A lookup as the symbol of func's code at @p entry.
     auto find = [&](std::uint64_t k, Addr entry) {
-        return AnalysisCache::global().findFunction(k, entry,
-                                                    img.tocBase);
+        const Symbol sym{func->name, Symbol::Kind::function, entry,
+                         func->end - func->entry};
+        return AnalysisCache::global().findFunction(k, img, sym);
     };
     const auto in_memory = find(key, func->entry);
     ASSERT_NE(in_memory, nullptr);

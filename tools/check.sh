@@ -18,11 +18,13 @@
 #                  inputs in forked children, and the session edit
 #                  sequences, which replay or re-run a rewrite per
 #                  edit and compare each step with a cold rewrite
-#                  and each merged lint with a full one, and the
+#                  and each merged lint with a full one, the
 #                  analysis, CFG-property and jump-table unit suites,
 #                  which drive the CFG builder's offset-indexed table
 #                  over hand-assembled edge cases and compiled
-#                  corpora) and the repair-loop CLI smoke; the
+#                  corpora, and the data-deps suite, whose cache round
+#                  trip takes the rebased read-set hit path) and the
+#                  repair-loop CLI smoke; the
 #                  allocation guard (test_alloc_guard) stays out, as
 #                  it replaces the operator new that ASan owns
 #   release        plain release build + the complete ctest suite
@@ -143,8 +145,8 @@ leg_asan() {
                  test_baselines test_sim test_loader \
                  test_rewrite_mutation test_session_edits \
                  test_analysis test_cfg_properties test_jump_table_unit \
-                 icp_cli &&
-    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation / session edit / analysis tests ==" &&
+                 test_datadeps icp_cli &&
+    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation / session edit / analysis / data-deps tests ==" &&
     ./build-asan/tests/test_lint &&
     ./build-asan/tests/test_rewrite &&
     ./build-asan/tests/test_binfmt &&
@@ -161,6 +163,7 @@ leg_asan() {
     ./build-asan/tests/test_analysis &&
     ./build-asan/tests/test_cfg_properties &&
     ./build-asan/tests/test_jump_table_unit &&
+    ./build-asan/tests/test_datadeps &&
     echo "== ASan+UBSan: repair-loop smoke (inject -> repair -> lint) ==" &&
     smoke_dir="$(mktemp -d)" &&
     ./build-asan/tools/icp compile micro "$smoke_dir/in.sbf" --pie &&

@@ -29,8 +29,8 @@
  * delta-saved back after a successful rewrite (concurrent writers
  * merge via the store's advisory lock); `--cache-max-bytes N`
  * compacts the file when a save leaves it larger than N. `icp cache`
- * maintains such files: info (header walk), verify (full decode of
- * every entry; exit 2 on any issue), compact (deduplicate and
+ * maintains such files: info (header walk), verify (structural
+ * decode of every entry; exit 2 on any issue), compact (deduplicate and
  * optionally evict down to --max-bytes, oldest generations first).
  * `icp rewrite --repair[=N]` (implies --lint) runs the stateful
  * RewriteSession loop — rewrite, lint, selectively re-rewrite the
@@ -841,7 +841,9 @@ printCacheIssues(const std::vector<CacheFileIssue> &issues)
 /**
  * `icp cache info|verify|compact <file.icpc>`: maintenance of the
  * on-disk analysis cache. info walks the segment indexes (per-ISA
- * counts come from their bounds); verify decodes every payload;
+ * counts come from their bounds); verify decodes every payload's
+ * structure (a record's instructions are checked against the code
+ * bytes when a lookup decodes it);
  * compact rewrites the file as one deduplicated sorted segment,
  * optionally under a --max-bytes cap (the manual form of
  * --cache-max-bytes).
