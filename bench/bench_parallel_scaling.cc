@@ -21,8 +21,8 @@
  * amortize. A cross_binary section rewrites a libcommon corpus
  * (binaries sharing a byte-identical static-lib core at shifted
  * link addresses) through one shared cache file and reports the
- * content-addressed cross-binary hit rate, rebase cost, and wall
- * vs each binary's cold baseline. `--json <path>` writes the
+ * content-addressed cross-binary hit rate and median wall vs each
+ * binary's cold baseline. `--json <path>` writes the
  * results (BENCH_parallel.json
  * in the repository is a committed baseline); `--cache-file <path>`
  * relocates the disk regimes' cache file from its /tmp default;
@@ -80,9 +80,8 @@ std::string cache_file = "/tmp/icp_bench_parallel.icpc";
  *  (the bench's usual working directory). */
 std::string icp_binary = "tools/icp";
 
-/** The registry timers the tables below read by name. */
+/** The registry timer the tables below read by name. */
 const Timer relocation = Metrics::global().timer("relocation");
-const Timer cache_rebase = Metrics::global().timer("cache.rebase");
 
 double
 rewriteWallMs(const BinaryImage &img, unsigned threads,
@@ -711,6 +710,14 @@ warmDatadepsSection(icp::bench::JsonSections &sections)
     sections.add("warm_datadeps", json.str());
 }
 
+std::vector<std::uint8_t>
+readBlob(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
 bool
 writeBlob(const std::string &path,
           const std::vector<std::uint8_t> &bytes)
@@ -974,11 +981,10 @@ serveSection(icp::bench::JsonSections &sections)
  * binary is then rewritten in a fresh-process model (in-memory cache
  * cleared, file loaded) against that file. Content-addressed keys
  * make every core function's entry hit despite the address shift;
- * a first hit decodes its record at the lookup entry. Reported per
- * warm binary: wall vs its own cold baseline, the function-analysis
- * hit rate, how many of those hits were cross-binary (origin entry !=
- * lookup entry), and the rebase stage cost, which only in-memory
- * re-hits at a second entry (same bytes twice in one binary) pay.
+ * a hit decodes its record at the lookup entry. Reported per warm
+ * binary: the median wall of `reps` runs vs the median of its own
+ * cold baselines, the function-analysis hit rate, and how many of
+ * those hits were cross-binary (origin entry != lookup entry).
  */
 void
 crossBinarySection(icp::bench::JsonSections &sections)
@@ -992,12 +998,12 @@ crossBinarySection(icp::bench::JsonSections &sections)
     // Per-binary cold baselines: no cache file, empty memory cache.
     std::vector<double> cold_ms(imgs.size(), 0.0);
     for (std::size_t b = 0; b < imgs.size(); ++b) {
+        SampleStats ms;
         for (unsigned rep = 0; rep < reps; ++rep) {
             AnalysisCache::global().clear();
-            const double ms = rewriteWallMs(imgs[b], 1);
-            if (rep == 0 || ms < cold_ms[b])
-                cold_ms[b] = ms;
+            ms.add(rewriteWallMs(imgs[b], 1));
         }
+        cold_ms[b] = ms.percentile(50);
     }
 
     // Prime the shared file with binary 0 (itself a cold run).
@@ -1005,48 +1011,48 @@ crossBinarySection(icp::bench::JsonSections &sections)
     AnalysisCache::global().clear();
     rewriteWallMs(imgs[0], 1, xbin_cache);
 
-    // B..N sequentially against the accumulating shared file. One
-    // rep each: after a binary's run the file holds its app tail,
-    // so repeating it would no longer model first contact.
+    // B..N sequentially against the accumulating shared file. Every
+    // rep of a binary starts from the file the previous binary left
+    // (its bytes restored), so each rep is first contact; the last
+    // rep's save carries the binary's app tail on to the next one.
     TextTable table({"Binary", "Cold ms", "Warm ms", "vs cold",
-                     "Hit rate", "Cross hits", "Rebase ms"});
+                     "Hit rate", "Cross hits"});
     table.addRow({"libcommon-app0 (prime)",
-                  std::to_string(cold_ms[0]), "-", "-", "-", "-",
-                  "-"});
+                  std::to_string(cold_ms[0]), "-", "-", "-", "-"});
     std::ostringstream json;
     json << "[";
     for (std::size_t b = 1; b < imgs.size(); ++b) {
-        AnalysisCache::global().clear();
-        Metrics::global().reset();
-        const auto stats0 = AnalysisCache::global().stats();
-        const std::uint64_t cross0 =
-            CacheCounters::global().crossHits.value();
-        const double warm = rewriteWallMs(imgs[b], 1, xbin_cache);
-        const auto stats1 = AnalysisCache::global().stats();
-        const std::uint64_t cross =
-            CacheCounters::global().crossHits.value() - cross0;
-        const std::uint64_t hits =
-            stats1.functionHits - stats0.functionHits;
-        const std::uint64_t misses =
-            stats1.functionMisses - stats0.functionMisses;
+        const std::vector<std::uint8_t> shared = readBlob(xbin_cache);
+        SampleStats warm_ms;
+        std::uint64_t hits = 0, misses = 0, cross = 0;
+        for (unsigned rep = 0; rep < reps; ++rep) {
+            writeBlob(xbin_cache, shared);
+            AnalysisCache::global().clear();
+            Metrics::global().reset();
+            const std::uint64_t cross0 =
+                CacheCounters::global().crossHits.value();
+            warm_ms.add(rewriteWallMs(imgs[b], 1, xbin_cache));
+            const auto stats = AnalysisCache::global().stats();
+            hits = stats.functionHits;
+            misses = stats.functionMisses;
+            cross = CacheCounters::global().crossHits.value() - cross0;
+        }
+        const double warm = warm_ms.percentile(50);
         const double hit_rate =
             hits + misses
                 ? static_cast<double>(hits) /
                       static_cast<double>(hits + misses)
                 : 0.0;
-        const double rebase_ms =
-            static_cast<double>(cache_rebase.value()) / 1e6;
         const std::string stages = Metrics::global().json();
 
-        char vs_cold[32], rate[32], rebase[32];
+        char vs_cold[32], rate[32];
         std::snprintf(vs_cold, sizeof(vs_cold), "%.2fx",
                       cold_ms[b] / warm);
         std::snprintf(rate, sizeof(rate), "%.1f%%",
                       hit_rate * 100.0);
-        std::snprintf(rebase, sizeof(rebase), "%.3f", rebase_ms);
         table.addRow({specs[b].name, std::to_string(cold_ms[b]),
                       std::to_string(warm), vs_cold, rate,
-                      std::to_string(cross), rebase});
+                      std::to_string(cross)});
 
         json << (b > 1 ? ",\n" : "\n") << "    {\"binary\": \""
              << specs[b].name << "\", \"cold_ms\": " << cold_ms[b]
@@ -1055,14 +1061,14 @@ crossBinarySection(icp::bench::JsonSections &sections)
              << ", \"function_misses\": " << misses
              << ", \"hit_rate\": " << hit_rate
              << ", \"cross_hits\": " << cross
-             << ", \"rebase_ms\": " << rebase_ms
              << ", \"cache_file_bytes\": " << fileBytes(xbin_cache)
              << ", \"stages\": " << stages << "}";
     }
     json << "\n  ]";
     std::printf("cross-binary cache sharing (libcommon x64 corpus, "
-                "shared --cache-file primed by app0)\n%s\n",
-                table.render().c_str());
+                "shared --cache-file primed by app0; median of %u "
+                "reps)\n%s\n",
+                reps, table.render().c_str());
     sections.add("cross_binary", json.str());
     std::remove(xbin_cache.c_str());
 }

@@ -555,7 +555,7 @@ buildCfg(const BinaryImage &image, const AnalysisOptions &opts,
                     // contents; accept the hit only when the data
                     // bytes its analysis read are unchanged — for a
                     // cross-binary hit the read-set comes back
-                    // rebased to *this* image's addresses, so the
+                    // decoded at *this* image's addresses, so the
                     // re-hash checks this binary's data bytes.
                     if (hit->dataDeps.validate(image)) {
                         dc.hitsValidated.add();

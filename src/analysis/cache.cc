@@ -58,10 +58,11 @@ imageCacheSeed(const BinaryImage &image, const AnalysisOptions &opts)
 {
     // Nothing position-dependent goes in here: no tocBase, no
     // section addresses or sizes. Analysis results are stored
-    // entry-relative and rebased on hit, so two binaries that link
-    // the same code at different layouts share entries. What *does*
-    // change analysis output for identical bytes is folded:
-    // architecture, PIE-ness, and every analysis/injection option.
+    // entry-relative and decoded at the asking entry on hit, so two
+    // binaries that link the same code at different layouts share
+    // entries. What *does* change analysis output for identical
+    // bytes is folded: architecture, PIE-ness, and every
+    // analysis/injection option.
     std::uint64_t h = fnvValue(
         static_cast<std::uint64_t>(image.arch), 0xcbf29ce484222325ULL);
     h = fnvValue(image.pie ? 1 : 0, h);
@@ -85,8 +86,8 @@ functionCacheKey(const BinaryImage &image, const Symbol &sym,
     // not folded — the same code at a different address (or under a
     // different name in another binary) must produce the same key.
     // Jump-table data that lives outside the function is covered by
-    // the recorded read-set (validated on every hit at the rebased
-    // addresses), not by the key.
+    // the recorded read-set (validated on every hit at the asking
+    // entry's addresses), not by the key.
     std::uint64_t h = fnvValue(sym.size, seed);
     for (const TryRange &range : tries) {
         h = fnvValue(range.startOff, h);
@@ -100,102 +101,6 @@ functionCacheKey(const BinaryImage &image, const Symbol &sym,
     return *key;
 }
 
-// --- rebase-on-hit --------------------------------------------------------
-
-namespace
-{
-
-/** entry-delta shift that preserves the invalid_addr sentinel. */
-inline Addr
-shifted(Addr a, std::uint64_t delta)
-{
-    return a == invalid_addr ? a : a + delta;
-}
-
-/** Shift read-set ranges by the entry delta (hashes carry over). */
-DataDeps
-rebaseDataDeps(const DataDeps &deps, Addr orig_entry, Addr new_entry)
-{
-    const std::uint64_t delta = new_entry - orig_entry;
-    if (delta == 0)
-        return deps;
-    std::vector<DepRange> ranges = deps.ranges();
-    for (DepRange &r : ranges) {
-        r.lo += delta;
-        r.hi += delta;
-    }
-    DataDeps out;
-    out.setRanges(std::move(ranges));
-    return out;
-}
-
-/** Shift liveness keys (block starts) by the entry delta. */
-LivenessResult
-rebaseLiveness(const LivenessResult &live, Addr orig_entry,
-               Addr new_entry)
-{
-    const std::uint64_t delta = new_entry - orig_entry;
-    if (delta == 0)
-        return live;
-    LivenessResult out;
-    for (const auto &[addr, regs] : live.liveIn)
-        out.liveIn.emplace(addr + delta, regs);
-    return out;
-}
-
-} // namespace
-
-Function
-rebaseFunction(const Function &func, Addr new_entry)
-{
-    Function out = func;
-    const std::uint64_t delta = new_entry - func.entry;
-    if (delta == 0)
-        return out;
-    out.entry = func.entry + delta;
-    out.end = func.end + delta;
-
-    std::map<Addr, Block> blocks;
-    for (auto &[start, block] : out.blocks) {
-        Block b = std::move(block);
-        b.start += delta;
-        b.end += delta;
-        if (b.callTarget)
-            b.callTarget = *b.callTarget + delta;
-        for (Instruction &in : b.insns) {
-            in.addr += delta;
-            in.target = shifted(in.target, delta);
-        }
-        for (Edge &e : b.succs)
-            e.target += delta;
-        blocks.emplace(b.start, std::move(b));
-    }
-    out.blocks = std::move(blocks);
-
-    for (JumpTable &jt : out.jumpTables) {
-        jt.jumpAddr += delta;
-        jt.tableAddr += delta;
-        if (jt.base)
-            jt.base = *jt.base + delta;
-        for (Addr &a : jt.baseDefAddrs)
-            a += delta;
-        jt.loadAddr += delta;
-        for (Addr &a : jt.targets)
-            a += delta;
-    }
-
-    std::set<Addr> pads;
-    for (Addr a : out.landingPads)
-        pads.insert(a + delta);
-    out.landingPads = std::move(pads);
-    for (Addr &a : out.indirectTailCalls)
-        a += delta;
-
-    out.dataDeps = rebaseDataDeps(out.dataDeps, func.entry, new_entry);
-    out.liveness = rebaseLiveness(out.liveness, func.entry, new_entry);
-    return out;
-}
-
 AnalysisCache &
 AnalysisCache::global()
 {
@@ -203,10 +108,9 @@ AnalysisCache::global()
     return cache;
 }
 
-// findFunction lives in cache_store.cc: a lookup that misses the
-// decoded map may have to deserialize a lazily-indexed
-// entry from a mapped cache file, and the payload decoders are
-// private to the store.
+// findFunction lives in cache_store.cc: a hit is decoded at the
+// asking symbol from a record, and the payload encoder and decoders
+// are private to the store.
 
 void
 AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
@@ -214,8 +118,9 @@ AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
                              Addr toc_base)
 {
     // Toc-relative address formation (ppc64le addis rd,r2) derives
-    // targets from tocBase, not from pc: a rebase is only exact when
-    // the requester's tocBase shifts by the same delta as the entry.
+    // targets from tocBase, not from pc: a hit at another entry is
+    // only exact when the requester's tocBase shifts by the same
+    // delta as the entry.
     // Record the analysis-time offset so find can enforce that.
     bool uses_toc = false;
     for (const auto &[start, block] : func->blocks) {

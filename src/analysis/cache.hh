@@ -11,25 +11,26 @@
  * process) share a single cache entry.
  *
  * The contract that makes an address-free key sound (file v4 on):
- *  - Entries are position-independent. Every absolute address in a
- *    stored result (block bounds, branch targets, jump-table
- *    anchors, liveness keys, read-set ranges) is kept relative to
- *    the entry it was analyzed at; findFunction() rematerializes
- *    absolute addresses at the *requested* entry, decoding a file
- *    record there directly and rebasing an in-memory one (file v8
- *    on, instructions are re-decoded from the requester's code
- *    bytes, which the key covers). Identical
- *    bytes imply identical pc-relative displacements, so every
- *    derived address shifts by exactly the entry delta; code whose
- *    bytes embed absolute addresses (non-PIE immediates,
- *    toc-relative forms at a different toc offset) differs in bytes
- *    or fails the recorded toc-delta check and simply never hits.
+ *  - Entries are position-independent. A record keeps every
+ *    absolute address of a result (block bounds, branch targets,
+ *    jump-table anchors, liveness keys, read-set ranges) relative to
+ *    the function's entry and no instructions at all. A hit at
+ *    another entry than the in-memory result's decodes a record at
+ *    the *requested* entry, re-decoding the instructions from the
+ *    requester's code bytes, which the key covers: the mapped
+ *    payload for a file entry, the in-memory result encoded on
+ *    demand otherwise. Identical bytes imply identical pc-relative
+ *    displacements, so every derived address shifts by exactly the
+ *    entry delta; code whose bytes embed absolute addresses (non-PIE
+ *    immediates, toc-relative forms at a different toc offset)
+ *    differs in bytes or fails the recorded toc-delta check and
+ *    simply never hits.
  *  - Data contents are still not part of the key. Every hit is
  *    validated by re-hashing the function's recorded data read-set
  *    (Function::dataDeps, per-range FNV content hashes, part of the
  *    function's own record) against the current image *at the
- *    rebased addresses*, and degrades to a conservative miss when
- *    those bytes changed. Data edits thus invalidate
+ *    requested entry's addresses*, and degrades to a conservative
+ *    miss when those bytes changed. Data edits thus invalidate
  *    exactly the functions that read the edited bytes — and a
  *    cross-binary hit is accepted only when the second binary's data
  *    bytes match what the analysis originally read.
@@ -131,18 +132,6 @@ std::uint64_t functionCacheKey(const BinaryImage &image,
                                std::uint64_t seed);
 
 /**
- * Shift every absolute address in @p func by `newEntry - func.entry`:
- * entry/end, block bounds, instruction addresses and branch targets
- * (the invalid_addr sentinel is preserved), edges, call targets,
- * jump-table anchors and computed targets, landing pads, indirect
- * tail calls, the data read-set ranges (their content hashes are
- * position-independent and carry over) and the liveness keys (block
- * starts). Sound for byte-identical code because all of these derive
- * from pc-relative displacements.
- */
-Function rebaseFunction(const Function &func, Addr new_entry);
-
-/**
  * Handles to the cache's counters in Metrics::global(): bytes mapped
  * by load(), bytes appended by save(), entries deserialized lazily on
  * first lookup, and cross-binary hits (stored entries analyzed at
@@ -195,14 +184,19 @@ class AnalysisCache
      * record ends at the symbol's end and every block decodes to
      * exactly its recorded instruction count and end.
      *
+     * A hit at the entry the in-memory object sits at returns that
+     * object itself. A hit at any other entry decodes the same way a
+     * file record does, from the in-memory object encoded on demand,
+     * and hands back that decode without storing it.
+     *
      * Each entry remembers the entry its analysis ran at
      * (Entry::origEntry); a hit at any other entry is a
      * cross-binary hit (CacheCounters::crossHits), and toc-relative
      * code additionally requires `tocBase - entry` to match the
-     * recorded value, else the lookup misses — a rebased toc-relative
-     * target would be wrong. A hit at the entry the in-memory object
-     * sits at returns that object itself; any other entry gets a
-     * rebased copy (timer `cache.rebase`).
+     * recorded value, else the lookup misses — a toc-relative target
+     * decoded at another toc offset would be wrong. Hits and cross
+     * hits are counted only once the decode succeeded; a failed
+     * decode counts one miss.
      */
     std::shared_ptr<const Function>
     findFunction(std::uint64_t key, const BinaryImage &image,
@@ -266,9 +260,10 @@ class AnalysisCache
      * value keeps absolute addresses at one entry: where it was
      * analyzed, or where a mapped record was first looked up. Hits
      * at value->entry return the shared snapshot without copying; a
-     * different requested entry rebases a copy. origEntry is the
-     * entry the analysis ran at (a record's payload carries it), the
-     * reference for cross-hit accounting. usesToc/tocDelta guard
+     * hit at another entry decodes value's record there (no payload
+     * is kept per entry). origEntry is the entry the analysis ran at
+     * (a record's payload carries it), the reference for cross-hit
+     * accounting. usesToc/tocDelta guard
      * toc-relative code: a hit at another entry than origEntry is
      * only valid when the requester's `tocBase - entry` matches.
      * stored is the dirty mark: the store() sequence number, 0 for

@@ -55,7 +55,6 @@ namespace
 
 const Timer cache_load_timer = Metrics::global().timer("cache.load");
 const Timer cache_save_timer = Metrics::global().timer("cache.save");
-const Timer cache_rebase_timer = Metrics::global().timer("cache.rebase");
 
 // --- payload encoders -----------------------------------------------------
 
@@ -1023,25 +1022,36 @@ AnalysisCache::findFunction(std::uint64_t key, const BinaryImage &image,
 {
     const Addr entry = sym.addr;
     std::unique_lock<std::mutex> lock(mu_);
-    auto it = functions_.find(key);
-    if (it == functions_.end()) {
-        IndexedPayload ip;
-        if (!findIndexed(key, ip)) {
-            stats_.functionMisses++;
-            return nullptr;
-        }
-        // First lookup of a mapped entry: verify its checksum and
-        // decode it at the requested entry, rebuilding its
-        // instructions from this image's code bytes, outside the lock
-        // (the shared mapping keeps the bytes alive; a racing decode
-        // of the same key is wasted work, not a bug).
+    Entry rec;
+    IndexedPayload ip;
+    if (auto it = functions_.find(key); it != functions_.end()) {
+        rec = it->second;
+    } else if (!findIndexed(key, ip)) {
+        stats_.functionMisses++;
+        return nullptr;
+    }
+
+    std::shared_ptr<const Function> value = std::move(rec.value);
+    if (!value || value->entry != entry) {
+        // Decode a record at the asking symbol, rebuilding its
+        // instructions from this image's code bytes, outside the
+        // lock: the mapped payload on a file entry's first lookup
+        // (the shared mapping keeps the bytes alive), else the
+        // in-memory entry's own record, encoded here. A racing
+        // decode of the same key is wasted work, not a bug.
         lock.unlock();
+        const bool mapped = !value;
+        std::vector<std::uint8_t> encoded;
+        if (!mapped)
+            encoded = encodeFunction(
+                *value, {rec.origEntry, rec.tocDelta, rec.usesToc});
+        ByteReader rd(mapped ? ip.payload : encoded.data(),
+                      mapped ? ip.payloadLen : encoded.size());
         Function func;
         RecordMeta meta;
-        ByteReader rd(ip.payload, ip.payloadLen);
         const DecodeSite site{image, sym};
-        const bool ok =
-            ip.intact() && decodeFunction(rd, func, meta, &site);
+        const bool ok = (!mapped || ip.intact()) &&
+                        decodeFunction(rd, func, meta, &site);
         lock.lock();
         if (!ok) {
             // Corrupt, undecodable, or not this symbol's code: count
@@ -1051,38 +1061,33 @@ AnalysisCache::findFunction(std::uint64_t key, const BinaryImage &image,
             return nullptr;
         }
         func.cacheKey = key;
-        Entry rec;
-        rec.arch = ip.arch;
-        rec.origEntry = meta.origEntry;
-        rec.tocDelta = meta.tocDelta;
-        rec.usesToc = meta.usesToc;
-        rec.value = std::make_shared<const Function>(std::move(func));
-        it = functions_.emplace(key, std::move(rec)).first;
-        CacheCounters::global().entriesLazy.add();
+        value = std::make_shared<const Function>(std::move(func));
+        if (mapped) {
+            rec.arch = ip.arch;
+            rec.origEntry = meta.origEntry;
+            rec.tocDelta = meta.tocDelta;
+            rec.usesToc = meta.usesToc;
+            rec.value = value;
+            functions_.emplace(key, rec);
+            CacheCounters::global().entriesLazy.add();
+        }
     }
 
-    const Entry &e = it->second;
     // Cross-binary hit: the same code bytes at a different address.
     // Toc-relative code derives targets from tocBase, so the hit is
     // only exact when the requester's toc offset matches.
-    const bool cross = entry != e.origEntry;
-    if (cross && e.usesToc &&
+    const bool cross = entry != rec.origEntry;
+    if (cross && rec.usesToc &&
         static_cast<std::int64_t>(image.tocBase) -
                 static_cast<std::int64_t>(entry) !=
-            e.tocDelta) {
+            rec.tocDelta) {
         stats_.functionMisses++;
         return nullptr;
     }
     stats_.functionHits++;
     if (cross)
         CacheCounters::global().crossHits.add();
-    if (entry == e.value->entry)
-        return e.value;
-    std::shared_ptr<const Function> value = e.value;
-    lock.unlock();
-    ScopedTimer timer(cache_rebase_timer);
-    return std::make_shared<const Function>(
-        rebaseFunction(*value, entry));
+    return value;
 }
 
 std::size_t

@@ -139,7 +139,7 @@ struct ProgramSpec
      * Corpus binaries that share a static-library core use distinct
      * multiples of 0x10000 here, so byte-identical functions land at
      * different absolute addresses — the shape the content-addressed
-     * analysis cache rebases on hit.
+     * analysis cache decodes at the asking entry on hit.
      */
     std::uint64_t baseOffset = 0;
 

@@ -69,8 +69,9 @@ ProgramSpec chromiumSmallProfile(Arch arch, bool pie);
  * its jump tables at the head of .rodata — are identical in every
  * binary while its absolute address differs per binary. That is the
  * cross-binary shape the content-addressed analysis cache serves
- * with rebase-on-hit: rewriting binary B against a cache primed by
- * binary A re-uses every core function's analysis.
+ * by decoding each hit at the asking entry: rewriting binary B
+ * against a cache primed by binary A re-uses every core function's
+ * analysis.
  */
 std::vector<ProgramSpec> libcommonCorpus(Arch arch,
                                          unsigned count = 4);

@@ -147,7 +147,8 @@ TEST(Workloads, LibcommonCorpusSharesByteIdenticalCoreAtShiftedAddresses)
     // The contract the cross-binary cache depends on: every core_*
     // function's code bytes are identical across the corpus while
     // its absolute address differs per binary (so a content-keyed
-    // lookup hits and rebases). App tails and main stay distinct.
+    // lookup hits and decodes at the asking entry). App tails and
+    // main stay distinct.
     for (const Arch arch :
          {Arch::x64, Arch::aarch64, Arch::ppc64le}) {
         const auto corpus = libcommonCorpus(arch, 3);

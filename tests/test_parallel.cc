@@ -3,7 +3,8 @@
  * Determinism and reuse tests of the parallel per-function pipeline:
  * rewriting with N worker threads must produce byte-identical output
  * to the sequential path, a warm analysis cache must change nothing
- * but skip >= 95% of per-function analysis work, and the thread pool
+ * (also when its hits are decoded at another binary's entries) but
+ * skip >= 95% of per-function analysis work, and the thread pool
  * itself must cover every index exactly once and propagate
  * exceptions.
  */
@@ -205,6 +206,37 @@ INSTANTIATE_TEST_SUITE_P(
                       ArchMode{Arch::aarch64, RewriteMode::jt},
                       ArchMode{Arch::aarch64, RewriteMode::funcPtr}),
     archModeName);
+
+TEST(ParallelSuite, InMemoryReHitsIdenticalAcrossThreads)
+{
+    // Member 1 of a shared-library corpus right after member 0, one
+    // process, no cache file: its core functions hit entries sitting
+    // at member 0's entries, and each worker decodes its hit from
+    // the shared Function at member 1's, outside the cache lock.
+    for (Arch arch : {Arch::x64, Arch::ppc64le, Arch::aarch64}) {
+        SCOPED_TRACE(archName(arch));
+        const std::vector<ProgramSpec> corpus = libcommonCorpus(arch, 2);
+        const BinaryImage first = compileProgram(corpus[0]);
+        const BinaryImage second = compileProgram(corpus[1]);
+
+        AnalysisCache::global().clear();
+        const RewriteResult uncached = rewriteBinary(
+            second, fullOptions(RewriteMode::funcPtr, 4, false));
+        ASSERT_TRUE(uncached.ok) << uncached.failReason;
+
+        ASSERT_TRUE(rewriteBinary(
+                        first, fullOptions(RewriteMode::funcPtr, 4, true))
+                        .ok);
+        const std::uint64_t cross0 =
+            CacheCounters::global().crossHits.value();
+        const RewriteResult warm = rewriteBinary(
+            second, fullOptions(RewriteMode::funcPtr, 4, true));
+        ASSERT_TRUE(warm.ok) << warm.failReason;
+        EXPECT_GT(CacheCounters::global().crossHits.value(), cross0);
+        EXPECT_EQ(warm.image.serialize(), uncached.image.serialize());
+    }
+    AnalysisCache::global().clear();
+}
 
 TEST(ParallelSuite, SpecWorkloadIdenticalAcrossThreads)
 {

@@ -809,7 +809,8 @@ TEST(ServeDaemon, CrossBinarySessionsShareAnalysisCache)
     // sessions are per-binary, but the process-wide AnalysisCache is
     // content-addressed, so the second binary's core functions hit
     // the entries the first one stored — at different absolute
-    // addresses, i.e. rebase-on-hit cross hits.
+    // addresses, i.e. cross hits decoded at the second binary's
+    // entries.
     AnalysisCache::global().clear();
     const auto corpus = libcommonCorpus(Arch::x64, 2);
     const std::string path_a = "/tmp/icp_test_serve_xbin_a.sbf";

@@ -23,7 +23,8 @@
 #                  which drive the CFG builder's offset-indexed table
 #                  over hand-assembled edge cases and compiled
 #                  corpora, and the data-deps suite, whose cache round
-#                  trip takes the rebased read-set hit path) and the
+#                  trip looks up a read-set at other bytes and must
+#                  miss) and the
 #                  repair-loop CLI smoke; the
 #                  allocation guard (test_alloc_guard) stays out, as
 #                  it replaces the operator new that ASan owns
@@ -308,8 +309,8 @@ leg_cross_binary() {
     # ...then rewrite the second against it. The binaries share only
     # their static-lib core, at different link bases: the >= 50%
     # analysis reuse below is possible only if content-addressed
-    # keys hit across binaries and rebase-on-hit keeps the output
-    # byte-identical to the cold run.
+    # keys hit across binaries and each hit, decoded at b's own
+    # entry, keeps the output byte-identical to the cold run.
     ./build/tools/icp rewrite "$dir/b.sbf" "$dir/b_warm.sbf" \
         --cache-file "$cache" --timing | tee "$dir/warm.log" &&
     pct="$(sed -n 's/.*reused (\([0-9.]*\)%).*/\1/p' "$dir/warm.log")" &&

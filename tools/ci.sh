@@ -12,8 +12,9 @@
 #                              compaction size-cap smoke
 #   tools/ci.sh cross-binary   content-addressed cross-binary cache
 #                              smoke: second libcommon binary >= 50%
-#                              analysis reuse via rebase-on-hit,
-#                              byte-identical to its cold rewrite
+#                              analysis reuse via hits decoded at
+#                              its own entries, byte-identical to
+#                              its cold rewrite
 #   tools/ci.sh sharded        range-bounded --shards rewrite smoke:
 #                              byte identity, lint, cache-file
 #                              rejection, timing, RSS
