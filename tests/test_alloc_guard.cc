@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,18 @@ struct Measured
     double buildCfgPerFunction;
     double rewritePerFunction;
 };
+
+/**
+ * Prints a case as its ISA and figures. gtest would otherwise print the
+ * struct's raw bytes, padding included, so the listed test name would
+ * change from one build to the next.
+ */
+void
+PrintTo(const Measured &m, std::ostream *os)
+{
+    *os << archName(m.arch) << " bounds " << m.buildCfgPerFunction << ' '
+        << m.rewritePerFunction;
+}
 
 constexpr double slack = 1.5;
 
