@@ -188,8 +188,8 @@ main(int argc, char **argv)
         for (const auto &[entry, func] : cfg.functions) {
             if (func.name != "600.perlbench_h1")
                 continue;
-            for (const auto &[start, block] : func.blocks) {
-                chosen.insert(start);
+            for (const Block &block : func.blocks) {
+                chosen.insert(block.start);
                 if (chosen.size() >= 2)
                     break;
             }

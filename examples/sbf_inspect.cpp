@@ -91,15 +91,15 @@ main(int argc, char **argv)
                     func.blocks.size(), func.jumpTables.size(),
                     func.instrumentable() ? ""
                                           : " [analysis FAILED]");
-        for (const auto &[start, block] : func.blocks) {
+        for (const Block &block : func.blocks) {
             std::printf(" block 0x%llx:\n",
-                        static_cast<unsigned long long>(start));
-            for (const auto &in : block.insns) {
+                        static_cast<unsigned long long>(block.start));
+            for (const auto &in : func.insnsOf(block)) {
                 std::printf("   %08llx  %s\n",
                             static_cast<unsigned long long>(in.addr),
                             in.toString().c_str());
             }
-            for (const auto &edge : block.succs) {
+            for (const auto &edge : func.succsOf(block)) {
                 std::printf("   -> 0x%llx%s\n",
                             static_cast<unsigned long long>(
                                 edge.target),

@@ -1,6 +1,7 @@
 #include "analysis/builder.hh"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 
 #include "analysis/cache.hh"
@@ -21,11 +22,17 @@ const Timer jump_table_timer = Metrics::global().timer("jump-table");
 const Timer liveness_timer = Metrics::global().timer("liveness");
 
 /**
- * Per-function construction state: one table indexed by byte offset
- * from the entry, holding the instruction decoded at each offset (an
- * index into insns_) and whether a block may start there (a leader).
+ * Per-function construction state: one table with a slot per
+ * instruction-aligned address of the function's stored bytes,
+ * holding the instruction decoded there (an index into insns_) and
+ * whether a block may start there (a leader). An instruction starts
+ * only at an aligned address, so on the fixed-length ISAs the table
+ * has a slot per four bytes.
  * Blocks form from the table in address order, and only after an
- * instruction or a leader was added since they last formed.
+ * instruction or a leader was added since they last formed. Forming
+ * writes index ranges only: each block's instructions are a range of
+ * order_, which indexes insns_. build() copies the instructions into
+ * the Function's array once, in that order.
  */
 class FunctionBuilder
 {
@@ -44,16 +51,22 @@ class FunctionBuilder
         // Zero decodes as illegal on every ISA, so instructions start
         // only in stored bytes, and a decoded image keeps each
         // function symbol inside one section's stored bytes
-        // (sbf-symbol): the table spans those of [entry, end).
-        std::uint64_t stored = 0;
+        // (sbf-symbol): the table spans the aligned addresses of
+        // those of [entry, end).
         if (const Section *s = image.sectionAt(sym.addr)) {
             const Offset off = sym.addr - s->addr;
             if (off < s->bytes.size())
-                stored = std::min<std::uint64_t>(sym.size,
-                                                 s->bytes.size() - off);
+                stored_ = std::min<std::uint64_t>(sym.size,
+                                                  s->bytes.size() - off);
         }
-        slots_.resize(stored);
-        insns_.reserve(stored / 4 + 1);
+        const unsigned align = image.archInfo().instrAlign;
+        alignMask_ = align - 1;
+        shift_ = static_cast<unsigned>(std::countr_zero(align));
+        base_ = (sym.addr + alignMask_) & ~Addr{alignMask_};
+        if (stored_ > base_ - sym.addr)
+            slots_.resize((stored_ - (base_ - sym.addr) + alignMask_) >>
+                          shift_);
+        insns_.reserve(stored_ / 4 + 1);
     }
 
     Function build();
@@ -61,7 +74,7 @@ class FunctionBuilder
   private:
     static constexpr std::uint32_t no_insn = ~std::uint32_t{0};
 
-    /** What starts at one byte offset from the entry. */
+    /** What starts at one aligned address. */
     struct Slot
     {
         std::uint32_t insn = no_insn; ///< index into insns_
@@ -74,6 +87,17 @@ class FunctionBuilder
     void formBlocks();
     void resolveIndirectJumps();
     void classifyGaps();
+    void finishArrays();
+
+    /** Instruction @p k of @p block while it forms. */
+    const Instruction &
+    insnOf(const Block &block, std::uint32_t k) const
+    {
+        return insns_[order_[block.insns.first + k]];
+    }
+
+    /** @p block's instructions, copied into @p out. */
+    void gather(const Block &block, std::vector<Instruction> &out) const;
 
     bool
     inFunction(Addr a) const
@@ -81,13 +105,15 @@ class FunctionBuilder
         return a >= func_.entry && a < func_.end;
     }
 
-    /** The slot of @p a, or null outside the table. */
+    /** The slot of @p a, or null when @p a is unaligned or outside
+     *  the table. */
     Slot *
     slotAt(Addr a)
     {
-        return a >= func_.entry && a - func_.entry < slots_.size()
-                   ? &slots_[a - func_.entry]
-                   : nullptr;
+        if (a < base_ || (a & alignMask_) != 0)
+            return nullptr;
+        const Addr i = (a - base_) >> shift_;
+        return i < slots_.size() ? &slots_[i] : nullptr;
     }
 
     /** The instruction decoded at @p a, or null. */
@@ -122,6 +148,8 @@ class FunctionBuilder
         if (Slot *slot = slotAt(a); slot && !slot->leader) {
             slot->leader = true;
             formed_ = false;
+            if (slot->insn != no_insn)
+                ++blockStarts_;
         }
         work_.push_back(a);
     }
@@ -132,14 +160,26 @@ class FunctionBuilder
 
     Function func_;
     std::vector<Slot> slots_;
+    Addr base_ = 0;            ///< address of slots_[0]
+    Addr alignMask_ = 0;       ///< instrAlign - 1
+    unsigned shift_ = 0;       ///< log2(instrAlign)
+    std::uint64_t stored_ = 0; ///< stored bytes from the entry
     std::vector<Instruction> insns_; ///< in decode order
     std::vector<Addr> work_;         ///< traversal queue, in order
 
     /** func_.blocks reflect every instruction and leader. */
     bool formed_ = false;
 
-    /** One block's instruction indices while it forms. */
-    std::vector<std::uint32_t> blockInsns_;
+    /** Slots that are a leader an instruction starts at. */
+    std::size_t blockStarts_ = 0;
+
+    /** Every block's instructions as insns_ indices, block after
+     *  block: the blocks' instruction ranges index this. */
+    std::vector<std::uint32_t> order_;
+
+    /** A block and its layout predecessor, gathered for the
+     *  jump-table analyzer. */
+    std::vector<Instruction> jumpBlock_, jumpPred_;
 
     /** Ranges of embedded jump-table data (not code). */
     std::vector<std::pair<Addr, Addr>> dataRanges_;
@@ -151,7 +191,7 @@ class FunctionBuilder
 bool
 FunctionBuilder::decodeAt(Addr addr, Instruction &in) const
 {
-    return addr >= func_.entry && addr - func_.entry < slots_.size() &&
+    return addr >= func_.entry && addr - func_.entry < stored_ &&
            decodeInstructionAt(image_, addr, func_.end, in);
 }
 
@@ -160,7 +200,7 @@ FunctionBuilder::traverseFrom(Addr start)
 {
     if (!inFunction(start) || insnAt(start))
         return;
-    if (start % image_.archInfo().instrAlign != 0)
+    if ((start & alignMask_) != 0)
         return;
     Addr cur = start;
     while (inFunction(cur) && !insnAt(cur)) {
@@ -170,7 +210,10 @@ FunctionBuilder::traverseFrom(Addr start)
             // will see it.
             return;
         }
-        slotAt(cur)->insn = static_cast<std::uint32_t>(insns_.size());
+        Slot &slot = *slotAt(cur);
+        slot.insn = static_cast<std::uint32_t>(insns_.size());
+        if (slot.leader)
+            ++blockStarts_;
         insns_.push_back(in);
         formed_ = false;
         const Addr next = cur + in.length;
@@ -221,53 +264,65 @@ FunctionBuilder::formBlocks()
         return;
     formed_ = true;
     ScopedTimer timer(cfg_timer);
+    // Each round only adds leaders and instructions, so the arrays
+    // keep their capacity, and blocks is sized exactly.
     func_.blocks.clear();
+    func_.blocks.reserve(blockStarts_);
+    func_.edges.clear();
+    func_.edges.reserve(2 * blockStarts_);
+    order_.clear();
+    order_.reserve(insns_.size());
     // A leader no instruction starts at (inside a decoded instruction,
     // or where nothing decodes) is an infeasible edge: dropped.
-    for (std::size_t off = 0; off < slots_.size(); ++off) {
-        const Slot &slot = slots_[off];
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        const Slot &slot = slots_[i];
         if (!slot.leader || slot.insn == no_insn)
             continue;
-        Block block;
-        block.start = func_.entry + off;
-        blockInsns_.clear();
+        Block &block = func_.blocks.emplace_back();
+        block.start = base_ + (Addr{i} << shift_);
+        block.insns.first = static_cast<std::uint32_t>(order_.size());
         Addr cur = block.start;
+        const Instruction *last = nullptr;
         for (const Instruction *in = insnAt(cur); in; in = insnAt(cur)) {
-            blockInsns_.push_back(
+            order_.push_back(
                 static_cast<std::uint32_t>(in - insns_.data()));
+            last = in;
             cur += in->length;
             if (isControlFlow(in->op) || startsBlock(cur))
                 break;
         }
         block.end = cur;
-        block.insns.reserve(blockInsns_.size());
-        for (std::uint32_t i : blockInsns_)
-            block.insns.push_back(insns_[i]);
+        block.insns.count =
+            static_cast<std::uint32_t>(order_.size()) - block.insns.first;
 
-        // Successor edges.
-        const Instruction &last = block.last();
+        // Successor edges; jump-table edges join them in
+        // finishArrays.
         const Addr next = block.end;
-        Edge succs[2];
-        unsigned n = 0;
-        switch (last.op) {
+        block.succs.first =
+            static_cast<std::uint32_t>(func_.edges.size());
+        auto edge = [&](Addr target, EdgeKind kind) {
+            func_.edges.push_back({target, kind});
+            ++block.succs.count;
+        };
+        switch (last->op) {
           case Opcode::Jmp:
-            if (inFunction(last.target))
-                succs[n++] = {last.target, EdgeKind::taken};
+            if (inFunction(last->target))
+                edge(last->target, EdgeKind::taken);
             else
                 block.endsFunction = true;
             break;
           case Opcode::JmpCond:
-            if (inFunction(last.target))
-                succs[n++] = {last.target, EdgeKind::taken};
-            succs[n++] = {next, EdgeKind::fallthrough};
+            if (inFunction(last->target))
+                edge(last->target, EdgeKind::taken);
+            edge(next, EdgeKind::fallthrough);
             break;
           case Opcode::Call:
-            block.callTarget = last.target;
-            succs[n++] = {next, EdgeKind::callFallthrough};
+            block.callTarget = last->target;
+            edge(next, EdgeKind::callFallthrough);
             break;
           case Opcode::CallInd:
           case Opcode::CallIndMem:
-            succs[n++] = {next, EdgeKind::callFallthrough};
+            edge(next, EdgeKind::callFallthrough);
             break;
           case Opcode::JmpInd:
           case Opcode::JmpTar:
@@ -280,14 +335,20 @@ FunctionBuilder::formBlocks()
             block.endsFunction = true;
             break;
           default:
-            if (!isControlFlow(last.op))
-                succs[n++] = {next, EdgeKind::fallthrough};
+            if (!isControlFlow(last->op))
+                edge(next, EdgeKind::fallthrough);
             break;
         }
-        block.succs.assign(succs, succs + n);
-        func_.blocks.emplace_hint(func_.blocks.end(), block.start,
-                                  std::move(block));
     }
+}
+
+void
+FunctionBuilder::gather(const Block &block,
+                        std::vector<Instruction> &out) const
+{
+    out.clear();
+    for (std::uint32_t k = 0; k < block.insns.count; ++k)
+        out.push_back(insnOf(block, k));
 }
 
 void
@@ -299,10 +360,12 @@ FunctionBuilder::resolveIndirectJumps()
         formBlocks();
         unresolved_.clear();
         bool discovered = false;
-        for (auto &[start, block] : func_.blocks) {
+        for (std::size_t b = 0; b < func_.blocks.size(); ++b) {
+            const Block &block = func_.blocks[b];
             if (!block.endsInUnresolvedIndirect)
                 continue;
-            const Addr jump_addr = block.last().addr;
+            const Addr jump_addr =
+                insnOf(block, block.insns.count - 1).addr;
             const bool known = std::any_of(
                 func_.jumpTables.begin(), func_.jumpTables.end(),
                 [&](const JumpTable &jt) {
@@ -312,15 +375,12 @@ FunctionBuilder::resolveIndirectJumps()
                 continue;
             // Layout predecessor: the block ending exactly at this
             // block's start with a fall-through edge.
-            const Block *pred = nullptr;
-            auto it = func_.blocks.find(start);
-            if (it != func_.blocks.begin()) {
-                const Block &before = std::prev(it)->second;
-                if (before.end == start)
-                    pred = &before;
-            }
+            gather(block, jumpBlock_);
+            jumpPred_.clear();
+            if (b > 0 && func_.blocks[b - 1].end == block.start)
+                gather(func_.blocks[b - 1], jumpPred_);
             ScopedTimer timer(jump_table_timer);
-            auto jt = analyzer_.analyze(block, pred);
+            auto jt = analyzer_.analyze(jumpBlock_, jumpPred_);
             if (!jt) {
                 unresolved_.push_back(jump_addr);
                 continue;
@@ -361,23 +421,11 @@ FunctionBuilder::resolveIndirectJumps()
     }
     formBlocks();
 
-    // Attach resolved jump-table successor edges.
-    for (auto &jt : func_.jumpTables) {
-        Block *block = func_.blockAt(jt.jumpAddr);
-        if (!block)
-            continue;
-        block->endsInUnresolvedIndirect = false;
-        const auto edge = [&](Addr t) {
-            return inFunction(t) && startsBlock(t);
-        };
-        block->succs.reserve(
-            block->succs.size() +
-            static_cast<std::size_t>(std::count_if(
-                jt.targets.begin(), jt.targets.end(), edge)));
-        for (Addr t : jt.targets) {
-            if (edge(t))
-                block->succs.push_back({t, EdgeKind::jumpTable});
-        }
+    // A resolved jump's block gets the table's edges in
+    // finishArrays.
+    for (const auto &jt : func_.jumpTables) {
+        if (Block *block = func_.blockAt(jt.jumpAddr))
+            block->endsInUnresolvedIndirect = false;
     }
 }
 
@@ -396,8 +444,8 @@ FunctionBuilder::classifyGaps()
     // embedded table data; nop-only gaps mean the unresolved jumps
     // are indirect tail calls.
     std::vector<std::pair<Addr, Addr>> covered;
-    for (const auto &[start, block] : func_.blocks)
-        covered.emplace_back(start, block.end);
+    for (const Block &block : func_.blocks)
+        covered.emplace_back(block.start, block.end);
     for (const auto &range : dataRanges_)
         covered.push_back(range);
     std::sort(covered.begin(), covered.end());
@@ -449,9 +497,54 @@ FunctionBuilder::build()
     {
         ScopedTimer timer(cfg_timer);
         classifyGaps();
+        finishArrays();
     }
-    // Every vector of a block was sized exactly as it formed.
     return std::move(func_);
+}
+
+void
+FunctionBuilder::finishArrays()
+{
+    // The instructions, copied once in block order.
+    func_.insns.reserve(order_.size());
+    for (std::uint32_t i : order_)
+        func_.insns.push_back(insns_[i]);
+
+    // The edges, sized exactly: each resolved table's edges follow
+    // the fixed edges of the block holding its jump, tables in
+    // resolution order.
+    const auto edge = [&](Addr t) {
+        return inFunction(t) && startsBlock(t);
+    };
+    std::vector<std::pair<std::size_t, std::size_t>> owners; // block, table
+    std::size_t count = func_.edges.size();
+    for (std::size_t t = 0; t < func_.jumpTables.size(); ++t) {
+        const JumpTable &jt = func_.jumpTables[t];
+        if (const Block *block = func_.blockAt(jt.jumpAddr)) {
+            owners.emplace_back(block - func_.blocks.data(), t);
+            count += static_cast<std::size_t>(std::count_if(
+                jt.targets.begin(), jt.targets.end(), edge));
+        }
+    }
+    std::sort(owners.begin(), owners.end());
+    std::vector<Edge> edges;
+    edges.reserve(count);
+    auto owner = owners.begin();
+    for (std::size_t b = 0; b < func_.blocks.size(); ++b) {
+        Block &block = func_.blocks[b];
+        const auto fixed = func_.succsOf(block);
+        block.succs.first = static_cast<std::uint32_t>(edges.size());
+        edges.insert(edges.end(), fixed.begin(), fixed.end());
+        for (; owner != owners.end() && owner->first == b; ++owner) {
+            for (Addr t : func_.jumpTables[owner->second].targets) {
+                if (edge(t))
+                    edges.push_back({t, EdgeKind::jumpTable});
+            }
+        }
+        block.succs.count =
+            static_cast<std::uint32_t>(edges.size()) - block.succs.first;
+    }
+    func_.edges = std::move(edges);
 }
 
 } // namespace

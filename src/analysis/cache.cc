@@ -1,5 +1,7 @@
 #include "analysis/cache.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace icp
@@ -122,17 +124,9 @@ AnalysisCache::storeFunction(std::uint64_t key, Arch arch,
     // only exact when the requester's tocBase shifts by the same
     // delta as the entry.
     // Record the analysis-time offset so find can enforce that.
-    bool uses_toc = false;
-    for (const auto &[start, block] : func->blocks) {
-        for (const Instruction &in : block.insns) {
-            if (in.op == Opcode::AddisToc) {
-                uses_toc = true;
-                break;
-            }
-        }
-        if (uses_toc)
-            break;
-    }
+    const bool uses_toc = std::any_of(
+        func->insns.begin(), func->insns.end(),
+        [](const Instruction &in) { return in.op == Opcode::AddisToc; });
     Entry entry_rec;
     entry_rec.arch = arch;
     entry_rec.origEntry = func->entry;

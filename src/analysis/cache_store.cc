@@ -28,9 +28,9 @@
 #include "analysis/cache_store.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <set>
 #include <tuple>
@@ -101,9 +101,10 @@ encodeJumpTable(std::vector<std::uint8_t> &out, const JumpTable &jt,
 }
 
 void
-encodeBlock(std::vector<std::uint8_t> &out, const Block &block,
-            Addr entry)
+encodeBlock(std::vector<std::uint8_t> &out, const Function &func,
+            const Block &block)
 {
+    const Addr entry = func.entry;
     putU64(out, relAddr(block.start, entry));
     putU64(out, relAddr(block.end, entry));
     std::uint8_t flags = 0;
@@ -118,9 +119,9 @@ encodeBlock(std::vector<std::uint8_t> &out, const Block &block,
                                  : 0);
     // The instructions themselves are re-decoded from the code bytes
     // at lookup; the count is what the re-decode must reproduce.
-    putU32(out, static_cast<std::uint32_t>(block.insns.size()));
-    putU32(out, static_cast<std::uint32_t>(block.succs.size()));
-    for (const Edge &e : block.succs) {
+    putU32(out, block.insns.count);
+    putU32(out, block.succs.count);
+    for (const Edge &e : func.succsOf(block)) {
         putU64(out, relAddr(e.target, entry));
         putU8(out, static_cast<std::uint8_t>(e.kind));
     }
@@ -138,11 +139,32 @@ struct RecordMeta
     bool usesToc = false;
 };
 
+/**
+ * The length of encodeFunction's payload for @p func, field by field
+ * in its order (a jump table's fixed fields take 55 bytes, a block's
+ * 33); encodeFunction checks that the two agree.
+ */
+std::size_t
+encodedSize(const Function &func)
+{
+    std::size_t n = 8 + 8 + 1 + 4 + func.name.size() + 8 + 1;
+    n += 4 + 8 * func.landingPads.size();
+    n += 4 + 8 * func.indirectTailCalls.size();
+    n += 4;
+    for (const JumpTable &jt : func.jumpTables)
+        n += 55 + 8 * (jt.baseDefAddrs.size() + jt.targets.size());
+    n += 4 + 33 * func.blocks.size() + 9 * func.edges.size();
+    n += 4 + 24 * func.dataDeps.size();
+    n += 4 + 4 * func.liveness.liveIn.size();
+    return n;
+}
+
 /** @p func's payload; its addresses are relative to func.entry. */
 std::vector<std::uint8_t>
 encodeFunction(const Function &func, const RecordMeta &meta)
 {
     std::vector<std::uint8_t> out;
+    out.reserve(encodedSize(func));
     putU64(out, meta.origEntry);
     putU64(out, static_cast<std::uint64_t>(meta.tocDelta));
     putU8(out, meta.usesToc ? 1 : 0);
@@ -160,28 +182,26 @@ encodeFunction(const Function &func, const RecordMeta &meta)
     for (const JumpTable &jt : func.jumpTables)
         encodeJumpTable(out, jt, func.entry);
     putU32(out, static_cast<std::uint32_t>(func.blocks.size()));
-    for (const auto &[start, block] : func.blocks)
-        encodeBlock(out, block, func.entry);
+    for (const Block &block : func.blocks)
+        encodeBlock(out, func, block);
     putU32(out, static_cast<std::uint32_t>(func.dataDeps.size()));
     for (const DepRange &r : func.dataDeps.ranges()) {
         putU64(out, relAddr(r.lo, func.entry));
         putU64(out, relAddr(r.hi, func.entry));
         putU64(out, r.hash);
     }
-    // Liveness is empty (x86-64) or one set per block keyed by its
-    // start, so the sets alone are stored, in block order.
-    const std::map<Addr, RegSet> &live = func.liveness.liveIn;
-    icp_assert(live.empty() ||
-                   std::equal(live.begin(), live.end(),
-                              func.blocks.begin(), func.blocks.end(),
-                              [](const auto &l, const auto &b) {
-                                  return l.first == b.first;
-                              }),
-               "liveness of %s is not keyed by its block starts",
-               func.name.c_str());
+    // Liveness is empty (x86-64) or one set per block, in block
+    // order.
+    const std::vector<RegSet> &live = func.liveness.liveIn;
+    icp_assert(live.empty() || live.size() == func.blocks.size(),
+               "liveness of %s has %zu sets for %zu blocks",
+               func.name.c_str(), live.size(), func.blocks.size());
     putU32(out, static_cast<std::uint32_t>(live.size()));
-    for (const auto &[start, regs] : live)
+    for (const RegSet regs : live)
         putU32(out, regs.raw());
+    icp_assert(out.size() == encodedSize(func),
+               "payload of %s is not the size encodedSize computes",
+               func.name.c_str());
     return out;
 }
 
@@ -217,22 +237,53 @@ decodeJumpTable(ByteReader &rd, JumpTable &jt, Addr entry)
     return !rd.failed();
 }
 
+/** Bytes of a block record before its instruction count. */
+constexpr std::size_t block_head_bytes = 8 + 8 + 1 + 8;
+
 /**
- * One block of a payload at @p entry, for a function @p size bytes
- * long: its bounds must lie inside the function, and its recorded
- * instruction count must fit them. With @p image, the instructions
- * are re-decoded from the image's bytes the way the builder decoded
- * them, and must come to exactly that count and end; without one
- * (verify), the block keeps no instructions.
+ * The instruction and edge totals of the @p nblocks block records at
+ * @p rd (a copy: the caller's reader does not move), so a decode can
+ * size its arrays once; false when the records do not fit.
  */
 bool
-decodeBlock(ByteReader &rd, Block &block, Addr entry, std::uint64_t size,
-            const BinaryImage *image)
+blockTotals(ByteReader rd, std::uint32_t nblocks, std::size_t &insns,
+            std::size_t &edges)
 {
+    insns = edges = 0;
+    for (std::uint32_t i = 0; i < nblocks && !rd.failed(); ++i) {
+        rd.blob(block_head_bytes);
+        insns += rd.u32();
+        const std::uint32_t nsuccs = rd.u32();
+        if (nsuccs > rd.remaining() / 9)
+            return false;
+        rd.blob(std::size_t{nsuccs} * 9);
+        edges += nsuccs;
+    }
+    return !rd.failed();
+}
+
+/**
+ * One block of a payload into @p func, whose entry and end are set:
+ * its bounds must lie inside the function, after the previous
+ * block's start, and its recorded instruction count must fit them.
+ * With @p image, the instructions are re-decoded from the image's
+ * bytes the way the builder decoded them, and must come to exactly
+ * that count and end; without one (verify), the block keeps no
+ * instructions.
+ */
+bool
+decodeBlock(ByteReader &rd, Function &func, const BinaryImage *image)
+{
+    const Addr entry = func.entry;
+    const std::uint64_t size = func.end - entry;
     const std::uint64_t rel_start = rd.u64();
     const std::uint64_t rel_end = rd.u64();
     if (rel_start >= rel_end || rel_end > size)
         return false;
+    if (!func.blocks.empty() &&
+        rel_start <= func.blocks.back().start - entry)
+        return false;
+    Block &block = func.blocks.emplace_back();
     block.start = entry + rel_start;
     block.end = entry + rel_end;
     const std::uint8_t flags = rd.u8();
@@ -246,12 +297,14 @@ decodeBlock(ByteReader &rd, Block &block, Addr entry, std::uint64_t size,
     const std::uint32_t ninsns = rd.u32();
     if (ninsns == 0 || ninsns > rel_end - rel_start)
         return false;
+    block.insns.first = static_cast<std::uint32_t>(func.insns.size());
     if (image) {
-        block.insns.resize(ninsns);
+        block.insns.count = ninsns;
         Addr cur = block.start;
-        for (Instruction &in : block.insns) {
+        for (std::uint32_t i = 0; i < ninsns; ++i) {
+            Instruction &in = func.insns.emplace_back();
             if (cur >= block.end ||
-                !decodeInstructionAt(*image, cur, entry + size, in))
+                !decodeInstructionAt(*image, cur, func.end, in))
                 return false;
             cur += in.length;
         }
@@ -261,8 +314,10 @@ decodeBlock(ByteReader &rd, Block &block, Addr entry, std::uint64_t size,
     const std::uint32_t nsuccs = rd.u32();
     if (nsuccs > rd.remaining() / 9)
         return false;
-    block.succs.resize(nsuccs);
-    for (Edge &e : block.succs) {
+    block.succs.first = static_cast<std::uint32_t>(func.edges.size());
+    block.succs.count = nsuccs;
+    for (std::uint32_t i = 0; i < nsuccs; ++i) {
+        Edge &e = func.edges.emplace_back();
         e.target = absAddr(rd.u64(), entry);
         const std::uint8_t kind = rd.u8();
         if (kind > static_cast<std::uint8_t>(EdgeKind::jumpTable))
@@ -305,17 +360,18 @@ decodeDataDeps(ByteReader &rd, DataDeps &deps, Addr entry)
 bool
 decodeLiveness(ByteReader &rd, Function &func)
 {
-    std::map<Addr, RegSet> &live = func.liveness.liveIn;
+    std::vector<RegSet> &live = func.liveness.liveIn;
     const std::uint32_t n = rd.u32();
     if (n != 0 && n != func.blocks.size())
         return false;
     if (n > rd.remaining() / 4)
         return false;
-    for (auto it = func.blocks.begin(); live.size() < n; ++it) {
+    live.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint32_t raw = rd.u32();
         if (raw >> num_regs != 0)
             return false;
-        live.emplace_hint(live.end(), it->first, RegSet::fromRaw(raw));
+        live.push_back(RegSet::fromRaw(raw));
     }
     return !rd.failed();
 }
@@ -377,13 +433,19 @@ decodeFunction(ByteReader &rd, Function &func, RecordMeta &meta,
     const std::uint32_t nblocks = rd.u32();
     if (nblocks > rd.remaining() / 33) // minimum encoded block size
         return false;
+    std::size_t ninsns = 0, nedges = 0;
+    if (!blockTotals(rd, nblocks, ninsns, nedges))
+        return false;
+    // A block's count is checked against its bounds only as the
+    // block decodes, so the reserve trusts no more instructions than
+    // the function has bytes.
+    func.blocks.reserve(nblocks);
+    if (site)
+        func.insns.reserve(std::min<std::uint64_t>(ninsns, size));
+    func.edges.reserve(nedges);
     for (std::uint32_t i = 0; i < nblocks; ++i) {
-        Block block;
-        if (!decodeBlock(rd, block, entry, size,
-                         site ? &site->image : nullptr))
+        if (!decodeBlock(rd, func, site ? &site->image : nullptr))
             return false;
-        func.blocks.emplace_hint(func.blocks.end(), block.start,
-                                 std::move(block));
     }
     if (!decodeDataDeps(rd, func.dataDeps, entry) ||
         !decodeLiveness(rd, func))
@@ -760,6 +822,31 @@ fileHeader(std::uint64_t generation)
     return out;
 }
 
+/**
+ * Write @p bytes to @p path, created if missing, opened with
+ * O_WRONLY | @p flags (O_TRUNC or O_APPEND): one write(2) per
+ * chunk the kernel takes, retried on EINTR.
+ */
+bool
+writeFile(const std::string &path, int flags,
+          const std::vector<std::uint8_t> &bytes)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | flags, 0666);
+    if (fd < 0)
+        return false;
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        done += static_cast<std::size_t>(n);
+    }
+    return ::close(fd) == 0 && done == bytes.size();
+}
+
 /** Frame @p entries as one segment: header, sorted index, payloads. */
 std::vector<std::uint8_t>
 segmentBytes(const OutEntries &entries, std::uint64_t generation)
@@ -796,15 +883,8 @@ writeFileAtomic(const std::string &path,
 {
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return false;
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return false;
-    }
+    if (!writeFile(tmp, O_TRUNC, bytes))
+        return false;
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         return false;
@@ -1264,13 +1344,7 @@ AnalysisCache::save(const std::string &path, std::uint64_t max_bytes)
     } else if (append_mode) {
         const std::vector<std::uint8_t> seg =
             segmentBytes(delta, scan.maxGeneration + 1);
-        std::ofstream out(path, std::ios::binary | std::ios::app);
-        ok = static_cast<bool>(out);
-        if (ok) {
-            out.write(reinterpret_cast<const char *>(seg.data()),
-                      static_cast<std::streamsize>(seg.size()));
-            ok = static_cast<bool>(out);
-        }
+        ok = writeFile(path, O_APPEND, seg);
         if (ok)
             CacheCounters::global().bytesAppended.add(seg.size());
     } else {

@@ -5,16 +5,27 @@
 namespace icp
 {
 
+std::size_t
+Function::blockIndex(Addr start) const
+{
+    auto it = std::lower_bound(
+        blocks.begin(), blocks.end(), start,
+        [](const Block &b, Addr a) { return b.start < a; });
+    return it == blocks.end() || it->start != start
+               ? no_block
+               : static_cast<std::size_t>(it - blocks.begin());
+}
+
 const Block *
 Function::blockAt(Addr a) const
 {
-    auto it = blocks.upper_bound(a);
+    auto it = std::upper_bound(
+        blocks.begin(), blocks.end(), a,
+        [](Addr x, const Block &b) { return x < b.start; });
     if (it == blocks.begin())
         return nullptr;
     --it;
-    if (a < it->second.end)
-        return &it->second;
-    return nullptr;
+    return a < it->end ? &*it : nullptr;
 }
 
 Block *
@@ -22,6 +33,18 @@ Function::blockAt(Addr a)
 {
     return const_cast<Block *>(
         static_cast<const Function *>(this)->blockAt(a));
+}
+
+RegSet
+Function::liveAtBlockStart(Addr start) const
+{
+    return liveness.liveAt(blockIndex(start));
+}
+
+Reg
+Function::deadRegAt(Addr start) const
+{
+    return liveness.deadRegAt(blockIndex(start));
 }
 
 std::set<Addr>

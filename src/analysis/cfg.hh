@@ -1,19 +1,19 @@
 /**
  * @file
  * CFG data structures produced by binary analysis and consumed by
- * the rewriters: basic blocks with decoded instructions, typed
- * edges, per-function jump-table results, and the failure states of
- * Figure 2 (analysis reporting failure / over-approximation /
- * under-approximation).
+ * the rewriters: per-function flat arrays of basic blocks, decoded
+ * instructions and typed edges, per-function jump-table results,
+ * and the failure states of Figure 2 (analysis reporting failure /
+ * over-approximation / under-approximation).
  */
 
 #ifndef ICP_ANALYSIS_CFG_HH
 #define ICP_ANALYSIS_CFG_HH
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -42,15 +42,33 @@ struct Edge
     bool operator==(const Edge &) const = default;
 };
 
-/** A basic block: [start, end) with decoded instructions. */
+/** A run [first, first + count) of one of a Function's arrays. */
+struct IndexRange
+{
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+
+    bool operator==(const IndexRange &) const = default;
+};
+
+/**
+ * A basic block: [start, end), its decoded instructions a range of
+ * its Function's insns and its successors a range of its edges.
+ * Ranges are indices, so a copied or moved Function's blocks refer
+ * to that Function's own arrays. Binds as `const auto &[start,
+ * block]`, block being the Block itself, so a loop over
+ * Function::blocks reads like one over blocks keyed by start.
+ */
 struct Block
 {
     Addr start = 0;
     Addr end = 0;
-    std::vector<Instruction> insns;
 
-    /** Intra-procedural successors. */
-    std::vector<Edge> succs;
+    IndexRange insns; ///< into Function::insns
+    IndexRange succs; ///< intra-procedural successors, into Function::edges
 
     /** Direct call target, if the block ends in a Call. */
     std::optional<Addr> callTarget;
@@ -61,13 +79,17 @@ struct Block
     /** Block ends in Ret / Halt / tail jump leaving the function. */
     bool endsFunction = false;
 
-    const Instruction &
-    last() const
-    {
-        return insns.back();
-    }
-
     std::uint64_t size() const { return end - start; }
+
+    template <std::size_t I>
+    const auto &
+    get() const
+    {
+        if constexpr (I == 0)
+            return start;
+        else
+            return *this;
+    }
 };
 
 /** A resolved (or failed) jump table. */
@@ -114,7 +136,16 @@ struct Function
     Addr entry = 0;
     Addr end = 0; ///< entry + symbol size
 
-    std::map<Addr, Block> blocks; ///< keyed by start
+    /**
+     * The CFG as three flat arrays. blocks is sorted by start; insns
+     * holds every block's instructions, block after block, each run
+     * in address order; edges holds every block's successors, block
+     * after block. Blocks on x86-64 may overlap (a leader inside
+     * another block's run), so an instruction can appear twice.
+     */
+    std::vector<Block> blocks;
+    std::vector<Instruction> insns;
+    std::vector<Edge> edges;
 
     std::vector<JumpTable> jumpTables;
 
@@ -146,10 +177,10 @@ struct Function
     DataDeps dataDeps;
 
     /**
-     * Register liveness at every block start, computed with the CFG
-     * on fixed-length ISAs (whose long trampolines need a dead
-     * scratch register) and cached with the rest of the function;
-     * empty on x86-64.
+     * Register liveness at every block start, one set per block
+     * index, computed with the CFG on fixed-length ISAs (whose long
+     * trampolines need a dead scratch register) and cached with the
+     * rest of the function; empty on x86-64.
      */
     LivenessResult liveness;
 
@@ -158,8 +189,42 @@ struct Function
         return failure == AnalysisFailure::none;
     }
 
+    static constexpr std::size_t no_block = ~std::size_t{0};
+
+    std::span<const Instruction>
+    insnsOf(const Block &b) const
+    {
+        return {insns.data() + b.insns.first, b.insns.count};
+    }
+
+    const Instruction &
+    last(const Block &b) const
+    {
+        return insns[b.insns.first + b.insns.count - 1];
+    }
+
+    std::span<const Edge>
+    succsOf(const Block &b) const
+    {
+        return {edges.data() + b.succs.first, b.succs.count};
+    }
+
+    /** Index of the block starting at @p start (binary search), or
+     *  no_block. */
+    std::size_t blockIndex(Addr start) const;
+
+    /** The block containing @p a (the last one starting at or
+     *  before it), or null. */
     const Block *blockAt(Addr a) const;
     Block *blockAt(Addr a);
+
+    /** Registers live at the start of the block at @p start: every
+     *  register where no liveness was computed. */
+    RegSet liveAtBlockStart(Addr start) const;
+
+    /** A dead general-purpose register at the start of the block at
+     *  @p start, or Reg::none when everything may be live. */
+    Reg deadRegAt(Addr start) const;
 
     /** Blocks that are targets of resolved jump tables. */
     std::set<Addr> jumpTableTargets() const;
@@ -211,6 +276,22 @@ struct CfgModule
 };
 
 } // namespace icp
+
+template <>
+struct std::tuple_size<icp::Block>
+    : std::integral_constant<std::size_t, 2>
+{
+};
+
+template <> struct std::tuple_element<0, icp::Block>
+{
+    using type = const icp::Addr;
+};
+
+template <> struct std::tuple_element<1, icp::Block>
+{
+    using type = const icp::Block;
+};
 
 template <>
 struct std::tuple_size<icp::FunctionSlot>

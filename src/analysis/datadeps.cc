@@ -134,8 +134,7 @@ computeDataDeps(const Function &func, const BinaryImage &image)
         deps.add(lo, hi);
     };
 
-    for (const auto &[bstart, block] : func.blocks) {
-        (void)bstart;
+    for (const Block &block : func.blocks) {
         struct Track
         {
             bool known = false;
@@ -150,7 +149,7 @@ computeDataDeps(const Function &func, const BinaryImage &image)
                 regs[regSlot(r)] = Track{};
         };
 
-        for (const auto &in : block.insns) {
+        for (const auto &in : func.insnsOf(block)) {
             switch (in.op) {
               case Opcode::MovImm: {
                 if (!fixed) {

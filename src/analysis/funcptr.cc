@@ -119,8 +119,7 @@ FunctionPtrs
 FuncPtrIndex::scan(const Function &func) const
 {
     FunctionPtrs out;
-    for (const auto &[bstart, block] : func.blocks) {
-        (void)bstart;
+    for (const Block &block : func.blocks) {
         struct Track
         {
             enum class Kind { none, constant, cellPtr };
@@ -149,7 +148,7 @@ FuncPtrIndex::scan(const Function &func) const
             out.defs.push_back(def);
         };
 
-        for (const auto &in : block.insns) {
+        for (const auto &in : func.insnsOf(block)) {
             switch (in.op) {
               case Opcode::MovImm: {
                 if (!fixed_) {

@@ -57,11 +57,11 @@ JumpTableAnalyzer::JumpTableAnalyzer(const BinaryImage &image,
 }
 
 std::optional<JumpTable>
-JumpTableAnalyzer::analyze(const Block &block,
-                           const Block *layout_pred) const
+JumpTableAnalyzer::analyze(std::span<const Instruction> block,
+                           std::span<const Instruction> layout_pred) const
 {
-    icp_assert(!block.insns.empty(), "empty block");
-    const Instruction &jump = block.last();
+    icp_assert(!block.empty(), "empty block");
+    const Instruction &jump = block.back();
     if (jump.op != Opcode::JmpInd && jump.op != Opcode::JmpTar)
         return std::nullopt;
 
@@ -86,8 +86,8 @@ JumpTableAnalyzer::analyze(const Block &block,
     };
 
     const bool fixed = image_.archInfo().fixedLength;
-    for (std::size_t i = 0; i + 1 < block.insns.size(); ++i) {
-        const Instruction &in = block.insns[i];
+    for (std::size_t i = 0; i + 1 < block.size(); ++i) {
+        const Instruction &in = block[i];
         switch (in.op) {
           case Opcode::MovImm: {
             if (!fixed) {
@@ -240,19 +240,16 @@ JumpTableAnalyzer::analyze(const Block &block,
     // Table bound from the guard in the layout predecessor:
     // CmpImm indexReg, N ; JmpCond ge, default.
     std::optional<unsigned> bound;
-    if (layout_pred) {
-        for (auto it = layout_pred->insns.rbegin();
-             it != layout_pred->insns.rend(); ++it) {
-            if (it->op == Opcode::CmpImm && it->rs1 == v.indexReg) {
-                if (it->imm > 0)
-                    bound = static_cast<unsigned>(it->imm);
-                break;
-            }
-            // A write to the index register before the compare kills
-            // the association.
-            if (it->rd == v.indexReg)
-                break;
+    for (auto it = layout_pred.rbegin(); it != layout_pred.rend(); ++it) {
+        if (it->op == Opcode::CmpImm && it->rs1 == v.indexReg) {
+            if (it->imm > 0)
+                bound = static_cast<unsigned>(it->imm);
+            break;
         }
+        // A write to the index register before the compare kills
+        // the association.
+        if (it->rd == v.indexReg)
+            break;
     }
     if (!bound)
         return std::nullopt;

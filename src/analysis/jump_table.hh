@@ -17,6 +17,7 @@
 #define ICP_ANALYSIS_JUMP_TABLE_HH
 
 #include <optional>
+#include <span>
 
 #include "analysis/cfg.hh"
 
@@ -47,15 +48,16 @@ class JumpTableAnalyzer
                       const JumpTableFailurePlan &plan);
 
     /**
-     * Analyze the indirect jump terminating @p block. @p layout_pred
-     * is the block that falls through into it (holding the bounds
-     * check), when known.
+     * Analyze the indirect jump terminating the instructions of
+     * @p block. @p layout_pred holds those of the block that falls
+     * through into it (with the bounds check), or none when unknown.
      *
      * @return the resolved table, or nullopt (analysis reporting
      *         failure).
      */
-    std::optional<JumpTable> analyze(const Block &block,
-                                     const Block *layout_pred) const;
+    std::optional<JumpTable>
+    analyze(std::span<const Instruction> block,
+            std::span<const Instruction> layout_pred) const;
 
   private:
     const BinaryImage &image_;

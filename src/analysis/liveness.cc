@@ -23,16 +23,15 @@ allRegs()
 } // namespace
 
 RegSet
-LivenessResult::liveAtBlockStart(Addr block_start) const
+LivenessResult::liveAt(std::size_t index) const
 {
-    auto it = liveIn.find(block_start);
-    return it == liveIn.end() ? allRegs() : it->second;
+    return index < liveIn.size() ? liveIn[index] : allRegs();
 }
 
 Reg
-LivenessResult::deadRegAt(Addr block_start) const
+LivenessResult::deadRegAt(std::size_t index) const
 {
-    const RegSet live = liveAtBlockStart(block_start);
+    const RegSet live = liveAt(index);
     for (unsigned r = 0; r < num_gp_regs; ++r) {
         const Reg reg = static_cast<Reg>(r);
         if (!live.contains(reg))
@@ -44,14 +43,13 @@ LivenessResult::deadRegAt(Addr block_start) const
 LivenessResult
 computeLiveness(const Function &func, const ArchInfo &arch)
 {
-    // Block-local def/use summaries and successors, by block ordinal
-    // (address order).
+    // Block-local def/use summaries, by block index; each block's
+    // successors are its range of func.edges, mapped to block indices.
     struct Summary
     {
         RegSet use; ///< read before any write
         RegSet def; ///< written
         bool leaves = false; ///< some path leaves the function
-        std::vector<std::size_t> succs;
     };
     // The synthetic ABI: r0 return value, r1 argument, r6/r8/r9
     // callee-saved; everything else is clobbered by a call.
@@ -62,15 +60,12 @@ computeLiveness(const Function &func, const ArchInfo &arch)
             callerClobbered.add(reg);
     }
 
-    std::vector<Addr> starts;
-    starts.reserve(func.blocks.size());
-    for (const auto &[start, block] : func.blocks)
-        starts.push_back(start);
-    std::vector<Summary> summaries;
-    summaries.reserve(func.blocks.size());
-    for (const auto &[start, block] : func.blocks) {
-        Summary s;
-        for (const auto &in : block.insns) {
+    std::vector<Summary> summaries(func.blocks.size());
+    std::vector<std::size_t> succ(func.edges.size(), Function::no_block);
+    for (std::size_t b = 0; b < func.blocks.size(); ++b) {
+        const Block &block = func.blocks[b];
+        Summary &s = summaries[b];
+        for (const auto &in : func.insnsOf(block)) {
             RegSet reads = regsRead(in, arch);
             if (isCall(in.op)) {
                 reads.add(Reg::r1);
@@ -87,30 +82,32 @@ computeLiveness(const Function &func, const ArchInfo &arch)
         // function) treat everything as live.
         s.leaves = block.endsFunction || block.endsInUnresolvedIndirect ||
                    block.succs.empty();
-        for (const auto &edge : block.succs) {
-            auto it =
-                std::lower_bound(starts.begin(), starts.end(), edge.target);
-            if (it == starts.end() || *it != edge.target)
+        for (std::uint32_t e = block.succs.first;
+             e < block.succs.first + block.succs.count; ++e) {
+            succ[e] = func.blockIndex(func.edges[e].target);
+            if (succ[e] == Function::no_block)
                 s.leaves = true;
-            else
-                s.succs.push_back(
-                    static_cast<std::size_t>(it - starts.begin()));
         }
-        summaries.push_back(std::move(s));
     }
 
     // Fixpoint (reverse order helps convergence). A block not yet
     // visited contributes nothing to its predecessors' live-out.
-    std::vector<RegSet> live(summaries.size());
+    LivenessResult result;
+    std::vector<RegSet> &live = result.liveIn;
+    live.resize(summaries.size());
     bool changed = true;
     unsigned rounds = 0;
     while (changed && rounds++ < 64) {
         changed = false;
         for (std::size_t i = summaries.size(); i-- > 0;) {
             const Summary &s = summaries[i];
+            const Block &block = func.blocks[i];
             RegSet in = s.leaves ? allRegs() : RegSet{};
-            for (std::size_t succ : s.succs)
-                in |= live[succ];
+            for (std::uint32_t e = block.succs.first;
+                 e < block.succs.first + block.succs.count; ++e) {
+                if (succ[e] != Function::no_block)
+                    in |= live[succ[e]];
+            }
             in -= s.def;
             in |= s.use;
             if (rounds == 1 || !(in == live[i])) {
@@ -119,11 +116,6 @@ computeLiveness(const Function &func, const ArchInfo &arch)
             }
         }
     }
-
-    LivenessResult result;
-    std::size_t i = 0;
-    for (const auto &[start, block] : func.blocks)
-        result.liveIn.emplace_hint(result.liveIn.end(), start, live[i++]);
     return result;
 }
 

@@ -10,7 +10,7 @@
 #ifndef ICP_ANALYSIS_LIVENESS_HH
 #define ICP_ANALYSIS_LIVENESS_HH
 
-#include <map>
+#include <vector>
 
 #include "isa/reg_usage.hh"
 
@@ -19,26 +19,33 @@ namespace icp
 
 struct Function; // analysis/cfg.hh
 
-/** Live-register sets at block boundaries of one function. */
+/**
+ * Live-register sets at block starts of one function, one per index
+ * of its Function::blocks (Function::liveAtBlockStart looks a start
+ * up by binary search).
+ */
 class LivenessResult
 {
   public:
-    /** Registers live at the start of the block at @p block_start. */
-    RegSet liveAtBlockStart(Addr block_start) const;
+    /** Registers live at the start of block @p index: every register
+     *  when no set was computed for it. */
+    RegSet liveAt(std::size_t index) const;
 
     /**
-     * A dead general-purpose register at the start of the block, or
-     * Reg::none when everything may be live.
+     * A dead general-purpose register at the start of block
+     * @p index, or Reg::none when everything may be live.
      */
-    Reg deadRegAt(Addr block_start) const;
+    Reg deadRegAt(std::size_t index) const;
 
-    std::map<Addr, RegSet> liveIn; ///< keyed by block start
+    std::vector<RegSet> liveIn; ///< by block index; empty on x86-64
+
+    bool operator==(const LivenessResult &) const = default;
 };
 
 /**
- * Compute liveness for @p func: one set per block. Indirect control
- * flow leaving the function conservatively treats every register as
- * live.
+ * Compute liveness for @p func: one set per block, in block order.
+ * Indirect control flow leaving the function conservatively treats
+ * every register as live.
  */
 LivenessResult computeLiveness(const Function &func,
                                const ArchInfo &arch);

@@ -46,7 +46,8 @@ instPatchRewrite(const BinaryImage &input,
         if (!func.instrumentable())
             continue;
         result.stats.instrumentedFunctions++;
-        for (const auto &[start, block] : func.blocks) {
+        for (const Block &block : func.blocks) {
+            const Addr start = block.start;
             const auto stub = as.newLabel();
             as.bind(stub);
 
@@ -67,9 +68,9 @@ instPatchRewrite(const BinaryImage &input,
             // Copy the block; direct branches re-encode against
             // their original absolute targets. Control leaves the
             // stub straight back into original code.
-            for (const auto &in : block.insns)
+            for (const auto &in : func.insnsOf(block))
                 as.emit(in);
-            const Instruction &last = block.last();
+            const Instruction &last = func.last(block);
             const bool falls = !isControlFlow(last.op) ||
                                last.op == Opcode::JmpCond ||
                                isCall(last.op);

@@ -107,7 +107,7 @@ struct Engine::FuncStream
     Addr base = 0;
 
     /**
-     * This function's block starts, ascending (its func.blocks keys):
+     * This function's block starts, ascending (its func.blocks order):
      * the block at index i has label i, allocated first and bound
      * at emit.
      */
@@ -254,8 +254,8 @@ Engine::plan(const std::vector<const Function *> &funcs)
 
     const std::size_t old = relocatedBlocks_.size();
     for (const Function *func : by_entry) {
-        for (const auto &[start, block] : func->blocks)
-            relocatedBlocks_.push_back(start);
+        for (const Block &block : func->blocks)
+            relocatedBlocks_.push_back(block.start);
     }
     const auto mid = relocatedBlocks_.begin() +
                      static_cast<std::ptrdiff_t>(old);
@@ -566,7 +566,7 @@ Engine::emitBlock(FuncStream &fs, const Function &func,
             rtServiceImm(RtService::count, id->second)));
     }
 
-    for (const auto &in : block.insns) {
+    for (const auto &in : func.insnsOf(block)) {
         fs.insnOffsets.emplace_back(
             in.addr, static_cast<Offset>(as.here() - as.startAddr()));
         emitTranslated(fs, func, in);
@@ -574,7 +574,7 @@ Engine::emitBlock(FuncStream &fs, const Function &func,
 
     // Preserve fall-through semantics when the next emitted block is
     // not the layout successor (block reordering, function ends).
-    const Instruction &last = block.last();
+    const Instruction &last = func.last(block);
     const bool falls = !isControlFlow(last.op) ||
                        last.op == Opcode::JmpCond ||
                        isCall(last.op);
@@ -593,7 +593,7 @@ Engine::blockEmitOrder(const Function &func) const
 {
     std::vector<const Block *> order;
     order.reserve(func.blocks.size());
-    for (const auto &[start, block] : func.blocks)
+    for (const Block &block : func.blocks)
         order.push_back(&block);
     if (config_.blockOrder == OrderPolicy::reversed) {
         // Keep the entry block first (callers land there), reverse
@@ -619,11 +619,9 @@ Engine::emitStream(const Function &func, Addr base) const
     fs.base = base;
     fs.as = std::make_unique<Assembler>(arch_, base);
     fs.ownStarts.reserve(func.blocks.size());
-    std::size_t insns = 0;
-    for (const auto &[start, block] : func.blocks) {
-        fs.ownStarts.push_back(start);
-        insns += block.insns.size();
-    }
+    for (const Block &block : func.blocks)
+        fs.ownStarts.push_back(block.start);
+    const std::size_t insns = func.insns.size();
     // Most instructions emit as one item; a block may add a jump.
     fs.as->reserve(insns + func.blocks.size(), func.blocks.size());
     fs.blockOffsets.reserve(func.blocks.size());

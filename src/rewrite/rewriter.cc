@@ -355,8 +355,8 @@ Rewriter::cflBlocks(const Function &func) const
     std::set<Addr> cfl;
     if (!opts_.trampolinePlacement) {
         // SRBI-style: every basic block gets a trampoline.
-        for (const auto &[start, block] : func.blocks)
-            cfl.insert(start);
+        for (const Block &block : func.blocks)
+            cfl.insert(block.start);
         return cfl;
     }
 
@@ -367,7 +367,7 @@ Rewriter::cflBlocks(const Function &func) const
 
     // Landing pads: the unwinder resumes at original addresses.
     for (Addr lp : func.landingPads) {
-        if (func.blocks.count(lp))
+        if (func.blockIndex(lp) != Function::no_block)
             cfl.insert(lp);
     }
 
@@ -380,13 +380,10 @@ Rewriter::cflBlocks(const Function &func) const
     // Call fall-through blocks: CFL under call emulation only;
     // runtime RA translation removes them (§6).
     if (!opts_.raTranslation) {
-        for (const auto &[start, block] : func.blocks) {
-            for (const auto &edge : block.succs) {
-                if (edge.kind == EdgeKind::callFallthrough &&
-                    func.blocks.count(edge.target)) {
-                    cfl.insert(edge.target);
-                }
-            }
+        for (const auto &edge : func.edges) {
+            if (edge.kind == EdgeKind::callFallthrough &&
+                func.blockIndex(edge.target) != Function::no_block)
+                cfl.insert(edge.target);
         }
     }
 
@@ -421,16 +418,16 @@ Rewriter::blocksReachingInstrumentation(const Function &func) const
          func.name == "runtime.pcvalue")) {
         inst.insert(func.entry);
     }
-    for (const auto &[start, block] : func.blocks) {
-        if (opts_.instrumentation.instrumentsBlock(start))
-            inst.insert(start);
+    for (const Block &block : func.blocks) {
+        if (opts_.instrumentation.instrumentsBlock(block.start))
+            inst.insert(block.start);
     }
 
     // Backward reachability over intra-procedural edges.
     std::map<Addr, std::vector<Addr>> preds;
-    for (const auto &[start, block] : func.blocks) {
-        for (const auto &edge : block.succs)
-            preds[edge.target].push_back(start);
+    for (const Block &block : func.blocks) {
+        for (const auto &edge : func.succsOf(block))
+            preds[edge.target].push_back(block.start);
     }
     std::set<Addr> keep = inst;
     std::vector<Addr> work(inst.begin(), inst.end());
@@ -593,19 +590,17 @@ Rewriter::trampolineFunc(const Function &func,
     }
 
     for (Addr start : cfl) {
-        auto bit = func.blocks.find(start);
-        if (bit == func.blocks.end())
+        std::size_t b = func.blockIndex(start);
+        if (b == Function::no_block)
             continue;
         // Trampoline superblock: extend across address-adjacent
         // scratch (non-CFL) blocks (§4.1).
-        Addr se = bit->second.end;
+        Addr se = func.blocks[b].end;
         if (opts_.trampolinePlacement) {
-            auto next = std::next(bit);
-            while (next != func.blocks.end() &&
-                   next->first == se && !cfl.count(next->first)) {
-                se = next->second.end;
-                ++next;
-            }
+            while (++b < func.blocks.size() &&
+                   func.blocks[b].start == se &&
+                   !cfl.count(func.blocks[b].start))
+                se = func.blocks[b].end;
         }
         // Never extend over embedded table data.
         for (const auto &[lo, hi] : protect) {
@@ -622,7 +617,7 @@ Rewriter::trampolineFunc(const Function &func,
                    static_cast<unsigned long long>(start));
         req.target = *target;
         req.scratchReg = arch_.fixedLength
-            ? func.liveness.deadRegAt(start)
+            ? func.deadRegAt(start)
             : Reg::none;
 
         if (force_trap) {
@@ -657,8 +652,7 @@ Rewriter::trampolineFunc(const Function &func,
                 if (arch_.hasToc)
                     bad = Reg::toc;
             } else {
-                const RegSet live_set =
-                    func.liveness.liveAtBlockStart(start);
+                const RegSet live_set = func.liveAtBlockStart(start);
                 for (unsigned r = 0; r < num_gp_regs; ++r) {
                     if (live_set.contains(static_cast<Reg>(r))) {
                         bad = static_cast<Reg>(r);
@@ -1173,9 +1167,9 @@ Rewriter::samePlan(const Function &was, const Function &now) const
         was.jumpTables != now.jumpTables ||
         was.landingPads != now.landingPads)
         return false;
-    for (auto a = was.blocks.begin(), b = now.blocks.begin();
-         a != was.blocks.end(); ++a, ++b) {
-        if (a->first != b->first || a->second.end != b->second.end)
+    for (std::size_t i = 0; i < was.blocks.size(); ++i) {
+        if (was.blocks[i].start != now.blocks[i].start ||
+            was.blocks[i].end != now.blocks[i].end)
             return false;
     }
     const std::set<Addr> cfl = cflBlocks(now);
@@ -1183,8 +1177,7 @@ Rewriter::samePlan(const Function &was, const Function &now) const
         return false;
     if (arch_.fixedLength) {
         for (Addr start : cfl) {
-            if (was.liveness.deadRegAt(start) !=
-                now.liveness.deadRegAt(start))
+            if (was.deadRegAt(start) != now.deadRegAt(start))
                 return false;
         }
     }
@@ -1576,8 +1569,7 @@ Rewriter::run(const std::vector<ShardRange> &ranges, SbfSink *sink)
             sc.instrumented = static_cast<unsigned>(order.size());
             for (const auto &[entry, func] : cfg.functions) {
                 sc.blocks += func.blocks.size();
-                for (const auto &[start, block] : func.blocks)
-                    sc.insns += block.insns.size();
+                sc.insns += func.insns.size();
             }
         }
         {

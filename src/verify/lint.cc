@@ -539,8 +539,7 @@ class Checker
             const Function *fn = functionAt(p.funcEntry);
             if (!fn)
                 continue;
-            if (fn->liveness.liveAtBlockStart(p.site).contains(
-                    p.scratchReg))
+            if (fn->liveAtBlockStart(p.site).contains(p.scratchReg))
                 report("tramp-scratch-live", Severity::error, p.site,
                        p.target, p.funcEntry,
                        std::string("long form clobbers ") +

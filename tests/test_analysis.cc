@@ -120,10 +120,10 @@ std::string
 blockShape(const Function &func)
 {
     std::ostringstream os;
-    for (const auto &[start, block] : func.blocks) {
-        os << "[" << start - func.entry << "," << block.end - func.entry
-           << ") n=" << block.insns.size();
-        for (const Edge &e : block.succs) {
+    for (const Block &block : func.blocks) {
+        os << "[" << block.start - func.entry << ","
+           << block.end - func.entry << ") n=" << block.insns.size();
+        for (const Edge &e : func.succsOf(block)) {
             static const char kinds[] = {'f', 't', 'c', 'j'};
             os << " " << e.target - func.entry
                << kinds[static_cast<int>(e.kind)];
@@ -167,7 +167,7 @@ TEST_P(CfgPerArch, MicroCfgResolvesJumpTables)
     for (Addr t : jt.targets) {
         EXPECT_GE(t, sw.entry);
         EXPECT_LT(t, sw.end);
-        EXPECT_TRUE(sw.blocks.count(t)) << std::hex << t;
+        EXPECT_NE(sw.blockIndex(t), Function::no_block) << std::hex << t;
     }
     if (GetParam() == Arch::ppc64le)
         EXPECT_TRUE(jt.embeddedInCode);
@@ -202,7 +202,69 @@ TEST_P(CfgPerArch, LandingPadsAreBlocks)
     const Function &catcher = funcByName(cfg, "catcher");
     ASSERT_EQ(catcher.landingPads.size(), 1u);
     for (Addr lp : catcher.landingPads)
-        EXPECT_TRUE(catcher.blocks.count(lp));
+        EXPECT_NE(catcher.blockIndex(lp), Function::no_block);
+}
+
+TEST_P(CfgPerArch, CopiedAndMovedFunctionsUseTheirOwnArrays)
+{
+    // Blocks hold index ranges into their Function's arrays, never
+    // pointers: a copy and a moved-to Function each resolve blocks,
+    // last instructions and liveness against their own arrays, which
+    // outlive the Function they came from.
+    const BinaryImage img =
+        compileProgram(microProfile(GetParam(), false));
+    const CfgModule cfg = buildCfg(img);
+    const Function &orig = funcByName(cfg, "switcher");
+    ASSERT_GT(orig.blocks.size(), 4u);
+    EXPECT_EQ(orig.liveness.liveIn.size(),
+              ArchInfo::get(GetParam()).fixedLength ? orig.blocks.size()
+                                                    : 0u);
+
+    std::optional<Function> source = orig;
+    const Function copy = *source;
+    const Function moved = std::move(*source);
+    source.reset();
+    for (const Function *f : {&copy, &moved}) {
+        SCOPED_TRACE(f == &copy ? "copy" : "moved");
+        EXPECT_NE(f->insns.data(), orig.insns.data());
+        EXPECT_NE(f->blocks.data(), orig.blocks.data());
+        ASSERT_EQ(f->blocks.size(), orig.blocks.size());
+        for (std::size_t b = 0; b < orig.blocks.size(); ++b) {
+            const Block &want = orig.blocks[b];
+            const Block *got = f->blockAt(want.end - 1);
+            ASSERT_EQ(got, &f->blocks[b]);
+            EXPECT_EQ(f->blockAt(want.start), got);
+            EXPECT_EQ(f->blockIndex(want.start), b);
+            const Instruction &last = f->last(*got);
+            EXPECT_EQ(&last,
+                      &f->insns[got->insns.first + got->insns.count - 1]);
+            EXPECT_EQ(last.addr, orig.last(want).addr);
+            EXPECT_EQ(last.op, orig.last(want).op);
+            EXPECT_EQ(f->liveAtBlockStart(want.start),
+                      orig.liveAtBlockStart(want.start));
+            EXPECT_EQ(f->deadRegAt(want.start), orig.deadRegAt(want.start));
+            for (const Edge &e : f->succsOf(*got))
+                EXPECT_GE(&e, f->edges.data());
+        }
+        EXPECT_EQ(f->blockAt(orig.entry - 1), nullptr);
+    }
+}
+
+TEST_P(CfgPerArch, BlocksBindAsStartAndBlock)
+{
+    // A loop over Function::blocks may bind each one as
+    // [start, block], as over blocks keyed by start; the benchmark
+    // harness counts instructions that way.
+    const BinaryImage img =
+        compileProgram(microProfile(GetParam(), false));
+    const CfgModule cfg = buildCfg(img);
+    const Function &f = funcByName(cfg, "switcher");
+    std::size_t insns = 0;
+    for (const auto &[start, block] : f.blocks) {
+        EXPECT_EQ(start, block.start);
+        insns += block.insns.size();
+    }
+    EXPECT_EQ(insns, f.insns.size());
 }
 
 TEST_P(CfgPerArch, LivenessFindsScratchSomewhere)
@@ -214,9 +276,9 @@ TEST_P(CfgPerArch, LivenessFindsScratchSomewhere)
     unsigned with_dead = 0, total = 0;
     for (const auto &[entry, func] : cfg.functions) {
         const LivenessResult live = computeLiveness(func, arch);
-        for (const auto &[start, block] : func.blocks) {
+        for (std::size_t b = 0; b < func.blocks.size(); ++b) {
             ++total;
-            if (live.deadRegAt(start) != Reg::none)
+            if (live.deadRegAt(b) != Reg::none)
                 ++with_dead;
         }
     }

@@ -170,7 +170,11 @@ TEST_P(CacheStoreArch, SaveLoadRestoresEveryEntry)
 namespace
 {
 
-/** @p got equals @p want field by field, instructions included. */
+/**
+ * @p got equals @p want field by field, its three arrays included:
+ * the same blocks with the same instruction and edge ranges, the
+ * same edges, and the same instructions, operand by operand.
+ */
 void
 expectSameAnalysis(const Function &got, const Function &want)
 {
@@ -182,37 +186,39 @@ expectSameAnalysis(const Function &got, const Function &want)
     EXPECT_EQ(got.indirectTailCalls, want.indirectTailCalls);
     EXPECT_EQ(got.jumpTables, want.jumpTables);
     EXPECT_EQ(got.dataDeps, want.dataDeps);
-    EXPECT_EQ(got.liveness.liveIn, want.liveness.liveIn);
+    EXPECT_EQ(got.liveness, want.liveness);
     ASSERT_EQ(got.blocks.size(), want.blocks.size());
-    auto g = got.blocks.begin();
-    for (const auto &[start, wb] : want.blocks) {
-        const Block &gb = (g++)->second;
-        EXPECT_EQ(gb.start, start);
+    for (std::size_t b = 0; b < want.blocks.size(); ++b) {
+        const Block &gb = got.blocks[b], &wb = want.blocks[b];
+        SCOPED_TRACE(wb.start);
+        EXPECT_EQ(gb.start, wb.start);
         EXPECT_EQ(gb.end, wb.end);
+        EXPECT_EQ(gb.insns, wb.insns);
         EXPECT_EQ(gb.succs, wb.succs);
         EXPECT_EQ(gb.callTarget, wb.callTarget);
         EXPECT_EQ(gb.endsInUnresolvedIndirect,
                   wb.endsInUnresolvedIndirect);
         EXPECT_EQ(gb.endsFunction, wb.endsFunction);
-        ASSERT_EQ(gb.insns.size(), wb.insns.size()) << start;
-        for (std::size_t i = 0; i < wb.insns.size(); ++i) {
-            const Instruction &a = gb.insns[i], &b = wb.insns[i];
-            SCOPED_TRACE(b.addr);
-            EXPECT_EQ(a.op, b.op);
-            EXPECT_EQ(a.rd, b.rd);
-            EXPECT_EQ(a.rs1, b.rs1);
-            EXPECT_EQ(a.rs2, b.rs2);
-            EXPECT_EQ(a.cond, b.cond);
-            EXPECT_EQ(a.imm, b.imm);
-            EXPECT_EQ(a.memSize, b.memSize);
-            EXPECT_EQ(a.signedLoad, b.signedLoad);
-            EXPECT_EQ(a.movShift, b.movShift);
-            EXPECT_EQ(a.movKeep, b.movKeep);
-            EXPECT_EQ(a.formHint, b.formHint);
-            EXPECT_EQ(a.target, b.target);
-            EXPECT_EQ(a.addr, b.addr);
-            EXPECT_EQ(a.length, b.length);
-        }
+    }
+    EXPECT_EQ(got.edges, want.edges);
+    ASSERT_EQ(got.insns.size(), want.insns.size());
+    for (std::size_t i = 0; i < want.insns.size(); ++i) {
+        const Instruction &a = got.insns[i], &b = want.insns[i];
+        SCOPED_TRACE(b.addr);
+        EXPECT_EQ(a.op, b.op);
+        EXPECT_EQ(a.rd, b.rd);
+        EXPECT_EQ(a.rs1, b.rs1);
+        EXPECT_EQ(a.rs2, b.rs2);
+        EXPECT_EQ(a.cond, b.cond);
+        EXPECT_EQ(a.imm, b.imm);
+        EXPECT_EQ(a.memSize, b.memSize);
+        EXPECT_EQ(a.signedLoad, b.signedLoad);
+        EXPECT_EQ(a.movShift, b.movShift);
+        EXPECT_EQ(a.movKeep, b.movKeep);
+        EXPECT_EQ(a.formHint, b.formHint);
+        EXPECT_EQ(a.target, b.target);
+        EXPECT_EQ(a.addr, b.addr);
+        EXPECT_EQ(a.length, b.length);
     }
 }
 
@@ -221,7 +227,8 @@ expectSameAnalysis(const Function &got, const Function &want)
 TEST_P(CacheStoreArch, HitsEqualColdAnalysisAcrossBinaries)
 {
     // A record keeps no instructions: a hit rebuilds them from the
-    // requesting binary's code bytes at its own entry. Member 0 of a
+    // requesting binary's code bytes at its own entry, into the same
+    // instruction, block and edge arrays a cold build makes. Member 0 of a
     // shared-library corpus primes the file; its own lookups are
     // direct hits, member 1's core functions cross-binary ones.
     // Member 2 follows member 1 with neither a clear nor a reload:

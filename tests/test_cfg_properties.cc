@@ -50,7 +50,8 @@ TEST_P(CfgProps, BlocksTileAndEdgesResolve)
         const CfgModule cfg = buildCfg(img, AnalysisOptions{});
         for (const auto &[entry, func] : cfg.functions) {
             Addr prev_end = 0;
-            for (const auto &[start, block] : func.blocks) {
+            for (const Block &block : func.blocks) {
+                const Addr start = block.start;
                 // Inside the function, disjoint, ordered.
                 ASSERT_GE(start, func.entry);
                 ASSERT_LE(block.end, func.end);
@@ -59,15 +60,16 @@ TEST_P(CfgProps, BlocksTileAndEdgesResolve)
 
                 // Instructions tile the block exactly.
                 Addr cursor = start;
-                for (const auto &in : block.insns) {
+                for (const auto &in : func.insnsOf(block)) {
                     ASSERT_EQ(in.addr, cursor);
                     cursor += in.length;
                 }
                 ASSERT_EQ(cursor, block.end);
 
                 // Edges target block starts of this function.
-                for (const auto &edge : block.succs) {
-                    ASSERT_TRUE(func.blocks.count(edge.target))
+                for (const auto &edge : func.succsOf(block)) {
+                    ASSERT_NE(func.blockIndex(edge.target),
+                              Function::no_block)
                         << func.name << " edge to " << std::hex
                         << edge.target;
                 }
@@ -88,7 +90,7 @@ TEST_P(CfgProps, JumpTableTargetsAreCaseBlocks)
             EXPECT_GT(jt.entryCount, 0u);
             EXPECT_EQ(jt.targets.size(), jt.entryCount);
             for (Addr t : jt.targets) {
-                EXPECT_TRUE(func.blocks.count(t))
+                EXPECT_NE(func.blockIndex(t), Function::no_block)
                     << func.name << " target " << std::hex << t;
             }
             EXPECT_FALSE(jt.baseDefAddrs.empty());
@@ -112,8 +114,8 @@ TEST_P(CfgProps, UncoveredBytesAreNopsOrTableData)
             continue;
         // Collect covered ranges: blocks + embedded tables.
         std::vector<std::pair<Addr, Addr>> covered;
-        for (const auto &[start, block] : func.blocks)
-            covered.emplace_back(start, block.end);
+        for (const Block &block : func.blocks)
+            covered.emplace_back(block.start, block.end);
         for (const auto &jt : func.jumpTables) {
             if (jt.embeddedInCode) {
                 covered.emplace_back(
@@ -151,7 +153,8 @@ TEST_P(CfgProps, LivenessIsAFixpoint)
     const CfgModule cfg = buildCfg(img, AnalysisOptions{});
     for (const auto &[entry, func] : cfg.functions) {
         const LivenessResult live = computeLiveness(func, arch);
-        for (const auto &[start, block] : func.blocks) {
+        for (std::size_t b = 0; b < func.blocks.size(); ++b) {
+            const Block &block = func.blocks[b];
             // Recompute in = use ∪ (out − def) from scratch and
             // compare against the analysis' fixpoint.
             RegSet out;
@@ -162,12 +165,12 @@ TEST_P(CfgProps, LivenessIsAFixpoint)
                 for (unsigned r = 0; r < num_regs; ++r)
                     out.add(static_cast<Reg>(r));
             }
-            for (const auto &edge : block.succs)
-                out |= live.liveAtBlockStart(edge.target);
+            for (const auto &edge : func.succsOf(block))
+                out |= live.liveAt(func.blockIndex(edge.target));
 
             RegSet in = out;
-            for (auto it = block.insns.rbegin();
-                 it != block.insns.rend(); ++it) {
+            const auto insns = func.insnsOf(block);
+            for (auto it = insns.rbegin(); it != insns.rend(); ++it) {
                 in -= regsWritten(*it, arch);
                 if (isCall(it->op)) {
                     // Calls clobber caller-saved registers.
@@ -184,9 +187,8 @@ TEST_P(CfgProps, LivenessIsAFixpoint)
                     in.add(Reg::sp);
                 }
             }
-            EXPECT_EQ(in.raw(),
-                      live.liveAtBlockStart(start).raw())
-                << func.name << " block " << std::hex << start;
+            EXPECT_EQ(in.raw(), live.liveAt(b).raw())
+                << func.name << " block " << std::hex << block.start;
         }
     }
 }

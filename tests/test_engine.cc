@@ -95,11 +95,8 @@ TEST(Engine, RaPairsCoverCallsAndThrows)
     // an original address inside the owning function.
     unsigned expected = 0;
     for (const auto &[entry, func] : cfg.functions) {
-        for (const auto &[start, block] : func.blocks) {
-            for (const auto &in : block.insns) {
-                expected += isCall(in.op) || in.op == Opcode::Throw;
-            }
-        }
+        for (const auto &in : func.insns)
+            expected += isCall(in.op) || in.op == Opcode::Throw;
     }
     EXPECT_EQ(engine.raPairs().size(), expected);
     for (const auto &[reloc, orig] : engine.raPairs()) {
@@ -186,8 +183,8 @@ TEST(Engine, BlockReorderRepairsFallthrough)
     for (const auto &[entry, func] : cfg.functions) {
         const std::optional<Addr> at = reversed.lookupBlock(entry);
         ASSERT_TRUE(at.has_value());
-        for (const auto &[start, block] : func.blocks)
-            EXPECT_GE(*reversed.lookupBlock(start), *at);
+        for (const Block &block : func.blocks)
+            EXPECT_GE(*reversed.lookupBlock(block.start), *at);
     }
 }
 
@@ -264,16 +261,16 @@ TEST(Engine, InsnMapCoversEveryRelocatedInstruction)
     Engine engine(img, baseConfig(img));
     relocated(engine, allFunctions(cfg));
     for (const auto &[entry, func] : cfg.functions) {
-        for (const auto &[start, block] : func.blocks) {
-            for (const auto &in : block.insns) {
+        for (const Block &block : func.blocks) {
+            for (const auto &in : func.insnsOf(block)) {
                 ASSERT_TRUE(engine.lookupInsn(in.addr).has_value())
                     << std::hex << in.addr;
             }
-            ASSERT_TRUE(engine.lookupBlock(start).has_value());
+            ASSERT_TRUE(engine.lookupBlock(block.start).has_value());
             // The block's first instruction relocates at or after
             // the block map entry (snippets come first).
-            EXPECT_GE(*engine.lookupInsn(block.insns[0].addr),
-                      *engine.lookupBlock(start));
+            EXPECT_GE(*engine.lookupInsn(func.insnsOf(block)[0].addr),
+                      *engine.lookupBlock(block.start));
         }
     }
 }

@@ -25,8 +25,8 @@ constexpr Addr table_base = 0x402000;
 struct TestBed
 {
     BinaryImage img;
-    Block guard;  ///< block ending in the bounds check
-    Block jumper; ///< block ending in the indirect jump
+    std::vector<Instruction> guard;  ///< block ending in the bounds check
+    std::vector<Instruction> jumper; ///< block ending in the indirect jump
 };
 
 TestBed
@@ -73,8 +73,7 @@ makeBed(Arch arch,
     // Decode the two blocks back (what the CFG builder would hand
     // the analyzer).
     auto decodeBlock = [&](Addr at, std::size_t len) {
-        Block block;
-        block.start = at;
+        std::vector<Instruction> block;
         Addr cursor = at;
         while (cursor < at + len) {
             std::vector<std::uint8_t> buf;
@@ -83,10 +82,9 @@ makeBed(Arch arch,
             Instruction in;
             EXPECT_TRUE(arch_info.codec->decode(
                 buf.data(), buf.size(), cursor, in));
-            block.insns.push_back(in);
+            block.push_back(in);
             cursor += in.length;
         }
-        block.end = cursor;
         return block;
     };
     bed.guard = decodeBlock(text_base, guard_bytes.size());
@@ -125,7 +123,7 @@ TEST(JumpTableUnit, X64RelativeIdiom)
         words32({0x100, 0x110, 0x120, 0x130}));
 
     JumpTableAnalyzer analyzer(bed.img, {});
-    auto jt = analyzer.analyze(bed.jumper, &bed.guard);
+    auto jt = analyzer.analyze(bed.jumper, bed.guard);
     ASSERT_TRUE(jt.has_value());
     EXPECT_EQ(jt->tableAddr, table_base);
     EXPECT_EQ(jt->entrySize, 4u);
@@ -162,7 +160,7 @@ TEST(JumpTableUnit, X64AbsoluteIdiom)
         table);
 
     JumpTableAnalyzer analyzer(bed.img, {});
-    auto jt = analyzer.analyze(bed.jumper, &bed.guard);
+    auto jt = analyzer.analyze(bed.jumper, bed.guard);
     ASSERT_TRUE(jt.has_value());
     EXPECT_FALSE(jt->base.has_value()); // absolute entries
     EXPECT_EQ(jt->entrySize, 8u);
@@ -193,7 +191,7 @@ TEST(JumpTableUnit, A64AnchorRelativeWithShift)
         {4, 0, 8, 0, 12, 0});
 
     JumpTableAnalyzer analyzer(bed.img, {});
-    auto jt = analyzer.analyze(bed.jumper, &bed.guard);
+    auto jt = analyzer.analyze(bed.jumper, bed.guard);
     ASSERT_TRUE(jt.has_value());
     EXPECT_EQ(jt->entrySize, 2u);
     EXPECT_EQ(jt->shift, 2u);
@@ -226,7 +224,7 @@ TEST(JumpTableUnit, SpillThroughMemoryFails)
 
     JumpTableAnalyzer analyzer(bed.img, {});
     EXPECT_FALSE(
-        analyzer.analyze(bed.jumper, &bed.guard).has_value());
+        analyzer.analyze(bed.jumper, bed.guard).has_value());
 }
 
 TEST(JumpTableUnit, MissingBoundFails)
@@ -247,9 +245,9 @@ TEST(JumpTableUnit, MissingBoundFails)
 
     JumpTableAnalyzer analyzer(bed.img, {});
     EXPECT_FALSE(
-        analyzer.analyze(bed.jumper, &bed.guard).has_value());
+        analyzer.analyze(bed.jumper, bed.guard).has_value());
     // And with no predecessor at all.
-    EXPECT_FALSE(analyzer.analyze(bed.jumper, nullptr).has_value());
+    EXPECT_FALSE(analyzer.analyze(bed.jumper, {}).has_value());
 }
 
 TEST(JumpTableUnit, BoundClampedAtSectionEnd)
@@ -271,7 +269,7 @@ TEST(JumpTableUnit, BoundClampedAtSectionEnd)
         words32({8, 16, 24, 32}));
 
     JumpTableAnalyzer analyzer(bed.img, {});
-    auto jt = analyzer.analyze(bed.jumper, &bed.guard);
+    auto jt = analyzer.analyze(bed.jumper, bed.guard);
     ASSERT_TRUE(jt.has_value());
     EXPECT_EQ(jt->entryCount, 4u); // Assumption-2 trimming
 }
@@ -298,5 +296,5 @@ TEST(JumpTableUnit, IndexRegisterRedefinitionBreaksBound)
 
     JumpTableAnalyzer analyzer(bed.img, {});
     EXPECT_FALSE(
-        analyzer.analyze(bed.jumper, &bed.guard).has_value());
+        analyzer.analyze(bed.jumper, bed.guard).has_value());
 }

@@ -41,8 +41,8 @@ pickBlocks(const BinaryImage &img, const std::string &func_name,
     for (const auto &[entry, func] : cfg.functions) {
         if (func.name != func_name)
             continue;
-        for (const auto &[start, block] : func.blocks) {
-            chosen.insert(start);
+        for (const Block &block : func.blocks) {
+            chosen.insert(block.start);
             if (chosen.size() >= count)
                 break;
         }

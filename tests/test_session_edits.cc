@@ -95,18 +95,19 @@ pick(Rng &rng, std::size_t n, std::size_t &index)
 bool
 untracked(const Function &func, const Block &block, std::size_t k)
 {
-    const auto indirect = [](const Block &b) {
-        return b.last().op == Opcode::JmpInd ||
-               b.last().op == Opcode::JmpTar;
+    const auto indirect = [&](const Block &b) {
+        return func.last(b).op == Opcode::JmpInd ||
+               func.last(b).op == Opcode::JmpTar;
     };
     if (indirect(block))
         return false;
     const Block *next = func.blockAt(block.end);
     if (next && next->start == block.end && indirect(*next))
         return false;
-    const Reg rd = block.insns[k].rd;
+    const auto insns = func.insnsOf(block);
+    const Reg rd = insns[k].rd;
     for (std::size_t j = k; j-- > 0;) {
-        const Instruction &in = block.insns[j];
+        const Instruction &in = insns[j];
         if (in.rd != rd)
             continue;
         switch (in.op) {
@@ -151,9 +152,9 @@ applyEdit(BinaryImage &img, EditKind kind, Rng &rng)
       case EditKind::flip: {
         std::vector<Instruction> sites;
         for (const auto &[entry, func] : cfg.functions) {
-            for (const auto &[start, block] : func.blocks) {
+            for (const Block &block : func.blocks) {
                 for (std::size_t k = 0; k < block.insns.size(); ++k) {
-                    const Instruction &in = block.insns[k];
+                    const Instruction &in = func.insnsOf(block)[k];
                     if (in.op == Opcode::AddImm && in.imm > 1 &&
                         untracked(func, block, k))
                         sites.push_back(in);
@@ -201,11 +202,11 @@ applyEdit(BinaryImage &img, EditKind kind, Rng &rng)
         std::vector<std::pair<Instruction, Addr>> sites;
         for (const auto &[entry, func] : cfg.functions) {
             std::vector<Addr> inner;
-            for (const auto &[start, block] : func.blocks)
-                for (std::size_t k = 1; k < block.insns.size(); ++k)
-                    inner.push_back(block.insns[k].addr);
-            for (const auto &[start, block] : func.blocks) {
-                const Instruction &last = block.last();
+            for (const Block &block : func.blocks)
+                for (const Instruction &in : func.insnsOf(block).subspan(1))
+                    inner.push_back(in.addr);
+            for (const Block &block : func.blocks) {
+                const Instruction &last = func.last(block);
                 if (last.op != Opcode::JmpCond ||
                     last.target < func.entry || last.target >= func.end)
                     continue;
@@ -228,10 +229,9 @@ applyEdit(BinaryImage &img, EditKind kind, Rng &rng)
         for (const auto &[entry, func] : cfg.functions) {
             if (!func.instrumentable())
                 continue;
-            for (const auto &[start, block] : func.blocks)
-                for (const Instruction &in : block.insns)
-                    if (in.length >= 2 && !isControlFlow(in.op))
-                        sites.push_back(in);
+            for (const Instruction &in : func.insns)
+                if (in.length >= 2 && !isControlFlow(in.op))
+                    sites.push_back(in);
         }
         return pick(rng, sites.size(), i) && splitIntoNops(img, sites[i]);
       }
@@ -654,13 +654,11 @@ TEST(SessionLayoutReuse, MovedInstructionsFallBackToFullLayout)
     for (const auto &[entry, func] : session.analyze().functions) {
         if (!func.instrumentable())
             continue;
-        for (const auto &[start, block] : func.blocks) {
-            for (const Instruction &in : block.insns) {
-                if (split || in.length < 2 || isControlFlow(in.op) ||
-                    in.op == Opcode::Lea || in.op == Opcode::MovImm)
-                    continue;
-                split = splitIntoNops(edited, in);
-            }
+        for (const Instruction &in : func.insns) {
+            if (split || in.length < 2 || isControlFlow(in.op) ||
+                in.op == Opcode::Lea || in.op == Opcode::MovImm)
+                continue;
+            split = splitIntoNops(edited, in);
         }
     }
     ASSERT_TRUE(split);

@@ -22,9 +22,13 @@
 #                  analysis, CFG-property and jump-table unit suites,
 #                  which drive the CFG builder's offset-indexed table
 #                  over hand-assembled edge cases and compiled
-#                  corpora, and the data-deps suite, whose cache round
+#                  corpora, the data-deps suite, whose cache round
 #                  trip looks up a read-set at other bytes and must
-#                  miss) and the
+#                  miss, and the selective-instrumentation suite,
+#                  whose reachability pruning walks every block's
+#                  range of its Function's edge array; CfgReuse,
+#                  which keeps a module's Functions across passes,
+#                  runs in the session suites above) and the
 #                  repair-loop CLI smoke; the
 #                  allocation guard (test_alloc_guard) stays out, as
 #                  it replaces the operator new that ASan owns
@@ -146,8 +150,8 @@ leg_asan() {
                  test_baselines test_sim test_loader \
                  test_rewrite_mutation test_session_edits \
                  test_analysis test_cfg_properties test_jump_table_unit \
-                 test_datadeps icp_cli &&
-    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation / session edit / analysis / data-deps tests ==" &&
+                 test_datadeps test_selective icp_cli &&
+    echo "== ASan+UBSan: rewriter / verifier / binfmt / session / cache / shard / serve / baseline / simulator / loader / rewrite mutation / session edit / analysis / data-deps / selective tests ==" &&
     ./build-asan/tests/test_lint &&
     ./build-asan/tests/test_rewrite &&
     ./build-asan/tests/test_binfmt &&
@@ -165,6 +169,7 @@ leg_asan() {
     ./build-asan/tests/test_cfg_properties &&
     ./build-asan/tests/test_jump_table_unit &&
     ./build-asan/tests/test_datadeps &&
+    ./build-asan/tests/test_selective &&
     echo "== ASan+UBSan: repair-loop smoke (inject -> repair -> lint) ==" &&
     smoke_dir="$(mktemp -d)" &&
     ./build-asan/tools/icp compile micro "$smoke_dir/in.sbf" --pie &&

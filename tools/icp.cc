@@ -697,13 +697,10 @@ cmdInspect(int argc, char **argv)
             if (func.name != argv[1])
                 continue;
             std::printf("\n<%s>:\n", func.name.c_str());
-            for (const auto &[start, block] : func.blocks) {
-                for (const auto &in : block.insns) {
-                    std::printf("  %08llx  %s\n",
-                                static_cast<unsigned long long>(
-                                    in.addr),
-                                in.toString().c_str());
-                }
+            for (const auto &in : func.insns) {
+                std::printf("  %08llx  %s\n",
+                            static_cast<unsigned long long>(in.addr),
+                            in.toString().c_str());
             }
             return 0;
         }
